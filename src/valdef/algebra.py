@@ -3,6 +3,16 @@
 An AlgebraStructure stores the products of basis elements as sparse
 integer-indexed tables over Q.  Lie tables keep only i < j entries and the
 bracket is extended antisymmetrically; associative tables keep all pairs.
+That Fraction table is what files are read into and printed from.
+
+For the identity checks each structure also carries an integer form of
+its table (`AlgebraStructure.scaled_table`): one common denominator and
+integer constants over all ordered pairs, Lie tables expanded
+antisymmetrically.  `triple_products` contracts two such tables into both
+nestings of every basis triple, and the associator, Jacobi,
+G-associativity, dual-identity and Poisson checks are integer zero and
+equality tests on its output.
+
 Cochains are alternating multilinear maps stored densely over strictly
 increasing index tuples, the representation used by the cohomology and
 deformation modules.
@@ -12,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from math import lcm
 
 from . import linalg
 from .errors import DimensionMismatch
@@ -120,6 +132,76 @@ class AlgebraStructure:
 
     def basis_vector(self, i: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(1) if k == i else ZERO for k in range(self.dim))
+
+    @cached_property
+    def scaled_table(self) -> tuple[int, tuple]:
+        """The table as integers over one common denominator, built once.
+
+        Returns (den, rows): den * e_i e_j is the sum of c * e_k over
+        (k, c) in rows[i][j], for every ordered pair (i, j).  Each row is
+        sorted by k and holds no zero c, so equal products have equal
+        rows.  Lie tables are expanded antisymmetrically here.
+        """
+        den = lcm(1, *(c.denominator for out in self.table.values() for _, c in out))
+        n = self.dim
+        rows = [[()] * n for _ in range(n)]
+        for (i, j), out in self.table.items():
+            row = tuple((k, c.numerator * (den // c.denominator)) for k, c in out)
+            rows[i][j] = row
+            if self.kind == "lie":
+                rows[j][i] = tuple((k, -c) for k, c in row)
+        return den, tuple(map(tuple, rows))
+
+
+def _combine(terms, rows) -> dict:
+    """The sum of c * rows[m] over (m, c) in terms, as {k: int} without zeros."""
+    acc: dict[int, int] = {}
+    for m, c in terms:
+        for k, d in rows[m]:
+            acc[k] = acc.get(k, 0) + c * d
+    if all(acc.values()):
+        return acc
+    return {k: v for k, v in acc.items() if v}
+
+
+def triple_products(outer: AlgebraStructure, inner: AlgebraStructure):
+    """Both nestings of every basis triple, scaled to integers.
+
+    Returns (den, left, right) with den = den_outer * den_inner and, for
+    the flat triple number t = (i * n + j) * n + k (the order in which
+    itertools.product scans triples):
+
+        left[t]  = den * (e_i o_inner e_j) o_outer e_k
+        right[t] = den * e_i o_outer (e_j o_inner e_k)
+
+    each a {m: int} dict holding no zero value, so that two vectors are
+    equal exactly when their dicts are, and zero exactly when empty.
+    """
+    if outer.dim != inner.dim:
+        raise DimensionMismatch(
+            f"tables of dims {outer.dim} and {inner.dim} cannot be nested"
+        )
+    n = outer.dim
+    den_out, out_rows = outer.scaled_table
+    den_in, in_rows = inner.scaled_table
+    out_cols = [[out_rows[m][k] for m in range(n)] for k in range(n)]
+    left, right = [], []
+    for i in range(n):
+        out_i = out_rows[i]
+        for j in range(n):
+            ij = in_rows[i][j]
+            in_j = in_rows[j]
+            for k in range(n):
+                left.append(_combine(ij, out_cols[k]) if ij else {})
+                jk = in_j[k]
+                right.append(_combine(jk, out_i) if jk else {})
+    return den_out * den_in, left, right
+
+
+def add_scaled(acc: dict, vec: dict, sign: int = 1) -> None:
+    """acc += sign * vec, for {k: int} vectors; acc may keep zero values."""
+    for k, v in vec.items():
+        acc[k] = acc.get(k, 0) + sign * v
 
 
 def bracket_eval(g: AlgebraStructure, x, y) -> tuple[Fraction, ...]:
@@ -347,29 +429,45 @@ def mu_cochain(g: AlgebraStructure) -> Cochain:
     return Cochain(2, g.dim, "adjoint", vals)
 
 
+def jacobi_sums(b: AlgebraStructure):
+    """(den, failures): the Jacobi sums of a bracket table that do not vanish.
+
+    failures lists (key, vec) for every strictly increasing basis triple
+    key = (i, j, k), in lex order, whose den * ([[e_i,e_j],e_k] +
+    [[e_j,e_k],e_i] + [[e_k,e_i],e_j]) is the nonzero {m: int} vec.
+    """
+    den, left, _ = triple_products(b, b)
+    n = b.dim
+    failures = []
+    for i, j, k in combinations(range(n), 3):
+        acc: dict[int, int] = {}
+        add_scaled(acc, left[(i * n + j) * n + k])
+        add_scaled(acc, left[(j * n + k) * n + i])
+        add_scaled(acc, left[(k * n + i) * n + j])
+        if any(acc.values()):
+            failures.append(((i, j, k), acc))
+    return den, failures
+
+
 def jacobiator(g: AlgebraStructure) -> Cochain:
     """[[x,y],z] + [[y,z],x] + [[z,x],y] as a degree-3 adjoint cochain."""
     if g.kind != "lie":
         raise ValueError("jacobiator needs a lie-kind algebra")
-    vals = {}
-    for key in combinations(range(g.dim), 3):
-        x, y, z = (g.basis_vector(i) for i in key)
-        total = [ZERO] * g.dim
-        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            term = g.bilinear(g.bilinear(a, b), c)
-            for k in range(g.dim):
-                total[k] += term[k]
-        if any(total):
-            vals[key] = tuple(total)
+    den, failures = jacobi_sums(g)
+    vals = {
+        key: tuple(Fraction(vec.get(m, 0), den) for m in range(g.dim))
+        for key, vec in failures
+    }
     return Cochain(3, g.dim, "adjoint", vals)
 
 
 def is_lie(g: AlgebraStructure):
     """(True, None) if the Jacobi identity holds, else (False, first triple)."""
-    jac = jacobiator(g)
-    for key in combinations(range(g.dim), 3):
-        if any(jac.value(key)):
-            return False, key
+    if g.kind != "lie":
+        raise ValueError("is_lie needs a lie-kind algebra")
+    _, failures = jacobi_sums(g)
+    if failures:
+        return False, failures[0][0]
     return True, None
 
 

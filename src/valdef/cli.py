@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import io
-from .algebra import is_lie, associator
+from .algebra import is_lie
 from .cohomology import cohomology_dim
 from .decompose import decompose, flag_of, recompose
 from .deformation import (
@@ -43,7 +43,7 @@ from .nonassoc import (
     poisson_verify,
     tensor_product,
 )
-from .rigidity import TorusData, enveloping_rigidity_report, roots, zero_root_criterion
+from .rigidity import TorusData, enveloping_rigidity_report, zero_root_criterion
 from .series import rational_str
 
 EXIT_OK = 0
@@ -83,20 +83,8 @@ def cmd_check(args):
         if not ok:
             detail["witness"] = {"axiom": "Jacobi identity", "triple": list(witness)}
     elif loaded.kind == "assoc":
-        a = loaded.structure
-        detail["dim"] = a.dim
-        ok, witness = True, None
-        basis = [a.basis_vector(i) for i in range(a.dim)]
-        for i in range(a.dim):
-            for j in range(a.dim):
-                for k in range(a.dim):
-                    if any(associator(a, basis[i], basis[j], basis[k])):
-                        ok, witness = False, (i, j, k)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
+        detail["dim"] = loaded.structure.dim
+        ok, witness = g_associative_check(loaded.structure, SubgroupTag.ID)
         if witness:
             detail["witness"] = {"axiom": "associativity", "triple": list(witness)}
     else:
@@ -256,7 +244,9 @@ def cmd_rigidity(args):
     if report.note:
         detail["note"] = report.note
     if torus.rank == 1:
-        crit = zero_root_criterion(loaded.structure, torus)
+        crit = zero_root_criterion(
+            loaded.structure, torus, report.roots, report.dim_H2_trivial
+        )
         detail["zero_root"] = {
             "zero_is_root": crit.zero_is_root,
             "dim_H2_trivial": crit.dim_H2_trivial,

@@ -29,6 +29,34 @@ def load_json(path: str):
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _int(value, what: str) -> int:
+    """An integer field of outside input, or FormatError naming the field."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{what} must be an integer, got {value!r}") from exc
+
+
+def _cap(value) -> int:
+    cap = _int(value, "cap")
+    if cap < 0:
+        raise FormatError(f"cap must be non-negative, got {cap}")
+    return cap
+
+
+def _index_list(value, what: str, dim: int) -> tuple[int, ...]:
+    """Distinct basis indices in 0..dim-1, from a JSON array."""
+    if not isinstance(value, list):
+        raise FormatError(f"{what} must be an array of indices, got {value!r}")
+    indices = tuple(_int(i, f"{what} index") for i in value)
+    for i in indices:
+        if not 0 <= i < dim:
+            raise FormatError(f"{what} index {i} outside 0..{dim - 1}")
+    if len(set(indices)) != len(indices):
+        raise FormatError(f"{what} repeats an index: {list(indices)}")
+    return indices
+
+
 def parse_series_literal(items, cap: int) -> TruncSeries:
     if not isinstance(items, list):
         raise FormatError(f"series literal must be an array, got {items!r}")
@@ -71,13 +99,16 @@ class AlgebraFile:
 def parse_algebra(doc) -> AlgebraFile:
     if not isinstance(doc, dict):
         raise FormatError("algebra file must be a JSON object")
-    try:
-        dim = int(doc["dim"])
-        kind = doc["kind"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError("algebra file needs integer 'dim' and 'kind'") from exc
+    if "dim" not in doc or "kind" not in doc:
+        raise FormatError("algebra file needs integer 'dim' and 'kind'")
+    dim = _int(doc["dim"], "dim")
+    if dim < 1:
+        raise FormatError(f"dim must be at least 1, got {dim}")
+    kind = doc["kind"]
     basis = doc.get("basis")
-    torus = tuple(int(i) for i in doc["torus"]) if "torus" in doc else None
+    if basis is not None and not isinstance(basis, list):
+        raise FormatError(f"basis must be an array of names, got {basis!r}")
+    torus = _index_list(doc["torus"], "torus", dim) if "torus" in doc else None
     if kind == "poisson":
         if "assoc_table" not in doc or "bracket_table" not in doc:
             raise FormatError(
@@ -112,7 +143,7 @@ def load_algebra(path: str) -> AlgebraFile:
 def parse_vector(doc, default_cap: int) -> SeriesVector:
     if not isinstance(doc, dict) or "components" not in doc:
         raise FormatError("vector file needs a 'components' array")
-    cap = int(doc.get("cap", default_cap))
+    cap = _cap(doc.get("cap", default_cap))
     comps = doc["components"]
     if not isinstance(comps, list) or not comps:
         raise FormatError("'components' must be a non-empty array")
@@ -124,7 +155,7 @@ def parse_cochain(doc, dim: int, degree: int = 2, target: str = "adjoint") -> Co
     if isinstance(doc, list):
         values = doc
     elif isinstance(doc, dict):
-        degree = int(doc.get("degree", degree))
+        degree = _int(doc.get("degree", degree), "cochain degree")
         target = doc.get("target", target)
         values = doc.get("values", [])
     else:
@@ -134,7 +165,7 @@ def parse_cochain(doc, dim: int, degree: int = 2, target: str = "adjoint") -> Co
     vals = {}
     for row in values:
         try:
-            key = tuple(int(i) for i in row["args"])
+            key = tuple(_int(i, "cochain args index") for i in row["args"])
             if target == "adjoint":
                 vec = [Fraction(0)] * dim
                 for cell in row["out"]:
@@ -187,9 +218,12 @@ def parse_deformation(doc, base_dir: str, default_cap: int):
     if base_file.kind != "lie":
         raise FormatError("deformation base must be a lie-kind algebra")
     base = base_file.structure
-    cap = int(doc.get("cap", default_cap))
+    cap = _cap(doc.get("cap", default_cap))
+    rows = doc.get("terms", [])
+    if not isinstance(rows, list):
+        raise FormatError(f"deformation 'terms' must be an array, got {rows!r}")
     terms = []
-    for row in doc.get("terms", []):
+    for row in rows:
         try:
             coeff = parse_series_literal(row["coeff"], cap)
             cochain = parse_cochain(row["cochain"], base.dim)
@@ -205,9 +239,13 @@ def parse_deformation(doc, base_dir: str, default_cap: int):
 def parse_endomorphism(doc, dim: int, default_cap: int):
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise FormatError("endomorphism file needs a 'matrix' array")
-    cap = int(doc.get("cap", default_cap))
+    cap = _cap(doc.get("cap", default_cap))
     matrix = doc["matrix"]
-    if len(matrix) != dim or any(len(row) != dim for row in matrix):
+    if (
+        not isinstance(matrix, list)
+        or len(matrix) != dim
+        or any(not isinstance(row, list) or len(row) != dim for row in matrix)
+    ):
         raise FormatError(f"endomorphism matrix must be {dim}x{dim}")
     return tuple(
         tuple(parse_series_literal(entry, cap) for entry in row) for row in matrix

@@ -1,41 +1,13 @@
-"""Exact rational linear algebra on top of a selectable RREF kernel.
+"""Exact rational linear algebra on top of one RREF kernel.
 
 Row reduction is the hot loop under every rank, kernel and membership
-computation in this package.  At import time the compiled Cython backend
-is preferred; the pure-Python reference implementation is the fallback.
-Set VALDEF_PURE_PYTHON=1 to force the fallback.  Both backends compute
-the (unique) reduced row echelon form, so results never depend on the
-selection.
+computation in this package; `reference.rref` computes the (unique)
+reduced row echelon form with exact Fraction arithmetic.
 """
-
-import os
 
 from fractions import Fraction
 
-from . import reference
-
-if os.environ.get("VALDEF_PURE_PYTHON"):
-    _backend = reference
-else:
-    try:
-        from . import _speedups as _backend
-    except ImportError:
-        _backend = reference
-
-BACKEND = _backend.BACKEND
-rref = _backend.rref
-
-
-def available_backends():
-    """Names of importable backends (for tests and the benchmark)."""
-    names = [reference.BACKEND]
-    try:
-        from . import _speedups
-
-        names.append(_speedups.BACKEND)
-    except ImportError:
-        pass
-    return names
+from .reference import rref
 
 
 def rank(rows) -> int:

@@ -1,13 +1,6 @@
-"""Pure-Python reduced row echelon form over exact rationals.
-
-This is the fallback backend; valdef.linalg._speedups implements the same
-contract in Cython.  RREF over a field is unique, so both backends must
-return identical output on identical input.
-"""
+"""Reduced row echelon form over exact rationals."""
 
 from fractions import Fraction
-
-BACKEND = "python"
 
 
 def rref(rows):

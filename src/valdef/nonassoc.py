@@ -14,6 +14,11 @@ what the tensor closure argument factors through.  For the two-element
 subgroups this matches the usual pre-Lie/Vinberg duals; "3-commutative"
 (the full-group dual) is implemented as invariance of triple products
 under all argument permutations.
+
+Every check here scans basis triples of the integer tables that
+`algebra.triple_products` returns, in `itertools.product` order, so the
+first failing triple is the witness; rationals appear only in the
+tables that are built and printed.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .algebra import AlgebraStructure, associator
+from .algebra import AlgebraStructure, add_scaled, jacobi_sums, triple_products
 from .errors import InvalidPoisson
 
 ZERO = Fraction(0)
@@ -75,11 +80,17 @@ DUAL_IDENTITY = {
 }
 
 
-def _associator_table(a: AlgebraStructure):
-    basis = [a.basis_vector(i) for i in range(a.dim)]
-    table = {}
-    for t in iter_product(range(a.dim), repeat=3):
-        table[t] = associator(a, basis[t[0]], basis[t[1]], basis[t[2]])
+def _associator_table(a: AlgebraStructure) -> list[dict]:
+    """den * ((e_i e_j) e_k - e_i (e_j e_k)) for every flat triple number."""
+    _, left, right = triple_products(a, a)
+    table = []
+    for lt, rt in zip(left, right):
+        if lt == rt:
+            table.append({})
+        else:
+            acc = dict(lt)
+            add_scaled(acc, rt, -1)
+            table.append({k: v for k, v in acc.items() if v})
     return table
 
 
@@ -91,25 +102,19 @@ def g_associative_check(a: AlgebraStructure, tag: SubgroupTag, signed: bool = Tr
     weights (the plain-sum reading, kept for comparison).
     """
     tag = SubgroupTag(tag)
+    n = a.dim
     assoc = _associator_table(a)
-    for t in iter_product(range(a.dim), repeat=3):
-        acc = [ZERO] * a.dim
-        for pattern in PATTERNS[tag]:
-            vec = assoc[(t[pattern[0]], t[pattern[1]], t[pattern[2]])]
-            sign = _pattern_sign(pattern) if signed else 1
-            for k in range(a.dim):
-                acc[k] += sign * vec[k]
-        if any(acc):
+    terms = [
+        (pattern, _pattern_sign(pattern) if signed else 1)
+        for pattern in PATTERNS[tag]
+    ]
+    for t in iter_product(range(n), repeat=3):
+        acc: dict[int, int] = {}
+        for (p0, p1, p2), sign in terms:
+            add_scaled(acc, assoc[(t[p0] * n + t[p1]) * n + t[p2]], sign)
+        if any(acc.values()):
             return False, t
     return True, None
-
-
-def _triple_table(b: AlgebraStructure):
-    basis = [b.basis_vector(i) for i in range(b.dim)]
-    table = {}
-    for t in iter_product(range(b.dim), repeat=3):
-        table[t] = b.bilinear(b.bilinear(basis[t[0]], basis[t[1]]), basis[t[2]])
-    return table
 
 
 def dual_identity_check(b: AlgebraStructure, tag: SubgroupTag):
@@ -120,15 +125,15 @@ def dual_identity_check(b: AlgebraStructure, tag: SubgroupTag):
     triple where some permuted product differs.
     """
     tag = SubgroupTag(tag)
-    assoc = _associator_table(b)
-    for t in iter_product(range(b.dim), repeat=3):
-        if any(assoc[t]):
+    n = b.dim
+    _, left, right = triple_products(b, b)
+    triples = list(iter_product(range(n), repeat=3))
+    for t, lt, rt in zip(triples, left, right):
+        if lt != rt:
             return False, t
-    triples = _triple_table(b)
-    for t in iter_product(range(b.dim), repeat=3):
-        want = triples[t]
-        for pattern in PATTERNS[tag][1:]:
-            if triples[(t[pattern[0]], t[pattern[1]], t[pattern[2]])] != want:
+    for t, want in zip(triples, left):
+        for p0, p1, p2 in PATTERNS[tag][1:]:
+            if left[(t[p0] * n + t[p1]) * n + t[p2]] != want:
                 return False, t
     return True, None
 
@@ -181,38 +186,31 @@ class PoissonStructure:
 def poisson_verify(p: PoissonStructure):
     """(True, None) or (False, (axiom, witness)) over all basis tuples."""
     n = p.dim
-    basis = [p.product.basis_vector(i) for i in range(n)]
+    _, prod = p.product.scaled_table
     for i in range(n):
         for j in range(i, n):
-            if p.product.bilinear(basis[i], basis[j]) != p.product.bilinear(
-                basis[j], basis[i]
-            ):
+            if prod[i][j] != prod[j][i]:
                 return False, ("product not commutative", (i, j))
-    for t in iter_product(range(n), repeat=3):
-        if any(associator(p.product, basis[t[0]], basis[t[1]], basis[t[2]])):
+    _, left, right = triple_products(p.product, p.product)
+    for t, lt, rt in zip(iter_product(range(n), repeat=3), left, right):
+        if lt != rt:
             return False, ("product not associative", t)
+    _, br = p.bracket.scaled_table
     for i in range(n):
         for j in range(i, n):
-            plus = p.bracket.bilinear(basis[i], basis[j])
-            minus = p.bracket.bilinear(basis[j], basis[i])
-            if any(a + b for a, b in zip(plus, minus)):
+            if br[i][j] != tuple((k, -c) for k, c in br[j][i]):
                 return False, ("bracket not antisymmetric", (i, j))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                acc = [ZERO] * n
-                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = p.bracket.bilinear(basis[x], basis[y])
-                    outer = p.bracket.bilinear(inner, basis[z])
-                    for m in range(n):
-                        acc[m] += outer[m]
-                if any(acc):
-                    return False, ("bracket fails Jacobi", (i, j, k))
+    _, failures = jacobi_sums(p.bracket)
+    if failures:
+        return False, ("bracket fails Jacobi", failures[0][0])
+    # [a, bc] - b[a, c] - [a, b]c, each term scaled by den_bracket * den_product
+    _, _, br_of_prod = triple_products(p.bracket, p.product)
+    _, prod_of_br_left, prod_of_br_right = triple_products(p.product, p.bracket)
     for a, b, c in iter_product(range(n), repeat=3):
-        left = p.bracket.bilinear(basis[a], p.product.bilinear(basis[b], basis[c]))
-        right1 = p.product.bilinear(basis[b], p.bracket.bilinear(basis[a], basis[c]))
-        right2 = p.product.bilinear(p.bracket.bilinear(basis[a], basis[b]), basis[c])
-        if any(l - r1 - r2 for l, r1, r2 in zip(left, right1, right2)):
+        acc = dict(br_of_prod[(a * n + b) * n + c])
+        add_scaled(acc, prod_of_br_right[(b * n + a) * n + c], -1)
+        add_scaled(acc, prod_of_br_left[(a * n + b) * n + c], -1)
+        if any(acc.values()):
             return False, ("Leibniz rule fails", (a, b, c))
     return True, None
 

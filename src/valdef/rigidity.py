@@ -81,23 +81,33 @@ class ZeroRootCriterion:
     certificate_nontrivial: bool | None
 
 
-def zero_root_criterion(g: AlgebraStructure, torus: TorusData) -> ZeroRootCriterion:
+def zero_root_criterion(
+    g: AlgebraStructure,
+    torus: TorusData,
+    known_roots: tuple[Fraction, ...] | None = None,
+    dim_h2: int | None = None,
+) -> ZeroRootCriterion:
     """dim H^2(g, K) = 0 <=> 0 not a root, plus the certificate cocycle.
 
     The caller asserts rigidity; both sides are computed unconditionally
     and only their agreement is reported.  When 0 is a root, the cocycle
     pairing the torus generator with a root-0 eigenvector must be closed
-    and not exact for the report to be consistent.
+    and not exact for the report to be consistent.  A caller that already
+    has the roots or dim H^2(g, K) of g, such as a RigidityReport,
+    passes them as known_roots and dim_h2 so they are not computed again.
     """
-    report = roots(g, torus)
-    dim_h2 = cohomology_dim(g, 2, "trivial").dim_H
-    consistent = (dim_h2 == 0) == (not report.zero_is_root)
+    if known_roots is None:
+        known_roots = roots(g, torus).roots
+    if dim_h2 is None:
+        dim_h2 = cohomology_dim(g, 2, "trivial").dim_H
+    zero_is_root = any(c == 0 for c in known_roots)
+    consistent = (dim_h2 == 0) == (not zero_is_root)
     closed = nontrivial = None
-    if report.zero_is_root:
+    if zero_is_root:
         x_idx = torus.torus_indices[0]
         zero_idx = next(
             yi
-            for yi, lam in zip(torus.nil_indices, report.roots)
+            for yi, lam in zip(torus.nil_indices, known_roots)
             if lam == 0
         )
         key = tuple(sorted((x_idx, zero_idx)))
@@ -107,7 +117,7 @@ def zero_root_criterion(g: AlgebraStructure, torus: TorusData) -> ZeroRootCriter
         consistent = consistent and closed and nontrivial
     return ZeroRootCriterion(
         dim_H2_trivial=dim_h2,
-        zero_is_root=report.zero_is_root,
+        zero_is_root=zero_is_root,
         consistent=consistent,
         certificate_closed=closed,
         certificate_nontrivial=nontrivial,

@@ -399,3 +399,103 @@ def test_output_deterministic(tmp_path, capsys):
 def test_missing_file_is_exit_2(capsys):
     code, doc, err = run(capsys, "check", "/nonexistent/file.json")
     assert code == 2
+
+
+ZERO_ROOT_RIGID = (
+    '{"detail":{"dim_H2_trivial":1,"note":"informational: for solvable rigid '
+    "rank-1 algebras, 0 has been conjectured never to be a root; this report "
+    'does not assume it","rank":1,"roots":["1","0"],"theorem":"rank 1 with '
+    'nonzero H2(g, K)","verdict":"U(g) not rigid","zero_root":'
+    '{"certificate_closed":true,"certificate_nontrivial":true,"consistent":true,'
+    '"dim_H2_trivial":1,"zero_is_root":true}},"ok":true}\n'
+)
+
+
+@pytest.mark.parametrize("asserted, calls", [(True, 1), (False, 1)])
+def test_rigidity_computes_h2_once(capsys, monkeypatch, asserted, calls):
+    import valdef.rigidity as rigidity
+
+    seen = []
+    original = rigidity.cohomology_dim
+
+    def counting(*args):
+        seen.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(rigidity, "cohomology_dim", counting)
+    argv = ["rigidity", catalog.path("zero_root")]
+    if asserted:
+        argv.append("--asserted-rigid")
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert seen == [(2, "trivial")] * calls
+    if asserted:
+        assert out == ZERO_ROOT_RIGID
+
+
+LIE2 = {"dim": 2, "kind": "lie", "table": []}
+DEFORM = {"base": LIE2, "cap": 3, "terms": []}
+VECTOR = {"cap": 3, "components": [["0", "1"]]}
+COH = ["--deg", "2", "--coeff", "adjoint"]
+
+
+def _term(cochain):
+    return dict(DEFORM, terms=[{"coeff": ["0", "1"], "cochain": cochain}])
+
+
+# (argv with @name standing for the path of file name, files, words of the reason)
+MALFORMED = [
+    (["check", "@a"], {"a": dict(LIE2, torus=["a"])}, "torus index"),
+    (["rigidity", "@a", "--asserted-rigid"], {"a": dict(LIE2, torus=["a"])}, "torus index"),
+    (["rigidity", "@a", "--asserted-rigid"], {"a": dict(LIE2, torus=[5])}, "outside 0..1"),
+    (["rigidity", "@a"], {"a": dict(LIE2, torus=[0, 0])}, "repeats"),
+    (["rigidity", "@a"], {"a": dict(LIE2, torus=0)}, "torus must be an array"),
+    (["check", "@a"], {"a": dict(LIE2, dim=-1)}, "dim must be at least 1"),
+    (["check", "@a"], {"a": dict(LIE2, dim=0)}, "dim must be at least 1"),
+    (["check", "@a"], {"a": dict(LIE2, dim="two")}, "dim must be an integer"),
+    (["cohomology", "@a"] + COH, {"a": dict(LIE2, dim=-1)}, "dim must be at least 1"),
+    (["check", "@a"], {"a": dict(LIE2, basis=5)}, "basis must be an array"),
+    (["decompose", "@v"], {"v": dict(VECTOR, cap="x")}, "cap must be an integer"),
+    (["decompose", "@v"], {"v": dict(VECTOR, cap=-2)}, "cap must be non-negative, got -2"),
+    (["decompose", "@v"], {"v": dict(VECTOR, cap=1e400)}, "cap must be an integer"),
+    (["decompose", "--cap", "-2", "@v"], {"v": {"components": [["0"]]}}, "non-negative"),
+    (["deform", "verify", "@d"], {"d": dict(DEFORM, cap="x")}, "cap must be an integer"),
+    (["deform", "verify", "@d"], {"d": dict(DEFORM, cap=-1)}, "non-negative"),
+    (["deform", "verify", "@d"], {"d": dict(DEFORM, terms=5)}, "'terms' must be an array"),
+    (
+        ["deform", "verify", "@d"],
+        {"d": _term({"degree": "x", "values": []})},
+        "cochain degree must be an integer",
+    ),
+    (
+        ["deform", "verify", "@d"],
+        {"d": _term([{"args": ["a", 1], "out": []}])},
+        "cochain args index must be an integer",
+    ),
+    (
+        ["deform", "transport", "@d", "--endo", "@f"],
+        {"d": DEFORM, "f": {"cap": "x", "matrix": []}},
+        "cap must be an integer",
+    ),
+    (
+        ["deform", "transport", "@d", "--endo", "@f"],
+        {"d": DEFORM, "f": {"cap": -3, "matrix": []}},
+        "non-negative",
+    ),
+    (
+        ["deform", "transport", "@d", "--endo", "@f"],
+        {"d": DEFORM, "f": {"matrix": 5}},
+        "must be 2x2",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, files, reason", MALFORMED)
+def test_malformed_input_exits_2(tmp_path, capsys, argv, files, reason):
+    paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in files.items()}
+    argv = [paths[a[1:]] if a.startswith("@") else a for a in argv]
+    code, doc, err = run(capsys, *argv)
+    assert code == 2 and doc["ok"] is False
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert reason in err
