@@ -4,7 +4,8 @@ Every command prints one JSON document on stdout (sorted keys, so equal
 inputs give byte-identical output); diagnostics go to stderr.  Exit
 codes: 0 the property holds / computation succeeded, 1 property violated
 (witness in the JSON), 2 malformed input or flags, 3 insufficient
-precision.
+precision, 4 internal error (a bug: the traceback goes to stderr and
+nothing to stdout, so it is never read as a verdict).
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import io
 from .algebra import is_lie
-from .cohomology import cohomology_dim
+from .cohomology import COEFFS, MAX_DEGREE, cohomology_dim
 from .decompose import decompose, flag_of, recompose
 from .deformation import (
     decompose_deformation,
@@ -50,6 +52,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_BAD_INPUT = 2
 EXIT_PRECISION = 3
+EXIT_INTERNAL = 4
 
 
 def _table_doc(structure) -> list:
@@ -353,7 +356,9 @@ def cmd_poisson(args):
 # -- wiring ------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="valdef",
         description="exact workbench for valued deformations of algebras",
@@ -376,8 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("cohomology", help="exact cohomology dimensions")
     p.add_argument("algebra")
-    p.add_argument("--deg", type=int, choices=(1, 2), required=True)
-    p.add_argument("--coeff", choices=("adjoint", "trivial"), required=True)
+    p.add_argument(
+        "--deg", type=int, choices=range(1, MAX_DEGREE + 1), required=True
+    )
+    p.add_argument("--coeff", choices=COEFFS, required=True)
     p.set_defaults(func=cmd_cohomology)
 
     p = add_parser("decompose", help="flag decomposition of a vector over m")
@@ -443,6 +450,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         _emit({"ok": False, "error": str(exc)}, args.pretty)
         return EXIT_BAD_INPUT
+    except Exception:
+        # imported here: it costs every start-up a few ms and only a bug needs it
+        import traceback
+
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
     _emit(doc, args.pretty)
     return code
 

@@ -1,24 +1,41 @@
-"""Circle product, super-bracket and Chevalley-Eilenberg cohomology.
+"""Chevalley-Eilenberg cohomology on integers, circle product, super-bracket.
+
+The coboundary delta: C^p -> C^(p+1) is built straight from the integer
+form of the bracket table (`AlgebraStructure.scaled_table`, common
+denominator den) by the Chevalley-Eilenberg formula
+
+    delta f(x_0..x_p) = sum_r (-1)^r [x_r, f(..^x_r..)]
+                        + sum_{i<j} (-1)^(i+j) f([x_i, x_j], ..^x_i..^x_j..)
+
+(the first sum only for adjoint coefficients), as den * delta in sparse
+integer rows, one per codomain coordinate.  One global sign per degree
+and coefficient type matches the circle-product convention delta f =
+mu o f + (-1)^p f o mu (adjoint) and f o mu (trivial), so delta agrees
+with the super-bracket used by the deformation module.  Ranks come from
+`linalg.rank`; all reported cohomology dimensions are independent of the
+global signs.
 
 The circle product composes alternating cochains over shuffles with the
 shuffle sign; the displayed argument count in the source material is
 inconsistent, so the standard degree p+q-1 composition over (p, q-1)
-shuffles is used.  Signs are fixed once so that the coboundary satisfies
-delta(delta(f)) = 0 (checked by tests); all reported cohomology
-dimensions are independent of that global choice.
+shuffles is used.  It serves the super-bracket and the deformation
+residuals.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .algebra import AlgebraStructure, Cochain, _perm_sign_and_sorted, mu_cochain
+from .algebra import AlgebraStructure, Cochain, _perm_sign_and_sorted
 from .errors import DimensionMismatch, UnsupportedDegree
 
 ZERO = Fraction(0)
+COEFFS = ("adjoint", "trivial")
+MAX_DEGREE = 3  # highest cohomology degree reported
 
 
 def circle(outer: Cochain, inner: Cochain) -> Cochain:
@@ -73,26 +90,6 @@ def super_bracket(f: Cochain, g: Cochain) -> Cochain:
     return circle(f, g) + circle(g, f)
 
 
-def coboundary(g: AlgebraStructure, f: Cochain) -> Cochain:
-    """Chevalley-Eilenberg coboundary in degrees 1 and 2.
-
-    Adjoint coefficients go through the super-bracket with the structure
-    cochain; trivial coefficients use the cyclic pullback f o mu.
-    """
-    if g.kind != "lie":
-        raise ValueError("coboundary needs a lie-kind algebra")
-    if f.dim != g.dim:
-        raise DimensionMismatch("cochain dim does not match the algebra")
-    if f.degree not in (1, 2):
-        raise UnsupportedDegree(f"degree {f.degree} coboundary not implemented")
-    mu = mu_cochain(g)
-    if f.target == "adjoint":
-        if f.degree == 2:
-            return circle(mu, f) + circle(f, mu)
-        return circle(mu, f) - circle(f, mu)
-    return circle(f, mu)
-
-
 @dataclass(frozen=True)
 class CohomologyReport:
     degree: int
@@ -102,61 +99,86 @@ class CohomologyReport:
     dim_H: int
 
 
-def _space_dim(n: int, degree: int, coeff: str) -> int:
-    from math import comb
-
-    base = comb(n, degree)
-    return base * n if coeff == "adjoint" else base
-
-
 def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str):
-    """Matrix of delta: C^degree -> C^(degree+1) over the flat bases.
+    """(rows, dom): den * delta: C^degree -> C^(degree+1) over the flat bases.
 
-    Rows index codomain coordinates, columns domain coordinates.  Degree 0
-    is included so degree-1 reports can subtract inner coboundaries.
+    rows holds one {col: int} dict per codomain coordinate (no zero
+    values), in the order of `Cochain.flatten`; dom is the number of
+    domain coordinates, and den = g.scaled_table[0].  Degree 0 is
+    included so degree-1 reports can subtract inner coboundaries.
     """
-    n = g.dim
-    if degree == 0:
-        if coeff == "trivial":
-            return [[] for _ in range(_space_dim(n, 1, coeff))], 1
-        cols = []
-        for i in range(n):
-            img = Cochain.build(
-                1,
-                n,
-                "adjoint",
-                {(j,): g.product_basis(i, j) for j in range(n)},
-            )
-            cols.append(img.flatten())
-        rows = [
-            [cols[c][r] for c in range(n)] for r in range(_space_dim(n, 1, coeff))
-        ]
-        return rows, n
-    if degree not in (1, 2):
+    if g.kind != "lie":
+        raise ValueError("cohomology needs a lie-kind algebra")
+    if coeff not in COEFFS:
+        raise ValueError(f"unknown coefficient type {coeff!r}")
+    if not 0 <= degree <= MAX_DEGREE:
         raise UnsupportedDegree(f"degree {degree} not implemented")
-    dom = _space_dim(n, degree, coeff)
-    codom = _space_dim(n, degree + 1, coeff)
-    cols = []
-    for c in range(dom):
-        flat = [ZERO] * dom
-        flat[c] = Fraction(1)
-        basis_cochain = Cochain.from_flat(degree, n, coeff, flat)
-        cols.append(coboundary(g, basis_cochain).flatten())
-    rows = [[cols[c][r] for c in range(dom)] for r in range(codom)]
-    return rows, dom
+    n = g.dim
+    _, table = g.scaled_table
+    adjoint = coeff == "adjoint"
+    width = n if adjoint else 1
+    # the one sign per (degree, coeff) that makes delta equal the circle
+    # forms mu o f + (-1)^p f o mu (adjoint) and f o mu (trivial)
+    sign = -1 if coeff == "trivial" or degree % 2 == 0 else 1
+    dom_index = {key: i for i, key in enumerate(combinations(range(n), degree))}
+    rows = []
+    for key in combinations(range(n), degree + 1):
+        acc = [{} for _ in range(width)]
+        if adjoint:
+            # sum_r (-1)^r [x_r, f(..^x_r..)]
+            for r, x in enumerate(key):
+                s = sign if r % 2 == 0 else -sign
+                base = dom_index[key[:r] + key[r + 1 :]] * n
+                for m, out in enumerate(table[x]):
+                    for k, c in out:
+                        vec = acc[k]
+                        vec[base + m] = vec.get(base + m, 0) + s * c
+        # sum_{i<j} (-1)^(i+j) f([x_i, x_j], ..^x_i..^x_j..)
+        for i, j in combinations(range(degree + 1), 2):
+            rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
+            for k, c in table[key[i]][key[j]]:
+                if k in rest:
+                    continue
+                pos = bisect(rest, k)
+                base = dom_index[rest[:pos] + (k,) + rest[pos:]] * width
+                s = sign if (i + j + pos) % 2 == 0 else -sign
+                for m, vec in enumerate(acc):
+                    vec[base + m] = vec.get(base + m, 0) + s * c
+        rows.extend({col: v for col, v in vec.items() if v} for vec in acc)
+    return rows, len(dom_index) * width
+
+
+def coboundary(g: AlgebraStructure, f: Cochain) -> Cochain:
+    """Chevalley-Eilenberg coboundary of a cochain of degree 1 to MAX_DEGREE.
+
+    It is `coboundary_matrix` applied to the flat coordinates of f and
+    divided by den, so it equals mu o f + (-1)^p f o mu for adjoint and
+    f o mu for trivial coefficients.
+    """
+    if f.dim != g.dim:
+        raise DimensionMismatch("cochain dim does not match the algebra")
+    if not 1 <= f.degree <= MAX_DEGREE:
+        raise UnsupportedDegree(f"degree {f.degree} coboundary not implemented")
+    rows, _ = coboundary_matrix(g, f.degree, f.target)
+    scale, coords = linalg.integer_row(f.flatten())
+    scale *= g.scaled_table[0]
+    flat = []
+    for row in rows:
+        total = sum(v * coords[c] for c, v in row.items() if c in coords)
+        flat.append(Fraction(total, scale) if total else ZERO)
+    return Cochain.from_flat(f.degree + 1, g.dim, f.target, flat)
 
 
 def cohomology_dim(g: AlgebraStructure, degree: int, coeff: str) -> CohomologyReport:
-    """Exact dimensions of Z, B and H in the requested degree."""
-    if coeff not in ("adjoint", "trivial"):
+    """Exact dimensions of Z, B and H in degree 1 to MAX_DEGREE."""
+    if coeff not in COEFFS:
         raise ValueError(f"unknown coefficient type {coeff!r}")
-    if degree not in (1, 2):
+    if not 1 <= degree <= MAX_DEGREE:
         raise UnsupportedDegree(f"degree {degree} not implemented")
-    out_matrix, dom = coboundary_matrix(g, degree, coeff)
-    rank_out = linalg.rank(out_matrix) if out_matrix and out_matrix[0] else 0
-    dim_cocycles = dom - rank_out
-    in_matrix, _ = coboundary_matrix(g, degree - 1, coeff)
-    rank_in = linalg.rank(in_matrix) if in_matrix and in_matrix[0] else 0
+    out_rows, dom = coboundary_matrix(g, degree, coeff)
+    dim_cocycles = dom - linalg.rank(out_rows)
+    in_rows, _ = coboundary_matrix(g, degree - 1, coeff)
+    rank_in = linalg.rank(in_rows)
     return CohomologyReport(
         degree=degree,
         coeff=coeff,
@@ -167,12 +189,18 @@ def cohomology_dim(g: AlgebraStructure, degree: int, coeff: str) -> CohomologyRe
 
 
 def is_coboundary(g: AlgebraStructure, f: Cochain) -> bool:
-    """Exact membership of f in the image of the previous coboundary."""
-    matrix, dom = coboundary_matrix(g, f.degree - 1, f.target)
-    target = list(f.flatten())
-    columns = [
-        tuple(matrix[r][c] for r in range(len(matrix))) for c in range(dom)
-    ]
-    if not columns:
-        return all(t == 0 for t in target)
-    return linalg.in_span(columns, target)
+    """Exact membership of f in the image of the previous coboundary.
+
+    The columns of den * delta span the same space as those of delta, so
+    f is a coboundary exactly when adding it to them leaves the rank
+    unchanged.
+    """
+    if f.dim != g.dim:
+        raise DimensionMismatch("cochain dim does not match the algebra")
+    rows, dom = coboundary_matrix(g, f.degree - 1, f.target)
+    columns = [{} for _ in range(dom)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            columns[c][r] = v
+    _, target = linalg.integer_row(f.flatten())
+    return linalg.rank(columns + [target]) == linalg.rank(columns)

@@ -94,6 +94,55 @@ def test_cohomology_bad_flags(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_cohomology_degree_three(tmp_path, capsys):
+    code, doc, _ = run(
+        capsys, "cohomology", write(tmp_path, "sl2.json", SL2_DOC), "--deg", "3",
+        "--coeff", "trivial",
+    )
+    assert code == 0
+    assert doc["detail"] == {
+        "coeff": "trivial",
+        "degree": 3,
+        "dim_H": 1,
+        "dim_coboundaries": 0,
+        "dim_cocycles": 1,
+    }
+
+
+def test_parser_built_once_and_errors_unchanged(capsys):
+    from valdef.cli import build_parser
+
+    assert build_parser() is build_parser()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["cohomology", catalog.path("r2"), "--deg", "4", "--coeff", "adjoint"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "invalid choice: 4 (choose from 1, 2, 3)" in errors[0]
+    # a failed parse leaves the cached parser usable
+    code, doc, _ = run(
+        capsys, "cohomology", catalog.path("r2"), "--deg", "1", "--coeff", "trivial"
+    )
+    assert code == 0 and doc["detail"]["degree"] == 1
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    import valdef.cli as cli
+
+    def broken(*args):
+        raise RuntimeError("planted failure")
+
+    monkeypatch.setattr(cli, "cohomology_dim", broken)
+    code = main(["cohomology", catalog.path("r2"), "--deg", "2", "--coeff", "trivial"])
+    out = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out.out == ""
+    assert out.err.startswith("Traceback (most recent call last):")
+    assert out.err.rstrip().endswith("RuntimeError: planted failure")
+
+
 def test_decompose_exit_codes(tmp_path, capsys):
     vec = {"cap": 4, "components": [["0", "1"], ["0", "0", "1"]]}
     code, doc, _ = run(capsys, "decompose", write(tmp_path, "v.json", vec))

@@ -3,6 +3,7 @@
 import random
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -25,6 +26,77 @@ from valdef.cohomology import (
 from valdef.errors import UnsupportedDegree
 
 from gens import R2, SL2, random_cochain, random_invertible, random_lie
+
+ODD_DENS = (1, 3, 5, 7)
+
+
+def odd_lie(rng, n):
+    """random_lie with basis vectors rescaled by 1, 3, 5 or 7.
+
+    In the basis d_i e_i the constants pick up the denominators d_k, so
+    the integer table has a nontrivial common denominator.
+    """
+    g = random_lie(rng, n)
+    scale = [
+        [Fraction(rng.choice(ODD_DENS)) if i == j else Fraction(0) for j in range(n)]
+        for i in range(n)
+    ]
+    return change_basis(g, scale)
+
+
+def dense(rows, ncols):
+    """Sparse {col: int} rows as a list of Fraction lists."""
+    return [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+
+
+# -- Fraction reference: delta built from circle products ----------------
+
+
+def ref_coboundary(g, f):
+    """mu o f + (-1)^p f o mu (adjoint), f o mu (trivial), by circle products."""
+    mu = mu_cochain(g)
+    if f.target == "trivial":
+        return circle(f, mu)
+    if f.degree % 2 == 0:
+        return circle(mu, f) + circle(f, mu)
+    return circle(mu, f) - circle(f, mu)
+
+
+def ref_coboundary_matrix(g, degree, coeff):
+    """delta: C^degree -> C^(degree+1) over Q, one basis cochain at a time."""
+    n = g.dim
+    width = n if coeff == "adjoint" else 1
+    dom = comb(n, degree) * width
+    codom = comb(n, degree + 1) * width
+    cols = []
+    for c in range(dom):
+        if degree == 0:
+            # delta v (x) = -[x, v]: the image of e_c is x -> [e_c, x]
+            img = Cochain.build(
+                1,
+                n,
+                coeff,
+                {(j,): g.product_basis(c, j) if coeff == "adjoint" else 0
+                 for j in range(n)},
+            )
+        else:
+            flat = [Fraction(0)] * dom
+            flat[c] = Fraction(1)
+            img = ref_coboundary(g, Cochain.from_flat(degree, n, coeff, flat))
+        cols.append(img.flatten())
+    return [[cols[c][r] for c in range(dom)] for r in range(codom)], dom
+
+
+def mat_mul(left, right):
+    """Product of two sparse {col: int} matrices given by their rows."""
+    out = []
+    for row in left:
+        acc = {}
+        for k, a in row.items():
+            for c, b in right[k].items():
+                acc[c] = acc.get(c, 0) + a * b
+        out.append({c: v for c, v in acc.items() if v})
+    return out
 
 
 def test_mu_circle_mu_is_jacobiator():
@@ -59,10 +131,11 @@ def test_super_bracket_symmetry_and_doubling():
 def test_bracket_with_cocycle_vanishes():
     # [mu, phi] = 0 for phi in the exact kernel of the degree-2 coboundary
     for g in (SL2, R2, random_lie(random.Random(54), 4)):
-        matrix, dom = coboundary_matrix(g, 2, "adjoint")
+        rows, dom = coboundary_matrix(g, 2, "adjoint")
+        matrix = dense(rows, dom)
         kernel = (
             linalg.nullspace(matrix)
-            if matrix and matrix[0]
+            if matrix
             else [
                 tuple(
                     Fraction(1) if i == j else Fraction(0) for j in range(dom)
@@ -106,11 +179,14 @@ def test_delta_delta_zero_random():
 
 def test_unsupported_degree():
     rng = random.Random(57)
-    f = random_cochain(rng, 3, 3, "adjoint")
+    g = random_lie(rng, 5)
+    f = random_cochain(rng, 5, 4, "adjoint")
     with pytest.raises(UnsupportedDegree):
-        coboundary(SL2, f)
+        coboundary(g, f)
     with pytest.raises(UnsupportedDegree):
-        cohomology_dim(SL2, 3, "adjoint")
+        cohomology_dim(g, 4, "adjoint")
+    with pytest.raises(UnsupportedDegree):
+        coboundary_matrix(g, 4, "trivial")
 
 
 def test_known_dimensions():
@@ -156,3 +232,80 @@ def test_is_coboundary():
     theta = Cochain.build(2, 3, "trivial", {(0, 2): 1})
     assert coboundary(gz, theta).is_zero()
     assert not is_coboundary(gz, theta)
+
+
+def test_matrix_and_coboundary_match_circle_reference():
+    rng = random.Random(61)
+    dens = set()
+    for trial in range(24):
+        g = odd_lie(rng, rng.randint(2, 4))
+        if trial % 2:
+            g = change_basis(g, random_invertible(rng, g.dim))
+        den = g.scaled_table[0]
+        dens.add(den)
+        for degree in (0, 1, 2, 3):
+            for coeff in ("adjoint", "trivial"):
+                rows, dom = coboundary_matrix(g, degree, coeff)
+                ref, ref_dom = ref_coboundary_matrix(g, degree, coeff)
+                assert dom == ref_dom
+                assert dense(rows, dom) == [[den * x for x in row] for row in ref]
+                if 0 < degree <= g.dim:
+                    f = random_cochain(rng, g.dim, degree, coeff, allow_zero=True)
+                    assert coboundary(g, f) == ref_coboundary(g, f)
+    assert all(any(d % p == 0 for d in dens) for p in (3, 5, 7))
+
+
+def test_delta_squared_is_zero_on_integer_matrices():
+    rng = random.Random(63)
+    nonzero_factors = 0
+    for _ in range(10):
+        g = odd_lie(rng, rng.randint(3, 5))
+        for coeff in ("adjoint", "trivial"):
+            d1, _ = coboundary_matrix(g, 1, coeff)
+            d2, _ = coboundary_matrix(g, 2, coeff)
+            d3, _ = coboundary_matrix(g, 3, coeff)
+            assert not any(mat_mul(d2, d1))
+            assert not any(mat_mul(d3, d2))
+            nonzero_factors += all(map(any, (d1, d2, d3)))
+    assert nonzero_factors >= 5
+
+
+def test_degree_three_basis_independence():
+    rng = random.Random(64)
+    for _ in range(6):
+        g = random_lie(rng, rng.randint(3, 5))
+        h = change_basis(g, random_invertible(rng, g.dim))
+        for coeff in ("adjoint", "trivial"):
+            assert cohomology_dim(g, 3, coeff) == cohomology_dim(h, 3, coeff)
+
+
+def test_degree_three_abelian():
+    for n in range(2, 7):
+        ab = AlgebraStructure.abelian(n)
+        assert cohomology_dim(ab, 3, "adjoint").dim_H == comb(n, 3) * n
+        assert cohomology_dim(ab, 3, "trivial").dim_H == comb(n, 3)
+
+
+def test_degree_three_known():
+    # sl2 is semisimple: H^3(g, g) = 0 and H^3(g, K) = K (the Cartan 3-cocycle)
+    assert cohomology_dim(SL2, 3, "adjoint").dim_H == 0
+    assert cohomology_dim(SL2, 3, "trivial").dim_H == 1
+    # r2 has no 3-cochains at all
+    rep = cohomology_dim(R2, 3, "adjoint")
+    assert (rep.dim_cocycles, rep.dim_coboundaries, rep.dim_H) == (0, 0, 0)
+
+
+def test_is_coboundary_matches_span_of_reference_columns():
+    rng = random.Random(65)
+    for _ in range(12):
+        g = odd_lie(rng, rng.randint(2, 4))
+        for coeff in ("adjoint", "trivial"):
+            ref, dom = ref_coboundary_matrix(g, 1, coeff)
+            columns = [tuple(row[c] for row in ref) for c in range(dom)]
+            f = random_cochain(rng, g.dim, 2, coeff)
+            exact = coboundary(g, random_cochain(rng, g.dim, 1, coeff, True))
+            for target in (f, exact, exact + f):
+                assert is_coboundary(g, target) == linalg.in_span(
+                    columns, target.flatten()
+                )
+            assert is_coboundary(g, exact)

@@ -1,8 +1,10 @@
-"""Row reduction kernel and the rank, nullspace and span helpers on it."""
+"""Integer rank kernel, Fraction row reduction and the helpers on them."""
 
 import random
 
 from fractions import Fraction
+
+import pytest
 
 from valdef import linalg
 
@@ -68,3 +70,50 @@ def test_row_space_canonical():
     rows1 = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]]
     rows2 = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
     assert linalg.row_space(rows1) == linalg.row_space(rows2)
+
+
+def low_rank_matrix(rng, rows, cols, inner):
+    """rows x cols product of random rows x inner and inner x cols factors."""
+    left = random_matrix(rng, rows, inner)
+    right = random_matrix(rng, inner, cols)
+    return [
+        [sum((left[i][k] * right[k][j] for k in range(inner)), Fraction(0))
+         for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+def test_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(23)
+    cases = [[[Fraction(0)]], [[Fraction(3, 7)]], [[Fraction(0)] * 4] * 3]
+    for _ in range(60):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        if rng.random() < 0.5:
+            m = low_rank_matrix(rng, rows, cols, rng.randint(1, 4))
+        else:
+            m = random_matrix(rng, rows, cols, density=rng.choice((0.2, 0.5, 0.9)))
+        if rng.random() < 0.3:
+            zero_col = rng.randrange(cols)
+            m = [[0 if c == zero_col else x for c, x in enumerate(row)] for row in m]
+        if rng.random() < 0.3:
+            m[rng.randrange(rows)] = [Fraction(0)] * cols
+        cases.append(m)
+    cases += [random_matrix(rng, 1, 7), random_matrix(rng, 7, 1)]
+    for m in cases:
+        expected = DomainMatrix(
+            [[sympy.QQ(x.numerator, x.denominator) for x in row] for row in m],
+            (len(m), len(m[0])),
+            sympy.QQ,
+        ).rank()
+        assert linalg.rank(m) == expected
+        assert linalg.rank([linalg.integer_row(row)[1] for row in m]) == expected
+        assert linalg.rank(list(reversed(m))) == expected
+
+
+def test_integer_row_clears_denominators():
+    row = [Fraction(1, 2), 0, Fraction(-2, 3), 4]
+    assert linalg.integer_row(row) == (6, {0: 3, 2: -4, 3: 24})
+    assert linalg.integer_row([0, Fraction(0)]) == (1, {})
