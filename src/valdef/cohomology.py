@@ -192,15 +192,14 @@ def is_coboundary(g: AlgebraStructure, f: Cochain) -> bool:
     """Exact membership of f in the image of the previous coboundary.
 
     The columns of den * delta span the same space as those of delta, so
-    f is a coboundary exactly when adding it to them leaves the rank
-    unchanged.
+    f is a coboundary exactly when appending a multiple of it as one more
+    column leaves the rank unchanged.
     """
     if f.dim != g.dim:
         raise DimensionMismatch("cochain dim does not match the algebra")
     rows, dom = coboundary_matrix(g, f.degree - 1, f.target)
-    columns = [{} for _ in range(dom)]
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            columns[c][r] = v
     _, target = linalg.integer_row(f.flatten())
-    return linalg.rank(columns + [target]) == linalg.rank(columns)
+    augmented = [
+        {**row, dom: target[r]} if r in target else row for r, row in enumerate(rows)
+    ]
+    return linalg.rank(augmented) == linalg.rank(rows)

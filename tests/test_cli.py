@@ -95,10 +95,8 @@ def test_cohomology_bad_flags(tmp_path, capsys):
 
 
 def test_cohomology_degree_three(tmp_path, capsys):
-    code, doc, _ = run(
-        capsys, "cohomology", write(tmp_path, "sl2.json", SL2_DOC), "--deg", "3",
-        "--coeff", "trivial",
-    )
+    path = write(tmp_path, "sl2.json", SL2_DOC)
+    code, doc, _ = run(capsys, "cohomology", path, "--deg", "3", "--coeff", "trivial")
     assert code == 0
     assert doc["detail"] == {
         "coeff": "trivial",
