@@ -155,18 +155,29 @@ def coboundary(g: AlgebraStructure, f: Cochain) -> Cochain:
     divided by den, so it equals mu o f + (-1)^p f o mu for adjoint and
     f o mu for trivial coefficients.
     """
-    if f.dim != g.dim:
-        raise DimensionMismatch("cochain dim does not match the algebra")
-    if not 1 <= f.degree <= MAX_DEGREE:
-        raise UnsupportedDegree(f"degree {f.degree} coboundary not implemented")
-    rows, _ = coboundary_matrix(g, f.degree, f.target)
-    scale, coords = linalg.integer_row(f.flatten())
-    scale *= g.scaled_table[0]
-    flat = []
-    for row in rows:
-        total = sum(v * coords[c] for c, v in row.items() if c in coords)
-        flat.append(Fraction(total, scale) if total else ZERO)
-    return Cochain.from_flat(f.degree + 1, g.dim, f.target, flat)
+    return coboundaries(g, [f])[0]
+
+
+def coboundaries(g: AlgebraStructure, cochains) -> list[Cochain]:
+    """`coboundary` of each cochain, building each den * delta matrix once."""
+    matrices = {}
+    out = []
+    for f in cochains:
+        if f.dim != g.dim:
+            raise DimensionMismatch("cochain dim does not match the algebra")
+        if not 1 <= f.degree <= MAX_DEGREE:
+            raise UnsupportedDegree(f"degree {f.degree} coboundary not implemented")
+        key = (f.degree, f.target)
+        if key not in matrices:
+            matrices[key] = coboundary_matrix(g, *key)[0]
+        scale, coords = linalg.integer_row(f.flatten())
+        scale *= g.scaled_table[0]
+        flat = []
+        for row in matrices[key]:
+            total = sum(v * coords[c] for c, v in row.items() if c in coords)
+            flat.append(Fraction(total, scale) if total else ZERO)
+        out.append(Cochain.from_flat(f.degree + 1, g.dim, f.target, flat))
+    return out
 
 
 def cohomology_dim(g: AlgebraStructure, degree: int, coeff: str) -> CohomologyReport:

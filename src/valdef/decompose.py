@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .errors import NotInMaximalIdeal, PrecisionExhausted, ZeroVector
 from .series import SeriesVector, TruncSeries
 
@@ -77,7 +76,7 @@ def decompose(w: SeriesVector, pivot_order: str = "first") -> FlagDecomposition:
             break
         v = min(defined)
         lead = [
-            s.coeffs[v] if val == v else ZERO
+            Fraction(s.nums[v], s.den) if val == v else ZERO
             for s, val in zip(current, vals)
         ]
         candidates = [i for i, c in enumerate(lead) if c]
@@ -97,7 +96,9 @@ def decompose(w: SeriesVector, pivot_order: str = "first") -> FlagDecomposition:
             raise PrecisionExhausted(
                 f"dividing by a valuation-{v} coefficient leaves cap {cap - v}"
             )
-        current = [s.div_exact(b) for s in residual]
+        # b = t^v * u: invert u once and divide every residual by b with it
+        inverse = TruncSeries(b.den, b.nums[v:]).invert()
+        current = [s.div_shifted(v, inverse) for s in residual]
         cap -= v
     return FlagDecomposition(
         steps=tuple(steps), ambient_dim=w.dim, cap=steps[-1].coefficient.cap
@@ -124,11 +125,30 @@ def recompose(d: FlagDecomposition, cap: int | None = None) -> SeriesVector:
 
 
 def flag_of(d: FlagDecomposition) -> Flag:
-    """Chain of row-reduced bases of span(V1..Vi) for i = 1..h."""
+    """Chain of row-reduced bases of span(V1..Vi) for i = 1..h.
+
+    One incremental pass: each new vector is reduced against the current
+    reduced basis, scaled to a leading 1, and its pivot column is cleared
+    from the earlier rows, so every level is the RREF basis of its prefix.
+    """
+    rows: dict[int, list] = {}  # pivot column -> reduced row
     chain = []
-    for i in range(1, len(d.steps) + 1):
-        rows = [list(s.vector) for s in d.steps[:i]]
-        chain.append(tuple(linalg.row_space(rows)))
+    for step in d.steps:
+        vec = [Fraction(x) for x in step.vector]
+        for col, row in rows.items():
+            factor = vec[col]
+            if factor:
+                vec = [x - factor * y for x, y in zip(vec, row)]
+        lead = next((c for c, x in enumerate(vec) if x), None)
+        if lead is not None:
+            scale = vec[lead]
+            vec = [x / scale for x in vec]
+            for col, row in rows.items():
+                factor = row[lead]
+                if factor:
+                    rows[col] = [x - factor * y for x, y in zip(row, vec)]
+            rows[lead] = vec
+        chain.append(tuple(tuple(rows[col]) for col in sorted(rows)))
     return Flag(chain=tuple(chain))
 
 

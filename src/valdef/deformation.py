@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from . import linalg
 from .algebra import AlgebraStructure, Cochain, mu_cochain
-from .cohomology import circle, coboundary, super_bracket
+from .cohomology import circle, coboundaries, coboundary, super_bracket
 from .decompose import decompose
 from .errors import (
     DimensionMismatch,
@@ -103,21 +104,23 @@ def jacobi_residual(d: Deformation) -> dict:
     mu = mu_cochain(d.base)
     residuals: dict[int, Cochain] = {}
 
-    def accumulate(series_coeffs, cochain):
+    def accumulate(series, cochain):
         if cochain.is_zero():
             return
-        for p, c in enumerate(series_coeffs):
-            if c:
+        for p, x in enumerate(series.nums):
+            if x:
                 prev = residuals.get(p)
-                term = cochain.scale(c)
+                term = cochain.scale(Fraction(x, series.den))
                 residuals[p] = term if prev is None else prev + term
 
-    accumulate([ONE], circle(mu, mu))
-    for coeff, phi in d.terms:
-        accumulate(coeff.coeffs, circle(mu, phi) + circle(phi, mu))
+    accumulate(TruncSeries.one(0), circle(mu, mu))
+    # mu o phi + phi o mu is the coboundary of phi
+    deltas = coboundaries(d.base, [phi for _, phi in d.terms])
+    for (coeff, _), delta in zip(d.terms, deltas):
+        accumulate(coeff, delta)
     for ci, phi_i in d.terms:
         for cj, phi_j in d.terms:
-            accumulate((ci * cj).coeffs, circle(phi_i, phi_j))
+            accumulate(ci * cj, circle(phi_i, phi_j))
     return {p: c for p, c in residuals.items() if not c.is_zero()}
 
 
@@ -246,6 +249,7 @@ def graded_system(d: Deformation) -> GradedSystem:
     """
     _require_valid(d)
     phis = [phi for _, phi in d.terms]
+    deltas = coboundaries(d.base, phis[1:])
     delta_memberships = {}
     bracket_memberships = {}
     for k in range(2, len(phis) + 1):
@@ -254,8 +258,7 @@ def graded_system(d: Deformation) -> GradedSystem:
             for i in range(k - 1)
             for j in range(i, k - 1)
         ]
-        dk = coboundary(d.base, phis[k - 1])
-        delta_memberships[k] = _membership(span_pairs, dk)
+        delta_memberships[k] = _membership(span_pairs, deltas[k - 2])
         for i in range(k - 1):
             target = super_bracket(phis[i], phis[k - 1])
             bracket_memberships[(i + 1, k)] = _membership(span_pairs, target)
@@ -274,8 +277,8 @@ def max_rank_check(d: Deformation):
     for i in range(k - 1):
         for j in range(i, k - 1):
             vectors.append(list(super_bracket(phis[i], phis[j]).flatten()))
-    for i in range(k - 1):
-        vectors.append(list(coboundary(d.base, phis[i]).flatten()))
+    for delta in coboundaries(d.base, phis[: k - 1]):
+        vectors.append(list(delta.flatten()))
     dim = linalg.rank(vectors) if vectors else 0
     return dim, dim == k * (k - 1) // 2
 
@@ -304,8 +307,8 @@ def _matrix_cap(f) -> int:
 def _check_unipotent(f):
     for r, row in enumerate(f):
         for c, entry in enumerate(row):
-            want = ONE if r == c else ZERO
-            if entry.coeffs[0] != want:
+            want = entry.den if r == c else 0
+            if entry.nums[0] != want:
                 raise NotInMaximalIdeal(
                     f"endomorphism entry ({r},{c}) has constant term "
                     f"{entry.coeffs[0]}; expected Id + h with h into m"
@@ -327,25 +330,52 @@ def series_matrix_mul(a, b, cap):
 
 
 def series_matrix_inverse(f, cap):
-    """Neumann inverse of Id + H with H into m: sum of (-H)^i, i <= cap."""
+    """Inverse of Id + H with H into m, exact up to t^cap.
+
+    With H_i the t^i coefficient matrix of H, the inverse G = sum G_k t^k
+    satisfies G_0 = Id and G_k = -sum_{i=1..k} H_i G_(k-i): the same
+    truncated series as the Neumann sum of (-H)^i, at O(cap^2 n^3) cost.
+    With D the common denominator of f's entries, the recursion runs on
+    the integer matrices D * H_i and D^k * G_k.  Raises
+    NotInMaximalIdeal unless f is Id + H with H into m.
+    """
+    _check_unipotent(f)
     n = len(f)
-    ident = identity_plus(n, cap)
-    neg_h = tuple(
+    entries = [[entry.truncate(cap) for entry in row] for row in f]
+    den = lcm(*(entry.den for row in entries for entry in row))
+    # (i, D^i * H_i) as sparse (r, m, value) triples, for each nonzero H_i
+    weighted = []
+    for i in range(1, cap + 1):
+        h = [
+            (r, m, entry.nums[i] * (den // entry.den) * den ** (i - 1))
+            for r, row in enumerate(entries)
+            for m, entry in enumerate(row)
+            if entry.nums[i]
+        ]
+        if h:
+            weighted.append((i, h))
+    scaled = [[[int(r == c) for c in range(n)] for r in range(n)]]
+    for k in range(1, cap + 1):
+        acc = [[0] * n for _ in range(n)]
+        for i, h in weighted:
+            if i > k:
+                break
+            prev = scaled[k - i]
+            for r, m, x in h:
+                out, src = acc[r], prev[m]
+                for c in range(n):
+                    out[c] -= x * src[c]
+        scaled.append(acc)
+    return tuple(
         tuple(
-            (ident[r][c] - f[r][c].truncate(cap))
+            TruncSeries(
+                den**cap,
+                [scaled[k][r][c] * den ** (cap - k) for k in range(cap + 1)],
+            )
             for c in range(n)
         )
         for r in range(n)
     )
-    total = ident
-    power = ident
-    for _ in range(cap):
-        power = series_matrix_mul(power, neg_h, cap)
-        total = tuple(
-            tuple(total[r][c] + power[r][c] for c in range(n))
-            for r in range(n)
-        )
-    return total
 
 
 def series_matrix_apply(f, vec: SeriesVector, cap) -> SeriesVector:
@@ -371,7 +401,6 @@ def transport(d: Deformation, f) -> Deformation:
     cap = min(d.cap, _matrix_cap(f))
     if cap < 1:
         raise PrecisionExhausted("no precision left below t^1")
-    _check_unipotent(f)
     f_inv = series_matrix_inverse(f, cap)
 
     mu_t = {}
@@ -462,6 +491,6 @@ def polynomial_form_check(d: Deformation, poly, k: int) -> bool:
         const = d.base.product_basis(i, j)
         for idx in range(n):
             s = p_minus_1.scale(const[idx]) + p_series * pert[(i, j)].components[idx]
-            if any(s.coeffs[p] for p in range(k + 1, d.cap + 1)):
+            if any(s.nums[k + 1 :]):
                 return False
     return True

@@ -6,14 +6,18 @@ coefficients are all zero is "indistinguishable from 0 at this precision",
 not proven zero.  Binary operations contract to the smaller cap; exact
 division additionally pays the divisor's valuation in precision.
 
-Scalars are plain ``fractions.Fraction`` values, which already enforce the
-canonical form (positive denominator, reduced).
+The coefficients are integers over one common denominator: a positive
+``den`` and a tuple ``nums``, kept canonical (gcd(den, *nums) = 1), so
+equal series compare and hash equal and the arithmetic runs on plain
+ints.  ``coeffs`` gives the coefficients as ``fractions.Fraction`` values
+for parsing, printing and tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     FormatError,
@@ -63,15 +67,25 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TruncSeries:
-    """Element of Q[[t]] known modulo t^(cap+1)."""
+    """Element of Q[[t]] known modulo t^(cap+1); coefficient i is nums[i] / den."""
 
-    coeffs: tuple[Fraction, ...]
+    den: int
+    nums: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
+    def __init__(self, den: int, nums) -> None:
+        """Store nums / den in canonical form: den > 0, gcd(den, *nums) = 1."""
+        if not nums:
             raise ValueError("a series needs at least the t^0 coefficient")
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        common = gcd(den, *nums)
+        if common != 1:
+            den //= common
+            nums = [x // common for x in nums]
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", tuple(nums))
 
     # -- construction ------------------------------------------------
 
@@ -83,15 +97,16 @@ class TruncSeries:
             if len(items) > cap + 1:
                 raise ValueError(f"{len(items)} coefficients exceed cap {cap}")
             items += [ZERO] * (cap + 1 - len(items))
-        return cls(tuple(items))
+        den = lcm(1, *(x.denominator for x in items))
+        return cls(den, [x.numerator * (den // x.denominator) for x in items])
 
     @classmethod
     def zero(cls, cap: int) -> TruncSeries:
-        return cls.from_coeffs([], cap=cap)
+        return cls(1, (0,) * (cap + 1))
 
     @classmethod
     def one(cls, cap: int) -> TruncSeries:
-        return cls.from_coeffs([ONE], cap=cap)
+        return cls(1, (1,) + (0,) * cap)
 
     @classmethod
     def constant(cls, value, cap: int) -> TruncSeries:
@@ -108,24 +123,29 @@ class TruncSeries:
 
     @property
     def cap(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The known coefficients as Fractions, for printing and tests."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, None if zero at cap."""
-        for i, c in enumerate(self.coeffs):
-            if c:
+        for i, x in enumerate(self.nums):
+            if x:
                 return i
         return None
 
     def is_zero(self) -> bool:
         """Zero at this precision (not proven zero)."""
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_unit(self) -> bool:
-        return self.coeffs[0] != 0
+        return self.nums[0] != 0
 
     def in_maximal_ideal(self) -> bool:
-        return self.coeffs[0] == 0
+        return self.nums[0] == 0
 
     # -- precision ----------------------------------------------------
 
@@ -134,60 +154,81 @@ class TruncSeries:
             raise PrecisionExhausted(
                 f"cannot extend a cap-{self.cap} series to cap {cap}"
             )
-        return TruncSeries(self.coeffs[: cap + 1])
+        return TruncSeries(self.den, self.nums[: cap + 1])
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other: TruncSeries) -> TruncSeries:
-        cap = min(self.cap, other.cap)
+    def _combine(self, other: TruncSeries, sign: int) -> TruncSeries:
+        """self + sign * other over the lcm of the two denominators."""
+        a, b = self.den, other.den
+        common = gcd(a, b)
+        fa, fb = b // common, sign * (a // common)
+        # zip stops at the shorter series: the sum has the smaller cap
         return TruncSeries(
-            tuple(self.coeffs[i] + other.coeffs[i] for i in range(cap + 1))
+            a * fa, [x * fa + y * fb for x, y in zip(self.nums, other.nums)]
         )
+
+    def __add__(self, other: TruncSeries) -> TruncSeries:
+        return self._combine(other, 1)
 
     def __sub__(self, other: TruncSeries) -> TruncSeries:
-        cap = min(self.cap, other.cap)
-        return TruncSeries(
-            tuple(self.coeffs[i] - other.coeffs[i] for i in range(cap + 1))
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> TruncSeries:
-        return TruncSeries(tuple(-c for c in self.coeffs))
+        return TruncSeries(self.den, [-x for x in self.nums])
 
     def __mul__(self, other) -> TruncSeries:
-        if isinstance(other, TruncSeries):
-            cap = min(self.cap, other.cap)
-            out = [ZERO] * (cap + 1)
-            for i, a in enumerate(self.coeffs[: cap + 1]):
-                if not a:
-                    continue
-                for j in range(cap + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return TruncSeries(tuple(out))
-        return self.scale(other)
+        if not isinstance(other, TruncSeries):
+            return self.scale(other)
+        cap = min(self.cap, other.cap)
+        theirs = [(j, y) for j, y in enumerate(other.nums[: cap + 1]) if y]
+        out = [0] * (cap + 1)
+        for i, x in enumerate(self.nums[: cap + 1]):
+            if not x:
+                continue
+            for j, y in theirs:
+                if i + j > cap:
+                    break
+                out[i + j] += x * y
+        return TruncSeries(self.den * other.den, out)
 
     def __rmul__(self, other) -> TruncSeries:
         return self.scale(other)
 
     def scale(self, scalar) -> TruncSeries:
         s = _as_fraction(scalar)
-        return TruncSeries(tuple(s * c for c in self.coeffs))
+        p = s.numerator
+        return TruncSeries(self.den * s.denominator, [p * x for x in self.nums])
 
     def invert(self) -> TruncSeries:
-        """Multiplicative inverse up to t^cap; the constant term must be a unit."""
+        """Multiplicative inverse up to t^cap; the constant term must be a unit.
+
+        With a = nums, the inverse of a is b with b_k = c_k / a_0^(k+1),
+        where c_0 = 1 and c_k = -sum_{i=1..k} a_i a_0^(i-1) c_(k-i) are
+        integers; the inverse of a / den is den * b.
+        """
         if not self.is_unit():
             raise NotAUnit("series with zero constant term has no inverse")
-        a0 = self.coeffs[0]
-        out = [ONE / a0] + [ZERO] * self.cap
-        for k in range(1, self.cap + 1):
-            acc = ZERO
-            for i in range(1, k + 1):
-                ai = self.coeffs[i]
-                if ai:
-                    acc += ai * out[k - i]
-            out[k] = -acc / a0
-        return TruncSeries(tuple(out))
+        a0, cap = self.nums[0], self.cap
+        powers = [1]
+        for _ in range(cap + 1):
+            powers.append(powers[-1] * a0)
+        weights = [
+            (i, x * powers[i - 1]) for i, x in enumerate(self.nums) if i and x
+        ]
+        c = [1]
+        for k in range(1, cap + 1):
+            acc = 0
+            for i, w in weights:
+                if i > k:
+                    break
+                acc += w * c[k - i]
+            c.append(-acc)
+        sign = 1 if powers[cap + 1] > 0 else -1
+        return TruncSeries(
+            sign * powers[cap + 1],
+            [sign * self.den * ck * powers[cap - k] for k, ck in enumerate(c)],
+        )
 
     def div_exact(self, other: TruncSeries) -> TruncSeries:
         """Exact quotient self/other inside Q[[t]].
@@ -203,16 +244,24 @@ class TruncSeries:
             raise PrecisionExhausted(
                 f"division by valuation-{v} series leaves cap {cap}"
             )
+        unit = TruncSeries(other.den, other.nums[v : v + cap + 1])
+        return self.div_shifted(v, unit.invert())
+
+    def div_shifted(self, v: int, inverse: TruncSeries) -> TruncSeries:
+        """Exact quotient self / (t^v * u), given inverse = u^-1.
+
+        The result has the cap of inverse, which must not exceed
+        self.cap - v.  A caller dividing many series by one divisor
+        inverts its unit part once and passes it here for each.
+        """
         mine = self.valuation()
         if mine is None:
-            return TruncSeries.zero(cap)
+            return TruncSeries.zero(inverse.cap)
         if mine < v:
             raise NotDivisible(
                 f"valuation {mine} numerator not divisible by valuation {v}"
             )
-        num = TruncSeries(self.coeffs[v : v + cap + 1])
-        den = TruncSeries(other.coeffs[v : v + cap + 1])
-        return num * den.invert()
+        return TruncSeries(self.den, self.nums[v : v + inverse.cap + 1]) * inverse
 
     # -- display ------------------------------------------------------
 

@@ -485,6 +485,8 @@ LIE2 = {"dim": 2, "kind": "lie", "table": []}
 DEFORM = {"base": LIE2, "cap": 3, "terms": []}
 VECTOR = {"cap": 3, "components": [["0", "1"]]}
 COH = ["--deg", "2", "--coeff", "adjoint"]
+# Id + H with constant H = diag(1, 0): not unipotent
+NON_UNIPOTENT = {"cap": 4, "matrix": [[["2"], ["0"]], [["0"], ["1"]]]}
 
 
 def _term(cochain):
@@ -534,6 +536,18 @@ MALFORMED = [
         ["deform", "transport", "@d", "--endo", "@f"],
         {"d": DEFORM, "f": {"matrix": 5}},
         "must be 2x2",
+    ),
+    # --inverse checks unipotency before inverting; a Neumann sum of (-H)^i
+    # would give Id here at even caps (cap 4) and constant term 0 at odd ones
+    (
+        ["deform", "transport", "@d", "--endo", "@f", "--inverse"],
+        {"d": DEFORM, "f": NON_UNIPOTENT},
+        "(0,0) has constant term 2",
+    ),
+    (
+        ["deform", "transport", "@d", "--endo", "@f", "--inverse"],
+        {"d": dict(DEFORM, cap=4), "f": NON_UNIPOTENT},
+        "(0,0) has constant term 2",
     ),
 ]
 

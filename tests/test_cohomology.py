@@ -17,6 +17,7 @@ from valdef.algebra import (
 )
 from valdef.cohomology import (
     circle,
+    coboundaries,
     coboundary,
     coboundary_matrix,
     cohomology_dim,
@@ -243,6 +244,7 @@ def test_matrix_and_coboundary_match_circle_reference():
             g = change_basis(g, random_invertible(rng, g.dim))
         den = g.scaled_table[0]
         dens.add(den)
+        cochains = []
         for degree in (0, 1, 2, 3):
             for coeff in ("adjoint", "trivial"):
                 rows, dom = coboundary_matrix(g, degree, coeff)
@@ -252,6 +254,10 @@ def test_matrix_and_coboundary_match_circle_reference():
                 if 0 < degree <= g.dim:
                     f = random_cochain(rng, g.dim, degree, coeff, allow_zero=True)
                     assert coboundary(g, f) == ref_coboundary(g, f)
+                    cochains += [f, f.scale(Fraction(-2, 3))]
+        # one matrix per (degree, target), shared by cochains of mixed shapes
+        rng.shuffle(cochains)
+        assert coboundaries(g, cochains) == [ref_coboundary(g, f) for f in cochains]
     assert all(any(d % p == 0 for d in dens) for p in (3, 5, 7))
 
 

@@ -143,3 +143,37 @@ def test_flag_invariant_under_coordinate_reordering():
                 rows.append(back)
             chain.append(tuple(linalg.row_space(rows)))
         assert flags_equal(flag_direct, Flag(chain=tuple(chain)))
+
+
+def test_flag_matches_per_prefix_row_space():
+    from valdef.decompose import FlagDecomposition, FlagStep
+
+    def per_prefix(d):
+        return tuple(
+            tuple(linalg.row_space([list(s.vector) for s in d.steps[:i]]))
+            for i in range(1, d.length + 1)
+        )
+
+    rng = random.Random(33)
+    for _ in range(60):
+        w = random_vector_in_m(rng, rng.randint(1, 8), rng.randint(2, 10))
+        for order in ("first", "last"):
+            d = decompose(w, pivot_order=order)
+            assert flag_of(d).chain == per_prefix(d)
+    # arbitrary directions: dependent steps repeat the level, ints are allowed
+    one = TruncSeries.monomial(1, 3)
+    for _ in range(40):
+        k = rng.randint(1, 5)
+        vectors = [
+            tuple(rng.choice((0, 0, 1, -2, Fraction(3, 7))) for _ in range(k))
+            for _ in range(rng.randint(1, 6))
+        ]
+        if rng.random() < 0.5:
+            vectors.append(tuple(2 * x for x in vectors[0]))
+        vectors = [v for v in vectors if any(v)] or [(1,) * k]
+        d = FlagDecomposition(
+            steps=tuple(FlagStep(coefficient=one, vector=v) for v in vectors),
+            ambient_dim=k,
+            cap=3,
+        )
+        assert flag_of(d).chain == per_prefix(d)

@@ -21,6 +21,7 @@ from valdef.deformation import (
     perturbations_equal,
     polynomial_form_check,
     series_matrix_inverse,
+    series_matrix_mul,
     transport,
 )
 from valdef.errors import (
@@ -36,7 +37,11 @@ from gens import (
     R2,
     R2K,
     decomposed,
+    frac,
+    random_cochain,
     random_direction,
+    random_lie,
+    random_series_in_m,
     random_valid_deformation,
     two_term_instance,
 )
@@ -406,3 +411,116 @@ def test_validity_gauge_invariance_includes_invalid():
     f = identity_plus(3, 4, random_direction(rng, 3))
     assert not is_valid(d)
     assert not is_valid(transport(d, f))
+
+
+def circle_residual(d):
+    """Reference for jacobi_residual: mu_t o mu_t from circle products only,
+    mu_t = 1 * mu + sum c_i * phi_i, expanded over every ordered pair."""
+    terms = [(TruncSeries.one(d.cap), mu_cochain(d.base))] + list(d.terms)
+    out = {}
+    for ci, phi_i in terms:
+        for cj, phi_j in terms:
+            comp = circle(phi_i, phi_j)
+            for p, c in enumerate((ci * cj).coeffs):
+                if c:
+                    out[p] = comp.scale(c) + out.get(p, comp.scale(0))
+    return {p: c for p, c in out.items() if not c.is_zero()}
+
+
+def test_jacobi_residual_matches_circle_reference():
+    rng = random.Random(63)
+    nonzero = 0
+    for trial in range(30):
+        cap = rng.randint(2, 6)
+        if trial % 3 == 0:
+            d = random_valid_deformation(rng, rng.randint(2, 4), cap)
+        else:
+            n = rng.randint(2, 4)
+            terms = [
+                (random_series_in_m(rng, cap, max_num=9, max_den=7),
+                 random_cochain(rng, n, 2, "adjoint"))
+                for _ in range(rng.randint(1, 3))
+            ]
+            d = Deformation.build(random_lie(rng, n), cap, terms)
+        want = circle_residual(d)
+        assert jacobi_residual(d) == want
+        nonzero += bool(want)
+    assert nonzero >= 10
+
+
+def neumann_inverse(f, cap):
+    """Reference inverse of Id + H: sum of (-H)^i for i <= cap, on lists of
+    Fraction coefficients multiplied out directly."""
+    n = len(f)
+
+    def mat_mul(a, b):
+        def entry(r, c, p):
+            terms = (a[r][m][i] * b[m][c][p - i] for m in range(n) for i in range(p + 1))
+            return sum(terms, Fraction(0))
+
+        return [
+            [[entry(r, c, p) for p in range(cap + 1)] for c in range(n)]
+            for r in range(n)
+        ]
+
+    ident = [
+        [[Fraction(int(r == c))] + [Fraction(0)] * cap for c in range(n)] for r in range(n)
+    ]
+    neg_h = [
+        [[-x for x in f[r][c].coeffs[: cap + 1]] for c in range(n)] for r in range(n)
+    ]
+    for r in range(n):
+        neg_h[r][r][0] += 1
+    total, power = ident, ident
+    for _ in range(cap):
+        power = mat_mul(power, neg_h)
+        total = [
+            [[x + y for x, y in zip(total[r][c], power[r][c])] for c in range(n)]
+            for r in range(n)
+        ]
+    return total
+
+
+def random_unipotent(rng, n, cap):
+    """Id + H with H into m: dense, sparse, or one power of t only."""
+    shape = rng.choice(("dense", "sparse", "monomial"))
+    power = rng.randint(1, cap) if cap else 0
+    rows = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            coeffs = [Fraction(int(r == c))]
+            for p in range(1, cap + 1):
+                keep = {"dense": True, "sparse": rng.random() < 0.3, "monomial": p == power}
+                coeffs.append(frac(rng, 9, 7) if keep[shape] else Fraction(0))
+            row.append(TruncSeries.from_coeffs(coeffs, cap=cap))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_series_matrix_inverse_matches_neumann_reference():
+    rng = random.Random(64)
+    for _ in range(40):
+        n, cap = rng.randint(1, 4), rng.randint(0, 6)
+        f = random_unipotent(rng, n, cap + rng.randint(0, 2))
+        inv = series_matrix_inverse(f, cap)
+        want = neumann_inverse(f, cap)
+        assert [[list(e.coeffs) for e in row] for row in inv] == want
+        ident = identity_plus(n, cap)
+        assert series_matrix_mul(f, inv, cap) == ident
+        assert series_matrix_mul(inv, f, cap) == ident
+
+
+@pytest.mark.parametrize("cap", [3, 4])
+def test_series_matrix_inverse_rejects_non_unipotent(cap):
+    f = identity_plus(2, cap)
+    for (r, c), bad in (((0, 0), 2), ((1, 1), 0), ((0, 1), Fraction(1, 3))):
+        broken = tuple(
+            tuple(
+                TruncSeries.constant(bad, cap) if (i, j) == (r, c) else f[i][j]
+                for j in range(2)
+            )
+            for i in range(2)
+        )
+        with pytest.raises(NotInMaximalIdeal, match=rf"\({r},{c}\) has constant term"):
+            series_matrix_inverse(broken, cap)

@@ -113,6 +113,50 @@ def test_rank_matches_sympy():
         assert linalg.rank(list(reversed(m))) == expected
 
 
+def test_in_span_and_solve_combination_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(24)
+    outcomes = set()
+    for _ in range(80):
+        k, ncoords = rng.randint(1, 6), rng.randint(1, 7)
+        if rng.random() < 0.5:
+            vectors = low_rank_matrix(rng, k, ncoords, rng.randint(1, 3))
+        else:
+            vectors = random_matrix(rng, k, ncoords, density=rng.choice((0.3, 0.8)))
+        if rng.random() < 0.5:
+            weights = [frac(rng, 5, 3) for _ in range(k)]
+            target = [
+                sum((w * v[i] for w, v in zip(weights, vectors)), Fraction(0))
+                for i in range(ncoords)
+            ]
+        else:
+            target = random_matrix(rng, 1, ncoords)[0]
+        columns = vectors + [target]
+        aug = DomainMatrix(
+            [[sympy.QQ(c[i].numerator, c[i].denominator) for c in columns]
+             for i in range(ncoords)],
+            (ncoords, k + 1),
+            sympy.QQ,
+        )
+        reduced, pivots = aug.rref()
+        expected = k not in pivots
+        outcomes.add(expected)
+        assert linalg.in_span(vectors, target) == expected
+        coeffs = linalg.solve_combination(vectors, target)
+        if not expected:
+            assert coeffs is None
+            continue
+        # sympy's RREF read with the free coordinates at zero
+        rows = reduced.to_list()
+        want = [Fraction(0)] * k
+        for r, col in enumerate(pivots):
+            want[col] = Fraction(int(rows[r][k].numerator), int(rows[r][k].denominator))
+        assert coeffs == want
+    assert outcomes == {True, False}
+
+
 def test_integer_row_clears_denominators():
     row = [Fraction(1, 2), 0, Fraction(-2, 3), 4]
     assert linalg.integer_row(row) == (6, {0: 3, 2: -4, 3: 24})

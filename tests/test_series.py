@@ -3,6 +3,7 @@
 import random
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -148,3 +149,126 @@ def test_ring_axioms_random():
 def test_literal_cap_mismatch_rejected():
     with pytest.raises(ValueError):
         TruncSeries.from_coeffs([1, 2, 3], cap=1)
+
+
+# -- Fraction reference ------------------------------------------------
+# Coefficient lists of Fractions, worked the textbook way, so the integer
+# arithmetic of TruncSeries is checked against an independent one.
+
+
+def ref_mul(a, b):
+    n = min(len(a), len(b))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)]
+
+
+def ref_invert(a):
+    out = [1 / a[0]]
+    for k in range(1, len(a)):
+        acc = sum((a[i] * out[k - i] for i in range(1, k + 1)), Fraction(0))
+        out.append(-acc / a[0])
+    return out
+
+
+def ref_div_exact(a, b):
+    v = next(i for i, x in enumerate(b) if x)
+    n = min(len(a), len(b)) - v
+    return ref_mul(a[v : v + n], ref_invert(b[v : v + n]))
+
+
+def random_coeffs(rng, cap, zeros=0):
+    """cap + 1 rationals over denominators built from 3, 5 and 7, signed,
+    the first `zeros` of them zero."""
+
+    def one():
+        if rng.random() < 0.25:
+            return Fraction(0)
+        den = rng.choice((3, 5, 7)) ** rng.randint(0, 2) * rng.choice((1, 3, 5, 7))
+        return Fraction(rng.randint(-30, 30), den)
+
+    return [Fraction(0)] * zeros + [one() for _ in range(cap + 1 - zeros)]
+
+
+def random_nonzero(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.choice((1, 3, 5, 7, 21)))
+
+
+def test_integer_arithmetic_matches_fraction_reference():
+    rng = random.Random(105)
+    units = 0
+    for _ in range(300):
+        a = random_coeffs(rng, rng.randint(0, 10))
+        b = random_coeffs(rng, rng.randint(0, 10))
+        sa, sb = ts(a, None), ts(b, None)
+        assert sa.coeffs == tuple(a)
+        assert (sa + sb).coeffs == tuple(x + y for x, y in zip(a, b))
+        assert (sa - sb).coeffs == tuple(x - y for x, y in zip(a, b))
+        assert (-sa).coeffs == tuple(-x for x in a)
+        assert (sa * sb).coeffs == tuple(ref_mul(a, b))
+        c = rng.choice((Fraction(0), random_nonzero(rng)))
+        assert sa.scale(c).coeffs == tuple(c * x for x in a)
+        assert (sa * c).coeffs == (c * sa).coeffs == sa.scale(c).coeffs
+        cut = rng.randint(0, len(a) - 1)
+        assert sa.truncate(cut).coeffs == tuple(a[: cut + 1])
+        assert sa.valuation() == next((i for i, x in enumerate(a) if x), None)
+        if a[0]:
+            units += 1
+            assert sa.invert().coeffs == tuple(ref_invert(a))
+        else:
+            with pytest.raises(NotAUnit):
+                sa.invert()
+    assert units > 150
+
+
+def test_div_exact_matches_fraction_reference():
+    rng = random.Random(106)
+    seen = {"quotient": 0, "zero": 0, "not_divisible": 0}
+    for _ in range(300):
+        v = rng.randint(0, 3)
+        cap = rng.randint(v, 10)
+        b = random_coeffs(rng, cap, zeros=v)
+        b[v] = random_nonzero(rng)
+        kind = rng.choice(list(seen))
+        cap_a = rng.randint(v, 10)
+        if kind == "zero":
+            a = [Fraction(0)] * (cap_a + 1)
+        elif kind == "not_divisible" and v:
+            w = rng.randint(0, v - 1)
+            a = random_coeffs(rng, cap_a, zeros=w)
+            a[w] = random_nonzero(rng)
+        else:
+            kind = "quotient"
+            a = random_coeffs(rng, cap_a, zeros=rng.randint(v, cap_a))
+        seen[kind] += 1
+        sa, sb = ts(a, None), ts(b, None)
+        if kind == "not_divisible":
+            with pytest.raises(NotDivisible):
+                sa.div_exact(sb)
+            continue
+        q = sa.div_exact(sb)
+        assert q.cap == min(cap_a, cap) - v
+        assert q.coeffs == tuple(ref_div_exact(a, b))
+    assert min(seen.values()) > 40
+
+
+def test_canonical_form_equality_and_hash():
+    rng = random.Random(107)
+    for _ in range(100):
+        a = random_coeffs(rng, rng.randint(0, 8))
+        s = ts(a, None)
+        scaled = [s + s, s - s, s * s, s.scale(Fraction(-3, 5)), s.truncate(0)]
+        for r in [s] + scaled:
+            assert r.den > 0 and gcd(r.den, *r.nums) == 1
+        # the same value from non-reduced input is the same series
+        k = rng.randint(2, 60)
+        again = TruncSeries(s.den * k, [x * k for x in s.nums])
+        assert (again.den, again.nums) == (s.den, s.nums)
+        assert again == s and hash(again) == hash(s)
+        assert s - s == TruncSeries.zero(s.cap) and (s - s).den == 1
+    half = ts([Fraction(1, 2), 1], 2)
+    assert (half.den, half.nums) == (2, (1, 2, 0))
+    assert len({half, ts([Fraction(3, 6), Fraction(4, 4)], 2), ts(["1/2", "1"], 2)}) == 1
+    assert TruncSeries.zero(2) != TruncSeries.zero(3)
+    assert ts([1], 2) != ts([1], 1)
+    for den, nums in ((0, (1,)), (-2, (1,)), (1, ())):
+        with pytest.raises(ValueError):
+            TruncSeries(den, nums)
