@@ -5,13 +5,23 @@ integer-indexed tables over Q.  Lie tables keep only i < j entries and the
 bracket is extended antisymmetrically; associative tables keep all pairs.
 That Fraction table is what files are read into and printed from.
 
-For the identity checks each structure also carries an integer form of
-its table (`AlgebraStructure.scaled_table`): one common denominator and
-integer constants over all ordered pairs, Lie tables expanded
-antisymmetrically.  `triple_products` contracts two such tables into both
-nestings of every basis triple, and the associator, Jacobi,
-G-associativity, dual-identity and Poisson checks are integer zero and
-equality tests on its output.
+Everything else reads the integer form of a table, `scaled_table`: one
+common denominator and integer constants over all ordered pairs, Lie
+tables expanded antisymmetrically.  A degree-2 adjoint Cochain is a
+bracket table too and has the same `scaled_table`, built by the same
+code.  `triple_products` contracts two such tables into both nestings of
+every basis triple, and the associator, Jacobi, G-associativity,
+dual-identity and Poisson checks are integer zero and equality tests on
+its output.
+
+For two tables the mixed Jacobi sum (`jacobi_sums`)
+
+    (outer o inner)(x, y, z) = outer(inner(x, y), z) + outer(inner(y, z), x)
+                               + outer(inner(z, x), y)
+
+is the Jacobiator when outer = inner is a bracket, and for degree-2
+cochains it is the circle product of Gerstenhaber's deformation equation
+(`cohomology.circle`).
 
 Cochains are alternating multilinear maps stored densely over strictly
 increasing index tuples, the representation used by the cohomology and
@@ -27,7 +37,7 @@ from itertools import combinations
 from math import lcm
 
 from . import linalg
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, UnsupportedDegree
 
 ZERO = Fraction(0)
 
@@ -88,50 +98,25 @@ class AlgebraStructure:
 
     # -- evaluation ---------------------------------------------------
 
-    def product_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
-        """Product of basis elements e_i e_j as a coefficient vector."""
-        out = [ZERO] * self.dim
-        if self.kind == "lie":
-            if i == j:
-                return tuple(out)
-            sign = 1
-            if i > j:
-                i, j, sign = j, i, -1
-            for k, c in self.table.get((i, j), ()):
-                out[k] = sign * c
-        else:
-            for k, c in self.table.get((i, j), ()):
-                out[k] = c
-        return tuple(out)
-
     def bilinear(self, x, y) -> tuple[Fraction, ...]:
         """Bilinear extension of the table to coefficient vectors."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch(
                 f"vectors of length {len(x)},{len(y)} in a dim-{self.dim} algebra"
             )
+        den, rows = self.scaled_table
         out = [ZERO] * self.dim
         for i, xi in enumerate(x):
             if not xi:
                 continue
+            row = rows[i]
             for j, yj in enumerate(y):
                 if not yj:
                     continue
-                for k, c in self._pairs(i, j):
-                    out[k] += xi * yj * c
-        return tuple(out)
-
-    def _pairs(self, i, j):
-        if self.kind == "lie":
-            if i == j:
-                return ()
-            if i < j:
-                return self.table.get((i, j), ())
-            return tuple((k, -c) for k, c in self.table.get((j, i), ()))
-        return self.table.get((i, j), ())
-
-    def basis_vector(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(1) if k == i else ZERO for k in range(self.dim))
+                xy = xi * yj
+                for k, c in row[j]:
+                    out[k] += xy * c
+        return tuple(v / den for v in out)
 
     @cached_property
     def scaled_table(self) -> tuple[int, tuple]:
@@ -142,15 +127,24 @@ class AlgebraStructure:
         sorted by k and holds no zero c, so equal products have equal
         rows.  Lie tables are expanded antisymmetrically here.
         """
-        den = lcm(1, *(c.denominator for out in self.table.values() for _, c in out))
-        n = self.dim
-        rows = [[()] * n for _ in range(n)]
-        for (i, j), out in self.table.items():
-            row = tuple((k, c.numerator * (den // c.denominator)) for k, c in out)
-            rows[i][j] = row
-            if self.kind == "lie":
-                rows[j][i] = tuple((k, -c) for k, c in row)
-        return den, tuple(map(tuple, rows))
+        return _scaled_rows(self.dim, self.table.items(), self.kind == "lie")
+
+
+def _scaled_rows(dim: int, entries, antisymmetric: bool) -> tuple[int, tuple]:
+    """(den, rows) of `AlgebraStructure.scaled_table` from ((i, j), out) pairs.
+
+    Each out lists the nonzero (k, c) of e_i e_j by increasing k; with
+    antisymmetric set, e_j e_i is taken as its negative.
+    """
+    entries = list(entries)
+    den = lcm(1, *(c.denominator for _, out in entries for _, c in out))
+    rows = [[()] * dim for _ in range(dim)]
+    for (i, j), out in entries:
+        row = tuple((k, c.numerator * (den // c.denominator)) for k, c in out)
+        rows[i][j] = row
+        if antisymmetric:
+            rows[j][i] = tuple((k, -c) for k, c in row)
+    return den, tuple(map(tuple, rows))
 
 
 def _combine(terms, rows) -> dict:
@@ -164,12 +158,14 @@ def _combine(terms, rows) -> dict:
     return {k: v for k, v in acc.items() if v}
 
 
-def triple_products(outer: AlgebraStructure, inner: AlgebraStructure):
+def triple_products(outer, inner):
     """Both nestings of every basis triple, scaled to integers.
 
-    Returns (den, left, right) with den = den_outer * den_inner and, for
-    the flat triple number t = (i * n + j) * n + k (the order in which
-    itertools.product scans triples):
+    outer and inner are tables: AlgebraStructures or degree-2 adjoint
+    Cochains, read through their `scaled_table`.  Returns (den, left,
+    right) with den = den_outer * den_inner and, for the flat triple
+    number t = (i * n + j) * n + k (the order in which itertools.product
+    scans triples):
 
         left[t]  = den * (e_i o_inner e_j) o_outer e_k
         right[t] = den * e_i o_outer (e_j o_inner e_k)
@@ -204,13 +200,6 @@ def add_scaled(acc: dict, vec: dict, sign: int = 1) -> None:
         acc[k] = acc.get(k, 0) + sign * v
 
 
-def bracket_eval(g: AlgebraStructure, x, y) -> tuple[Fraction, ...]:
-    """Antisymmetric bilinear evaluation of a Lie table."""
-    if g.kind != "lie":
-        raise ValueError("bracket_eval needs a lie-kind algebra")
-    return g.bilinear(x, y)
-
-
 def associator(a: AlgebraStructure, x, y, z) -> tuple[Fraction, ...]:
     """(xy)z - x(yz) for an assoc-kind table."""
     if a.kind != "assoc":
@@ -218,20 +207,6 @@ def associator(a: AlgebraStructure, x, y, z) -> tuple[Fraction, ...]:
     left = a.bilinear(a.bilinear(x, y), z)
     right = a.bilinear(x, a.bilinear(y, z))
     return tuple(p - q for p, q in zip(left, right))
-
-
-def _perm_sign_and_sorted(indices):
-    """Sort an index tuple, returning (sign, sorted) or (0, None) on repeats."""
-    idx = list(indices)
-    sign = 1
-    for i in range(len(idx)):
-        for j in range(len(idx) - 1 - i):
-            if idx[j] > idx[j + 1]:
-                idx[j], idx[j + 1] = idx[j + 1], idx[j]
-                sign = -sign
-            elif idx[j] == idx[j + 1]:
-                return 0, None
-    return sign, tuple(idx)
 
 
 @dataclass(frozen=True)
@@ -280,45 +255,24 @@ class Cochain:
             return self.values.get(tuple(key), (ZERO,) * self.dim)
         return self.values.get(tuple(key), ZERO)
 
-    def eval_indices(self, indices):
-        """Value on an arbitrary index tuple, by alternation."""
-        sign, key = _perm_sign_and_sorted(indices)
-        if sign == 0:
-            return (ZERO,) * self.dim if self.target == "adjoint" else ZERO
-        val = self.value(key)
-        if sign == 1:
-            return val
-        if self.target == "adjoint":
-            return tuple(-c for c in val)
-        return -val
+    @cached_property
+    def scaled_table(self) -> tuple[int, tuple]:
+        """A degree-2 adjoint cochain as a bracket table, built once.
 
-    def eval_vectors(self, *vectors):
-        """Multilinear evaluation on coefficient vectors."""
-        if len(vectors) != self.degree:
-            raise DimensionMismatch(
-                f"degree-{self.degree} cochain applied to {len(vectors)} vectors"
+        The same (den, rows) as `AlgebraStructure.scaled_table`: den *
+        phi(e_i, e_j) for every ordered pair, expanded antisymmetrically.
+        """
+        if self.degree != 2:
+            raise UnsupportedDegree(
+                f"a degree-{self.degree} cochain is not a bracket table"
             )
-        for v in vectors:
-            if len(v) != self.dim:
-                raise DimensionMismatch("vector length does not match cochain dim")
-        out = [ZERO] * self.dim if self.target == "adjoint" else ZERO
-        for key, val in self.values.items():
-            # alternating sum over assignments of the key to argument slots
-            for assignment, sign in _alternating_assignments(key):
-                coeff = Fraction(sign)
-                for slot, idx in enumerate(assignment):
-                    coeff *= vectors[slot][idx]
-                    if not coeff:
-                        break
-                if not coeff:
-                    continue
-                if self.target == "adjoint":
-                    for k, c in enumerate(val):
-                        if c:
-                            out[k] += coeff * c
-                else:
-                    out += coeff * val
-        return tuple(out) if self.target == "adjoint" else out
+        if self.target != "adjoint":
+            raise ValueError("a bracket table needs an adjoint-valued cochain")
+        entries = (
+            (key, [(k, c) for k, c in enumerate(vec) if c])
+            for key, vec in self.values.items()
+        )
+        return _scaled_rows(self.dim, entries, antisymmetric=True)
 
     # -- linear structure ----------------------------------------------
 
@@ -404,40 +358,29 @@ class Cochain:
                     vals[key] = c
         return cls(degree, dim, target, vals)
 
-
-def _alternating_assignments(key):
-    """All orderings of a strictly increasing tuple with their signs."""
-    from itertools import permutations
-
-    out = []
-    for perm in permutations(key):
-        sign, _ = _perm_sign_and_sorted(perm)
-        out.append((perm, sign))
-    return out
-
-
-def mu_cochain(g: AlgebraStructure) -> Cochain:
-    """The bracket of a Lie table as a degree-2 adjoint cochain."""
-    if g.kind != "lie":
-        raise ValueError("mu_cochain needs a lie-kind algebra")
-    vals = {}
-    for (i, j), entry in g.table.items():
-        vec = [ZERO] * g.dim
-        for k, c in entry:
-            vec[k] = c
-        vals[(i, j)] = tuple(vec)
-    return Cochain(2, g.dim, "adjoint", vals)
+    @classmethod
+    def from_scaled(cls, degree, dim, den, items) -> Cochain:
+        """Adjoint cochain with value vec / den on each (key, {m: int} vec)."""
+        vals = {
+            key: tuple(Fraction(vec.get(m, 0), den) for m in range(dim))
+            for key, vec in items
+            if any(vec.values())
+        }
+        return cls(degree, dim, "adjoint", vals)
 
 
-def jacobi_sums(b: AlgebraStructure):
-    """(den, failures): the Jacobi sums of a bracket table that do not vanish.
+def jacobi_sums(outer, inner=None):
+    """(den, failures): the mixed Jacobi sums of two tables that do not vanish.
 
-    failures lists (key, vec) for every strictly increasing basis triple
-    key = (i, j, k), in lex order, whose den * ([[e_i,e_j],e_k] +
-    [[e_j,e_k],e_i] + [[e_k,e_i],e_j]) is the nonzero {m: int} vec.
+    outer and inner are tables as in `triple_products`; inner defaults to
+    outer.  failures lists (key, vec) for every strictly increasing basis
+    triple key = (i, j, k), in lex order, whose den * (outer(inner(e_i,
+    e_j), e_k) + outer(inner(e_j, e_k), e_i) + outer(inner(e_k, e_i), e_j))
+    is the nonzero {m: int} vec.  For one bracket these are its Jacobi
+    sums [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
     """
-    den, left, _ = triple_products(b, b)
-    n = b.dim
+    den, left, _ = triple_products(outer, outer if inner is None else inner)
+    n = outer.dim
     failures = []
     for i, j, k in combinations(range(n), 3):
         acc: dict[int, int] = {}
@@ -454,11 +397,7 @@ def jacobiator(g: AlgebraStructure) -> Cochain:
     if g.kind != "lie":
         raise ValueError("jacobiator needs a lie-kind algebra")
     den, failures = jacobi_sums(g)
-    vals = {
-        key: tuple(Fraction(vec.get(m, 0), den) for m in range(g.dim))
-        for key, vec in failures
-    }
-    return Cochain(3, g.dim, "adjoint", vals)
+    return Cochain.from_scaled(3, g.dim, den, failures)
 
 
 def is_lie(g: AlgebraStructure):

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import io
@@ -71,7 +70,7 @@ def _table_doc(structure) -> list:
 
 
 def _fracs(values) -> list[str]:
-    return [rational_str(Fraction(v)) for v in values]
+    return [rational_str(v) for v in values]
 
 
 # -- commands ----------------------------------------------------------

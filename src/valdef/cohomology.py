@@ -9,17 +9,23 @@ denominator den) by the Chevalley-Eilenberg formula
 
 (the first sum only for adjoint coefficients), as den * delta in sparse
 integer rows, one per codomain coordinate.  One global sign per degree
-and coefficient type matches the circle-product convention delta f =
-mu o f + (-1)^p f o mu (adjoint) and f o mu (trivial), so delta agrees
-with the super-bracket used by the deformation module.  Ranks come from
-`linalg.rank`; all reported cohomology dimensions are independent of the
-global signs.
+and coefficient type matches the shuffle-composition convention delta f
+= mu o f + (-1)^p f o mu (adjoint) and f o mu (trivial), so on degree-2
+adjoint cochains delta phi = mu o phi + phi o mu agrees with the circle
+product below.  Ranks come from `linalg.rank`; all reported cohomology
+dimensions are independent of the global signs.
 
-The circle product composes alternating cochains over shuffles with the
-shuffle sign; the displayed argument count in the source material is
-inconsistent, so the standard degree p+q-1 composition over (p, q-1)
-shuffles is used.  It serves the super-bracket and the deformation
-residuals.
+The circle product is taken on degree-2 adjoint cochains, the only ones
+Gerstenhaber's deformation equation delta phi_k = -sum_{i+j=k} phi_i o
+phi_j needs here.  phi o psi is the mixed Jacobi sum
+
+    (phi o psi)(x, y, z) = phi(psi(x, y), z) + phi(psi(y, z), x)
+                           + phi(psi(z, x), y),
+
+computed on the integer tables of both cochains by
+`algebra.jacobi_sums`, the contraction behind every identity check; mu o
+mu is the Jacobiator of mu.  It serves the super-bracket of the graded
+system.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .algebra import AlgebraStructure, Cochain, _perm_sign_and_sorted
+from .algebra import AlgebraStructure, Cochain, jacobi_sums
 from .errors import DimensionMismatch, UnsupportedDegree
 
 ZERO = Fraction(0)
@@ -39,46 +45,13 @@ MAX_DEGREE = 3  # highest cohomology degree reported
 
 
 def circle(outer: Cochain, inner: Cochain) -> Cochain:
-    """Shuffle composition outer(inner(...), ...) of degree p+q-1.
+    """outer o inner, the mixed Jacobi sum, as a degree-3 adjoint cochain.
 
-    The inner cochain must be adjoint-valued; the result inherits the
-    outer target.
+    Both arguments are degree-2 adjoint cochains; any other degree or
+    target raises.
     """
-    if inner.target != "adjoint":
-        raise ValueError("inner cochain of a circle product must be adjoint")
-    if outer.dim != inner.dim:
-        raise DimensionMismatch("cochain dims differ")
-    dim = outer.dim
-    p, q = inner.degree, outer.degree
-    deg = p + q - 1
-    if deg > dim:
-        return Cochain.zero(deg, dim, outer.target)
-    adjoint = outer.target == "adjoint"
-    vals = {}
-    positions = list(range(deg))
-    for key in combinations(range(dim), deg):
-        acc = [ZERO] * dim if adjoint else ZERO
-        for s_pos in combinations(positions, p):
-            rest_pos = [i for i in positions if i not in s_pos]
-            sign, _ = _perm_sign_and_sorted(list(s_pos) + rest_pos)
-            inner_val = inner.value(tuple(key[i] for i in s_pos))
-            rest = tuple(key[i] for i in rest_pos)
-            for k, c in enumerate(inner_val):
-                if not c:
-                    continue
-                outer_val = outer.eval_indices((k,) + rest)
-                if adjoint:
-                    for m, o in enumerate(outer_val):
-                        if o:
-                            acc[m] += sign * c * o
-                else:
-                    acc += sign * c * outer_val
-        if adjoint:
-            if any(acc):
-                vals[key] = tuple(acc)
-        elif acc:
-            vals[key] = acc
-    return Cochain(deg, dim, outer.target, vals)
+    den, sums = jacobi_sums(outer, inner)
+    return Cochain.from_scaled(3, outer.dim, den, sums)
 
 
 def super_bracket(f: Cochain, g: Cochain) -> Cochain:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 
 from . import linalg
-from .algebra import AlgebraStructure, Cochain, mu_cochain
-from .cohomology import circle, coboundaries, coboundary, super_bracket
+from .algebra import AlgebraStructure, Cochain, add_scaled, jacobi_sums
+from .cohomology import coboundaries, coboundary, super_bracket
 from .decompose import decompose
 from .errors import (
     DimensionMismatch,
@@ -84,44 +85,39 @@ class Deformation:
         return out
 
 
-def deformed_bracket(d: Deformation, x, y) -> SeriesVector:
-    """[x, y]_base at t^0 plus sum coeff_i * phi_i(x, y)."""
-    n = d.base.dim
-    if len(x) != n or len(y) != n:
-        raise DimensionMismatch("vectors do not match the base dimension")
-    const = d.base.bilinear(x, y)
-    comps = [TruncSeries.constant(c, d.cap) for c in const]
-    for coeff, phi in d.terms:
-        vec = phi.eval_vectors(x, y)
-        for k, c in enumerate(vec):
-            if c:
-                comps[k] = comps[k] + coeff.scale(c)
-    return SeriesVector(tuple(comps))
-
-
 def jacobi_residual(d: Deformation) -> dict:
-    """Expansion of mu_t o mu_t by t-order; {} means valid up to the cap."""
-    mu = mu_cochain(d.base)
-    residuals: dict[int, Cochain] = {}
+    """Expansion of mu_t o mu_t by t-order; {} means valid up to the cap.
 
-    def accumulate(series, cochain):
-        if cochain.is_zero():
-            return
-        for p, x in enumerate(series.nums):
-            if x:
-                prev = residuals.get(p)
-                term = cochain.scale(Fraction(x, series.den))
-                residuals[p] = term if prev is None else prev + term
-
-    accumulate(TruncSeries.one(0), circle(mu, mu))
-    # mu o phi + phi o mu is the coboundary of phi
-    deltas = coboundaries(d.base, [phi for _, phi in d.terms])
-    for (coeff, _), delta in zip(d.terms, deltas):
-        accumulate(coeff, delta)
-    for ci, phi_i in d.terms:
-        for cj, phi_j in d.terms:
-            accumulate(ci * cj, circle(phi_i, phi_j))
-    return {p: c for p, c in residuals.items() if not c.is_zero()}
+    With mu_t = 1 * mu + sum c_i * phi_i, the t^p part is the sum over
+    ordered pairs of terms of the t^p coefficient of c_i * c_j times the
+    mixed Jacobi sum phi_i o phi_j (`algebra.jacobi_sums`); mu o mu is the
+    Jacobiator of the base and mu o phi + phi o mu the coboundary of phi.
+    Everything is summed on integers over one common denominator.
+    """
+    terms = [(TruncSeries.one(d.cap), d.base), *d.terms]
+    parts = []
+    for ci, outer in terms:
+        for cj, inner in terms:
+            den, sums = jacobi_sums(outer, inner)
+            if sums:
+                coeff = ci * cj
+                parts.append((coeff, coeff.den * den, sums))
+    common = lcm(1, *(den for _, den, _ in parts))
+    by_order: dict[int, dict] = {}
+    for coeff, den, sums in parts:
+        scale = common // den
+        for p, x in enumerate(coeff.nums):
+            if not x:
+                continue
+            acc = by_order.setdefault(p, {})
+            for key, vec in sums:
+                add_scaled(acc.setdefault(key, {}), vec, x * scale)
+    residuals = {}
+    for p, acc in by_order.items():
+        c = Cochain.from_scaled(3, d.base.dim, common, acc.items())
+        if not c.is_zero():
+            residuals[p] = c
+    return residuals
 
 
 def is_valid(d: Deformation) -> bool:
@@ -227,16 +223,14 @@ class GradedSystem:
         )
 
 
-def _membership(span_pairs, target_cochain) -> MembershipVerdict:
-    vectors = [sb.flatten() for _, sb in span_pairs]
+def _membership(span, target_cochain) -> MembershipVerdict:
+    vectors = [sb.flatten() for _, sb in span]
     coeffs = linalg.solve_combination(vectors, list(target_cochain.flatten()))
     if coeffs is None:
         return MembershipVerdict(holds=False, coefficients=None)
     return MembershipVerdict(
         holds=True,
-        coefficients={
-            pair: c for (pair, _), c in zip(span_pairs, coeffs) if c
-        },
+        coefficients={pair: c for (pair, _), c in zip(span, coeffs) if c},
     )
 
 
@@ -250,18 +244,24 @@ def graded_system(d: Deformation) -> GradedSystem:
     _require_valid(d)
     phis = [phi for _, phi in d.terms]
     deltas = coboundaries(d.base, phis[1:])
+
+    @cache
+    def bracket(i, j):
+        """[phi_i, phi_j] for 0-based i <= j, computed once per call."""
+        return super_bracket(phis[i], phis[j])
+
     delta_memberships = {}
     bracket_memberships = {}
     for k in range(2, len(phis) + 1):
-        span_pairs = [
-            ((i + 1, j + 1), super_bracket(phis[i], phis[j]))
+        span = [
+            ((i + 1, j + 1), bracket(i, j))
             for i in range(k - 1)
             for j in range(i, k - 1)
         ]
-        delta_memberships[k] = _membership(span_pairs, deltas[k - 2])
+        delta_memberships[k] = _membership(span, deltas[k - 2])
         for i in range(k - 1):
-            target = super_bracket(phis[i], phis[k - 1])
-            bracket_memberships[(i + 1, k)] = _membership(span_pairs, target)
+            target = bracket(i, k - 1)
+            bracket_memberships[(i + 1, k)] = _membership(span, target)
     return GradedSystem(
         residuals={},
         delta_memberships=delta_memberships,
@@ -403,12 +403,14 @@ def transport(d: Deformation, f) -> Deformation:
         raise PrecisionExhausted("no precision left below t^1")
     f_inv = series_matrix_inverse(f, cap)
 
+    den, table = d.base.scaled_table
+    consts = {(i, j): dict(table[i][j]) for i, j in combinations(range(n), 2)}
     mu_t = {}
     pert = d.perturbation()
-    for i, j in combinations(range(n), 2):
-        const = d.base.product_basis(i, j)
+    for (i, j), const in consts.items():
         comps = [
-            TruncSeries.constant(const[k], cap) + pert[(i, j)].components[k].truncate(cap)
+            TruncSeries(den, [const.get(k, 0)] + [0] * cap)
+            + pert[(i, j)].components[k].truncate(cap)
             for k in range(n)
         ]
         mu_t[(i, j)] = SeriesVector(tuple(comps))
@@ -427,17 +429,17 @@ def transport(d: Deformation, f) -> Deformation:
         for c in range(n)
     ]
     by_power: dict[int, dict] = {}
-    for i, j in combinations(range(n), 2):
+    for (i, j), const in consts.items():
         transported = series_matrix_apply(
             f_inv, mu_t_bilinear(columns[i], columns[j]), cap
         )
-        const = d.base.product_basis(i, j)
         for k in range(n):
-            coeffs = transported.components[k].coeffs
-            if coeffs[0] != const[k]:
+            comp = transported.components[k]
+            if comp.nums[0] * den != const.get(k, 0) * comp.den:
                 raise InvalidDeformation(
                     "transport did not preserve the base bracket at t^0"
                 )
+            coeffs = comp.coeffs
             for p in range(1, cap + 1):
                 if coeffs[p]:
                     by_power.setdefault(p, {}).setdefault((i, j), [ZERO] * n)[
@@ -473,6 +475,7 @@ def polynomial_form_check(d: Deformation, poly, k: int) -> bool:
     deg P <= k.  Multiplying the deformed bracket by P is exactly the
     transport by the scalar endomorphism Id * P, so the check is that
     (P - 1) * mu + P * perturbation has no terms above t^k at the cap.
+    deg (P - 1) <= k, so only P * perturbation can have such terms.
     """
     poly = [Fraction(c) for c in poly]
     if not poly or poly[0] != 1:
@@ -484,13 +487,8 @@ def polynomial_form_check(d: Deformation, poly, k: int) -> bool:
             f"cap {d.cap} cannot see any order above t^{k}"
         )
     p_series = TruncSeries.from_coeffs(poly, cap=d.cap)
-    p_minus_1 = p_series - TruncSeries.one(d.cap)
-    pert = d.perturbation()
-    n = d.base.dim
-    for i, j in combinations(range(n), 2):
-        const = d.base.product_basis(i, j)
-        for idx in range(n):
-            s = p_minus_1.scale(const[idx]) + p_series * pert[(i, j)].components[idx]
-            if any(s.nums[k + 1 :]):
+    for vec in d.perturbation().values():
+        for comp in vec.components:
+            if any((p_series * comp).nums[k + 1 :]):
                 return False
     return True

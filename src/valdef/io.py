@@ -166,14 +166,19 @@ def parse_cochain(doc, dim: int, degree: int = 2, target: str = "adjoint") -> Co
     for row in values:
         try:
             key = tuple(_int(i, "cochain args index") for i in row["args"])
+            if key in vals:
+                raise FormatError(f"duplicate cochain entry for args {list(key)}")
             if target == "adjoint":
                 vec = [Fraction(0)] * dim
                 for cell in row["out"]:
-                    vec[int(cell["k"])] = parse_rational(cell["c"])
+                    k = _int(cell["k"], "cochain out index")
+                    if not 0 <= k < dim:
+                        raise FormatError(f"cochain out index {k} outside 0..{dim - 1}")
+                    vec[k] = parse_rational(cell["c"])
                 vals[key] = tuple(vec)
             else:
                 vals[key] = parse_rational(row["c"])
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad cochain entry {row!r}") from exc
     try:
         return Cochain.build(degree, dim, target, vals)

@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 
 from .algebra import AlgebraStructure, add_scaled, jacobi_sums, triple_products
 from .errors import InvalidPoisson
-
-ZERO = Fraction(0)
 
 
 class SubgroupTag(str, Enum):
@@ -138,29 +137,36 @@ def dual_identity_check(b: AlgebraStructure, tag: SubgroupTag):
     return True, None
 
 
+def _add_kron(out: dict, left, right, width: int, weight: int = 1) -> None:
+    """out[p * width + q] += weight * cp * cq for (p, cp) in left, (q, cq) in right."""
+    for p, cp in left:
+        for q, cq in right:
+            key = p * width + q
+            out[key] = out.get(key, 0) + weight * cp * cq
+
+
 def tensor_product(a: AlgebraStructure, b: AlgebraStructure) -> AlgebraStructure:
     """Componentwise product on the Kronecker basis e_i (x) f_j."""
-    dim = a.dim * b.dim
+    den_a, rows_a = a.scaled_table
+    den_b, rows_b = b.scaled_table
+    den = den_a * den_b
     table = {}
     for i1 in range(a.dim):
         for i2 in range(a.dim):
-            left = a._pairs(i1, i2)
+            left = rows_a[i1][i2]
             if not left:
                 continue
             for j1 in range(b.dim):
                 for j2 in range(b.dim):
-                    right = b._pairs(j1, j2)
+                    right = rows_b[j1][j2]
                     if not right:
                         continue
                     out = {}
-                    for p, cp in left:
-                        for q, cq in right:
-                            key = p * b.dim + q
-                            out[key] = out.get(key, ZERO) + cp * cq
-                    entry = {k: c for k, c in out.items() if c}
-                    if entry:
-                        table[(i1 * b.dim + j1, i2 * b.dim + j2)] = entry
-    return AlgebraStructure.assoc(dim, table)
+                    _add_kron(out, left, right, b.dim)
+                    table[(i1 * b.dim + j1, i2 * b.dim + j2)] = {
+                        k: Fraction(c, den) for k, c in out.items()
+                    }
+    return AlgebraStructure.assoc(a.dim * b.dim, table)
 
 
 # -- Poisson structures -----------------------------------------------
@@ -228,27 +234,25 @@ def poisson_tensor(p: PoissonStructure, q: PoissonStructure) -> PoissonStructure
     _require_poisson(q, "right factor")
     product = tensor_product(p.product, q.product)
     dim = p.dim * q.dim
+    den_pb, br_p = p.bracket.scaled_table
+    den_pp, pr_p = p.product.scaled_table
+    den_qp, pr_q = q.product.scaled_table
+    den_qb, br_q = q.bracket.scaled_table
+    # [a1,b1] x a2.b2 has denominator den_pb * den_qp, a1.b1 x [a2,b2] the other
+    den = lcm(den_pb * den_qp, den_pp * den_qb)
+    w_left, w_right = den // (den_pb * den_qp), den // (den_pp * den_qb)
     table = {}
     for i1 in range(p.dim):
         for i2 in range(p.dim):
-            br_left = dict(p.bracket._pairs(i1, i2))
-            pr_left = dict(p.product._pairs(i1, i2))
+            br_left, pr_left = br_p[i1][i2], pr_p[i1][i2]
             if not br_left and not pr_left:
                 continue
             for j1 in range(q.dim):
                 for j2 in range(q.dim):
-                    pr_right = dict(q.product._pairs(j1, j2))
-                    br_right = dict(q.bracket._pairs(j1, j2))
                     out = {}
-                    for u, cu in br_left.items():
-                        for v, cv in pr_right.items():
-                            key = u * q.dim + v
-                            out[key] = out.get(key, ZERO) + cu * cv
-                    for u, cu in pr_left.items():
-                        for v, cv in br_right.items():
-                            key = u * q.dim + v
-                            out[key] = out.get(key, ZERO) + cu * cv
-                    entry = {k: c for k, c in out.items() if c}
+                    _add_kron(out, br_left, pr_q[j1][j2], q.dim, w_left)
+                    _add_kron(out, pr_left, br_q[j1][j2], q.dim, w_right)
+                    entry = {k: Fraction(c, den) for k, c in out.items() if c}
                     if entry:
                         table[(i1 * q.dim + j1, i2 * q.dim + j2)] = entry
     return PoissonStructure(

@@ -56,17 +56,18 @@ def roots(g: AlgebraStructure, torus: TorusData) -> RootReport:
     if torus.rank != 1:
         raise NotRankOne(f"rank {torus.rank} torus; root extraction needs rank 1")
     x_idx = torus.torus_indices[0]
-    x = g.basis_vector(x_idx)
+    den, table = g.scaled_table
     out = []
     for yi in torus.nil_indices:
-        vec = g.bilinear(x, g.basis_vector(yi))
-        for k, c in enumerate(vec):
-            if k != yi and c:
+        root = ZERO
+        for k, c in table[x_idx][yi]:
+            if k != yi:
                 raise NotAdapted(
                     f"[e{x_idx}, e{yi}] has a component on e{k}: "
                     "ad X is not diagonal in this basis"
                 )
-        out.append(vec[yi])
+            root = Fraction(c, den)
+        out.append(root)
     return RootReport(
         roots=tuple(out), zero_is_root=any(c == 0 for c in out), rank=1
     )

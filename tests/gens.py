@@ -10,7 +10,7 @@ decomposed form.
 from fractions import Fraction
 import random
 
-from valdef.algebra import AlgebraStructure, Cochain, change_basis, mu_cochain
+from valdef.algebra import AlgebraStructure, Cochain, change_basis
 from valdef.deformation import (
     Deformation,
     decompose_deformation,
@@ -22,6 +22,11 @@ from valdef.series import SeriesVector, TruncSeries
 
 def frac(rng: random.Random, num=6, den=4) -> Fraction:
     return Fraction(rng.randint(-num, num), rng.randint(1, den))
+
+
+def unit(n, i) -> tuple:
+    """The i-th basis vector of Q^n."""
+    return tuple(Fraction(int(k == i)) for k in range(n))
 
 
 def nonzero_frac(rng, num=6, den=4) -> Fraction:
@@ -105,6 +110,93 @@ def random_lie(rng, n) -> AlgebraStructure:
     if rng.random() < 0.8:
         g = change_basis(g, random_invertible(rng, n))
     return g
+
+
+def mu_cochain(g: AlgebraStructure) -> Cochain:
+    """The bracket of a Lie table as a degree-2 adjoint cochain."""
+    vals = {}
+    for pair, entry in g.table.items():
+        vec = [Fraction(0)] * g.dim
+        for k, c in entry:
+            vec[k] = c
+        vals[pair] = vec
+    return Cochain.build(2, g.dim, "adjoint", vals)
+
+
+# -- Fraction reference for circle products ------------------------------
+#
+# The general-degree shuffle composition on Fraction values, kept apart
+# from valdef's integer kernel (which only takes degree-2 tables) as the
+# oracle for circle products, coboundaries and Jacobi residuals.
+
+
+def _sign_and_sorted(indices):
+    """Sort an index tuple, returning (sign, sorted) or (0, None) on repeats."""
+    idx = list(indices)
+    sign = 1
+    for i in range(len(idx)):
+        for j in range(len(idx) - 1 - i):
+            if idx[j] > idx[j + 1]:
+                idx[j], idx[j + 1] = idx[j + 1], idx[j]
+                sign = -sign
+            elif idx[j] == idx[j + 1]:
+                return 0, None
+    return sign, tuple(idx)
+
+
+def eval_indices(c: Cochain, indices):
+    """Value of c on an arbitrary index tuple, by alternation."""
+    sign, key = _sign_and_sorted(indices)
+    if sign == 0:
+        return (Fraction(0),) * c.dim if c.target == "adjoint" else Fraction(0)
+    val = c.value(key)
+    if c.target == "adjoint":
+        return tuple(sign * x for x in val)
+    return sign * val
+
+
+def eval_vectors(c: Cochain, x, y):
+    """A degree-2 adjoint cochain applied to two coefficient vectors."""
+    out = [Fraction(0)] * c.dim
+    for (i, j), val in c.values.items():
+        coeff = x[i] * y[j] - x[j] * y[i]
+        for k, v in enumerate(val):
+            out[k] += coeff * v
+    return tuple(out)
+
+
+def shuffle_circle(outer: Cochain, inner: Cochain) -> Cochain:
+    """outer(inner(...), ...) of degree p+q-1 over (p, q-1) shuffles.
+
+    p and q are the degrees of inner and outer; inner is adjoint-valued
+    and the result takes the target of outer.
+    """
+    from itertools import combinations
+
+    dim = outer.dim
+    p, q = inner.degree, outer.degree
+    deg = p + q - 1
+    adjoint = outer.target == "adjoint"
+    vals = {}
+    positions = list(range(deg))
+    for key in combinations(range(dim), deg):
+        acc = [Fraction(0)] * dim if adjoint else Fraction(0)
+        for s_pos in combinations(positions, p):
+            rest_pos = [i for i in positions if i not in s_pos]
+            sign, _ = _sign_and_sorted(list(s_pos) + rest_pos)
+            inner_val = inner.value(tuple(key[i] for i in s_pos))
+            rest = tuple(key[i] for i in rest_pos)
+            for k, c in enumerate(inner_val):
+                if not c:
+                    continue
+                outer_val = eval_indices(outer, (k,) + rest)
+                if adjoint:
+                    for m, o in enumerate(outer_val):
+                        acc[m] += sign * c * o
+                else:
+                    acc += sign * c * outer_val
+        vals[key] = acc
+    return Cochain.build(deg, dim, outer.target, vals)
 
 
 def random_cochain(rng, n, degree, target, allow_zero=False) -> Cochain:

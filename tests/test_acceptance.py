@@ -8,6 +8,8 @@ runtime budgets are asserted with wall-clock measurements.  Run with
 import random
 import time
 
+from fractions import Fraction
+
 from valdef import linalg
 from valdef.algebra import AlgebraStructure
 from valdef.cohomology import coboundary, cohomology_dim, super_bracket
@@ -231,11 +233,12 @@ def random_poisson(rng) -> PoissonStructure:
     kind = rng.randrange(3)
     if kind == 0:
         prod = conjugated(rng, rng.choice(COMMUTATIVE_POOL))
+        den, rows = prod.scaled_table
         full = {
-            (i, j): dict(prod._pairs(i, j))
+            (i, j): {k: Fraction(c, den) for k, c in rows[i][j]}
             for i in range(prod.dim)
             for j in range(prod.dim)
-            if prod._pairs(i, j)
+            if rows[i][j]
         }
         return PoissonStructure.build(prod.dim, full, {})
     if kind == 1:

@@ -549,6 +549,29 @@ MALFORMED = [
         {"d": dict(DEFORM, cap=4), "f": NON_UNIPOTENT},
         "(0,0) has constant term 2",
     ),
+    # a negative out index must not wrap to the end of the vector
+    (
+        ["deform", "verify", "@d"],
+        {"d": _term([{"args": [0, 1], "out": [{"k": -1, "c": "1"}]}])},
+        "cochain out index -1 outside 0..1",
+    ),
+    (
+        ["deform", "decompose", "@d"],
+        {"d": _term([{"args": [0, 1], "out": [{"k": -1, "c": "1"}]}])},
+        "cochain out index -1 outside 0..1",
+    ),
+    (
+        ["deform", "verify", "@d"],
+        {
+            "d": _term(
+                [
+                    {"args": [0, 1], "out": [{"k": 0, "c": "1"}]},
+                    {"args": [0, 1], "out": [{"k": 1, "c": "1"}]},
+                ]
+            )
+        },
+        "duplicate cochain entry for args [0, 1]",
+    ),
 ]
 
 
@@ -560,3 +583,29 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, files, reason):
     assert code == 2 and doc["ok"] is False
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert reason in err
+
+
+def test_tracer_layers_resolve():
+    """Every function perfbench/tracer.py wraps by name exists in valdef.
+
+    Loading the file runs no valdef code and install() is not called, so
+    this only checks that `perfbench/run.py --trace 1` will find each name.
+    """
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for mod, attrs in tracer.LAYERS.items():
+        owner = importlib.import_module(f"valdef.{mod}")
+        for attr in attrs:
+            obj = owner
+            for part in attr.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{mod}.{attr}")
+    assert not missing

@@ -8,13 +8,7 @@ from math import comb
 import pytest
 
 from valdef import linalg
-from valdef.algebra import (
-    AlgebraStructure,
-    Cochain,
-    change_basis,
-    jacobiator,
-    mu_cochain,
-)
+from valdef.algebra import AlgebraStructure, Cochain, change_basis, jacobiator
 from valdef.cohomology import (
     circle,
     coboundaries,
@@ -26,7 +20,16 @@ from valdef.cohomology import (
 )
 from valdef.errors import UnsupportedDegree
 
-from gens import R2, SL2, random_cochain, random_invertible, random_lie
+from gens import (
+    R2,
+    SL2,
+    mu_cochain,
+    random_cochain,
+    random_invertible,
+    random_lie,
+    shuffle_circle,
+    unit,
+)
 
 ODD_DENS = (1, 3, 5, 7)
 
@@ -50,17 +53,17 @@ def dense(rows, ncols):
     return [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
 
 
-# -- Fraction reference: delta built from circle products ----------------
+# -- Fraction reference: delta built from shuffle compositions ------------
 
 
 def ref_coboundary(g, f):
-    """mu o f + (-1)^p f o mu (adjoint), f o mu (trivial), by circle products."""
+    """mu o f + (-1)^p f o mu (adjoint), f o mu (trivial), by shuffles."""
     mu = mu_cochain(g)
     if f.target == "trivial":
-        return circle(f, mu)
+        return shuffle_circle(f, mu)
     if f.degree % 2 == 0:
-        return circle(mu, f) + circle(f, mu)
-    return circle(mu, f) - circle(f, mu)
+        return shuffle_circle(mu, f) + shuffle_circle(f, mu)
+    return shuffle_circle(mu, f) - shuffle_circle(f, mu)
 
 
 def ref_coboundary_matrix(g, degree, coeff):
@@ -77,8 +80,8 @@ def ref_coboundary_matrix(g, degree, coeff):
                 1,
                 n,
                 coeff,
-                {(j,): g.product_basis(c, j) if coeff == "adjoint" else 0
-                 for j in range(n)},
+                {(j,): g.bilinear(unit(n, c), unit(n, j)) if coeff == "adjoint"
+                 else 0 for j in range(n)},
             )
         else:
             flat = [Fraction(0)] * dom

@@ -6,12 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from valdef.algebra import AlgebraStructure, Cochain, mu_cochain
+from valdef.algebra import AlgebraStructure, Cochain, change_basis
 from valdef.cohomology import circle, coboundary, super_bracket
 from valdef.deformation import (
     Deformation,
     decompose_deformation,
-    deformed_bracket,
     first_term_is_cocycle,
     graded_system,
     identity_plus,
@@ -28,6 +27,7 @@ from valdef.errors import (
     InvalidDeformation,
     NotInMaximalIdeal,
     PrecisionExhausted,
+    UnsupportedDegree,
 )
 from valdef.series import SeriesVector, TruncSeries
 
@@ -36,13 +36,18 @@ from gens import (
     PHI2,
     R2,
     R2K,
+    SL2,
     decomposed,
+    eval_vectors,
     frac,
+    mu_cochain,
     random_cochain,
     random_direction,
+    random_invertible,
     random_lie,
     random_series_in_m,
     random_valid_deformation,
+    shuffle_circle,
     two_term_instance,
 )
 
@@ -57,7 +62,7 @@ def e(n, i):
 def test_two_term_instance_hand_checks():
     # oracle for [phi1, phi1] on (X, Y, Z): expand phi1(phi1(.,.),.) terms
     def phi1_eval(a, b):
-        return PHI1.eval_vectors(a, b)
+        return eval_vectors(PHI1, a, b)
 
     x, y, z = e(3, 0), e(3, 1), e(3, 2)
     comp = lambda a, b, c: phi1_eval(phi1_eval(a, b), c)
@@ -74,6 +79,17 @@ def test_two_term_instance_hand_checks():
     assert super_bracket(PHI2, PHI2).is_zero()
 
 
+def deformed_bracket(d, x, y):
+    """[x, y] of the base at t^0 plus sum c_i * phi_i(x, y), from the
+    perturbation that `Deformation.perturbation` gives on basis pairs."""
+    comps = [TruncSeries.constant(c, d.cap) for c in d.base.bilinear(x, y)]
+    for (i, j), vec in d.perturbation().items():
+        factor = x[i] * y[j] - x[j] * y[i]
+        if factor:
+            comps = [a + s.scale(factor) for a, s in zip(comps, vec.components)]
+    return SeriesVector(tuple(comps))
+
+
 def test_deformed_bracket_cases():
     d0 = Deformation.trivial(R2K, 3)
     v = deformed_bracket(d0, e(3, 0), e(3, 1))
@@ -83,6 +99,9 @@ def test_deformed_bracket_cases():
     d1 = Deformation.build(AB3, 4, [(TruncSeries.monomial(1, 4), PHI_E12_E3)])
     v1 = deformed_bracket(d1, e(3, 0), e(3, 1))
     assert v1.components[2] == TruncSeries.monomial(1, 4)
+    assert deformed_bracket(d1, e(3, 1), e(3, 0)).components[2] == TruncSeries.monomial(
+        1, 4, -1
+    )
 
     phi_x = Cochain.build(2, 2, "adjoint", {(0, 1): (1, 0)})
     d2 = Deformation.build(R2, 3, [(TruncSeries.monomial(1, 3), phi_x)])
@@ -136,6 +155,28 @@ def test_graded_broken_input():
             graded_system(d)
     else:
         assert not graded_system(d).satisfied
+
+
+def test_graded_system_computes_each_bracket_once(monkeypatch):
+    import valdef.deformation as deformation
+
+    # central terms over an abelian base: every circle product vanishes
+    pairs = [(0, 1), (0, 2), (1, 2), (0, 1), (0, 2)]
+    terms = [
+        (TruncSeries.monomial(p, 6), Cochain.build(2, 4, "adjoint", {pair: (0, 0, 0, p)}))
+        for p, pair in enumerate(pairs, start=1)
+    ]
+    d = Deformation.build(AlgebraStructure.abelian(4), 6, terms)
+    seen = []
+
+    def counting(f, g):
+        seen.append((f, g))
+        return super_bracket(f, g)
+
+    monkeypatch.setattr(deformation, "super_bracket", counting)
+    assert graded_system(d).satisfied
+    # [phi_i, phi_j] for i <= j <= 5 except [phi_5, phi_5], not 30 calls
+    assert len(seen) == 14
 
 
 def test_max_rank_degenerate_cases():
@@ -326,6 +367,18 @@ def test_polynomial_form_check_cases():
         polynomial_form_check(d2, [1, 1, 1], 1)
     with pytest.raises(PrecisionExhausted):
         polynomial_form_check(d2, [1], 4)
+    # mu_t = mu / P over a base with fractional constants: P * mu_t = mu
+    diag = (Fraction(1, 3), Fraction(2, 5), Fraction(1))
+    base = change_basis(
+        SL2, [[diag[i] if i == j else Fraction(0) for j in range(3)] for i in range(3)]
+    )
+    assert base.scaled_table[0] % 3 == 0
+    q = TruncSeries.from_coeffs([1, Fraction(1, 2)], cap=4).invert()
+    mu = mu_cochain(base)
+    terms = [(TruncSeries.monomial(p, 4, c), mu) for p, c in enumerate(q.coeffs) if p]
+    d3 = Deformation.build(base, 4, terms)
+    assert polynomial_form_check(d3, [1, Fraction(1, 2)], 1)
+    assert not polynomial_form_check(d3, [1, Fraction(3, 2)], 1)
 
 
 def find_polynomial_form(d, k):
@@ -414,13 +467,14 @@ def test_validity_gauge_invariance_includes_invalid():
 
 
 def circle_residual(d):
-    """Reference for jacobi_residual: mu_t o mu_t from circle products only,
-    mu_t = 1 * mu + sum c_i * phi_i, expanded over every ordered pair."""
+    """Reference for jacobi_residual: mu_t o mu_t from Fraction shuffle
+    compositions only, mu_t = 1 * mu + sum c_i * phi_i, expanded over every
+    ordered pair."""
     terms = [(TruncSeries.one(d.cap), mu_cochain(d.base))] + list(d.terms)
     out = {}
     for ci, phi_i in terms:
         for cj, phi_j in terms:
-            comp = circle(phi_i, phi_j)
+            comp = shuffle_circle(phi_i, phi_j)
             for p, c in enumerate((ci * cj).coeffs):
                 if c:
                     out[p] = comp.scale(c) + out.get(p, comp.scale(0))
@@ -446,6 +500,67 @@ def test_jacobi_residual_matches_circle_reference():
         assert jacobi_residual(d) == want
         nonzero += bool(want)
     assert nonzero >= 10
+
+
+ODD_DENS = (1, 3, 5, 7)
+
+
+def odd_cochain(rng, n):
+    """Random degree-2 adjoint cochain with denominators from 1, 3, 5, 7."""
+    return Cochain.build(
+        2,
+        n,
+        "adjoint",
+        {
+            (i, j): [
+                Fraction(rng.randint(-9, 9), rng.choice(ODD_DENS))
+                if rng.random() < 0.5
+                else 0
+                for _ in range(n)
+            ]
+            for i in range(n)
+            for j in range(i + 1, n)
+        },
+    )
+
+
+def conjugated_cochain(rng, phi):
+    """phi read as a bracket table, in a random rational basis."""
+    table = {pair: dict(enumerate(vec)) for pair, vec in phi.values.items()}
+    law = AlgebraStructure.lie(phi.dim, table)
+    return mu_cochain(change_basis(law, random_invertible(rng, phi.dim)))
+
+
+def test_kernel_circle_matches_shuffle_reference():
+    rng = random.Random(66)
+    dens = set()
+    nonzero = 0
+    for trial in range(60):
+        n = 2 + trial % 5
+        f, g = odd_cochain(rng, n), odd_cochain(rng, n)
+        if trial % 3 == 0:
+            f = conjugated_cochain(rng, f)
+        if trial % 4 == 0:
+            g = conjugated_cochain(rng, g)
+        dens |= {f.scaled_table[0], g.scaled_table[0]}
+        want = shuffle_circle(f, g)
+        assert circle(f, g) == want
+        assert super_bracket(f, g) == want + shuffle_circle(g, f)
+        nonzero += not want.is_zero()
+        cap = rng.randint(2, 5)
+        terms = [
+            (random_series_in_m(rng, cap, max_num=9, max_den=7), phi)
+            for phi in (f, g)[: rng.randint(1, 2)]
+        ]
+        d = Deformation.build(random_lie(rng, n), cap, terms)
+        assert jacobi_residual(d) == circle_residual(d)
+    assert nonzero >= 40
+    assert all(any(d % p == 0 for d in dens) for p in (3, 5, 7))
+    # only degree-2 adjoint cochains are bracket tables
+    with pytest.raises(UnsupportedDegree):
+        circle(random_cochain(rng, f.dim, 3, "adjoint"), f)
+    with pytest.raises(ValueError):
+        circle(f, random_cochain(rng, f.dim, 2, "trivial"))
 
 
 def neumann_inverse(f, cap):

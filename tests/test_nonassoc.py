@@ -43,6 +43,7 @@ from gens import (
     random_invertible,
     random_lie,
     search_tables,
+    unit,
 )
 
 
@@ -82,7 +83,7 @@ def test_vinberg_instance_from_search():
         # oracle: re-evaluate both identities from the raw associator
         from valdef.algebra import associator
 
-        basis = [alg.basis_vector(i) for i in range(alg.dim)]
+        basis = [unit(alg.dim, i) for i in range(alg.dim)]
         plain_assoc = all(
             not any(associator(alg, basis[i], basis[j], basis[k]))
             for i in range(2)
@@ -272,7 +273,7 @@ def _ref_sign(pattern):
 
 
 def _ref_g_check(a, tag, signed):
-    e = [a.basis_vector(i) for i in range(a.dim)]
+    e = [unit(a.dim, i) for i in range(a.dim)]
     for t in iter_product(range(a.dim), repeat=3):
         acc = [Fraction(0)] * a.dim
         for pattern in PATTERNS[tag]:
@@ -285,7 +286,7 @@ def _ref_g_check(a, tag, signed):
 
 
 def _ref_dual(b, tag):
-    e = [b.basis_vector(i) for i in range(b.dim)]
+    e = [unit(b.dim, i) for i in range(b.dim)]
     triples = list(iter_product(range(b.dim), repeat=3))
     for t in triples:
         if any(associator(b, e[t[0]], e[t[1]], e[t[2]])):
@@ -302,7 +303,7 @@ def _ref_dual(b, tag):
 
 
 def _ref_jacobi_terms(b, key):
-    e = [b.basis_vector(i) for i in range(b.dim)]
+    e = [unit(b.dim, i) for i in range(b.dim)]
     x, y, z = (e[i] for i in key)
     total = [Fraction(0)] * b.dim
     for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
@@ -328,7 +329,7 @@ def _ref_is_lie(b):
 
 def _ref_poisson(p):
     n, pr, br = p.dim, p.product, p.bracket
-    e = [pr.basis_vector(i) for i in range(n)]
+    e = [unit(pr.dim, i) for i in range(n)]
     for i in range(n):
         for j in range(i, n):
             if pr.bilinear(e[i], e[j]) != pr.bilinear(e[j], e[i]):
@@ -479,6 +480,69 @@ def test_kernel_matches_fraction_reference(seed, tmp_path, capsys):
         assert doc["detail"].get("witness", {}).get("triple") == (None if want_ok else list(want_t))
     assert any(d % 3 == 0 for d in dens) and any(d % 5 == 0 for d in dens)
     assert any(d % 7 == 0 for d in dens)
+
+
+def _table_product(alg, i, j):
+    """e_i e_j read from the Fraction table, Lie tables extended by sign."""
+    if alg.kind == "lie" and i > j:
+        return {k: -c for k, c in alg.table.get((j, i), ())}
+    return dict(alg.table.get((i, j), ()))
+
+
+def _ref_kron(left, right, width):
+    out = {}
+    for p, cp in left.items():
+        for q, cq in right.items():
+            out[p * width + q] = out.get(p * width + q, 0) + cp * cq
+    return out
+
+
+def _full_table(alg):
+    n = alg.dim
+    full = {(i, j): _table_product(alg, i, j) for i in range(n) for j in range(n)}
+    return {pair: out for pair, out in full.items() if out}
+
+
+def test_tensor_tables_match_fraction_reference():
+    rng = random.Random(83)
+    zb = PoissonStructure.build(
+        2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, {}
+    )
+    dens = set()
+    for _ in range(8):
+        a, b = (
+            rng.choice(
+                [
+                    conjugated(rng, rng.choice(ASSOCIATIVE_POOL)),
+                    AlgebraStructure.assoc(3, _random_table(rng, 3, 4)),
+                    random_lie(rng, 3),
+                ]
+            )
+            for _ in range(2)
+        )
+        dens |= {a.scaled_table[0], b.scaled_table[0]}
+        want = {}
+        for (i1, i2), left in _full_table(a).items():
+            for (j1, j2), right in _full_table(b).items():
+                key = (i1 * b.dim + j1, i2 * b.dim + j2)
+                want[key] = _ref_kron(left, right, b.dim)
+        assert _full_table(tensor_product(a, b)) == want
+        p, q = (_conjugate_poisson(rng, rng.choice((POISSON3, zb))) for _ in range(2))
+        br_p, pr_p = _full_table(p.bracket), _full_table(p.product)
+        br_q, pr_q = _full_table(q.bracket), _full_table(q.product)
+        want = {}
+        for i1, i2, j1, j2 in iter_product(range(p.dim), range(p.dim), range(q.dim), range(q.dim)):
+            out = _ref_kron(br_p.get((i1, i2), {}), pr_q.get((j1, j2), {}), q.dim)
+            for k, c in _ref_kron(pr_p.get((i1, i2), {}), br_q.get((j1, j2), {}), q.dim).items():
+                out[k] = out.get(k, 0) + c
+            out = {k: c for k, c in out.items() if c}
+            if out:
+                want[(i1 * q.dim + j1, i2 * q.dim + j2)] = out
+        t = poisson_tensor(p, q)
+        assert _full_table(t.bracket) == want
+        assert _full_table(t.product) == _full_table(tensor_product(p.product, q.product))
+        dens |= {p.bracket.scaled_table[0], q.product.scaled_table[0]}
+    assert all(any(d % m == 0 for d in dens) for m in (2, 3))
 
 
 def _cli_check(tmp_path, capsys, doc):
