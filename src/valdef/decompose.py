@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .errors import NotInMaximalIdeal, PrecisionExhausted, ZeroVector
 from .series import SeriesVector, TruncSeries
 
@@ -127,28 +128,14 @@ def recompose(d: FlagDecomposition, cap: int | None = None) -> SeriesVector:
 def flag_of(d: FlagDecomposition) -> Flag:
     """Chain of row-reduced bases of span(V1..Vi) for i = 1..h.
 
-    One incremental pass: each new vector is reduced against the current
-    reduced basis, scaled to a leading 1, and its pivot column is cleared
-    from the earlier rows, so every level is the RREF basis of its prefix.
+    Each level is `linalg.row_space` of the level before it and the next
+    step vector, so every level is the RREF basis of its prefix.
     """
-    rows: dict[int, list] = {}  # pivot column -> reduced row
     chain = []
+    level = ()
     for step in d.steps:
-        vec = [Fraction(x) for x in step.vector]
-        for col, row in rows.items():
-            factor = vec[col]
-            if factor:
-                vec = [x - factor * y for x, y in zip(vec, row)]
-        lead = next((c for c, x in enumerate(vec) if x), None)
-        if lead is not None:
-            scale = vec[lead]
-            vec = [x / scale for x in vec]
-            for col, row in rows.items():
-                factor = row[lead]
-                if factor:
-                    rows[col] = [x - factor * y for x, y in zip(row, vec)]
-            rows[lead] = vec
-        chain.append(tuple(tuple(rows[col]) for col in sorted(rows)))
+        level = tuple(linalg.row_space([*level, step.vector]))
+        chain.append(level)
     return Flag(chain=tuple(chain))
 
 

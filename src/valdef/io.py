@@ -79,7 +79,12 @@ def _parse_table(rows, what: str):
     for row in rows:
         try:
             i, j = int(row["i"]), int(row["j"])
-            out = {int(cell["k"]): parse_rational(cell["c"]) for cell in row["out"]}
+            out = {}
+            for cell in row["out"]:
+                k = int(cell["k"])
+                if k in out:
+                    raise FormatError(f"{what} entry ({i},{j}) repeats out index {k}")
+                out[k] = parse_rational(cell["c"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad {what} entry {row!r}") from exc
         if (i, j) in table:
@@ -170,10 +175,16 @@ def parse_cochain(doc, dim: int, degree: int = 2, target: str = "adjoint") -> Co
                 raise FormatError(f"duplicate cochain entry for args {list(key)}")
             if target == "adjoint":
                 vec = [Fraction(0)] * dim
+                seen = set()
                 for cell in row["out"]:
                     k = _int(cell["k"], "cochain out index")
                     if not 0 <= k < dim:
                         raise FormatError(f"cochain out index {k} outside 0..{dim - 1}")
+                    if k in seen:
+                        raise FormatError(
+                            f"cochain entry for args {list(key)} repeats out index {k}"
+                        )
+                    seen.add(k)
                     vec[k] = parse_rational(cell["c"])
                 vals[key] = tuple(vec)
             else:

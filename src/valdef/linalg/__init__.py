@@ -1,23 +1,25 @@
-"""Exact linear algebra over Q: one integer rank kernel and a Fraction RREF.
+"""Exact linear algebra over Q on one fraction-free elimination step.
 
-`rank` is sparse fraction-free forward elimination on integer rows
-{col: int}: each incoming row is reduced against the pivot row of its
-leading column, cross-multiplied so no division happens, and its gcd
-content is divided out after every step.  It computes an echelon form
-only, no back-substitution, and the arithmetic is exact, so the rank
-needs no certificate.  Rows of rationals have their denominators cleared
-once on the way in (`integer_row`).  Cohomology builds its coboundary
-matrices as integer rows and ranks them here.
+Rows are sparse integer dicts {col: int}; rows of rationals have their
+denominators cleared once on the way in (`integer_row`).  The one
+elimination step, `_cancel`, removes a column from a row by
+cross-multiplying it with a pivot row, so no division happens, and then
+divides out the gcd content of the result.  `_insert` reduces a row
+against an echelon of pivot rows keyed by their leading column with
+that step, and keeps what is left as a new pivot row.  The arithmetic
+is exact, so no answer needs a certificate.
 
-`reference.rref` computes the (unique) reduced row echelon form with
-exact Fraction arithmetic; row spaces, kernels, linear solving and
-inverses, which need the reduced form itself, use it.
+`rank` counts the pivot rows of the echelon; cohomology builds its
+coboundary matrices as integer rows and ranks them here.  `rref`
+back-substitutes with the same step and divides each row by its leading
+entry only when it writes out the reduced row echelon form; row spaces,
+kernels, linear solving and inverses read that form.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from .reference import rref
+ZERO = Fraction(0)
 
 
 def integer_row(values) -> tuple[int, dict]:
@@ -39,14 +41,48 @@ def _primitive(vec: dict) -> dict:
     return {c: v // content for c, v in vec.items()}
 
 
+def _cancel(vec: dict, pivot: dict, col: int) -> dict:
+    """a * vec - b * pivot with a, b chosen so column col cancels, made
+    primitive.  vec may be changed in place."""
+    a, b = pivot[col], vec[col]
+    common = gcd(a, b)
+    a, b = a // common, b // common
+    if a != 1:
+        vec = {c: a * v for c, v in vec.items()}
+    for c, v in pivot.items():
+        w = vec.get(c, 0) - b * v
+        if w:
+            vec[c] = w
+        else:
+            vec.pop(c, None)
+    return _primitive(vec) if vec else vec
+
+
+def _insert(pivots: dict, vec: dict) -> None:
+    """Reduce vec against pivots (leading column -> primitive row) and
+    keep what is left as a new pivot row.
+
+    To limit fill-in, a pivot row gives its place to an incoming row with
+    fewer nonzeros; the old pivot row is then reduced in its stead.
+    """
+    while vec:
+        lead = min(vec)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            pivots[lead] = _primitive(vec)
+            return
+        if len(vec) < len(pivot):
+            pivots[lead] = _primitive(vec)
+            vec, pivot = pivot, pivots[lead]
+        vec = _cancel(vec, pivot, lead)
+
+
 def rank(rows) -> int:
     """Exact rank of a matrix given by its rows.
 
     Each row is a {col: int} dict (absent columns are zero) or a sequence
     of rationals (int or Fraction), which has its denominators cleared
-    once.  To limit fill-in, rows are taken sparsest first, and a pivot
-    row gives its place to an incoming row with fewer nonzeros; the old
-    pivot row is then reduced in its stead.
+    once.  To limit fill-in, rows are taken sparsest first.
     """
     vecs = [
         {c: v for c, v in row.items() if v}
@@ -56,38 +92,42 @@ def rank(rows) -> int:
     ]
     pivots: dict[int, dict] = {}
     for vec in sorted(vecs, key=len):
-        while vec:
-            lead = min(vec)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = _primitive(vec)
-                break
-            if len(vec) < len(pivot):
-                pivots[lead] = _primitive(vec)
-                vec, pivot = pivot, pivots[lead]
-            a, b = pivot[lead], vec[lead]
-            common = gcd(a, b)
-            a, b = a // common, b // common
-            # a * vec - b * pivot cancels the leading column
-            if a != 1:
-                vec = {c: a * v for c, v in vec.items()}
-            for c, v in pivot.items():
-                w = vec.get(c, 0) - b * v
-                if w:
-                    vec[c] = w
-                else:
-                    vec.pop(c, None)
-            if vec:
-                vec = _primitive(vec)
+        _insert(pivots, vec)
     return len(pivots)
+
+
+def rref(rows):
+    """Reduced row echelon form of a matrix of rationals given by its rows.
+
+    Returns (reduced, pivots): reduced holds one list of Fractions per
+    input row, the nonzero rows first, and pivots lists the pivot column
+    of each nonzero row.  The input is not modified.
+    """
+    ncols = len(rows[0]) if rows else 0
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        _insert(pivots, integer_row(row)[1])
+    leads = sorted(pivots)
+    # clear each pivot column from the rows above it, rightmost first, so
+    # a cleared column is never filled in again
+    for i, lead in reversed(list(enumerate(leads))):
+        for above in leads[:i]:
+            if lead in pivots[above]:
+                pivots[above] = _cancel(pivots[above], pivots[lead], lead)
+    reduced = []
+    for lead in leads:
+        row, scale = [ZERO] * ncols, pivots[lead][lead]
+        for c, v in pivots[lead].items():
+            row[c] = Fraction(v, scale)
+        reduced.append(row)
+    reduced += [[ZERO] * ncols for _ in range(len(rows) - len(leads))]
+    return reduced, leads
 
 
 def row_space(rows):
     """Canonical (RREF) basis of the span of the given row vectors."""
-    if not rows:
-        return []
     reduced, pivots = rref(rows)
-    return [tuple(reduced[i]) for i in range(len(pivots))]
+    return [tuple(row) for row in reduced[: len(pivots)]]
 
 
 def nullspace(rows):
@@ -114,8 +154,6 @@ def solve_combination(vectors, target):
     Free coordinates are set to zero, so the answer is deterministic.
     """
     vectors = list(vectors)
-    if not vectors:
-        return [] if all(t == 0 for t in target) else None
     ncoords = len(target)
     aug = [
         [vectors[j][i] for j in range(len(vectors))] + [target[i]]

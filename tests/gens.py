@@ -10,6 +10,8 @@ decomposed form.
 from fractions import Fraction
 import random
 
+import pytest
+
 from valdef.algebra import AlgebraStructure, Cochain, change_basis
 from valdef.deformation import (
     Deformation,
@@ -79,6 +81,33 @@ def random_invertible(rng, n):
         for i in range(n)
     ]
     return [[prod[i][perm[j]] for j in range(n)] for i in range(n)]
+
+
+# -- sympy oracle for row reduction -------------------------------------
+
+
+def domain_matrix(m):
+    """m (rows of rationals) as a sympy DomainMatrix over QQ; skips the
+    calling test when sympy is missing."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    return DomainMatrix(
+        [[sympy.QQ(Fraction(x).numerator, Fraction(x).denominator) for x in row] for row in m],
+        (len(m), len(m[0]) if m else 0),
+        sympy.QQ,
+    )
+
+
+def fraction_rows(dm) -> list:
+    """The rows of a DomainMatrix over QQ as lists of Fractions."""
+    return [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in dm.to_list()]
+
+
+def sympy_row_space(m) -> tuple:
+    """The nonzero rows of sympy's RREF of m, as tuples of Fractions."""
+    reduced, pivots = domain_matrix(m).rref()
+    return tuple(tuple(row) for row in fraction_rows(reduced)[: len(pivots)])
 
 
 # -- Lie algebra families ----------------------------------------------

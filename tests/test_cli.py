@@ -572,6 +572,35 @@ MALFORMED = [
         },
         "duplicate cochain entry for args [0, 1]",
     ),
+    # a repeated k in one out list is rejected, not read as its last cell
+    (
+        ["check", "@a"],
+        {
+            "a": dict(
+                LIE2, table=[{"i": 0, "j": 1, "out": [{"k": 1, "c": "1"}, {"k": 1, "c": "5"}]}]
+            )
+        },
+        "table entry (0,1) repeats out index 1",
+    ),
+    (
+        ["poisson", "verify", "@a"],
+        {
+            "a": {
+                "dim": 2,
+                "kind": "poisson",
+                "assoc_table": [],
+                "bracket_table": [
+                    {"i": 0, "j": 1, "out": [{"k": 0, "c": "1"}, {"k": 0, "c": "0"}]}
+                ],
+            }
+        },
+        "bracket_table entry (0,1) repeats out index 0",
+    ),
+    (
+        ["deform", "decompose", "@d"],
+        {"d": _term([{"args": [0, 1], "out": [{"k": 0, "c": "2"}, {"k": 0, "c": "1"}]}])},
+        "cochain entry for args [0, 1] repeats out index 0",
+    ),
 ]
 
 

@@ -11,7 +11,7 @@ from valdef.decompose import Flag, decompose, flag_of, flags_equal, recompose
 from valdef.errors import NotInMaximalIdeal, ZeroVector
 from valdef.series import SeriesVector, TruncSeries
 
-from gens import random_vector_in_m
+from gens import random_vector_in_m, sympy_row_space
 
 
 def sv(literals, cap):
@@ -154,12 +154,19 @@ def test_flag_matches_per_prefix_row_space():
             for i in range(1, d.length + 1)
         )
 
+    def sympy_per_prefix(d):
+        # flag_of is built on row_space, so check against an RREF outside valdef too
+        return tuple(
+            sympy_row_space([list(s.vector) for s in d.steps[:i]])
+            for i in range(1, d.length + 1)
+        )
+
     rng = random.Random(33)
     for _ in range(60):
         w = random_vector_in_m(rng, rng.randint(1, 8), rng.randint(2, 10))
         for order in ("first", "last"):
             d = decompose(w, pivot_order=order)
-            assert flag_of(d).chain == per_prefix(d)
+            assert flag_of(d).chain == per_prefix(d) == sympy_per_prefix(d)
     # arbitrary directions: dependent steps repeat the level, ints are allowed
     one = TruncSeries.monomial(1, 3)
     for _ in range(40):
@@ -176,4 +183,4 @@ def test_flag_matches_per_prefix_row_space():
             ambient_dim=k,
             cap=3,
         )
-        assert flag_of(d).chain == per_prefix(d)
+        assert flag_of(d).chain == per_prefix(d) == sympy_per_prefix(d)

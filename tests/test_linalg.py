@@ -1,4 +1,4 @@
-"""Integer rank kernel, Fraction row reduction and the helpers on them."""
+"""Fraction-free elimination: rank, RREF and the helpers on them."""
 
 import random
 
@@ -8,7 +8,7 @@ import pytest
 
 from valdef import linalg
 
-from gens import frac
+from gens import domain_matrix, frac, fraction_rows
 
 
 def random_matrix(rng, rows, cols, density=0.7):
@@ -83,13 +83,11 @@ def low_rank_matrix(rng, rows, cols, inner):
     ]
 
 
-def test_rank_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
-
-    rng = random.Random(23)
+def oracle_cases(rng, count=60):
+    """Matrices for the sympy oracles: the 1x1 and zero cases, random and
+    rank-deficient matrices with planted zero rows and columns, 1xk, kx1."""
     cases = [[[Fraction(0)]], [[Fraction(3, 7)]], [[Fraction(0)] * 4] * 3]
-    for _ in range(60):
+    for _ in range(count):
         rows, cols = rng.randint(1, 9), rng.randint(1, 9)
         if rng.random() < 0.5:
             m = low_rank_matrix(rng, rows, cols, rng.randint(1, 4))
@@ -102,15 +100,78 @@ def test_rank_matches_sympy():
             m[rng.randrange(rows)] = [Fraction(0)] * cols
         cases.append(m)
     cases += [random_matrix(rng, 1, 7), random_matrix(rng, 7, 1)]
-    for m in cases:
-        expected = DomainMatrix(
-            [[sympy.QQ(x.numerator, x.denominator) for x in row] for row in m],
-            (len(m), len(m[0])),
-            sympy.QQ,
-        ).rank()
+    return cases
+
+
+def assert_matches_sympy(m):
+    """rref, nullspace and (for square m) matrix_inverse against sympy over QQ."""
+    from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
+
+    before = [list(row) for row in m]
+    dm = domain_matrix(m)
+    want_reduced, want_pivots = dm.rref()
+    reduced, pivots = linalg.rref(m)
+    assert m == before
+    assert pivots == list(want_pivots)
+    assert reduced == fraction_rows(want_reduced)
+    assert all(type(x) is Fraction for row in reduced for x in row)
+    want_null = [tuple(row) for row in fraction_rows(dm.nullspace())]
+    assert linalg.nullspace(m) == want_null
+    if len(m) == len(m[0]):
+        try:
+            want_inverse = [tuple(row) for row in fraction_rows(dm.inv())]
+        except DMNonInvertibleMatrixError:
+            want_inverse = None
+        assert linalg.matrix_inverse(m) == want_inverse
+
+
+def test_rank_matches_sympy():
+    for m in oracle_cases(random.Random(23)):
+        expected = domain_matrix(m).rank()
         assert linalg.rank(m) == expected
         assert linalg.rank([linalg.integer_row(row)[1] for row in m]) == expected
         assert linalg.rank(list(reversed(m))) == expected
+
+
+def test_rref_nullspace_inverse_match_sympy():
+    pytest.importorskip("sympy")
+    assert linalg.rref([]) == ([], [])
+    rng = random.Random(25)
+    cases = oracle_cases(rng)
+    # square cases, singular (low rank, a zero row) and invertible
+    for n in range(1, 6):
+        cases.append(low_rank_matrix(rng, n, n, max(1, n - 1)))
+        cases.append(random_matrix(rng, n, n, density=1.0))
+        cases.append(random_matrix(rng, n - 1, n) + [[Fraction(0)] * n])
+    for m in cases:
+        assert_matches_sympy(m)
+
+
+def test_rref_matches_sympy_on_generated_matrices():
+    pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    entries = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    )
+    matrices = st.integers(1, 7).flatmap(
+        lambda cols: st.lists(
+            st.lists(entries, min_size=cols, max_size=cols), min_size=1, max_size=7
+        )
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(matrices, st.data())
+    def check(m, data):
+        # repeat a combination of rows now and then, so rank deficiency is common
+        if len(m) > 1 and data.draw(st.booleans()):
+            a, b = data.draw(st.integers(-3, 3)), data.draw(entries)
+            m = m + [[a * x + b * y for x, y in zip(m[0], m[-1])]]
+        assert_matches_sympy(m)
+
+    check()
 
 
 def test_in_span_and_solve_combination_match_sympy():
