@@ -10,11 +10,12 @@ common denominator and integer constants over all ordered pairs, Lie
 tables expanded antisymmetrically.  A degree-2 adjoint Cochain is a
 bracket table too and has the same `scaled_table`, built by the same
 code.  `triple_products` contracts two such tables into both nestings of
-every basis triple, and the associator, Jacobi, G-associativity,
-dual-identity and Poisson checks are integer zero and equality tests on
-its output.
+every basis triple, and the associator, G-associativity, dual-identity
+and Poisson product checks are integer zero and equality tests on its
+output.
 
-For two tables the mixed Jacobi sum (`jacobi_sums`)
+For two tables the mixed Jacobi sum (`jacobi_sums`, which contracts only
+the three cyclic left nestings of each increasing triple)
 
     (outer o inner)(x, y, z) = outer(inner(x, y), z) + outer(inner(y, z), x)
                                + outer(inner(z, x), y)
@@ -30,7 +31,6 @@ deformation modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -38,8 +38,17 @@ from math import lcm
 
 from . import linalg
 from .errors import DimensionMismatch, UnsupportedDegree
+from .series import Frozen
 
 ZERO = Fraction(0)
+
+# The vocabulary of the CLI's choices lives here, in a module every command
+# loads, so that building the parser imports no subcommand's module.
+COEFFS = ("adjoint", "trivial")  # cochain targets: cohomology coefficients
+MAX_DEGREE = 3  # highest cohomology degree reported
+# subgroups of the permutations of three letters naming the G-associative
+# identities (`nonassoc.SubgroupTag`)
+SUBGROUPS = ("Id", "T12", "T23", "T13", "A3", "S3")
 
 
 def _clean_out(dim: int, out) -> tuple[tuple[int, Fraction], ...]:
@@ -55,14 +64,19 @@ def _clean_out(dim: int, out) -> tuple[tuple[int, Fraction], ...]:
     return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
 
 
-@dataclass(frozen=True)
-class AlgebraStructure:
-    """Algebra over Q given by its structure constants."""
+class AlgebraStructure(Frozen):
+    """Algebra over Q given by its structure constants.
 
-    dim: int
-    kind: str  # "lie" | "assoc"
-    table: dict
-    basis: tuple[str, ...] | None = None
+    kind is "lie" or "assoc"; basis optionally names the basis vectors.
+    """
+
+    __slots__ = ("dim", "kind", "table", "basis", "__dict__")
+
+    def __init__(self, dim: int, kind: str, table: dict, basis=None) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "basis", basis)
 
     @classmethod
     def lie(cls, dim: int, table, basis=None) -> AlgebraStructure:
@@ -209,14 +223,20 @@ def associator(a: AlgebraStructure, x, y, z) -> tuple[Fraction, ...]:
     return tuple(p - q for p, q in zip(left, right))
 
 
-@dataclass(frozen=True)
-class Cochain:
-    """Alternating p-linear map g^p -> g (adjoint) or -> K (trivial)."""
+class Cochain(Frozen):
+    """Alternating p-linear map g^p -> g (adjoint) or -> K (trivial).
 
-    degree: int
-    dim: int
-    target: str  # "adjoint" | "trivial"
-    values: dict = field(default_factory=dict)
+    target is one of COEFFS; values maps strictly increasing index tuples
+    to a value vector (adjoint) or a scalar (trivial), without zeros.
+    """
+
+    __slots__ = ("degree", "dim", "target", "values", "__dict__")
+
+    def __init__(self, degree: int, dim: int, target: str, values=None) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "values", {} if values is None else values)
 
     @classmethod
     def build(cls, degree, dim, target, values) -> Cochain:
@@ -313,16 +333,6 @@ class Cochain:
             vals = {k: s * v for k, v in self.values.items()}
         return Cochain(self.degree, self.dim, self.target, vals)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        return (
-            self.degree == other.degree
-            and self.dim == other.dim
-            and self.target == other.target
-            and self.values == other.values
-        )
-
     # -- flat coordinates ------------------------------------------------
 
     def keys_order(self):
@@ -376,20 +386,30 @@ def jacobi_sums(outer, inner=None):
     outer.  failures lists (key, vec) for every strictly increasing basis
     triple key = (i, j, k), in lex order, whose den * (outer(inner(e_i,
     e_j), e_k) + outer(inner(e_j, e_k), e_i) + outer(inner(e_k, e_i), e_j))
-    is the nonzero {m: int} vec.  For one bracket these are its Jacobi
-    sums [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
+    is the nonzero {m: int} vec, with den = den_outer * den_inner.  For one
+    bracket these are its Jacobi sums [[e_i,e_j],e_k] + [[e_j,e_k],e_i] +
+    [[e_k,e_i],e_j].  Only these three left nestings of each increasing
+    triple are contracted.
     """
-    den, left, _ = triple_products(outer, outer if inner is None else inner)
-    n = outer.dim
+    if inner is None:
+        inner = outer
+    if outer.dim != inner.dim:
+        raise DimensionMismatch(
+            f"tables of dims {outer.dim} and {inner.dim} cannot be nested"
+        )
+    den_out, out_rows = outer.scaled_table
+    den_in, in_rows = inner.scaled_table
     failures = []
-    for i, j, k in combinations(range(n), 3):
+    for key in combinations(range(outer.dim), 3):
+        i, j, k = key
         acc: dict[int, int] = {}
-        add_scaled(acc, left[(i * n + j) * n + k])
-        add_scaled(acc, left[(j * n + k) * n + i])
-        add_scaled(acc, left[(k * n + i) * n + j])
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in in_rows[a][b]:
+                for q, y in out_rows[m][c]:
+                    acc[q] = acc.get(q, 0) + x * y
         if any(acc.values()):
-            failures.append(((i, j, k), acc))
-    return den, failures
+            failures.append((key, acc))
+    return den_out * den_in, failures
 
 
 def jacobiator(g: AlgebraStructure) -> Cochain:

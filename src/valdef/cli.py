@@ -6,6 +6,11 @@ codes: 0 the property holds / computation succeeded, 1 property violated
 (witness in the JSON), 2 malformed input or flags, 3 insufficient
 precision, 4 internal error (a bug: the traceback goes to stderr and
 nothing to stdout, so it is never read as a verdict).
+
+Start-up is most of a one-shot call, so importing this module loads only
+what every command needs: `io`, `errors`, `series`, and `algebra` with
+`linalg`.  Each cmd_* function imports the modules of its own subcommand
+in its body, and the parser's choices come from `algebra`.
 """
 
 from __future__ import annotations
@@ -17,34 +22,13 @@ import sys
 from functools import cache
 
 from . import io
-from .algebra import is_lie
-from .cohomology import COEFFS, MAX_DEGREE, cohomology_dim
-from .decompose import decompose, flag_of, recompose
-from .deformation import (
-    decompose_deformation,
-    graded_system,
-    jacobi_residual,
-    polynomial_form_check,
-    series_matrix_inverse,
-    transport,
-)
+from .algebra import COEFFS, MAX_DEGREE, SUBGROUPS, is_lie
 from .errors import (
     FormatError,
     InvalidDeformation,
     PrecisionExhausted,
     ValdefError,
 )
-from .nonassoc import (
-    DUAL_IDENTITY,
-    SubgroupTag,
-    dual_identity_check,
-    g_associative_check,
-    opposite_poisson,
-    poisson_tensor,
-    poisson_verify,
-    tensor_product,
-)
-from .rigidity import TorusData, enveloping_rigidity_report, zero_root_criterion
 from .series import rational_str
 
 EXIT_OK = 0
@@ -85,11 +69,15 @@ def cmd_check(args):
         if not ok:
             detail["witness"] = {"axiom": "Jacobi identity", "triple": list(witness)}
     elif loaded.kind == "assoc":
+        from .nonassoc import SubgroupTag, g_associative_check
+
         detail["dim"] = loaded.structure.dim
         ok, witness = g_associative_check(loaded.structure, SubgroupTag.ID)
         if witness:
             detail["witness"] = {"axiom": "associativity", "triple": list(witness)}
     else:
+        from .nonassoc import poisson_verify
+
         detail["dim"] = loaded.poisson.dim
         ok, witness = poisson_verify(loaded.poisson)
         if not ok:
@@ -97,10 +85,27 @@ def cmd_check(args):
     return (EXIT_OK if ok else EXIT_VIOLATED), {"ok": ok, "detail": detail}
 
 
-def cmd_cohomology(args):
-    loaded = io.load_algebra(args.algebra)
+def _load_lie(path, wrong_kind: str):
+    """The AlgebraFile at path, which must hold a Lie algebra.
+
+    A lie-kind table that fails the Jacobi identity is malformed input
+    here: its cohomology and roots would be numbers with no meaning.
+    """
+    loaded = io.load_algebra(path)
     if loaded.kind != "lie":
-        raise FormatError("cohomology needs a lie-kind algebra file")
+        raise FormatError(wrong_kind)
+    ok, witness = is_lie(loaded.structure)
+    if not ok:
+        raise FormatError(
+            f"{path}: bracket fails the Jacobi identity at triple {list(witness)}"
+        )
+    return loaded
+
+
+def cmd_cohomology(args):
+    from .cohomology import cohomology_dim
+
+    loaded = _load_lie(args.algebra, "cohomology needs a lie-kind algebra file")
     report = cohomology_dim(loaded.structure, args.deg, args.coeff)
     detail = {
         "degree": report.degree,
@@ -113,6 +118,8 @@ def cmd_cohomology(args):
 
 
 def cmd_decompose(args):
+    from .decompose import decompose, flag_of, recompose
+
     vec = io.parse_vector(io.load_json(args.vector), args.cap)
     fd = decompose(vec)
     rec = recompose(fd)
@@ -145,6 +152,15 @@ def _load_deformation(args):
 
 
 def cmd_deform(args):
+    from .deformation import (
+        decompose_deformation,
+        graded_system,
+        jacobi_residual,
+        polynomial_form_check,
+        series_matrix_inverse,
+        transport,
+    )
+
     d = _load_deformation(args)
     if args.action == "verify":
         residual = jacobi_residual(d)
@@ -212,9 +228,14 @@ def cmd_deform(args):
         if args.poly is None or args.k is None:
             raise FormatError("polycheck needs --poly and --k")
         try:
-            poly = [io.parse_rational(c) for c in json.loads(args.poly)]
+            items = json.loads(args.poly)
         except json.JSONDecodeError as exc:
             raise FormatError(f"--poly must be a JSON array of rationals: {exc}")
+        if not isinstance(items, list):
+            raise FormatError(
+                f"--poly must be a JSON array of rationals, got {args.poly}"
+            )
+        poly = [io.parse_rational(c) for c in items]
         try:
             ok = polynomial_form_check(d, poly, args.k)
         except ValueError as exc:
@@ -229,9 +250,9 @@ def cmd_deform(args):
 
 
 def cmd_rigidity(args):
-    loaded = io.load_algebra(args.algebra)
-    if loaded.kind != "lie":
-        raise FormatError("rigidity analysis needs a lie-kind algebra")
+    from .rigidity import TorusData, enveloping_rigidity_report, zero_root_criterion
+
+    loaded = _load_lie(args.algebra, "rigidity analysis needs a lie-kind algebra")
     if loaded.torus is None:
         raise FormatError("algebra file must carry a 'torus' index list")
     torus = TorusData.from_torus(loaded.structure.dim, loaded.torus)
@@ -267,6 +288,14 @@ def _load_assoc(path):
 
 
 def cmd_gass(args):
+    from .nonassoc import (
+        DUAL_IDENTITY,
+        SubgroupTag,
+        dual_identity_check,
+        g_associative_check,
+        tensor_product,
+    )
+
     tag = SubgroupTag(args.group)
     signed = not args.unsigned
     if args.action == "check":
@@ -316,6 +345,8 @@ def _load_poisson(path):
 
 
 def cmd_poisson(args):
+    from .nonassoc import opposite_poisson, poisson_tensor, poisson_verify
+
     if args.action == "verify":
         p = _load_poisson(args.files[0])
         ok, witness = poisson_verify(p)
@@ -415,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--group",
         required=True,
-        choices=[t.value for t in SubgroupTag],
+        choices=SUBGROUPS,
     )
     p.add_argument(
         "--unsigned",

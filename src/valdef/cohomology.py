@@ -31,17 +31,15 @@ system.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .algebra import AlgebraStructure, Cochain, jacobi_sums
+from .algebra import COEFFS, MAX_DEGREE, AlgebraStructure, Cochain, jacobi_sums
 from .errors import DimensionMismatch, UnsupportedDegree
 
 ZERO = Fraction(0)
-COEFFS = ("adjoint", "trivial")
-MAX_DEGREE = 3  # highest cohomology degree reported
 
 
 def circle(outer: Cochain, inner: Cochain) -> Cochain:
@@ -63,13 +61,9 @@ def super_bracket(f: Cochain, g: Cochain) -> Cochain:
     return circle(f, g) + circle(g, f)
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
-    degree: int
-    coeff: str  # "adjoint" | "trivial"
-    dim_cocycles: int
-    dim_coboundaries: int
-    dim_H: int
+CohomologyReport = namedtuple(
+    "CohomologyReport", "degree coeff dim_cocycles dim_coboundaries dim_H"
+)
 
 
 def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str):

@@ -12,7 +12,7 @@ flags_equal compares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -22,28 +22,28 @@ from .series import SeriesVector, TruncSeries
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class FlagStep:
-    coefficient: TruncSeries  # in m, nonzero at its cap
-    vector: tuple[Fraction, ...]  # pivot-normalized direction in K^k
+# coefficient: a TruncSeries in m, nonzero at its cap; vector: the
+# pivot-normalized direction in K^k, a tuple of Fractions
+FlagStep = namedtuple("FlagStep", "coefficient vector")
 
 
-@dataclass(frozen=True)
-class FlagDecomposition:
-    steps: tuple[FlagStep, ...]
-    ambient_dim: int
-    cap: int  # cap of the last (shortest) coefficient
+class FlagDecomposition(
+    namedtuple("FlagDecomposition", "steps ambient_dim cap")
+):
+    """FlagSteps over K^ambient_dim; cap is that of the last (shortest)
+    coefficient."""
+
+    __slots__ = ()
 
     @property
     def length(self) -> int:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(namedtuple("Flag", "chain")):
     """Increasing chain of subspaces, each as a canonical RREF basis."""
 
-    chain: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    __slots__ = ()
 
     @property
     def length(self) -> int:

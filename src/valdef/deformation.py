@@ -11,7 +11,7 @@ the cap": higher orders are unknown, and every report carries the cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -33,11 +33,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Deformation:
-    base: AlgebraStructure
-    cap: int
-    terms: tuple[tuple[TruncSeries, Cochain], ...]
+class Deformation(namedtuple("Deformation", "base cap terms")):
+    """A Lie base, a cap and the (TruncSeries in m, degree-2 Cochain) terms."""
+
+    __slots__ = ()
 
     @classmethod
     def build(cls, base, cap, terms) -> Deformation:
@@ -204,17 +203,21 @@ def first_term_is_cocycle(d: Deformation) -> bool:
     return coboundary(d.base, d.terms[0][1]).is_zero()
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
-    holds: bool
-    coefficients: dict | None  # (i, j) -> Fraction when holds
+# coefficients maps (i, j) to a Fraction when holds, and is None otherwise
+MembershipVerdict = namedtuple("MembershipVerdict", "holds coefficients")
 
 
-@dataclass(frozen=True)
-class GradedSystem:
-    residuals: dict  # t-power -> 3-cochain (empty for a valid deformation)
-    delta_memberships: dict  # k -> MembershipVerdict for delta(phi_k)
-    bracket_memberships: dict  # (i, k) -> MembershipVerdict for [phi_i, phi_k]
+class GradedSystem(
+    namedtuple(
+        "GradedSystem", "residuals delta_memberships bracket_memberships"
+    )
+):
+    """Order-by-order verdicts: residuals maps a t-power to a 3-cochain
+    (empty for a valid deformation), delta_memberships maps k to the
+    MembershipVerdict for delta(phi_k), and bracket_memberships maps (i, k)
+    to the one for [phi_i, phi_k]."""
+
+    __slots__ = ()
 
     @property
     def satisfied(self) -> bool:

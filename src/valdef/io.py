@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import AlgebraStructure, Cochain
 from .errors import FormatError
-from .nonassoc import PoissonStructure
 from .series import SeriesVector, TruncSeries, parse_rational, rational_str
 
 
@@ -30,7 +29,15 @@ def load_json(path: str):
 
 
 def _int(value, what: str) -> int:
-    """An integer field of outside input, or FormatError naming the field."""
+    """An integer field of outside input, or FormatError naming the field.
+
+    A boolean or a number with a fractional part is refused, not rounded:
+    int() would read true as 1 and 0.7 as 0.
+    """
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise FormatError(f"{what} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -78,10 +85,10 @@ def _parse_table(rows, what: str):
     table = {}
     for row in rows:
         try:
-            i, j = int(row["i"]), int(row["j"])
+            i, j = _int(row["i"], f"{what} i"), _int(row["j"], f"{what} j")
             out = {}
             for cell in row["out"]:
-                k = int(cell["k"])
+                k = _int(cell["k"], f"{what} out index")
                 if k in out:
                     raise FormatError(f"{what} entry ({i},{j}) repeats out index {k}")
                 out[k] = parse_rational(cell["c"])
@@ -93,12 +100,10 @@ def _parse_table(rows, what: str):
     return table
 
 
-@dataclass(frozen=True)
-class AlgebraFile:
-    kind: str
-    structure: AlgebraStructure | None
-    poisson: PoissonStructure | None
-    torus: tuple[int, ...] | None
+# kind is "lie", "assoc" or "poisson"; structure is the AlgebraStructure of
+# the first two and poisson the nonassoc.PoissonStructure of the last, the
+# other None; torus is a tuple of indices or None
+AlgebraFile = namedtuple("AlgebraFile", "kind structure poisson torus")
 
 
 def parse_algebra(doc) -> AlgebraFile:
@@ -115,6 +120,8 @@ def parse_algebra(doc) -> AlgebraFile:
         raise FormatError(f"basis must be an array of names, got {basis!r}")
     torus = _index_list(doc["torus"], "torus", dim) if "torus" in doc else None
     if kind == "poisson":
+        from .nonassoc import PoissonStructure
+
         if "assoc_table" not in doc or "bracket_table" not in doc:
             raise FormatError(
                 "poisson files carry 'assoc_table' and 'bracket_table'"

@@ -23,23 +23,28 @@ tables that are built and printed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from itertools import product as iter_product
 from math import lcm
 
-from .algebra import AlgebraStructure, add_scaled, jacobi_sums, triple_products
+from .algebra import (
+    SUBGROUPS,
+    AlgebraStructure,
+    add_scaled,
+    jacobi_sums,
+    triple_products,
+)
 from .errors import InvalidPoisson
 
-
-class SubgroupTag(str, Enum):
-    ID = "Id"
-    T12 = "T12"
-    T23 = "T23"
-    T13 = "T13"
-    A3 = "A3"
-    S3 = "S3"
+# members ID = "Id", T12 = "T12", ..., S3 = "S3"
+SubgroupTag = Enum(
+    "SubgroupTag",
+    [(name.upper(), name) for name in SUBGROUPS],
+    type=str,
+    module=__name__,
+)
 
 
 def _pattern_sign(pattern) -> int:
@@ -172,13 +177,10 @@ def tensor_product(a: AlgebraStructure, b: AlgebraStructure) -> AlgebraStructure
 # -- Poisson structures -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class PoissonStructure:
+class PoissonStructure(namedtuple("PoissonStructure", "dim product bracket")):
     """Commutative associative product plus a bracket, both as full tables."""
 
-    dim: int
-    product: AlgebraStructure
-    bracket: AlgebraStructure
+    __slots__ = ()
 
     @classmethod
     def build(cls, dim, product_table, bracket_table) -> PoissonStructure:

@@ -10,7 +10,7 @@ explicit certificate cocycle when 0 is a root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import AlgebraStructure, Cochain
@@ -20,10 +20,10 @@ from .errors import NotAdapted, NotRankOne
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class TorusData:
-    torus_indices: tuple[int, ...]
-    nil_indices: tuple[int, ...]
+class TorusData(namedtuple("TorusData", "torus_indices nil_indices")):
+    """Index tuples of the torus and of the nilradical in an adapted basis."""
+
+    __slots__ = ()
 
     @classmethod
     def from_torus(cls, dim: int, torus_indices) -> TorusData:
@@ -40,11 +40,7 @@ class TorusData:
         return len(self.torus_indices)
 
 
-@dataclass(frozen=True)
-class RootReport:
-    roots: tuple[Fraction, ...]
-    zero_is_root: bool
-    rank: int
+RootReport = namedtuple("RootReport", "roots zero_is_root rank")
 
 
 def roots(g: AlgebraStructure, torus: TorusData) -> RootReport:
@@ -73,13 +69,13 @@ def roots(g: AlgebraStructure, torus: TorusData) -> RootReport:
     )
 
 
-@dataclass(frozen=True)
-class ZeroRootCriterion:
-    dim_H2_trivial: int
-    zero_is_root: bool
-    consistent: bool
-    certificate_closed: bool | None  # theta = w0 ^ w0' checks, zero-root case
-    certificate_nontrivial: bool | None
+# certificate_closed and certificate_nontrivial report the checks on theta =
+# w0 ^ w0' in the zero-root case, and are None otherwise
+ZeroRootCriterion = namedtuple(
+    "ZeroRootCriterion",
+    "dim_H2_trivial zero_is_root consistent certificate_closed "
+    "certificate_nontrivial",
+)
 
 
 def zero_root_criterion(
@@ -125,14 +121,11 @@ def zero_root_criterion(
     )
 
 
-@dataclass(frozen=True)
-class RigidityReport:
-    verdict: str
-    theorem: str
-    rank: int
-    roots: tuple[Fraction, ...] | None
-    dim_H2_trivial: int | None
-    note: str | None = None
+RigidityReport = namedtuple(
+    "RigidityReport",
+    "verdict theorem rank roots dim_H2_trivial note",
+    defaults=(None,),
+)
 
 
 CONJECTURE_NOTE = (

@@ -15,7 +15,6 @@ for parsing, printing and tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -67,12 +66,45 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class TruncSeries:
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in __slots__ (plus "__dict__" when it
+    caches properties) and sets each once in __init__ through
+    object.__setattr__.  Instances of one class compare equal, hash and
+    print by their fields, and refuse any later assignment.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__ if f != "__dict__")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        args = ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f != "__dict__"
+        )
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TruncSeries(Frozen):
     """Element of Q[[t]] known modulo t^(cap+1); coefficient i is nums[i] / den."""
 
-    den: int
-    nums: tuple[int, ...]
+    __slots__ = ("den", "nums")
 
     def __init__(self, den: int, nums) -> None:
         """Store nums / den in canonical form: den > 0, gcd(den, *nums) = 1."""
@@ -280,18 +312,18 @@ class TruncSeries:
         return f"{body} + O(t^{self.cap + 1})"
 
 
-@dataclass(frozen=True)
-class SeriesVector:
+class SeriesVector(Frozen):
     """Vector of truncated series sharing one cap."""
 
-    components: tuple[TruncSeries, ...]
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, components: tuple[TruncSeries, ...]) -> None:
+        if not components:
             raise ValueError("empty series vector")
-        caps = {s.cap for s in self.components}
+        caps = {s.cap for s in components}
         if len(caps) != 1:
             raise ValueError(f"components carry mixed caps {sorted(caps)}")
+        object.__setattr__(self, "components", components)
 
     @classmethod
     def zero(cls, dim: int, cap: int) -> SeriesVector:

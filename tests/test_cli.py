@@ -1,6 +1,10 @@
 """CLI surface: exit codes, JSON output, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,11 +132,13 @@ def test_parser_built_once_and_errors_unchanged(capsys):
 
 def test_internal_error_exit_code(capsys, monkeypatch):
     import valdef.cli as cli
+    import valdef.cohomology as cohomology
 
     def broken(*args):
         raise RuntimeError("planted failure")
 
-    monkeypatch.setattr(cli, "cohomology_dim", broken)
+    # cmd_cohomology imports cohomology_dim from its module at call time
+    monkeypatch.setattr(cohomology, "cohomology_dim", broken)
     code = main(["cohomology", catalog.path("r2"), "--deg", "2", "--coeff", "trivial"])
     out = capsys.readouterr()
     assert code == cli.EXIT_INTERNAL == 4
@@ -482,6 +488,16 @@ def test_rigidity_computes_h2_once(capsys, monkeypatch, asserted, calls):
 
 
 LIE2 = {"dim": 2, "kind": "lie", "table": []}
+# [e0,e1] = e0, [e0,e2] = e0, [e1,e2] = e1: the Jacobi sum on (0,1,2) is -e0
+NOT_JACOBI = {
+    "dim": 3,
+    "kind": "lie",
+    "table": [
+        {"i": 0, "j": 1, "out": [{"k": 0, "c": "1"}]},
+        {"i": 0, "j": 2, "out": [{"k": 0, "c": "1"}]},
+        {"i": 1, "j": 2, "out": [{"k": 1, "c": "1"}]},
+    ],
+}
 DEFORM = {"base": LIE2, "cap": 3, "terms": []}
 VECTOR = {"cap": 3, "components": [["0", "1"]]}
 COH = ["--deg", "2", "--coeff", "adjoint"]
@@ -601,6 +617,63 @@ MALFORMED = [
         {"d": _term([{"args": [0, 1], "out": [{"k": 0, "c": "2"}, {"k": 0, "c": "1"}]}])},
         "cochain entry for args [0, 1] repeats out index 0",
     ),
+    # a table failing Jacobi has no cohomology and no roots to report
+    (
+        ["cohomology", "@a", "--deg", "1", "--coeff", "adjoint"],
+        {"a": NOT_JACOBI},
+        "fails the Jacobi identity at triple [0, 1, 2]",
+    ),
+    (
+        ["rigidity", "@a", "--asserted-rigid"],
+        {"a": dict(NOT_JACOBI, torus=[0])},
+        "fails the Jacobi identity at triple [0, 1, 2]",
+    ),
+    # booleans and fractional numbers are not read as integers
+    (
+        ["check", "@a"],
+        {"a": dict(LIE2, dim=2, table=[{"i": 0.7, "j": 1.9, "out": [{"k": 1.2, "c": "1"}]}])},
+        "table i must be an integer, got 0.7",
+    ),
+    (
+        ["check", "@a"],
+        {"a": dict(LIE2, table=[{"i": 0, "j": 1, "out": [{"k": True, "c": "1"}]}])},
+        "table out index must be an integer, got True",
+    ),
+    (["check", "@a"], {"a": dict(LIE2, dim=True)}, "dim must be an integer, got True"),
+    (["check", "@a"], {"a": dict(LIE2, dim=2.5)}, "dim must be an integer, got 2.5"),
+    (["check", "@a"], {"a": dict(LIE2, torus=[0.5])}, "torus index must be an integer"),
+    (["decompose", "@v"], {"v": dict(VECTOR, cap=False)}, "cap must be an integer"),
+    (
+        ["deform", "verify", "@d"],
+        {"d": _term([{"args": [0, True], "out": []}])},
+        "cochain args index must be an integer, got True",
+    ),
+    (
+        ["deform", "verify", "@d"],
+        {"d": _term([{"args": [0, 1], "out": [{"k": 0.5, "c": "1"}]}])},
+        "cochain out index must be an integer, got 0.5",
+    ),
+    (
+        ["deform", "verify", "@d"],
+        {"d": _term({"degree": 2.5, "values": []})},
+        "cochain degree must be an integer",
+    ),
+    # --poly must be an array: a string or an object is not read item by item
+    (
+        ["deform", "polycheck", "@d", "--poly", '"12"', "--k", "1"],
+        {"d": DEFORM},
+        "--poly must be a JSON array of rationals",
+    ),
+    (
+        ["deform", "polycheck", "@d", "--poly", '{"1":5}', "--k", "1"],
+        {"d": DEFORM},
+        "--poly must be a JSON array of rationals",
+    ),
+    (
+        ["deform", "polycheck", "@d", "--poly", "5", "--k", "1"],
+        {"d": DEFORM},
+        "--poly must be a JSON array of rationals",
+    ),
 ]
 
 
@@ -638,3 +711,86 @@ def test_tracer_layers_resolve():
             if not callable(obj):
                 missing.append(f"{mod}.{attr}")
     assert not missing
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# modules that only some subcommands need, imported inside their cmd_*
+SUBCOMMAND_MODULES = ("cohomology", "decompose", "deformation", "rigidity", "nonassoc")
+
+
+def _modules_after(imports):
+    """sys.modules of a new interpreter after it imports the given modules.
+
+    -S keeps site hooks out, so every module listed was loaded by these
+    imports or by the interpreter itself.
+    """
+    code = f"import json, sys\nimport {', '.join(imports)}\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        check=True,
+    )
+    return set(json.loads(proc.stdout))
+
+
+def test_cli_import_loads_no_subcommand_module():
+    loaded = _modules_after(["valdef.cli"])
+    assert {"valdef.io", "valdef.algebra", "valdef.series"} <= loaded
+    assert not {f"valdef.{m}" for m in SUBCOMMAND_MODULES} & loaded
+    everything = ["valdef.linalg", "valdef.catalog"] + [
+        f"valdef.{p.stem}" for p in (SRC / "valdef").glob("*.py") if p.stem != "__init__"
+    ]
+    loaded = _modules_after(everything)
+    assert {f"valdef.{m}" for m in SUBCOMMAND_MODULES} <= loaded
+    assert not {"dataclasses", "inspect"} & loaded
+
+
+ASSOC1 = {"dim": 1, "kind": "assoc", "table": [{"i": 0, "j": 0, "out": [{"k": 0, "c": "1"}]}]}
+POISSON1 = {
+    "dim": 1,
+    "kind": "poisson",
+    "assoc_table": ASSOC1["table"],
+    "bracket_table": [],
+}
+# one command line per subcommand, @name standing for the path of a file
+ONE_SHOT = [
+    ["check", "@assoc"],
+    ["cohomology", "@r2", "--deg", "2", "--coeff", "adjoint"],
+    ["decompose", "@vector"],
+    ["deform", "verify", "@deform"],
+    ["rigidity", "@zero_root", "--asserted-rigid"],
+    ["gass", "check", "@assoc", "--group", "T12"],
+    ["poisson", "verify", "@poisson"],
+]
+
+
+@pytest.mark.parametrize("argv", ONE_SHOT, ids=[a[0] for a in ONE_SHOT])
+def test_subcommand_in_fresh_process(tmp_path, capsys, argv):
+    """`python -m valdef.cli` in a new process answers as main() does here.
+
+    In-process tests share one warm sys.modules, so only a fresh process
+    shows that each subcommand imports everything it uses.
+    """
+    paths = {"r2": catalog.path("r2"), "zero_root": catalog.path("zero_root")}
+    docs = {
+        "assoc": ASSOC1,
+        "poisson": POISSON1,
+        "vector": VECTOR,
+        "deform": _term([{"args": [0, 1], "out": [{"k": 0, "c": "1"}]}]),
+    }
+    paths.update((name, write(tmp_path, f"{name}.json", doc)) for name, doc in docs.items())
+    argv = [paths[a[1:]] if a.startswith("@") else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "valdef.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+    assert code == 0 and json.loads(out)["ok"] is True

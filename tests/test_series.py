@@ -272,3 +272,29 @@ def test_canonical_form_equality_and_hash():
     for den, nums in ((0, (1,)), (-2, (1,)), (1, ())):
         with pytest.raises(ValueError):
             TruncSeries(den, nums)
+
+
+def test_value_types_are_immutable():
+    from valdef.algebra import AlgebraStructure, Cochain
+    from valdef.series import SeriesVector
+
+    s = ts([0, 1], 2)
+    g = AlgebraStructure.lie(2, {(0, 1): {1: 1}})
+    phi = Cochain.build(2, 2, "adjoint", {(0, 1): (1, 0)})
+    assert g.scaled_table is g.scaled_table  # cached once per instance
+    values = [
+        (s, "den"),
+        (SeriesVector((s, s)), "components"),
+        (g, "dim"),
+        (phi, "values"),
+    ]
+    for value, field in values:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+    same = SeriesVector((s, ts(["0", "1"], 2)))
+    assert same == SeriesVector((s, s)) and hash(same) == hash(SeriesVector((s, s)))
+    assert same != SeriesVector((s, -s))
