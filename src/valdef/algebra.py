@@ -36,7 +36,6 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 
-from . import linalg
 from .errors import DimensionMismatch, UnsupportedDegree
 from .series import Frozen
 
@@ -58,9 +57,10 @@ def _clean_out(dim: int, out) -> tuple[tuple[int, Fraction], ...]:
     for k, c in items:
         if not 0 <= k < dim:
             raise ValueError(f"basis index {k} outside 0..{dim - 1}")
-        c = Fraction(c)
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
         if c:
-            acc[k] = acc.get(k, ZERO) + c
+            acc[k] = acc[k] + c if k in acc else c
     return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
 
 
@@ -428,36 +428,3 @@ def is_lie(g: AlgebraStructure):
     if failures:
         return False, failures[0][0]
     return True, None
-
-
-def change_basis(g: AlgebraStructure, matrix) -> AlgebraStructure:
-    """Structure constants in the basis f_i = sum_j matrix[j][i] e_j.
-
-    matrix must be invertible over Q; used by tests to randomize algebras
-    without touching their isomorphism class.
-    """
-    inv = linalg.matrix_inverse([list(row) for row in matrix])
-    if inv is None:
-        raise ValueError("change of basis matrix is singular")
-    n = g.dim
-    cols = [tuple(matrix[r][c] for r in range(n)) for c in range(n)]
-
-    def new_entry(i, j):
-        prod = g.bilinear(cols[i], cols[j])
-        coords = [sum(inv[r][k] * prod[k] for k in range(n)) for r in range(n)]
-        return {k: c for k, c in enumerate(coords) if c}
-
-    table = {}
-    if g.kind == "lie":
-        for i in range(n):
-            for j in range(i + 1, n):
-                entry = new_entry(i, j)
-                if entry:
-                    table[(i, j)] = entry
-        return AlgebraStructure.lie(n, table)
-    for i in range(n):
-        for j in range(n):
-            entry = new_entry(i, j)
-            if entry:
-                table[(i, j)] = entry
-    return AlgebraStructure.assoc(n, table)

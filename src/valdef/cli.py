@@ -8,9 +8,9 @@ precision, 4 internal error (a bug: the traceback goes to stderr and
 nothing to stdout, so it is never read as a verdict).
 
 Start-up is most of a one-shot call, so importing this module loads only
-what every command needs: `io`, `errors`, `series`, and `algebra` with
-`linalg`.  Each cmd_* function imports the modules of its own subcommand
-in its body, and the parser's choices come from `algebra`.
+what every command needs: `io`, `errors`, `series` and `algebra`.  Each
+cmd_* function imports the modules of its own subcommand in its body, and
+the parser's choices come from `algebra`.
 """
 
 from __future__ import annotations

@@ -12,8 +12,20 @@ integer rows, one per codomain coordinate.  One global sign per degree
 and coefficient type matches the shuffle-composition convention delta f
 = mu o f + (-1)^p f o mu (adjoint) and f o mu (trivial), so on degree-2
 adjoint cochains delta phi = mu o phi + phi o mu agrees with the circle
-product below.  Ranks come from `linalg.rank`; all reported cohomology
-dimensions are independent of the global signs.
+product below.  All reported cohomology dimensions are independent of
+the global signs.
+
+`cohomology_dim` ranks delta_p only on a complement of the previous
+image.  `linalg.echelon` of the images delta(e_c) of the basis
+(p-1)-cochains (the columns of `coboundary_matrix(p - 1)`) has dim B^p
+rows with distinct leading columns L, so C^p = im delta_(p-1) + span{e_j
+: j not in L}, a direct sum.  The Jacobi identity gives delta o delta =
+0, so delta_p vanishes on the image and rank delta_p is the rank of its
+columns j not in L, which are eliminated as rows: only about dim H^p of
+them reduce to zero, where the full matrix had dim C^(p+1) - rank delta_p
+zero rows.  It is the same exact integer elimination, so the dimensions
+need no certificate.  `is_coboundary` reduces f once against the same
+echelon.
 
 The circle product is taken on degree-2 adjoint cochains, the only ones
 Gerstenhaber's deformation equation delta phi_k = -sum_{i+j=k} phi_i o
@@ -147,37 +159,58 @@ def coboundaries(g: AlgebraStructure, cochains) -> list[Cochain]:
     return out
 
 
+def _columns(rows, ncols: int) -> list[dict]:
+    """The columns of a matrix given by its sparse {col: int} rows, as
+    sparse {row: int} dicts."""
+    cols = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c][r] = v
+    return cols
+
+
+def _image_echelon(g: AlgebraStructure, degree: int, coeff: str) -> dict:
+    """`linalg.echelon` of im delta_(degree-1) in C^degree.
+
+    Its rows span the images delta(e_c) of the basis (degree-1)-cochains,
+    the columns of `coboundary_matrix(g, degree - 1, coeff)`.
+    """
+    rows, dom = coboundary_matrix(g, degree - 1, coeff)
+    return linalg.echelon(_columns(rows, dom))
+
+
 def cohomology_dim(g: AlgebraStructure, degree: int, coeff: str) -> CohomologyReport:
-    """Exact dimensions of Z, B and H in degree 1 to MAX_DEGREE."""
+    """Exact dimensions of Z, B and H in degree 1 to MAX_DEGREE.
+
+    g must satisfy the Jacobi identity, so that delta o delta = 0: rank
+    delta_degree is read off the coordinates that are not leading columns
+    of the echelon of im delta_(degree-1) (see the module docstring).
+    """
     if coeff not in COEFFS:
         raise ValueError(f"unknown coefficient type {coeff!r}")
     if not 1 <= degree <= MAX_DEGREE:
         raise UnsupportedDegree(f"degree {degree} not implemented")
+    image = _image_echelon(g, degree, coeff)
     out_rows, dom = coboundary_matrix(g, degree, coeff)
-    dim_cocycles = dom - linalg.rank(out_rows)
-    in_rows, _ = coboundary_matrix(g, degree - 1, coeff)
-    rank_in = linalg.rank(in_rows)
+    free = [col for c, col in enumerate(_columns(out_rows, dom)) if c not in image]
+    dim_cocycles = dom - linalg.rank(free)
     return CohomologyReport(
         degree=degree,
         coeff=coeff,
         dim_cocycles=dim_cocycles,
-        dim_coboundaries=rank_in,
-        dim_H=dim_cocycles - rank_in,
+        dim_coboundaries=len(image),
+        dim_H=dim_cocycles - len(image),
     )
 
 
 def is_coboundary(g: AlgebraStructure, f: Cochain) -> bool:
     """Exact membership of f in the image of the previous coboundary.
 
-    The columns of den * delta span the same space as those of delta, so
-    f is a coboundary exactly when appending a multiple of it as one more
-    column leaves the rank unchanged.
+    f lies in im delta exactly when its integer coordinates reduce to
+    zero against the echelon of that image.
     """
     if f.dim != g.dim:
         raise DimensionMismatch("cochain dim does not match the algebra")
-    rows, dom = coboundary_matrix(g, f.degree - 1, f.target)
+    image = _image_echelon(g, f.degree, f.target)
     _, target = linalg.integer_row(f.flatten())
-    augmented = [
-        {**row, dom: target[r]} if r in target else row for r, row in enumerate(rows)
-    ]
-    return linalg.rank(augmented) == linalg.rank(rows)
+    return not linalg.remainder(image, target)

@@ -31,10 +31,11 @@ def load_json(path: str):
 def _int(value, what: str) -> int:
     """An integer field of outside input, or FormatError naming the field.
 
-    A boolean or a number with a fractional part is refused, not rounded:
-    int() would read true as 1 and 0.7 as 0.
+    A boolean, a string or a number with a fractional part is refused, not
+    rounded or parsed: int() would read true as 1, 0.7 as 0 and " 1 " as 1,
+    and integers are JSON numbers.
     """
-    if isinstance(value, bool) or (
+    if isinstance(value, (bool, str)) or (
         isinstance(value, float) and not value.is_integer()
     ):
         raise FormatError(f"{what} must be an integer, got {value!r}")

@@ -9,11 +9,14 @@ against an echelon of pivot rows keyed by their leading column with
 that step, and keeps what is left as a new pivot row.  The arithmetic
 is exact, so no answer needs a certificate.
 
-`rank` counts the pivot rows of the echelon; cohomology builds its
-coboundary matrices as integer rows and ranks them here.  `rref`
-back-substitutes with the same step and divides each row by its leading
-entry only when it writes out the reduced row echelon form; row spaces,
-kernels, linear solving and inverses read that form.
+`echelon` inserts rows sparsest first and returns that pivots dict;
+`rank` is its size, and `remainder` reduces one more row against it
+without changing it, so a row lies in the span of the echelon exactly
+when nothing is left.  Cohomology builds its coboundary matrices as
+integer rows and eliminates them here.  `rref` back-substitutes with the
+same step and divides each row by its leading entry only when it writes
+out the reduced row echelon form; row spaces and linear solving read
+that form.
 """
 
 from fractions import Fraction
@@ -77,12 +80,15 @@ def _insert(pivots: dict, vec: dict) -> None:
         vec = _cancel(vec, pivot, lead)
 
 
-def rank(rows) -> int:
-    """Exact rank of a matrix given by its rows.
+def echelon(rows) -> dict:
+    """An echelon form of a matrix given by its rows, as the pivots dict.
 
-    Each row is a {col: int} dict (absent columns are zero) or a sequence
-    of rationals (int or Fraction), which has its denominators cleared
-    once.  To limit fill-in, rows are taken sparsest first.
+    Returns {leading column: primitive integer row}: one row per pivot,
+    each with a leading column no other row has, together spanning the
+    rows over Q.  Each row is a {col: int} dict (absent columns are zero)
+    or a sequence of rationals (int or Fraction), which has its
+    denominators cleared once.  To limit fill-in, rows are taken sparsest
+    first.
     """
     vecs = [
         {c: v for c, v in row.items() if v}
@@ -93,7 +99,28 @@ def rank(rows) -> int:
     pivots: dict[int, dict] = {}
     for vec in sorted(vecs, key=len):
         _insert(pivots, vec)
-    return len(pivots)
+    return pivots
+
+
+def remainder(pivots: dict, vec: dict) -> dict:
+    """What is left of the {col: int} row vec after reducing it against
+    an echelon's pivots; empty exactly when vec lies in their span.
+
+    Neither argument is changed.
+    """
+    vec = dict(vec)
+    while vec:
+        lead = min(vec)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            return vec
+        vec = _cancel(vec, pivot, lead)
+    return vec
+
+
+def rank(rows) -> int:
+    """Exact rank of a matrix given by its rows: the size of its `echelon`."""
+    return len(echelon(rows))
 
 
 def rref(rows):
@@ -130,24 +157,6 @@ def row_space(rows):
     return [tuple(row) for row in reduced[: len(pivots)]]
 
 
-def nullspace(rows):
-    """Basis of {x : M x = 0} for the matrix with the given rows."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(tuple(vec))
-    return basis
-
-
 def solve_combination(vectors, target):
     """Coefficients x with sum(x_i * vectors[i]) == target, or None.
 
@@ -166,20 +175,3 @@ def solve_combination(vectors, target):
     for r, pc in enumerate(pivots):
         coeffs[pc] = reduced[r][len(vectors)]
     return coeffs
-
-
-def in_span(vectors, target) -> bool:
-    return solve_combination(vectors, target) is not None
-
-
-def matrix_inverse(rows):
-    """Inverse of a square rational matrix, or None if singular."""
-    n = len(rows)
-    aug = [
-        list(rows[i]) + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    reduced, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [tuple(reduced[i][n:]) for i in range(n)]

@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from valdef.algebra import AlgebraStructure, Cochain, change_basis
+from valdef import linalg
+from valdef.algebra import AlgebraStructure, Cochain
 from valdef.deformation import (
     Deformation,
     decompose_deformation,
@@ -81,6 +82,78 @@ def random_invertible(rng, n):
         for i in range(n)
     ]
     return [[prod[i][perm[j]] for j in range(n)] for i in range(n)]
+
+
+# -- linear algebra only the tests need, on linalg.rref ------------------
+
+
+def nullspace(rows):
+    """Basis of {x : M x = 0} for the matrix with the given rows."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    reduced, pivots = linalg.rref(rows)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def in_span(vectors, target) -> bool:
+    """Whether target is a rational combination of the vectors."""
+    return linalg.solve_combination(vectors, target) is not None
+
+
+def matrix_inverse(rows):
+    """Inverse of a square rational matrix, or None if singular."""
+    n = len(rows)
+    aug = [
+        list(rows[i]) + [Fraction(1 if j == i else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    reduced, pivots = linalg.rref(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [tuple(reduced[i][n:]) for i in range(n)]
+
+
+def change_basis(g: AlgebraStructure, matrix) -> AlgebraStructure:
+    """Structure constants in the basis f_i = sum_j matrix[j][i] e_j.
+
+    matrix must be invertible over Q; used by tests to randomize algebras
+    without touching their isomorphism class.
+    """
+    inv = matrix_inverse([list(row) for row in matrix])
+    if inv is None:
+        raise ValueError("change of basis matrix is singular")
+    n = g.dim
+    cols = [tuple(matrix[r][c] for r in range(n)) for c in range(n)]
+
+    def new_entry(i, j):
+        prod = g.bilinear(cols[i], cols[j])
+        coords = [sum(inv[r][k] * prod[k] for k in range(n)) for r in range(n)]
+        return {k: c for k, c in enumerate(coords) if c}
+
+    table = {}
+    if g.kind == "lie":
+        for i in range(n):
+            for j in range(i + 1, n):
+                entry = new_entry(i, j)
+                if entry:
+                    table[(i, j)] = entry
+        return AlgebraStructure.lie(n, table)
+    for i in range(n):
+        for j in range(n):
+            entry = new_entry(i, j)
+            if entry:
+                table[(i, j)] = entry
+    return AlgebraStructure.assoc(n, table)
 
 
 # -- sympy oracle for row reduction -------------------------------------

@@ -41,6 +41,7 @@ from gens import (
     ZTRIPLE,
     conjugated,
     decomposed,
+    in_span,
     lie_as_product,
     random_cochain,
     random_direction,
@@ -141,7 +142,7 @@ def test_criterion_5_span_bound_and_membership():
         assert max_rank_check(dd)[0] == dim
         for i in range(k - 1):
             target = list(coboundary(dd.base, phis[i]).flatten())
-            assert linalg.in_span(pair_brackets, target) if pair_brackets else all(
+            assert in_span(pair_brackets, target) if pair_brackets else all(
                 c == 0 for c in target
             )
         checked += 1

@@ -10,13 +10,21 @@ from valdef.algebra import (
     AlgebraStructure,
     Cochain,
     associator,
-    change_basis,
     is_lie,
     jacobiator,
 )
 from valdef.errors import DimensionMismatch
 
-from gens import H3, R2, SL2, frac, mu_cochain, random_invertible, random_lie
+from gens import (
+    H3,
+    R2,
+    SL2,
+    change_basis,
+    frac,
+    mu_cochain,
+    random_invertible,
+    random_lie,
+)
 
 
 def e(n, i):

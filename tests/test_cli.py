@@ -505,6 +505,16 @@ COH = ["--deg", "2", "--coeff", "adjoint"]
 NON_UNIPOTENT = {"cap": 4, "matrix": [[["2"], ["0"]], [["0"], ["1"]]]}
 
 
+# every integer field a numeric string; rigidity --asserted-rigid used to
+# read it and print a full report with exit 0
+STRING_INTS = {
+    "dim": "3",
+    "kind": "lie",
+    "table": [{"i": "0", "j": " 1 ", "out": [{"k": "1", "c": "1"}]}],
+    "torus": ["0"],
+}
+
+
 def _term(cochain):
     return dict(DEFORM, terms=[{"coeff": ["0", "1"], "cochain": cochain}])
 
@@ -674,6 +684,39 @@ MALFORMED = [
         {"d": DEFORM},
         "--poly must be a JSON array of rationals",
     ),
+    # integers are JSON numbers: a numeric string is refused, not parsed
+    (
+        ["rigidity", "@a", "--asserted-rigid"],
+        {"a": STRING_INTS},
+        "dim must be an integer, got '3'",
+    ),
+    (
+        ["rigidity", "@a", "--asserted-rigid"],
+        {"a": dict(STRING_INTS, dim=3, torus=[0])},
+        "table i must be an integer, got '0'",
+    ),
+    (
+        ["check", "@a"],
+        {"a": dict(LIE2, table=[{"i": 0, "j": " 1 ", "out": []}])},
+        "table j must be an integer, got ' 1 '",
+    ),
+    (
+        ["check", "@a"],
+        {"a": dict(LIE2, table=[{"i": 0, "j": 1, "out": [{"k": "1", "c": "1"}]}])},
+        "table out index must be an integer, got '1'",
+    ),
+    (
+        ["rigidity", "@a", "--asserted-rigid"],
+        {"a": dict(LIE2, torus=["0"])},
+        "torus index must be an integer, got '0'",
+    ),
+    (["decompose", "@v"], {"v": dict(VECTOR, cap="3")}, "cap must be an integer, got '3'"),
+    (["deform", "verify", "@d"], {"d": dict(DEFORM, cap="3")}, "cap must be an integer, got '3'"),
+    (
+        ["deform", "verify", "@d"],
+        {"d": _term([{"args": ["0", 1], "out": []}])},
+        "cochain args index must be an integer, got '0'",
+    ),
 ]
 
 
@@ -740,6 +783,8 @@ def test_cli_import_loads_no_subcommand_module():
     loaded = _modules_after(["valdef.cli"])
     assert {"valdef.io", "valdef.algebra", "valdef.series"} <= loaded
     assert not {f"valdef.{m}" for m in SUBCOMMAND_MODULES} & loaded
+    # elimination is loaded by the subcommand modules that use it
+    assert "valdef.linalg" not in loaded
     everything = ["valdef.linalg", "valdef.catalog"] + [
         f"valdef.{p.stem}" for p in (SRC / "valdef").glob("*.py") if p.stem != "__init__"
     ]

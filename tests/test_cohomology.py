@@ -3,12 +3,13 @@
 import random
 
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import pytest
 
 from valdef import linalg
-from valdef.algebra import AlgebraStructure, Cochain, change_basis, jacobiator
+from valdef.algebra import COEFFS, AlgebraStructure, Cochain, jacobiator
 from valdef.cohomology import (
     circle,
     coboundaries,
@@ -21,9 +22,18 @@ from valdef.cohomology import (
 from valdef.errors import UnsupportedDegree
 
 from gens import (
+    FILIFORM4,
+    H3,
     R2,
+    R2K,
+    ROOTS123,
     SL2,
+    change_basis,
+    domain_matrix,
+    frac,
+    in_span,
     mu_cochain,
+    nullspace,
     random_cochain,
     random_invertible,
     random_lie,
@@ -138,7 +148,7 @@ def test_bracket_with_cocycle_vanishes():
         rows, dom = coboundary_matrix(g, 2, "adjoint")
         matrix = dense(rows, dom)
         kernel = (
-            linalg.nullspace(matrix)
+            nullspace(matrix)
             if matrix
             else [
                 tuple(
@@ -314,7 +324,93 @@ def test_is_coboundary_matches_span_of_reference_columns():
             f = random_cochain(rng, g.dim, 2, coeff)
             exact = coboundary(g, random_cochain(rng, g.dim, 1, coeff, True))
             for target in (f, exact, exact + f):
-                assert is_coboundary(g, target) == linalg.in_span(
+                assert is_coboundary(g, target) == in_span(
                     columns, target.flatten()
                 )
             assert is_coboundary(g, exact)
+
+
+# -- cohomology_dim and is_coboundary against independent ranks ----------
+
+
+def family_algebras(rng, max_dim):
+    """The gens Lie families, each padded with an abelian summand to a
+    random dimension up to max_dim, as given and in a changed basis, plus
+    random Lie algebras of dimension up to max_dim."""
+    out = []
+    for g in (R2, H3, SL2, R2K, FILIFORM4, ROOTS123):
+        padded = AlgebraStructure.lie(rng.randint(g.dim, max_dim), g.table)
+        out += [g, padded, change_basis(padded, random_invertible(rng, padded.dim))]
+    out += [random_lie(rng, n) for n in range(2, max_dim + 1)]
+    return out
+
+
+def sympy_rank(rows, ncols):
+    """Rank over QQ of sparse integer rows by sympy, 0 for an empty matrix."""
+    if not rows or not ncols:
+        return 0
+    return domain_matrix(dense(rows, ncols)).rank()
+
+
+def test_cohomology_dim_matches_sympy_ranks(monkeypatch):
+    """dim Z^p = dom - rank delta_p and dim B^p = rank delta_(p-1), with
+    both ranks of the full matrices taken by sympy; and only the dom - dim
+    B^p non-leading columns of delta_p are handed to `linalg.rank`."""
+    ranked = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: ranked.append(len(rows)) or rank(rows))
+    rng = random.Random(66)
+    nonzero_h = 0
+    for g in family_algebras(rng, 6):
+        for degree in (1, 2, 3):
+            for coeff in COEFFS:
+                ranked.clear()
+                rep = cohomology_dim(g, degree, coeff)
+                out_rows, dom = coboundary_matrix(g, degree, coeff)
+                in_rows, in_dom = coboundary_matrix(g, degree - 1, coeff)
+                assert rep.dim_cocycles == dom - sympy_rank(out_rows, dom)
+                assert rep.dim_coboundaries == sympy_rank(in_rows, in_dom)
+                assert rep.dim_H == rep.dim_cocycles - rep.dim_coboundaries
+                assert ranked == [dom - rep.dim_coboundaries]
+                nonzero_h += rep.dim_H > 0 and rep.dim_coboundaries > 0
+    assert nonzero_h >= 20
+
+
+def exact_cochain(rng, g, degree, coeff):
+    """delta of a random (degree-1)-cochain, from the columns of den * delta
+    (degree 1 included, where the coboundaries are the inner derivations)."""
+    rows, dom = coboundary_matrix(g, degree - 1, coeff)
+    x = [frac(rng) for _ in range(dom)]
+    flat = [sum(v * x[c] for c, v in row.items()) for row in rows]
+    return Cochain.from_flat(degree, g.dim, coeff, flat)
+
+
+def test_is_coboundary_exact_and_shifted_by_non_exact_cocycles():
+    """delta f is a coboundary; delta f plus a cocycle outside im delta is
+    not, in degrees 1-3 with both coefficients."""
+    rng = random.Random(67)
+    shifted = set()
+    for g in family_algebras(rng, 5):
+        for degree in (1, 2, 3):
+            for coeff in COEFFS:
+                if degree > g.dim:
+                    continue
+                exact = exact_cochain(rng, g, degree, coeff)
+                assert is_coboundary(g, exact)
+                if degree > 1:
+                    f = random_cochain(rng, g.dim, degree - 1, coeff)
+                    assert is_coboundary(g, coboundary(g, f))
+                # cocycles outside the span of den * delta's columns, found
+                # by rref-based nullspace and span tests
+                out_rows, dom = coboundary_matrix(g, degree, coeff)
+                in_rows, in_dom = coboundary_matrix(g, degree - 1, coeff)
+                columns = list(zip(*dense(in_rows, in_dom)))
+                kernel = nullspace(dense(out_rows, dom)) if out_rows else []
+                non_exact = (z for z in kernel if not in_span(columns, z))
+                for z in islice(non_exact, 3):
+                    cocycle = Cochain.from_flat(degree, g.dim, coeff, z)
+                    assert not is_coboundary(g, cocycle)
+                    assert not is_coboundary(g, exact + cocycle)
+                    assert not is_coboundary(g, exact - cocycle.scale(Fraction(2, 3)))
+                    shifted.add((degree, coeff))
+    assert shifted == {(d, c) for d in (1, 2, 3) for c in COEFFS}

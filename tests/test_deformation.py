@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from valdef.algebra import AlgebraStructure, Cochain, change_basis
+from valdef.algebra import AlgebraStructure, Cochain
 from valdef.cohomology import circle, coboundary, super_bracket
 from valdef.deformation import (
     Deformation,
@@ -37,6 +37,7 @@ from gens import (
     R2,
     R2K,
     SL2,
+    change_basis,
     decomposed,
     eval_vectors,
     frac,

@@ -3,12 +3,21 @@
 import random
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from valdef import linalg
 
-from gens import domain_matrix, frac, fraction_rows
+from gens import (
+    domain_matrix,
+    frac,
+    fraction_rows,
+    in_span,
+    matrix_inverse,
+    nullspace,
+    sympy_row_space,
+)
 
 
 def random_matrix(rng, rows, cols, density=0.7):
@@ -33,7 +42,7 @@ def test_rank_nullspace_roundtrip():
         cols = rng.randint(1, 6)
         m = random_matrix(rng, rows, cols)
         rank = linalg.rank(m)
-        null = linalg.nullspace(m)
+        null = nullspace(m)
         assert rank + len(null) == cols
         for vec in null:
             for row in m:
@@ -57,13 +66,13 @@ def test_matrix_inverse():
 
     for n in (1, 2, 3, 4):
         m = random_invertible(rng, n)
-        inv = linalg.matrix_inverse(m)
+        inv = matrix_inverse(m)
         assert inv is not None
         for i in range(n):
             for j in range(n):
                 s = sum(m[i][k] * inv[k][j] for k in range(n))
                 assert s == (1 if i == j else 0)
-    assert linalg.matrix_inverse([[Fraction(0)]]) is None
+    assert matrix_inverse([[Fraction(0)]]) is None
 
 
 def test_row_space_canonical():
@@ -116,13 +125,13 @@ def assert_matches_sympy(m):
     assert reduced == fraction_rows(want_reduced)
     assert all(type(x) is Fraction for row in reduced for x in row)
     want_null = [tuple(row) for row in fraction_rows(dm.nullspace())]
-    assert linalg.nullspace(m) == want_null
+    assert nullspace(m) == want_null
     if len(m) == len(m[0]):
         try:
             want_inverse = [tuple(row) for row in fraction_rows(dm.inv())]
         except DMNonInvertibleMatrixError:
             want_inverse = None
-        assert linalg.matrix_inverse(m) == want_inverse
+        assert matrix_inverse(m) == want_inverse
 
 
 def test_rank_matches_sympy():
@@ -131,6 +140,32 @@ def test_rank_matches_sympy():
         assert linalg.rank(m) == expected
         assert linalg.rank([linalg.integer_row(row)[1] for row in m]) == expected
         assert linalg.rank(list(reversed(m))) == expected
+
+
+def test_echelon_and_remainder_match_sympy():
+    """echelon keys one primitive integer row by its leading column and
+    spans the input rows; remainder is empty exactly on that span."""
+    rng = random.Random(24)
+    for m in oracle_cases(rng):
+        ncols = len(m[0])
+        want = sympy_row_space(m)
+        pivots = linalg.echelon(m)
+        assert len(pivots) == len(want) == linalg.rank(m)
+        for lead, row in pivots.items():
+            assert min(row) == lead and all(type(v) is int and v for v in row.values())
+            assert gcd(*row.values()) == 1
+        rows = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in pivots.values()]
+        assert (sympy_row_space(rows) if rows else ()) == want
+        before = {lead: dict(row) for lead, row in pivots.items()}
+        coeffs = [rng.choice((-2, 1, 3)) for _ in m]
+        inside = [sum(a * x for a, x in zip(coeffs, col)) for col in zip(*m)]
+        for target in m + [inside, random_matrix(rng, 1, ncols)[0]]:
+            vec = linalg.integer_row(target)[1]
+            copy = dict(vec)
+            left = linalg.remainder(pivots, vec)
+            assert (not left) == (sympy_row_space(m + [target]) == want)
+            assert vec == copy and pivots == before
+        assert not linalg.remainder(pivots, linalg.integer_row(inside)[1])
 
 
 def test_rref_nullspace_inverse_match_sympy():
@@ -204,7 +239,7 @@ def test_in_span_and_solve_combination_match_sympy():
         reduced, pivots = aug.rref()
         expected = k not in pivots
         outcomes.add(expected)
-        assert linalg.in_span(vectors, target) == expected
+        assert in_span(vectors, target) == expected
         coeffs = linalg.solve_combination(vectors, target)
         if not expected:
             assert coeffs is None

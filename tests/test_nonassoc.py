@@ -12,7 +12,6 @@ from valdef.algebra import (
     AlgebraStructure,
     Cochain,
     associator,
-    change_basis,
     is_lie,
     jacobiator,
 )
@@ -38,6 +37,7 @@ from gens import (
     KXK,
     UPPER2,
     ZTRIPLE,
+    change_basis,
     conjugated,
     lie_as_product,
     random_invertible,
