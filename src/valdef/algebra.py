@@ -143,6 +143,15 @@ class AlgebraStructure(Frozen):
         """
         return _scaled_rows(self.dim, self.table.items(), self.kind == "lie")
 
+    @cached_property
+    def jacobi_witness(self) -> tuple[int, int, int] | None:
+        """The first basis triple whose Jacobi sum is nonzero, None if the
+        Jacobi identity holds; found once (lie kind only)."""
+        if self.kind != "lie":
+            raise ValueError("is_lie needs a lie-kind algebra")
+        _, failures = jacobi_sums(self)
+        return failures[0][0] if failures else None
+
 
 def _scaled_rows(dim: int, entries, antisymmetric: bool) -> tuple[int, tuple]:
     """(den, rows) of `AlgebraStructure.scaled_table` from ((i, j), out) pairs.
@@ -421,10 +430,10 @@ def jacobiator(g: AlgebraStructure) -> Cochain:
 
 
 def is_lie(g: AlgebraStructure):
-    """(True, None) if the Jacobi identity holds, else (False, first triple)."""
-    if g.kind != "lie":
-        raise ValueError("is_lie needs a lie-kind algebra")
-    _, failures = jacobi_sums(g)
-    if failures:
-        return False, failures[0][0]
-    return True, None
+    """(True, None) if the Jacobi identity holds, else (False, first triple).
+
+    The verdict is `AlgebraStructure.jacobi_witness`, computed once per
+    structure.
+    """
+    witness = g.jacobi_witness
+    return witness is None, witness

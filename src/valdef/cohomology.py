@@ -49,7 +49,7 @@ from itertools import combinations
 
 from . import linalg
 from .algebra import COEFFS, MAX_DEGREE, AlgebraStructure, Cochain, jacobi_sums
-from .errors import DimensionMismatch, UnsupportedDegree
+from .errors import DimensionMismatch, NotLie, UnsupportedDegree
 
 ZERO = Fraction(0)
 
@@ -173,9 +173,15 @@ def _image_echelon(g: AlgebraStructure, degree: int, coeff: str) -> dict:
     """`linalg.echelon` of im delta_(degree-1) in C^degree.
 
     Its rows span the images delta(e_c) of the basis (degree-1)-cochains,
-    the columns of `coboundary_matrix(g, degree - 1, coeff)`.
+    the columns of `coboundary_matrix(g, degree - 1, coeff)`.  Both of
+    its callers need delta o delta = 0, so g must satisfy Jacobi.
     """
     rows, dom = coboundary_matrix(g, degree - 1, coeff)
+    witness = g.jacobi_witness
+    if witness is not None:
+        raise NotLie(
+            f"bracket fails the Jacobi identity at triple {list(witness)}"
+        )
     return linalg.echelon(_columns(rows, dom))
 
 
@@ -185,6 +191,7 @@ def cohomology_dim(g: AlgebraStructure, degree: int, coeff: str) -> CohomologyRe
     g must satisfy the Jacobi identity, so that delta o delta = 0: rank
     delta_degree is read off the coordinates that are not leading columns
     of the echelon of im delta_(degree-1) (see the module docstring).
+    A table that fails it raises NotLie naming the first failing triple.
     """
     if coeff not in COEFFS:
         raise ValueError(f"unknown coefficient type {coeff!r}")
@@ -207,7 +214,8 @@ def is_coboundary(g: AlgebraStructure, f: Cochain) -> bool:
     """Exact membership of f in the image of the previous coboundary.
 
     f lies in im delta exactly when its integer coordinates reduce to
-    zero against the echelon of that image.
+    zero against the echelon of that image.  A table that fails the
+    Jacobi identity raises NotLie.
     """
     if f.dim != g.dim:
         raise DimensionMismatch("cochain dim does not match the algebra")

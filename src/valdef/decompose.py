@@ -8,16 +8,30 @@ coordinate of the residual vanishes exactly, so the recursion depth is
 bounded by the ambient dimension.  The subspace chain spanned by the V
 prefixes does not depend on the pivot rule, and that is what
 flags_equal compares.
+
+The remaining vector is one integer matrix over one denominator: row i
+over den is component i.  A step reads the lead integers l_i at the
+minimum valuation v, takes the pivot row's lp, and forms the
+fraction-free residual lp*row_i - l_i*pivot_row over den*lp.  Dividing
+by b = t^v * u multiplies each row by one integer inverse of u's
+numerators (`series.inverse_nums`, scaled by lp^(cap+1)); den cancels
+against u's, so the new denominator is a power of lp, and one gcd is
+divided out of the whole matrix.  The pivot row and every row that
+vanishes are dropped: a zero row stays zero for good.  `recompose` keeps
+the running product b1...bi as integers (`series.mul_nums`) and builds
+series only at the end.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
 from . import linalg
 from .errors import NotInMaximalIdeal, PrecisionExhausted, ZeroVector
-from .series import SeriesVector, TruncSeries
+from .series import SeriesVector, TruncSeries, inverse_nums, mul_nums
 
 ZERO = Fraction(0)
 
@@ -67,29 +81,45 @@ def decompose(w: SeriesVector, pivot_order: str = "first") -> FlagDecomposition:
     if w.is_zero():
         raise ZeroVector("cannot decompose a vector that is zero at its cap")
 
-    current = list(w.components)
-    cap = w.cap
+    # component i is rows[i] / den; a row that is zero at the cap stays
+    # zero for good, so only the nonzero rows are kept, by index
+    den = lcm(*(s.den for s in w.components))
+    rows = {
+        i: [x * (den // s.den) for x in s.nums]
+        for i, s in enumerate(w.components)
+        if not s.is_zero()
+    }
+    dim, cap = w.dim, w.cap
     steps = []
     while True:
-        vals = [s.valuation() for s in current]
-        defined = [v for v in vals if v is not None]
-        if not defined:
-            break
-        v = min(defined)
-        lead = [
-            Fraction(s.nums[v], s.den) if val == v else ZERO
-            for s, val in zip(current, vals)
-        ]
-        candidates = [i for i, c in enumerate(lead) if c]
-        pivot = candidates[0] if pivot_order == "first" else candidates[-1]
-        scale = lead[pivot]
-        direction = tuple(c / scale for c in lead)
-        b = current[pivot]
-        steps.append(FlagStep(coefficient=b, vector=direction))
-        residual = [
-            s - b.scale(direction[i]) for i, s in enumerate(current)
-        ]
-        if all(s.is_zero() for s in residual):
+        lead = {}
+        v = cap + 1
+        for i, row in rows.items():
+            val = next(k for k, x in enumerate(row) if x)
+            if val < v:
+                v, lead = val, {i: row[val]}
+            elif val == v:
+                lead[i] = row[val]
+        pivot = min(lead) if pivot_order == "first" else max(lead)
+        lp = lead[pivot]
+        direction = tuple(
+            Fraction(lead[i], lp) if i in lead else ZERO for i in range(dim)
+        )
+        head = rows.pop(pivot)
+        steps.append(FlagStep(coefficient=TruncSeries(den, head), vector=direction))
+        # fraction-free residual lp*row - l*head over den*lp, from t^v on
+        # (every row vanishes below t^v)
+        head = head[v:]
+        residual = {}
+        for i, row in rows.items():
+            li = lead.get(i)
+            if li is None:
+                residual[i] = [lp * x for x in row[v:]]
+                continue
+            r = [lp * x - li * y for x, y in zip(row[v:], head)]
+            if any(r):
+                residual[i] = r
+        if not residual:
             break
         if cap - v < 1:
             # unreachable with b taken from the vector itself (the residual
@@ -97,32 +127,63 @@ def decompose(w: SeriesVector, pivot_order: str = "first") -> FlagDecomposition:
             raise PrecisionExhausted(
                 f"dividing by a valuation-{v} coefficient leaves cap {cap - v}"
             )
-        # b = t^v * u: invert u once and divide every residual by b with it
-        inverse = TruncSeries(b.den, b.nums[v:]).invert()
-        current = [s.div_shifted(v, inverse) for s in residual]
+        # b = t^v * head/den: dividing by it cancels den, and head's unit
+        # inverse is inverse_nums(head) / lp^(cap+1) at the new cap; its
+        # own content is divided out first, so the products stay smaller
         cap -= v
+        inverse = inverse_nums(head)
+        den = lp ** (cap + 2)
+        common = gcd(den, *inverse)
+        if common != 1:
+            den //= common
+            inverse = [x // common for x in inverse]
+        rows = {i: mul_nums(r, inverse, cap) for i, r in residual.items()}
+        common = gcd(den, *chain.from_iterable(rows.values()))
+        if den < 0:
+            common = -common
+        if common != 1:
+            den //= common
+            for row in rows.values():
+                row[:] = [x // common for x in row]
     return FlagDecomposition(
         steps=tuple(steps), ambient_dim=w.dim, cap=steps[-1].coefficient.cap
     )
 
 
 def recompose(d: FlagDecomposition, cap: int | None = None) -> SeriesVector:
-    """Evaluate sum of (b1...bi) * Vi exactly at the given cap."""
+    """Evaluate sum of (b1...bi) * Vi exactly at the given cap.
+
+    The running products b1...bi are integer series, each over its own
+    denominator, and the sum is one integer matrix over their common
+    denominator; series are built only at the end.
+    """
     if cap is None:
         cap = d.cap
     if d.steps and cap > min(s.coefficient.cap for s in d.steps):
         raise PrecisionExhausted(
             f"cap {cap} exceeds the precision of the decomposition"
         )
-    total = SeriesVector.zero(d.ambient_dim, cap)
-    running = TruncSeries.one(cap)
+    running, rden = [1] + [0] * cap, 1
+    products, scales = [], []
     for step in d.steps:
-        running = running * step.coefficient.truncate(cap)
-        term = SeriesVector(
-            tuple(running.scale(c) for c in step.vector)
-        )
-        total = total + term
-    return total
+        running = mul_nums(running, step.coefficient.nums, cap)
+        rden *= step.coefficient.den
+        products.append(running)
+        scales.append(rden)
+    # one common denominator for every term c * running / rden
+    den = lcm(
+        *(r * c.denominator for r, step in zip(scales, d.steps) for c in step.vector)
+    )
+    rows = []
+    for i in range(d.ambient_dim):
+        row = [0] * (cap + 1)
+        for r, step, running in zip(scales, d.steps, products):
+            c = step.vector[i]
+            if c:
+                m = c.numerator * (den // (r * c.denominator))
+                row = [x + m * y for x, y in zip(row, running)]
+        rows.append(TruncSeries(den, row))
+    return SeriesVector(tuple(rows))
 
 
 def flag_of(d: FlagDecomposition) -> Flag:

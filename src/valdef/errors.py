@@ -41,6 +41,10 @@ class InvalidDeformation(ValdefError):
     """Operation requiring a valid deformation got a nonzero residual."""
 
 
+class NotLie(ValdefError):
+    """Lie-algebra operation on a lie-kind table that fails the Jacobi identity."""
+
+
 class NotAdapted(ValdefError):
     """Root extraction on a basis where ad X is not diagonal."""
 

@@ -66,6 +66,44 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def mul_nums(a, b, cap: int) -> list[int]:
+    """Coefficients of t^0 .. t^cap of the product of two integer series."""
+    theirs = [(j, y) for j, y in enumerate(b[: cap + 1]) if y]
+    out = [0] * (cap + 1)
+    for i, x in enumerate(a[: cap + 1]):
+        if not x:
+            continue
+        for j, y in theirs:
+            if i + j > cap:
+                break
+            out[i + j] += x * y
+    return out
+
+
+def inverse_nums(a) -> list[int]:
+    """a0^(cap+1) times the inverse of the integer series a, up to t^cap.
+
+    With cap = len(a) - 1 and a0 = a[0] != 0, the inverse b has
+    b_k = c_k / a0^(k+1), where c_0 = 1 and
+    c_k = -sum_{i=1..k} a_i a0^(i-1) c_(k-i) are integers; the result
+    is c_k * a0^(cap-k).
+    """
+    a0, cap = a[0], len(a) - 1
+    powers = [1]
+    for _ in range(cap):
+        powers.append(powers[-1] * a0)
+    weights = [(i, x * powers[i - 1]) for i, x in enumerate(a) if i and x]
+    c = [1]
+    for k in range(1, cap + 1):
+        acc = 0
+        for i, w in weights:
+            if i > k:
+                break
+            acc += w * c[k - i]
+        c.append(-acc)
+    return [ck * powers[cap - k] for k, ck in enumerate(c)]
+
+
 class Frozen:
     """Base of the package's immutable value types.
 
@@ -213,16 +251,7 @@ class TruncSeries(Frozen):
         if not isinstance(other, TruncSeries):
             return self.scale(other)
         cap = min(self.cap, other.cap)
-        theirs = [(j, y) for j, y in enumerate(other.nums[: cap + 1]) if y]
-        out = [0] * (cap + 1)
-        for i, x in enumerate(self.nums[: cap + 1]):
-            if not x:
-                continue
-            for j, y in theirs:
-                if i + j > cap:
-                    break
-                out[i + j] += x * y
-        return TruncSeries(self.den * other.den, out)
+        return TruncSeries(self.den * other.den, mul_nums(self.nums, other.nums, cap))
 
     def __rmul__(self, other) -> TruncSeries:
         return self.scale(other)
@@ -235,31 +264,14 @@ class TruncSeries(Frozen):
     def invert(self) -> TruncSeries:
         """Multiplicative inverse up to t^cap; the constant term must be a unit.
 
-        With a = nums, the inverse of a is b with b_k = c_k / a_0^(k+1),
-        where c_0 = 1 and c_k = -sum_{i=1..k} a_i a_0^(i-1) c_(k-i) are
-        integers; the inverse of a / den is den * b.
+        The inverse of nums / den is den * inverse_nums(nums) / a0^(cap+1).
         """
         if not self.is_unit():
             raise NotAUnit("series with zero constant term has no inverse")
-        a0, cap = self.nums[0], self.cap
-        powers = [1]
-        for _ in range(cap + 1):
-            powers.append(powers[-1] * a0)
-        weights = [
-            (i, x * powers[i - 1]) for i, x in enumerate(self.nums) if i and x
-        ]
-        c = [1]
-        for k in range(1, cap + 1):
-            acc = 0
-            for i, w in weights:
-                if i > k:
-                    break
-                acc += w * c[k - i]
-            c.append(-acc)
-        sign = 1 if powers[cap + 1] > 0 else -1
+        scale = self.nums[0] ** (self.cap + 1)
+        sign = 1 if scale > 0 else -1
         return TruncSeries(
-            sign * powers[cap + 1],
-            [sign * self.den * ck * powers[cap - k] for k, ck in enumerate(c)],
+            sign * scale, [sign * self.den * c for c in inverse_nums(self.nums)]
         )
 
     def div_exact(self, other: TruncSeries) -> TruncSeries:
@@ -276,24 +288,15 @@ class TruncSeries(Frozen):
             raise PrecisionExhausted(
                 f"division by valuation-{v} series leaves cap {cap}"
             )
-        unit = TruncSeries(other.den, other.nums[v : v + cap + 1])
-        return self.div_shifted(v, unit.invert())
-
-    def div_shifted(self, v: int, inverse: TruncSeries) -> TruncSeries:
-        """Exact quotient self / (t^v * u), given inverse = u^-1.
-
-        The result has the cap of inverse, which must not exceed
-        self.cap - v.  A caller dividing many series by one divisor
-        inverts its unit part once and passes it here for each.
-        """
         mine = self.valuation()
         if mine is None:
-            return TruncSeries.zero(inverse.cap)
+            return TruncSeries.zero(cap)
         if mine < v:
             raise NotDivisible(
                 f"valuation {mine} numerator not divisible by valuation {v}"
             )
-        return TruncSeries(self.den, self.nums[v : v + inverse.cap + 1]) * inverse
+        unit = TruncSeries(other.den, other.nums[v : v + cap + 1])
+        return TruncSeries(self.den, self.nums[v : v + cap + 1]) * unit.invert()
 
     # -- display ------------------------------------------------------
 

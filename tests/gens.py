@@ -14,12 +14,14 @@ import pytest
 
 from valdef import linalg
 from valdef.algebra import AlgebraStructure, Cochain
+from valdef.decompose import FlagDecomposition, FlagStep
 from valdef.deformation import (
     Deformation,
     decompose_deformation,
     identity_plus,
     transport,
 )
+from valdef.errors import NotInMaximalIdeal, PrecisionExhausted, ZeroVector
 from valdef.series import SeriesVector, TruncSeries
 
 
@@ -390,6 +392,81 @@ def random_direction(rng, n):
 
 def decomposed(d: Deformation) -> Deformation:
     return decompose_deformation(d.base, d.perturbation(), d.cap)
+
+
+# -- per-component flag decomposition, the oracle of `valdef.decompose` ----
+
+
+def reference_decompose(w: SeriesVector, pivot_order: str = "first"):
+    """The flag decomposition one TruncSeries component at a time.
+
+    Each step scales the pivot component by every Fraction direction
+    entry, subtracts, and divides each residual component by the step
+    coefficient; `valdef.decompose.decompose` does the same on one integer
+    matrix and must return an equal FlagDecomposition.
+    """
+    if pivot_order not in ("first", "last"):
+        raise ValueError(f"unknown pivot order {pivot_order!r}")
+    for idx, s in enumerate(w.components):
+        if not s.in_maximal_ideal():
+            raise NotInMaximalIdeal(
+                f"component {idx} has constant term {s.coeffs[0]}"
+            )
+    if w.is_zero():
+        raise ZeroVector("cannot decompose a vector that is zero at its cap")
+
+    current = list(w.components)
+    cap = w.cap
+    steps = []
+    while True:
+        vals = [s.valuation() for s in current]
+        defined = [v for v in vals if v is not None]
+        if not defined:
+            break
+        v = min(defined)
+        lead = [
+            Fraction(s.nums[v], s.den) if val == v else Fraction(0)
+            for s, val in zip(current, vals)
+        ]
+        candidates = [i for i, c in enumerate(lead) if c]
+        pivot = candidates[0] if pivot_order == "first" else candidates[-1]
+        scale = lead[pivot]
+        direction = tuple(c / scale for c in lead)
+        b = current[pivot]
+        steps.append(FlagStep(coefficient=b, vector=direction))
+        residual = [
+            s - b.scale(direction[i]) for i, s in enumerate(current)
+        ]
+        if all(s.is_zero() for s in residual):
+            break
+        if cap - v < 1:
+            raise PrecisionExhausted(
+                f"dividing by a valuation-{v} coefficient leaves cap {cap - v}"
+            )
+        current = [s.div_exact(b) for s in residual]
+        cap -= v
+    return FlagDecomposition(
+        steps=tuple(steps), ambient_dim=w.dim, cap=steps[-1].coefficient.cap
+    )
+
+
+def reference_recompose(d: FlagDecomposition, cap=None) -> SeriesVector:
+    """sum of (b1...bi) * Vi through TruncSeries products and SeriesVector sums."""
+    if cap is None:
+        cap = d.cap
+    if d.steps and cap > min(s.coefficient.cap for s in d.steps):
+        raise PrecisionExhausted(
+            f"cap {cap} exceeds the precision of the decomposition"
+        )
+    total = SeriesVector.zero(d.ambient_dim, cap)
+    running = TruncSeries.one(cap)
+    for step in d.steps:
+        running = running * step.coefficient.truncate(cap)
+        term = SeriesVector(
+            tuple(running.scale(c) for c in step.vector)
+        )
+        total = total + term
+    return total
 
 
 # -- associative / G-associative pools -----------------------------------

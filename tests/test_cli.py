@@ -839,3 +839,96 @@ def test_subcommand_in_fresh_process(tmp_path, capsys, argv):
     out = capsys.readouterr().out
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_decompose_self_check_failure_is_internal(tmp_path, capsys, monkeypatch):
+    import valdef.decompose as decompose
+    from valdef.series import SeriesVector, TruncSeries
+
+    path = write(tmp_path, "v.json", {"cap": 4, "components": [["0", "1"], ["0", "0", "1"]]})
+    code, good, _ = run(capsys, "decompose", path)
+    assert code == 0 and good["detail"]["recomposition_check"] is True
+    real = decompose.recompose
+
+    def perturbed(d, cap=None):
+        rec = real(d, cap)
+        bump = TruncSeries.monomial(rec.cap, rec.cap)
+        return SeriesVector((rec.components[0] + bump,) + rec.components[1:])
+
+    # cmd_decompose imports recompose from its module at call time
+    monkeypatch.setattr(decompose, "recompose", perturbed)
+    code = main(["decompose", path])
+    out = capsys.readouterr()
+    assert code == 4
+    assert out.out == ""
+    assert out.err.startswith("Traceback (most recent call last):")
+    assert "RuntimeError: the flag decomposition does not recompose" in out.err
+
+
+def test_decompose_fuzzed_vector_documents(tmp_path, capsys):
+    """Any JSON document fed to `decompose` gets an answer (0), a one-line
+    refusal (2) or a precision verdict (3): one JSON document on stdout and
+    never a traceback."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def rationals(denominators):
+        return st.one_of(
+            st.builds(str, st.integers(-20, 20)),
+            st.builds("{}/{}".format, st.integers(-(10**12), 10**12), denominators),
+        )
+
+    coefficients = st.one_of(st.just("0"), rationals(st.integers(1, 12)))
+
+    def leaves_with(integers):
+        return st.one_of(
+            st.none(),
+            st.booleans(),
+            integers,
+            st.floats(),
+            st.text(max_size=8),
+            rationals(st.integers(-2, 12)),
+        )
+
+    leaves = leaves_with(st.integers(-(10**20), 10**20))
+
+    @st.composite
+    def documents(draw):
+        shape = draw(st.sampled_from(("vector", "vector", "vector", "leaf", "array")))
+        if shape == "leaf":
+            return draw(leaves)
+        if shape == "array":
+            return draw(st.lists(leaves, max_size=3))
+        cap = draw(st.integers(0, 12))
+        # mostly well-formed vectors over m, so that most documents decompose
+        in_m = st.lists(coefficients, max_size=cap).map(lambda xs: ["0", *xs])
+        anything = st.one_of(st.lists(st.one_of(coefficients, leaves), max_size=14), leaves)
+        if draw(st.integers(0, 9)) < 7:
+            components = draw(st.lists(in_m, min_size=1, max_size=6))
+        elif draw(st.booleans()):
+            components = draw(st.lists(st.one_of(in_m, anything), max_size=6))
+        else:
+            components = draw(leaves)
+        doc = {"components": components}
+        if draw(st.integers(0, 3)):
+            doc["cap"] = cap
+        elif draw(st.booleans()):
+            # caps stay small: a vector is padded to its cap
+            doc["cap"] = draw(leaves_with(st.integers(-2, 12)))
+        return doc
+
+    path = tmp_path / "v.json"
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(documents())
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        code = main(["decompose", str(path)])
+        out = capsys.readouterr()
+        assert code in (0, 2, 3), out.err
+        # exactly one JSON document, on one line
+        assert isinstance(json.loads(out.out), dict)
+        assert out.out.count("\n") == 1
+        assert "Traceback" not in out.err
+
+    check()

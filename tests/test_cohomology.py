@@ -19,7 +19,7 @@ from valdef.cohomology import (
     is_coboundary,
     super_bracket,
 )
-from valdef.errors import UnsupportedDegree
+from valdef.errors import NotLie, UnsupportedDegree
 
 from gens import (
     FILIFORM4,
@@ -414,3 +414,44 @@ def test_is_coboundary_exact_and_shifted_by_non_exact_cocycles():
                     assert not is_coboundary(g, exact - cocycle.scale(Fraction(2, 3)))
                     shifted.add((degree, coeff))
     assert shifted == {(d, c) for d in (1, 2, 3) for c in COEFFS}
+
+
+# fails Jacobi: [[e0,e1],e2] + [[e1,e2],e0] + [[e2,e0],e1] = e0 - e0 - e0 = -e0
+NOT_LIE = AlgebraStructure.lie(3, {(0, 1): {0: 1}, (0, 2): {0: 1}, (1, 2): {1: 1}})
+
+
+@pytest.mark.parametrize("coeff", COEFFS)
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_non_lie_table_is_refused(degree, coeff):
+    # the complement step needs delta o delta = 0, which only Jacobi gives
+    with pytest.raises(NotLie, match=r"Jacobi identity at triple \[0, 1, 2\]"):
+        cohomology_dim(NOT_LIE, degree, coeff)
+    f = Cochain.build(degree, 3, coeff, {})
+    with pytest.raises(NotLie, match=r"\[0, 1, 2\]"):
+        is_coboundary(NOT_LIE, f)
+
+
+def test_jacobi_verdict_computed_once(monkeypatch, capsys):
+    import valdef.algebra as algebra
+    from valdef import catalog
+    from valdef.cli import main
+
+    calls = []
+    real = algebra.jacobi_sums
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(algebra, "jacobi_sums", counting)
+    g = AlgebraStructure.lie(3, dict(SL2.table))
+    assert algebra.is_lie(g) == (True, None)
+    cohomology_dim(g, 2, "adjoint")
+    is_coboundary(g, Cochain.zero(2, 3))
+    assert len(calls) == 1
+    assert algebra.is_lie(NOT_LIE) == (False, (0, 1, 2))
+    # the CLI's own check and the library's share one verdict per call
+    calls.clear()
+    assert main(["cohomology", catalog.path("r2"), "--deg", "2", "--coeff", "adjoint"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()

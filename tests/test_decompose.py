@@ -8,10 +8,15 @@ import pytest
 
 from valdef import linalg
 from valdef.decompose import Flag, decompose, flag_of, flags_equal, recompose
-from valdef.errors import NotInMaximalIdeal, ZeroVector
+from valdef.errors import NotInMaximalIdeal, ValdefError, ZeroVector
 from valdef.series import SeriesVector, TruncSeries
 
-from gens import random_vector_in_m, sympy_row_space
+from gens import (
+    random_vector_in_m,
+    reference_decompose,
+    reference_recompose,
+    sympy_row_space,
+)
 
 
 def sv(literals, cap):
@@ -184,3 +189,59 @@ def test_flag_matches_per_prefix_row_space():
             cap=3,
         )
         assert flag_of(d).chain == per_prefix(d) == sympy_per_prefix(d)
+
+
+def test_matches_per_component_reference():
+    """decompose and recompose on one integer matrix equal the per-component
+    TruncSeries/Fraction reference of tests/gens.py, step for step."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    numerators = st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30))
+    coefficients = st.one_of(
+        st.just(0), st.builds(Fraction, numerators, st.integers(1, 12))
+    )
+
+    @st.composite
+    def vectors(draw):
+        cap = draw(st.integers(1, 12))
+        comps = []
+        for _ in range(draw(st.integers(1, 6))):
+            kind = draw(st.sampled_from(("zero", "series", "series", "combination")))
+            if kind == "zero":
+                comps.append([0] * (cap + 1))
+            elif kind == "combination" and comps:
+                # a combination of earlier components: its residual can vanish
+                a, b = draw(coefficients), draw(coefficients)
+                x, y = draw(st.sampled_from(comps)), draw(st.sampled_from(comps))
+                comps.append([a * p + b * q for p, q in zip(x, y)])
+            else:
+                val = draw(st.integers(1, cap))
+                comps.append(
+                    [0] * val + [draw(coefficients) for _ in range(cap + 1 - val)]
+                )
+        return SeriesVector(
+            tuple(TruncSeries.from_coeffs(c, cap=cap) for c in comps)
+        )
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(vectors(), st.sampled_from(("first", "last")))
+    @hypothesis.example(sv([[0, 1]], 1), "first")
+    @hypothesis.example(sv([[0], [0, 0, 0, 5]], 3), "last")
+    @hypothesis.example(sv([[0, 0, 1], [0, 0, -7, 2], [0]], 3), "first")
+    def check(w, order):
+        try:
+            want = reference_decompose(w, order)
+        except ValdefError as exc:
+            with pytest.raises(type(exc)):
+                decompose(w, order)
+            return
+        got = decompose(w, order)
+        assert got == want
+        assert [s.coefficient.cap for s in got.steps] == [
+            s.coefficient.cap for s in want.steps
+        ]
+        for cap in range(got.cap + 1):
+            assert recompose(got, cap) == reference_recompose(got, cap)
+        assert recompose(got) == w.truncate(got.cap)
+
+    check()
