@@ -176,14 +176,14 @@ def cmd_deform(args):
             "detail": detail,
         }
     if args.action == "decompose":
-        dd = decompose_deformation(d.base, d.perturbation(), d.cap)
+        dd = decompose_deformation(d)
         return EXIT_OK, {
             "ok": True,
             "cap_used": dd.cap,
             "detail": io.deformation_doc(dd),
         }
     if args.action == "graded":
-        dd = decompose_deformation(d.base, d.perturbation(), d.cap)
+        dd = decompose_deformation(d)
         system = graded_system(dd)
         detail = {
             "n_terms": len(dd.terms),
@@ -228,7 +228,7 @@ def cmd_deform(args):
             raise FormatError("polycheck needs --poly and --k")
         try:
             items = json.loads(args.poly)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise FormatError(f"--poly must be a JSON array of rationals: {exc}")
         if not isinstance(items, list):
             raise FormatError(
@@ -279,6 +279,17 @@ def cmd_rigidity(args):
     return EXIT_OK, {"ok": True, "detail": detail}
 
 
+def _files(args, what: str) -> list:
+    """The action's file paths: two for tensor, one for every other action."""
+    want = 2 if args.action == "tensor" else 1
+    if len(args.files) != want:
+        need = f"two {what}s" if want == 2 else f"one {what}"
+        raise FormatError(
+            f"{args.command} {args.action} needs {need}, got {len(args.files)}"
+        )
+    return args.files
+
+
 def _load_assoc(path):
     loaded = io.load_algebra(path)
     if loaded.kind != "assoc":
@@ -297,15 +308,16 @@ def cmd_gass(args):
 
     tag = SubgroupTag(args.group)
     signed = not args.unsigned
+    files = _files(args, "algebra file")
     if args.action == "check":
-        a = _load_assoc(args.files[0])
+        a = _load_assoc(files[0])
         ok, witness = g_associative_check(a, tag, signed=signed)
         detail = {"group": tag.value, "signed": signed, "dim": a.dim}
         if witness:
             detail["witness"] = {"triple": list(witness)}
         return (EXIT_OK if ok else EXIT_VIOLATED), {"ok": ok, "detail": detail}
     if args.action == "dual":
-        b = _load_assoc(args.files[0])
+        b = _load_assoc(files[0])
         ok, witness = dual_identity_check(b, tag)
         detail = {
             "group": tag.value,
@@ -316,10 +328,7 @@ def cmd_gass(args):
             detail["witness"] = {"triple": list(witness)}
         return (EXIT_OK if ok else EXIT_VIOLATED), {"ok": ok, "detail": detail}
     if args.action == "tensor":
-        if len(args.files) != 2:
-            raise FormatError("gass tensor needs two algebra files")
-        a = _load_assoc(args.files[0])
-        b = _load_assoc(args.files[1])
+        a, b = _load_assoc(files[0]), _load_assoc(files[1])
         prod = tensor_product(a, b)
         ok, witness = g_associative_check(prod, tag, signed=signed)
         detail = {
@@ -346,18 +355,16 @@ def _load_poisson(path):
 def cmd_poisson(args):
     from .nonassoc import opposite_poisson, poisson_tensor, poisson_verify
 
+    files = _files(args, "poisson file")
     if args.action == "verify":
-        p = _load_poisson(args.files[0])
+        p = _load_poisson(files[0])
         ok, witness = poisson_verify(p)
         detail: dict = {"dim": p.dim}
         if witness:
             detail["witness"] = {"axiom": witness[0], "args": list(witness[1])}
         return (EXIT_OK if ok else EXIT_VIOLATED), {"ok": ok, "detail": detail}
     if args.action == "tensor":
-        if len(args.files) != 2:
-            raise FormatError("poisson tensor needs two poisson files")
-        p = _load_poisson(args.files[0])
-        q = _load_poisson(args.files[1])
+        p, q = _load_poisson(files[0]), _load_poisson(files[1])
         out = poisson_tensor(p, q)
         ok, _ = poisson_verify(out)
         detail = {
@@ -369,7 +376,7 @@ def cmd_poisson(args):
         }
         return EXIT_OK, {"ok": ok, "detail": detail}
     if args.action == "opposite":
-        p = _load_poisson(args.files[0])
+        p = _load_poisson(files[0])
         out = opposite_poisson(p)
         detail = {
             "dim": out.dim,

@@ -80,16 +80,21 @@ def decompose(w: SeriesVector, pivot_order: str = "first") -> FlagDecomposition:
             )
     if w.is_zero():
         raise ZeroVector("cannot decompose a vector that is zero at its cap")
-
-    # component i is rows[i] / den; a row that is zero at the cap stays
-    # zero for good, so only the nonzero rows are kept, by index
     den = lcm(*(s.den for s in w.components))
-    rows = {
-        i: [x * (den // s.den) for x in s.nums]
-        for i, s in enumerate(w.components)
-        if not s.is_zero()
-    }
-    dim, cap = w.dim, w.cap
+    rows = [[x * (den // s.den) for x in s.nums] for s in w.components]
+    return decompose_rows(den, rows, pivot_order)
+
+
+def decompose_rows(den: int, rows, pivot_order: str = "first") -> FlagDecomposition:
+    """Flag decomposition of the vector whose component i is rows[i] / den.
+
+    The caller guarantees what `decompose` checks: the rows hold t^0 ..
+    t^cap, vanish at t^0 and are not all zero, and pivot_order is valid.
+    """
+    dim, cap = len(rows), len(rows[0]) - 1
+    # a row that is zero at the cap stays zero for good, so only the
+    # nonzero rows are kept, by index
+    rows = {i: row for i, row in enumerate(rows) if any(row)}
     steps = []
     while True:
         lead = {}
@@ -146,7 +151,7 @@ def decompose(w: SeriesVector, pivot_order: str = "first") -> FlagDecomposition:
             for row in rows.values():
                 row[:] = [x // common for x in row]
     return FlagDecomposition(
-        steps=tuple(steps), ambient_dim=w.dim, cap=steps[-1].coefficient.cap
+        steps=tuple(steps), ambient_dim=dim, cap=steps[-1].coefficient.cap
     )
 
 

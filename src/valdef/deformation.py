@@ -4,9 +4,20 @@ A Deformation holds a base Lie algebra and an ordered list of
 (series coefficient in m, degree-2 cochain) terms; the deformed bracket
 is mu + sum coeff_i * phi_i.  Coefficients of a decomposed deformation
 are the cumulative products b1...bi produced by the flag decomposition
-of the flattened perturbation, so the individual factors are recoverable
-by exact division.  Validity always means "zero Jacobi residual up to
-the cap": higher orders are unknown, and every report carries the cap.
+of the perturbation, so the individual factors are recoverable by exact
+division.  Validity always means "zero Jacobi residual up to the cap":
+higher orders are unknown, and every report carries the cap.
+
+The perturbation mu_t - mu is one integer matrix over one denominator,
+`(den, rows)` from `Deformation.perturbation`.  With n the dimension of
+the base and s the index of the pair (i, j), i < j, in lex order, row
+s * n + k holds the numerators of the t^0 .. t^cap coefficients of the
+e_k coordinate of mu_t(e_i, e_j) - mu(e_i, e_j); every coefficient is
+its numerator over den.  That is the slot order of `Cochain.flatten`,
+so the matrix is the flattened perturbation that the flag decomposition
+reads, and every row vanishes at t^0.  The decomposition, the gauge
+transport, the polynomial-form check and the equality test all read this
+matrix and multiply integer series with `series.mul_nums`.
 """
 
 from __future__ import annotations
@@ -18,16 +29,16 @@ from itertools import combinations
 from math import lcm
 
 from . import linalg
-from .algebra import AlgebraStructure, Cochain, add_scaled, jacobi_sums
+from .algebra import Cochain, add_scaled, jacobi_sums
 from .cohomology import coboundaries, coboundary, super_bracket
-from .decompose import decompose
+from .decompose import decompose_rows
 from .errors import (
     DimensionMismatch,
     InvalidDeformation,
     NotInMaximalIdeal,
     PrecisionExhausted,
 )
-from .series import SeriesVector, TruncSeries
+from .series import TruncSeries, mul_nums
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -69,19 +80,24 @@ class Deformation(namedtuple("Deformation", "base cap terms")):
     def trivial(cls, base, cap) -> Deformation:
         return cls.build(base, cap, [])
 
-    def perturbation(self) -> dict:
-        """(i, j) -> SeriesVector giving mu_t(e_i, e_j) - mu(e_i, e_j)."""
-        n = self.base.dim
-        out = {}
-        for i, j in combinations(range(n), 2):
-            comps = [TruncSeries.zero(self.cap) for _ in range(n)]
-            for coeff, phi in self.terms:
-                vec = phi.value((i, j))
-                for k, c in enumerate(vec):
-                    if c:
-                        comps[k] = comps[k] + coeff.scale(c)
-            out[(i, j)] = SeriesVector(tuple(comps))
-        return out
+    def perturbation(self) -> tuple[int, list[list[int]]]:
+        """mu_t - mu as the integer matrix (den, rows) of the module
+        docstring, summed from each term's coefficient numerators and the
+        integer constants of its cochain's `scaled_table`."""
+        n, cap = self.base.dim, self.cap
+        pairs = list(combinations(range(n), 2))
+        parts = [(coeff, *phi.scaled_table) for coeff, phi in self.terms]
+        den = lcm(1, *(coeff.den * pden for coeff, pden, _ in parts))
+        rows = [[0] * (cap + 1) for _ in range(len(pairs) * n)]
+        for coeff, pden, table in parts:
+            scale = den // (coeff.den * pden)
+            nums = [(p, scale * x) for p, x in enumerate(coeff.nums) if x]
+            for s, (i, j) in enumerate(pairs):
+                for k, c in table[i][j]:
+                    row = rows[s * n + k]
+                    for p, x in nums:
+                        row[p] += c * x
+        return den, rows
 
 
 def jacobi_residual(d: Deformation) -> dict:
@@ -132,53 +148,25 @@ def _require_valid(d: Deformation):
         )
 
 
-def pair_order(n: int):
-    """Slot order of the flattened perturbation: (i<j) pairs, then k."""
-    return list(combinations(range(n), 2))
+def decompose_deformation(d: Deformation) -> Deformation:
+    """Rewrite d's perturbation in decomposed (flag) form.
 
-
-def flatten_perturbation(base: AlgebraStructure, perturbation, cap) -> SeriesVector:
-    """Stack the perturbation series into one vector of length n^2(n-1)/2."""
-    n = base.dim
-    comps = []
-    for pair in pair_order(n):
-        vec = perturbation.get(pair)
-        if vec is None:
-            comps.extend(TruncSeries.zero(cap) for _ in range(n))
-            continue
-        if vec.dim != n:
-            raise DimensionMismatch("perturbation vectors must have length n")
-        comps.extend(s.truncate(cap) for s in vec.components)
-    return SeriesVector(tuple(comps))
-
-
-def decompose_deformation(base: AlgebraStructure, perturbation, cap) -> Deformation:
-    """Rewrite a raw bracket perturbation in decomposed (flag) form.
-
-    The flattened perturbation is decomposed over m, each flag vector is
+    The perturbation matrix is decomposed over m, each flag vector is
     reinterpreted as a 2-cochain, and the cumulative products b1...bi
     become the term coefficients.  The cochains are independent and the
     term count is bounded by n^2(n-1)/2.
     """
-    n = base.dim
-    for pair, vec in perturbation.items():
-        for idx, s in enumerate(vec.components):
-            if not s.in_maximal_ideal():
-                raise NotInMaximalIdeal(
-                    f"perturbation of {pair} has constant term in slot {idx}"
-                )
-    flat = flatten_perturbation(base, perturbation, cap)
-    if flat.is_zero():
-        return Deformation.trivial(base, cap)
-    fd = decompose(flat)
-    out_cap = fd.cap
+    den, rows = d.perturbation()
+    if not any(map(any, rows)):
+        return Deformation.trivial(d.base, d.cap)
+    fd = decompose_rows(den, rows)
     terms = []
     running = TruncSeries.one(fd.steps[0].coefficient.cap)
     for step in fd.steps:
         running = running * step.coefficient
-        phi = Cochain.from_flat(2, n, "adjoint", step.vector)
-        terms.append((running.truncate(out_cap), phi))
-    return Deformation.build(base, out_cap, terms)
+        phi = Cochain.from_flat(2, d.base.dim, "adjoint", step.vector)
+        terms.append((running.truncate(fd.cap), phi))
+    return Deformation.build(d.base, fd.cap, terms)
 
 
 def step_factors(d: Deformation):
@@ -303,10 +291,6 @@ def identity_plus(n: int, cap: int, nilpotent=None, power: int = 1):
     return tuple(rows)
 
 
-def _matrix_cap(f) -> int:
-    return min(entry.cap for row in f for entry in row)
-
-
 def _check_unipotent(f):
     for r, row in enumerate(f):
         for c, entry in enumerate(row):
@@ -381,79 +365,90 @@ def series_matrix_inverse(f, cap):
     )
 
 
-def series_matrix_apply(f, vec: SeriesVector, cap) -> SeriesVector:
-    n = len(f)
-    comps = []
-    for r in range(n):
-        acc = TruncSeries.zero(cap)
-        for c in range(n):
-            acc = acc + f[r][c].truncate(cap) * vec.components[c].truncate(cap)
-        comps.append(acc)
-    return SeriesVector(tuple(comps))
+def _columns(f, cap):
+    """(den, cols) of a series matrix: cols[c] lists (r, nums) for each
+    nonzero f[r][c] = nums / den, with nums the integers of t^0 .. t^cap."""
+    den = lcm(*(entry.den for row in f for entry in row))
+    return den, [
+        [
+            (r, [x * (den // row[c].den) for x in row[c].nums[: cap + 1]])
+            for r, row in enumerate(f)
+            if not row[c].is_zero()
+        ]
+        for c in range(len(f))
+    ]
+
+
+def _contract(pairs, cap):
+    """Sum of x * vec over (x, vec) in pairs, each vec a [(k, series)] list
+    of integer series up to t^cap; the nonzero (k, series), by k."""
+    acc: dict[int, list[int]] = {}
+    for x, vec in pairs:
+        for k, y in vec:
+            prod, prev = mul_nums(x, y, cap), acc.get(k)
+            acc[k] = prod if prev is None else [u + v for u, v in zip(prev, prod)]
+    return [(k, acc[k]) for k in sorted(acc) if any(acc[k])]
 
 
 def transport(d: Deformation, f) -> Deformation:
     """Re-express (x, y) -> f^-1(mu_t(f(x), f(y))) over the same base.
 
-    The result is in t-power form: one term per order with a monomial
-    coefficient.  Valid iff the input is valid.
+    mu_t is the base table plus the perturbation matrix, as integer
+    series mu[a][b][k] over one denominator.  With F = f and G = f^-1,
+    coordinate r of the transported bracket of (e_i, e_j) is the sum of
+    G[r][k] F[b][j] F[a][i] mu[a][b][k], contracted one index at a time
+    with `series.mul_nums`: O(n^4) series products.  The result is in
+    t-power form: one term per order with a monomial coefficient.  Valid
+    iff the input is valid.
     """
     n = d.base.dim
     if len(f) != n or any(len(row) != n for row in f):
         raise DimensionMismatch("endomorphism must be n x n over the base")
-    cap = min(d.cap, _matrix_cap(f))
+    cap = min(d.cap, *(entry.cap for row in f for entry in row))
     if cap < 1:
         raise PrecisionExhausted("no precision left below t^1")
-    f_inv = series_matrix_inverse(f, cap)
+    gden, g_cols = _columns(series_matrix_inverse(f, cap), cap)
+    fden, f_cols = _columns(f, cap)
 
-    den, table = d.base.scaled_table
-    consts = {(i, j): dict(table[i][j]) for i, j in combinations(range(n), 2)}
-    mu_t = {}
-    pert = d.perturbation()
-    for (i, j), const in consts.items():
-        comps = [
-            TruncSeries(den, [const.get(k, 0)] + [0] * cap)
-            + pert[(i, j)].components[k].truncate(cap)
-            for k in range(n)
-        ]
-        mu_t[(i, j)] = SeriesVector(tuple(comps))
-
-    def mu_t_bilinear(u, v):
-        acc = SeriesVector.zero(n, cap)
-        for a, b in combinations(range(n), 2):
-            factor = u.components[a] * v.components[b] - u.components[b] * v.components[a]
-            if factor.is_zero():
-                continue
-            acc = acc + mu_t[(a, b)].scale(factor)
-        return acc
-
-    columns = [
-        SeriesVector(tuple(f[r][c].truncate(cap) for r in range(n)))
-        for c in range(n)
-    ]
-    by_power: dict[int, dict] = {}
-    for (i, j), const in consts.items():
-        transported = series_matrix_apply(
-            f_inv, mu_t_bilinear(columns[i], columns[j]), cap
-        )
+    # mu[a][b] lists the nonzero (k, den * mu_t(e_a, e_b)_k) for all a, b
+    bden, table = d.base.scaled_table
+    pden, prows = d.perturbation()
+    den = lcm(bden, pden)
+    pairs = list(combinations(range(n), 2))
+    mu = [[[] for _ in range(n)] for _ in range(n)]
+    for s, (a, b) in enumerate(pairs):
+        const = dict(table[a][b])
         for k in range(n):
-            comp = transported.components[k]
-            if comp.nums[0] * den != const.get(k, 0) * comp.den:
+            series = [x * (den // pden) for x in prows[s * n + k][: cap + 1]]
+            series[0] += const.get(k, 0) * (den // bden)
+            if any(series):
+                mu[a][b].append((k, series))
+                mu[b][a].append((k, [-x for x in series]))
+    # first slot: den * fden * mu_t(f e_i, e_b), for each i < n - 1 and b
+    first = [
+        [_contract(((x, mu[a][b]) for a, x in f_cols[i]), cap) for b in range(n)]
+        for i in range(n - 1)
+    ]
+    out_den = den * fden * fden * gden
+    by_power: dict[int, dict] = {}
+    for i, j in pairs:
+        both = _contract(((x, first[i][b]) for b, x in f_cols[j]), cap)
+        out = dict(_contract(((y, g_cols[k]) for k, y in both), cap))
+        const = dict(table[i][j])
+        for k in range(n):
+            series = out.get(k, [0])
+            if series[0] * bden != const.get(k, 0) * out_den:
                 raise InvalidDeformation(
                     "transport did not preserve the base bracket at t^0"
                 )
-            coeffs = comp.coeffs
-            for p in range(1, cap + 1):
-                if coeffs[p]:
-                    by_power.setdefault(p, {}).setdefault((i, j), [ZERO] * n)[
-                        k
-                    ] = coeffs[p]
-    terms = []
-    for p in sorted(by_power):
-        phi = Cochain.build(
-            2, n, "adjoint", {pair: tuple(vec) for pair, vec in by_power[p].items()}
-        )
-        terms.append((TruncSeries.monomial(p, cap), phi))
+            for p, x in enumerate(series[1:], 1):
+                if x:
+                    vec = by_power.setdefault(p, {}).setdefault((i, j), [ZERO] * n)
+                    vec[k] = Fraction(x, out_den)
+    terms = [
+        (TruncSeries.monomial(p, cap), Cochain.build(2, n, "adjoint", by_power[p]))
+        for p in sorted(by_power)
+    ]
     return Deformation.build(d.base, cap, terms)
 
 
@@ -462,13 +457,12 @@ def perturbations_equal(d1: Deformation, d2: Deformation) -> bool:
     if d1.base.dim != d2.base.dim:
         return False
     cap = min(d1.cap, d2.cap)
-    p1, p2 = d1.perturbation(), d2.perturbation()
-    for pair in pair_order(d1.base.dim):
-        a = p1[pair].truncate(cap)
-        b = p2[pair].truncate(cap)
-        if not (a - b).is_zero():
-            return False
-    return True
+    (den1, rows1), (den2, rows2) = d1.perturbation(), d2.perturbation()
+    return all(
+        x * den2 == y * den1
+        for r1, r2 in zip(rows1, rows2)
+        for x, y in zip(r1[: cap + 1], r2[: cap + 1])
+    )
 
 
 def polynomial_form_check(d: Deformation, poly, k: int) -> bool:
@@ -478,7 +472,8 @@ def polynomial_form_check(d: Deformation, poly, k: int) -> bool:
     deg P <= k.  Multiplying the deformed bracket by P is exactly the
     transport by the scalar endomorphism Id * P, so the check is that
     (P - 1) * mu + P * perturbation has no terms above t^k at the cap.
-    deg (P - 1) <= k, so only P * perturbation can have such terms.
+    deg (P - 1) <= k, so only P * perturbation can have such terms: each
+    row of the perturbation matrix is multiplied by P's numerators.
     """
     poly = [Fraction(c) for c in poly]
     if not poly or poly[0] != 1:
@@ -489,9 +484,9 @@ def polynomial_form_check(d: Deformation, poly, k: int) -> bool:
         raise PrecisionExhausted(
             f"cap {d.cap} cannot see any order above t^{k}"
         )
-    p_series = TruncSeries.from_coeffs(poly, cap=d.cap)
-    for vec in d.perturbation().values():
-        for comp in vec.components:
-            if any((p_series * comp).nums[k + 1 :]):
-                return False
-    return True
+    den = lcm(*(c.denominator for c in poly))
+    p_nums = [c.numerator * (den // c.denominator) for c in poly]
+    _, rows = d.perturbation()
+    return not any(
+        any(mul_nums(p_nums, row, d.cap)[k + 1 :]) for row in rows if any(row)
+    )

@@ -18,13 +18,20 @@ from .errors import FormatError
 from .series import SeriesVector, TruncSeries, parse_rational, rational_str
 
 
+# Largest dim and cap read from outside input: a table takes dim^2 slots
+# and a series cap + 1 coefficients before any work starts.  The tests and
+# benchmark corpora use dims up to 12 and caps up to 24.
+MAX_DIM = 100
+MAX_CAP = 1000
+
+
 def load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the int digit limit
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -49,6 +56,8 @@ def _cap(value) -> int:
     cap = _int(value, "cap")
     if cap < 0:
         raise FormatError(f"cap must be non-negative, got {cap}")
+    if cap > MAX_CAP:
+        raise FormatError(f"cap {cap} exceeds the largest supported cap {MAX_CAP}")
     return cap
 
 
@@ -115,6 +124,8 @@ def parse_algebra(doc) -> AlgebraFile:
     dim = _int(doc["dim"], "dim")
     if dim < 1:
         raise FormatError(f"dim must be at least 1, got {dim}")
+    if dim > MAX_DIM:
+        raise FormatError(f"dim {dim} exceeds the largest supported dim {MAX_DIM}")
     kind = doc["kind"]
     basis = doc.get("basis")
     if basis is not None and not isinstance(basis, list):

@@ -328,10 +328,6 @@ class SeriesVector(Frozen):
             raise ValueError(f"components carry mixed caps {sorted(caps)}")
         object.__setattr__(self, "components", components)
 
-    @classmethod
-    def zero(cls, dim: int, cap: int) -> SeriesVector:
-        return cls(tuple(TruncSeries.zero(cap) for _ in range(dim)))
-
     @property
     def dim(self) -> int:
         return len(self.components)
@@ -343,26 +339,5 @@ class SeriesVector(Frozen):
     def is_zero(self) -> bool:
         return all(s.is_zero() for s in self.components)
 
-    def in_maximal_ideal(self) -> bool:
-        return all(s.in_maximal_ideal() for s in self.components)
-
     def truncate(self, cap: int) -> SeriesVector:
         return SeriesVector(tuple(s.truncate(cap) for s in self.components))
-
-    def __add__(self, other: SeriesVector) -> SeriesVector:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return SeriesVector(
-            tuple(a + b for a, b in zip(self.components, other.components))
-        )
-
-    def __sub__(self, other: SeriesVector) -> SeriesVector:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return SeriesVector(
-            tuple(a - b for a, b in zip(self.components, other.components))
-        )
-
-    def scale(self, factor) -> SeriesVector:
-        """Multiply every component by a series or scalar."""
-        return SeriesVector(tuple(s * factor for s in self.components))

@@ -391,7 +391,20 @@ def random_direction(rng, n):
 
 
 def decomposed(d: Deformation) -> Deformation:
-    return decompose_deformation(d.base, d.perturbation(), d.cap)
+    return decompose_deformation(d)
+
+
+def perturbation_series(d: Deformation) -> dict:
+    """(i, j) -> the n TruncSeries coordinates of mu_t(e_i, e_j) - mu(e_i, e_j),
+    read off the integer matrix of `Deformation.perturbation`."""
+    from itertools import combinations
+
+    n = d.base.dim
+    den, rows = d.perturbation()
+    return {
+        pair: tuple(TruncSeries(den, rows[s * n + k]) for k in range(n))
+        for s, pair in enumerate(combinations(range(n), 2))
+    }
 
 
 # -- per-component flag decomposition, the oracle of `valdef.decompose` ----
@@ -451,22 +464,19 @@ def reference_decompose(w: SeriesVector, pivot_order: str = "first"):
 
 
 def reference_recompose(d: FlagDecomposition, cap=None) -> SeriesVector:
-    """sum of (b1...bi) * Vi through TruncSeries products and SeriesVector sums."""
+    """sum of (b1...bi) * Vi through TruncSeries products and sums."""
     if cap is None:
         cap = d.cap
     if d.steps and cap > min(s.coefficient.cap for s in d.steps):
         raise PrecisionExhausted(
             f"cap {cap} exceeds the precision of the decomposition"
         )
-    total = SeriesVector.zero(d.ambient_dim, cap)
+    total = (TruncSeries.zero(cap),) * d.ambient_dim
     running = TruncSeries.one(cap)
     for step in d.steps:
         running = running * step.coefficient.truncate(cap)
-        term = SeriesVector(
-            tuple(running.scale(c) for c in step.vector)
-        )
-        total = total + term
-    return total
+        total = tuple(s + running.scale(c) for s, c in zip(total, step.vector))
+    return SeriesVector(total)
 
 
 # -- associative / G-associative pools -----------------------------------

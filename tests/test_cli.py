@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import valdef.catalog as catalog
+from valdef import io
 from valdef.cli import main
 
 
@@ -505,6 +506,16 @@ COH = ["--deg", "2", "--coeff", "adjoint"]
 NON_UNIPOTENT = {"cap": 4, "matrix": [[["2"], ["0"]], [["0"], ["1"]]]}
 
 
+# the field K as a one-dimensional algebra, associative and Poisson
+ASSOC1 = {"dim": 1, "kind": "assoc", "table": [{"i": 0, "j": 0, "out": [{"k": 0, "c": "1"}]}]}
+POISSON1 = {
+    "dim": 1,
+    "kind": "poisson",
+    "assoc_table": ASSOC1["table"],
+    "bracket_table": [],
+}
+
+
 # every integer field a numeric string; rigidity --asserted-rigid used to
 # read it and print a full report with exit 0
 STRING_INTS = {
@@ -717,6 +728,72 @@ MALFORMED = [
         {"d": _term([{"args": ["0", 1], "out": []}])},
         "cochain args index must be an integer, got '0'",
     ),
+    # dims and caps from outside input are bounded before anything is allocated
+    (
+        ["check", "@a"],
+        {"a": dict(LIE2, dim=io.MAX_DIM + 1)},
+        f"dim {io.MAX_DIM + 1} exceeds the largest supported dim {io.MAX_DIM}",
+    ),
+    (["check", "@a"], {"a": dict(LIE2, dim=10**30)}, "exceeds the largest supported dim"),
+    (["check", "@a"], {"a": dict(LIE2, dim=1e300)}, "exceeds the largest supported dim"),
+    (
+        ["poisson", "verify", "@a"],
+        {"a": {"dim": 1e300, "kind": "poisson", "assoc_table": [], "bracket_table": []}},
+        "exceeds the largest supported dim",
+    ),
+    (
+        ["decompose", "@v"],
+        {"v": dict(VECTOR, cap=io.MAX_CAP + 1)},
+        f"cap {io.MAX_CAP + 1} exceeds the largest supported cap {io.MAX_CAP}",
+    ),
+    (["decompose", "@v"], {"v": dict(VECTOR, cap=1e300)}, "exceeds the largest supported cap"),
+    (
+        ["decompose", "--cap", str(io.MAX_CAP + 1), "@v"],
+        {"v": {"components": [["0"]]}},
+        "exceeds the largest supported cap",
+    ),
+    (
+        ["deform", "verify", "@d"],
+        {"d": dict(DEFORM, cap=io.MAX_CAP + 1)},
+        "exceeds the largest supported cap",
+    ),
+    (["deform", "verify", "@d"], {"d": dict(DEFORM, cap=1e300)}, "exceeds the largest supported cap"),
+    (
+        ["deform", "transport", "@d", "--endo", "@f"],
+        {"d": DEFORM, "f": {"cap": io.MAX_CAP + 1, "matrix": []}},
+        "exceeds the largest supported cap",
+    ),
+    # every file named is read: an action taking one file refuses two
+    (
+        ["gass", "check", "@a", "@b", "--group", "Id"],
+        {"a": ASSOC1, "b": {}},
+        "gass check needs one algebra file, got 2",
+    ),
+    (
+        ["gass", "dual", "@a", "@b", "--group", "T12"],
+        {"a": ASSOC1, "b": {}},
+        "gass dual needs one algebra file, got 2",
+    ),
+    (
+        ["gass", "tensor", "@a", "--group", "Id"],
+        {"a": ASSOC1},
+        "gass tensor needs two algebra files, got 1",
+    ),
+    (
+        ["poisson", "verify", "@a", "@b"],
+        {"a": POISSON1, "b": {}},
+        "poisson verify needs one poisson file, got 2",
+    ),
+    (
+        ["poisson", "opposite", "@a", "@b"],
+        {"a": POISSON1, "b": {}},
+        "poisson opposite needs one poisson file, got 2",
+    ),
+    (
+        ["poisson", "tensor", "@a", "@a", "@a"],
+        {"a": POISSON1},
+        "poisson tensor needs two poisson files, got 3",
+    ),
 ]
 
 
@@ -728,6 +805,22 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, files, reason):
     assert code == 2 and doc["ok"] is False
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert reason in err
+
+
+def test_overlong_integer_literals_exit_2(tmp_path, capsys):
+    """An integer literal past the interpreter's limit on int digits is
+    malformed input, in a file and in --poly, not a traceback."""
+    digits = "1" + "0" * 5000
+    path = tmp_path / "a.json"
+    path.write_text('{"dim": ' + digits + ', "kind": "lie"}')
+    deform = write(tmp_path, "d.json", DEFORM)
+    for argv in (
+        ["check", str(path)],
+        ["deform", "polycheck", deform, "--poly", f"[{digits}]", "--k", "1"],
+    ):
+        code, doc, err = run(capsys, *argv)
+        assert code == 2 and doc["ok"] is False
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_tracer_layers_resolve():

@@ -3,11 +3,19 @@
 import random
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from valdef import linalg
-from valdef.decompose import Flag, decompose, flag_of, flags_equal, recompose
+from valdef.decompose import (
+    Flag,
+    decompose,
+    decompose_rows,
+    flag_of,
+    flags_equal,
+    recompose,
+)
 from valdef.errors import NotInMaximalIdeal, ValdefError, ZeroVector
 from valdef.series import SeriesVector, TruncSeries
 
@@ -98,7 +106,7 @@ def test_errors():
     with pytest.raises(NotInMaximalIdeal):
         decompose(sv([[1, 1], [0, 1]], 3))
     with pytest.raises(ZeroVector):
-        decompose(SeriesVector.zero(3, 4))
+        decompose(sv([[0], [0], [0]], 4))
 
 
 def test_flags_equal_ignores_basis_choice():
@@ -237,6 +245,10 @@ def test_matches_per_component_reference():
             return
         got = decompose(w, order)
         assert got == want
+        # the same vector over a denominator with a common factor
+        den = 6 * lcm(*(s.den for s in w.components))
+        rows = [[x * (den // s.den) for x in s.nums] for s in w.components]
+        assert decompose_rows(den, rows, order) == want
         assert [s.coefficient.cap for s in got.steps] == [
             s.coefficient.cap for s in want.steps
         ]

@@ -3,6 +3,7 @@
 import random
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -42,6 +43,7 @@ from gens import (
     eval_vectors,
     frac,
     mu_cochain,
+    perturbation_series,
     random_cochain,
     random_direction,
     random_invertible,
@@ -84,10 +86,10 @@ def deformed_bracket(d, x, y):
     """[x, y] of the base at t^0 plus sum c_i * phi_i(x, y), from the
     perturbation that `Deformation.perturbation` gives on basis pairs."""
     comps = [TruncSeries.constant(c, d.cap) for c in d.base.bilinear(x, y)]
-    for (i, j), vec in d.perturbation().items():
+    for (i, j), vec in perturbation_series(d).items():
         factor = x[i] * y[j] - x[j] * y[i]
         if factor:
-            comps = [a + s.scale(factor) for a, s in zip(comps, vec.components)]
+            comps = [a + s.scale(factor) for a, s in zip(comps, vec)]
     return SeriesVector(tuple(comps))
 
 
@@ -199,15 +201,17 @@ def test_max_rank_degenerate_cases():
 
 
 def test_decompose_deformation_cases():
-    pert = {
-        (0, 1): SeriesVector(
-            (TruncSeries.zero(5), TruncSeries.zero(5), TruncSeries.monomial(1, 5))
-        ),
-        (0, 2): SeriesVector(
-            (TruncSeries.zero(5), TruncSeries.zero(5), TruncSeries.monomial(2, 5))
-        ),
-    }
-    dd = decompose_deformation(AB3, pert, 5)
+    # perturbation t * e3 on (0, 1) and t^2 * e3 on (0, 2)
+    phi_e13_e3 = Cochain.build(2, 3, "adjoint", {(0, 2): (0, 0, 1)})
+    pert = Deformation.build(
+        AB3,
+        5,
+        [
+            (TruncSeries.monomial(1, 5), PHI_E12_E3),
+            (TruncSeries.monomial(2, 5), phi_e13_e3),
+        ],
+    )
+    dd = decompose_deformation(pert)
     assert len(dd.terms) == 2
     assert dd.terms[0][0] == TruncSeries.monomial(1, dd.cap)
     assert dd.terms[0][1] == PHI_E12_E3
@@ -217,22 +221,27 @@ def test_decompose_deformation_cases():
     # single-cochain perturbation: one term, pivot-normalized
     psi = Cochain.build(2, 3, "adjoint", {(0, 1): (0, 2, 0), (1, 2): (1, 0, 0)})
     raw = Deformation.build(AB3, 5, [(TruncSeries.monomial(1, 5), psi)])
-    dd2 = decompose_deformation(AB3, raw.perturbation(), 5)
+    dd2 = decompose_deformation(raw)
     assert len(dd2.terms) == 1
     assert dd2.terms[0][1].value((0, 1)) == (0, 1, 0)  # scaled so pivot = 1
     assert perturbations_equal(dd2, raw)
 
-    assert decompose_deformation(AB3, {}, 4).terms == ()
+    assert decompose_deformation(Deformation.trivial(AB3, 4)).terms == ()
+    # terms that cancel leave a zero perturbation: the trivial deformation
+    t = TruncSeries.monomial(1, 4)
+    cancel = Deformation.build(AB3, 4, [(t, PHI_E12_E3), (-t, PHI_E12_E3)])
+    assert decompose_deformation(cancel) == Deformation.trivial(AB3, 4)
 
 
 def test_decompose_deformation_rejects_constant_terms():
-    pert = {
-        (0, 1): SeriesVector(
-            (TruncSeries.one(3), TruncSeries.zero(3), TruncSeries.zero(3))
-        )
-    }
+    """A perturbation with a constant term in a slot never reaches the
+    decomposition: `Deformation.build` refuses the coefficient."""
     with pytest.raises(NotInMaximalIdeal):
-        decompose_deformation(AB3, pert, 3)
+        Deformation.build(AB3, 3, [(TruncSeries.one(3), PHI_E12_E3)])
+    with pytest.raises(NotInMaximalIdeal):
+        Deformation.build(
+            AB3, 3, [(TruncSeries.from_coeffs([Fraction(1, 2), 1], cap=3), PHI_E12_E3)]
+        )
 
 
 def test_roundtrip_random_decomposition():
@@ -334,11 +343,144 @@ def test_transport_direct_expansion_oracle():
                             out[r][p + q] += coeff * w[c][q]
         return out
 
-    pert = td.perturbation()
+    pert = perturbation_series(td)
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         want = oracle(i, j)
-        got = [list(s.coeffs) for s in pert[(i, j)].components]
+        got = [list(s.coeffs) for s in pert[(i, j)]]
         assert got == want
+
+
+def _pmul(a, b, cap):
+    """Product of two Fraction coefficient lists, up to t^cap."""
+    out = [Fraction(0)] * (cap + 1)
+    for i, x in enumerate(a[: cap + 1]):
+        if x:
+            for j, y in enumerate(b[: cap + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def expanded_bracket(d, cap):
+    """(i, j) -> the n Fraction coefficient lists of mu_t(e_i, e_j), i < j,
+    read from the base table and each term's coefficients and cochain
+    values, without `Deformation.perturbation`."""
+    n = d.base.dim
+    out = {}
+    for pair in combinations(range(n), 2):
+        vec = [[Fraction(0)] * (cap + 1) for _ in range(n)]
+        for k, c in d.base.table.get(pair, ()):
+            vec[k][0] += c
+        for coeff, phi in d.terms:
+            for k, c in enumerate(phi.value(pair)):
+                for p in range(cap + 1):
+                    vec[k][p] += c * coeff.coeffs[p]
+        out[pair] = vec
+    return out
+
+
+def transport_oracle(bracket, f, f_inv, n, cap):
+    """f_inv(mu_t(f e_i, f e_j)) for every i < j, multiplied out on Fraction
+    lists; f and f_inv are n x n matrices of coefficient lists and bracket
+    is an `expanded_bracket`."""
+
+    def mu_t(x, y):
+        out = [[Fraction(0)] * (cap + 1) for _ in range(n)]
+        for (a, b), vec in bracket.items():
+            factor = [
+                p - q for p, q in zip(_pmul(x[a], y[b], cap), _pmul(x[b], y[a], cap))
+            ]
+            for k in range(n):
+                out[k] = [u + v for u, v in zip(out[k], _pmul(factor, vec[k], cap))]
+        return out
+
+    out = {}
+    for i, j in bracket:
+        w = mu_t([row[i] for row in f], [row[j] for row in f])
+        res = [[Fraction(0)] * (cap + 1) for _ in range(n)]
+        for r in range(n):
+            for k in range(n):
+                res[r] = [u + v for u, v in zip(res[r], _pmul(f_inv[r][k], w[k], cap))]
+        out[(i, j)] = res
+    return out
+
+
+def test_transport_matches_fraction_expansion():
+    """transport, by f and by its inverse (the CLI's --inverse), equals
+    f^-1(mu_t(f x, f y)) multiplied out on Fraction lists, for random Lie
+    bases, random (not necessarily valid) terms and f = Id + t^p N; the
+    round trip gives the input bracket back at the common cap."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(
+        st.randoms(use_true_random=False),
+        st.integers(2, 5),
+        st.integers(1, 8),
+        st.integers(1, 8),
+        st.integers(0, 3),
+    )
+    def check(rng, n, dcap, fcap, count):
+        terms = [
+            (
+                random_series_in_m(rng, dcap, max_num=9, max_den=7),
+                random_cochain(rng, n, 2, "adjoint"),
+            )
+            for _ in range(count)
+        ]
+        d = Deformation.build(random_lie(rng, n), dcap, terms)
+        power = rng.randint(1, fcap)
+        f = identity_plus(n, fcap, random_direction(rng, n), power)
+        cap = min(dcap, fcap)
+        g = series_matrix_inverse(f, cap)
+        f_lists = [[list(e.coeffs[: cap + 1]) for e in row] for row in f]
+        g_lists = neumann_inverse(f, cap)
+        bracket = expanded_bracket(d, cap)
+        td = transport(d, f)
+        assert td.cap == cap
+        assert expanded_bracket(td, cap) == transport_oracle(
+            bracket, f_lists, g_lists, n, cap
+        )
+        assert expanded_bracket(transport(d, g), cap) == transport_oracle(
+            bracket, g_lists, f_lists, n, cap
+        )
+        assert expanded_bracket(transport(td, g), cap) == bracket
+
+    check()
+
+
+def test_perturbation_matrix_matches_fraction_sum():
+    """Row s * n + k of `Deformation.perturbation` over its denominator is
+    the sum of coeff * phi.flatten()[s * n + k] over the terms, in Fractions."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(
+        st.randoms(use_true_random=False),
+        st.integers(2, 5),
+        st.integers(1, 8),
+        st.integers(0, 4),
+    )
+    def check(rng, n, cap, count):
+        terms = [
+            (
+                random_series_in_m(rng, cap + rng.randint(0, 2), max_num=9, max_den=7),
+                random_cochain(rng, n, 2, "adjoint", allow_zero=True),
+            )
+            for _ in range(count)
+        ]
+        d = Deformation.build(random_lie(rng, n), cap, terms)
+        den, rows = d.perturbation()
+        flats = [(coeff.coeffs, phi.flatten()) for coeff, phi in terms]
+        want = [
+            [sum((c[p] * v[slot] for c, v in flats), Fraction(0)) for p in range(cap + 1)]
+            for slot in range(n * n * (n - 1) // 2)
+        ]
+        assert den > 0
+        assert [[Fraction(x, den) for x in row] for row in rows] == want
+
+    check()
 
 
 def test_transport_rejects_non_unipotent():
@@ -388,17 +530,11 @@ def find_polynomial_form(d, k):
     Independent of polynomial_form_check: the constraints are assembled
     directly from the perturbation coefficients and solved exactly.
     """
-    from itertools import combinations
-
     from valdef import linalg
 
-    pert = d.perturbation()
-    n, cap = d.base.dim, d.cap
-    slots = [
-        pert[pair].components[coord].coeffs
-        for pair in combinations(range(n), 2)
-        for coord in range(n)
-    ]
+    den, rows = d.perturbation()
+    cap = d.cap
+    slots = [[Fraction(x, den) for x in row] for row in rows]
     columns = []
     for q in range(1, k + 1):
         col = []
@@ -428,7 +564,7 @@ def test_maximal_rank_deformations_admit_polynomial_form():
         ]
         p0 = TruncSeries.from_coeffs(coeffs, cap=cap)
         q = p0.invert()
-        pert = base_d.perturbation()
+        pert = perturbation_series(base_d)
         mu = mu_cochain(R2K)
         terms = []
         q_minus_1 = q - TruncSeries.one(cap)
@@ -438,7 +574,7 @@ def test_maximal_rank_deformations_admit_polynomial_form():
         for pair in combs(range(3), 2):
             base_vec = mu.value(pair)
             for coord in range(3):
-                s = q_minus_1.scale(base_vec[coord]) + q * pert[pair].components[coord]
+                s = q_minus_1.scale(base_vec[coord]) + q * pert[pair][coord]
                 for p in range(1, cap + 1):
                     if s.coeffs[p]:
                         by_power.setdefault(p, {}).setdefault(pair, [Fraction(0)] * 3)[
