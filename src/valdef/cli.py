@@ -127,6 +127,16 @@ def cmd_decompose(args):
         # both sides are exact, so a mismatch is a bug: exit 4, traceback
         raise RuntimeError("the flag decomposition does not recompose to its input")
     flag = flag_of(fd)
+    # a row that did not change from one level to the next is one tuple
+    # object, so it is printed once
+    printed = {}
+
+    def row_doc(row):
+        doc = printed.get(id(row))
+        if doc is None:
+            doc = printed[id(row)] = _fracs(row)
+        return doc
+
     detail = {
         "length": fd.length,
         "ambient_dim": fd.ambient_dim,
@@ -138,7 +148,7 @@ def cmd_decompose(args):
             }
             for s in fd.steps
         ],
-        "flag": [[_fracs(row) for row in level] for level in flag.chain],
+        "flag": [[row_doc(row) for row in level] for level in flag.chain],
         "recomposition_check": True,
     }
     return EXIT_OK, {"ok": True, "cap_used": vec.cap, "detail": detail}
@@ -216,8 +226,11 @@ def cmd_deform(args):
             raise FormatError("transport needs --endo ENDOMORPHISM_FILE")
         f = io.parse_endomorphism(io.load_json(args.endo), d.base.dim, d.cap)
         if args.inverse:
-            f = series_matrix_inverse(f, min(d.cap, min(e.cap for r in f for e in r)))
-        out = transport(d, f)
+            # transport by F^-1, whose inverse is F itself
+            g = series_matrix_inverse(f, min(d.cap, min(e.cap for r in f for e in r)))
+            out = transport(d, g, f)
+        else:
+            out = transport(d, f)
         return EXIT_OK, {
             "ok": True,
             "cap_used": out.cap,

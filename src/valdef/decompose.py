@@ -20,6 +20,12 @@ divided out of the whole matrix.  The pivot row and every row that
 vanishes are dropped: a zero row stays zero for good.  `recompose` keeps
 the running product b1...bi as integers (`series.mul_nums`) and builds
 series only at the end.
+
+`flag_of` builds the chain one step at a time on one reduced integer
+echelon, with `linalg`'s fraction-free elimination step: each step vector
+is reduced against the rows so far, and a new lead column is cleared from
+the earlier rows, so no level is row-reduced from scratch.  Only the rows
+a step changed are written out again as Fractions.
 """
 
 from __future__ import annotations
@@ -194,13 +200,42 @@ def recompose(d: FlagDecomposition, cap: int | None = None) -> SeriesVector:
 def flag_of(d: FlagDecomposition) -> Flag:
     """Chain of row-reduced bases of span(V1..Vi) for i = 1..h.
 
-    Each level is `linalg.row_space` of the level before it and the next
-    step vector, so every level is the RREF basis of its prefix.
+    One reduced integer echelon is kept from level to level: a primitive
+    row per lead column, and no lead column in any other row.  Each step
+    vector, its denominators cleared, is reduced against it with
+    `linalg._cancel`.  What is left, if anything, becomes the row of a new
+    lead column, and that column is cleared from the earlier rows.  A level
+    is its rows in lead order, each divided by its lead entry: the
+    canonical RREF basis of its prefix, as `linalg.row_space` writes it.  A
+    row that did not change keeps its tuple from the level before, and a
+    step that adds nothing repeats the level.
     """
+    ncols = d.ambient_dim
+    pivots: dict[int, dict] = {}  # lead column -> primitive integer row
+    written: dict[int, tuple] = {}  # lead column -> row over its lead entry
     chain = []
     level = ()
     for step in d.steps:
-        level = tuple(linalg.row_space([*level, step.vector]))
+        vec = linalg.integer_row(step.vector)[1]
+        # the other pivot rows are zero at a pivot's lead column, so each
+        # cancellation leaves the remaining lead columns of vec in place
+        for lead in [c for c in vec if c in pivots]:
+            vec = linalg._cancel(vec, pivots[lead], lead)
+        if vec:
+            new = min(vec)
+            vec = linalg._primitive(vec)
+            for lead, row in pivots.items():
+                if new in row:
+                    pivots[lead] = linalg._cancel(row, vec, new)
+                    del written[lead]
+            pivots[new] = vec
+            for lead in pivots.keys() - written.keys():
+                row = pivots[lead]
+                out, scale = [ZERO] * ncols, row[lead]
+                for c, v in row.items():
+                    out[c] = Fraction(v, scale)
+                written[lead] = tuple(out)
+            level = tuple(written[lead] for lead in sorted(written))
         chain.append(level)
     return Flag(chain=tuple(chain))
 

@@ -390,8 +390,12 @@ def _contract(pairs, cap):
     return [(k, acc[k]) for k in sorted(acc) if any(acc[k])]
 
 
-def transport(d: Deformation, f) -> Deformation:
+def transport(d: Deformation, f, f_inverse=None) -> Deformation:
     """Re-express (x, y) -> f^-1(mu_t(f(x), f(y))) over the same base.
+
+    f_inverse, when given, is f^-1 at least up to the cap, as
+    `series_matrix_inverse` returns it, and is not computed again: the
+    transport by the inverse of F passes F^-1 and F.
 
     mu_t is the base table plus the perturbation matrix, as integer
     series mu[a][b][k] over one denominator.  With F = f and G = f^-1,
@@ -407,7 +411,9 @@ def transport(d: Deformation, f) -> Deformation:
     cap = min(d.cap, *(entry.cap for row in f for entry in row))
     if cap < 1:
         raise PrecisionExhausted("no precision left below t^1")
-    gden, g_cols = _columns(series_matrix_inverse(f, cap), cap)
+    if f_inverse is None:
+        f_inverse = series_matrix_inverse(f, cap)
+    gden, g_cols = _columns(f_inverse, cap)
     fden, f_cols = _columns(f, cap)
 
     # mu[a][b] lists the nonzero (k, den * mu_t(e_a, e_b)_k) for all a, b

@@ -1,9 +1,11 @@
 """JSON file formats shared by the CLI and tests.
 
-Rational literals are "p" or "p/q" strings with positive decimal q.  A
-series literal is an array of rational strings ordered from t^0, e.g.
-["0","2","1"] is 2t + t^2; it may be shorter than cap+1 (zero padded)
-but never longer.  Indices are 0-based everywhere.
+Rational literals are "p" or "p/q" strings of ASCII decimal digits, with
+an optional sign on p and a positive q.  A series literal is an array of
+rational strings ordered from t^0, e.g. ["0","2","1"] is 2t + t^2; it may
+be shorter than cap+1 (zero padded) but never longer.  Series are read
+and written as integers over one denominator.  Indices are 0-based
+everywhere.
 """
 
 from __future__ import annotations
@@ -12,10 +14,17 @@ import json
 import os
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import AlgebraStructure, Cochain
 from .errors import FormatError
-from .series import SeriesVector, TruncSeries, parse_rational, rational_str
+from .series import (
+    SeriesVector,
+    TruncSeries,
+    parse_rational,
+    rational_pair,
+    rational_str,
+)
 
 
 # Largest dim and cap read from outside input: a table takes dim^2 slots
@@ -75,6 +84,11 @@ def _index_list(value, what: str, dim: int) -> tuple[int, ...]:
 
 
 def parse_series_literal(items, cap: int) -> TruncSeries:
+    """The series of a literal, padded with zeros to cap.
+
+    Each coefficient is read as an integer pair (`rational_pair`) and put
+    over the lcm of their denominators; no Fraction is built.
+    """
     if not isinstance(items, list):
         raise FormatError(f"series literal must be an array, got {items!r}")
     if len(items) > cap + 1:
@@ -82,11 +96,24 @@ def parse_series_literal(items, cap: int) -> TruncSeries:
             f"series literal has {len(items)} coefficients, cap {cap} allows "
             f"{cap + 1}"
         )
-    return TruncSeries.from_coeffs([parse_rational(c) for c in items], cap=cap)
+    pairs = [rational_pair(c) for c in items]
+    den = lcm(1, *(q for _, q in pairs))
+    nums = [p * (den // q) for p, q in pairs]
+    nums += [0] * (cap + 1 - len(nums))
+    return TruncSeries(den, nums)
 
 
 def series_literal(s: TruncSeries) -> list[str]:
-    return [rational_str(c) for c in s.coeffs]
+    """The coefficients of s as rational strings, each in lowest terms."""
+    den = s.den
+    out = []
+    for x in s.nums:
+        common = gcd(x, den)
+        if common == den:
+            out.append(str(x // common))
+        else:
+            out.append(f"{x // common}/{den // common}")
+    return out
 
 
 def _parse_table(rows, what: str):

@@ -9,8 +9,10 @@ division additionally pays the divisor's valuation in precision.
 The coefficients are integers over one common denominator: a positive
 ``den`` and a tuple ``nums``, kept canonical (gcd(den, *nums) = 1), so
 equal series compare and hash equal and the arithmetic runs on plain
-ints.  ``coeffs`` gives the coefficients as ``fractions.Fraction`` values
-for parsing, printing and tests.
+ints.  Series literals are read and printed on the integers too
+(`rational_pair` here, `io.parse_series_literal` and `io.series_literal`);
+``coeffs`` gives the coefficients as ``fractions.Fraction`` values for
+error messages, ``str`` and tests.
 """
 
 from __future__ import annotations
@@ -31,22 +33,37 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" (q > 0, decimal) into a Fraction."""
+def rational_pair(text: str) -> tuple[int, int]:
+    """Parse "p" or "p/q" into the integers (p, q), q > 0, not reduced.
+
+    After surrounding whitespace is stripped, the literal must match
+    [+-]?[0-9]+(/[0-9]+)? in ASCII: int() alone would also read "1_0",
+    non-ASCII digits and "1/ 2".
+    """
     if not isinstance(text, str):
         raise FormatError(f"rational literal must be a string, got {text!r}")
-    parts = text.strip().split("/")
+    num, slash, den = text.strip().partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if not (digits.isdigit() and digits.isascii()):
+        raise FormatError(f"bad rational literal {text!r}")
+    if slash:
+        # a q with a minus sign is read only to be refused with its own reason
+        digits = den[1:] if den[:1] == "-" else den
+        if not (digits.isdigit() and digits.isascii()):
+            raise FormatError(f"bad rational literal {text!r}")
     try:
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
-        if len(parts) == 2:
-            num, den = int(parts[0]), int(parts[1])
-            if den <= 0:
-                raise FormatError(f"denominator must be positive in {text!r}")
-            return Fraction(num, den)
-    except ValueError as exc:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError as exc:  # past the interpreter's limit on int digits
         raise FormatError(f"bad rational literal {text!r}") from exc
-    raise FormatError(f"bad rational literal {text!r}")
+    if den <= 0:
+        raise FormatError(f"denominator must be positive in {text!r}")
+    return num, den
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p" or "p/q" (`rational_pair`) into a Fraction."""
+    num, den = rational_pair(text)
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 def rational_str(value: Fraction) -> str:
@@ -187,7 +204,10 @@ class TruncSeries(Frozen):
         """coeff * t^power at the given cap."""
         if not 0 <= power <= cap:
             raise ValueError(f"monomial power {power} outside 0..{cap}")
-        return cls.from_coeffs([ZERO] * power + [_as_fraction(coeff)], cap=cap)
+        c = _as_fraction(coeff)
+        nums = [0] * (cap + 1)
+        nums[power] = c.numerator
+        return cls(c.denominator, nums)
 
     # -- predicates ---------------------------------------------------
 
@@ -197,7 +217,7 @@ class TruncSeries(Frozen):
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The known coefficients as Fractions, for printing and tests."""
+        """The known coefficients as Fractions, for messages and tests."""
         return tuple(Fraction(x, self.den) for x in self.nums)
 
     def valuation(self) -> int | None:

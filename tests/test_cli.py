@@ -794,6 +794,47 @@ MALFORMED = [
         {"a": POISSON1},
         "poisson tensor needs two poisson files, got 3",
     ),
+    # rational literals are ASCII [+-]?[0-9]+(/[0-9]+)?: int() would read these
+    (
+        ["decompose", "@v"],
+        {"v": dict(VECTOR, components=[["0", "1_0"]])},
+        "bad rational literal '1_0'",
+    ),
+    (
+        ["decompose", "@v"],
+        {"v": dict(VECTOR, components=[["0", "\u0663"]])},
+        "bad rational literal '\u0663'",
+    ),
+    (
+        ["deform", "verify", "@d"],
+        {"d": dict(DEFORM, terms=[{"coeff": ["0", "1/ 2"], "cochain": []}])},
+        "bad rational literal '1/ 2'",
+    ),
+    (
+        ["deform", "transport", "@d", "--endo", "@f"],
+        {"d": DEFORM, "f": {"cap": 3, "matrix": [[["1"], ["0"]], [["0", "1/+2"], ["1"]]]}},
+        "bad rational literal '1/+2'",
+    ),
+    (
+        ["deform", "transport", "@d", "--endo", "@f", "--inverse"],
+        {"d": DEFORM, "f": {"cap": 3, "matrix": [[["1"], ["0"]], [["0", "\uff11\uff12"], ["1"]]]}},
+        "bad rational literal '\uff11\uff12'",
+    ),
+    (
+        ["deform", "polycheck", "@d", "--poly", '["1", "1_0"]', "--k", "1"],
+        {"d": DEFORM},
+        "bad rational literal '1_0'",
+    ),
+    (
+        ["check", "@a"],
+        {"a": dict(LIE2, table=[{"i": 0, "j": 1, "out": [{"k": 1, "c": "1 /2"}]}])},
+        "bad rational literal '1 /2'",
+    ),
+    (
+        ["deform", "verify", "@d"],
+        {"d": _term([{"args": [0, 1], "out": [{"k": 0, "c": "\u0662/3"}]}])},
+        "bad rational literal '\u0662/3'",
+    ),
 ]
 
 

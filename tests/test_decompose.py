@@ -20,6 +20,7 @@ from valdef.errors import NotInMaximalIdeal, ValdefError, ZeroVector
 from valdef.series import SeriesVector, TruncSeries
 
 from gens import (
+    random_series_in_m,
     random_vector_in_m,
     reference_decompose,
     reference_recompose,
@@ -177,6 +178,31 @@ def test_flag_matches_per_prefix_row_space():
     rng = random.Random(33)
     for _ in range(60):
         w = random_vector_in_m(rng, rng.randint(1, 8), rng.randint(2, 10))
+        for order in ("first", "last"):
+            d = decompose(w, pivot_order=order)
+            assert flag_of(d).chain == per_prefix(d) == sympy_per_prefix(d)
+    # corpus sizes: ambient dims up to 16 and caps up to 24, with sparse
+    # components, zero ones and combinations of earlier ones, so some steps
+    # leave earlier rows as they were
+    for _ in range(24):
+        dim, cap = rng.randint(9, 16), rng.randint(6, 24)
+        comps = []
+        for _ in range(dim):
+            kind = rng.random()
+            if comps and kind < 0.25:
+                a, b = rng.choice(comps), rng.choice(comps)
+                x, y = rng.randint(-3, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                comps.append(x * a + b * TruncSeries.constant(y, cap))
+            elif kind < 0.3:
+                comps.append(TruncSeries.zero(cap))
+            else:
+                density = rng.choice((0.15, 0.5, 0.9))
+                comps.append(
+                    random_series_in_m(rng, cap, max_num=9, max_den=7, density=density)
+                )
+        w = SeriesVector(tuple(comps))
+        if w.is_zero():
+            continue
         for order in ("first", "last"):
             d = decompose(w, pivot_order=order)
             assert flag_of(d).chain == per_prefix(d) == sympy_per_prefix(d)

@@ -405,10 +405,11 @@ def transport_oracle(bracket, f, f_inv, n, cap):
 
 
 def test_transport_matches_fraction_expansion():
-    """transport, by f and by its inverse (the CLI's --inverse), equals
-    f^-1(mu_t(f x, f y)) multiplied out on Fraction lists, for random Lie
-    bases, random (not necessarily valid) terms and f = Id + t^p N; the
-    round trip gives the input bracket back at the common cap."""
+    """transport, by f and by its inverse (the CLI's --inverse, which passes
+    f back in as the inverse of the inverse), equals f^-1(mu_t(f x, f y))
+    multiplied out on Fraction lists, for random Lie bases, random (not
+    necessarily valid) terms and f = Id + t^p N; the round trip gives the
+    input bracket back at the common cap."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -441,9 +442,13 @@ def test_transport_matches_fraction_expansion():
         assert expanded_bracket(td, cap) == transport_oracle(
             bracket, f_lists, g_lists, n, cap
         )
-        assert expanded_bracket(transport(d, g), cap) == transport_oracle(
+        tg = transport(d, g)
+        assert expanded_bracket(tg, cap) == transport_oracle(
             bracket, g_lists, f_lists, n, cap
         )
+        # the CLI's --inverse hands f in as the inverse of g: the same result
+        # without inverting g again
+        assert transport(d, g, f) == tg
         assert expanded_bracket(transport(td, g), cap) == bracket
 
     check()

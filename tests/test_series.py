@@ -1,9 +1,10 @@
 """Truncated series arithmetic and the capped precision model."""
 
 import random
+import re
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -14,7 +15,8 @@ from valdef.errors import (
     PrecisionExhausted,
     ZeroDivisor,
 )
-from valdef.series import TruncSeries, parse_rational, rational_str
+from valdef.io import parse_series_literal, series_literal
+from valdef.series import TruncSeries, parse_rational, rational_pair, rational_str
 
 from gens import random_series_in_m
 
@@ -31,9 +33,122 @@ def test_parse_rational_forms():
 
 
 def test_parse_rational_rejects_bad_literals():
-    for bad in ("1/0", "1/-2", "x", "1/2/3", ""):
+    for bad in ("1/0", "1/-2", "x", "1/2/3", "", "+", "/2", "3/", "--1", "1e3", "\u00b2"):
         with pytest.raises(FormatError):
             parse_rational(bad)
+    # int() reads each of these; the grammar is [+-]?[0-9]+(/[0-9]+)? in ASCII
+    for bad in ("1_0", "\u0663", "\uff11\uff12", "1/ 2", "1 /2", "1/+2", "1/\u0662"):
+        with pytest.raises(FormatError, match="bad rational literal"):
+            parse_rational(bad)
+        with pytest.raises(FormatError, match="bad rational literal"):
+            parse_series_literal(["0", bad], 3)
+
+
+def test_parse_rational_accepts_exactly_the_ascii_grammar():
+    """After strip(), a literal parses iff it matches [+-]?[0-9]+(/[0-9]+)?
+    with a nonzero q, to Fraction(p, q); the integer pair and the series
+    parser agree with it."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    grammar = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(st.text(alphabet="0123456789+-/ _\t\u0663\uff11\u00b2e", max_size=8))
+    def check(text):
+        match = grammar.fullmatch(text.strip())
+        if match is None or int(match.group(2) or 1) == 0:
+            with pytest.raises(FormatError):
+                rational_pair(text)
+            with pytest.raises(FormatError):
+                parse_series_literal([text], 0)
+            return
+        p, q = int(match.group(1)), int(match.group(2) or 1)
+        assert rational_pair(text) == (p, q)
+        assert parse_rational(text) == Fraction(p, q)
+        assert parse_series_literal([text], 0).coeffs == (Fraction(p, q),)
+
+    check()
+
+
+def test_series_literal_parser_matches_fraction_parse():
+    """io.parse_series_literal reads integer pairs over one lcm; it gives the
+    TruncSeries that the Fraction parse gives, and the same error text."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def literal(draw):
+        """(text, value): unreduced, signed, zero-padded "p" and "p/q"."""
+        sign = draw(st.sampled_from(("", "+", "-")))
+        p = draw(st.one_of(st.integers(0, 12), st.integers(0, 10**40)))
+        zeros = "0" * draw(st.integers(0, 3))
+        if draw(st.booleans()):
+            return f"{sign}{zeros}{p}", Fraction(-p if sign == "-" else p)
+        q = draw(st.integers(1, 36)) * draw(st.sampled_from((1, 2, 6, 10**20)))
+        qzeros = "0" * draw(st.integers(0, 2))
+        value = Fraction(-p if sign == "-" else p, q)
+        return f"{sign}{zeros}{p}/{qzeros}{q}", value
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 24), st.data())
+    def check(cap, data):
+        items = data.draw(st.lists(literal(), max_size=cap + 1))
+        texts = [t for t, _ in items]
+        got = parse_series_literal(texts, cap)
+        assert got == TruncSeries.from_coeffs([parse_rational(t) for t in texts], cap)
+        assert got.coeffs == tuple(v for _, v in items) + (Fraction(0),) * (
+            cap + 1 - len(items)
+        )
+        # one malformed literal among good ones: the error is the literal's
+        bad = data.draw(
+            st.sampled_from(("1_0", "x", "1/0", "1/-2", "", " 1 /2", "\u0663", 3, None))
+        )
+        at = data.draw(st.integers(0, min(len(texts), cap)))
+        texts = texts[:at] + [bad] + texts[at:cap]
+        with pytest.raises(FormatError) as want:
+            parse_rational(bad)
+        with pytest.raises(FormatError) as err:
+            parse_series_literal(texts, cap)
+        assert str(err.value) == str(want.value)
+
+    check()
+    texts = ["2/4", "-0/5", "007", "-003/010", "+6/4"]
+    assert parse_series_literal(texts, 6) == TruncSeries(
+        10, [5, 0, 70, -3, 15, 0, 0]
+    )
+    with pytest.raises(FormatError) as err:
+        parse_series_literal(["0", "1", "2"], 1)
+    assert str(err.value) == "series literal has 3 coefficients, cap 1 allows 2"
+    with pytest.raises(FormatError) as err:
+        parse_series_literal("0", 1)
+    assert str(err.value) == "series literal must be an array, got '0'"
+
+
+def test_series_literal_printer_matches_rational_str():
+    """io.series_literal prints nums / den entry by entry, in lowest terms,
+    as rational_str(Fraction(x, den)) does: zero and negative entries, and
+    entries sharing factors with den."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    dens = st.lists(st.sampled_from((2, 3, 5, 7, 10**9 + 7)), max_size=5).map(prod)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(
+        dens,
+        st.lists(
+            st.tuples(st.integers(-(10**12), 10**12), st.sampled_from((1, 2, 3, 5, 6))),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    def check(den, entries):
+        # each entry a multiple of a small factor, which den may share
+        s = TruncSeries(den, [x * f for x, f in entries])
+        want = [rational_str(Fraction(x, s.den)) for x in s.nums]
+        assert series_literal(s) == want
+        assert parse_series_literal(series_literal(s), s.cap) == s
+
+    check()
 
 
 def test_add_examples():
