@@ -25,16 +25,16 @@ cochains it is the circle product of Gerstenhaber's deformation equation
 (`cohomology.circle`).
 
 Cochains are alternating multilinear maps stored densely over strictly
-increasing index tuples, the representation used by the cohomology and
-deformation modules.
+increasing index tuples, as integers over one denominator: the package's
+one cochain format, built from integer sums by `Cochain.scaled`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from math import lcm
+from itertools import chain, combinations
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, UnsupportedDegree
 from .series import Frozen
@@ -71,12 +71,6 @@ class AlgebraStructure(Frozen):
     """
 
     __slots__ = ("dim", "kind", "table", "basis", "__dict__")
-
-    def __init__(self, dim: int, kind: str, table: dict, basis=None) -> None:
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "basis", basis)
 
     @classmethod
     def lie(cls, dim: int, table, basis=None) -> AlgebraStructure:
@@ -141,7 +135,13 @@ class AlgebraStructure(Frozen):
         sorted by k and holds no zero c, so equal products have equal
         rows.  Lie tables are expanded antisymmetrically here.
         """
-        return _scaled_rows(self.dim, self.table.items(), self.kind == "lie")
+        entries = self.table.items()
+        den = lcm(1, *(c.denominator for _, out in entries for _, c in out))
+        scaled = (
+            (key, [(k, c.numerator * (den // c.denominator)) for k, c in out])
+            for key, out in entries
+        )
+        return den, _table_rows(self.dim, scaled, self.kind == "lie")
 
     @cached_property
     def jacobi_witness(self) -> tuple[int, int, int] | None:
@@ -153,21 +153,19 @@ class AlgebraStructure(Frozen):
         return failures[0][0] if failures else None
 
 
-def _scaled_rows(dim: int, entries, antisymmetric: bool) -> tuple[int, tuple]:
-    """(den, rows) of `AlgebraStructure.scaled_table` from ((i, j), out) pairs.
+def _table_rows(dim: int, entries, antisymmetric: bool) -> tuple:
+    """The rows of a `scaled_table` from ((i, j), out) pairs.
 
-    Each out lists the nonzero (k, c) of e_i e_j by increasing k; with
-    antisymmetric set, e_j e_i is taken as its negative.
+    Each out lists the nonzero integer (k, c) of den * e_i e_j by
+    increasing k; with antisymmetric set, e_j e_i is taken as its negative.
     """
-    entries = list(entries)
-    den = lcm(1, *(c.denominator for _, out in entries for _, c in out))
     rows = [[()] * dim for _ in range(dim)]
     for (i, j), out in entries:
-        row = tuple((k, c.numerator * (den // c.denominator)) for k, c in out)
+        row = tuple(out)
         rows[i][j] = row
         if antisymmetric:
             rows[j][i] = tuple((k, -c) for k, c in row)
-    return den, tuple(map(tuple, rows))
+    return tuple(map(tuple, rows))
 
 
 def _combine(terms, rows) -> dict:
@@ -235,54 +233,67 @@ def associator(a: AlgebraStructure, x, y, z) -> tuple[Fraction, ...]:
 class Cochain(Frozen):
     """Alternating p-linear map g^p -> g (adjoint) or -> K (trivial).
 
-    target is one of COEFFS; values maps strictly increasing index tuples
-    to a value vector (adjoint) or a scalar (trivial), without zeros.
+    target is one of COEFFS.  The values are integers over one positive
+    den in canonical form, gcd(den, every integer) = 1 as in
+    `series.TruncSeries`, so equal cochains compare and hash equal.
+    values maps strictly increasing index tuples to the nonzero vectors
+    of `width` ints (K is K^1), each over den.  The constructor stores its
+    arguments as given: `scaled` and `build` make the canonical form.
+    `value` and `flatten` are the rational views, for tests.
     """
 
-    __slots__ = ("degree", "dim", "target", "values", "__dict__")
+    __slots__ = ("degree", "dim", "target", "den", "values", "__dict__")
 
-    def __init__(self, degree: int, dim: int, target: str, values=None) -> None:
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "values", {} if values is None else values)
+    def __hash__(self) -> int:
+        values = frozenset(self.values.items())
+        return hash((self.degree, self.dim, self.target, self.den, values))
+
+    @classmethod
+    def scaled(cls, degree, dim, target, den, values) -> Cochain:
+        """values / den in canonical form, for a positive integer den: values
+        maps keys (not checked) to sequences of `width` ints, zero vectors
+        are dropped and the common content is divided out."""
+        vals = {key: tuple(vec) for key, vec in values.items() if any(vec)}
+        common = gcd(den, *chain.from_iterable(vals.values()))
+        if common != 1:
+            den //= common
+            vals = {key: tuple(x // common for x in v) for key, v in vals.items()}
+        return cls(degree, dim, target, den, vals)
 
     @classmethod
     def build(cls, degree, dim, target, values) -> Cochain:
-        """Normalize a {increasing tuple: value} mapping, dropping zeros."""
+        """Normalize a {increasing tuple: value} mapping of rationals (ints
+        or Fractions), each value dim of them (adjoint) or one (trivial)."""
         clean = {}
         for key, val in values.items():
             key = tuple(key)
-            if len(key) != degree:
-                raise ValueError(f"key {key} has wrong arity for degree {degree}")
-            if any(not 0 <= i < dim for i in key):
-                raise ValueError(f"key {key} outside 0..{dim - 1}")
-            if list(key) != sorted(set(key)):
-                raise ValueError(f"key {key} is not strictly increasing")
-            if target == "adjoint":
-                vec = tuple(Fraction(c) for c in val)
-                if len(vec) != dim:
-                    raise ValueError(f"value for {key} has length {len(vec)}")
-                if any(vec):
-                    clean[key] = vec
-            else:
-                c = Fraction(val)
-                if c:
-                    clean[key] = c
-        return cls(degree, dim, target, clean)
+            check_key(key, degree, dim)
+            vec = list(val) if target == "adjoint" else [val]
+            if target == "adjoint" and len(vec) != dim:
+                raise ValueError(f"value for {key} has length {len(vec)}")
+            clean[key] = vec
+        den = lcm(1, *(c.denominator for vec in clean.values() for c in vec))
+        for vec in clean.values():
+            vec[:] = [c.numerator * (den // c.denominator) for c in vec]
+        return cls.scaled(degree, dim, target, den, clean)
 
     @classmethod
     def zero(cls, degree, dim, target="adjoint") -> Cochain:
-        return cls(degree, dim, target, {})
+        return cls(degree, dim, target, 1, {})
+
+    @property
+    def width(self) -> int:
+        """Length of a value vector: dim (adjoint) or 1 (trivial)."""
+        return self.dim if self.target == "adjoint" else 1
 
     def is_zero(self) -> bool:
         return not self.values
 
     def value(self, key):
-        """Value on a strictly increasing tuple."""
-        if self.target == "adjoint":
-            return self.values.get(tuple(key), (ZERO,) * self.dim)
-        return self.values.get(tuple(key), ZERO)
+        """Value on a strictly increasing tuple, as Fractions."""
+        val = self.values.get(tuple(key), (0,) * self.width)
+        vec = tuple(Fraction(x, self.den) for x in val)
+        return vec if self.target == "adjoint" else vec[0]
 
     @cached_property
     def scaled_table(self) -> tuple[int, tuple]:
@@ -301,91 +312,61 @@ class Cochain(Frozen):
             (key, [(k, c) for k, c in enumerate(vec) if c])
             for key, vec in self.values.items()
         )
-        return _scaled_rows(self.dim, entries, antisymmetric=True)
+        return self.den, _table_rows(self.dim, entries, antisymmetric=True)
 
     # -- linear structure ----------------------------------------------
 
-    def _binary(self, other, op) -> Cochain:
-        if (self.degree, self.dim, self.target) != (
-            other.degree,
-            other.dim,
-            other.target,
-        ):
+    def _combine(self, other: Cochain, sign: int) -> Cochain:
+        """self + sign * other over the lcm of the two denominators."""
+        shape = (self.degree, self.dim, self.target)
+        if shape != (other.degree, other.dim, other.target):
             raise DimensionMismatch("cochain shapes differ")
-        keys = set(self.values) | set(other.values)
+        a, b = self.den, other.den
+        common = gcd(a, b)
+        fa, fb = b // common, sign * (a // common)
+        mine, theirs, zero = self.values, other.values, (0,) * self.width
         vals = {}
-        for key in keys:
-            a, b = self.value(key), other.value(key)
-            if self.target == "adjoint":
-                v = tuple(op(x, y) for x, y in zip(a, b))
-                if any(v):
-                    vals[key] = v
-            else:
-                v = op(a, b)
-                if v:
-                    vals[key] = v
-        return Cochain(self.degree, self.dim, self.target, vals)
+        for key in mine.keys() | theirs.keys():
+            pairs = zip(mine.get(key, zero), theirs.get(key, zero))
+            vals[key] = [x * fa + y * fb for x, y in pairs]
+        return Cochain.scaled(*shape, a * fa, vals)
 
     def __add__(self, other: Cochain) -> Cochain:
-        return self._binary(other, lambda a, b: a + b)
+        return self._combine(other, 1)
 
     def __sub__(self, other: Cochain) -> Cochain:
-        return self._binary(other, lambda a, b: a - b)
+        return self._combine(other, -1)
 
     def scale(self, scalar) -> Cochain:
         s = Fraction(scalar)
-        if not s:
-            return Cochain.zero(self.degree, self.dim, self.target)
-        if self.target == "adjoint":
-            vals = {k: tuple(s * c for c in v) for k, v in self.values.items()}
-        else:
-            vals = {k: s * v for k, v in self.values.items()}
-        return Cochain(self.degree, self.dim, self.target, vals)
+        vals = {k: [s.numerator * x for x in v] for k, v in self.values.items()}
+        shape = (self.degree, self.dim, self.target)
+        return Cochain.scaled(*shape, self.den * s.denominator, vals)
 
     # -- flat coordinates ------------------------------------------------
 
-    def keys_order(self):
-        return list(combinations(range(self.dim), self.degree))
+    @cached_property
+    def flat_nums(self) -> tuple[int, ...]:
+        """den times the coordinates over (increasing tuple, output index)
+        in lex order, as integers; built once."""
+        zero = (0,) * self.width
+        keys = combinations(range(self.dim), self.degree)
+        vecs = (self.values.get(key, zero) for key in keys)
+        return tuple(chain.from_iterable(vecs))
 
     def flatten(self) -> tuple[Fraction, ...]:
-        """Coordinates over (increasing tuple, output index) in lex order."""
-        out = []
-        for key in self.keys_order():
-            val = self.value(key)
-            if self.target == "adjoint":
-                out.extend(val)
-            else:
-                out.append(val)
-        return tuple(out)
+        """The coordinates of `flat_nums` as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.flat_nums)
 
-    @classmethod
-    def from_flat(cls, degree, dim, target, flat) -> Cochain:
-        keys = list(combinations(range(dim), degree))
-        vals = {}
-        flat = list(flat)
-        if target == "adjoint":
-            assert len(flat) == len(keys) * dim
-            for idx, key in enumerate(keys):
-                vec = tuple(Fraction(c) for c in flat[idx * dim : (idx + 1) * dim])
-                if any(vec):
-                    vals[key] = vec
-        else:
-            assert len(flat) == len(keys)
-            for idx, key in enumerate(keys):
-                c = Fraction(flat[idx])
-                if c:
-                    vals[key] = c
-        return cls(degree, dim, target, vals)
 
-    @classmethod
-    def from_scaled(cls, degree, dim, den, items) -> Cochain:
-        """Adjoint cochain with value vec / den on each (key, {m: int} vec)."""
-        vals = {
-            key: tuple(Fraction(vec.get(m, 0), den) for m in range(dim))
-            for key, vec in items
-            if any(vec.values())
-        }
-        return cls(degree, dim, "adjoint", vals)
+def check_key(key: tuple, degree: int, dim: int) -> None:
+    """Raise ValueError unless key holds degree increasing indices in 0..dim-1."""
+    if len(key) != degree:
+        raise ValueError(f"key {key} has wrong arity for degree {degree}")
+    if any(not 0 <= i < dim for i in key):
+        raise ValueError(f"key {key} outside 0..{dim - 1}")
+    if list(key) != sorted(set(key)):
+        raise ValueError(f"key {key} is not strictly increasing")
 
 
 def jacobi_sums(outer, inner=None):
@@ -395,7 +376,8 @@ def jacobi_sums(outer, inner=None):
     outer.  failures lists (key, vec) for every strictly increasing basis
     triple key = (i, j, k), in lex order, whose den * (outer(inner(e_i,
     e_j), e_k) + outer(inner(e_j, e_k), e_i) + outer(inner(e_k, e_i), e_j))
-    is the nonzero {m: int} vec, with den = den_outer * den_inner.  For one
+    is vec, a nonzero list of dim ints, with den = den_outer * den_inner,
+    so that failures is the {key: vec} data of `Cochain.scaled`.  For one
     bracket these are its Jacobi sums [[e_i,e_j],e_k] + [[e_j,e_k],e_i] +
     [[e_k,e_i],e_j].  Only these three left nestings of each increasing
     triple are contracted.
@@ -411,12 +393,12 @@ def jacobi_sums(outer, inner=None):
     failures = []
     for key in combinations(range(outer.dim), 3):
         i, j, k = key
-        acc: dict[int, int] = {}
+        acc = [0] * outer.dim
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for m, x in in_rows[a][b]:
                 for q, y in out_rows[m][c]:
-                    acc[q] = acc.get(q, 0) + x * y
-        if any(acc.values()):
+                    acc[q] += x * y
+        if any(acc):
             failures.append((key, acc))
     return den_out * den_in, failures
 
@@ -426,7 +408,7 @@ def jacobiator(g: AlgebraStructure) -> Cochain:
     if g.kind != "lie":
         raise ValueError("jacobiator needs a lie-kind algebra")
     den, failures = jacobi_sums(g)
-    return Cochain.from_scaled(3, g.dim, den, failures)
+    return Cochain.scaled(3, g.dim, "adjoint", den, dict(failures))
 
 
 def is_lie(g: AlgebraStructure):

@@ -154,6 +154,15 @@ def cmd_decompose(args):
     return EXIT_OK, {"ok": True, "cap_used": vec.cap, "detail": detail}
 
 
+def _verdict_doc(v) -> dict:
+    """A graded-system MembershipVerdict, its pairs written "i,j"."""
+    coeffs = v.coefficients or {}
+    return {
+        "holds": v.holds,
+        "coefficients": {f"{i},{j}": rational_str(c) for (i, j), c in coeffs.items()},
+    }
+
+
 def _load_deformation(args):
     doc = io.load_json(args.deformation)
     base_dir = os.path.dirname(os.path.abspath(args.deformation))
@@ -195,27 +204,12 @@ def cmd_deform(args):
     if args.action == "graded":
         dd = decompose_deformation(d)
         system = graded_system(dd)
+        delta, bracket = system.delta_memberships, system.bracket_memberships
         detail = {
             "n_terms": len(dd.terms),
-            "delta_memberships": {
-                str(k): {
-                    "holds": v.holds,
-                    "coefficients": {
-                        f"{i},{j}": rational_str(c)
-                        for (i, j), c in (v.coefficients or {}).items()
-                    },
-                }
-                for k, v in system.delta_memberships.items()
-            },
+            "delta_memberships": {str(k): _verdict_doc(v) for k, v in delta.items()},
             "bracket_memberships": {
-                f"{i},{k}": {
-                    "holds": v.holds,
-                    "coefficients": {
-                        f"{a},{b}": rational_str(c)
-                        for (a, b), c in (v.coefficients or {}).items()
-                    },
-                }
-                for (i, k), v in system.bracket_memberships.items()
+                f"{i},{k}": _verdict_doc(v) for (i, k), v in bracket.items()
             },
             "satisfied": system.satisfied,
         }

@@ -8,7 +8,8 @@ denominator den) by the Chevalley-Eilenberg formula
                         + sum_{i<j} (-1)^(i+j) f([x_i, x_j], ..^x_i..^x_j..)
 
 (the first sum only for adjoint coefficients), as den * delta in sparse
-integer rows, one per codomain coordinate.  One global sign per degree
+integer rows, one per codomain coordinate, applied to the integer
+coordinates of a cochain (`Cochain.flat_nums`).  One global sign per degree
 and coefficient type matches the shuffle-composition convention delta f
 = mu o f + (-1)^p f o mu (adjoint) and f o mu (trivial), so on degree-2
 adjoint cochains delta phi = mu o phi + phi o mu agrees with the circle
@@ -44,14 +45,11 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
 from .algebra import COEFFS, MAX_DEGREE, AlgebraStructure, Cochain, jacobi_sums
 from .errors import DimensionMismatch, NotLie, UnsupportedDegree
-
-ZERO = Fraction(0)
 
 
 def circle(outer: Cochain, inner: Cochain) -> Cochain:
@@ -61,7 +59,7 @@ def circle(outer: Cochain, inner: Cochain) -> Cochain:
     target raises.
     """
     den, sums = jacobi_sums(outer, inner)
-    return Cochain.from_scaled(3, outer.dim, den, sums)
+    return Cochain.scaled(3, outer.dim, "adjoint", den, dict(sums))
 
 
 def super_bracket(f: Cochain, g: Cochain) -> Cochain:
@@ -130,9 +128,10 @@ def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str):
 def coboundary(g: AlgebraStructure, f: Cochain) -> Cochain:
     """Chevalley-Eilenberg coboundary of a cochain of degree 1 to MAX_DEGREE.
 
-    It is `coboundary_matrix` applied to the flat coordinates of f and
-    divided by den, so it equals mu o f + (-1)^p f o mu for adjoint and
-    f o mu for trivial coefficients.
+    It is `coboundary_matrix` applied to the integer coordinates of f
+    (`Cochain.flat_nums`), over den times the denominator of f, so it
+    equals mu o f + (-1)^p f o mu for adjoint and f o mu for trivial
+    coefficients.
     """
     return coboundaries(g, [f])[0]
 
@@ -146,16 +145,15 @@ def coboundaries(g: AlgebraStructure, cochains) -> list[Cochain]:
             raise DimensionMismatch("cochain dim does not match the algebra")
         if not 1 <= f.degree <= MAX_DEGREE:
             raise UnsupportedDegree(f"degree {f.degree} coboundary not implemented")
-        key = (f.degree, f.target)
-        if key not in matrices:
-            matrices[key] = coboundary_matrix(g, *key)[0]
-        scale, coords = linalg.integer_row(f.flatten())
-        scale *= g.scaled_table[0]
-        flat = []
-        for row in matrices[key]:
-            total = sum(v * coords[c] for c, v in row.items() if c in coords)
-            flat.append(Fraction(total, scale) if total else ZERO)
-        out.append(Cochain.from_flat(f.degree + 1, g.dim, f.target, flat))
+        shape = (f.degree, f.target)
+        if shape not in matrices:
+            matrices[shape] = coboundary_matrix(g, *shape)[0]
+        nums, width = f.flat_nums, f.width
+        flat = [sum(v * nums[c] for c, v in row.items()) for row in matrices[shape]]
+        keys = combinations(range(g.dim), f.degree + 1)
+        values = {key: flat[r * width : (r + 1) * width] for r, key in enumerate(keys)}
+        den = f.den * g.scaled_table[0]
+        out.append(Cochain.scaled(f.degree + 1, g.dim, f.target, den, values))
     return out
 
 
@@ -220,5 +218,5 @@ def is_coboundary(g: AlgebraStructure, f: Cochain) -> bool:
     if f.dim != g.dim:
         raise DimensionMismatch("cochain dim does not match the algebra")
     image = _image_echelon(g, f.degree, f.target)
-    _, target = linalg.integer_row(f.flatten())
+    target = {c: x for c, x in enumerate(f.flat_nums) if x}
     return not linalg.remainder(image, target)

@@ -6,8 +6,8 @@ lowest t-order of the remaining vector, peels off the corresponding
 direction, and divides the residual by the step coefficient; the pivot
 coordinate of the residual vanishes exactly, so the recursion depth is
 bounded by the ambient dimension.  The subspace chain spanned by the V
-prefixes does not depend on the pivot rule, and that is what
-flags_equal compares.
+prefixes does not depend on the pivot rule: `flag_of` writes each of its
+levels as a canonical RREF basis, so equal flags have equal chains.
 
 The remaining vector is one integer matrix over one denominator: row i
 over den is component i.  A step reads the lead integers l_i at the
@@ -238,8 +238,3 @@ def flag_of(d: FlagDecomposition) -> Flag:
             level = tuple(written[lead] for lead in sorted(written))
         chain.append(level)
     return Flag(chain=tuple(chain))
-
-
-def flags_equal(f1: Flag, f2: Flag) -> bool:
-    """Same length and same subspace at every level (RREF comparison)."""
-    return f1.chain == f2.chain

@@ -16,8 +16,10 @@ e_k coordinate of mu_t(e_i, e_j) - mu(e_i, e_j); every coefficient is
 its numerator over den.  That is the slot order of `Cochain.flatten`,
 so the matrix is the flattened perturbation that the flag decomposition
 reads, and every row vanishes at t^0.  The decomposition, the gauge
-transport, the polynomial-form check and the equality test all read this
-matrix and multiply integer series with `series.mul_nums`.
+transport and the polynomial-form check read this matrix and multiply
+integer series with `series.mul_nums`.  Residuals and transported terms
+are integer cochains over one denominator, and the graded memberships
+solve on the cochains' integer coordinates.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from itertools import combinations
 from math import lcm
 
 from . import linalg
-from .algebra import Cochain, add_scaled, jacobi_sums
-from .cohomology import coboundaries, coboundary, super_bracket
+from .algebra import Cochain, jacobi_sums
+from .cohomology import coboundaries, super_bracket
 from .decompose import decompose_rows
 from .errors import (
     DimensionMismatch,
@@ -39,9 +41,6 @@ from .errors import (
     PrecisionExhausted,
 )
 from .series import TruncSeries, mul_nums
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class Deformation(namedtuple("Deformation", "base cap terms")):
@@ -118,18 +117,20 @@ def jacobi_residual(d: Deformation) -> dict:
                 coeff = ci * cj
                 parts.append((coeff, coeff.den * den, sums))
     common = lcm(1, *(den for _, den, _ in parts))
-    by_order: dict[int, dict] = {}
+    by_order: dict[int, dict] = {}  # t-power -> {triple: dim ints}
+    zero = (0,) * d.base.dim
     for coeff, den, sums in parts:
         scale = common // den
         for p, x in enumerate(coeff.nums):
             if not x:
                 continue
-            acc = by_order.setdefault(p, {})
+            acc, w = by_order.setdefault(p, {}), x * scale
             for key, vec in sums:
-                add_scaled(acc.setdefault(key, {}), vec, x * scale)
+                prev = acc.get(key, zero)
+                acc[key] = [u + w * v for u, v in zip(prev, vec)]
     residuals = {}
     for p, acc in by_order.items():
-        c = Cochain.from_scaled(3, d.base.dim, common, acc.items())
+        c = Cochain.scaled(3, d.base.dim, "adjoint", common, acc)
         if not c.is_zero():
             residuals[p] = c
     return residuals
@@ -160,50 +161,28 @@ def decompose_deformation(d: Deformation) -> Deformation:
     if not any(map(any, rows)):
         return Deformation.trivial(d.base, d.cap)
     fd = decompose_rows(den, rows)
+    n = d.base.dim
+    pairs = list(combinations(range(n), 2))
     terms = []
     running = TruncSeries.one(fd.steps[0].coefficient.cap)
     for step in fd.steps:
         running = running * step.coefficient
-        phi = Cochain.from_flat(2, d.base.dim, "adjoint", step.vector)
+        values = {key: step.vector[s * n : (s + 1) * n] for s, key in enumerate(pairs)}
+        phi = Cochain.build(2, n, "adjoint", values)
         terms.append((running.truncate(fd.cap), phi))
     return Deformation.build(d.base, fd.cap, terms)
 
 
-def step_factors(d: Deformation):
-    """Individual factors b_i of the cumulative coefficients c_i = b_1...b_i.
-
-    Exact division, so each factor's cap drops by the valuation of the
-    previous cumulative coefficient.
-    """
-    out = []
-    prev = None
-    for coeff, _ in d.terms:
-        out.append(coeff if prev is None else coeff.div_exact(prev))
-        prev = coeff
-    return out
-
-
-def first_term_is_cocycle(d: Deformation) -> bool:
-    """delta(phi_1) == 0; requires a valid deformation."""
-    _require_valid(d)
-    if not d.terms:
-        return True
-    return coboundary(d.base, d.terms[0][1]).is_zero()
-
-
-# coefficients maps (i, j) to a Fraction when holds, and is None otherwise
+# coefficients maps (i, j) to a rational when holds, and is None otherwise
 MembershipVerdict = namedtuple("MembershipVerdict", "holds coefficients")
 
 
 class GradedSystem(
-    namedtuple(
-        "GradedSystem", "residuals delta_memberships bracket_memberships"
-    )
+    namedtuple("GradedSystem", "delta_memberships bracket_memberships")
 ):
-    """Order-by-order verdicts: residuals maps a t-power to a 3-cochain
-    (empty for a valid deformation), delta_memberships maps k to the
-    MembershipVerdict for delta(phi_k), and bracket_memberships maps (i, k)
-    to the one for [phi_i, phi_k]."""
+    """Order-by-order verdicts of a valid deformation: delta_memberships
+    maps k to the MembershipVerdict for delta(phi_k), and
+    bracket_memberships maps (i, k) to the one for [phi_i, phi_k]."""
 
     __slots__ = ()
 
@@ -214,14 +193,19 @@ class GradedSystem(
         )
 
 
-def _membership(span, target_cochain) -> MembershipVerdict:
-    vectors = [sb.flatten() for _, sb in span]
-    coeffs = linalg.solve_combination(vectors, list(target_cochain.flatten()))
+def _membership(span, target: Cochain) -> MembershipVerdict:
+    """Whether target is a combination of the span's cochains, solved on
+    their integer coordinates: for span cochains N_i / den_i and target
+    T / den, y with sum y_i N_i = T gives the coefficients y_i den_i / den."""
+    vectors = [sb.flat_nums for _, sb in span]
+    coeffs = linalg.solve_combination(vectors, target.flat_nums)
     if coeffs is None:
         return MembershipVerdict(holds=False, coefficients=None)
     return MembershipVerdict(
         holds=True,
-        coefficients={pair: c for (pair, _), c in zip(span, coeffs) if c},
+        coefficients={
+            pair: y * sb.den / target.den for (pair, sb), y in zip(span, coeffs) if y
+        },
     )
 
 
@@ -254,41 +238,12 @@ def graded_system(d: Deformation) -> GradedSystem:
             target = bracket(i, k - 1)
             bracket_memberships[(i + 1, k)] = _membership(span, target)
     return GradedSystem(
-        residuals={},
         delta_memberships=delta_memberships,
         bracket_memberships=bracket_memberships,
     )
 
 
-def max_rank_check(d: Deformation):
-    """(dim V, is_maximal) for V = span{[phi_i,phi_j], [mu,phi_i] : i,j <= k-1}."""
-    phis = [phi for _, phi in d.terms]
-    k = len(phis)
-    vectors = []
-    for i in range(k - 1):
-        for j in range(i, k - 1):
-            vectors.append(list(super_bracket(phis[i], phis[j]).flatten()))
-    for delta in coboundaries(d.base, phis[: k - 1]):
-        vectors.append(list(delta.flatten()))
-    dim = linalg.rank(vectors) if vectors else 0
-    return dim, dim == k * (k - 1) // 2
-
-
 # -- gauge transport --------------------------------------------------
-
-
-def identity_plus(n: int, cap: int, nilpotent=None, power: int = 1):
-    """Series endomorphism Id + t^power * N as an n x n matrix of series."""
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            coeffs = [ONE if r == c else ZERO]
-            if nilpotent is not None and nilpotent[r][c]:
-                coeffs += [ZERO] * (power - 1) + [Fraction(nilpotent[r][c])]
-            row.append(TruncSeries.from_coeffs(coeffs, cap=cap))
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def _check_unipotent(f):
@@ -449,26 +404,12 @@ def transport(d: Deformation, f, f_inverse=None) -> Deformation:
                 )
             for p, x in enumerate(series[1:], 1):
                 if x:
-                    vec = by_power.setdefault(p, {}).setdefault((i, j), [ZERO] * n)
-                    vec[k] = Fraction(x, out_den)
-    terms = [
-        (TruncSeries.monomial(p, cap), Cochain.build(2, n, "adjoint", by_power[p]))
-        for p in sorted(by_power)
-    ]
+                    by_power.setdefault(p, {}).setdefault((i, j), [0] * n)[k] = x
+    terms = []
+    for p in sorted(by_power):
+        phi = Cochain.scaled(2, n, "adjoint", out_den, by_power[p])
+        terms.append((TruncSeries.monomial(p, cap), phi))
     return Deformation.build(d.base, cap, terms)
-
-
-def perturbations_equal(d1: Deformation, d2: Deformation) -> bool:
-    """Exact equality of the two raw perturbations at the common cap."""
-    if d1.base.dim != d2.base.dim:
-        return False
-    cap = min(d1.cap, d2.cap)
-    (den1, rows1), (den2, rows2) = d1.perturbation(), d2.perturbation()
-    return all(
-        x * den2 == y * den1
-        for r1, r2 in zip(rows1, rows2)
-        for x, y in zip(r1[: cap + 1], r2[: cap + 1])
-    )
 
 
 def polynomial_form_check(d: Deformation, poly, k: int) -> bool:

@@ -13,18 +13,11 @@ from __future__ import annotations
 import json
 import os
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import AlgebraStructure, Cochain
+from .algebra import AlgebraStructure, Cochain, check_key
 from .errors import FormatError
-from .series import (
-    SeriesVector,
-    TruncSeries,
-    parse_rational,
-    rational_pair,
-    rational_str,
-)
+from .series import SeriesVector, TruncSeries, parse_rational, rational_pair
 
 
 # Largest dim and cap read from outside input: a table takes dim^2 slots
@@ -103,17 +96,18 @@ def parse_series_literal(items, cap: int) -> TruncSeries:
     return TruncSeries(den, nums)
 
 
+def _ratio_str(x: int, den: int) -> str:
+    """x / den as a rational string in lowest terms, for den > 0: what
+    `rational_str` writes for Fraction(x, den), with no Fraction built."""
+    common = gcd(x, den)
+    if common == den:
+        return str(x // common)
+    return f"{x // common}/{den // common}"
+
+
 def series_literal(s: TruncSeries) -> list[str]:
     """The coefficients of s as rational strings, each in lowest terms."""
-    den = s.den
-    out = []
-    for x in s.nums:
-        common = gcd(x, den)
-        if common == den:
-            out.append(str(x // common))
-        else:
-            out.append(f"{x // common}/{den // common}")
-    return out
+    return [_ratio_str(x, s.den) for x in s.nums]
 
 
 def _parse_table(rows, what: str):
@@ -202,7 +196,11 @@ def parse_vector(doc, default_cap: int) -> SeriesVector:
 
 
 def parse_cochain(doc, dim: int, degree: int = 2, target: str = "adjoint") -> Cochain:
-    """Parse a cochain object, or a bare values array (degree-2 adjoint)."""
+    """Parse a cochain object, or a bare values array (degree-2 adjoint).
+
+    Each entry is read as an integer pair (`rational_pair`), and all are
+    put over the lcm of their denominators; no Fraction is built.
+    """
     if isinstance(doc, list):
         values = doc
     elif isinstance(doc, dict):
@@ -213,52 +211,52 @@ def parse_cochain(doc, dim: int, degree: int = 2, target: str = "adjoint") -> Co
         raise FormatError(f"bad cochain {doc!r}")
     if target not in ("adjoint", "trivial"):
         raise FormatError(f"unknown cochain target {target!r}")
+    adjoint = target == "adjoint"
     vals = {}
     for row in values:
         try:
             key = tuple(_int(i, "cochain args index") for i in row["args"])
             if key in vals:
                 raise FormatError(f"duplicate cochain entry for args {list(key)}")
-            if target == "adjoint":
-                vec = [Fraction(0)] * dim
-                seen = set()
+            if adjoint:
+                cells = {}
                 for cell in row["out"]:
                     k = _int(cell["k"], "cochain out index")
                     if not 0 <= k < dim:
                         raise FormatError(f"cochain out index {k} outside 0..{dim - 1}")
-                    if k in seen:
+                    if k in cells:
                         raise FormatError(
                             f"cochain entry for args {list(key)} repeats out index {k}"
                         )
-                    seen.add(k)
-                    vec[k] = parse_rational(cell["c"])
-                vals[key] = tuple(vec)
+                    cells[k] = rational_pair(cell["c"])
+                vals[key] = cells
             else:
-                vals[key] = parse_rational(row["c"])
+                vals[key] = {0: rational_pair(row["c"])}
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad cochain entry {row!r}") from exc
     try:
-        return Cochain.build(degree, dim, target, vals)
+        for key in vals:
+            check_key(key, degree, dim)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+    den = lcm(1, *(q for cells in vals.values() for _, q in cells.values()))
+    nums = {key: [0] * (dim if adjoint else 1) for key in vals}
+    for key, cells in vals.items():
+        for k, (p, q) in cells.items():
+            nums[key][k] = p * (den // q)
+    return Cochain.scaled(degree, dim, target, den, nums)
 
 
 def cochain_doc(c: Cochain) -> dict:
+    """The cochain file object of c, each entry in lowest terms."""
     rows = []
     for key in sorted(c.values):
+        val = c.values[key]
         if c.target == "adjoint":
-            rows.append(
-                {
-                    "args": list(key),
-                    "out": [
-                        {"k": k, "c": rational_str(v)}
-                        for k, v in enumerate(c.values[key])
-                        if v
-                    ],
-                }
-            )
+            out = [{"k": k, "c": _ratio_str(x, c.den)} for k, x in enumerate(val) if x]
+            rows.append({"args": list(key), "out": out})
         else:
-            rows.append({"args": list(key), "c": rational_str(c.values[key])})
+            rows.append({"args": list(key), "c": _ratio_str(val[0], c.den)})
     return {"degree": c.degree, "target": c.target, "values": rows}
 
 

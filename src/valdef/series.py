@@ -28,7 +28,6 @@ from .errors import (
     ZeroDivisor,
 )
 
-QQ = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -125,12 +124,19 @@ class Frozen:
     """Base of the package's immutable value types.
 
     A subclass names its fields in __slots__ (plus "__dict__" when it
-    caches properties) and sets each once in __init__ through
-    object.__setattr__.  Instances of one class compare equal, hash and
-    print by their fields, and refuse any later assignment.
+    caches properties).  This __init__ sets them once from one positional
+    argument each, in that order; a subclass that normalizes its input
+    sets each through object.__setattr__ in its own __init__.  Instances of one
+    class compare equal, hash and print by their fields, and refuse any
+    later assignment.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        names = (f for f in self.__slots__ if f != "__dict__")
+        for name, value in zip(names, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__ if f != "__dict__")

@@ -14,14 +14,20 @@ import pytest
 
 from valdef import linalg
 from valdef.algebra import AlgebraStructure, Cochain
-from valdef.decompose import FlagDecomposition, FlagStep
+from valdef.cohomology import coboundaries, coboundary, super_bracket
+from valdef.decompose import Flag, FlagDecomposition, FlagStep
 from valdef.deformation import (
     Deformation,
     decompose_deformation,
-    identity_plus,
+    jacobi_residual,
     transport,
 )
-from valdef.errors import NotInMaximalIdeal, PrecisionExhausted, ZeroVector
+from valdef.errors import (
+    InvalidDeformation,
+    NotInMaximalIdeal,
+    PrecisionExhausted,
+    ZeroVector,
+)
 from valdef.series import SeriesVector, TruncSeries
 
 
@@ -262,7 +268,8 @@ def eval_indices(c: Cochain, indices):
 def eval_vectors(c: Cochain, x, y):
     """A degree-2 adjoint cochain applied to two coefficient vectors."""
     out = [Fraction(0)] * c.dim
-    for (i, j), val in c.values.items():
+    for i, j in c.values:
+        val = c.value((i, j))
         coeff = x[i] * y[j] - x[j] * y[i]
         for k, v in enumerate(val):
             out[k] += coeff * v
@@ -405,6 +412,93 @@ def perturbation_series(d: Deformation) -> dict:
         pair: tuple(TruncSeries(den, rows[s * n + k]) for k in range(n))
         for s, pair in enumerate(combinations(range(n), 2))
     }
+
+
+# -- deformation helpers the tests share ----------------------------------
+
+
+def cochain_from_flat(degree, dim, target, flat) -> Cochain:
+    """The cochain with the given coordinates, in the order of
+    `Cochain.flatten`."""
+    from itertools import combinations
+
+    width = dim if target == "adjoint" else 1
+    flat = list(flat)
+    values = {}
+    for idx, key in enumerate(combinations(range(dim), degree)):
+        chunk = flat[idx * width : (idx + 1) * width]
+        values[key] = chunk if target == "adjoint" else chunk[0]
+    return Cochain.build(degree, dim, target, values)
+
+
+def identity_plus(n: int, cap: int, nilpotent=None, power: int = 1):
+    """Series endomorphism Id + t^power * N as an n x n matrix of series."""
+    rows = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            coeffs = [Fraction(int(r == c))]
+            if nilpotent is not None and nilpotent[r][c]:
+                coeffs += [Fraction(0)] * (power - 1) + [Fraction(nilpotent[r][c])]
+            row.append(TruncSeries.from_coeffs(coeffs, cap=cap))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def perturbations_equal(d1: Deformation, d2: Deformation) -> bool:
+    """Exact equality of the two raw perturbations at the common cap."""
+    if d1.base.dim != d2.base.dim:
+        return False
+    cap = min(d1.cap, d2.cap)
+    (den1, rows1), (den2, rows2) = d1.perturbation(), d2.perturbation()
+    return all(
+        x * den2 == y * den1
+        for r1, r2 in zip(rows1, rows2)
+        for x, y in zip(r1[: cap + 1], r2[: cap + 1])
+    )
+
+
+def step_factors(d: Deformation):
+    """Individual factors b_i of the cumulative coefficients c_i = b_1...b_i.
+
+    Exact division, so each factor's cap drops by the valuation of the
+    previous cumulative coefficient.
+    """
+    out = []
+    prev = None
+    for coeff, _ in d.terms:
+        out.append(coeff if prev is None else coeff.div_exact(prev))
+        prev = coeff
+    return out
+
+
+def first_term_is_cocycle(d: Deformation) -> bool:
+    """delta(phi_1) == 0; requires a valid deformation."""
+    bad = jacobi_residual(d)
+    if bad:
+        raise InvalidDeformation(f"nonzero Jacobi residual at order t^{min(bad)}")
+    if not d.terms:
+        return True
+    return coboundary(d.base, d.terms[0][1]).is_zero()
+
+
+def max_rank_check(d: Deformation):
+    """(dim V, is_maximal) for V = span{[phi_i,phi_j], [mu,phi_i] : i,j <= k-1}."""
+    phis = [phi for _, phi in d.terms]
+    k = len(phis)
+    vectors = []
+    for i in range(k - 1):
+        for j in range(i, k - 1):
+            vectors.append(list(super_bracket(phis[i], phis[j]).flatten()))
+    for delta in coboundaries(d.base, phis[: k - 1]):
+        vectors.append(list(delta.flatten()))
+    dim = linalg.rank(vectors) if vectors else 0
+    return dim, dim == k * (k - 1) // 2
+
+
+def flags_equal(f1: Flag, f2: Flag) -> bool:
+    """Same length and same subspace at every level (RREF comparison)."""
+    return f1.chain == f2.chain
 
 
 # -- per-component flag decomposition, the oracle of `valdef.decompose` ----

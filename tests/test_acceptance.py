@@ -13,12 +13,9 @@ from fractions import Fraction
 from valdef import linalg
 from valdef.algebra import AlgebraStructure
 from valdef.cohomology import coboundary, cohomology_dim, super_bracket
-from valdef.decompose import decompose, flag_of, flags_equal, recompose
+from valdef.decompose import decompose, flag_of, recompose
 from valdef.deformation import (
-    identity_plus,
     jacobi_residual,
-    max_rank_check,
-    perturbations_equal,
     series_matrix_inverse,
     transport,
 )
@@ -41,8 +38,12 @@ from gens import (
     ZTRIPLE,
     conjugated,
     decomposed,
+    flags_equal,
+    identity_plus,
     in_span,
     lie_as_product,
+    max_rank_check,
+    perturbations_equal,
     random_cochain,
     random_direction,
     random_lie,

@@ -3,10 +3,12 @@
 import random
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from valdef.algebra import (
+    COEFFS,
     AlgebraStructure,
     Cochain,
     associator,
@@ -14,12 +16,15 @@ from valdef.algebra import (
     jacobiator,
 )
 from valdef.errors import DimensionMismatch
+from valdef.io import cochain_doc, parse_cochain
+from valdef.series import rational_str
 
 from gens import (
     H3,
     R2,
     SL2,
     change_basis,
+    cochain_from_flat,
     frac,
     mu_cochain,
     random_invertible,
@@ -144,8 +149,67 @@ def test_cochain_flatten_roundtrip():
     for target in ("adjoint", "trivial"):
         for _ in range(10):
             c = random_cochain(rng, 4, 2, target)
-            again = Cochain.from_flat(2, 4, target, c.flatten())
+            again = cochain_from_flat(2, 4, target, c.flatten())
             assert again == c
+
+
+def test_cochain_printer_matches_rational_str():
+    """io.cochain_doc prints every entry of a cochain built from rationals
+    in lowest terms, as rational_str of its Fraction value does, and
+    io.parse_cochain reads the document back to an equal cochain; the same
+    values at another scale compare and hash equal."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rationals = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(
+            Fraction,
+            st.integers(-(10**12), 10**12),
+            st.sampled_from((1, 2, 3, 6, 7, 10**9 + 7)),
+        ),
+    )
+
+    @st.composite
+    def cochains(draw):
+        dim = draw(st.integers(1, 4))
+        degree = draw(st.integers(0, min(3, dim)))
+        target = draw(st.sampled_from(COEFFS))
+        keys = draw(st.lists(st.sampled_from(list(combinations(range(dim), degree)))))
+        width = dim if target == "adjoint" else None
+        values = {}
+        for key in keys:
+            if width is None:
+                values[key] = draw(rationals)
+            else:
+                values[key] = draw(st.lists(rationals, min_size=width, max_size=width))
+        return degree, dim, target, values
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(cochains(), st.integers(2, 10**6))
+    def check(spec, scale):
+        degree, dim, target, values = spec
+        c = Cochain.build(degree, dim, target, values)
+        rows = []
+        for key in sorted(values):
+            if target == "trivial":
+                if values[key]:
+                    rows.append({"args": list(key), "c": rational_str(values[key])})
+                continue
+            out = [{"k": k, "c": rational_str(v)} for k, v in enumerate(values[key]) if v]
+            if out:
+                rows.append({"args": list(key), "out": out})
+        doc = cochain_doc(c)
+        assert doc == {"degree": degree, "target": target, "values": rows}
+        again = parse_cochain(doc, dim)
+        assert again == c and hash(again) == hash(c)
+        # the same values over scale times the denominator
+        wide = {key: [scale * x for x in vec] for key, vec in c.values.items()}
+        other = Cochain.scaled(degree, dim, target, scale * c.den, wide)
+        assert other == c and hash(other) == hash(c)
+        assert c.scale(scale).scale(Fraction(1, scale)) == c
+        assert (c + c) - c == c and (c - c).is_zero()
+
+    check()
 
 
 def test_mu_cochain_matches_table():

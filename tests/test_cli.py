@@ -975,6 +975,101 @@ def test_subcommand_in_fresh_process(tmp_path, capsys, argv):
     assert code == 0 and json.loads(out)["ok"] is True
 
 
+def test_deform_fuzzed_deformation_documents(tmp_path, capsys):
+    """Deformation documents with mangled cochains get a verdict (0 or 1), a
+    one-line refusal (2) or a precision verdict (3) from `deform verify`
+    and `deform decompose`: one JSON document on stdout, never a
+    traceback.  The cochain entries carry bad, huge and "p/0" literals,
+    repeated out indices, out-of-range or non-increasing args and wrong
+    degrees and targets."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def mostly(good, bad):
+        """good, or bad once in ten draws, so most documents get through."""
+        return st.integers(0, 9).flatmap(lambda r: bad if r == 0 else good)
+
+    r2k = {"dim": 3, "kind": "lie", "table": [{"i": 0, "j": 1, "out": [{"k": 1, "c": "1"}]}]}
+    bases = [SL2_DOC, NON_LIE_DOC, r2k, {"dim": 2, "kind": "lie"}]
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 5), st.floats(), st.text(max_size=4)
+    )
+    literals = mostly(
+        st.one_of(
+            st.just("0"),
+            st.builds(str, st.integers(-9, 9)),
+            st.builds("{}/{}".format, st.integers(-(10**30), 10**30), st.integers(1, 12)),
+        ),
+        st.one_of(
+            st.builds("{}/0".format, st.integers(-9, 9)),
+            st.sampled_from(("9" * 5000, "1/" + "7" * 5000, "x", "", "1.5", "1/-2")),
+            leaves,
+        ),
+    )
+
+    @st.composite
+    def cochains(draw, dim):
+        pairs = [(0, 1), (0, 2), (1, 2)][: 1 if dim == 2 else 3]
+        args = mostly(
+            st.sampled_from(pairs).map(list),
+            st.one_of(
+                st.lists(st.integers(-1, dim), max_size=4),
+                st.sampled_from(pairs).map(lambda p: [p[1], p[0]]),
+                st.integers(0, dim - 1).map(lambda i: [i, i]),
+                leaves,
+            ),
+        )
+        cell = st.fixed_dictionaries(
+            {"k": mostly(st.integers(0, dim - 1), st.integers(-1, dim)), "c": literals}
+        )
+        cells = mostly(
+            st.lists(cell, max_size=dim, unique_by=lambda c: str(c["k"])),
+            st.one_of(st.lists(cell, min_size=2, max_size=dim + 2), leaves),
+        )
+        entry = st.fixed_dictionaries({"args": args, "out": cells})
+        odd_entry = st.one_of(leaves, entry.map(lambda e: {"c": "1", **e}))
+        entries = draw(st.lists(mostly(entry, odd_entry), max_size=3))
+        if not draw(st.integers(0, 4)):
+            return entries
+        doc = {"values": entries}
+        if draw(st.booleans()):
+            doc["degree"] = draw(mostly(st.just(2), st.one_of(st.integers(-1, 4), leaves)))
+        if draw(st.booleans()):
+            doc["target"] = draw(mostly(st.just("adjoint"), st.sampled_from(("trivial", "x"))))
+        return doc
+
+    @st.composite
+    def documents(draw):
+        base = draw(st.sampled_from(bases))
+        cap = draw(st.integers(0, 6))
+        coeff = mostly(
+            st.lists(literals, max_size=cap).map(lambda xs: ["0", *xs]),
+            st.one_of(st.lists(literals, max_size=cap + 2), leaves),
+        )
+        terms = [
+            {"coeff": draw(coeff), "cochain": draw(cochains(base["dim"]))}
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        return {"base": base, "cap": cap, "terms": terms}
+
+    path = tmp_path / "d.json"
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(documents())
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        for action in ("verify", "decompose"):
+            code = main(["deform", action, str(path)])
+            out = capsys.readouterr()
+            assert code in (0, 1, 2, 3), out.err
+            # exactly one JSON document, on one line
+            assert isinstance(json.loads(out.out), dict)
+            assert out.out.count("\n") == 1
+            assert "Traceback" not in out.err
+
+    check()
+
+
 def test_decompose_self_check_failure_is_internal(tmp_path, capsys, monkeypatch):
     import valdef.decompose as decompose
     from valdef.series import SeriesVector, TruncSeries

@@ -13,13 +13,13 @@ from valdef.decompose import (
     decompose,
     decompose_rows,
     flag_of,
-    flags_equal,
     recompose,
 )
 from valdef.errors import NotInMaximalIdeal, ValdefError, ZeroVector
 from valdef.series import SeriesVector, TruncSeries
 
 from gens import (
+    flags_equal,
     random_series_in_m,
     random_vector_in_m,
     reference_decompose,

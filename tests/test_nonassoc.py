@@ -317,7 +317,7 @@ def _ref_jacobiator(g):
         total = _ref_jacobi_terms(g, key)
         if any(total):
             vals[key] = total
-    return Cochain(3, g.dim, "adjoint", vals)
+    return Cochain.build(3, g.dim, "adjoint", vals)
 
 
 def _ref_is_lie(b):
