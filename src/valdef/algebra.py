@@ -9,10 +9,17 @@ Everything else reads the integer form of a table, `scaled_table`: one
 common denominator and integer constants over all ordered pairs, Lie
 tables expanded antisymmetrically.  A degree-2 adjoint Cochain is a
 bracket table too and has the same `scaled_table`, built by the same
-code.  `triple_products` contracts two such tables into both nestings of
-every basis triple, and the associator, G-associativity, dual-identity
-and Poisson product checks are integer zero and equality tests on its
-output.
+code.  `nested_products` contracts two such tables into one nesting of
+every basis triple, each vector packed into one int by Kronecker
+substitution: outer row den * e_a e_b becomes P[a][b] = sum of c_q * 2^(B
+q), and (e_i e_j) e_k = sum of c_m * P[m][k], e_i (e_j e_k) = sum of c_m *
+P[i][m] over the inner row.  A sum of at most T nested products has every
+coordinate bounded by M = T * r * c_in * c_out (r the longest inner row, c
+the largest absolute constants), so for B = bit_length(M) + 1
+(`slot_width`) two such sums pack equal only if equal: the lowest nonzero
+slot of their difference would be a multiple of 2^B inside (-2^B, 2^B).
+The associator, G-associativity, dual-identity and Poisson checks are
+thus exact int zero and equality tests.
 
 For two tables the mixed Jacobi sum (`jacobi_sums`, which contracts only
 the three cyclic left nestings of each increasing triple)
@@ -22,7 +29,8 @@ the three cyclic left nestings of each increasing triple)
 
 is the Jacobiator when outer = inner is a bracket, and for degree-2
 cochains it is the circle product of Gerstenhaber's deformation equation
-(`cohomology.circle`).
+(`cohomology.circle`).  It is not packed: its callers read the sums by
+coordinate, so packed sums would only be unpacked again.
 
 Cochains are alternating multilinear maps stored densely over strictly
 increasing index tuples, as integers over one denominator: the package's
@@ -32,8 +40,8 @@ one cochain format, built from integer sums by `Cochain.scaled`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, combinations
+from functools import cached_property, lru_cache
+from itertools import chain, combinations, product as iter_product
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, UnsupportedDegree
@@ -168,57 +176,54 @@ def _table_rows(dim: int, entries, antisymmetric: bool) -> tuple:
     return tuple(map(tuple, rows))
 
 
-def _combine(terms, rows) -> dict:
-    """The sum of c * rows[m] over (m, c) in terms, as {k: int} without zeros."""
-    acc: dict[int, int] = {}
-    for m, c in terms:
-        for k, d in rows[m]:
-            acc[k] = acc.get(k, 0) + c * d
-    if all(acc.values()):
-        return acc
-    return {k: v for k, v in acc.items() if v}
+def slot_width(terms: int, *pairs) -> int:
+    """The slot width B = bit_length(M) + 1 that makes sums of at most `terms`
+    nested products of the (outer, inner) pairs, over one den, pack exactly."""
+    bound = 0
+    for outer, inner in pairs:
+        _, in_rows = inner.scaled_table
+        longest = max(len(row) for rows in in_rows for row in rows)
+        bound = max(bound, longest * _largest(inner) * _largest(outer))
+    return (terms * bound).bit_length() + 1
 
 
-def triple_products(outer, inner):
-    """Both nestings of every basis triple, scaled to integers.
+def _largest(table) -> int:
+    _, rows = table.scaled_table
+    return max((abs(c) for r in rows for row in r for _, c in row), default=0)
 
-    outer and inner are tables: AlgebraStructures or degree-2 adjoint
-    Cochains, read through their `scaled_table`.  Returns (den, left,
-    right) with den = den_outer * den_inner and, for the flat triple
-    number t = (i * n + j) * n + k (the order in which itertools.product
-    scans triples):
 
-        left[t]  = den * (e_i o_inner e_j) o_outer e_k
-        right[t] = den * e_i o_outer (e_j o_inner e_k)
-
-    each a {m: int} dict holding no zero value, so that two vectors are
-    equal exactly when their dicts are, and zero exactly when empty.
-    """
-    if outer.dim != inner.dim:
-        raise DimensionMismatch(
-            f"tables of dims {outer.dim} and {inner.dim} cannot be nested"
-        )
+def nested_products(outer, inner, width: int, left: bool) -> list[int]:
+    """den * one nesting of every basis triple in `width`-bit slots: entry
+    (i * n + j) * n + k (itertools.product order) is (e_i e_j) e_k if left,
+    else e_i (e_j e_k), with den = den_outer * den_inner."""
     n = outer.dim
-    den_out, out_rows = outer.scaled_table
-    den_in, in_rows = inner.scaled_table
-    out_cols = [[out_rows[m][k] for m in range(n)] for k in range(n)]
-    left, right = [], []
-    for i in range(n):
-        out_i = out_rows[i]
-        for j in range(n):
-            ij = in_rows[i][j]
-            in_j = in_rows[j]
-            for k in range(n):
-                left.append(_combine(ij, out_cols[k]) if ij else {})
-                jk = in_j[k]
-                right.append(_combine(jk, out_i) if jk else {})
-    return den_out * den_in, left, right
+    _, out_rows = outer.scaled_table
+    _, in_rows = inner.scaled_table
+    packed = [
+        [sum([c << width * q for q, c in row]) if row else 0 for row in r]
+        for r in out_rows
+    ]
+    # inner row (a, b) gives the sums of c * vecs[m][x] over all x: the left
+    # nesting at (a, b, x) for vecs = P, the right one at (x, a, b) for P^T
+    vecs = packed if left else list(zip(*packed))
+    zeros, out = [0] * n, []
+    for rows in in_rows:
+        for row in rows:
+            acc = zeros
+            for m, c in row:
+                acc = [y + c * x for y, x in zip(acc, vecs[m])]
+            out += acc
+    if left:
+        return out
+    return list(map(out.__getitem__, permuted_triples(n, (1, 2, 0))))
 
 
-def add_scaled(acc: dict, vec: dict, sign: int = 1) -> None:
-    """acc += sign * vec, for {k: int} vectors; acc may keep zero values."""
-    for k, v in vec.items():
-        acc[k] = acc.get(k, 0) + sign * v
+@lru_cache(maxsize=128)  # every pattern of dims 1-18; an entry holds n^3 ints
+def permuted_triples(n: int, pattern) -> tuple[int, ...]:
+    """The flat number of (t[p0], t[p1], t[p2]) for each flat triple t."""
+    p0, p1, p2 = pattern
+    triples = iter_product(range(n), repeat=3)
+    return tuple((t[p0] * n + t[p1]) * n + t[p2] for t in triples)
 
 
 def associator(a: AlgebraStructure, x, y, z) -> tuple[Fraction, ...]:
@@ -372,7 +377,7 @@ def check_key(key: tuple, degree: int, dim: int) -> None:
 def jacobi_sums(outer, inner=None):
     """(den, failures): the mixed Jacobi sums of two tables that do not vanish.
 
-    outer and inner are tables as in `triple_products`; inner defaults to
+    outer and inner are tables as in `nested_products`; inner defaults to
     outer.  failures lists (key, vec) for every strictly increasing basis
     triple key = (i, j, k), in lex order, whose den * (outer(inner(e_i,
     e_j), e_k) + outer(inner(e_j, e_k), e_i) + outer(inner(e_k, e_i), e_j))

@@ -15,10 +15,10 @@ subgroups this matches the usual pre-Lie/Vinberg duals; "3-commutative"
 (the full-group dual) is implemented as invariance of triple products
 under all argument permutations.
 
-Every check here scans basis triples of the integer tables that
-`algebra.triple_products` returns, in `itertools.product` order, so the
-first failing triple is the witness; rationals appear only in the
-tables that are built and printed.
+Every check here is an exact int zero or equality test on the packed
+nested products of all basis triples (`algebra.nested_products`), in
+`itertools.product` order, so the first failing triple is the witness: a
+G-sum adds whole permuted lists of associators, 2|G| nested products.
 """
 
 from __future__ import annotations
@@ -26,15 +26,17 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import compress, count
 from math import lcm
+from operator import add, ne, or_, sub
 
 from .algebra import (
     SUBGROUPS,
     AlgebraStructure,
-    add_scaled,
     jacobi_sums,
-    triple_products,
+    nested_products,
+    permuted_triples,
+    slot_width,
 )
 from .errors import InvalidPoisson
 
@@ -84,18 +86,17 @@ DUAL_IDENTITY = {
 }
 
 
-def _associator_table(a: AlgebraStructure) -> list[dict]:
-    """den * ((e_i e_j) e_k - e_i (e_j e_k)) for every flat triple number."""
-    _, left, right = triple_products(a, a)
-    table = []
-    for lt, rt in zip(left, right):
-        if lt == rt:
-            table.append({})
-        else:
-            acc = dict(lt)
-            add_scaled(acc, rt, -1)
-            table.append({k: v for k, v in acc.items() if v})
-    return table
+def _witness(n: int, flags):
+    """(True, None), or (False, the first triple whose flag is true)."""
+    t = next(compress(count(), flags), None)
+    return (True, None) if t is None else (False, (t // n // n, t // n % n, t % n))
+
+
+def _associativity(b: AlgebraStructure):
+    """(left nestings of b, associativity verdict), on one-product slots."""
+    width = slot_width(1, (b, b))
+    left = nested_products(b, b, width, True)
+    return left, _witness(b.dim, map(ne, left, nested_products(b, b, width, False)))
 
 
 def g_associative_check(a: AlgebraStructure, tag: SubgroupTag, signed: bool = True):
@@ -107,18 +108,15 @@ def g_associative_check(a: AlgebraStructure, tag: SubgroupTag, signed: bool = Tr
     """
     tag = SubgroupTag(tag)
     n = a.dim
-    assoc = _associator_table(a)
-    terms = [
-        (pattern, _pattern_sign(pattern) if signed else 1)
-        for pattern in PATTERNS[tag]
-    ]
-    for t in iter_product(range(n), repeat=3):
-        acc: dict[int, int] = {}
-        for (p0, p1, p2), sign in terms:
-            add_scaled(acc, assoc[(t[p0] * n + t[p1]) * n + t[p2]], sign)
-        if any(acc.values()):
-            return False, t
-    return True, None
+    width = slot_width(2 * len(PATTERNS[tag]), (a, a))
+    nestings = (nested_products(a, a, width, left) for left in (True, False))
+    assoc = list(map(sub, *nestings))
+    total = assoc
+    for pattern in PATTERNS[tag][1:]:
+        op = sub if signed and _pattern_sign(pattern) < 0 else add
+        permuted = map(assoc.__getitem__, permuted_triples(n, pattern))
+        total = list(map(op, total, permuted))
+    return _witness(n, total)
 
 
 def dual_identity_check(b: AlgebraStructure, tag: SubgroupTag):
@@ -130,16 +128,14 @@ def dual_identity_check(b: AlgebraStructure, tag: SubgroupTag):
     """
     tag = SubgroupTag(tag)
     n = b.dim
-    _, left, right = triple_products(b, b)
-    triples = list(iter_product(range(n), repeat=3))
-    for t, lt, rt in zip(triples, left, right):
-        if lt != rt:
-            return False, t
-    for t, want in zip(triples, left):
-        for p0, p1, p2 in PATTERNS[tag][1:]:
-            if left[(t[p0] * n + t[p1]) * n + t[p2]] != want:
-                return False, t
-    return True, None
+    left, verdict = _associativity(b)
+    if not verdict[0]:
+        return verdict
+    differs = [False] * len(left)
+    for pattern in PATTERNS[tag][1:]:
+        permuted = map(left.__getitem__, permuted_triples(n, pattern))
+        differs = list(map(or_, differs, map(ne, permuted, left)))
+    return _witness(n, differs)
 
 
 def _add_kron(out: dict, left, right, width: int, weight: int = 1) -> None:
@@ -199,10 +195,9 @@ def poisson_verify(p: PoissonStructure):
         for j in range(i, n):
             if prod[i][j] != prod[j][i]:
                 return False, ("product not commutative", (i, j))
-    _, left, right = triple_products(p.product, p.product)
-    for t, lt, rt in zip(iter_product(range(n), repeat=3), left, right):
-        if lt != rt:
-            return False, ("product not associative", t)
+    _, (ok, t) = _associativity(p.product)
+    if not ok:
+        return False, ("product not associative", t)
     _, br = p.bracket.scaled_table
     for i in range(n):
         for j in range(i, n):
@@ -212,26 +207,30 @@ def poisson_verify(p: PoissonStructure):
     if failures:
         return False, ("bracket fails Jacobi", failures[0][0])
     # [a, bc] - b[a, c] - [a, b]c, each term scaled by den_bracket * den_product
-    _, _, br_of_prod = triple_products(p.bracket, p.product)
-    _, prod_of_br_left, prod_of_br_right = triple_products(p.product, p.bracket)
-    for a, b, c in iter_product(range(n), repeat=3):
-        acc = dict(br_of_prod[(a * n + b) * n + c])
-        add_scaled(acc, prod_of_br_right[(b * n + a) * n + c], -1)
-        add_scaled(acc, prod_of_br_left[(a * n + b) * n + c], -1)
-        if any(acc.values()):
-            return False, ("Leibniz rule fails", (a, b, c))
+    width = slot_width(3, (p.bracket, p.product), (p.product, p.bracket))
+    br_of_prod = nested_products(p.bracket, p.product, width, False)
+    prod_of_br_left = nested_products(p.product, p.bracket, width, True)
+    prod_of_br_right = nested_products(p.product, p.bracket, width, False)
+    b_ac = map(prod_of_br_right.__getitem__, permuted_triples(n, (1, 0, 2)))
+    ok, t = _witness(n, map(sub, map(sub, br_of_prod, b_ac), prod_of_br_left))
+    if not ok:
+        return False, ("Leibniz rule fails", t)
     return True, None
 
 
-def _require_poisson(p: PoissonStructure, label: str):
+def _require_poisson(p: PoissonStructure, label: str, error=InvalidPoisson):
+    """Raise error unless p satisfies the axioms.  An input failing them is
+    malformed (InvalidPoisson); a construction's own output failing them is
+    a bug here (RuntimeError), which the CLI reports with exit 4."""
     ok, witness = poisson_verify(p)
     if not ok:
-        raise InvalidPoisson(f"{label}: {witness[0]} at {witness[1]}")
+        raise error(f"{label}: {witness[0]} at {witness[1]}")
 
 
 def poisson_tensor(p: PoissonStructure, q: PoissonStructure) -> PoissonStructure:
     """Tensor Poisson structure: products multiply componentwise and
-    [(a1 x a2),(b1 x b2)] = [a1,b1] x a2.b2 + a1.b1 x [a2,b2]."""
+    [(a1 x a2),(b1 x b2)] = [a1,b1] x a2.b2 + a1.b1 x [a2,b2]; the result
+    is verified."""
     _require_poisson(p, "left factor")
     _require_poisson(q, "right factor")
     product = tensor_product(p.product, q.product)
@@ -257,11 +256,13 @@ def poisson_tensor(p: PoissonStructure, q: PoissonStructure) -> PoissonStructure
                     entry = {k: Fraction(c, den) for k, c in out.items() if c}
                     if entry:
                         table[(i1 * q.dim + j1, i2 * q.dim + j2)] = entry
-    return PoissonStructure(
+    out = PoissonStructure(
         dim=dim,
         product=product,
         bracket=AlgebraStructure.assoc(dim, table),
     )
+    _require_poisson(out, "tensor", RuntimeError)
+    return out
 
 
 def opposite_poisson(p: PoissonStructure) -> PoissonStructure:
@@ -278,5 +279,5 @@ def opposite_poisson(p: PoissonStructure) -> PoissonStructure:
         product=AlgebraStructure.assoc(p.dim, prod_table),
         bracket=AlgebraStructure.assoc(p.dim, br_table),
     )
-    _require_poisson(out, "opposite")
+    _require_poisson(out, "opposite", RuntimeError)
     return out

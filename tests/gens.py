@@ -8,12 +8,13 @@ decomposed form.
 """
 
 from fractions import Fraction
+from itertools import product as iter_product
 import random
 
 import pytest
 
 from valdef import linalg
-from valdef.algebra import AlgebraStructure, Cochain
+from valdef.algebra import AlgebraStructure, Cochain, jacobi_sums
 from valdef.cohomology import coboundaries, coboundary, super_bracket
 from valdef.decompose import Flag, FlagDecomposition, FlagStep
 from valdef.deformation import (
@@ -28,6 +29,7 @@ from valdef.errors import (
     PrecisionExhausted,
     ZeroVector,
 )
+from valdef.nonassoc import PATTERNS, SubgroupTag
 from valdef.series import SeriesVector, TruncSeries
 
 
@@ -635,3 +637,111 @@ def search_tables(dim, predicate, coeffs=(-1, 1), max_entries=3, limit=20):
 
 def conjugated(rng, alg: AlgebraStructure) -> AlgebraStructure:
     return change_basis(alg, random_invertible(rng, alg.dim))
+
+
+# -- the dict contraction: reference for the packed nested products -------
+#
+# Each nested product is a {k: int} dict holding no zero value, so two
+# vectors are equal exactly when their dicts are and zero exactly when
+# empty; the verdicts below scan triples in itertools.product order.
+
+
+def _combine(terms, rows) -> dict:
+    """The sum of c * rows[m] over (m, c) in terms, as {k: int} without zeros."""
+    acc: dict[int, int] = {}
+    for m, c in terms:
+        for k, d in rows[m]:
+            acc[k] = acc.get(k, 0) + c * d
+    return {k: v for k, v in acc.items() if v}
+
+
+def triple_products(outer, inner):
+    """(den, left, right): for the flat triple t = (i * n + j) * n + k,
+    left[t] = den * (e_i o_inner e_j) o_outer e_k and right[t] = den * e_i
+    o_outer (e_j o_inner e_k) as dicts, den = den_outer * den_inner."""
+    n = outer.dim
+    den_out, out_rows = outer.scaled_table
+    den_in, in_rows = inner.scaled_table
+    out_cols = [[out_rows[m][k] for m in range(n)] for k in range(n)]
+    left, right = [], []
+    for i, j, k in iter_product(range(n), repeat=3):
+        left.append(_combine(in_rows[i][j], out_cols[k]))
+        right.append(_combine(in_rows[j][k], out_rows[i]))
+    return den_out * den_in, left, right
+
+
+def add_scaled(acc: dict, vec: dict, sign: int = 1) -> None:
+    """acc += sign * vec, for {k: int} vectors; acc may keep zero values."""
+    for k, v in vec.items():
+        acc[k] = acc.get(k, 0) + sign * v
+
+
+def _flat(n, t):
+    return (t[0] * n + t[1]) * n + t[2]
+
+
+def dict_g_check(a: AlgebraStructure, tag, signed: bool = True):
+    """`nonassoc.g_associative_check` on dict associators."""
+    n = a.dim
+    _, left, right = triple_products(a, a)
+    assoc = []
+    for lt, rt in zip(left, right):
+        acc = dict(lt)
+        add_scaled(acc, rt, -1)
+        assoc.append(acc)
+    for t in iter_product(range(n), repeat=3):
+        acc: dict[int, int] = {}
+        for pattern in PATTERNS[SubgroupTag(tag)]:
+            inversions = sum(pattern[x] > pattern[y] for x, y in ((0, 1), (0, 2), (1, 2)))
+            sign = (-1) ** inversions if signed else 1
+            add_scaled(acc, assoc[_flat(n, [t[p] for p in pattern])], sign)
+        if any(acc.values()):
+            return False, t
+    return True, None
+
+
+def dict_dual(b: AlgebraStructure, tag):
+    """`nonassoc.dual_identity_check` on dict triple products."""
+    n = b.dim
+    _, left, right = triple_products(b, b)
+    triples = list(iter_product(range(n), repeat=3))
+    for t, lt, rt in zip(triples, left, right):
+        if lt != rt:
+            return False, t
+    for t, want in zip(triples, left):
+        for pattern in PATTERNS[SubgroupTag(tag)][1:]:
+            if left[_flat(n, [t[p] for p in pattern])] != want:
+                return False, t
+    return True, None
+
+
+def dict_poisson(p):
+    """`nonassoc.poisson_verify` on dict nested products."""
+    n = p.dim
+    _, prod = p.product.scaled_table
+    for i in range(n):
+        for j in range(i, n):
+            if prod[i][j] != prod[j][i]:
+                return False, ("product not commutative", (i, j))
+    _, left, right = triple_products(p.product, p.product)
+    for t, lt, rt in zip(iter_product(range(n), repeat=3), left, right):
+        if lt != rt:
+            return False, ("product not associative", t)
+    _, br = p.bracket.scaled_table
+    for i in range(n):
+        for j in range(i, n):
+            if br[i][j] != tuple((k, -c) for k, c in br[j][i]):
+                return False, ("bracket not antisymmetric", (i, j))
+    _, failures = jacobi_sums(p.bracket)
+    if failures:
+        return False, ("bracket fails Jacobi", failures[0][0])
+    # [a, bc] - b[a, c] - [a, b]c, each term scaled by den_bracket * den_product
+    _, _, br_of_prod = triple_products(p.bracket, p.product)
+    _, prod_of_br_left, prod_of_br_right = triple_products(p.product, p.bracket)
+    for a, b, c in iter_product(range(n), repeat=3):
+        acc = dict(br_of_prod[_flat(n, (a, b, c))])
+        add_scaled(acc, prod_of_br_right[_flat(n, (b, a, c))], -1)
+        add_scaled(acc, prod_of_br_left[_flat(n, (a, b, c))], -1)
+        if any(acc.values()):
+            return False, ("Leibniz rule fails", (a, b, c))
+    return True, None

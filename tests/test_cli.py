@@ -835,6 +835,23 @@ MALFORMED = [
         {"d": _term([{"args": [0, 1], "out": [{"k": 0, "c": "\u0662/3"}]}])},
         "bad rational literal '\u0662/3'",
     ),
+    # a tensor product of two legal files is bounded by io.MAX_DIM too, before
+    # it is built
+    (
+        ["gass", "tensor", "@a", "@b", "--group", "Id"],
+        {"a": {"dim": 10, "kind": "assoc", "table": []}, "b": {"dim": 11, "kind": "assoc", "table": []}},
+        f"tensor product dim 10*11 = 110 exceeds the largest supported dim {io.MAX_DIM}",
+    ),
+    (
+        ["gass", "tensor", "@a", "@a", "--group", "S3"],
+        {"a": dict(ASSOC1, dim=io.MAX_DIM)},
+        f"tensor product dim {io.MAX_DIM}*{io.MAX_DIM} = {io.MAX_DIM**2} exceeds",
+    ),
+    (
+        ["poisson", "tensor", "@a", "@b"],
+        {"a": dict(POISSON1, dim=io.MAX_DIM), "b": dict(POISSON1, dim=2)},
+        f"tensor product dim {io.MAX_DIM}*2 = {2 * io.MAX_DIM} exceeds",
+    ),
 ]
 
 
@@ -1092,6 +1109,44 @@ def test_decompose_self_check_failure_is_internal(tmp_path, capsys, monkeypatch)
     assert out.out == ""
     assert out.err.startswith("Traceback (most recent call last):")
     assert "RuntimeError: the flag decomposition does not recompose" in out.err
+
+
+def test_poisson_self_check_failure_is_internal(tmp_path, capsys, monkeypatch):
+    """A tensor or opposite structure that fails the Poisson axioms is a bug,
+    not a verdict: exit 4, the traceback and nothing on stdout.  The
+    verifier is made to fail only on structures not read from a file."""
+    import valdef.nonassoc as nonassoc
+
+    path = write(tmp_path, "p.json", POISSON1)
+    for action in (["tensor", path, path], ["opposite", path]):
+        code, doc, _ = run(capsys, "poisson", *action)
+        assert code == 0 and doc["ok"] and doc["detail"]["verified"] is True
+    loaded = []
+    real_load, real_verify = io.load_algebra, nonassoc.poisson_verify
+
+    def load(p):
+        f = real_load(p)
+        loaded.append(f.poisson)
+        return f
+
+    def verify(p):
+        if any(p is q for q in loaded):
+            return real_verify(p)
+        return False, ("product not associative", (0, 0, 0))
+
+    monkeypatch.setattr(io, "load_algebra", load)
+    monkeypatch.setattr(nonassoc, "poisson_verify", verify)
+    for action, label in ((["tensor", path, path], "tensor"), (["opposite", path], "opposite")):
+        code = main(["poisson", *action])
+        out = capsys.readouterr()
+        assert code == 4
+        assert out.out == ""
+        assert out.err.startswith("Traceback (most recent call last):")
+        assert f"RuntimeError: {label}: product not associative at (0, 0, 0)" in out.err
+    # the same verifier failing on a file's structure is malformed input
+    monkeypatch.setattr(nonassoc, "poisson_verify", lambda p: (False, ("x", (0,))))
+    code, doc, err = run(capsys, "poisson", "opposite", path)
+    assert code == 2 and doc["ok"] is False and err.startswith("error: input: x")
 
 
 def test_decompose_fuzzed_vector_documents(tmp_path, capsys):

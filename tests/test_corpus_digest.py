@@ -1,11 +1,11 @@
 """Byte-identical answers on the benchmark corpora.
 
-The four corpora of `perfbench/corpus.py` are rebuilt at seed 1 into a
-temporary directory, and every case runs through `valdef.cli.main`
+The four corpora of `perfbench/corpus.py` are rebuilt at seeds 1, 3 and 7
+into a temporary directory, and every case runs through `valdef.cli.main`
 in-process.  The sha256 of each case's exit code and stdout (with the
 temporary root replaced by a placeholder) must equal the digest in
 `corpus_digests.json`, so a change that alters any printed answer, error
-message or exit code fails here by case id.
+message or exit code fails here by seed and case id.
 
 After a deliberate change of output, regenerate the file with
 
@@ -27,7 +27,7 @@ from valdef.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "corpus_digests.json"
-SEED = 1
+SEEDS = (1, 3, 7)
 PLACEHOLDER = "<ROOT>"
 
 
@@ -69,16 +69,21 @@ def corpus_digests(seed: int, root: str) -> dict:
 
 def test_corpus_outputs_unchanged(tmp_path):
     want = json.loads(DIGESTS.read_text())
-    got = corpus_digests(SEED, str(tmp_path))
-    assert got.keys() == want.keys()
-    for workload, digests in want.items():
-        assert got[workload].keys() == digests.keys(), workload
-        changed = [cid for cid, h in digests.items() if got[workload][cid] != h]
-        assert not changed, f"{workload}: output changed on {changed}"
+    assert want.keys() == {str(seed) for seed in SEEDS}
+    for seed in SEEDS:
+        got = corpus_digests(seed, str(tmp_path / str(seed)))
+        assert got.keys() == want[str(seed)].keys()
+        for workload, digests in want[str(seed)].items():
+            assert got[workload].keys() == digests.keys(), (seed, workload)
+            changed = [cid for cid, h in digests.items() if got[workload][cid] != h]
+            assert not changed, f"seed {seed}, {workload}: output changed on {changed}"
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        doc = corpus_digests(SEED, tmp)
+    doc = {}
+    for seed in SEEDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            doc[str(seed)] = corpus_digests(seed, tmp)
     DIGESTS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {sum(map(len, doc.values()))} digests to {DIGESTS}")
+    count = sum(len(d) for per_seed in doc.values() for d in per_seed.values())
+    print(f"wrote {count} digests to {DIGESTS}")

@@ -14,6 +14,8 @@ from valdef.algebra import (
     associator,
     is_lie,
     jacobiator,
+    nested_products,
+    slot_width,
 )
 from valdef.cli import _table_doc, main
 from valdef.errors import InvalidPoisson
@@ -39,10 +41,14 @@ from gens import (
     ZTRIPLE,
     change_basis,
     conjugated,
+    dict_dual,
+    dict_g_check,
+    dict_poisson,
     lie_as_product,
     random_invertible,
     random_lie,
     search_tables,
+    triple_products,
     unit,
 )
 
@@ -550,3 +556,140 @@ def _cli_check(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     code = main(["check", str(path)])
     return code, json.loads(capsys.readouterr().out)
+
+
+# -- packed nested products against the dict contraction ------------------
+
+
+def _unpack(x, width, n):
+    """The nonzero signed slots {q: c} of a vector packed in `width`-bit slots."""
+    half, out = 1 << (width - 1), {}
+    for q in range(n):
+        low = ((x + half) & ((1 << width) - 1)) - half
+        if low:
+            out[q] = low
+        x = (x - low) >> width
+    assert x == 0
+    return out
+
+
+def _assert_unpacks(outer, inner, width):
+    """Both packed nestings decode to the dict nested products, triple by triple."""
+    _, left, right = triple_products(outer, inner)
+    for side, want in ((True, left), (False, right)):
+        got = nested_products(outer, inner, width, side)
+        assert [_unpack(x, width, outer.dim) for x in got] == want
+
+
+def _rescaled(alg, factors):
+    """alg in the basis f_i = factors[i] * e_i, whose constants are
+    c * d_i * d_j / d_k; every identity checked here survives it."""
+    table = {}
+    for (i, j), out in alg.table.items():
+        d = factors[i] * factors[j]
+        table[(i, j)] = {k: c * d / factors[k] for k, c in out}
+    return AlgebraStructure.assoc(alg.dim, table)
+
+
+
+def test_packed_verdicts_match_dict_contraction():
+    """Every packed verdict (associator, each G-sum signed and unsigned, dual
+    identity, Poisson product and Leibniz) equals the dict contraction's,
+    on dense random tables and on rescaled structured ones with one
+    perturbed constant, all with mixed-sign constants up to 2^40."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    big = st.integers(-(2**40), 2**40)
+    pool = ASSOCIATIVE_POOL + [vinberg_search()[0]]
+    pool += [lie_as_product(random_lie(random.Random(s), 3)) for s in range(3)]
+    factors = st.integers(1, 2**13).flatmap(lambda d: st.sampled_from((d, -d)))
+
+    @st.composite
+    def dense(draw):
+        n = draw(st.integers(1, 4))
+        rows = st.lists(st.one_of(st.just(0), big), min_size=n, max_size=n)
+        table = {
+            (i, j): dict(enumerate(draw(rows))) for i, j in iter_product(range(n), repeat=2)
+        }
+        return AlgebraStructure.assoc(n, table)
+
+    def perturbed(draw, alg, antisymmetric=False):
+        n = alg.dim
+        if not draw(st.booleans()):
+            return alg
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        c = draw(big.filter(bool))
+        table = {pair: dict(out) for pair, out in alg.table.items()}
+        table.setdefault((i, j), {})
+        table[(i, j)][k] = table[(i, j)].get(k, 0) + c
+        if antisymmetric and i != j:
+            table.setdefault((j, i), {})
+            table[(j, i)][k] = table[(j, i)].get(k, 0) - c
+        return AlgebraStructure.assoc(n, table)
+
+    @st.composite
+    def structured(draw):
+        alg = draw(st.sampled_from(pool))
+        scale = draw(st.lists(factors, min_size=alg.dim, max_size=alg.dim))
+        return perturbed(draw, _rescaled(alg, scale))
+
+    @st.composite
+    def poisson(draw):
+        rng = draw(st.randoms(use_true_random=False))
+        p = draw(
+            st.sampled_from(
+                [POISSON3]
+                + [PoissonStructure(a.dim, a, lie_as_product(random_lie(rng, a.dim)))
+                   for a in COMMUTATIVE_POOL + [AlgebraStructure.assoc(3, {})]]
+            )
+        )
+        scale = draw(st.lists(factors, min_size=p.dim, max_size=p.dim))
+        product = _rescaled(p.product, scale)
+        bracket = perturbed(draw, _rescaled(p.bracket, scale), antisymmetric=True)
+        return PoissonStructure(p.dim, product, bracket)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.one_of(dense(), structured()))
+    def check_algebra(alg):
+        _assert_unpacks(alg, alg, slot_width(1, (alg, alg)))
+        for tag in SubgroupTag:
+            for signed in (True, False):
+                assert g_associative_check(alg, tag, signed) == dict_g_check(alg, tag, signed)
+            assert dual_identity_check(alg, tag) == dict_dual(alg, tag)
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(poisson())
+    def check_poisson(p):
+        width = slot_width(3, (p.bracket, p.product), (p.product, p.bracket))
+        _assert_unpacks(p.bracket, p.product, width)
+        _assert_unpacks(p.product, p.bracket, width)
+        assert poisson_verify(p) == dict_poisson(p)
+
+    check_algebra()
+    check_poisson()
+
+
+def test_slot_width_is_tight():
+    """At (0, 0, 0) the two nestings of this table are 2e0 - e1 and -2e0:
+    r = 2 and c = 1 give the bound M = 2 and slots of B = 3 bits, and their
+    difference (4, -1) packs to zero in slots one bit narrower, where the
+    first failing triple would move to (0, 0, 1)."""
+    b = AlgebraStructure.assoc(
+        3,
+        {
+            (0, 0): {1: 1, 2: 1},
+            (1, 0): {0: 1},
+            (2, 0): {0: 1, 1: -1},
+            (0, 1): {0: -1},
+            (0, 2): {0: -1},
+        },
+    )
+    _, left, right = triple_products(b, b)
+    assert (left[0], right[0]) == ({0: 2, 1: -1}, {0: -2})
+    width = slot_width(1, (b, b))
+    assert width == 3
+    narrow = (nested_products(b, b, width - 1, side)[0] for side in (True, False))
+    assert len(set(narrow)) == 1
+    assert dual_identity_check(b, SubgroupTag.ID) == (False, (0, 0, 0))
+    assert dual_identity_check(b, SubgroupTag.ID) == dict_dual(b, SubgroupTag.ID)
+    assert g_associative_check(b, SubgroupTag.ID) == (False, (0, 0, 0))
