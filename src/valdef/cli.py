@@ -106,7 +106,9 @@ def cmd_cohomology(args):
     from .cohomology import cohomology_dim
 
     loaded = _load_lie(args.algebra, "cohomology needs a lie-kind algebra file")
-    report = cohomology_dim(loaded.structure, args.deg, args.coeff)
+    report = cohomology_dim(
+        loaded.structure, args.deg, args.coeff, io.MAX_COHOMOLOGY_CELLS
+    )
     detail = {
         "degree": report.degree,
         "coeff": report.coeff,

@@ -28,6 +28,20 @@ zero rows.  It is the same exact integer elimination, so the dimensions
 need no certificate.  `is_coboundary` reduces f once against the same
 echelon.
 
+When delta_p has at least GRADING_MIN_CELLS entries, `cohomology_dim`
+first looks for an inner grading (`grading.find_grading`): x in g with a
+split rational spectrum of ad x, tried in this order: a basis vector e_i
+whose den * ad e_i is already diagonal, else e_i, then e_i + e_j, each
+candidate with tr((den * ad x)^2) <= 0 skipped.  In a basis of
+generalized eigenvectors of ad x the coordinate (key, m) has weight w_m -
+sum of w over key (adjoint) or - sum of w over key (trivial), and delta
+preserves weight.  By Cartan's formula theta(x) = iota(x) delta + delta
+iota(x), every subcomplex of weight lambda != 0 is acyclic (Hochschild &
+Serre), so only the weight-0 block is ranked, complement step included,
+and each weight lambda != 0 adds dim Z^p_lambda = dim B^p_lambda =
+sum_{q<p} (-1)^(p-1-q) dim C^q_lambda to dim Z and dim B by counting.
+With no grading every weight is zero and the block is the whole complex.
+
 The circle product is taken on degree-2 adjoint cochains, the only ones
 Gerstenhaber's deformation equation delta phi_k = -sum_{i+j=k} phi_i o
 phi_j needs here.  phi o psi is the mixed Jacobi sum
@@ -43,13 +57,19 @@ system.
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, bisect_left
 from collections import namedtuple
 from itertools import combinations
+from math import comb
 
 from . import linalg
 from .algebra import COEFFS, MAX_DEGREE, AlgebraStructure, Cochain, jacobi_sums
-from .errors import DimensionMismatch, NotLie, UnsupportedDegree
+from .errors import DimensionMismatch, NotLie, TooLarge, UnsupportedDegree
+
+# the size of delta_p (dim C^p * dim C^(p+1) entries) from which
+# `cohomology_dim` looks for a grading; below it the search costs more
+# than it saves (timing table in README)
+GRADING_MIN_CELLS = 350
 
 
 def circle(outer: Cochain, inner: Cochain) -> Cochain:
@@ -76,13 +96,20 @@ CohomologyReport = namedtuple(
 )
 
 
-def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str):
+def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str, weights=None):
     """(rows, dom): den * delta: C^degree -> C^(degree+1) over the flat bases.
 
     rows holds one {col: int} dict per codomain coordinate (no zero
     values), in the order of `Cochain.flatten`; dom is the number of
     domain coordinates, and den = g.scaled_table[0].  Degree 0 is
     included so degree-1 reports can subtract inner coboundaries.
+
+    weights, the increasing `grading.Graded.weights` of g's basis,
+    restricts delta to its weight-0 block: only the codomain coordinates
+    of weight 0 get a row, in the same order, and the columns number the
+    domain coordinates of weight 0 in flat order.  delta preserves
+    weight, so on a weight-homogeneous table no other column is reached.
+    None is every weight zero: the whole complex.
     """
     if g.kind != "lie":
         raise ValueError("cohomology needs a lie-kind algebra")
@@ -94,21 +121,44 @@ def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str):
     _, table = g.scaled_table
     adjoint = coeff == "adjoint"
     width = n if adjoint else 1
+    spans = _spans(weights, adjoint) if weights else None
     # the one sign per (degree, coeff) that makes delta equal the circle
     # forms mu o f + (-1)^p f o mu (adjoint) and f o mu (trivial)
     sign = -1 if coeff == "trivial" or degree % 2 == 0 else 1
-    dom_index = {key: i for i, key in enumerate(combinations(range(n), degree))}
+    # the weight-0 domain coordinate (key, m) is column dom_base[key] + m
+    keys = combinations(range(n), degree)
+    if spans:
+        dom_base, dom = {}, 0
+        for key in keys:
+            lo, hi = _span(spans, weights, key)
+            if lo < hi:
+                dom_base[key] = dom - lo
+                dom += hi - lo
+    else:
+        dom_base = {key: i * width for i, key in enumerate(keys)}
+        dom = len(dom_base) * width
     rows = []
+    lo, hi = 0, width
     for key in combinations(range(n), degree + 1):
-        acc = [{} for _ in range(width)]
+        if spans:
+            lo, hi = _span(spans, weights, key)
+            if lo == hi:
+                continue
+        acc = [{} for _ in range(lo, hi)]
         if adjoint:
             # sum_r (-1)^r [x_r, f(..^x_r..)]
             for r, x in enumerate(key):
+                rest = key[:r] + key[r + 1 :]
+                if spans:
+                    a, b = _span(spans, weights, rest)
+                    outs = enumerate(table[x][a:b], a)
+                else:
+                    outs = enumerate(table[x])
                 s = sign if r % 2 == 0 else -sign
-                base = dom_index[key[:r] + key[r + 1 :]] * n
-                for m, out in enumerate(table[x]):
+                base = dom_base.get(rest, 0)
+                for m, out in outs:
                     for k, c in out:
-                        vec = acc[k]
+                        vec = acc[k - lo]
                         vec[base + m] = vec.get(base + m, 0) + s * c
         # sum_{i<j} (-1)^(i+j) f([x_i, x_j], ..^x_i..^x_j..)
         for i, j in combinations(range(degree + 1), 2):
@@ -117,12 +167,36 @@ def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str):
                 if k in rest:
                     continue
                 pos = bisect(rest, k)
-                base = dom_index[rest[:pos] + (k,) + rest[pos:]] * width
+                base = dom_base[rest[:pos] + (k,) + rest[pos:]]
                 s = sign if (i + j + pos) % 2 == 0 else -sign
-                for m, vec in enumerate(acc):
+                for m, vec in enumerate(acc, lo):
                     vec[base + m] = vec.get(base + m, 0) + s * c
         rows.extend({col: v for col, v in vec.items() if v} for vec in acc)
-    return rows, len(dom_index) * width
+    return rows, dom
+
+
+def _spans(weights, adjoint: bool) -> dict:
+    """{weight sum s of a key: (lo, hi)}, the output indices lo <= m < hi
+    of the weight-0 coordinates (key, m): the basis vectors of weight s
+    (adjoint), or the one scalar coordinate when s = 0 (trivial)."""
+    if not adjoint:
+        return {0: (0, 1)}
+    return {w: (bisect_left(weights, w), bisect(weights, w)) for w in set(weights)}
+
+
+def _span(spans: dict, weights, key) -> tuple[int, int]:
+    """The (lo, hi) of `_spans` for the weight sum of key, (0, 0) if none."""
+    return spans.get(sum([weights[i] for i in key]), (0, 0))
+
+
+def _block_dims(degree: int, coeff: str, weights) -> list[int]:
+    """dim C^q of the weight-0 block for q = 0 .. degree, by counting."""
+    spans = _spans(weights, coeff == "adjoint")
+    dims = []
+    for q in range(degree + 1):
+        sums = (sum(key) for key in combinations(weights, q))
+        dims.append(sum(hi - lo for lo, hi in (spans.get(s, (0, 0)) for s in sums)))
+    return dims
 
 
 def coboundary(g: AlgebraStructure, f: Cochain) -> Cochain:
@@ -167,43 +241,79 @@ def _columns(rows, ncols: int) -> list[dict]:
     return cols
 
 
-def _image_echelon(g: AlgebraStructure, degree: int, coeff: str) -> dict:
-    """`linalg.echelon` of im delta_(degree-1) in C^degree.
-
-    Its rows span the images delta(e_c) of the basis (degree-1)-cochains,
-    the columns of `coboundary_matrix(g, degree - 1, coeff)`.  Both of
-    its callers need delta o delta = 0, so g must satisfy Jacobi.
-    """
-    rows, dom = coboundary_matrix(g, degree - 1, coeff)
+def _require_lie(g: AlgebraStructure) -> None:
+    """Raise NotLie naming the first failing triple unless g satisfies
+    Jacobi, which delta o delta = 0 needs."""
     witness = g.jacobi_witness
     if witness is not None:
-        raise NotLie(
-            f"bracket fails the Jacobi identity at triple {list(witness)}"
-        )
+        raise NotLie(f"bracket fails the Jacobi identity at triple {list(witness)}")
+
+
+def _image_echelon(g, degree: int, coeff: str, weights=None) -> dict:
+    """`linalg.echelon` of im delta_(degree-1) in C^degree (its weight-0
+    block with weights).
+
+    Its rows span the images delta(e_c) of the basis (degree-1)-cochains,
+    the columns of `coboundary_matrix(g, degree - 1, coeff, weights)`.
+    Both of its callers need delta o delta = 0, so they check Jacobi
+    (`_require_lie`) first.
+    """
+    rows, dom = coboundary_matrix(g, degree - 1, coeff, weights)
     return linalg.echelon(_columns(rows, dom))
 
 
-def cohomology_dim(g: AlgebraStructure, degree: int, coeff: str) -> CohomologyReport:
+def cohomology_dim(
+    g: AlgebraStructure, degree: int, coeff: str, max_cells: int | None = None
+) -> CohomologyReport:
     """Exact dimensions of Z, B and H in degree 1 to MAX_DEGREE.
 
     g must satisfy the Jacobi identity, so that delta o delta = 0: rank
     delta_degree is read off the coordinates that are not leading columns
     of the echelon of im delta_(degree-1) (see the module docstring).
     A table that fails it raises NotLie naming the first failing triple.
+
+    When delta_degree has at least GRADING_MIN_CELLS entries and g has an
+    inner grading, only its weight-0 block is ranked and the acyclic rest
+    is counted (see the module docstring).  A weight-0 block of
+    delta_degree with more than max_cells entries raises TooLarge before
+    any elimination.
     """
     if coeff not in COEFFS:
         raise ValueError(f"unknown coefficient type {coeff!r}")
     if not 1 <= degree <= MAX_DEGREE:
         raise UnsupportedDegree(f"degree {degree} not implemented")
-    image = _image_echelon(g, degree, coeff)
-    out_rows, dom = coboundary_matrix(g, degree, coeff)
+    _require_lie(g)
+    n = g.dim
+    width = n if coeff == "adjoint" else 1
+    full = [comb(n, q) * width for q in range(degree + 2)]
+    weights, block = None, full
+    if full[degree] * full[degree + 1] >= GRADING_MIN_CELLS:
+        from .grading import find_grading
+
+        graded = find_grading(g)
+        if graded is not None:
+            g, weights = graded, graded.weights
+            block = _block_dims(degree + 1, coeff, weights)
+    cells = block[degree] * block[degree + 1]
+    if max_cells is not None and cells > max_cells:
+        raise TooLarge(
+            f"degree-{degree} {coeff} coboundary block of {block[degree + 1]} x "
+            f"{block[degree]} = {cells} entries exceeds the largest supported "
+            f"{max_cells}"
+        )
+    image = _image_echelon(g, degree, coeff, weights)
+    out_rows, dom = coboundary_matrix(g, degree, coeff, weights)
     free = [col for c, col in enumerate(_columns(out_rows, dom)) if c not in image]
     dim_cocycles = dom - linalg.rank(free)
+    # Z = B in each acyclic nonzero-weight part, counted from the dims
+    acyclic = sum(
+        (-1) ** (degree - 1 - q) * (full[q] - block[q]) for q in range(degree)
+    )
     return CohomologyReport(
         degree=degree,
         coeff=coeff,
-        dim_cocycles=dim_cocycles,
-        dim_coboundaries=len(image),
+        dim_cocycles=dim_cocycles + acyclic,
+        dim_coboundaries=len(image) + acyclic,
         dim_H=dim_cocycles - len(image),
     )
 
@@ -217,6 +327,7 @@ def is_coboundary(g: AlgebraStructure, f: Cochain) -> bool:
     """
     if f.dim != g.dim:
         raise DimensionMismatch("cochain dim does not match the algebra")
+    _require_lie(g)
     image = _image_echelon(g, f.degree, f.target)
     target = {c: x for c, x in enumerate(f.flat_nums) if x}
     return not linalg.remainder(image, target)

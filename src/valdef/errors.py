@@ -57,5 +57,9 @@ class InvalidPoisson(ValdefError):
     """Tensor/opposite construction on a structure failing the axioms."""
 
 
+class TooLarge(ValdefError):
+    """A computation above a documented size bound, refused before it starts."""
+
+
 class FormatError(ValdefError):
     """Malformed input file or literal."""

@@ -13,10 +13,11 @@ is exact, so no answer needs a certificate.
 `rank` is its size, and `remainder` reduces one more row against it
 without changing it, so a row lies in the span of the echelon exactly
 when nothing is left.  Cohomology builds its coboundary matrices as
-integer rows and eliminates them here.  `rref` back-substitutes with the
-same step and divides each row by its leading entry only when it writes
-out the reduced row echelon form; row spaces and linear solving read
-that form.
+integer rows and eliminates them here.  `back_substitute` clears each
+pivot column from the other pivot rows with the same step, which is the
+integer reduced form an inverse is read from; `rref` divides each of its
+rows by its leading entry only when it writes out the reduced row echelon
+form, which row spaces and linear solving read.
 """
 
 from fractions import Fraction
@@ -123,6 +124,19 @@ def rank(rows) -> int:
     return len(echelon(rows))
 
 
+def back_substitute(pivots: dict) -> dict:
+    """Clear each pivot column of an echelon from every other pivot row,
+    in place, and return the pivots: the integer reduced row echelon form,
+    each row still primitive and scaled by its own leading entry."""
+    leads = sorted(pivots)
+    # rightmost first, so a cleared column is never filled in again
+    for i, lead in reversed(list(enumerate(leads))):
+        for above in leads[:i]:
+            if lead in pivots[above]:
+                pivots[above] = _cancel(pivots[above], pivots[lead], lead)
+    return pivots
+
+
 def rref(rows):
     """Reduced row echelon form of a matrix of rationals given by its rows.
 
@@ -134,13 +148,8 @@ def rref(rows):
     pivots: dict[int, dict] = {}
     for row in rows:
         _insert(pivots, integer_row(row)[1])
+    back_substitute(pivots)
     leads = sorted(pivots)
-    # clear each pivot column from the rows above it, rightmost first, so
-    # a cleared column is never filled in again
-    for i, lead in reversed(list(enumerate(leads))):
-        for above in leads[:i]:
-            if lead in pivots[above]:
-                pivots[above] = _cancel(pivots[above], pivots[lead], lead)
     reduced = []
     for lead in leads:
         row, scale = [ZERO] * ncols, pivots[lead][lead]

@@ -909,7 +909,9 @@ def test_tracer_layers_resolve():
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # modules that only some subcommands need, imported inside their cmd_*
-SUBCOMMAND_MODULES = ("cohomology", "decompose", "deformation", "rigidity", "nonassoc")
+SUBCOMMAND_MODULES = (
+    "cohomology", "decompose", "deformation", "rigidity", "nonassoc", "grading"
+)
 
 
 def _modules_after(imports):
@@ -942,6 +944,13 @@ def test_cli_import_loads_no_subcommand_module():
     loaded = _modules_after(everything)
     assert {f"valdef.{m}" for m in SUBCOMMAND_MODULES} <= loaded
     assert not {"dataclasses", "inspect"} & loaded
+
+
+def test_grading_is_loaded_only_by_a_large_cohomology_call():
+    """`grading` is imported inside `cohomology_dim`, so the deform and
+    rigidity paths and the modules themselves load nothing new."""
+    loaded = _modules_after(["valdef.cli", "valdef.deformation", "valdef.rigidity"])
+    assert "valdef.cohomology" in loaded and "valdef.grading" not in loaded
 
 
 ASSOC1 = {"dim": 1, "kind": "assoc", "table": [{"i": 0, "j": 0, "out": [{"k": 0, "c": "1"}]}]}
@@ -1216,3 +1225,160 @@ def test_decompose_fuzzed_vector_documents(tmp_path, capsys):
         assert "Traceback" not in out.err
 
     check()
+
+
+def _lie_doc(g, torus) -> dict:
+    """The algebra file of a Lie table, with torus [0] if asked."""
+    table = [
+        {"i": i, "j": j, "out": [{"k": k, "c": str(c)} for k, c in out]}
+        for (i, j), out in sorted(g.table.items())
+    ]
+    doc = {"dim": g.dim, "kind": "lie", "table": table}
+    if torus:
+        doc["torus"] = [0]
+    return doc
+
+
+def test_algebra_commands_fuzzed_documents(tmp_path, capsys, monkeypatch):
+    """Algebra documents mangled from the gens Lie families, in their own
+    basis and conjugated (so that `cohomology` takes the graded path), get
+    a verdict (0 or 1), a one-line refusal (2) or a precision verdict (3)
+    from `check`, `cohomology` and `rigidity` under any of their flags: one
+    JSON document on stdout, never a traceback.  The documents carry bad,
+    huge and "p/0" literals, changed constants (mostly breaking Jacobi),
+    out-of-range, reversed and repeated indices, wrong dims, kinds and
+    tori."""
+    import random
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from gens import FILIFORM4, H3, R2, R2K, ROOTS123, SL2, change_basis, random_invertible
+    from valdef.algebra import AlgebraStructure
+
+    rng = random.Random(81)
+    bases = []
+    for family in (R2, H3, SL2, R2K, FILIFORM4, ROOTS123):
+        for n in (family.dim, family.dim + 2):
+            g = AlgebraStructure.lie(n, family.table)
+            bases.append(_lie_doc(g, True))
+            bases.append(_lie_doc(change_basis(g, random_invertible(rng, n)), False))
+
+    def mostly(good, bad):
+        """good, or bad once in ten draws, so most documents get through."""
+        return st.integers(0, 9).flatmap(lambda r: bad if r == 0 else good)
+
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 9), st.floats(), st.text(max_size=4)
+    )
+    bad_literals = st.one_of(
+        st.builds("{}/0".format, st.integers(-9, 9)),
+        st.builds("{}/{}".format, st.integers(-(10**30), 10**30), st.integers(1, 12)),
+        st.sampled_from(("9" * 5000, "1/" + "7" * 5000, "x", "", "1.5", "1/-2")),
+        leaves,
+    )
+
+    @st.composite
+    def cells(draw, cell, dim):
+        k = draw(mostly(st.just(cell["k"]), st.one_of(st.integers(-1, dim), leaves)))
+        c = draw(mostly(st.just(cell["c"]), bad_literals))
+        return {"k": k, "c": c}
+
+    @st.composite
+    def entries(draw, entry, dim):
+        if not draw(st.integers(0, 19)):
+            return draw(leaves)
+        i, j = entry["i"], entry["j"]
+        i, j = draw(mostly(st.just((i, j)), st.sampled_from(((j, i), (i, i), (i, dim), (-1, j)))))
+        out = [draw(cells(cell, dim)) for cell in entry["out"]]
+        if not draw(st.integers(0, 9)):
+            out += out[:1]  # a repeated out index
+        return {"i": i, "j": j, "out": draw(mostly(st.just(out), leaves))}
+
+    @st.composite
+    def documents(draw):
+        base = draw(st.sampled_from(bases))
+        dim = base["dim"]
+        table = [draw(entries(e, dim)) for e in base["table"]]
+        if not draw(st.integers(0, 9)):
+            table += table[:1]  # a duplicate entry
+        doc = {
+            "dim": draw(mostly(st.just(dim), st.one_of(st.integers(-1, dim + 2), leaves))),
+            "kind": draw(mostly(st.just("lie"), st.sampled_from(("assoc", "poisson", "x")))),
+            "table": draw(mostly(st.just(table), leaves)),
+        }
+        if "torus" in base or not draw(st.integers(0, 4)):
+            doc["torus"] = draw(
+                mostly(st.just([0]), st.one_of(st.lists(st.integers(-1, dim), max_size=3), leaves))
+            )
+        return doc
+
+    flags = st.tuples(
+        st.integers(1, 3),
+        st.sampled_from(("adjoint", "trivial")),
+        st.booleans(),
+        st.booleans(),
+    )
+    path = tmp_path / "a.json"
+    import valdef.grading as grading
+
+    found = []
+    real = grading.find_grading
+
+    def counting(g):
+        graded = real(g)
+        found.append(graded is not None)
+        return graded
+
+    monkeypatch.setattr(grading, "find_grading", counting)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(documents(), flags)
+    # the conjugated roots123 + abelian of dim 6, as generated
+    @hypothesis.example(bases[-1], (1, "adjoint", False, False))
+    def check(doc, flag):
+        deg, coeff, asserted, pretty = flag
+        path.write_text(json.dumps(doc))
+        tail = ["--pretty"] if pretty else []
+        commands = [
+            ["check", str(path)],
+            ["cohomology", str(path), "--deg", str(deg), "--coeff", coeff],
+            ["rigidity", str(path)] + (["--asserted-rigid"] if asserted else []),
+        ]
+        for argv in commands:
+            code = main(argv + tail)
+            out = capsys.readouterr()
+            assert code in (0, 1, 2, 3), out.err
+            assert isinstance(json.loads(out.out), dict)
+            if not pretty:
+                assert out.out.count("\n") == 1
+            assert "Traceback" not in out.err
+
+    check()
+    assert any(found)
+
+
+def test_cohomology_size_guard(tmp_path, capsys):
+    """A weight-0 block of delta_p above io.MAX_COHOMOLOGY_CELLS exits 2
+    with one line naming its size, before any elimination; the block is
+    measured after grading, so a graded algebra whose whole complex is
+    larger is still answered."""
+    abelian = write(tmp_path, "ab30.json", {"dim": 30, "kind": "lie", "table": []})
+    code, doc, err = run(capsys, "cohomology", abelian, "--deg", "2", "--coeff", "adjoint")
+    rows, cols = 4060 * 30, 435 * 30
+    assert rows * cols > io.MAX_COHOMOLOGY_CELLS
+    assert code == 2 and doc == {"ok": False, "error": doc["error"]}
+    assert err == (
+        f"error: degree-2 adjoint coboundary block of {rows} x {cols} = {rows * cols} "
+        f"entries exceeds the largest supported {io.MAX_COHOMOLOGY_CELLS}\n"
+    )
+    # [e0, e_i] = i e_i on dim 10: the whole delta_2 has 1200 x 450 entries
+    roots = {
+        "dim": 10,
+        "kind": "lie",
+        "table": [{"i": 0, "j": i, "out": [{"k": i, "c": str(i)}]} for i in range(1, 10)],
+    }
+    assert 1200 * 450 > io.MAX_COHOMOLOGY_CELLS
+    code, doc, _ = run(
+        capsys, "cohomology", write(tmp_path, "roots.json", roots), "--deg", "2", "--coeff", "adjoint"
+    )
+    assert code == 0 and doc["ok"] is True

@@ -11,6 +11,7 @@ import pytest
 from valdef import linalg
 from valdef.algebra import COEFFS, AlgebraStructure, Cochain, jacobiator
 from valdef.cohomology import (
+    GRADING_MIN_CELLS,
     circle,
     coboundaries,
     coboundary,
@@ -20,6 +21,7 @@ from valdef.cohomology import (
     super_bracket,
 )
 from valdef.errors import NotLie, UnsupportedDegree
+from valdef.grading import find_grading
 
 from gens import (
     FILIFORM4,
@@ -356,12 +358,14 @@ def sympy_rank(rows, ncols):
 def test_cohomology_dim_matches_sympy_ranks(monkeypatch):
     """dim Z^p = dom - rank delta_p and dim B^p = rank delta_(p-1), with
     both ranks of the full matrices taken by sympy; and only the dom - dim
-    B^p non-leading columns of delta_p are handed to `linalg.rank`."""
+    B^p non-leading columns of delta_p are handed to `linalg.rank`, of the
+    weight-0 block when `cohomology_dim` grades g (dom and B^p of that
+    block, its rank by sympy too)."""
     ranked = []
     rank = linalg.rank
     monkeypatch.setattr(linalg, "rank", lambda rows: ranked.append(len(rows)) or rank(rows))
     rng = random.Random(66)
-    nonzero_h = 0
+    nonzero_h = graded = 0
     for g in family_algebras(rng, 6):
         for degree in (1, 2, 3):
             for coeff in COEFFS:
@@ -372,9 +376,18 @@ def test_cohomology_dim_matches_sympy_ranks(monkeypatch):
                 assert rep.dim_cocycles == dom - sympy_rank(out_rows, dom)
                 assert rep.dim_coboundaries == sympy_rank(in_rows, in_dom)
                 assert rep.dim_H == rep.dim_cocycles - rep.dim_coboundaries
-                assert ranked == [dom - rep.dim_coboundaries]
+                h = find_grading(g) if dom * len(out_rows) >= GRADING_MIN_CELLS else None
+                if h is None:
+                    assert ranked == [dom - rep.dim_coboundaries]
+                else:
+                    block_rows, block_dom = coboundary_matrix(h, degree, coeff, h.weights)
+                    in_rows, in_dom = coboundary_matrix(h, degree - 1, coeff, h.weights)
+                    assert block_dom < dom
+                    assert ranked == [block_dom - sympy_rank(in_rows, in_dom)]
+                    graded += 1
                 nonzero_h += rep.dim_H > 0 and rep.dim_coboundaries > 0
     assert nonzero_h >= 20
+    assert graded >= 15
 
 
 def exact_cochain(rng, g, degree, coeff):
@@ -430,6 +443,25 @@ def test_non_lie_table_is_refused(degree, coeff):
     f = Cochain.build(degree, 3, coeff, {})
     with pytest.raises(NotLie, match=r"\[0, 1, 2\]"):
         is_coboundary(NOT_LIE, f)
+
+
+def test_jacobi_is_checked_before_any_matrix_or_search(monkeypatch):
+    """NotLie comes before delta_(p-1) is built and before the grading
+    search, which is only correct on a Lie table."""
+    import valdef.cohomology as cohomology
+    import valdef.grading as grading
+
+    calls = []
+    monkeypatch.setattr(cohomology, "coboundary_matrix", lambda *a: calls.append(a))
+    monkeypatch.setattr(grading, "find_grading", lambda g: calls.append(g))
+    g = AlgebraStructure.lie(6, NOT_LIE.table)  # delta_1 adjoint: 90 x 36
+    for degree in (1, 2, 3):
+        for coeff in COEFFS:
+            with pytest.raises(NotLie, match=r"\[0, 1, 2\]"):
+                cohomology_dim(g, degree, coeff)
+            with pytest.raises(NotLie, match=r"\[0, 1, 2\]"):
+                is_coboundary(g, Cochain.build(degree, 6, coeff, {}))
+    assert calls == []
 
 
 def test_jacobi_verdict_computed_once(monkeypatch, capsys):
