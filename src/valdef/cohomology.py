@@ -155,7 +155,7 @@ def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str, weights=None
                 else:
                     outs = enumerate(table[x])
                 s = sign if r % 2 == 0 else -sign
-                base = dom_base.get(rest, 0)
+                base = dom_base.get(rest, 0)  # absent only when outs is empty
                 for m, out in outs:
                     for k, c in out:
                         vec = acc[k - lo]

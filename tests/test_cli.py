@@ -1227,18 +1227,6 @@ def test_decompose_fuzzed_vector_documents(tmp_path, capsys):
     check()
 
 
-def _lie_doc(g, torus) -> dict:
-    """The algebra file of a Lie table, with torus [0] if asked."""
-    table = [
-        {"i": i, "j": j, "out": [{"k": k, "c": str(c)} for k, c in out]}
-        for (i, j), out in sorted(g.table.items())
-    ]
-    doc = {"dim": g.dim, "kind": "lie", "table": table}
-    if torus:
-        doc["torus"] = [0]
-    return doc
-
-
 def test_algebra_commands_fuzzed_documents(tmp_path, capsys, monkeypatch):
     """Algebra documents mangled from the gens Lie families, in their own
     basis and conjugated (so that `cohomology` takes the graded path), get
@@ -1254,14 +1242,16 @@ def test_algebra_commands_fuzzed_documents(tmp_path, capsys, monkeypatch):
     st = pytest.importorskip("hypothesis.strategies")
     from gens import FILIFORM4, H3, R2, R2K, ROOTS123, SL2, change_basis, random_invertible
     from valdef.algebra import AlgebraStructure
+    from valdef.cli import _table_doc
 
     rng = random.Random(81)
     bases = []
     for family in (R2, H3, SL2, R2K, FILIFORM4, ROOTS123):
         for n in (family.dim, family.dim + 2):
             g = AlgebraStructure.lie(n, family.table)
-            bases.append(_lie_doc(g, True))
-            bases.append(_lie_doc(change_basis(g, random_invertible(rng, n)), False))
+            h = change_basis(g, random_invertible(rng, n))
+            bases.append({"dim": n, "kind": "lie", "table": _table_doc(g), "torus": [0]})
+            bases.append({"dim": n, "kind": "lie", "table": _table_doc(h)})
 
     def mostly(good, bad):
         """good, or bad once in ten draws, so most documents get through."""
@@ -1378,7 +1368,6 @@ def test_cohomology_size_guard(tmp_path, capsys):
         "table": [{"i": 0, "j": i, "out": [{"k": i, "c": str(i)}]} for i in range(1, 10)],
     }
     assert 1200 * 450 > io.MAX_COHOMOLOGY_CELLS
-    code, doc, _ = run(
-        capsys, "cohomology", write(tmp_path, "roots.json", roots), "--deg", "2", "--coeff", "adjoint"
-    )
+    path = write(tmp_path, "roots.json", roots)
+    code, doc, _ = run(capsys, "cohomology", path, "--deg", "2", "--coeff", "adjoint")
     assert code == 0 and doc["ok"] is True
