@@ -106,9 +106,7 @@ def cmd_cohomology(args):
     from .cohomology import cohomology_dim
 
     loaded = _load_lie(args.algebra, "cohomology needs a lie-kind algebra file")
-    report = cohomology_dim(
-        loaded.structure, args.deg, args.coeff, io.MAX_COHOMOLOGY_CELLS
-    )
+    report = cohomology_dim(loaded.structure, args.deg, args.coeff)
     detail = {
         "degree": report.degree,
         "coeff": report.coeff,

@@ -65,6 +65,7 @@ from math import comb
 from . import linalg
 from .algebra import COEFFS, MAX_DEGREE, AlgebraStructure, Cochain, jacobi_sums
 from .errors import DimensionMismatch, NotLie, TooLarge, UnsupportedDegree
+from .io import MAX_COHOMOLOGY_CELLS
 
 # the size of delta_p (dim C^p * dim C^(p+1) entries) from which
 # `cohomology_dim` looks for a grading; below it the search costs more
@@ -109,7 +110,7 @@ def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str, weights=None
     of weight 0 get a row, in the same order, and the columns number the
     domain coordinates of weight 0 in flat order.  delta preserves
     weight, so on a weight-homogeneous table no other column is reached.
-    None is every weight zero: the whole complex.
+    The default, every weight zero, gives the whole complex.
     """
     if g.kind != "lie":
         raise ValueError("cohomology needs a lie-kind algebra")
@@ -120,43 +121,36 @@ def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str, weights=None
     n = g.dim
     _, table = g.scaled_table
     adjoint = coeff == "adjoint"
-    width = n if adjoint else 1
-    spans = _spans(weights, adjoint) if weights else None
+    if weights is None:
+        weights = (0,) * n
+    spans = _spans(weights, adjoint)
+    weight = weights.__getitem__
     # the one sign per (degree, coeff) that makes delta equal the circle
     # forms mu o f + (-1)^p f o mu (adjoint) and f o mu (trivial)
     sign = -1 if coeff == "trivial" or degree % 2 == 0 else 1
-    # the weight-0 domain coordinate (key, m) is column dom_base[key] + m
-    keys = combinations(range(n), degree)
-    if spans:
-        dom_base, dom = {}, 0
-        for key in keys:
-            lo, hi = _span(spans, weights, key)
-            if lo < hi:
-                dom_base[key] = dom - lo
-                dom += hi - lo
-    else:
-        dom_base = {key: i * width for i, key in enumerate(keys)}
-        dom = len(dom_base) * width
+    # the weight-0 domain coordinates (key, m), lo <= m < hi, are the
+    # columns base + m for (base, lo, hi) = dom_cols[key]
+    dom_cols, dom = {}, 0
+    for key in combinations(range(n), degree):
+        lo, hi = spans.get(sum(map(weight, key)), (0, 0))
+        if lo < hi:
+            dom_cols[key] = (dom - lo, lo, hi)
+            dom += hi - lo
     rows = []
-    lo, hi = 0, width
     for key in combinations(range(n), degree + 1):
-        if spans:
-            lo, hi = _span(spans, weights, key)
-            if lo == hi:
-                continue
+        lo, hi = spans.get(sum(map(weight, key)), (0, 0))
+        if lo == hi:
+            continue
         acc = [{} for _ in range(lo, hi)]
         if adjoint:
             # sum_r (-1)^r [x_r, f(..^x_r..)]
             for r, x in enumerate(key):
-                rest = key[:r] + key[r + 1 :]
-                if spans:
-                    a, b = _span(spans, weights, rest)
-                    outs = enumerate(table[x][a:b], a)
-                else:
-                    outs = enumerate(table[x])
+                cols = dom_cols.get(key[:r] + key[r + 1 :])
+                if cols is None:
+                    continue
+                base, a, b = cols
                 s = sign if r % 2 == 0 else -sign
-                base = dom_base.get(rest, 0)  # absent only when outs is empty
-                for m, out in outs:
+                for m, out in enumerate(table[x][a:b], a):
                     for k, c in out:
                         vec = acc[k - lo]
                         vec[base + m] = vec.get(base + m, 0) + s * c
@@ -167,7 +161,7 @@ def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str, weights=None
                 if k in rest:
                     continue
                 pos = bisect(rest, k)
-                base = dom_base[rest[:pos] + (k,) + rest[pos:]]
+                base = dom_cols[rest[:pos] + (k,) + rest[pos:]][0]
                 s = sign if (i + j + pos) % 2 == 0 else -sign
                 for m, vec in enumerate(acc, lo):
                     vec[base + m] = vec.get(base + m, 0) + s * c
@@ -178,15 +172,11 @@ def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str, weights=None
 def _spans(weights, adjoint: bool) -> dict:
     """{weight sum s of a key: (lo, hi)}, the output indices lo <= m < hi
     of the weight-0 coordinates (key, m): the basis vectors of weight s
-    (adjoint), or the one scalar coordinate when s = 0 (trivial)."""
+    (adjoint), or the one scalar coordinate when s = 0 (trivial).  A sum
+    missing from it has no weight-0 coordinate."""
     if not adjoint:
         return {0: (0, 1)}
     return {w: (bisect_left(weights, w), bisect(weights, w)) for w in set(weights)}
-
-
-def _span(spans: dict, weights, key) -> tuple[int, int]:
-    """The (lo, hi) of `_spans` for the weight sum of key, (0, 0) if none."""
-    return spans.get(sum([weights[i] for i in key]), (0, 0))
 
 
 def _block_dims(degree: int, coeff: str, weights) -> list[int]:
@@ -262,9 +252,7 @@ def _image_echelon(g, degree: int, coeff: str, weights=None) -> dict:
     return linalg.echelon(_columns(rows, dom))
 
 
-def cohomology_dim(
-    g: AlgebraStructure, degree: int, coeff: str, max_cells: int | None = None
-) -> CohomologyReport:
+def cohomology_dim(g: AlgebraStructure, degree: int, coeff: str) -> CohomologyReport:
     """Exact dimensions of Z, B and H in degree 1 to MAX_DEGREE.
 
     g must satisfy the Jacobi identity, so that delta o delta = 0: rank
@@ -275,8 +263,8 @@ def cohomology_dim(
     When delta_degree has at least GRADING_MIN_CELLS entries and g has an
     inner grading, only its weight-0 block is ranked and the acyclic rest
     is counted (see the module docstring).  A weight-0 block of
-    delta_degree with more than max_cells entries raises TooLarge before
-    any elimination.
+    delta_degree with more than MAX_COHOMOLOGY_CELLS entries raises
+    TooLarge before any elimination.
     """
     if coeff not in COEFFS:
         raise ValueError(f"unknown coefficient type {coeff!r}")
@@ -295,11 +283,11 @@ def cohomology_dim(
             g, weights = graded, graded.weights
             block = _block_dims(degree + 1, coeff, weights)
     cells = block[degree] * block[degree + 1]
-    if max_cells is not None and cells > max_cells:
+    if cells > MAX_COHOMOLOGY_CELLS:
         raise TooLarge(
             f"degree-{degree} {coeff} coboundary block of {block[degree + 1]} x "
             f"{block[degree]} = {cells} entries exceeds the largest supported "
-            f"{max_cells}"
+            f"{MAX_COHOMOLOGY_CELLS}"
         )
     image = _image_echelon(g, degree, coeff, weights)
     out_rows, dom = coboundary_matrix(g, degree, coeff, weights)

@@ -22,10 +22,14 @@ of a nilpotent algebra) and a negative value means non-real eigenvalues.
 The eigenvalues are the integer roots of the monic integer
 characteristic polynomial of A = den * ad x (`charpoly`,
 `integer_roots`); each is at most sqrt(tr(A^2)) in absolute value, and
-candidates where that exceeds MAX_ROOT are skipped too.  The
-generalized eigenspaces ker (A - mu)^m come from `linalg.echelon`, the
-table is moved to that basis on integers and checked exactly to be
-weight-homogeneous (`require_homogeneous`, a RuntimeError otherwise).
+candidates where that exceeds MAX_ROOT are skipped too.  The Killing
+form and each characteristic polynomial are charged against
+SEARCH_BUDGET multiplies, and the search gives up once it is spent, so a
+large non-split algebra reaches the size guard of `cohomology_dim`
+quickly.  The generalized eigenspaces ker (A - mu)^m come from
+`linalg.echelon`, the table is moved to that basis on integers and
+checked exactly to be weight-homogeneous (`require_homogeneous`, a
+RuntimeError otherwise).
 Weights are the integer eigenvalues of A, that is den times those of ad x.
 """
 
@@ -43,6 +47,11 @@ from .algebra import _table_rows
 # reach past it is skipped, so a scan costs at most a few ms (the corpora
 # reach 226)
 MAX_ROOT = 1 << 14
+# the integer multiplies `find_grading` may spend on the Killing form and
+# the characteristic polynomials (n^4 each) before it gives up and the
+# whole complex is ranked: about 0.1-0.2 s at any dim (README).  Algebras
+# of dim 7 or less spend at most 70,000.
+SEARCH_BUDGET = 2_000_000
 
 
 class Graded(namedtuple("Graded", "dim scaled_table weights")):
@@ -59,7 +68,8 @@ class Graded(namedtuple("Graded", "dim scaled_table weights")):
 
 def find_grading(g) -> Graded | None:
     """g in the eigenbasis of the first x found (see the module
-    docstring), or None when no candidate has a split rational spectrum."""
+    docstring), or None when no candidate has a split rational spectrum
+    or the search would spend more than SEARCH_BUDGET multiplies."""
     den, table = g.scaled_table
     n = g.dim
     for row in table:
@@ -68,10 +78,9 @@ def find_grading(g) -> Graded | None:
             return _relabel(den, table, weights)
     # killing[i][j] = tr(den * ad e_i den * ad e_j), so tr((den * ad x)^2)
     # of x = sum of the e_i, i in a candidate, is the sum over its pairs
-    killing = _killing(table)
-    if not any(map(any, killing)):
+    killing, budget = _killing(table, SEARCH_BUDGET)
+    if killing is None or not any(map(any, killing)):
         return None  # every candidate would be skipped, as for nilpotent g
-    ad = [_ad_matrix(row, n) for row in table]
     candidates = [(i,) for i in range(n)]
     candidates += [(i, j) for i in range(n) for j in range(i + 1, n)]
     for x in candidates:
@@ -79,23 +88,33 @@ def find_grading(g) -> Graded | None:
         bound = isqrt(trace_sq) if trace_sq > 0 else 0
         if not 0 < bound <= MAX_ROOT:
             continue
-        a = ad[x[0]] if len(x) == 1 else _add(ad[x[0]], ad[x[1]])
+        budget -= n**4
+        if budget < 0:
+            return None
+        a = _ad_matrix(table[x[0]], n)
+        if len(x) == 2:
+            a = _add(a, _ad_matrix(table[x[1]], n))
         roots = integer_roots(charpoly(a), bound)
         if roots is not None:
             return _eigengrading(den, table, a, roots)
     return None
 
 
-def _killing(table) -> list:
-    """tr(den * ad e_i den * ad e_j) for all i, j, over the nonzero
-    constants only: with C(i, a, b) the e_b coordinate of den * [e_i, e_a],
-    it is the sum over (a, b) of C(i, a, b) * C(j, b, a)."""
+def _killing(table, budget: int) -> tuple:
+    """(killing, budget left): tr(den * ad e_i den * ad e_j) for all i, j,
+    over the nonzero constants only, or (None, 0) if that takes more than
+    budget multiplies.  With C(i, a, b) the e_b coordinate of
+    den * [e_i, e_a], it is the sum over (a, b) of C(i, a, b) * C(j, b, a)."""
     n = len(table)
     by_pair: dict = {}  # (a, b) -> [(i, C(i, a, b)), ..]
     for i, row in enumerate(table):
         for a, out in enumerate(row):
             for b, c in out:
                 by_pair.setdefault((a, b), []).append((i, c))
+    for (a, b), left in by_pair.items():
+        budget -= len(left) * len(by_pair.get((b, a), ()))
+    if budget < 0:
+        return None, 0
     killing = [[0] * n for _ in range(n)]
     for (a, b), left in by_pair.items():
         right = by_pair.get((b, a))
@@ -104,7 +123,7 @@ def _killing(table) -> list:
                 row = killing[i]
                 for j, d in right:
                     row[j] += c * d
-    return killing
+    return killing, budget
 
 
 def _diagonal(row) -> list | None:

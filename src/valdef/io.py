@@ -25,8 +25,9 @@ from .series import SeriesVector, TruncSeries, parse_rational, rational_pair
 # benchmark corpora use dims up to 12 and caps up to 24.
 MAX_DIM = 100
 MAX_CAP = 1000
-# Largest weight-0 block of delta_p (rows x columns) that `cohomology`
-# ranks.  Dense rational elimination grows fast past it: a conjugated
+# Largest weight-0 block of delta_p (rows x columns) that
+# `cohomology.cohomology_dim` ranks, for the `cohomology` and `rigidity`
+# commands alike.  Dense rational elimination grows fast past it: a conjugated
 # filiform algebra of dim 9, H^2 adjoint, ranks a 756 x 324 = 244,944 block
 # in ~22 s (README).  The corpora stay below 40,000.
 MAX_COHOMOLOGY_CELLS = 250_000

@@ -1349,10 +1349,12 @@ def test_algebra_commands_fuzzed_documents(tmp_path, capsys, monkeypatch):
 
 def test_cohomology_size_guard(tmp_path, capsys):
     """A weight-0 block of delta_p above io.MAX_COHOMOLOGY_CELLS exits 2
-    with one line naming its size, before any elimination; the block is
+    with one line naming its size, before any elimination, from
+    `cohomology` and from both `rigidity` paths to H^2(g, K); the block is
     measured after grading, so a graded algebra whose whole complex is
     larger is still answered."""
-    abelian = write(tmp_path, "ab30.json", {"dim": 30, "kind": "lie", "table": []})
+    abelian = {"dim": 30, "kind": "lie", "table": [], "torus": [0]}
+    abelian = write(tmp_path, "ab30.json", abelian)
     code, doc, err = run(capsys, "cohomology", abelian, "--deg", "2", "--coeff", "adjoint")
     rows, cols = 4060 * 30, 435 * 30
     assert rows * cols > io.MAX_COHOMOLOGY_CELLS
@@ -1361,6 +1363,14 @@ def test_cohomology_size_guard(tmp_path, capsys):
         f"error: degree-2 adjoint coboundary block of {rows} x {cols} = {rows * cols} "
         f"entries exceeds the largest supported {io.MAX_COHOMOLOGY_CELLS}\n"
     )
+    # rank 1 asserted rigid and not: H^2 trivial of dim 30 is 4060 x 435
+    for flags in (["--asserted-rigid"], []):
+        code, doc, err = run(capsys, "rigidity", abelian, *flags)
+        assert code == 2 and doc == {"ok": False, "error": doc["error"]}
+        assert err == (
+            f"error: degree-2 trivial coboundary block of 4060 x 435 = 1766100 "
+            f"entries exceeds the largest supported {io.MAX_COHOMOLOGY_CELLS}\n"
+        )
     # [e0, e_i] = i e_i on dim 10: the whole delta_2 has 1200 x 450 entries
     roots = {
         "dim": 10,
@@ -1371,3 +1381,43 @@ def test_cohomology_size_guard(tmp_path, capsys):
     path = write(tmp_path, "roots.json", roots)
     code, doc, _ = run(capsys, "cohomology", path, "--deg", "2", "--coeff", "adjoint")
     assert code == 0 and doc["ok"] is True
+
+
+def test_non_split_search_stops_at_its_budget(tmp_path, capsys, monkeypatch):
+    """On a large algebra with no split candidate the grading search gives
+    up after grading.SEARCH_BUDGET multiplies, so `cohomology` reaches its
+    size guard at once instead of trying all n(n+1)/2 candidates.
+
+    sl2 + abelian of dim 24 in the basis f_i = sum_j M[j][i] e_j, where the
+    sl2 coordinates (a, b, c) over h, e, f of every f_i are 1 mod 3.  Then
+    x = a h + b e + c f of every candidate has a^2 + bc = 2 mod 3, and the
+    spectrum +-2 sqrt(a^2 + bc) of ad x is irrational."""
+    import random
+
+    from gens import change_basis
+
+    from valdef import grading
+    from valdef.algebra import AlgebraStructure
+    from valdef.cli import _table_doc
+
+    n = 24
+    rng = random.Random(5)
+    matrix = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, row in enumerate([[1, 1, 1], [1, -2, 1], [1, 1, -2]]):  # det 9
+        matrix[i] = row + [rng.choice((1, -2, 4)) for _ in range(n - 3)]
+    sl2 = AlgebraStructure.lie(n, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+    conjugated = change_basis(sl2, matrix)
+    path = write(
+        tmp_path, "big.json", {"dim": n, "kind": "lie", "table": _table_doc(conjugated)}
+    )
+    calls = []
+    original = grading.charpoly
+    monkeypatch.setattr(grading, "charpoly", lambda a: calls.append(1) or original(a))
+    code, doc, err = run(capsys, "cohomology", path, "--deg", "1", "--coeff", "adjoint")
+    rows, cols = 276 * n, n * n
+    assert code == 2 and err == (
+        f"error: degree-1 adjoint coboundary block of {rows} x {cols} = {rows * cols} "
+        f"entries exceeds the largest supported {io.MAX_COHOMOLOGY_CELLS}\n"
+    )
+    # the search spends its budget and stops with candidates left
+    assert 0 < len(calls) <= grading.SEARCH_BUDGET // n**4 < n * (n + 1) // 2
