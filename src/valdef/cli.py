@@ -9,26 +9,22 @@ nothing to stdout, so it is never read as a verdict).
 
 Start-up is most of a one-shot call, so importing this module loads only
 what every command needs: `io`, `errors`, `series` and `algebra`.  Each
-cmd_* function imports the modules of its own subcommand in its body, and
-the parser's choices come from `algebra`.
+cmd_* function imports the modules of its own subcommand in its body, the
+parser's choices come from `algebra`, and argparse is imported only for
+--help and for argv that the fast path leaves to it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from functools import cache
+from types import SimpleNamespace
 
 from . import io
 from .algebra import COEFFS, MAX_DEGREE, SUBGROUPS, is_lie
-from .errors import (
-    FormatError,
-    InvalidDeformation,
-    PrecisionExhausted,
-    ValdefError,
-)
+from .errors import FormatError, InvalidDeformation, PrecisionExhausted, ValdefError
 from .series import rational_str
 
 EXIT_OK = 0
@@ -39,22 +35,19 @@ EXIT_INTERNAL = 4
 
 
 def _table_doc(structure) -> list:
-    rows = []
-    for (i, j) in sorted(structure.table):
-        rows.append(
-            {
-                "i": i,
-                "j": j,
-                "out": [
-                    {"k": k, "c": rational_str(c)} for k, c in structure.table[(i, j)]
-                ],
-            }
-        )
-    return rows
+    return [
+        {"i": i, "j": j, "out": [{"k": k, "c": rational_str(c)} for k, c in out]}
+        for (i, j), out in sorted(structure.table.items())
+    ]
 
 
 def _fracs(values) -> list[str]:
     return [rational_str(v) for v in values]
+
+
+def _answer(ok: bool, detail: dict, **extra) -> tuple:
+    """A command's exit code and document: 0 when ok holds, 1 when violated."""
+    return (EXIT_OK if ok else EXIT_VIOLATED), {"ok": ok, "detail": detail, **extra}
 
 
 # -- commands ----------------------------------------------------------
@@ -82,7 +75,7 @@ def cmd_check(args):
         ok, witness = poisson_verify(loaded.poisson)
         if not ok:
             detail["witness"] = {"axiom": witness[0], "args": list(witness[1])}
-    return (EXIT_OK if ok else EXIT_VIOLATED), {"ok": ok, "detail": detail}
+    return _answer(ok, detail)
 
 
 def _load_lie(path, wrong_kind: str):
@@ -114,7 +107,7 @@ def cmd_cohomology(args):
         "dim_coboundaries": report.dim_coboundaries,
         "dim_H": report.dim_H,
     }
-    return EXIT_OK, {"ok": True, "detail": detail}
+    return _answer(True, detail)
 
 
 def cmd_decompose(args):
@@ -151,7 +144,7 @@ def cmd_decompose(args):
         "flag": [[row_doc(row) for row in level] for level in flag.chain],
         "recomposition_check": True,
     }
-    return EXIT_OK, {"ok": True, "cap_used": vec.cap, "detail": detail}
+    return _answer(True, detail, cap_used=vec.cap)
 
 
 def _verdict_doc(v) -> dict:
@@ -189,18 +182,10 @@ def cmd_deform(args):
                 "residual_orders": sorted(residual),
                 "first_residual": io.cochain_doc(residual[min(residual)]),
             }
-        return (EXIT_OK if ok else EXIT_VIOLATED), {
-            "ok": ok,
-            "cap_used": d.cap,
-            "detail": detail,
-        }
+        return _answer(ok, detail, cap_used=d.cap)
     if args.action == "decompose":
         dd = decompose_deformation(d)
-        return EXIT_OK, {
-            "ok": True,
-            "cap_used": dd.cap,
-            "detail": io.deformation_doc(dd),
-        }
+        return _answer(True, io.deformation_doc(dd), cap_used=dd.cap)
     if args.action == "graded":
         dd = decompose_deformation(d)
         system = graded_system(dd)
@@ -213,8 +198,7 @@ def cmd_deform(args):
             },
             "satisfied": system.satisfied,
         }
-        code = EXIT_OK if system.satisfied else EXIT_VIOLATED
-        return code, {"ok": system.satisfied, "cap_used": dd.cap, "detail": detail}
+        return _answer(system.satisfied, detail, cap_used=dd.cap)
     if args.action == "transport":
         if not args.endo:
             raise FormatError("transport needs --endo ENDOMORPHISM_FILE")
@@ -225,11 +209,7 @@ def cmd_deform(args):
             out = transport(d, g, f)
         else:
             out = transport(d, f)
-        return EXIT_OK, {
-            "ok": True,
-            "cap_used": out.cap,
-            "detail": io.deformation_doc(out),
-        }
+        return _answer(True, io.deformation_doc(out), cap_used=out.cap)
     if args.action == "polycheck":
         if args.poly is None or args.k is None:
             raise FormatError("polycheck needs --poly and --k")
@@ -247,11 +227,7 @@ def cmd_deform(args):
         except ValueError as exc:
             raise FormatError(str(exc))
         detail = {"poly": [rational_str(c) for c in poly], "k": args.k}
-        return (EXIT_OK if ok else EXIT_VIOLATED), {
-            "ok": ok,
-            "cap_used": d.cap,
-            "detail": detail,
-        }
+        return _answer(ok, detail, cap_used=d.cap)
     raise FormatError(f"unknown deform action {args.action!r}")
 
 
@@ -283,7 +259,7 @@ def cmd_rigidity(args):
             "certificate_closed": crit.certificate_closed,
             "certificate_nontrivial": crit.certificate_nontrivial,
         }
-    return EXIT_OK, {"ok": True, "detail": detail}
+    return _answer(True, detail)
 
 
 def _files(args, what: str) -> list:
@@ -330,21 +306,11 @@ def cmd_gass(args):
         a = _load_assoc(files[0])
         ok, witness = g_associative_check(a, tag, signed=signed)
         detail = {"group": tag.value, "signed": signed, "dim": a.dim}
-        if witness:
-            detail["witness"] = {"triple": list(witness)}
-        return (EXIT_OK if ok else EXIT_VIOLATED), {"ok": ok, "detail": detail}
-    if args.action == "dual":
+    elif args.action == "dual":
         b = _load_assoc(files[0])
         ok, witness = dual_identity_check(b, tag)
-        detail = {
-            "group": tag.value,
-            "identity": DUAL_IDENTITY[tag],
-            "dim": b.dim,
-        }
-        if witness:
-            detail["witness"] = {"triple": list(witness)}
-        return (EXIT_OK if ok else EXIT_VIOLATED), {"ok": ok, "detail": detail}
-    if args.action == "tensor":
+        detail = {"group": tag.value, "identity": DUAL_IDENTITY[tag], "dim": b.dim}
+    elif args.action == "tensor":
         a, b = _load_assoc(files[0]), _load_assoc(files[1])
         _tensor_dim(a.dim, b.dim)
         prod = tensor_product(a, b)
@@ -357,10 +323,11 @@ def cmd_gass(args):
             "right_dual_identity": dual_identity_check(b, tag)[0],
             "table": _table_doc(prod),
         }
-        if witness:
-            detail["witness"] = {"triple": list(witness)}
-        return (EXIT_OK if ok else EXIT_VIOLATED), {"ok": ok, "detail": detail}
-    raise FormatError(f"unknown gass action {args.action!r}")
+    else:
+        raise FormatError(f"unknown gass action {args.action!r}")
+    if witness:
+        detail["witness"] = {"triple": list(witness)}
+    return _answer(ok, detail)
 
 
 def _load_poisson(path):
@@ -380,7 +347,7 @@ def cmd_poisson(args):
         detail: dict = {"dim": p.dim}
         if witness:
             detail["witness"] = {"axiom": witness[0], "args": list(witness[1])}
-        return (EXIT_OK if ok else EXIT_VIOLATED), {"ok": ok, "detail": detail}
+        return _answer(ok, detail)
     if args.action == "tensor":
         p, q = _load_poisson(files[0]), _load_poisson(files[1])
         _tensor_dim(p.dim, q.dim)
@@ -397,121 +364,153 @@ def cmd_poisson(args):
         "bracket_table": _table_doc(out.bracket),
         "verified": True,
     }
-    return EXIT_OK, {"ok": True, "detail": detail}
+    return _answer(True, detail)
 
 
 # -- wiring ------------------------------------------------------------
 
 
+def _int(text: str) -> int:
+    """int() of an ASCII [+-]?[0-9]+ only; int() alone also reads the digits
+    of other scripts, "1_0" and padding spaces."""
+    if text.isascii() and text.lstrip("+-").isdigit():
+        return int(text)  # a second sign still raises here
+    raise ValueError(text)
+
+
+_int.__name__ = "int"  # argparse's error line names the type
+
+# The CLI, described once for build_parser and _fast_parse.  An argument is
+# (name, add_argument keywords); a name that starts with "-" is an option.
+COMMON = [
+    ("--cap", dict(type=_int, default=8, help="default precision cap (default 8)")),
+    ("--pretty", dict(action="store_true", help="indent the JSON output")),
+]
+ALGEBRA, FILES = ("algebra", {}), ("files", {"nargs": "+"})
+SPEC = {  # command: (func, help, arguments after COMMON)
+    "check": (cmd_check, "axiom check by algebra kind", [ALGEBRA]),
+    "cohomology": (cmd_cohomology, "exact cohomology dimensions", [
+        ALGEBRA,
+        ("--deg", dict(type=_int, choices=range(1, MAX_DEGREE + 1), required=True)),
+        ("--coeff", dict(choices=COEFFS, required=True)),
+    ]),
+    "decompose": (cmd_decompose, "flag decomposition of a vector over m", [
+        ("vector", {}),
+    ]),
+    "deform": (cmd_deform, "valued deformation operations", [
+        ("action", dict(
+            choices=("verify", "decompose", "graded", "transport", "polycheck"))),
+        ("deformation", {}),
+        ("--endo", dict(help="endomorphism file for transport")),
+        ("--inverse", dict(
+            action="store_true", help="transport by the inverse of --endo")),
+        ("--poly", dict(help="JSON array of rational strings, P from degree 0")),
+        ("--k", dict(type=_int, help="polynomial form degree bound")),
+    ]),
+    "rigidity": (cmd_rigidity, "roots and enveloping-algebra report", [
+        ALGEBRA, ("--asserted-rigid", dict(action="store_true")),
+    ]),
+    "gass": (cmd_gass, "G-associativity and tensor closure", [
+        ("action", dict(choices=("check", "dual", "tensor"))), FILES,
+        ("--group", dict(required=True, choices=SUBGROUPS)),
+        ("--unsigned", dict(
+            action="store_true", help="drop the signature weights in the G-sum")),
+    ]),
+    "poisson": (cmd_poisson, "Poisson verification and constructions", [
+        ("action", dict(choices=("verify", "tensor", "opposite"))), FILES,
+    ]),
+}
+
+
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+def build_parser():
+    """The argparse parser of SPEC, built once per process; parsing leaves it
+    unchanged.  Only --help and the argv _fast_parse declines need it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
-        prog="valdef",
-        description="exact workbench for valued deformations of algebras",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--cap", type=int, default=8, help="default precision cap (default 8)"
-    )
-    common.add_argument(
-        "--pretty", action="store_true", help="indent the JSON output"
+        prog="valdef", description="exact workbench for valued deformations of algebras"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    p = add_parser("check", help="axiom check by algebra kind")
-    p.add_argument("algebra")
-    p.set_defaults(func=cmd_check)
-
-    p = add_parser("cohomology", help="exact cohomology dimensions")
-    p.add_argument("algebra")
-    p.add_argument(
-        "--deg", type=int, choices=range(1, MAX_DEGREE + 1), required=True
-    )
-    p.add_argument("--coeff", choices=COEFFS, required=True)
-    p.set_defaults(func=cmd_cohomology)
-
-    p = add_parser("decompose", help="flag decomposition of a vector over m")
-    p.add_argument("vector")
-    p.set_defaults(func=cmd_decompose)
-
-    p = add_parser("deform", help="valued deformation operations")
-    p.add_argument(
-        "action",
-        choices=("verify", "decompose", "graded", "transport", "polycheck"),
-    )
-    p.add_argument("deformation")
-    p.add_argument("--endo", help="endomorphism file for transport")
-    p.add_argument(
-        "--inverse", action="store_true", help="transport by the inverse of --endo"
-    )
-    p.add_argument("--poly", help="JSON array of rational strings, P from degree 0")
-    p.add_argument("--k", type=int, help="polynomial form degree bound")
-    p.set_defaults(func=cmd_deform)
-
-    p = add_parser("rigidity", help="roots and enveloping-algebra report")
-    p.add_argument("algebra")
-    p.add_argument("--asserted-rigid", action="store_true")
-    p.set_defaults(func=cmd_rigidity)
-
-    p = add_parser("gass", help="G-associativity and tensor closure")
-    p.add_argument("action", choices=("check", "dual", "tensor"))
-    p.add_argument("files", nargs="+")
-    p.add_argument(
-        "--group",
-        required=True,
-        choices=SUBGROUPS,
-    )
-    p.add_argument(
-        "--unsigned",
-        action="store_true",
-        help="drop the signature weights in the G-sum",
-    )
-    p.set_defaults(func=cmd_gass)
-
-    p = add_parser("poisson", help="Poisson verification and constructions")
-    p.add_argument("action", choices=("verify", "tensor", "opposite"))
-    p.add_argument("files", nargs="+")
-    p.set_defaults(func=cmd_poisson)
-
+    for command, (func, summary, arguments) in SPEC.items():
+        p = sub.add_parser(command, help=summary)
+        for name, kw in COMMON + arguments:
+            p.add_argument(name, **kw)
+        p.set_defaults(func=func)
     return parser
 
 
+def _fast_parse(argv):
+    """argparse's namespace for argv, read from SPEC without argparse.  None,
+    so that argparse reads it, unless argv is a known command, exact option
+    names with values that pass their type and choices, every required
+    option and one contiguous run of the right number of positionals."""
+    if not argv or argv[0] not in SPEC:
+        return None
+    func, _, arguments = SPEC[argv[0]]
+    options = dict(COMMON + [a for a in arguments if a[0][0] == "-"])
+    positionals = [a for a in arguments if a[0][0] != "-"]
+    dests = {name: name[2:].replace("-", "_") for name in options}
+    ns = {"command": argv[0], "func": func}
+    for name, kw in options.items():
+        ns[dests[name]] = kw.get("default", False if "action" in kw else None)
+    required = {name for name, kw in options.items() if kw.get("required")}
+    words, tokens, ended = [], iter(argv[1:]), False
+    for token in tokens:
+        kw = options.get(token)
+        if token[:1] != "-":
+            if ended:  # a second run of positionals
+                return None
+            words.append(token)
+            continue
+        ended = bool(words)
+        if kw is None:
+            return None
+        if "action" in kw:  # store_true
+            ns[dests[token]] = True
+            continue
+        text = next(tokens, "-")
+        try:
+            value = kw.get("type", str)(text)
+        except ValueError:
+            return None
+        if text[:1] == "-" or value not in kw.get("choices", [value]):
+            return None
+        ns[dests[token]] = value
+        required.discard(token)
+    n = len(positionals)
+    if positionals[-1][1].get("nargs") == "+" and len(words) >= n:
+        words[n - 1 :] = [words[n - 1 :]]
+    if required or len(words) != n:
+        return None
+    ns.update((name, word) for (name, _), word in zip(positionals, words))
+    ok = all(w in kw.get("choices", [w]) for (_, kw), w in zip(positionals, words))
+    return SimpleNamespace(**ns) if ok else None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _fast_parse(argv) or build_parser().parse_args(argv)
     try:
         code, doc = args.func(args)
-    except PrecisionExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _emit({"ok": False, "error": str(exc)}, args.pretty)
-        return EXIT_PRECISION
-    except InvalidDeformation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _emit({"ok": False, "error": str(exc)}, args.pretty)
-        return EXIT_VIOLATED
     except ValdefError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _emit({"ok": False, "error": str(exc)}, args.pretty)
-        return EXIT_BAD_INPUT
+        code, doc = EXIT_BAD_INPUT, {"ok": False, "error": str(exc)}
+        if isinstance(exc, PrecisionExhausted):
+            code = EXIT_PRECISION
+        elif isinstance(exc, InvalidDeformation):
+            code = EXIT_VIOLATED
     except Exception:
         # imported here: it costs every start-up a few ms and only a bug needs it
         import traceback
 
         traceback.print_exc(file=sys.stderr)
         return EXIT_INTERNAL
-    _emit(doc, args.pretty)
-    return code
-
-
-def _emit(doc, pretty: bool):
-    if pretty:
+    if args.pretty:
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    return code
 
 
 if __name__ == "__main__":

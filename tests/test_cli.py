@@ -22,6 +22,8 @@ def run(capsys, *argv):
 
 def write(tmp_path, name, doc):
     path = tmp_path / name
+    # a new file: truncating one in place can take ~50 ms on some file systems
+    path.unlink(missing_ok=True)
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -129,6 +131,145 @@ def test_parser_built_once_and_errors_unchanged(capsys):
         capsys, "cohomology", catalog.path("r2"), "--deg", "1", "--coeff", "trivial"
     )
     assert code == 0 and doc["detail"]["degree"] == 1
+
+
+@pytest.mark.parametrize("value", ["٢", "３", "1_0", " 3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "r2.json", "--coeff", "adjoint", "--deg"],
+        ["decompose", "v.json", "--cap"],
+        ["deform", "polycheck", "d.json", "--poly", "[]", "--k"],
+    ],
+    ids=["deg", "cap", "k"],
+)
+def test_integer_options_must_be_ascii(capsys, argv, value):
+    """int() reads an Arabic-Indic or fullwidth digit, "1_0" as 10 and " 3"
+    as 3; an integer option takes only an ASCII [+-]?[0-9]+, on the fast
+    path and in argparse alike."""
+    from valdef.cli import _fast_parse
+
+    assert _fast_parse(argv + [value]) is None
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    line = err.splitlines()[-1]
+    assert line.endswith(f"error: argument {argv[-1]}: invalid int value: {value!r}")
+
+
+def _argparse_reads(argv):
+    """vars() of argparse's namespace for argv, or None when it exits."""
+    import contextlib
+    import io as stdio
+
+    from valdef.cli import build_parser
+
+    sink = stdio.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_fast_path_agrees_with_argparse():
+    """Wherever the fast path reads argv, its namespace is argparse's; wherever
+    argparse exits (help or a malformed line), the fast path has declined.
+    The token lists are well-formed command lines from the spec, shuffled and
+    salted with junk: help, abbreviations, "--opt=value", "--", negative and
+    non-ASCII numbers, empty and repeated tokens."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from valdef.cli import COMMON, SPEC, _fast_parse
+
+    junk = st.sampled_from(
+        ["-h", "--help", "--de", "--deg=2", "--cap=3", "--", "-", "-1", "", "٢", "1_0",
+         " 3", "+2", "007", "x y", "a.json", "b.json", "--pretty", "--group", "T12"]
+    )
+
+    def value(kw):
+        if "choices" in kw:
+            return st.sampled_from([str(c) for c in kw["choices"]] + ["0"])
+        if kw.get("type") is not None:
+            return st.sampled_from(["0", "1", "2", "3", "8", "12", "-2"])
+        return st.sampled_from(["f.json", '["1","1"]', ""])
+
+    @st.composite
+    def command_lines(draw):
+        command = draw(st.sampled_from(sorted(SPEC)))
+        words, groups = [], []
+        for name, kw in COMMON + SPEC[command][2]:
+            if name[0] != "-":
+                n = draw(st.integers(1, 3)) if kw.get("nargs") == "+" else 1
+                words += [draw(value(kw)) for _ in range(n)]
+            elif kw.get("required") or draw(st.booleans()):
+                groups.append([name] if "action" in kw else [name, draw(value(kw))])
+        groups.insert(draw(st.integers(0, len(groups))), words)
+        argv = [command] + [t for group in draw(st.permutations(groups)) for t in group]
+        for _ in range(draw(st.integers(0, 2))):  # insert junk or a copy, or delete
+            at = draw(st.integers(0, len(argv) - 1))
+            if draw(st.integers(0, 3)):
+                token = draw(st.one_of(junk, st.sampled_from(argv)))
+                argv.insert(at + draw(st.integers(0, 1)), token)
+            else:
+                del argv[at]
+        return argv
+
+    outcomes = []
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None)
+    @hypothesis.given(command_lines())
+    def check(argv):
+        fast, slow = _fast_parse(argv), _argparse_reads(argv)
+        outcomes.append((fast is not None, slow is not None))
+        if fast is not None:
+            assert vars(fast) == slow, argv
+        # argparse exits: the fast path declined
+        assert slow is not None or fast is None, argv
+
+    check()
+    # both paths are exercised: lines the fast path reads, lines argparse refuses
+    assert outcomes.count((True, True)) > 100 and outcomes.count((False, False)) > 100
+
+
+def test_readme_usage_block_matches_the_spec():
+    """README's CLI usage block names every command, action and option of
+    cli.SPEC, and its `valdef` lines use nothing else: a word there is a
+    command, an action, an option with a value it takes, or a FILE.json
+    placeholder.  Brackets mark optional words; `#` starts a comment."""
+    import re
+    import shlex
+
+    from valdef.cli import COMMON, SPEC
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    want, seen = set(), set()
+    for command, (_, _, arguments) in SPEC.items():
+        for name, kw in COMMON + arguments:
+            want |= {name} if name[0] == "-" else {(command, c) for c in kw.get("choices", ())}
+        want.add(command)
+    for valdef, command, *words in filter(None, lines):
+        assert valdef == "valdef" and command in SPEC, words
+        seen.add(command)
+        arguments = COMMON + SPEC[command][2]
+        options = {name: kw for name, kw in arguments if name[0] == "-"}
+        actions = {c for name, kw in arguments if name[0] != "-" for c in kw.get("choices", ())}
+        words = iter(word.strip("[]") for word in words)
+        for word in words:
+            if word in options:
+                seen.add(word)
+                kw = options[word]
+                if "action" not in kw:  # the option's value
+                    value = kw.get("type", str)(next(words))
+                    assert value in kw.get("choices", [value]), (command, word, value)
+            elif word in actions:
+                seen.add((command, word))
+            else:
+                assert re.fullmatch(r"[A-Z][A-Z_]*\.json", word), (command, word)
+    assert seen == want
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
@@ -383,22 +524,25 @@ def test_gass_cli(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+POISSON3 = {
+    "dim": 3,
+    "kind": "poisson",
+    "assoc_table": [
+        {"i": 0, "j": 0, "out": [{"k": 0, "c": "1"}]},
+        {"i": 0, "j": 1, "out": [{"k": 1, "c": "1"}]},
+        {"i": 1, "j": 0, "out": [{"k": 1, "c": "1"}]},
+        {"i": 0, "j": 2, "out": [{"k": 2, "c": "1"}]},
+        {"i": 2, "j": 0, "out": [{"k": 2, "c": "1"}]},
+    ],
+    "bracket_table": [
+        {"i": 1, "j": 2, "out": [{"k": 1, "c": "1"}]},
+        {"i": 2, "j": 1, "out": [{"k": 1, "c": "-1"}]},
+    ],
+}
+
+
 def test_poisson_cli(tmp_path, capsys):
-    pdoc = {
-        "dim": 3,
-        "kind": "poisson",
-        "assoc_table": [
-            {"i": 0, "j": 0, "out": [{"k": 0, "c": "1"}]},
-            {"i": 0, "j": 1, "out": [{"k": 1, "c": "1"}]},
-            {"i": 1, "j": 0, "out": [{"k": 1, "c": "1"}]},
-            {"i": 0, "j": 2, "out": [{"k": 2, "c": "1"}]},
-            {"i": 2, "j": 0, "out": [{"k": 2, "c": "1"}]},
-        ],
-        "bracket_table": [
-            {"i": 1, "j": 2, "out": [{"k": 1, "c": "1"}]},
-            {"i": 2, "j": 1, "out": [{"k": 1, "c": "-1"}]},
-        ],
-    }
+    pdoc = POISSON3
     ppath = write(tmp_path, "p.json", pdoc)
     code, doc, _ = run(capsys, "poisson", "verify", ppath)
     assert code == 0 and doc["ok"]
@@ -914,13 +1058,17 @@ SUBCOMMAND_MODULES = (
 )
 
 
-def _modules_after(imports):
-    """sys.modules of a new interpreter after it imports the given modules.
+def _modules_after(imports, then=""):
+    """sys.modules of a new interpreter after it imports the given modules
+    and runs the statement `then`.
 
     -S keeps site hooks out, so every module listed was loaded by these
-    imports or by the interpreter itself.
+    imports, by `then` or by the interpreter itself.
     """
-    code = f"import json, sys\nimport {', '.join(imports)}\nprint(json.dumps(sorted(sys.modules)))"
+    code = (
+        f"import json, sys\nimport {', '.join(imports)}\n{then}\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
@@ -929,13 +1077,15 @@ def _modules_after(imports):
         env={**os.environ, "PYTHONPATH": str(SRC)},
         check=True,
     )
-    return set(json.loads(proc.stdout))
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def test_cli_import_loads_no_subcommand_module():
     loaded = _modules_after(["valdef.cli"])
     assert {"valdef.io", "valdef.algebra", "valdef.series"} <= loaded
     assert not {f"valdef.{m}" for m in SUBCOMMAND_MODULES} & loaded
+    # argparse (and the gettext it imports) serve only --help and bad argv
+    assert not {"argparse", "gettext"} & loaded
     # elimination is loaded by the subcommand modules that use it
     assert "valdef.linalg" not in loaded
     everything = ["valdef.linalg", "valdef.catalog"] + [
@@ -999,15 +1149,22 @@ def test_subcommand_in_fresh_process(tmp_path, capsys, argv):
     out = capsys.readouterr().out
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
     assert code == 0 and json.loads(out)["ok"] is True
+    # a well-formed command line takes the fast path, without argparse
+    loaded = _modules_after(["valdef.cli"], f"valdef.cli.main({argv!r})")
+    assert not {"argparse", "gettext"} & loaded
 
 
 def test_deform_fuzzed_deformation_documents(tmp_path, capsys):
     """Deformation documents with mangled cochains get a verdict (0 or 1), a
-    one-line refusal (2) or a precision verdict (3) from `deform verify`
-    and `deform decompose`: one JSON document on stdout, never a
+    one-line refusal (2) or a precision verdict (3) from `deform verify`,
+    `deform decompose` and one of `deform graded`, `transport` (with a
+    mangled endomorphism file, maybe `--inverse`) and `polycheck` (with a
+    mangled `--poly` and `--k`): one JSON document on stdout, never a
     traceback.  The cochain entries carry bad, huge and "p/0" literals,
     repeated out indices, out-of-range or non-increasing args and wrong
     degrees and targets."""
+    import random
+
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -1078,22 +1235,56 @@ def test_deform_fuzzed_deformation_documents(tmp_path, capsys):
         ]
         return {"base": base, "cap": cap, "terms": terms}
 
-    path = tmp_path / "d.json"
+    # the third call's inputs come from a Random seeded by the example:
+    # hypothesis's own randoms favour edge values such as 0.0, which would
+    # make most of them odd
+    odd = (None, True, 3, 1.5, "x", "", "1/0", "1/-2", "9" * 5000, [], {})
+
+    def third_call(rnd, dim):
+        """The argv of one more action after the deformation file."""
+
+        def mostly(good, rate=0.1):
+            return rnd.choice(odd) if rnd.random() < rate else good
+
+        def literal():  # rarely odd, as a file holds many
+            return mostly(f"{rnd.randint(-9, 9)}/{rnd.randint(1, 4)}", 0.02)
+
+        def series(head):
+            return mostly([head] + [literal() for _ in range(rnd.randint(0, 3))], 0.02)
+
+        rows = dim if rnd.random() < 0.9 else rnd.randint(0, dim + 1)
+        matrix = [[series("1" if i == j else "0") for j in range(dim)] for i in range(rows)]
+        endo = mostly({"cap": mostly(rnd.randint(0, 6)), "matrix": matrix})
+        poly = mostly(["1"] + [literal() for _ in range(rnd.randint(0, 3))])
+        k = rnd.randint(0, 4) if rnd.random() < 0.9 else rnd.randint(-2, 9)
+        return rnd.choice([
+            ["graded"],
+            ["transport", "--endo", write(tmp_path, "f.json", endo)]
+            + rnd.choice([[], ["--inverse"]]),
+            # a value that starts with "-" must be attached to its option
+            ["polycheck", f"--poly={json.dumps(poly)}", "--k", str(k)],
+        ])
+
+    verdicts = set()
 
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
-    @hypothesis.given(documents())
-    def check(doc):
-        path.write_text(json.dumps(doc))
-        for action in ("verify", "decompose"):
-            code = main(["deform", action, str(path)])
+    @hypothesis.given(documents(), st.integers(0, 2**32 - 1))
+    def check(doc, seed):
+        path = write(tmp_path, "d.json", doc)
+        third = third_call(random.Random(seed), doc["base"]["dim"])
+        for action, *tail in (["verify"], ["decompose"], third):
+            code = main(["deform", action, path, *tail])
             out = capsys.readouterr()
             assert code in (0, 1, 2, 3), out.err
             # exactly one JSON document, on one line
             assert isinstance(json.loads(out.out), dict)
             assert out.out.count("\n") == 1
             assert "Traceback" not in out.err
+            if code < 2:
+                verdicts.add(action)
 
     check()
+    assert verdicts == {"verify", "decompose", "graded", "transport", "polycheck"}
 
 
 def test_decompose_self_check_failure_is_internal(tmp_path, capsys, monkeypatch):
@@ -1227,31 +1418,12 @@ def test_decompose_fuzzed_vector_documents(tmp_path, capsys):
     check()
 
 
-def test_algebra_commands_fuzzed_documents(tmp_path, capsys, monkeypatch):
-    """Algebra documents mangled from the gens Lie families, in their own
-    basis and conjugated (so that `cohomology` takes the graded path), get
-    a verdict (0 or 1), a one-line refusal (2) or a precision verdict (3)
-    from `check`, `cohomology` and `rigidity` under any of their flags: one
-    JSON document on stdout, never a traceback.  The documents carry bad,
-    huge and "p/0" literals, changed constants (mostly breaking Jacobi),
-    out-of-range, reversed and repeated indices, wrong dims, kinds and
-    tori."""
-    import random
-
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-    from gens import FILIFORM4, H3, R2, R2K, ROOTS123, SL2, change_basis, random_invertible
-    from valdef.algebra import AlgebraStructure
-    from valdef.cli import _table_doc
-
-    rng = random.Random(81)
-    bases = []
-    for family in (R2, H3, SL2, R2K, FILIFORM4, ROOTS123):
-        for n in (family.dim, family.dim + 2):
-            g = AlgebraStructure.lie(n, family.table)
-            h = change_basis(g, random_invertible(rng, n))
-            bases.append({"dim": n, "kind": "lie", "table": _table_doc(g), "torus": [0]})
-            bases.append({"dim": n, "kind": "lie", "table": _table_doc(h)})
+def _manglers(st):
+    """Hypothesis strategies that mangle algebra documents: (mostly, leaves,
+    tables).  mostly(good, bad) draws bad once in ten; tables(table, dim)
+    draws a copy of a table document with bad, huge and "p/0" literals,
+    changed constants, out-of-range, reversed and repeated indices, repeated
+    out indices and duplicate entries."""
 
     def mostly(good, bad):
         """good, or bad once in ten draws, so most documents get through."""
@@ -1285,16 +1457,52 @@ def test_algebra_commands_fuzzed_documents(tmp_path, capsys, monkeypatch):
         return {"i": i, "j": j, "out": draw(mostly(st.just(out), leaves))}
 
     @st.composite
+    def tables(draw, table, dim):
+        table = [draw(entries(e, dim)) for e in table]
+        if not draw(st.integers(0, 9)):
+            table += table[:1]  # a duplicate entry
+        return draw(mostly(st.just(table), leaves))
+
+    return mostly, leaves, tables
+
+
+def test_algebra_commands_fuzzed_documents(tmp_path, capsys, monkeypatch):
+    """Algebra documents mangled from the gens Lie families, in their own
+    basis and conjugated (so that `cohomology` takes the graded path), get
+    a verdict (0 or 1), a one-line refusal (2) or a precision verdict (3)
+    from `check`, `cohomology` and `rigidity` under any of their flags: one
+    JSON document on stdout, never a traceback.  The documents carry bad,
+    huge and "p/0" literals, changed constants (mostly breaking Jacobi),
+    out-of-range, reversed and repeated indices, wrong dims, kinds and
+    tori."""
+    import random
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from gens import FILIFORM4, H3, R2, R2K, ROOTS123, SL2, change_basis, random_invertible
+    from valdef.algebra import AlgebraStructure
+    from valdef.cli import _table_doc
+
+    rng = random.Random(81)
+    bases = []
+    for family in (R2, H3, SL2, R2K, FILIFORM4, ROOTS123):
+        for n in (family.dim, family.dim + 2):
+            g = AlgebraStructure.lie(n, family.table)
+            h = change_basis(g, random_invertible(rng, n))
+            bases.append({"dim": n, "kind": "lie", "table": _table_doc(g), "torus": [0]})
+            bases.append({"dim": n, "kind": "lie", "table": _table_doc(h)})
+
+    mostly, leaves, tables = _manglers(st)
+
+    @st.composite
     def documents(draw):
         base = draw(st.sampled_from(bases))
         dim = base["dim"]
-        table = [draw(entries(e, dim)) for e in base["table"]]
-        if not draw(st.integers(0, 9)):
-            table += table[:1]  # a duplicate entry
+        table = draw(tables(base["table"], dim))
         doc = {
             "dim": draw(mostly(st.just(dim), st.one_of(st.integers(-1, dim + 2), leaves))),
             "kind": draw(mostly(st.just("lie"), st.sampled_from(("assoc", "poisson", "x")))),
-            "table": draw(mostly(st.just(table), leaves)),
+            "table": table,
         }
         if "torus" in base or not draw(st.integers(0, 4)):
             doc["torus"] = draw(
@@ -1345,6 +1553,74 @@ def test_algebra_commands_fuzzed_documents(tmp_path, capsys, monkeypatch):
 
     check()
     assert any(found)
+
+
+def test_nonassoc_commands_fuzzed_documents(tmp_path, capsys):
+    """Associative and Poisson documents, mangled as in
+    test_algebra_commands_fuzzed_documents, get a verdict (0 or 1) or a
+    one-line refusal (2) from every `gass` and `poisson` action: one JSON
+    document on stdout, never a traceback.  Each example runs all six
+    actions on one document (two for tensor), so most calls also meet a
+    file of the other kind."""
+    import random
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from gens import ASSOCIATIVE_POOL, SL2, conjugated, lie_as_product
+    from valdef.algebra import SUBGROUPS
+    from valdef.cli import _table_doc
+
+    rng = random.Random(82)
+    algebras = ASSOCIATIVE_POOL + [conjugated(rng, a) for a in ASSOCIATIVE_POOL]
+    assoc = [
+        {"dim": a.dim, "kind": "assoc", "table": _table_doc(a)}
+        for a in algebras + [lie_as_product(SL2)]
+    ]
+    poisson = [POISSON3, POISSON1, dict(POISSON3, bracket_table=POISSON3["bracket_table"][:1])]
+    mostly, leaves, tables = _manglers(st)
+
+    @st.composite
+    def documents(draw):
+        base = draw(st.sampled_from(draw(st.sampled_from((assoc, poisson)))))
+        dim = base["dim"]
+        doc = {
+            "dim": draw(mostly(st.just(dim), st.one_of(st.integers(-1, dim + 2), leaves))),
+            "kind": draw(mostly(st.just(base["kind"]), st.sampled_from(("lie", "assoc", "x")))),
+        }
+        for key in ("table", "assoc_table", "bracket_table"):
+            if key in base:
+                doc[key] = draw(tables(base[key], dim))
+        return doc
+
+    verdicts = set()
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(documents(), documents(), st.sampled_from(SUBGROUPS), st.booleans())
+    # unmangled, so that every action reaches a verdict
+    @hypothesis.example(assoc[0], assoc[2], "T12", False)
+    @hypothesis.example(POISSON3, POISSON1, "S3", True)
+    def check(a, b, group, unsigned):
+        pa, pb = write(tmp_path, "a.json", a), write(tmp_path, "b.json", b)
+        commands = [
+            ["gass", "check", pa, "--group", group] + (["--unsigned"] if unsigned else []),
+            ["gass", "dual", pa, "--group", group],
+            ["gass", "tensor", pa, pb, "--group", group],
+            ["poisson", "verify", pa],
+            ["poisson", "tensor", pa, pb],
+            ["poisson", "opposite", pa],
+        ]
+        for argv in commands:
+            code = main(argv)
+            out = capsys.readouterr()
+            assert code in (0, 1, 2, 3), out.err
+            assert isinstance(json.loads(out.out), dict)
+            assert out.out.count("\n") == 1
+            assert "Traceback" not in out.err
+            if code < 2:
+                verdicts.add(tuple(argv[:2]))
+
+    check()
+    assert len(verdicts) == 6
 
 
 def test_cohomology_size_guard(tmp_path, capsys):

@@ -46,8 +46,7 @@ MALFORMED = [
     ["gass", "check", "a.json", "--group", "T99"],
     ["poisson", "verify"],
 ]
-CASES = [[name, "-h"] for name in ((), *COMMANDS)] + MALFORMED
-CASES[0] = ["-h"]
+CASES = [["-h"]] + [[name, "-h"] for name in COMMANDS] + MALFORMED
 
 
 def _call(argv) -> dict:
