@@ -1,15 +1,15 @@
 """Finite-dimensional algebras by structure constants, and alternating cochains.
 
-An AlgebraStructure stores the products of basis elements as sparse
-integer-indexed tables over Q.  Lie tables keep only i < j entries and the
-bracket is extended antisymmetrically; associative tables keep all pairs.
-That Fraction table is what files are read into and printed from.
-
-Everything else reads the integer form of a table, `scaled_table`: one
-common denominator and integer constants over all ordered pairs, Lie
-tables expanded antisymmetrically.  A degree-2 adjoint Cochain is a
-bracket table too and has the same `scaled_table`, built by the same
-code.  `nested_products` contracts two such tables into one nesting of
+An AlgebraStructure stores the products of basis elements as one integer
+table, `scaled_table`: one common denominator and integer constants over
+all ordered pairs, in canonical form (gcd(den, every constant) = 1), Lie
+tables expanded antisymmetrically from their i < j entries.  Files are read
+straight into it and printed from it (`io`, `cli`).
+`AlgebraStructure.scaled` makes the canonical form from integer
+constants; `lie` and `assoc` put rational tables over one denominator
+and call it.  A degree-2 adjoint
+Cochain is a bracket table too and has the same `scaled_table`, built by
+the same code.  `nested_products` contracts two such tables into one nesting of
 every basis triple, each vector packed into one int by Kronecker
 substitution: outer row den * e_a e_b becomes P[a][b] = sum of c_q * 2^(B
 q), and (e_i e_j) e_k = sum of c_m * P[m][k], e_i (e_j e_k) = sum of c_m *
@@ -58,55 +58,73 @@ MAX_DEGREE = 3  # highest cohomology degree reported
 SUBGROUPS = ("Id", "T12", "T23", "T13", "A3", "S3")
 
 
-def _clean_out(dim: int, out) -> tuple[tuple[int, Fraction], ...]:
-    """Normalize a product value to a sorted ((k, coeff), ...) tuple."""
-    acc: dict[int, Fraction] = {}
-    items = out.items() if isinstance(out, dict) else out
-    for k, c in items:
-        if not 0 <= k < dim:
-            raise ValueError(f"basis index {k} outside 0..{dim - 1}")
-        if not isinstance(c, Fraction):
-            c = Fraction(c)
-        if c:
-            acc[k] = acc[k] + c if k in acc else c
-    return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
-
-
 class AlgebraStructure(Frozen):
     """Algebra over Q given by its structure constants.
 
     kind is "lie" or "assoc"; basis optionally names the basis vectors.
+    scaled_table is (den, rows): den * e_i e_j is the sum of c * e_k over
+    (k, c) in rows[i][j], for every ordered pair (i, j).  Each row is
+    sorted by k and holds no zero c, and gcd(den, every c) = 1, so equal
+    algebras compare and hash equal.  The constructor stores its arguments
+    as given: `scaled`, `lie` and `assoc` make the canonical form.
     """
 
-    __slots__ = ("dim", "kind", "table", "basis", "__dict__")
+    __slots__ = ("dim", "kind", "scaled_table", "basis", "__dict__")
 
     @classmethod
-    def lie(cls, dim: int, table, basis=None) -> AlgebraStructure:
-        """Lie table: keys (i, j) with i < j only."""
-        clean = {}
+    def scaled(cls, dim: int, kind: str, den: int, table, basis=None) -> AlgebraStructure:
+        """table / den in canonical form, for a positive integer den.
+
+        table maps pairs (i, j) to {k: c}, the integer constants of den *
+        e_i e_j; a lie table holds only i < j and is expanded
+        antisymmetrically.  Raises ValueError at the first entry, in table
+        order, whose pair is outside 0..dim-1, whose lie pair has i >= j, or
+        whose out index is outside 0..dim-1.
+        """
+        lie = kind == "lie"
+        entries = []
         for (i, j), out in table.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"pair ({i},{j}) outside 0..{dim - 1}")
-            if i >= j:
+            if lie and i >= j:
                 raise ValueError(
                     f"lie table key ({i},{j}) must satisfy i < j; "
                     "the bracket is extended antisymmetrically"
                 )
-            entry = _clean_out(dim, out)
-            if entry:
-                clean[(i, j)] = entry
-        return cls(dim, "lie", clean, tuple(basis) if basis else None)
+            for k in out:
+                if not 0 <= k < dim:
+                    raise ValueError(f"basis index {k} outside 0..{dim - 1}")
+            entries.append(((i, j), [(k, c) for k, c in sorted(out.items()) if c]))
+        table = canonical_table(dim, den, entries, lie)
+        return cls(dim, kind, table, tuple(basis) if basis else None)
+
+    @classmethod
+    def lie(cls, dim: int, table, basis=None) -> AlgebraStructure:
+        """Lie table of rationals: keys (i, j) with i < j only (`_rational`)."""
+        return cls._rational(dim, "lie", table, basis)
 
     @classmethod
     def assoc(cls, dim: int, table, basis=None) -> AlgebraStructure:
-        clean = {}
-        for (i, j), out in table.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"pair ({i},{j}) outside 0..{dim - 1}")
-            entry = _clean_out(dim, out)
-            if entry:
-                clean[(i, j)] = entry
-        return cls(dim, "assoc", clean, tuple(basis) if basis else None)
+        """Table of rationals over all ordered pairs (`_rational`)."""
+        return cls._rational(dim, "assoc", table, basis)
+
+    @classmethod
+    def _rational(cls, dim: int, kind: str, table, basis) -> AlgebraStructure:
+        """`scaled` of a table of rationals: each value is {k: c} or pairs
+        (k, c), a repeated k summed, with c an int, a Fraction or a rational
+        string, put over the lcm of the denominators."""
+        fracs = {}
+        for pair, out in table.items():
+            acc: dict[int, Fraction] = {}
+            for k, c in out.items() if isinstance(out, dict) else out:
+                acc[k] = acc.get(k, 0) + Fraction(c)
+            fracs[pair] = acc
+        den = lcm(1, *(c.denominator for acc in fracs.values() for c in acc.values()))
+        ints = {
+            pair: {k: c.numerator * (den // c.denominator) for k, c in acc.items()}
+            for pair, acc in fracs.items()
+        }
+        return cls.scaled(dim, kind, den, ints, basis)
 
     @classmethod
     def abelian(cls, dim: int) -> AlgebraStructure:
@@ -135,21 +153,12 @@ class AlgebraStructure(Frozen):
         return tuple(v / den for v in out)
 
     @cached_property
-    def scaled_table(self) -> tuple[int, tuple]:
-        """The table as integers over one common denominator, built once.
-
-        Returns (den, rows): den * e_i e_j is the sum of c * e_k over
-        (k, c) in rows[i][j], for every ordered pair (i, j).  Each row is
-        sorted by k and holds no zero c, so equal products have equal
-        rows.  Lie tables are expanded antisymmetrically here.
-        """
-        entries = self.table.items()
-        den = lcm(1, *(c.denominator for _, out in entries for _, c in out))
-        scaled = (
-            (key, [(k, c.numerator * (den // c.denominator)) for k, c in out])
-            for key, out in entries
+    def extent(self) -> tuple[int, int]:
+        """(longest row, largest |c|) of `scaled_table`, found once."""
+        rows = [row for r in self.scaled_table[1] for row in r if row]
+        return max(map(len, rows), default=0), max(
+            (abs(c) for row in rows for _, c in row), default=0
         )
-        return den, _table_rows(self.dim, scaled, self.kind == "lie")
 
     @cached_property
     def jacobi_witness(self) -> tuple[int, int, int] | None:
@@ -159,6 +168,18 @@ class AlgebraStructure(Frozen):
             raise ValueError("is_lie needs a lie-kind algebra")
         _, failures = jacobi_sums(self)
         return failures[0][0] if failures else None
+
+
+def canonical_table(dim: int, den: int, entries, antisymmetric: bool):
+    """(den, rows) of a `scaled_table` in canonical form, from a positive
+    integer den and ((i, j), out) pairs: each out lists the nonzero integer
+    (k, c) of den * e_i e_j by increasing k.  The common content of den and
+    every c is divided out."""
+    common = gcd(den, *(c for _, out in entries for _, c in out))
+    if common != 1:
+        den //= common
+        entries = [(key, [(k, c // common) for k, c in out]) for key, out in entries]
+    return den, _table_rows(dim, entries, antisymmetric)
 
 
 def _table_rows(dim: int, entries, antisymmetric: bool) -> tuple:
@@ -181,15 +202,9 @@ def slot_width(terms: int, *pairs) -> int:
     nested products of the (outer, inner) pairs, over one den, pack exactly."""
     bound = 0
     for outer, inner in pairs:
-        _, in_rows = inner.scaled_table
-        longest = max(len(row) for rows in in_rows for row in rows)
-        bound = max(bound, longest * _largest(inner) * _largest(outer))
+        longest, largest = inner.extent
+        bound = max(bound, longest * largest * outer.extent[1])
     return (terms * bound).bit_length() + 1
-
-
-def _largest(table) -> int:
-    _, rows = table.scaled_table
-    return max((abs(c) for r in rows for row in r for _, c in row), default=0)
 
 
 def nested_products(outer, inner, width: int, left: bool) -> list[int]:

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 from . import io
 from .algebra import COEFFS, MAX_DEGREE, SUBGROUPS, is_lie
 from .errors import FormatError, InvalidDeformation, PrecisionExhausted, ValdefError
-from .series import rational_str
+from .series import parse_rational, rational_str
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -35,9 +35,15 @@ EXIT_INTERNAL = 4
 
 
 def _table_doc(structure) -> list:
+    """The file entries of a table: each nonzero row by (i, j), i < j only
+    for a Lie table, every constant in lowest terms."""
+    den, rows = structure.scaled_table
+    lie = structure.kind == "lie"
     return [
-        {"i": i, "j": j, "out": [{"k": k, "c": rational_str(c)} for k, c in out]}
-        for (i, j), out in sorted(structure.table.items())
+        {"i": i, "j": j, "out": [{"k": k, "c": io._ratio_str(c, den)} for k, c in row]}
+        for i, r in enumerate(rows)
+        for j, row in enumerate(r)
+        if row and not (lie and j <= i)
     ]
 
 
@@ -221,7 +227,7 @@ def cmd_deform(args):
             raise FormatError(
                 f"--poly must be a JSON array of rationals, got {args.poly}"
             )
-        poly = [io.parse_rational(c) for c in items]
+        poly = [parse_rational(c) for c in items]
         try:
             ok = polynomial_form_check(d, poly, args.k)
         except ValueError as exc:

@@ -36,11 +36,11 @@ Weights are the integer eigenvalues of A, that is den times those of ad x.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul
 
 from . import linalg
-from .algebra import _table_rows
+from .algebra import canonical_table
 
 
 # the largest root `integer_roots` scans for: a candidate whose spectrum may
@@ -291,12 +291,7 @@ def _eigengrading(den: int, table, a, roots: dict) -> Graded:
                     vec = [x + plt * y for x, y in zip(vec, by_l[l])]
             coords = [sum(map(mul, qrow, vec)) for qrow in q]
             entries.append(((s, t), [(k, c) for k, c in enumerate(coords) if c]))
-    new_den = den * d
-    common = gcd(new_den, *(c for _, out in entries for _, c in out))
-    if common != 1:
-        new_den //= common
-        entries = [(key, [(k, c // common) for k, c in out]) for key, out in entries]
-    rows = _table_rows(n, entries, antisymmetric=True)
+    new_den, rows = canonical_table(n, den * d, entries, antisymmetric=True)
     require_homogeneous(rows, weights)
     return Graded(n, (new_den, rows), tuple(weights))
 

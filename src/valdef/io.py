@@ -3,9 +3,9 @@
 Rational literals are "p" or "p/q" strings of ASCII decimal digits, with
 an optional sign on p and a positive q.  A series literal is an array of
 rational strings ordered from t^0, e.g. ["0","2","1"] is 2t + t^2; it may
-be shorter than cap+1 (zero padded) but never longer.  Series are read
-and written as integers over one denominator.  Indices are 0-based
-everywhere.
+be shorter than cap+1 (zero padded) but never longer.  Series and
+structure-constant tables are read and written as integers over one
+denominator.  Indices are 0-based everywhere.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import gcd, lcm
 
 from .algebra import AlgebraStructure, Cochain, check_key
 from .errors import FormatError
-from .series import SeriesVector, TruncSeries, parse_rational, rational_pair
+from .series import SeriesVector, TruncSeries, rational_pair
 
 
 # Largest dim and cap read from outside input: a table takes dim^2 slots
@@ -50,6 +50,8 @@ def _int(value, what: str) -> int:
     rounded or parsed: int() would read true as 1, 0.7 as 0 and " 1 " as 1,
     and integers are JSON numbers.
     """
+    if type(value) is int:
+        return value
     if isinstance(value, (bool, str)) or (
         isinstance(value, float) and not value.is_integer()
     ):
@@ -117,6 +119,10 @@ def series_literal(s: TruncSeries) -> list[str]:
 
 
 def _parse_table(rows, what: str):
+    """(den, table) of a table document: table maps each (i, j) to {k: c},
+    the integer constants over den, the lcm of the literals' denominators
+    (each read by `rational_pair`; no Fraction is built).  Only the entry
+    syntax is checked here; `AlgebraStructure.scaled` checks the ranges."""
     if not isinstance(rows, list):
         raise FormatError(f"{what} must be an array of entries")
     table = {}
@@ -128,13 +134,26 @@ def _parse_table(rows, what: str):
                 k = _int(cell["k"], f"{what} out index")
                 if k in out:
                     raise FormatError(f"{what} entry ({i},{j}) repeats out index {k}")
-                out[k] = parse_rational(cell["c"])
+                out[k] = rational_pair(cell["c"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad {what} entry {row!r}") from exc
         if (i, j) in table:
             raise FormatError(f"duplicate {what} entry for ({i},{j})")
         table[(i, j)] = out
-    return table
+    den = lcm(1, *(q for out in table.values() for _, q in out.values()))
+    return den, {
+        key: {k: p * (den // q) for k, (p, q) in out.items()}
+        for key, out in table.items()
+    }
+
+
+def _structure(dim: int, kind: str, parsed, basis=None) -> AlgebraStructure:
+    """`AlgebraStructure.scaled` of a `_parse_table` result, its range
+    errors as FormatError."""
+    try:
+        return AlgebraStructure.scaled(dim, kind, *parsed, basis=basis)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 # kind is "lie", "assoc" or "poisson"; structure is the AlgebraStructure of
@@ -165,25 +184,16 @@ def parse_algebra(doc) -> AlgebraFile:
             raise FormatError(
                 "poisson files carry 'assoc_table' and 'bracket_table'"
             )
-        try:
-            poisson = PoissonStructure.build(
-                dim,
-                _parse_table(doc["assoc_table"], "assoc_table"),
-                _parse_table(doc["bracket_table"], "bracket_table"),
-            )
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
+        product = _parse_table(doc["assoc_table"], "assoc_table")
+        bracket = _parse_table(doc["bracket_table"], "bracket_table")
+        poisson = PoissonStructure(
+            dim, _structure(dim, "assoc", product), _structure(dim, "assoc", bracket)
+        )
         return AlgebraFile(kind=kind, structure=None, poisson=poisson, torus=torus)
     if kind not in ("lie", "assoc"):
         raise FormatError(f"unknown algebra kind {kind!r}")
     table = _parse_table(doc.get("table", []), "table")
-    try:
-        if kind == "lie":
-            structure = AlgebraStructure.lie(dim, table, basis=basis)
-        else:
-            structure = AlgebraStructure.assoc(dim, table, basis=basis)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    structure = _structure(dim, kind, table, basis)
     return AlgebraFile(kind=kind, structure=structure, poisson=None, torus=torus)
 
 

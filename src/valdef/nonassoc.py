@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
 from itertools import compress, count
 from math import lcm
 from operator import add, ne, or_, sub
@@ -150,7 +149,6 @@ def tensor_product(a: AlgebraStructure, b: AlgebraStructure) -> AlgebraStructure
     """Componentwise product on the Kronecker basis e_i (x) f_j."""
     den_a, rows_a = a.scaled_table
     den_b, rows_b = b.scaled_table
-    den = den_a * den_b
     table = {}
     for i1 in range(a.dim):
         for i2 in range(a.dim):
@@ -160,26 +158,24 @@ def tensor_product(a: AlgebraStructure, b: AlgebraStructure) -> AlgebraStructure
             for j1 in range(b.dim):
                 for j2 in range(b.dim):
                     right = rows_b[j1][j2]
-                    if not right:
-                        continue
-                    out = {}
-                    _add_kron(out, left, right, b.dim)
-                    table[(i1 * b.dim + j1, i2 * b.dim + j2)] = {
-                        k: Fraction(c, den) for k, c in out.items()
-                    }
-    return AlgebraStructure.assoc(a.dim * b.dim, table)
+                    if right:
+                        out = table[(i1 * b.dim + j1, i2 * b.dim + j2)] = {}
+                        _add_kron(out, left, right, b.dim)
+    return AlgebraStructure.scaled(a.dim * b.dim, "assoc", den_a * den_b, table)
 
 
 # -- Poisson structures -----------------------------------------------
 
 
 class PoissonStructure(namedtuple("PoissonStructure", "dim product bracket")):
-    """Commutative associative product plus a bracket, both as full tables."""
+    """Commutative associative product plus a bracket, both as full tables
+    (assoc-kind AlgebraStructures)."""
 
     __slots__ = ()
 
     @classmethod
     def build(cls, dim, product_table, bracket_table) -> PoissonStructure:
+        """From two tables of rationals, as `AlgebraStructure.assoc` reads them."""
         return cls(
             dim=dim,
             product=AlgebraStructure.assoc(dim, product_table),
@@ -253,31 +249,30 @@ def poisson_tensor(p: PoissonStructure, q: PoissonStructure) -> PoissonStructure
                     out = {}
                     _add_kron(out, br_left, pr_q[j1][j2], q.dim, w_left)
                     _add_kron(out, pr_left, br_q[j1][j2], q.dim, w_right)
-                    entry = {k: Fraction(c, den) for k, c in out.items() if c}
-                    if entry:
-                        table[(i1 * q.dim + j1, i2 * q.dim + j2)] = entry
+                    if out:
+                        table[(i1 * q.dim + j1, i2 * q.dim + j2)] = out
     out = PoissonStructure(
         dim=dim,
         product=product,
-        bracket=AlgebraStructure.assoc(dim, table),
+        bracket=AlgebraStructure.scaled(dim, "assoc", den, table),
     )
     _require_poisson(out, "tensor", RuntimeError)
     return out
 
 
 def opposite_poisson(p: PoissonStructure) -> PoissonStructure:
-    """Opposite product a.b -> ba with negated bracket; Poisson again."""
+    """Opposite product a.b -> ba with negated bracket; Poisson again.
+
+    Transposing a table and negating one keep its canonical form, so both
+    are built from the input's rows as they stand."""
     _require_poisson(p, "input")
-    prod_table = {}
-    for (i, j), entry in p.product.table.items():
-        prod_table[(j, i)] = dict(entry)
-    br_table = {}
-    for (i, j), entry in p.bracket.table.items():
-        br_table[(i, j)] = {k: -c for k, c in entry}
+    den_p, prod = p.product.scaled_table
+    den_b, br = p.bracket.scaled_table
+    negated = tuple(tuple(tuple((k, -c) for k, c in row) for row in r) for r in br)
     out = PoissonStructure(
         dim=p.dim,
-        product=AlgebraStructure.assoc(p.dim, prod_table),
-        bracket=AlgebraStructure.assoc(p.dim, br_table),
+        product=AlgebraStructure(p.dim, "assoc", (den_p, tuple(zip(*prod))), None),
+        bracket=AlgebraStructure(p.dim, "assoc", (den_b, negated), None),
     )
     _require_poisson(out, "opposite", RuntimeError)
     return out

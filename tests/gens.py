@@ -9,6 +9,7 @@ decomposed form.
 
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 import random
 
 import pytest
@@ -24,13 +25,29 @@ from valdef.deformation import (
     transport,
 )
 from valdef.errors import (
+    FormatError,
     InvalidDeformation,
     NotInMaximalIdeal,
     PrecisionExhausted,
     ZeroVector,
 )
 from valdef.nonassoc import PATTERNS, SubgroupTag
-from valdef.series import SeriesVector, TruncSeries
+from valdef.io import _int
+from valdef.series import SeriesVector, TruncSeries, parse_rational, rational_str
+
+
+def fraction_table(g) -> dict:
+    """The Fraction view of an algebra's table: {(i, j): ((k, c), ...)} for
+    every nonzero product e_i e_j, i < j only for a Lie table, each row by
+    increasing k."""
+    den, rows = g.scaled_table
+    lie = g.kind == "lie"
+    return {
+        (i, j): tuple((k, Fraction(c, den)) for k, c in row)
+        for i, r in enumerate(rows)
+        for j, row in enumerate(r)
+        if row and not (lie and j <= i)
+    }
 
 
 def frac(rng: random.Random, num=6, den=4) -> Fraction:
@@ -208,7 +225,7 @@ ROOTS123 = AlgebraStructure.lie(
 def _pad_abelian(g: AlgebraStructure, n: int) -> AlgebraStructure:
     if g.dim == n:
         return g
-    table = {pair: dict(entry) for pair, entry in g.table.items()}
+    table = {pair: dict(entry) for pair, entry in fraction_table(g).items()}
     return AlgebraStructure.lie(n, table)
 
 
@@ -227,7 +244,7 @@ def random_lie(rng, n) -> AlgebraStructure:
 def mu_cochain(g: AlgebraStructure) -> Cochain:
     """The bracket of a Lie table as a degree-2 adjoint cochain."""
     vals = {}
-    for pair, entry in g.table.items():
+    for pair, entry in fraction_table(g).items():
         vec = [Fraction(0)] * g.dim
         for k, c in entry:
             vec[k] = c
@@ -603,7 +620,7 @@ COMMUTATIVE_POOL = [KX2, KXK, KX3]
 def lie_as_product(g: AlgebraStructure) -> AlgebraStructure:
     """A Lie bracket viewed as a (non-associative) bilinear product."""
     table = {}
-    for (i, j), entry in g.table.items():
+    for (i, j), entry in fraction_table(g).items():
         table[(i, j)] = {k: c for k, c in entry}
         table[(j, i)] = {k: -c for k, c in entry}
     return AlgebraStructure.assoc(g.dim, table)
@@ -745,3 +762,155 @@ def dict_poisson(p):
         if any(acc.values()):
             return False, ("Leibniz rule fails", (a, b, c))
     return True, None
+
+
+# -- Fraction reference for reading, printing and building tables ---------
+#
+# The table reader as it was before tables were read into integers: every
+# literal a Fraction (`parse_rational`), each product cleaned to sorted
+# nonzero (k, c) pairs, and the integer form put over the lcm of the reduced
+# denominators afterwards.  Tables here are Fraction tables: {(i, j): ((k,
+# c), ...)} as `fraction_table` gives them.
+
+
+def reference_parse_table(rows, what: str) -> dict:
+    """{(i, j): {k: Fraction}} of a table document, or its FormatError."""
+    if not isinstance(rows, list):
+        raise FormatError(f"{what} must be an array of entries")
+    table = {}
+    for row in rows:
+        try:
+            i, j = _int(row["i"], f"{what} i"), _int(row["j"], f"{what} j")
+            out = {}
+            for cell in row["out"]:
+                k = _int(cell["k"], f"{what} out index")
+                if k in out:
+                    raise FormatError(f"{what} entry ({i},{j}) repeats out index {k}")
+                out[k] = parse_rational(cell["c"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"bad {what} entry {row!r}") from exc
+        if (i, j) in table:
+            raise FormatError(f"duplicate {what} entry for ({i},{j})")
+        table[(i, j)] = out
+    return table
+
+
+def _reference_clean_out(dim: int, out) -> tuple:
+    acc: dict[int, Fraction] = {}
+    items = out.items() if isinstance(out, dict) else out
+    for k, c in items:
+        if not 0 <= k < dim:
+            raise ValueError(f"basis index {k} outside 0..{dim - 1}")
+        if c:
+            acc[k] = acc.get(k, 0) + Fraction(c)
+    return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
+
+
+def reference_clean(dim: int, kind: str, table) -> dict:
+    """The Fraction table of {(i, j): {k: c}}, checked entry by entry:
+    pair range, lie i < j, out index range (ValueError)."""
+    clean = {}
+    for (i, j), out in table.items():
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise ValueError(f"pair ({i},{j}) outside 0..{dim - 1}")
+        if kind == "lie" and i >= j:
+            raise ValueError(
+                f"lie table key ({i},{j}) must satisfy i < j; "
+                "the bracket is extended antisymmetrically"
+            )
+        entry = _reference_clean_out(dim, out)
+        if entry:
+            clean[(i, j)] = entry
+    return clean
+
+
+def reference_read(doc) -> list:
+    """The Fraction tables of a lie, assoc or poisson document (one, or the
+    product and the bracket), or the FormatError the reader raised."""
+    dim, kind = doc["dim"], doc["kind"]
+    if kind == "poisson":
+        names, kind = ("assoc_table", "bracket_table"), "assoc"
+    else:
+        names = ("table",)
+    parsed = [reference_parse_table(doc[name], name) for name in names]
+    try:
+        return [reference_clean(dim, kind, table) for table in parsed]
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def reference_scaled(dim: int, kind: str, table) -> tuple:
+    """The `scaled_table` of a Fraction table: the lcm of its reduced
+    denominators, every ordered pair, lie tables expanded by sign."""
+    den = lcm(1, *(c.denominator for out in table.values() for _, c in out))
+    rows = [[()] * dim for _ in range(dim)]
+    for (i, j), out in table.items():
+        rows[i][j] = tuple((k, c.numerator * (den // c.denominator)) for k, c in out)
+        if kind == "lie":
+            rows[j][i] = tuple((k, -c) for k, c in rows[i][j])
+    return den, tuple(map(tuple, rows))
+
+
+def reference_table_doc(table) -> list:
+    """The file entries of a Fraction table, printed by `rational_str`."""
+    return [
+        {"i": i, "j": j, "out": [{"k": k, "c": rational_str(c)} for k, c in out]}
+        for (i, j), out in sorted(table.items())
+    ]
+
+
+def full_fraction_table(g) -> dict:
+    """{(i, j): {k: Fraction}} over every ordered pair with a nonzero
+    product, lie tables expanded by sign."""
+    full = {}
+    for (i, j), out in fraction_table(g).items():
+        full[(i, j)] = dict(out)
+        if g.kind == "lie":
+            full[(j, i)] = {k: -c for k, c in out}
+    return full
+
+
+def _kron(left: dict, right: dict, width: int, acc: dict) -> None:
+    for p, cp in left.items():
+        for q, cq in right.items():
+            acc[p * width + q] = acc.get(p * width + q, 0) + cp * cq
+
+
+def reference_tensor(a, b) -> tuple:
+    """The `scaled_table` of the componentwise product on e_i (x) f_j,
+    built on Fractions."""
+    n = b.dim
+    table = {}
+    for (i1, i2), left in full_fraction_table(a).items():
+        for (j1, j2), right in full_fraction_table(b).items():
+            _kron(left, right, n, table.setdefault((i1 * n + j1, i2 * n + j2), {}))
+    return reference_scaled(a.dim * n, "assoc", reference_clean(a.dim * n, "assoc", table))
+
+
+def reference_poisson_tensor(p, q) -> tuple:
+    """The `scaled_table`s of the product and the bracket [a1,b1] x a2.b2 +
+    a1.b1 x [a2,b2] of the tensor Poisson structure, built on Fractions."""
+    n, dim = q.dim, p.dim * q.dim
+    br_p, pr_p = full_fraction_table(p.bracket), full_fraction_table(p.product)
+    br_q, pr_q = full_fraction_table(q.bracket), full_fraction_table(q.product)
+    table = {}
+    for i1, i2, j1, j2 in iter_product(range(p.dim), range(p.dim), range(n), range(n)):
+        acc = table.setdefault((i1 * n + j1, i2 * n + j2), {})
+        _kron(br_p.get((i1, i2), {}), pr_q.get((j1, j2), {}), n, acc)
+        _kron(pr_p.get((i1, i2), {}), br_q.get((j1, j2), {}), n, acc)
+    bracket = reference_scaled(dim, "assoc", reference_clean(dim, "assoc", table))
+    return reference_tensor(p.product, q.product), bracket
+
+
+def reference_opposite(p) -> tuple:
+    """The `scaled_table`s of the opposite product and the negated bracket,
+    built on Fractions."""
+    product = {(j, i): out for (i, j), out in full_fraction_table(p.product).items()}
+    bracket = {
+        pair: {k: -c for k, c in out.items()}
+        for pair, out in full_fraction_table(p.bracket).items()
+    }
+    return tuple(
+        reference_scaled(p.dim, "assoc", reference_clean(p.dim, "assoc", table))
+        for table in (product, bracket)
+    )

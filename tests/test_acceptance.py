@@ -39,6 +39,7 @@ from gens import (
     conjugated,
     decomposed,
     flags_equal,
+    fraction_table,
     identity_plus,
     in_span,
     lie_as_product,
@@ -245,7 +246,7 @@ def random_poisson(rng) -> PoissonStructure:
         return PoissonStructure.build(prod.dim, full, {})
     if kind == 1:
         law = lie_as_product(random_lie(rng, rng.randint(2, 3)))
-        table = {pair: dict(entry) for pair, entry in law.table.items()}
+        table = {pair: dict(entry) for pair, entry in fraction_table(law).items()}
         return PoissonStructure.build(law.dim, {}, table)
     return PoissonStructure.build(
         3,

@@ -227,3 +227,159 @@ def test_change_basis_preserves_jacobi():
         g = random_lie(rng, rng.randint(2, 4))
         h = change_basis(g, random_invertible(rng, g.dim))
         assert is_lie(h)[0]
+
+
+# -- tables read straight into integers, against the Fraction reader -----
+
+
+def _table_documents(st):
+    """(valid, mangled): strategies for lie, assoc and poisson documents of
+    dims 1-4 whose constants are unreduced, signed and zero-padded literals
+    over a few shared denominators; mangled ones carry one or two faults."""
+    fixed = st.sampled_from(("2/4", "-0/5", "+3", "06/010", "0", "-0", "+0/7", "-6/4"))
+
+    @st.composite
+    def literals(draw):
+        q = draw(st.sampled_from((1, 2, 3, 4, 6, 10)))
+        scale = draw(st.integers(1, 3))  # unreduced: p * scale / q * scale
+        p = draw(st.integers(-12, 12)) * scale
+        sign = "-" if p < 0 else draw(st.sampled_from(("", "+", "-")))
+        text = "0" * draw(st.integers(0, 2)) + str(abs(p))
+        if q * scale == 1 and draw(st.booleans()):
+            return sign + text
+        return f"{sign}{text}/{'0' * draw(st.integers(0, 1))}{q * scale}"
+
+    constants = st.one_of(literals(), fixed)
+
+    @st.composite
+    def tables(draw, dim, lie):
+        pairs = (
+            list(combinations(range(dim), 2))
+            if lie
+            else [(i, j) for i in range(dim) for j in range(dim)]
+        )
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6)) if pairs else []
+        return [
+            {
+                "i": i,
+                "j": j,
+                "out": [
+                    {"k": k, "c": draw(constants)}
+                    for k in draw(st.lists(st.integers(0, dim - 1), unique=True, max_size=3))
+                ],
+            }
+            for i, j in chosen
+        ]
+
+    @st.composite
+    def documents(draw):
+        dim = draw(st.integers(1, 4))
+        kind = draw(st.sampled_from(("lie", "assoc", "poisson")))
+        if kind == "poisson":
+            return {
+                "dim": dim,
+                "kind": kind,
+                "assoc_table": draw(tables(dim, False)),
+                "bracket_table": draw(tables(dim, False)),
+            }
+        return {"dim": dim, "kind": kind, "table": draw(tables(dim, kind == "lie"))}
+
+    bad_literals = st.sampled_from(("1/0", "-3/0", "x", "", "1.5", "1/-2", "1 /2", 5, None))
+
+    @st.composite
+    def faults(draw, doc):
+        names = [name for name in ("table", "assoc_table", "bracket_table") if name in doc]
+        name = draw(st.sampled_from(names))
+        rows = doc[name]
+        dim = doc["dim"]
+        fault = draw(
+            st.sampled_from(("literal", "k", "pair", "reverse", "repeat", "duplicate"))
+        )
+        if not rows or fault == "pair":
+            rows.insert(draw(st.integers(0, len(rows))), {
+                "i": draw(st.sampled_from((-1, 0, dim))),
+                "j": dim,
+                "out": [{"k": 0, "c": "1"}],
+            })
+        elif fault == "duplicate":
+            rows.append(dict(rows[draw(st.integers(0, len(rows) - 1))]))
+        else:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            if fault == "reverse":
+                row["i"], row["j"] = row["j"], row["i"]
+            elif fault == "k":
+                row["out"] = row["out"] + [{"k": draw(st.sampled_from((-1, dim))), "c": "1"}]
+            elif fault == "repeat" and row["out"]:
+                row["out"] = row["out"] + row["out"][:1]
+            else:
+                row["out"] = row["out"] + [{"k": dim - 1, "c": draw(bad_literals)}]
+        return doc
+
+    def mangled(draw_doc):
+        return draw_doc.flatmap(lambda doc: faults(doc).flatmap(
+            lambda once: st.one_of(st.just(once), faults(once))
+        ))
+
+    return documents(), mangled(documents())
+
+
+def _structures(loaded):
+    if loaded.kind == "poisson":
+        return [loaded.poisson.product, loaded.poisson.bracket]
+    return [loaded.structure]
+
+
+def test_integer_reader_matches_fraction_reader():
+    """`io.parse_algebra` reads every literal straight into integers over one
+    denominator.  On lie, assoc and poisson documents with unreduced, signed
+    and zero-padded literals, zero constants and shared denominators it gives
+    the `scaled_table` and the printed table of the Fraction reader
+    (`gens.reference_read`), in canonical form; on documents with one or two
+    faults it refuses them with the Fraction reader's text."""
+    import copy
+    from math import gcd
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from valdef.cli import _table_doc
+    from valdef.errors import FormatError
+    from valdef.io import parse_algebra
+
+    from gens import reference_read, reference_scaled, reference_table_doc
+
+    valid, mangled = _table_documents(st)
+
+    def outcome(read, doc):
+        try:
+            return read(copy.deepcopy(doc)), None
+        except FormatError as exc:
+            return None, str(exc)
+
+    def same_tables(doc, loaded, tables):
+        kind = "lie" if doc["kind"] == "lie" else "assoc"
+        for structure, table in zip(_structures(loaded), tables, strict=True):
+            den, rows = structure.scaled_table
+            assert (den, rows) == reference_scaled(doc["dim"], kind, table)
+            assert gcd(den, *(c for r in rows for row in r for _, c in row)) == 1
+            assert _table_doc(structure) == reference_table_doc(table)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(valid)
+    def check_valid(doc):
+        same_tables(doc, parse_algebra(doc), reference_read(doc))
+
+    refused = []
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(mangled)
+    def check_mangled(doc):
+        got, error = outcome(parse_algebra, doc)
+        want, want_error = outcome(reference_read, doc)
+        assert error == want_error
+        refused.append(error is not None)
+        if got is not None:
+            same_tables(doc, got, want)
+
+    check_valid()
+    check_mangled()
+    assert sum(refused) > 0.8 * len(refused)

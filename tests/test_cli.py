@@ -468,7 +468,7 @@ VINBERG_DOC = None
 def _vinberg_doc():
     global VINBERG_DOC
     if VINBERG_DOC is None:
-        from gens import search_tables
+        from gens import fraction_table, search_tables
         from valdef.nonassoc import SubgroupTag, g_associative_check
         from valdef.series import rational_str
 
@@ -488,7 +488,7 @@ def _vinberg_doc():
                     "j": j,
                     "out": [{"k": k, "c": rational_str(c)} for k, c in entry],
                 }
-                for (i, j), entry in sorted(alg.table.items())
+                for (i, j), entry in sorted(fraction_table(alg).items())
             ],
         }
     return VINBERG_DOC
@@ -996,6 +996,84 @@ MALFORMED = [
         {"a": dict(POISSON1, dim=io.MAX_DIM), "b": dict(POISSON1, dim=2)},
         f"tensor product dim {io.MAX_DIM}*2 = {2 * io.MAX_DIM} exceeds",
     ),
+    # two faults in one document: every literal of every entry is read before
+    # any range is checked; then entries in file order, each by pair range,
+    # Lie i < j and out index
+    (
+        ["check", "@a"],
+        {
+            "a": dict(
+                LIE2,
+                dim=3,
+                table=[
+                    {"i": 1, "j": 0, "out": [{"k": 0, "c": "1"}]},
+                    {"i": 0, "j": 2, "out": [{"k": 1, "c": "1/0"}]},
+                ],
+            )
+        },
+        "error: denominator must be positive in '1/0'\n",
+    ),
+    (
+        ["check", "@a"],
+        {
+            "a": dict(
+                LIE2,
+                table=[
+                    {"i": 0, "j": 5, "out": [{"k": 0, "c": "1"}]},
+                    {"i": 0, "j": 1, "out": [{"k": 7, "c": "1"}]},
+                ],
+            )
+        },
+        "error: pair (0,5) outside 0..1\n",
+    ),
+    (
+        ["check", "@a"],
+        {
+            "a": dict(
+                LIE2,
+                table=[
+                    {"i": 0, "j": 1, "out": [{"k": 7, "c": "1"}]},
+                    {"i": 0, "j": 5, "out": [{"k": 0, "c": "1"}]},
+                ],
+            )
+        },
+        "error: basis index 7 outside 0..1\n",
+    ),
+    (
+        ["check", "@a"],
+        {"a": dict(ASSOC1, dim=2, table=[{"i": 2, "j": 0, "out": [{"k": 9, "c": "1"}]}])},
+        "error: pair (2,0) outside 0..1\n",
+    ),
+    (
+        ["check", "@a"],
+        {"a": dict(LIE2, table=[{"i": 1, "j": 1, "out": [{"k": 9, "c": "1"}]}])},
+        "error: lie table key (1,1) must satisfy i < j; the bracket is extended "
+        "antisymmetrically\n",
+    ),
+    (
+        ["poisson", "verify", "@a"],
+        {
+            "a": {
+                "dim": 2,
+                "kind": "poisson",
+                "assoc_table": [{"i": 0, "j": 4, "out": [{"k": 0, "c": "1"}]}],
+                "bracket_table": [{"i": 0, "j": 1, "out": [{"k": 0, "c": "x"}]}],
+            }
+        },
+        "error: bad rational literal 'x'\n",
+    ),
+    (
+        ["poisson", "verify", "@a"],
+        {
+            "a": {
+                "dim": 2,
+                "kind": "poisson",
+                "assoc_table": [{"i": 0, "j": 1, "out": [{"k": 5, "c": "1"}]}],
+                "bracket_table": [{"i": 3, "j": 1, "out": [{"k": 0, "c": "1"}]}],
+            }
+        },
+        "error: basis index 5 outside 0..1\n",
+    ),
 ]
 
 
@@ -1401,13 +1479,10 @@ def test_decompose_fuzzed_vector_documents(tmp_path, capsys):
             doc["cap"] = draw(leaves_with(st.integers(-2, 12)))
         return doc
 
-    path = tmp_path / "v.json"
-
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
     @hypothesis.given(documents())
     def check(doc):
-        path.write_text(json.dumps(doc))
-        code = main(["decompose", str(path)])
+        code = main(["decompose", write(tmp_path, "v.json", doc)])
         out = capsys.readouterr()
         assert code in (0, 2, 3), out.err
         # exactly one JSON document, on one line
@@ -1479,7 +1554,17 @@ def test_algebra_commands_fuzzed_documents(tmp_path, capsys, monkeypatch):
 
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    from gens import FILIFORM4, H3, R2, R2K, ROOTS123, SL2, change_basis, random_invertible
+    from gens import (
+        FILIFORM4,
+        H3,
+        R2,
+        R2K,
+        ROOTS123,
+        SL2,
+        change_basis,
+        fraction_table,
+        random_invertible,
+    )
     from valdef.algebra import AlgebraStructure
     from valdef.cli import _table_doc
 
@@ -1487,7 +1572,7 @@ def test_algebra_commands_fuzzed_documents(tmp_path, capsys, monkeypatch):
     bases = []
     for family in (R2, H3, SL2, R2K, FILIFORM4, ROOTS123):
         for n in (family.dim, family.dim + 2):
-            g = AlgebraStructure.lie(n, family.table)
+            g = AlgebraStructure.lie(n, fraction_table(family))
             h = change_basis(g, random_invertible(rng, n))
             bases.append({"dim": n, "kind": "lie", "table": _table_doc(g), "torus": [0]})
             bases.append({"dim": n, "kind": "lie", "table": _table_doc(h)})
@@ -1516,7 +1601,6 @@ def test_algebra_commands_fuzzed_documents(tmp_path, capsys, monkeypatch):
         st.booleans(),
         st.booleans(),
     )
-    path = tmp_path / "a.json"
     import valdef.grading as grading
 
     found = []
@@ -1535,12 +1619,12 @@ def test_algebra_commands_fuzzed_documents(tmp_path, capsys, monkeypatch):
     @hypothesis.example(bases[-1], (1, "adjoint", False, False))
     def check(doc, flag):
         deg, coeff, asserted, pretty = flag
-        path.write_text(json.dumps(doc))
+        path = write(tmp_path, "a.json", doc)
         tail = ["--pretty"] if pretty else []
         commands = [
-            ["check", str(path)],
-            ["cohomology", str(path), "--deg", str(deg), "--coeff", coeff],
-            ["rigidity", str(path)] + (["--asserted-rigid"] if asserted else []),
+            ["check", path],
+            ["cohomology", path, "--deg", str(deg), "--coeff", coeff],
+            ["rigidity", path] + (["--asserted-rigid"] if asserted else []),
         ]
         for argv in commands:
             code = main(argv + tail)

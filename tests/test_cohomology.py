@@ -34,6 +34,7 @@ from gens import (
     cochain_from_flat,
     domain_matrix,
     frac,
+    fraction_table,
     in_span,
     mu_cochain,
     nullspace,
@@ -342,7 +343,7 @@ def family_algebras(rng, max_dim):
     random Lie algebras of dimension up to max_dim."""
     out = []
     for g in (R2, H3, SL2, R2K, FILIFORM4, ROOTS123):
-        padded = AlgebraStructure.lie(rng.randint(g.dim, max_dim), g.table)
+        padded = AlgebraStructure.lie(rng.randint(g.dim, max_dim), fraction_table(g))
         out += [g, padded, change_basis(padded, random_invertible(rng, padded.dim))]
     out += [random_lie(rng, n) for n in range(2, max_dim + 1)]
     return out
@@ -454,7 +455,7 @@ def test_jacobi_is_checked_before_any_matrix_or_search(monkeypatch):
     calls = []
     monkeypatch.setattr(cohomology, "coboundary_matrix", lambda *a: calls.append(a))
     monkeypatch.setattr(grading, "find_grading", lambda g: calls.append(g))
-    g = AlgebraStructure.lie(6, NOT_LIE.table)  # delta_1 adjoint: 90 x 36
+    g = AlgebraStructure.lie(6, fraction_table(NOT_LIE))  # delta_1 adjoint: 90 x 36
     for degree in (1, 2, 3):
         for coeff in COEFFS:
             with pytest.raises(NotLie, match=r"\[0, 1, 2\]"):
@@ -477,7 +478,7 @@ def test_jacobi_verdict_computed_once(monkeypatch, capsys):
         return real(*args)
 
     monkeypatch.setattr(algebra, "jacobi_sums", counting)
-    g = AlgebraStructure.lie(3, dict(SL2.table))
+    g = AlgebraStructure.lie(3, dict(fraction_table(SL2)))
     assert algebra.is_lie(g) == (True, None)
     cohomology_dim(g, 2, "adjoint")
     is_coboundary(g, Cochain.zero(2, 3))

@@ -39,6 +39,7 @@ from gens import (
     eval_vectors,
     first_term_is_cocycle,
     frac,
+    fraction_table,
     identity_plus,
     max_rank_check,
     mu_cochain,
@@ -368,7 +369,7 @@ def expanded_bracket(d, cap):
     out = {}
     for pair in combinations(range(n), 2):
         vec = [[Fraction(0)] * (cap + 1) for _ in range(n)]
-        for k, c in d.base.table.get(pair, ()):
+        for k, c in fraction_table(d.base).get(pair, ()):
             vec[k][0] += c
         for coeff, phi in d.terms:
             for k, c in enumerate(phi.value(pair)):

@@ -25,6 +25,7 @@ from gens import (
     SL2,
     change_basis,
     domain_matrix,
+    fraction_table,
     random_invertible,
 )
 
@@ -48,7 +49,7 @@ IRRATIONAL_SL2 = change_basis(
 
 def padded(g, n):
     """g plus an abelian summand, of dimension n."""
-    return AlgebraStructure.lie(n, g.table)
+    return AlgebraStructure.lie(n, fraction_table(g))
 
 
 def dims(g, degree, coeff, monkeypatch, graded):

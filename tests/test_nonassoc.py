@@ -44,9 +44,14 @@ from gens import (
     dict_dual,
     dict_g_check,
     dict_poisson,
+    fraction_table,
+    full_fraction_table,
     lie_as_product,
     random_invertible,
     random_lie,
+    reference_opposite,
+    reference_poisson_tensor,
+    reference_tensor,
     search_tables,
     triple_products,
     unit,
@@ -69,7 +74,7 @@ def test_associative_pass_every_group():
     for alg in ASSOCIATIVE_POOL:
         for tag in SubgroupTag:
             ok, _ = g_associative_check(alg, tag)
-            assert ok, (tag, alg.table)
+            assert ok, (tag, fraction_table(alg))
 
 
 def vinberg_search():
@@ -243,7 +248,7 @@ def test_poisson_tensor_cases():
     t = poisson_tensor(POISSON3, zb)
     assert t.dim == 6 and poisson_verify(t) == (True, None)
     t2 = poisson_tensor(zb, zb)
-    assert all(not entry for entry in t2.bracket.table.values()) or not t2.bracket.table
+    assert all(not entry for entry in fraction_table(t2.bracket).values()) or not fraction_table(t2.bracket)
     t3 = poisson_tensor(POISSON3, POISSON3)
     assert t3.dim == 9 and poisson_verify(t3) == (True, None)
     with pytest.raises(InvalidPoisson):
@@ -256,12 +261,12 @@ def test_opposite_poisson():
     zb = PoissonStructure.build(
         2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, {}
     )
-    assert opposite_poisson(zb).product.table == zb.product.table
+    assert fraction_table(opposite_poisson(zb).product) == fraction_table(zb.product)
     op = opposite_poisson(POISSON3)
-    assert op.bracket.table[(1, 2)] == ((1, Fraction(-1)),)
+    assert fraction_table(op.bracket)[(1, 2)] == ((1, Fraction(-1)),)
     opop = opposite_poisson(op)
-    assert opop.bracket.table == POISSON3.bracket.table
-    assert opop.product.table == POISSON3.product.table
+    assert fraction_table(opop.bracket) == fraction_table(POISSON3.bracket)
+    assert fraction_table(opop.product) == fraction_table(POISSON3.product)
 
 
 # -- parity of the integer kernel with a plain Fraction reference ---------
@@ -453,8 +458,8 @@ def test_kernel_matches_fraction_reference(seed, tmp_path, capsys):
             for signed in (True, False):
                 assert g_associative_check(alg, tag, signed) == _ref_g_check(
                     alg, tag, signed
-                ), (tag, signed, alg.table)
-            assert dual_identity_check(alg, tag) == _ref_dual(alg, tag), (tag, alg.table)
+                ), (tag, signed, fraction_table(alg))
+            assert dual_identity_check(alg, tag) == _ref_dual(alg, tag), (tag, fraction_table(alg))
         want_ok, want_t = _ref_g_check(alg, SubgroupTag.ID, True)
         code, doc = _cli_check(tmp_path, capsys, {"dim": alg.dim, "kind": "assoc", "table": _table_doc(alg)})
         assert code == (0 if want_ok else 1)
@@ -462,7 +467,7 @@ def test_kernel_matches_fraction_reference(seed, tmp_path, capsys):
     for p in _poisson_cases(rng):
         dens.append(p.product.scaled_table[0] * p.bracket.scaled_table[0])
         want = _ref_poisson(p)
-        assert poisson_verify(p) == want, (p.product.table, p.bracket.table)
+        assert poisson_verify(p) == want, (fraction_table(p.product), fraction_table(p.bracket))
         code, doc = _cli_check(
             tmp_path,
             capsys,
@@ -478,7 +483,7 @@ def test_kernel_matches_fraction_reference(seed, tmp_path, capsys):
             assert doc["detail"]["witness"] == {"axiom": want[1][0], "args": list(want[1][1])}
     for g in _lie_cases(rng):
         dens.append(g.scaled_table[0])
-        assert jacobiator(g) == _ref_jacobiator(g), g.table
+        assert jacobiator(g) == _ref_jacobiator(g), fraction_table(g)
         want_ok, want_t = _ref_is_lie(g)
         assert is_lie(g) == (want_ok, want_t)
         code, doc = _cli_check(tmp_path, capsys, {"dim": g.dim, "kind": "lie", "table": _table_doc(g)})
@@ -488,25 +493,12 @@ def test_kernel_matches_fraction_reference(seed, tmp_path, capsys):
     assert any(d % 7 == 0 for d in dens)
 
 
-def _table_product(alg, i, j):
-    """e_i e_j read from the Fraction table, Lie tables extended by sign."""
-    if alg.kind == "lie" and i > j:
-        return {k: -c for k, c in alg.table.get((j, i), ())}
-    return dict(alg.table.get((i, j), ()))
-
-
 def _ref_kron(left, right, width):
     out = {}
     for p, cp in left.items():
         for q, cq in right.items():
             out[p * width + q] = out.get(p * width + q, 0) + cp * cq
     return out
-
-
-def _full_table(alg):
-    n = alg.dim
-    full = {(i, j): _table_product(alg, i, j) for i in range(n) for j in range(n)}
-    return {pair: out for pair, out in full.items() if out}
 
 
 def test_tensor_tables_match_fraction_reference():
@@ -528,14 +520,14 @@ def test_tensor_tables_match_fraction_reference():
         )
         dens |= {a.scaled_table[0], b.scaled_table[0]}
         want = {}
-        for (i1, i2), left in _full_table(a).items():
-            for (j1, j2), right in _full_table(b).items():
+        for (i1, i2), left in full_fraction_table(a).items():
+            for (j1, j2), right in full_fraction_table(b).items():
                 key = (i1 * b.dim + j1, i2 * b.dim + j2)
                 want[key] = _ref_kron(left, right, b.dim)
-        assert _full_table(tensor_product(a, b)) == want
+        assert full_fraction_table(tensor_product(a, b)) == want
         p, q = (_conjugate_poisson(rng, rng.choice((POISSON3, zb))) for _ in range(2))
-        br_p, pr_p = _full_table(p.bracket), _full_table(p.product)
-        br_q, pr_q = _full_table(q.bracket), _full_table(q.product)
+        br_p, pr_p = full_fraction_table(p.bracket), full_fraction_table(p.product)
+        br_q, pr_q = full_fraction_table(q.bracket), full_fraction_table(q.product)
         want = {}
         for i1, i2, j1, j2 in iter_product(range(p.dim), range(p.dim), range(q.dim), range(q.dim)):
             out = _ref_kron(br_p.get((i1, i2), {}), pr_q.get((j1, j2), {}), q.dim)
@@ -545,14 +537,68 @@ def test_tensor_tables_match_fraction_reference():
             if out:
                 want[(i1 * q.dim + j1, i2 * q.dim + j2)] = out
         t = poisson_tensor(p, q)
-        assert _full_table(t.bracket) == want
-        assert _full_table(t.product) == _full_table(tensor_product(p.product, q.product))
+        assert full_fraction_table(t.bracket) == want
+        assert full_fraction_table(t.product) == full_fraction_table(tensor_product(p.product, q.product))
         dens |= {p.bracket.scaled_table[0], q.product.scaled_table[0]}
     assert all(any(d % m == 0 for d in dens) for m in (2, 3))
 
 
+def _scaled_poisson(rng, p):
+    """p with its product and bracket each scaled by a random nonzero
+    rational: both sides of every axiom scale alike, so it stays Poisson."""
+    a, b = (Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3, 4, 6))) for _ in "ab")
+
+    def times(alg, x):
+        return AlgebraStructure.assoc(
+            p.dim, {pair: {k: x * c for k, c in out.items()} for pair, out in full_fraction_table(alg).items()}
+        )
+
+    return PoissonStructure(p.dim, times(p.product, a), times(p.bracket, b))
+
+
+def test_constructions_match_fraction_reference():
+    """`tensor_product`, `poisson_tensor` and `opposite_poisson` build their
+    integer tables with the `scaled_table` of a Fraction-built reference
+    (`gens.reference_tensor`, ...), zero factors included; the opposite of
+    the opposite is the input."""
+    rng = random.Random(89)
+    zb = PoissonStructure.build(2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, {})
+    zero = PoissonStructure.build(2, {}, {})
+    dens = set()
+    for _ in range(12):
+        a, b = (
+            rng.choice(
+                [
+                    AlgebraStructure.assoc(n, _random_table(rng, n, rng.randint(0, 5)))
+                    for n in (2, 3)
+                ]
+                + [random_lie(rng, 3), conjugated(rng, rng.choice(ASSOCIATIVE_POOL))]
+            )
+            for _ in "ab"
+        )
+        assert tensor_product(a, b).scaled_table == reference_tensor(a, b)
+        p, q = (
+            _scaled_poisson(rng, _conjugate_poisson(rng, rng.choice((POISSON3, zb, zero))))
+            for _ in "pq"
+        )
+        t = poisson_tensor(p, q)
+        assert (t.product.scaled_table, t.bracket.scaled_table) == reference_poisson_tensor(p, q)
+        op = opposite_poisson(p)
+        assert (op.product.scaled_table, op.bracket.scaled_table) == reference_opposite(p)
+        assert opposite_poisson(op) == p
+        dens |= {a.scaled_table[0], b.scaled_table[0], t.bracket.scaled_table[0]}
+    assert all(any(d % m == 0 for d in dens) for m in (2, 3, 5))
+    # a zero factor leaves a zero table, over den 1 whatever the other's den
+    half = AlgebraStructure.assoc(1, {(0, 0): {0: Fraction(1, 2)}})
+    assert tensor_product(half, AlgebraStructure.assoc(2, {})).scaled_table == reference_tensor(
+        half, AlgebraStructure.assoc(2, {})
+    )
+
+
 def _cli_check(tmp_path, capsys, doc):
     path = tmp_path / "alg.json"
+    # a new file: truncating one in place can take ~50 ms on some file systems
+    path.unlink(missing_ok=True)
     path.write_text(json.dumps(doc))
     code = main(["check", str(path)])
     return code, json.loads(capsys.readouterr().out)
@@ -585,7 +631,7 @@ def _rescaled(alg, factors):
     """alg in the basis f_i = factors[i] * e_i, whose constants are
     c * d_i * d_j / d_k; every identity checked here survives it."""
     table = {}
-    for (i, j), out in alg.table.items():
+    for (i, j), out in fraction_table(alg).items():
         d = factors[i] * factors[j]
         table[(i, j)] = {k: c * d / factors[k] for k, c in out}
     return AlgebraStructure.assoc(alg.dim, table)
@@ -619,7 +665,7 @@ def test_packed_verdicts_match_dict_contraction():
             return alg
         i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
         c = draw(big.filter(bool))
-        table = {pair: dict(out) for pair, out in alg.table.items()}
+        table = {pair: dict(out) for pair, out in fraction_table(alg).items()}
         table.setdefault((i, j), {})
         table[(i, j)][k] = table[(i, j)].get(k, 0) + c
         if antisymmetric and i != j:
