@@ -11,11 +11,12 @@ and call it.  A degree-2 adjoint
 Cochain is a bracket table too and has the same `scaled_table`, built by
 the same code.  `nested_products` contracts two such tables into one nesting of
 every basis triple, each vector packed into one int by Kronecker
-substitution: outer row den * e_a e_b becomes P[a][b] = sum of c_q * 2^(B
-q), and (e_i e_j) e_k = sum of c_m * P[m][k], e_i (e_j e_k) = sum of c_m *
-P[i][m] over the inner row.  A sum of at most T nested products has every
-coordinate bounded by M = T * r * c_in * c_out (r the longest inner row, c
-the largest absolute constants), so for B = bit_length(M) + 1
+substitution: `pack` makes outer row den * e_a e_b into P[a][b] = sum of
+c_q * 2^(B q), once per table and width, and (e_i e_j) e_k = sum of c_m *
+P[m][k], e_i (e_j e_k) = sum of c_m * P[i][m] over the inner row.  A sum
+of at most T nested products has every coordinate bounded by M = T * r *
+c_in * c_out (r the longest inner row, c the largest absolute
+constants), so for B = bit_length(M) + 1
 (`slot_width`) two such sums pack equal only if equal: the lowest nonzero
 slot of their difference would be a multiple of 2^B inside (-2^B, 2^B).
 The associator, G-associativity, dual-identity and Poisson checks are
@@ -207,17 +208,23 @@ def slot_width(terms: int, *pairs) -> int:
     return (terms * bound).bit_length() + 1
 
 
-def nested_products(outer, inner, width: int, left: bool) -> list[int]:
-    """den * one nesting of every basis triple in `width`-bit slots: entry
-    (i * n + j) * n + k (itertools.product order) is (e_i e_j) e_k if left,
-    else e_i (e_j e_k), with den = den_outer * den_inner."""
-    n = outer.dim
-    _, out_rows = outer.scaled_table
-    _, in_rows = inner.scaled_table
-    packed = [
+def pack(outer, width: int) -> list[list[int]]:
+    """The rows of a table's `scaled_table`, each packed into one int of
+    `width`-bit slots: entry [a][b] is the sum of c << width * q over the
+    (q, c) of den * e_a e_b."""
+    return [
         [sum([c << width * q for q, c in row]) if row else 0 for row in r]
-        for r in out_rows
+        for r in outer.scaled_table[1]
     ]
+
+
+def nested_products(packed, inner, left: bool) -> list[int]:
+    """den * one nesting of every basis triple, from the outer table packed
+    by `pack`: entry (i * n + j) * n + k (itertools.product order) is
+    (e_i e_j) e_k if left, else e_i (e_j e_k), with den = den_outer *
+    den_inner."""
+    n = len(packed)
+    _, in_rows = inner.scaled_table
     # inner row (a, b) gives the sums of c * vecs[m][x] over all x: the left
     # nesting at (a, b, x) for vecs = P, the right one at (x, a, b) for P^T
     vecs = packed if left else list(zip(*packed))
@@ -392,7 +399,7 @@ def check_key(key: tuple, degree: int, dim: int) -> None:
 def jacobi_sums(outer, inner=None):
     """(den, failures): the mixed Jacobi sums of two tables that do not vanish.
 
-    outer and inner are tables as in `nested_products`; inner defaults to
+    outer and inner are tables with a `scaled_table`; inner defaults to
     outer.  failures lists (key, vec) for every strictly increasing basis
     triple key = (i, j, k), in lex order, whose den * (outer(inner(e_i,
     e_j), e_k) + outer(inner(e_j, e_k), e_i) + outer(inner(e_k, e_i), e_j))

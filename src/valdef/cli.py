@@ -25,7 +25,7 @@ from types import SimpleNamespace
 from . import io
 from .algebra import COEFFS, MAX_DEGREE, SUBGROUPS, is_lie
 from .errors import FormatError, InvalidDeformation, PrecisionExhausted, ValdefError
-from .series import parse_rational, rational_str
+from .series import parse_rational, ratio_str
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -40,7 +40,7 @@ def _table_doc(structure) -> list:
     den, rows = structure.scaled_table
     lie = structure.kind == "lie"
     return [
-        {"i": i, "j": j, "out": [{"k": k, "c": io._ratio_str(c, den)} for k, c in row]}
+        {"i": i, "j": j, "out": [{"k": k, "c": ratio_str(c, den)} for k, c in row]}
         for i, r in enumerate(rows)
         for j, row in enumerate(r)
         if row and not (lie and j <= i)
@@ -48,7 +48,7 @@ def _table_doc(structure) -> list:
 
 
 def _fracs(values) -> list[str]:
-    return [rational_str(v) for v in values]
+    return [ratio_str(v.numerator, v.denominator) for v in values]
 
 
 def _answer(ok: bool, detail: dict, **extra) -> tuple:
@@ -127,13 +127,14 @@ def cmd_decompose(args):
         raise RuntimeError("the flag decomposition does not recompose to its input")
     flag = flag_of(fd)
     # a row that did not change from one level to the next is one tuple
-    # object, so it is printed once
+    # object, so it is printed once, each entry over the row's lead
     printed = {}
 
     def row_doc(row):
         doc = printed.get(id(row))
         if doc is None:
-            doc = printed[id(row)] = _fracs(row)
+            lead = next(filter(None, row))
+            doc = printed[id(row)] = [ratio_str(x, lead) for x in row]
         return doc
 
     detail = {
@@ -143,7 +144,7 @@ def cmd_decompose(args):
         "steps": [
             {
                 "coefficient": io.series_literal(s.coefficient),
-                "vector": _fracs(s.vector),
+                "vector": [ratio_str(x, s.den) for x in s.vector],
             }
             for s in fd.steps
         ],
@@ -158,7 +159,7 @@ def _verdict_doc(v) -> dict:
     coeffs = v.coefficients or {}
     return {
         "holds": v.holds,
-        "coefficients": {f"{i},{j}": rational_str(c) for (i, j), c in coeffs.items()},
+        "coefficients": {f"{i},{j}": ratio_str(*c) for (i, j), c in coeffs.items()},
     }
 
 
@@ -232,7 +233,7 @@ def cmd_deform(args):
             ok = polynomial_form_check(d, poly, args.k)
         except ValueError as exc:
             raise FormatError(str(exc))
-        detail = {"poly": [rational_str(c) for c in poly], "k": args.k}
+        detail = {"poly": _fracs(poly), "k": args.k}
         return _answer(ok, detail, cap_used=d.cap)
     raise FormatError(f"unknown deform action {args.action!r}")
 

@@ -8,7 +8,7 @@ denominator den) by the Chevalley-Eilenberg formula
                         + sum_{i<j} (-1)^(i+j) f([x_i, x_j], ..^x_i..^x_j..)
 
 (the first sum only for adjoint coefficients), as den * delta in sparse
-integer rows, one per codomain coordinate, applied to the integer
+integer columns, one per domain coordinate, applied to the integer
 coordinates of a cochain (`Cochain.flat_nums`).  One global sign per degree
 and coefficient type matches the shuffle-composition convention delta f
 = mu o f + (-1)^p f o mu (adjoint) and f o mu (trivial), so on degree-2
@@ -51,8 +51,8 @@ phi_j needs here.  phi o psi is the mixed Jacobi sum
 
 computed on the integer tables of both cochains by
 `algebra.jacobi_sums`, the contraction behind every identity check; mu o
-mu is the Jacobiator of mu.  It serves the super-bracket of the graded
-system.
+mu is the Jacobiator of mu.  It serves the graded system: delta phi = mu o
+phi + phi o mu there, and the super-bracket.
 """
 
 from __future__ import annotations
@@ -76,19 +76,17 @@ GRADING_MIN_CELLS = 350
 def circle(outer: Cochain, inner: Cochain) -> Cochain:
     """outer o inner, the mixed Jacobi sum, as a degree-3 adjoint cochain.
 
-    Both arguments are degree-2 adjoint cochains; any other degree or
-    target raises.
+    Each argument is a degree-2 adjoint cochain or a Lie bracket (an
+    `AlgebraStructure`), both read through their `scaled_table`; a cochain
+    of any other degree or target raises.
     """
     den, sums = jacobi_sums(outer, inner)
     return Cochain.scaled(3, outer.dim, "adjoint", den, dict(sums))
 
 
 def super_bracket(f: Cochain, g: Cochain) -> Cochain:
-    """Gerstenhaber bracket f o g + g o f on degree-2 adjoint cochains."""
-    if f.degree != 2 or g.degree != 2:
-        raise UnsupportedDegree("super_bracket is defined here for degree 2")
-    if f.target != "adjoint" or g.target != "adjoint":
-        raise ValueError("super_bracket needs adjoint-valued cochains")
+    """Gerstenhaber bracket f o g + g o f on degree-2 adjoint cochains; as
+    in `circle`, any other degree or target raises."""
     return circle(f, g) + circle(g, f)
 
 
@@ -98,19 +96,20 @@ CohomologyReport = namedtuple(
 
 
 def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str, weights=None):
-    """(rows, dom): den * delta: C^degree -> C^(degree+1) over the flat bases.
+    """(cols, cod): den * delta: C^degree -> C^(degree+1) over the flat bases.
 
-    rows holds one {col: int} dict per codomain coordinate (no zero
-    values), in the order of `Cochain.flatten`; dom is the number of
-    domain coordinates, and den = g.scaled_table[0].  Degree 0 is
-    included so degree-1 reports can subtract inner coboundaries.
+    cols holds one {row: int} dict per domain coordinate (no zero values),
+    the image of that basis cochain, and the rows number the cod codomain
+    coordinates in the order of `Cochain.flatten`; den =
+    g.scaled_table[0].  Degree 0 is included so degree-1 reports can
+    subtract inner coboundaries.
 
     weights, the increasing `grading.Graded.weights` of g's basis,
-    restricts delta to its weight-0 block: only the codomain coordinates
-    of weight 0 get a row, in the same order, and the columns number the
-    domain coordinates of weight 0 in flat order.  delta preserves
-    weight, so on a weight-homogeneous table no other column is reached.
-    The default, every weight zero, gives the whole complex.
+    restricts delta to its weight-0 block: the columns number the domain
+    coordinates of weight 0 in flat order, and the rows the codomain
+    coordinates of weight 0 in the same order.  delta preserves weight, so
+    on a weight-homogeneous table no other row is reached.  The default,
+    every weight zero, gives the whole complex.
     """
     if g.kind != "lie":
         raise ValueError("cohomology needs a lie-kind algebra")
@@ -136,24 +135,25 @@ def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str, weights=None
         if lo < hi:
             dom_cols[key] = (dom - lo, lo, hi)
             dom += hi - lo
-    rows = []
+    cols = [{} for _ in range(dom)]
+    cod = 0  # the row of the codomain coordinate (key, lo)
     for key in combinations(range(n), degree + 1):
         lo, hi = spans.get(sum(map(weight, key)), (0, 0))
         if lo == hi:
             continue
-        acc = [{} for _ in range(lo, hi)]
+        first, cod = cod - lo, cod + hi - lo  # (key, m) is row first + m
         if adjoint:
             # sum_r (-1)^r [x_r, f(..^x_r..)]
             for r, x in enumerate(key):
-                cols = dom_cols.get(key[:r] + key[r + 1 :])
-                if cols is None:
+                dom_key = dom_cols.get(key[:r] + key[r + 1 :])
+                if dom_key is None:
                     continue
-                base, a, b = cols
+                base, a, b = dom_key
                 s = sign if r % 2 == 0 else -sign
                 for m, out in enumerate(table[x][a:b], a):
+                    col = cols[base + m]
                     for k, c in out:
-                        vec = acc[k - lo]
-                        vec[base + m] = vec.get(base + m, 0) + s * c
+                        col[first + k] = col.get(first + k, 0) + s * c
         # sum_{i<j} (-1)^(i+j) f([x_i, x_j], ..^x_i..^x_j..)
         for i, j in combinations(range(degree + 1), 2):
             rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
@@ -163,10 +163,10 @@ def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str, weights=None
                 pos = bisect(rest, k)
                 base = dom_cols[rest[:pos] + (k,) + rest[pos:]][0]
                 s = sign if (i + j + pos) % 2 == 0 else -sign
-                for m, vec in enumerate(acc, lo):
-                    vec[base + m] = vec.get(base + m, 0) + s * c
-        rows.extend({col: v for col, v in vec.items() if v} for vec in acc)
-    return rows, dom
+                for m in range(lo, hi):
+                    col = cols[base + m]
+                    col[first + m] = col.get(first + m, 0) + s * c
+    return [{r: v for r, v in col.items() if v} for col in cols], cod
 
 
 def _spans(weights, adjoint: bool) -> dict:
@@ -197,38 +197,21 @@ def coboundary(g: AlgebraStructure, f: Cochain) -> Cochain:
     equals mu o f + (-1)^p f o mu for adjoint and f o mu for trivial
     coefficients.
     """
-    return coboundaries(g, [f])[0]
-
-
-def coboundaries(g: AlgebraStructure, cochains) -> list[Cochain]:
-    """`coboundary` of each cochain, building each den * delta matrix once."""
-    matrices = {}
-    out = []
-    for f in cochains:
-        if f.dim != g.dim:
-            raise DimensionMismatch("cochain dim does not match the algebra")
-        if not 1 <= f.degree <= MAX_DEGREE:
-            raise UnsupportedDegree(f"degree {f.degree} coboundary not implemented")
-        shape = (f.degree, f.target)
-        if shape not in matrices:
-            matrices[shape] = coboundary_matrix(g, *shape)[0]
-        nums, width = f.flat_nums, f.width
-        flat = [sum(v * nums[c] for c, v in row.items()) for row in matrices[shape]]
-        keys = combinations(range(g.dim), f.degree + 1)
-        values = {key: flat[r * width : (r + 1) * width] for r, key in enumerate(keys)}
-        den = f.den * g.scaled_table[0]
-        out.append(Cochain.scaled(f.degree + 1, g.dim, f.target, den, values))
-    return out
-
-
-def _columns(rows, ncols: int) -> list[dict]:
-    """The columns of a matrix given by its sparse {col: int} rows, as
-    sparse {row: int} dicts."""
-    cols = [{} for _ in range(ncols)]
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            cols[c][r] = v
-    return cols
+    if f.dim != g.dim:
+        raise DimensionMismatch("cochain dim does not match the algebra")
+    if not 1 <= f.degree <= MAX_DEGREE:
+        raise UnsupportedDegree(f"degree {f.degree} coboundary not implemented")
+    cols, cod = coboundary_matrix(g, f.degree, f.target)
+    flat = [0] * cod
+    for x, col in zip(f.flat_nums, cols):
+        if x:
+            for r, v in col.items():
+                flat[r] += v * x
+    width = f.width
+    keys = combinations(range(g.dim), f.degree + 1)
+    values = {key: flat[r * width : (r + 1) * width] for r, key in enumerate(keys)}
+    den = f.den * g.scaled_table[0]
+    return Cochain.scaled(f.degree + 1, g.dim, f.target, den, values)
 
 
 def _require_lie(g: AlgebraStructure) -> None:
@@ -237,19 +220,6 @@ def _require_lie(g: AlgebraStructure) -> None:
     witness = g.jacobi_witness
     if witness is not None:
         raise NotLie(f"bracket fails the Jacobi identity at triple {list(witness)}")
-
-
-def _image_echelon(g, degree: int, coeff: str, weights=None) -> dict:
-    """`linalg.echelon` of im delta_(degree-1) in C^degree (its weight-0
-    block with weights).
-
-    Its rows span the images delta(e_c) of the basis (degree-1)-cochains,
-    the columns of `coboundary_matrix(g, degree - 1, coeff, weights)`.
-    Both of its callers need delta o delta = 0, so they check Jacobi
-    (`_require_lie`) first.
-    """
-    rows, dom = coboundary_matrix(g, degree - 1, coeff, weights)
-    return linalg.echelon(_columns(rows, dom))
 
 
 def cohomology_dim(g: AlgebraStructure, degree: int, coeff: str) -> CohomologyReport:
@@ -289,10 +259,11 @@ def cohomology_dim(g: AlgebraStructure, degree: int, coeff: str) -> CohomologyRe
             f"{block[degree]} = {cells} entries exceeds the largest supported "
             f"{MAX_COHOMOLOGY_CELLS}"
         )
-    image = _image_echelon(g, degree, coeff, weights)
-    out_rows, dom = coboundary_matrix(g, degree, coeff, weights)
-    free = [col for c, col in enumerate(_columns(out_rows, dom)) if c not in image]
-    dim_cocycles = dom - linalg.rank(free)
+    # the echelon of im delta_(degree-1): its columns, the images delta(e_c)
+    image = linalg.echelon(coboundary_matrix(g, degree - 1, coeff, weights)[0])
+    cols, _ = coboundary_matrix(g, degree, coeff, weights)
+    free = [col for c, col in enumerate(cols) if c not in image]
+    dim_cocycles = len(cols) - linalg.rank(free)
     # Z = B in each acyclic nonzero-weight part, counted from the dims
     acyclic = sum(
         (-1) ** (degree - 1 - q) * (full[q] - block[q]) for q in range(degree)
@@ -316,6 +287,6 @@ def is_coboundary(g: AlgebraStructure, f: Cochain) -> bool:
     if f.dim != g.dim:
         raise DimensionMismatch("cochain dim does not match the algebra")
     _require_lie(g)
-    image = _image_echelon(g, f.degree, f.target)
+    image = linalg.echelon(coboundary_matrix(g, f.degree - 1, f.target)[0])
     target = {c: x for c, x in enumerate(f.flat_nums) if x}
     return not linalg.remainder(image, target)

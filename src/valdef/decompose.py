@@ -7,7 +7,7 @@ direction, and divides the residual by the step coefficient; the pivot
 coordinate of the residual vanishes exactly, so the recursion depth is
 bounded by the ambient dimension.  The subspace chain spanned by the V
 prefixes does not depend on the pivot rule: `flag_of` writes each of its
-levels as a canonical RREF basis, so equal flags have equal chains.
+levels as a canonical basis, so equal flags have equal chains.
 
 The remaining vector is one integer matrix over one denominator: row i
 over den is component i.  A step reads the lead integers l_i at the
@@ -17,21 +17,21 @@ by b = t^v * u multiplies each row by one integer inverse of u's
 numerators (`series.inverse_nums`, scaled by lp^(cap+1)); den cancels
 against u's, so the new denominator is a power of lp, and one gcd is
 divided out of the whole matrix.  The pivot row and every row that
-vanishes are dropped: a zero row stays zero for good.  `recompose` keeps
-the running product b1...bi as integers (`series.mul_nums`) and builds
-series only at the end.
+vanishes are dropped: a zero row stays zero for good.  Each direction is
+the integers l_i over lp in lowest terms, the sign folded into the l_i.
+`recompose` keeps the running product b1...bi as integers
+(`series.mul_nums`) and builds series only at the end.
 
 `flag_of` builds the chain one step at a time on one reduced integer
 echelon, with `linalg`'s fraction-free elimination step: each step vector
 is reduced against the rows so far, and a new lead column is cleared from
 the earlier rows, so no level is row-reduced from scratch.  Only the rows
-a step changed are written out again as Fractions.
+a step changed are written out again.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
@@ -39,12 +39,9 @@ from . import linalg
 from .errors import NotInMaximalIdeal, PrecisionExhausted, ZeroVector
 from .series import SeriesVector, TruncSeries, inverse_nums, mul_nums
 
-ZERO = Fraction(0)
-
-
-# coefficient: a TruncSeries in m, nonzero at its cap; vector: the
-# pivot-normalized direction in K^k, a tuple of Fractions
-FlagStep = namedtuple("FlagStep", "coefficient vector")
+# coefficient: a TruncSeries in m, nonzero at its cap; vector / den: the
+# pivot-normalized direction in K^k, ints over den > 0 in lowest terms
+FlagStep = namedtuple("FlagStep", "coefficient den vector")
 
 
 class FlagDecomposition(
@@ -61,7 +58,8 @@ class FlagDecomposition(
 
 
 class Flag(namedtuple("Flag", "chain")):
-    """Increasing chain of subspaces, each as a canonical RREF basis."""
+    """Increasing chain of subspaces, each as a canonical basis: its RREF
+    rows, each times its lead entry, a primitive integer tuple."""
 
     __slots__ = ()
 
@@ -113,11 +111,11 @@ def decompose_rows(den: int, rows, pivot_order: str = "first") -> FlagDecomposit
                 lead[i] = row[val]
         pivot = min(lead) if pivot_order == "first" else max(lead)
         lp = lead[pivot]
-        direction = tuple(
-            Fraction(lead[i], lp) if i in lead else ZERO for i in range(dim)
-        )
+        # the direction lead / lp in lowest terms over a positive denominator
+        common = gcd(*lead.values()) if lp > 0 else -gcd(*lead.values())
+        vector = tuple(lead[i] // common if i in lead else 0 for i in range(dim))
         head = rows.pop(pivot)
-        steps.append(FlagStep(coefficient=TruncSeries(den, head), vector=direction))
+        steps.append(FlagStep(TruncSeries(den, head), lp // common, vector))
         # fraction-free residual lp*row - l*head over den*lp, from t^v on
         # (every row vanishes below t^v)
         head = head[v:]
@@ -180,19 +178,17 @@ def recompose(d: FlagDecomposition, cap: int | None = None) -> SeriesVector:
         running = mul_nums(running, step.coefficient.nums, cap)
         rden *= step.coefficient.den
         products.append(running)
-        scales.append(rden)
-    # one common denominator for every term c * running / rden
-    den = lcm(
-        *(r * c.denominator for r, step in zip(scales, d.steps) for c in step.vector)
-    )
+        scales.append(rden * step.den)
+    # one common denominator for every term x * running / (rden * step.den)
+    den = lcm(*scales)
     rows = []
     for i in range(d.ambient_dim):
         row = [0] * (cap + 1)
         for r, step, running in zip(scales, d.steps, products):
-            c = step.vector[i]
-            if c:
-                m = c.numerator * (den // (r * c.denominator))
-                row = [x + m * y for x, y in zip(row, running)]
+            x = step.vector[i]
+            if x:
+                m = x * (den // r)
+                row = [u + m * y for u, y in zip(row, running)]
         rows.append(TruncSeries(den, row))
     return SeriesVector(tuple(rows))
 
@@ -201,22 +197,22 @@ def flag_of(d: FlagDecomposition) -> Flag:
     """Chain of row-reduced bases of span(V1..Vi) for i = 1..h.
 
     One reduced integer echelon is kept from level to level: a primitive
-    row per lead column, and no lead column in any other row.  Each step
-    vector, its denominators cleared, is reduced against it with
-    `linalg._cancel`.  What is left, if anything, becomes the row of a new
-    lead column, and that column is cleared from the earlier rows.  A level
-    is its rows in lead order, each divided by its lead entry: the
-    canonical RREF basis of its prefix, as `linalg.row_space` writes it.  A
-    row that did not change keeps its tuple from the level before, and a
+    row per lead column, and no lead column in any other row.  Each step's
+    integer vector is reduced against it with `linalg._cancel`.  What is
+    left, if anything, becomes the row of a new lead column, and that
+    column is cleared from the earlier rows.  A level is its rows in lead
+    order, each a dense tuple with a positive lead: the canonical RREF
+    basis of its prefix, as `linalg.row_space` writes it, times the leads.
+    A row that did not change keeps its tuple from the level before, and a
     step that adds nothing repeats the level.
     """
     ncols = d.ambient_dim
     pivots: dict[int, dict] = {}  # lead column -> primitive integer row
-    written: dict[int, tuple] = {}  # lead column -> row over its lead entry
+    written: dict[int, tuple] = {}  # lead column -> dense row, lead > 0
     chain = []
     level = ()
     for step in d.steps:
-        vec = linalg.integer_row(step.vector)[1]
+        vec = {c: x for c, x in enumerate(step.vector) if x}
         # the other pivot rows are zero at a pivot's lead column, so each
         # cancellation leaves the remaining lead columns of vec in place
         for lead in [c for c in vec if c in pivots]:
@@ -231,10 +227,8 @@ def flag_of(d: FlagDecomposition) -> Flag:
             pivots[new] = vec
             for lead in pivots.keys() - written.keys():
                 row = pivots[lead]
-                out, scale = [ZERO] * ncols, row[lead]
-                for c, v in row.items():
-                    out[c] = Fraction(v, scale)
-                written[lead] = tuple(out)
+                sign = 1 if row[lead] > 0 else -1
+                written[lead] = tuple(sign * row.get(c, 0) for c in range(ncols))
             level = tuple(written[lead] for lead in sorted(written))
         chain.append(level)
     return Flag(chain=tuple(chain))

@@ -17,9 +17,12 @@ its numerator over den.  That is the slot order of `Cochain.flatten`,
 so the matrix is the flattened perturbation that the flag decomposition
 reads, and every row vanishes at t^0.  The decomposition, the gauge
 transport and the polynomial-form check read this matrix and multiply
-integer series with `series.mul_nums`.  Residuals and transported terms
-are integer cochains over one denominator, and the graded memberships
-solve on the cochains' integer coordinates.
+integer series with `series.mul_nums`.  Residuals, flag directions and
+transported terms are integer cochains over one denominator.  The graded
+system takes delta(phi_k) = mu o phi_k + phi_k o mu and the brackets from
+the circle product, and decides every membership of one order with one
+integer reduced row echelon form of the cochains' integer coordinates;
+each coefficient is an integer pair over a positive denominator.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from math import lcm
 
 from . import linalg
 from .algebra import Cochain, jacobi_sums
-from .cohomology import coboundaries, super_bracket
+from .cohomology import circle, super_bracket
 from .decompose import decompose_rows
 from .errors import (
     DimensionMismatch,
@@ -152,10 +155,10 @@ def _require_valid(d: Deformation):
 def decompose_deformation(d: Deformation) -> Deformation:
     """Rewrite d's perturbation in decomposed (flag) form.
 
-    The perturbation matrix is decomposed over m, each flag vector is
-    reinterpreted as a 2-cochain, and the cumulative products b1...bi
-    become the term coefficients.  The cochains are independent and the
-    term count is bounded by n^2(n-1)/2.
+    The perturbation matrix is decomposed over m, each flag vector (its
+    integers over its den) is reinterpreted as a 2-cochain, and the
+    cumulative products b1...bi become the term coefficients.  The cochains
+    are independent and the term count is bounded by n^2(n-1)/2.
     """
     den, rows = d.perturbation()
     if not any(map(any, rows)):
@@ -168,12 +171,12 @@ def decompose_deformation(d: Deformation) -> Deformation:
     for step in fd.steps:
         running = running * step.coefficient
         values = {key: step.vector[s * n : (s + 1) * n] for s, key in enumerate(pairs)}
-        phi = Cochain.build(2, n, "adjoint", values)
+        phi = Cochain.scaled(2, n, "adjoint", step.den, values)
         terms.append((running.truncate(fd.cap), phi))
     return Deformation.build(d.base, fd.cap, terms)
 
 
-# coefficients maps (i, j) to a rational when holds, and is None otherwise
+# coefficients maps (i, j) to a rational (num, den), den > 0, when holds
 MembershipVerdict = namedtuple("MembershipVerdict", "holds coefficients")
 
 
@@ -193,20 +196,35 @@ class GradedSystem(
         )
 
 
-def _membership(span, target: Cochain) -> MembershipVerdict:
-    """Whether target is a combination of the span's cochains, solved on
-    their integer coordinates: for span cochains N_i / den_i and target
-    T / den, y with sum y_i N_i = T gives the coefficients y_i den_i / den."""
-    vectors = [sb.flat_nums for _, sb in span]
-    coeffs = linalg.solve_combination(vectors, target.flat_nums)
-    if coeffs is None:
-        return MembershipVerdict(holds=False, coefficients=None)
-    return MembershipVerdict(
-        holds=True,
-        coefficients={
-            pair: y * sb.den / target.den for (pair, sb), y in zip(span, coeffs) if y
-        },
-    )
+def _membership(span, targets) -> list[MembershipVerdict]:
+    """The MembershipVerdict of each target cochain in the span's, from
+    one integer RREF of the matrix whose columns are the `flat_nums` of
+    the m span cochains, then of the targets.  A non-pivot column c is the
+    sum over the rows p of row_p[c] / row_p[p] times column p, so target c
+    is in the span exactly when no row with an entry in column c leads at
+    or past m, and the free coordinates are zero, as in
+    `linalg.solve_combination`.  Span cochain p, N_p / den_p, then has the
+    coefficient row_p[c] * den_p / (row_p[p] * den) for a target T / den.
+    """
+    m = len(span)
+    columns = [sb.flat_nums for _, sb in span] + [t.flat_nums for t in targets]
+    rows = [{c: x for c, x in enumerate(coords) if x} for coords in zip(*columns)]
+    reduced = linalg.back_substitute(linalg.echelon(rows))
+    verdicts = []
+    for col, target in enumerate(targets, m):
+        coefficients = {}
+        for lead, row in reduced.items():
+            x = row.get(col)
+            if x is None:
+                continue
+            if lead >= m:
+                coefficients = None
+                break
+            pair, sb = span[lead]
+            num, den = x * sb.den, row[lead] * target.den
+            coefficients[pair] = (num, den) if den > 0 else (-num, -den)
+        verdicts.append(MembershipVerdict(coefficients is not None, coefficients))
+    return verdicts
 
 
 def graded_system(d: Deformation) -> GradedSystem:
@@ -215,10 +233,10 @@ def graded_system(d: Deformation) -> GradedSystem:
     For each k >= 2 it reports whether delta(phi_k) and each [phi_i, phi_k]
     lie in span{[phi_i, phi_j] : 1 <= i <= j <= k-1}, with the recovered
     combination coefficients.  Indices are 1-based to match the term order.
+    delta(phi_k) is mu o phi_k + phi_k o mu, and each order is one solve.
     """
     _require_valid(d)
     phis = [phi for _, phi in d.terms]
-    deltas = coboundaries(d.base, phis[1:])
 
     @cache
     def bracket(i, j):
@@ -233,10 +251,11 @@ def graded_system(d: Deformation) -> GradedSystem:
             for i in range(k - 1)
             for j in range(i, k - 1)
         ]
-        delta_memberships[k] = _membership(span, deltas[k - 2])
-        for i in range(k - 1):
-            target = bracket(i, k - 1)
-            bracket_memberships[(i + 1, k)] = _membership(span, target)
+        phi = phis[k - 1]
+        delta = circle(d.base, phi) + circle(phi, d.base)
+        targets = [delta] + [bracket(i, k - 1) for i in range(k - 1)]
+        delta_memberships[k], *verdicts = _membership(span, targets)
+        bracket_memberships.update(((i, k), v) for i, v in enumerate(verdicts, 1))
     return GradedSystem(
         delta_memberships=delta_memberships,
         bracket_memberships=bracket_memberships,

@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import os
 from collections import namedtuple
-from math import gcd, lcm
+from math import lcm
 
 from .algebra import AlgebraStructure, Cochain, check_key
 from .errors import FormatError
-from .series import SeriesVector, TruncSeries, rational_pair
+from .series import SeriesVector, TruncSeries, ratio_str, rational_pair
 
 
 # Largest dim and cap read from outside input: a table takes dim^2 slots
@@ -104,18 +104,9 @@ def parse_series_literal(items, cap: int) -> TruncSeries:
     return TruncSeries(den, nums)
 
 
-def _ratio_str(x: int, den: int) -> str:
-    """x / den as a rational string in lowest terms, for den > 0: what
-    `rational_str` writes for Fraction(x, den), with no Fraction built."""
-    common = gcd(x, den)
-    if common == den:
-        return str(x // common)
-    return f"{x // common}/{den // common}"
-
-
 def series_literal(s: TruncSeries) -> list[str]:
     """The coefficients of s as rational strings, each in lowest terms."""
-    return [_ratio_str(x, s.den) for x in s.nums]
+    return [ratio_str(x, s.den) for x in s.nums]
 
 
 def _parse_table(rows, what: str):
@@ -269,10 +260,10 @@ def cochain_doc(c: Cochain) -> dict:
     for key in sorted(c.values):
         val = c.values[key]
         if c.target == "adjoint":
-            out = [{"k": k, "c": _ratio_str(x, c.den)} for k, x in enumerate(val) if x]
+            out = [{"k": k, "c": ratio_str(x, c.den)} for k, x in enumerate(val) if x]
             rows.append({"args": list(key), "out": out})
         else:
-            rows.append({"args": list(key), "c": _ratio_str(val[0], c.den)})
+            rows.append({"args": list(key), "c": ratio_str(val[0], c.den)})
     return {"degree": c.degree, "target": c.target, "values": rows}
 
 

@@ -12,12 +12,12 @@ is exact, so no answer needs a certificate.
 `echelon` inserts rows sparsest first and returns that pivots dict;
 `rank` is its size, and `remainder` reduces one more row against it
 without changing it, so a row lies in the span of the echelon exactly
-when nothing is left.  Cohomology builds its coboundary matrices as
-integer rows and eliminates them here.  `back_substitute` clears each
-pivot column from the other pivot rows with the same step, which is the
-integer reduced form an inverse is read from; `rref` divides each of its
-rows by its leading entry only when it writes out the reduced row echelon
-form, which row spaces and linear solving read.
+when nothing is left.  Cohomology eliminates its coboundary columns here.
+`back_substitute` clears each pivot column from the other pivot rows with
+the same step: the integer reduced form that kernels, inverses and the
+graded system's memberships are read from.  `rref` writes that form out
+as Fractions, each row over its leading entry, for `row_space` and
+`solve_combination`; no other module calls these three: they are oracles.
 """
 
 from fractions import Fraction

@@ -34,6 +34,7 @@ from .algebra import (
     AlgebraStructure,
     jacobi_sums,
     nested_products,
+    pack,
     permuted_triples,
     slot_width,
 )
@@ -93,9 +94,9 @@ def _witness(n: int, flags):
 
 def _associativity(b: AlgebraStructure):
     """(left nestings of b, associativity verdict), on one-product slots."""
-    width = slot_width(1, (b, b))
-    left = nested_products(b, b, width, True)
-    return left, _witness(b.dim, map(ne, left, nested_products(b, b, width, False)))
+    packed = pack(b, slot_width(1, (b, b)))
+    left = nested_products(packed, b, True)
+    return left, _witness(b.dim, map(ne, left, nested_products(packed, b, False)))
 
 
 def g_associative_check(a: AlgebraStructure, tag: SubgroupTag, signed: bool = True):
@@ -107,8 +108,8 @@ def g_associative_check(a: AlgebraStructure, tag: SubgroupTag, signed: bool = Tr
     """
     tag = SubgroupTag(tag)
     n = a.dim
-    width = slot_width(2 * len(PATTERNS[tag]), (a, a))
-    nestings = (nested_products(a, a, width, left) for left in (True, False))
+    packed = pack(a, slot_width(2 * len(PATTERNS[tag]), (a, a)))
+    nestings = (nested_products(packed, a, left) for left in (True, False))
     assoc = list(map(sub, *nestings))
     total = assoc
     for pattern in PATTERNS[tag][1:]:
@@ -204,9 +205,10 @@ def poisson_verify(p: PoissonStructure):
         return False, ("bracket fails Jacobi", failures[0][0])
     # [a, bc] - b[a, c] - [a, b]c, each term scaled by den_bracket * den_product
     width = slot_width(3, (p.bracket, p.product), (p.product, p.bracket))
-    br_of_prod = nested_products(p.bracket, p.product, width, False)
-    prod_of_br_left = nested_products(p.product, p.bracket, width, True)
-    prod_of_br_right = nested_products(p.product, p.bracket, width, False)
+    br_of_prod = nested_products(pack(p.bracket, width), p.product, False)
+    product = pack(p.product, width)
+    prod_of_br_left = nested_products(product, p.bracket, True)
+    prod_of_br_right = nested_products(product, p.bracket, False)
     b_ac = map(prod_of_br_right.__getitem__, permuted_triples(n, (1, 0, 2)))
     ok, t = _witness(n, map(sub, map(sub, br_of_prod, b_ac), prod_of_br_left))
     if not ok:

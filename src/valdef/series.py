@@ -10,9 +10,10 @@ The coefficients are integers over one common denominator: a positive
 ``den`` and a tuple ``nums``, kept canonical (gcd(den, *nums) = 1), so
 equal series compare and hash equal and the arithmetic runs on plain
 ints.  Series literals are read and printed on the integers too
-(`rational_pair` here, `io.parse_series_literal` and `io.series_literal`);
-``coeffs`` gives the coefficients as ``fractions.Fraction`` values for
-error messages, ``str`` and tests.
+(`rational_pair` here, `io.parse_series_literal` and `io.series_literal`).
+`ratio_str` is the one printer of a rational, the inverse of
+`rational_pair`; ``coeffs`` gives the coefficients as
+``fractions.Fraction`` values for error messages and tests.
 """
 
 from __future__ import annotations
@@ -65,11 +66,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num) if den == 1 else Fraction(num, den)
 
 
-def rational_str(value: Fraction) -> str:
-    """Inverse of parse_rational."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def ratio_str(num: int, den: int) -> str:
+    """num / den as a rational literal in lowest terms, for den > 0: the
+    inverse of `rational_pair`, with no Fraction built."""
+    common = gcd(num, den)
+    if common == den:
+        return str(num // common)
+    return f"{num // common}/{den // common}"
 
 
 def _as_fraction(value) -> Fraction:
@@ -328,15 +331,16 @@ class TruncSeries(Frozen):
 
     def __str__(self) -> str:
         terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
+        for i, x in enumerate(self.nums):
+            if not x:
                 continue
+            c = ratio_str(x, self.den)
             if i == 0:
-                terms.append(rational_str(c))
+                terms.append(c)
             elif i == 1:
-                terms.append(f"{rational_str(c)}*t" if c != 1 else "t")
+                terms.append(f"{c}*t" if x != self.den else "t")
             else:
-                terms.append(f"{rational_str(c)}*t^{i}" if c != 1 else f"t^{i}")
+                terms.append(f"{c}*t^{i}" if x != self.den else f"t^{i}")
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O(t^{self.cap + 1})"
 

@@ -9,14 +9,14 @@ decomposed form.
 
 from fractions import Fraction
 from itertools import product as iter_product
-from math import lcm
+from math import gcd, lcm
 import random
 
 import pytest
 
 from valdef import linalg
 from valdef.algebra import AlgebraStructure, Cochain, jacobi_sums
-from valdef.cohomology import coboundaries, coboundary, super_bracket
+from valdef.cohomology import coboundary, coboundary_matrix, super_bracket
 from valdef.decompose import Flag, FlagDecomposition, FlagStep
 from valdef.deformation import (
     Deformation,
@@ -33,7 +33,7 @@ from valdef.errors import (
 )
 from valdef.nonassoc import PATTERNS, SubgroupTag
 from valdef.io import _int
-from valdef.series import SeriesVector, TruncSeries, parse_rational, rational_str
+from valdef.series import SeriesVector, TruncSeries, parse_rational
 
 
 def fraction_table(g) -> dict:
@@ -48,6 +48,14 @@ def fraction_table(g) -> dict:
         for j, row in enumerate(r)
         if row and not (lie and j <= i)
     }
+
+
+def rational_str(value: Fraction) -> str:
+    """A Fraction as a rational literal, read off its own lowest terms: the
+    oracle of the package's printer `series.ratio_str`."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
 
 
 def frac(rng: random.Random, num=6, den=4) -> Fraction:
@@ -130,6 +138,17 @@ def nullspace(rows):
             vec[pc] = -reduced[r][fc]
         basis.append(tuple(vec))
     return basis
+
+
+def coboundary_rows(g, degree, coeff, weights=None):
+    """(rows, dom) of den * delta: the columns of `coboundary_matrix`
+    transposed into sparse {col: int} rows, one per codomain coordinate."""
+    cols, cod = coboundary_matrix(g, degree, coeff, weights)
+    rows = [{} for _ in range(cod)]
+    for c, col in enumerate(cols):
+        for r, v in col.items():
+            rows[r][c] = v
+    return rows, len(cols)
 
 
 def in_span(vectors, target) -> bool:
@@ -509,8 +528,8 @@ def max_rank_check(d: Deformation):
     for i in range(k - 1):
         for j in range(i, k - 1):
             vectors.append(list(super_bracket(phis[i], phis[j]).flatten()))
-    for delta in coboundaries(d.base, phis[: k - 1]):
-        vectors.append(list(delta.flatten()))
+    for phi in phis[: k - 1]:
+        vectors.append(list(coboundary(d.base, phi).flatten()))
     dim = linalg.rank(vectors) if vectors else 0
     return dim, dim == k * (k - 1) // 2
 
@@ -518,6 +537,55 @@ def max_rank_check(d: Deformation):
 def flags_equal(f1: Flag, f2: Flag) -> bool:
     """Same length and same subspace at every level (RREF comparison)."""
     return f1.chain == f2.chain
+
+
+# -- Fraction views of the integer flag and graded-system results ----------
+
+
+def direction(step: FlagStep) -> tuple:
+    """The Fraction view of a flag step's direction, vector / den."""
+    return tuple(Fraction(x, step.den) for x in step.vector)
+
+
+def flag_step(coefficient: TruncSeries, values) -> FlagStep:
+    """The FlagStep of a direction given by rationals (ints or Fractions):
+    their integers over the lcm of the denominators, in lowest terms."""
+    values = [Fraction(x) for x in values]
+    den = lcm(1, *(x.denominator for x in values))
+    vector = tuple(x.numerator * (den // x.denominator) for x in values)
+    return FlagStep(coefficient=coefficient, den=den, vector=vector)
+
+
+def fraction_chain(flag: Flag) -> tuple:
+    """The Fraction view of a flag: each level's RREF rows, every integer
+    row divided by its lead entry."""
+    return tuple(
+        tuple(tuple(Fraction(x, next(filter(None, row))) for x in row) for row in level)
+        for level in flag.chain
+    )
+
+
+def integer_flag(chain) -> Flag:
+    """The Flag whose levels are the given RREF rows of rationals, each
+    scaled to the primitive integer row with a positive lead."""
+    levels = []
+    for level in chain:
+        rows = []
+        for row in level:
+            row = [Fraction(x) for x in row]
+            den = lcm(1, *(x.denominator for x in row))
+            ints = [x.numerator * (den // x.denominator) for x in row]
+            content = gcd(*ints)
+            rows.append(tuple(x // content for x in ints))
+        levels.append(tuple(rows))
+    return Flag(chain=tuple(levels))
+
+
+def fraction_coefficients(verdict) -> dict | None:
+    """The Fraction view of a MembershipVerdict's (num, den) coefficients."""
+    if verdict.coefficients is None:
+        return None
+    return {pair: Fraction(*c) for pair, c in verdict.coefficients.items()}
 
 
 # -- per-component flag decomposition, the oracle of `valdef.decompose` ----
@@ -559,7 +627,7 @@ def reference_decompose(w: SeriesVector, pivot_order: str = "first"):
         scale = lead[pivot]
         direction = tuple(c / scale for c in lead)
         b = current[pivot]
-        steps.append(FlagStep(coefficient=b, vector=direction))
+        steps.append(flag_step(b, direction))
         residual = [
             s - b.scale(direction[i]) for i, s in enumerate(current)
         ]
@@ -588,7 +656,7 @@ def reference_recompose(d: FlagDecomposition, cap=None) -> SeriesVector:
     running = TruncSeries.one(cap)
     for step in d.steps:
         running = running * step.coefficient.truncate(cap)
-        total = tuple(s + running.scale(c) for s, c in zip(total, step.vector))
+        total = tuple(s + running.scale(c) for s, c in zip(total, direction(step)))
     return SeriesVector(total)
 
 

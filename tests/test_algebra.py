@@ -17,7 +17,6 @@ from valdef.algebra import (
 )
 from valdef.errors import DimensionMismatch
 from valdef.io import cochain_doc, parse_cochain
-from valdef.series import rational_str
 
 from gens import (
     H3,
@@ -29,6 +28,7 @@ from gens import (
     mu_cochain,
     random_invertible,
     random_lie,
+    rational_str,
 )
 
 

@@ -468,9 +468,8 @@ VINBERG_DOC = None
 def _vinberg_doc():
     global VINBERG_DOC
     if VINBERG_DOC is None:
-        from gens import fraction_table, search_tables
+        from gens import fraction_table, rational_str, search_tables
         from valdef.nonassoc import SubgroupTag, g_associative_check
-        from valdef.series import rational_str
 
         alg = search_tables(
             2,
@@ -1127,6 +1126,45 @@ def test_tracer_layers_resolve():
             if not callable(obj):
                 missing.append(f"{mod}.{attr}")
     assert not missing
+
+
+def test_integer_paths_build_no_fraction(tmp_path, capsys, monkeypatch):
+    """`decompose`, `deform decompose` and `deform graded` keep integers from
+    the parse to the print: over the deform corpus at two seeds, no Fraction
+    is constructed while they run, counted by wrapping Fraction.__new__."""
+    from fractions import Fraction
+
+    import valdef.decompose  # noqa: F401  (module constants built first)
+    import valdef.deformation  # noqa: F401
+
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    monkeypatch.syspath_prepend(bench)
+    import corpus
+
+    cases = []
+    for seed in (1, 3):
+        (tmp_path / str(seed)).mkdir()
+        cases += corpus.build("deform", seed, str(tmp_path / str(seed)))
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    ran = {}
+    for case in cases:
+        command = " ".join(case.argv[: 1 + (case.argv[0] == "deform")])
+        if command not in ("decompose", "deform decompose", "deform graded"):
+            continue
+        code, _, _ = run(capsys, *case.argv)
+        assert code in ((0, 1) if case.expect is None else (case.expect,))
+        assert made == [], case.id
+        ran[command] = ran.get(command, 0) + 1
+    assert len(ran) == 3 and min(ran.values()) >= 10, ran
+    Fraction(1, 2)  # the wrapper does count
+    assert made == [(1, 2)]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

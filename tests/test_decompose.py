@@ -3,7 +3,7 @@
 import random
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -19,7 +19,11 @@ from valdef.errors import NotInMaximalIdeal, ValdefError, ZeroVector
 from valdef.series import SeriesVector, TruncSeries
 
 from gens import (
+    direction,
+    flag_step,
     flags_equal,
+    fraction_chain,
+    integer_flag,
     random_series_in_m,
     random_vector_in_m,
     reference_decompose,
@@ -47,7 +51,7 @@ def test_t_t2_example():
     w = sv([[0, 1], [0, 0, 1]], 4)
     d = decompose(w)
     assert d.length == 2
-    assert [s.vector for s in d.steps] == [
+    assert [direction(s) for s in d.steps] == [
         (Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(1)),
     ]
@@ -65,7 +69,7 @@ def test_proportional_components_length_one():
     w = sv([[0, 1, 0], [0, 2, 0]], 3)
     d = decompose(w)
     assert d.length == 1
-    assert d.steps[0].vector == (Fraction(1), Fraction(2))
+    assert direction(d.steps[0]) == (Fraction(1), Fraction(2))
     assert roundtrips(w)
 
 
@@ -75,7 +79,7 @@ def test_case_i_flag():
     d = decompose(w)
     assert d.length == 2
     flag = flag_of(d)
-    assert flag.chain[0] == ((Fraction(1), Fraction(1, 2)),)
+    assert fraction_chain(flag)[0] == ((Fraction(1), Fraction(1, 2)),)
     assert roundtrips(w)
     # identical chain when the pivot tie-break is reversed
     d2 = decompose(w, pivot_order="last")
@@ -84,17 +88,12 @@ def test_case_i_flag():
 
 
 def test_recompose_empty_and_single():
-    from valdef.decompose import FlagDecomposition, FlagStep
+    from valdef.decompose import FlagDecomposition
 
     empty = FlagDecomposition(steps=(), ambient_dim=2, cap=3)
     assert recompose(empty).is_zero()
     single = FlagDecomposition(
-        steps=(
-            FlagStep(
-                coefficient=TruncSeries.monomial(1, 3),
-                vector=(Fraction(1), Fraction(2)),
-            ),
-        ),
+        steps=(flag_step(TruncSeries.monomial(1, 3), (Fraction(1), Fraction(2))),),
         ambient_dim=2,
         cap=3,
     )
@@ -111,11 +110,11 @@ def test_errors():
 
 
 def test_flags_equal_ignores_basis_choice():
-    f1 = Flag(chain=(((Fraction(1), Fraction(0)),),))
+    f1 = integer_flag((((Fraction(1), Fraction(0)),),))
     rows = linalg.row_space([[Fraction(2), Fraction(0)]])
-    f2 = Flag(chain=(tuple(rows),))
+    f2 = integer_flag((tuple(rows),))
     assert flags_equal(f1, f2)
-    f3 = Flag(chain=(((Fraction(1), Fraction(1)),),))
+    f3 = integer_flag((((Fraction(1), Fraction(1)),),))
     assert not flags_equal(f1, f3)
     assert not flags_equal(f1, Flag(chain=()))
 
@@ -129,7 +128,7 @@ def test_random_roundtrip_and_bounds():
         d = decompose(w)
         assert d.length <= k
         assert roundtrips(w)
-        vectors = [list(s.vector) for s in d.steps]
+        vectors = [list(direction(s)) for s in d.steps]
         assert linalg.rank(vectors) == d.length
         # first coefficient's valuation is the minimum over components
         vals = [s.valuation() for s in w.components if s.valuation() is not None]
@@ -148,7 +147,7 @@ def test_flag_invariant_under_coordinate_reordering():
         flag_direct = flag_of(decompose(w))
         # map the permuted flag back through the inverse coordinate map
         chain = []
-        for level in flag_of(decompose(wp)).chain:
+        for level in fraction_chain(flag_of(decompose(wp))):
             rows = []
             for vec in level:
                 back = [Fraction(0)] * k
@@ -156,22 +155,22 @@ def test_flag_invariant_under_coordinate_reordering():
                     back[perm[i]] = c
                 rows.append(back)
             chain.append(tuple(linalg.row_space(rows)))
-        assert flags_equal(flag_direct, Flag(chain=tuple(chain)))
+        assert flags_equal(flag_direct, integer_flag(chain))
 
 
 def test_flag_matches_per_prefix_row_space():
-    from valdef.decompose import FlagDecomposition, FlagStep
+    from valdef.decompose import FlagDecomposition
 
     def per_prefix(d):
         return tuple(
-            tuple(linalg.row_space([list(s.vector) for s in d.steps[:i]]))
+            tuple(linalg.row_space([list(direction(s)) for s in d.steps[:i]]))
             for i in range(1, d.length + 1)
         )
 
     def sympy_per_prefix(d):
         # flag_of is built on row_space, so check against an RREF outside valdef too
         return tuple(
-            sympy_row_space([list(s.vector) for s in d.steps[:i]])
+            sympy_row_space([list(direction(s)) for s in d.steps[:i]])
             for i in range(1, d.length + 1)
         )
 
@@ -180,7 +179,7 @@ def test_flag_matches_per_prefix_row_space():
         w = random_vector_in_m(rng, rng.randint(1, 8), rng.randint(2, 10))
         for order in ("first", "last"):
             d = decompose(w, pivot_order=order)
-            assert flag_of(d).chain == per_prefix(d) == sympy_per_prefix(d)
+            assert fraction_chain(flag_of(d)) == per_prefix(d) == sympy_per_prefix(d)
     # corpus sizes: ambient dims up to 16 and caps up to 24, with sparse
     # components, zero ones and combinations of earlier ones, so some steps
     # leave earlier rows as they were
@@ -205,7 +204,7 @@ def test_flag_matches_per_prefix_row_space():
             continue
         for order in ("first", "last"):
             d = decompose(w, pivot_order=order)
-            assert flag_of(d).chain == per_prefix(d) == sympy_per_prefix(d)
+            assert fraction_chain(flag_of(d)) == per_prefix(d) == sympy_per_prefix(d)
     # arbitrary directions: dependent steps repeat the level, ints are allowed
     one = TruncSeries.monomial(1, 3)
     for _ in range(40):
@@ -218,11 +217,43 @@ def test_flag_matches_per_prefix_row_space():
             vectors.append(tuple(2 * x for x in vectors[0]))
         vectors = [v for v in vectors if any(v)] or [(1,) * k]
         d = FlagDecomposition(
-            steps=tuple(FlagStep(coefficient=one, vector=v) for v in vectors),
+            steps=tuple(flag_step(one, v) for v in vectors),
             ambient_dim=k,
             cap=3,
         )
-        assert flag_of(d).chain == per_prefix(d) == sympy_per_prefix(d)
+        assert fraction_chain(flag_of(d)) == per_prefix(d) == sympy_per_prefix(d)
+
+
+def test_integer_steps_and_rows_match_the_oracles():
+    """A step's direction is its integers over a positive den in lowest
+    terms, den at the pivot, and equals the reference's Fraction direction;
+    a flag row is a primitive integer tuple with a positive lead, and over
+    that lead it is the RREF row of `linalg.row_space`."""
+    # the pivot lead is -2: its sign goes into the integers
+    w = sv([[0, -2, 1], [0, 1], [0, 3, 0, 5]], 3)
+    d = decompose(w)
+    assert (d.steps[0].den, d.steps[0].vector) == (2, (2, -1, -3))
+    rng = random.Random(34)
+    vectors = [w] + [
+        random_vector_in_m(rng, rng.randint(1, 6), rng.randint(1, 10)) for _ in range(80)
+    ]
+    for w in vectors:
+        for order in ("first", "last"):
+            d = decompose(w, order)
+            want = reference_decompose(w, order)
+            assert len(d.steps) == len(want.steps)
+            for step, ref in zip(d.steps, want.steps):
+                assert step.den > 0 and gcd(step.den, *step.vector) == 1
+                assert direction(step) == direction(ref)
+                assert step.coefficient == ref.coefficient
+            flag = flag_of(d)
+            for level in flag.chain:
+                for row in level:
+                    assert next(filter(None, row)) > 0 and gcd(*row) == 1
+            assert fraction_chain(flag) == tuple(
+                tuple(linalg.row_space([direction(s) for s in d.steps[:i]]))
+                for i in range(1, d.length + 1)
+            )
 
 
 def test_matches_per_component_reference():

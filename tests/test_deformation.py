@@ -4,6 +4,7 @@ import random
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 
@@ -35,10 +36,12 @@ from gens import (
     R2K,
     SL2,
     change_basis,
+    cochain_from_flat,
     decomposed,
     eval_vectors,
     first_term_is_cocycle,
     frac,
+    fraction_coefficients,
     fraction_table,
     identity_plus,
     max_rank_check,
@@ -136,7 +139,7 @@ def test_two_term_instance_validity_and_graded():
     assert system.satisfied
     verdict = system.delta_memberships[2]
     assert verdict.holds
-    assert verdict.coefficients == {(1, 1): Fraction(-1)}
+    assert fraction_coefficients(verdict) == {(1, 1): Fraction(-1)}
     assert system.bracket_memberships[(1, 2)].holds
     assert max_rank_check(d) == (1, True)
 
@@ -181,6 +184,87 @@ def test_graded_system_computes_each_bracket_once(monkeypatch):
     assert graded_system(d).satisfied
     # [phi_i, phi_j] for i <= j <= 5 except [phi_5, phi_5], not 30 calls
     assert len(seen) == 14
+
+
+def test_membership_per_order_matches_per_target_solve():
+    """The one reduced form per order gives each target what
+    `linalg.solve_combination` gives it alone: the verdict and, with the
+    free coordinates zero, the coefficients over a positive denominator.
+    Spans hold repeated, zero and dependent cochains; targets are in the
+    span, out of it, zero or repeated."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from valdef import linalg
+    from valdef.deformation import _membership
+
+    small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+    @st.composite
+    def systems(draw):
+        dim = draw(st.integers(3, 4))  # degree-2 trivial: 3 or 6 coordinates
+        width = dim * (dim - 1) // 2
+        fresh = st.lists(small, min_size=width, max_size=width)
+        span = []
+        for _ in range(draw(st.integers(1, 5))):
+            kinds = ("fresh", "fresh", "combination", "repeat", "zero")
+            kind = draw(st.sampled_from(kinds))
+            if kind == "zero":
+                span.append([0] * width)
+            elif kind == "repeat" and span:
+                span.append(draw(st.sampled_from(span)))
+            elif kind == "combination" and span:
+                a, b = draw(small), draw(small)
+                x, y = draw(st.sampled_from(span)), draw(st.sampled_from(span))
+                span.append([a * p + b * q for p, q in zip(x, y)])
+            else:
+                span.append(draw(fresh))
+        targets = []
+        for _ in range(draw(st.integers(1, 5))):
+            kinds = ("inside", "inside", "outside", "zero", "repeat")
+            kind = draw(st.sampled_from(kinds))
+            if kind == "zero":
+                targets.append([0] * width)
+            elif kind == "repeat" and targets:
+                targets.append(draw(st.sampled_from(targets)))
+            elif kind == "inside":
+                coeffs = [draw(small) for _ in span]
+                targets.append([sum(map(mul, coeffs, col)) for col in zip(*span)])
+            else:
+                targets.append(draw(fresh))
+        return dim, span, targets
+
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(systems())
+    # a dependent span with a zero cochain; targets in, out of it and zero
+    @hypothesis.example(
+        (3, [[1, 2, 0], [2, 4, 0], [0] * 3], [[3, 6, 0], [0, 0, 1], [0] * 3])
+    )
+    def check(system):
+        dim, span, targets = system
+        def cochain(flat):
+            return cochain_from_flat(2, dim, "trivial", flat)
+
+        span = [((p, p), cochain(v)) for p, v in enumerate(span)]
+        targets = [cochain(v) for v in targets]
+        vectors = [sb.flatten() for _, sb in span]
+        verdicts = _membership(span, targets)
+        assert len(verdicts) == len(targets)
+        for verdict, target in zip(verdicts, targets):
+            want = linalg.solve_combination(vectors, target.flatten())
+            assert verdict.holds == (want is not None)
+            seen.add(verdict.holds)
+            if want is None:
+                assert verdict.coefficients is None
+                continue
+            assert all(den > 0 for _, den in verdict.coefficients.values())
+            assert fraction_coefficients(verdict) == {
+                pair: y for (pair, _), y in zip(span, want) if y
+            }
+
+    check()
+    assert seen == {True, False}
 
 
 def test_max_rank_degenerate_cases():

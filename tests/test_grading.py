@@ -13,7 +13,7 @@ import valdef.grading as grading
 from valdef import linalg
 from valdef.algebra import COEFFS, AlgebraStructure
 from valdef.cli import main
-from valdef.cohomology import coboundary_matrix, cohomology_dim
+from valdef.cohomology import cohomology_dim
 from valdef.grading import charpoly, find_grading, integer_roots, require_homogeneous
 
 from gens import (
@@ -24,6 +24,7 @@ from gens import (
     ROOTS123,
     SL2,
     change_basis,
+    coboundary_rows,
     domain_matrix,
     fraction_table,
     random_invertible,
@@ -63,7 +64,7 @@ def sympy_dims(g, degree, coeff):
     """(dim Z, dim B, dim H) from sympy ranks of the full matrices."""
     ranks = []
     for p in (degree, degree - 1):
-        rows, dom = coboundary_matrix(g, p, coeff)
+        rows, dom = coboundary_rows(g, p, coeff)
         dense = [[row.get(c, 0) for c in range(dom)] for row in rows]
         ranks.append(domain_matrix(dense).rank() if rows and dom else 0)
     dom = comb(g.dim, degree) * (g.dim if coeff == "adjoint" else 1)

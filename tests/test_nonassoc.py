@@ -15,6 +15,7 @@ from valdef.algebra import (
     is_lie,
     jacobiator,
     nested_products,
+    pack,
     slot_width,
 )
 from valdef.cli import _table_doc, main
@@ -623,7 +624,7 @@ def _assert_unpacks(outer, inner, width):
     """Both packed nestings decode to the dict nested products, triple by triple."""
     _, left, right = triple_products(outer, inner)
     for side, want in ((True, left), (False, right)):
-        got = nested_products(outer, inner, width, side)
+        got = nested_products(pack(outer, width), inner, side)
         assert [_unpack(x, width, outer.dim) for x in got] == want
 
 
@@ -734,7 +735,8 @@ def test_slot_width_is_tight():
     assert (left[0], right[0]) == ({0: 2, 1: -1}, {0: -2})
     width = slot_width(1, (b, b))
     assert width == 3
-    narrow = (nested_products(b, b, width - 1, side)[0] for side in (True, False))
+    packed = pack(b, width - 1)
+    narrow = (nested_products(packed, b, side)[0] for side in (True, False))
     assert len(set(narrow)) == 1
     assert dual_identity_check(b, SubgroupTag.ID) == (False, (0, 0, 0))
     assert dual_identity_check(b, SubgroupTag.ID) == dict_dual(b, SubgroupTag.ID)
