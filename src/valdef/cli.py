@@ -25,7 +25,7 @@ from types import SimpleNamespace
 from . import io
 from .algebra import COEFFS, MAX_DEGREE, SUBGROUPS, is_lie
 from .errors import FormatError, InvalidDeformation, PrecisionExhausted, ValdefError
-from .series import parse_rational, ratio_str
+from .series import lowest_terms, ratio_str, rational_pair
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -119,10 +119,9 @@ def cmd_cohomology(args):
 def cmd_decompose(args):
     from .decompose import decompose, flag_of, recompose
 
-    vec = io.parse_vector(io.load_json(args.vector), args.cap)
-    fd = decompose(vec)
-    rec = recompose(fd)
-    if rec != vec.truncate(rec.cap):
+    den, rows = io.parse_vector(io.load_json(args.vector), args.cap)
+    fd = decompose(den, rows)
+    if recompose(fd) != lowest_terms(den, [row[: fd.cap + 1] for row in rows]):
         # both sides are exact, so a mismatch is a bug: exit 4, traceback
         raise RuntimeError("the flag decomposition does not recompose to its input")
     flag = flag_of(fd)
@@ -151,7 +150,7 @@ def cmd_decompose(args):
         "flag": [[row_doc(row) for row in level] for level in flag.chain],
         "recomposition_check": True,
     }
-    return _answer(True, detail, cap_used=vec.cap)
+    return _answer(True, detail, cap_used=len(rows[0]) - 1)
 
 
 def _verdict_doc(v) -> dict:
@@ -212,7 +211,7 @@ def cmd_deform(args):
         f = io.parse_endomorphism(io.load_json(args.endo), d.base.dim, d.cap)
         if args.inverse:
             # transport by F^-1, whose inverse is F itself
-            g = series_matrix_inverse(f, min(d.cap, min(e.cap for r in f for e in r)))
+            g = series_matrix_inverse(f, min(d.cap, len(f[1][0][0]) - 1))
             out = transport(d, g, f)
         else:
             out = transport(d, f)
@@ -228,12 +227,12 @@ def cmd_deform(args):
             raise FormatError(
                 f"--poly must be a JSON array of rationals, got {args.poly}"
             )
-        poly = [parse_rational(c) for c in items]
+        poly = [rational_pair(c) for c in items]
         try:
             ok = polynomial_form_check(d, poly, args.k)
         except ValueError as exc:
             raise FormatError(str(exc))
-        detail = {"poly": _fracs(poly), "k": args.k}
+        detail = {"poly": [ratio_str(*c) for c in poly], "k": args.k}
         return _answer(ok, detail, cap_used=d.cap)
     raise FormatError(f"unknown deform action {args.action!r}")
 

@@ -9,18 +9,19 @@ bounded by the ambient dimension.  The subspace chain spanned by the V
 prefixes does not depend on the pivot rule: `flag_of` writes each of its
 levels as a canonical basis, so equal flags have equal chains.
 
-The remaining vector is one integer matrix over one denominator: row i
-over den is component i.  A step reads the lead integers l_i at the
-minimum valuation v, takes the pivot row's lp, and forms the
-fraction-free residual lp*row_i - l_i*pivot_row over den*lp.  Dividing
-by b = t^v * u multiplies each row by one integer inverse of u's
-numerators (`series.inverse_nums`, scaled by lp^(cap+1)); den cancels
-against u's, so the new denominator is a power of lp, and one gcd is
-divided out of the whole matrix.  The pivot row and every row that
-vanishes are dropped: a zero row stays zero for good.  Each direction is
-the integers l_i over lp in lowest terms, the sign folded into the l_i.
-`recompose` keeps the running product b1...bi as integers
-(`series.mul_nums`) and builds series only at the end.
+The vector is the `(den, rows)` of a vector file or of a deformation's
+perturbation: row i over den is component i, and the rows hold t^0 ..
+t^cap.  The remaining vector is such a matrix too.  A step reads the
+lead integers l_i at the minimum valuation v, takes the pivot row's lp,
+and forms the fraction-free residual lp*row_i - l_i*pivot_row over
+den*lp.  Dividing by b = t^v * u multiplies each row by one integer
+inverse of u's numerators (`series.inverse_nums`, scaled by lp^(cap+1));
+den cancels against u's, so the new denominator is a power of lp, and
+one gcd is divided out of the whole matrix.  The pivot row and every row
+that vanishes are dropped: a zero row stays zero for good.  Each
+direction is the integers l_i over lp in lowest terms, the sign folded
+into the l_i.  `recompose` keeps the running product b1...bi as integers
+(`series.mul_nums`) and returns the sum as a canonical (den, rows).
 
 `flag_of` builds the chain one step at a time on one reduced integer
 echelon, with `linalg`'s fraction-free elimination step: each step vector
@@ -37,7 +38,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import NotInMaximalIdeal, PrecisionExhausted, ZeroVector
-from .series import SeriesVector, TruncSeries, inverse_nums, mul_nums
+from .series import TruncSeries, inverse_nums, lowest_terms, mul_nums, ratio_str
 
 # coefficient: a TruncSeries in m, nonzero at its cap; vector / den: the
 # pivot-normalized direction in K^k, ints over den > 0 in lowest terms
@@ -68,8 +69,9 @@ class Flag(namedtuple("Flag", "chain")):
         return len(self.chain)
 
 
-def decompose(w: SeriesVector, pivot_order: str = "first") -> FlagDecomposition:
-    """Flag decomposition of a vector with all components in m.
+def decompose(den: int, rows, pivot_order: str = "first") -> FlagDecomposition:
+    """Flag decomposition of the vector whose component i is rows[i] / den,
+    each row the integers of t^0 .. t^cap, every component in m.
 
     pivot_order picks which coordinate with nonzero leading coefficient
     anchors each step: "first" (lowest index, the default) or "last".
@@ -77,24 +79,13 @@ def decompose(w: SeriesVector, pivot_order: str = "first") -> FlagDecomposition:
     """
     if pivot_order not in ("first", "last"):
         raise ValueError(f"unknown pivot order {pivot_order!r}")
-    for idx, s in enumerate(w.components):
-        if not s.in_maximal_ideal():
+    for idx, row in enumerate(rows):
+        if row[0]:
             raise NotInMaximalIdeal(
-                f"component {idx} has constant term {s.coeffs[0]}"
+                f"component {idx} has constant term {ratio_str(row[0], den)}"
             )
-    if w.is_zero():
+    if not any(map(any, rows)):
         raise ZeroVector("cannot decompose a vector that is zero at its cap")
-    den = lcm(*(s.den for s in w.components))
-    rows = [[x * (den // s.den) for x in s.nums] for s in w.components]
-    return decompose_rows(den, rows, pivot_order)
-
-
-def decompose_rows(den: int, rows, pivot_order: str = "first") -> FlagDecomposition:
-    """Flag decomposition of the vector whose component i is rows[i] / den.
-
-    The caller guarantees what `decompose` checks: the rows hold t^0 ..
-    t^cap, vanish at t^0 and are not all zero, and pivot_order is valid.
-    """
     dim, cap = len(rows), len(rows[0]) - 1
     # a row that is zero at the cap stays zero for good, so only the
     # nonzero rows are kept, by index
@@ -159,12 +150,13 @@ def decompose_rows(den: int, rows, pivot_order: str = "first") -> FlagDecomposit
     )
 
 
-def recompose(d: FlagDecomposition, cap: int | None = None) -> SeriesVector:
-    """Evaluate sum of (b1...bi) * Vi exactly at the given cap.
+def recompose(d: FlagDecomposition, cap: int | None = None):
+    """Evaluate sum of (b1...bi) * Vi exactly at the given cap, as the
+    canonical (den, rows) of a vector.
 
     The running products b1...bi are integer series, each over its own
     denominator, and the sum is one integer matrix over their common
-    denominator; series are built only at the end.
+    denominator.
     """
     if cap is None:
         cap = d.cap
@@ -189,8 +181,8 @@ def recompose(d: FlagDecomposition, cap: int | None = None) -> SeriesVector:
             if x:
                 m = x * (den // r)
                 row = [u + m * y for u, y in zip(row, running)]
-        rows.append(TruncSeries(den, row))
-    return SeriesVector(tuple(rows))
+        rows.append(row)
+    return lowest_terms(den, rows)
 
 
 def flag_of(d: FlagDecomposition) -> Flag:

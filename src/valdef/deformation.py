@@ -17,8 +17,10 @@ its numerator over den.  That is the slot order of `Cochain.flatten`,
 so the matrix is the flattened perturbation that the flag decomposition
 reads, and every row vanishes at t^0.  The decomposition, the gauge
 transport and the polynomial-form check read this matrix and multiply
-integer series with `series.mul_nums`.  Residuals, flag directions and
-transported terms are integer cochains over one denominator.  The graded
+integer series with `series.mul_nums`.  A gauge endomorphism is a
+`(den, rows)` too, rows[r][c] the numerators of entry (r, c), so
+`transport` reads its columns off the rows.  Residuals, flag directions
+and transported terms are integer cochains over one denominator.  The graded
 system takes delta(phi_k) = mu o phi_k + phi_k o mu and the brackets from
 the circle product, and decides every membership of one order with one
 integer reduced row echelon form of the cochains' integer coordinates;
@@ -28,7 +30,6 @@ each coefficient is an integer pair over a positive denominator.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import lcm
@@ -36,14 +37,14 @@ from math import lcm
 from . import linalg
 from .algebra import Cochain, jacobi_sums
 from .cohomology import circle, super_bracket
-from .decompose import decompose_rows
+from .decompose import decompose
 from .errors import (
     DimensionMismatch,
     InvalidDeformation,
     NotInMaximalIdeal,
     PrecisionExhausted,
 )
-from .series import TruncSeries, mul_nums
+from .series import TruncSeries, lowest_terms, mul_nums, ratio_str
 
 
 class Deformation(namedtuple("Deformation", "base cap terms")):
@@ -163,7 +164,7 @@ def decompose_deformation(d: Deformation) -> Deformation:
     den, rows = d.perturbation()
     if not any(map(any, rows)):
         return Deformation.trivial(d.base, d.cap)
-    fd = decompose_rows(den, rows)
+    fd = decompose(den, rows)
     n = d.base.dim
     pairs = list(combinations(range(n), 2))
     terms = []
@@ -266,13 +267,13 @@ def graded_system(d: Deformation) -> GradedSystem:
 
 
 def _check_unipotent(f):
-    for r, row in enumerate(f):
+    den, rows = f
+    for r, row in enumerate(rows):
         for c, entry in enumerate(row):
-            want = entry.den if r == c else 0
-            if entry.nums[0] != want:
+            if entry[0] != (den if r == c else 0):
                 raise NotInMaximalIdeal(
                     f"endomorphism entry ({r},{c}) has constant term "
-                    f"{entry.coeffs[0]}; expected Id + h with h into m"
+                    f"{ratio_str(entry[0], den)}; expected Id + h with h into m"
                 )
 
 
@@ -291,27 +292,31 @@ def series_matrix_mul(a, b, cap):
 
 
 def series_matrix_inverse(f, cap):
-    """Inverse of Id + H with H into m, exact up to t^cap.
+    """Inverse of Id + H with H into m, exact up to t^cap, as a canonical
+    (den, rows) endomorphism.
 
     With H_i the t^i coefficient matrix of H, the inverse G = sum G_k t^k
     satisfies G_0 = Id and G_k = -sum_{i=1..k} H_i G_(k-i): the same
     truncated series as the Neumann sum of (-H)^i, at O(cap^2 n^3) cost.
-    With D the common denominator of f's entries, the recursion runs on
-    the integer matrices D * H_i and D^k * G_k.  Raises
-    NotInMaximalIdeal unless f is Id + H with H into m.
+    f is first cut to t^cap and put in lowest terms again over D, and the
+    recursion runs on the integer matrices D * H_i and D^k * G_k.  Raises
+    NotInMaximalIdeal unless f is Id + H with H into m, and
+    PrecisionExhausted when cap exceeds f's.
     """
     _check_unipotent(f)
-    n = len(f)
-    entries = [[entry.truncate(cap) for entry in row] for row in f]
-    den = lcm(*(entry.den for row in entries for entry in row))
+    den, rows = f
+    n, fcap = len(rows), len(rows[0][0]) - 1
+    if cap > fcap:
+        raise PrecisionExhausted(f"cannot extend a cap-{fcap} series to cap {cap}")
+    # entry s = r * n + m of the cut matrix is f[r][m]
+    den, entries = lowest_terms(den, [e[: cap + 1] for row in rows for e in row])
     # (i, D^i * H_i) as sparse (r, m, value) triples, for each nonzero H_i
     weighted = []
     for i in range(1, cap + 1):
         h = [
-            (r, m, entry.nums[i] * (den // entry.den) * den ** (i - 1))
-            for r, row in enumerate(entries)
-            for m, entry in enumerate(row)
-            if entry.nums[i]
+            (*divmod(s, n), entry[i] * den ** (i - 1))
+            for s, entry in enumerate(entries)
+            if entry[i]
         ]
         if h:
             weighted.append((i, h))
@@ -327,29 +332,23 @@ def series_matrix_inverse(f, cap):
                 for c in range(n):
                     out[c] -= x * src[c]
         scaled.append(acc)
-    return tuple(
-        tuple(
-            TruncSeries(
-                den**cap,
-                [scaled[k][r][c] * den ** (cap - k) for k in range(cap + 1)],
-            )
-            for c in range(n)
-        )
-        for r in range(n)
-    )
-
-
-def _columns(f, cap):
-    """(den, cols) of a series matrix: cols[c] lists (r, nums) for each
-    nonzero f[r][c] = nums / den, with nums the integers of t^0 .. t^cap."""
-    den = lcm(*(entry.den for row in f for entry in row))
-    return den, [
+    den, entries = lowest_terms(
+        den**cap,
         [
-            (r, [x * (den // row[c].den) for x in row[c].nums[: cap + 1]])
-            for r, row in enumerate(f)
-            if not row[c].is_zero()
-        ]
-        for c in range(len(f))
+            [scaled[k][r][c] * den ** (cap - k) for k in range(cap + 1)]
+            for r in range(n)
+            for c in range(n)
+        ],
+    )
+    return den, [entries[r * n : (r + 1) * n] for r in range(n)]
+
+
+def _columns(rows, cap):
+    """cols[c] lists (r, nums) for each nonzero entry rows[r][c] of a series
+    matrix, with nums its integers of t^0 .. t^cap."""
+    return [
+        [(r, row[c][: cap + 1]) for r, row in enumerate(rows) if any(row[c])]
+        for c in range(len(rows))
     ]
 
 
@@ -367,7 +366,9 @@ def _contract(pairs, cap):
 def transport(d: Deformation, f, f_inverse=None) -> Deformation:
     """Re-express (x, y) -> f^-1(mu_t(f(x), f(y))) over the same base.
 
-    f_inverse, when given, is f^-1 at least up to the cap, as
+    f and f_inverse are (den, rows) endomorphisms, rows[r][c] the integers
+    of t^0 .. t^cap of entry (r, c); the cap is that of the shorter of d
+    and f.  f_inverse, when given, is f^-1 at least up to that cap, as
     `series_matrix_inverse` returns it, and is not computed again: the
     transport by the inverse of F passes F^-1 and F.
 
@@ -380,15 +381,16 @@ def transport(d: Deformation, f, f_inverse=None) -> Deformation:
     iff the input is valid.
     """
     n = d.base.dim
-    if len(f) != n or any(len(row) != n for row in f):
+    fden, frows = f
+    if len(frows) != n or any(len(row) != n for row in frows):
         raise DimensionMismatch("endomorphism must be n x n over the base")
-    cap = min(d.cap, *(entry.cap for row in f for entry in row))
+    cap = min(d.cap, len(frows[0][0]) - 1)
     if cap < 1:
         raise PrecisionExhausted("no precision left below t^1")
     if f_inverse is None:
         f_inverse = series_matrix_inverse(f, cap)
-    gden, g_cols = _columns(f_inverse, cap)
-    fden, f_cols = _columns(f, cap)
+    gden, grows = f_inverse
+    f_cols, g_cols = _columns(frows, cap), _columns(grows, cap)
 
     # mu[a][b] lists the nonzero (k, den * mu_t(e_a, e_b)_k) for all a, b
     bden, table = d.base.scaled_table
@@ -434,15 +436,15 @@ def transport(d: Deformation, f, f_inverse=None) -> Deformation:
 def polynomial_form_check(d: Deformation, poly, k: int) -> bool:
     """Whether Id * P(t) transports d onto a pure degree-<=k polynomial form.
 
-    poly lists the coefficients of P from degree 0; P(0) must be 1 and
-    deg P <= k.  Multiplying the deformed bracket by P is exactly the
-    transport by the scalar endomorphism Id * P, so the check is that
-    (P - 1) * mu + P * perturbation has no terms above t^k at the cap.
-    deg (P - 1) <= k, so only P * perturbation can have such terms: each
-    row of the perturbation matrix is multiplied by P's numerators.
+    poly lists the coefficients of P from degree 0 as integer pairs
+    (num, den), den > 0; P(0) must be 1 and deg P <= k.  Multiplying the
+    deformed bracket by P is exactly the transport by the scalar
+    endomorphism Id * P, so the check is that (P - 1) * mu + P *
+    perturbation has no terms above t^k at the cap.  deg (P - 1) <= k, so
+    only P * perturbation can have such terms: each row of the
+    perturbation matrix is multiplied by P's numerators.
     """
-    poly = [Fraction(c) for c in poly]
-    if not poly or poly[0] != 1:
+    if not poly or poly[0][0] != poly[0][1]:
         raise ValueError("P(0) must equal 1")
     if len(poly) - 1 > k:
         raise ValueError(f"deg P = {len(poly) - 1} exceeds k = {k}")
@@ -450,8 +452,8 @@ def polynomial_form_check(d: Deformation, poly, k: int) -> bool:
         raise PrecisionExhausted(
             f"cap {d.cap} cannot see any order above t^{k}"
         )
-    den = lcm(*(c.denominator for c in poly))
-    p_nums = [c.numerator * (den // c.denominator) for c in poly]
+    den = lcm(*(q for _, q in poly))
+    p_nums = [p * (den // q) for p, q in poly]
     _, rows = d.perturbation()
     return not any(
         any(mul_nums(p_nums, row, d.cap)[k + 1 :]) for row in rows if any(row)

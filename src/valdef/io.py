@@ -3,9 +3,10 @@
 Rational literals are "p" or "p/q" strings of ASCII decimal digits, with
 an optional sign on p and a positive q.  A series literal is an array of
 rational strings ordered from t^0, e.g. ["0","2","1"] is 2t + t^2; it may
-be shorter than cap+1 (zero padded) but never longer.  Series and
-structure-constant tables are read and written as integers over one
-denominator.  Indices are 0-based everywhere.
+be shorter than cap+1 (zero padded) but never longer.  Series, tables
+and cochains are read and written as integers over one denominator; a
+vector or endomorphism file is read into one canonical `(den, rows)`.
+Indices are 0-based everywhere.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import lcm
 
 from .algebra import AlgebraStructure, Cochain, check_key
 from .errors import FormatError
-from .series import SeriesVector, TruncSeries, ratio_str, rational_pair
+from .series import TruncSeries, lowest_terms, ratio_str, rational_pair
 
 
 # Largest dim and cap read from outside input: a table takes dim^2 slots
@@ -84,23 +85,30 @@ def _index_list(value, what: str, dim: int) -> tuple[int, ...]:
     return indices
 
 
-def parse_series_literal(items, cap: int) -> TruncSeries:
-    """The series of a literal, padded with zeros to cap.
+def _read_series(literals, cap: int) -> tuple[int, list[list[int]]]:
+    """The canonical (den, rows) of series literals, each zero padded to
+    cap, their coefficients read in order as integer pairs (`rational_pair`)
+    and put over the lcm of the denominators."""
+    pairs = []
+    for items in literals:
+        if not isinstance(items, list):
+            raise FormatError(f"series literal must be an array, got {items!r}")
+        if len(items) > cap + 1:
+            raise FormatError(
+                f"series literal has {len(items)} coefficients, cap {cap} allows "
+                f"{cap + 1}"
+            )
+        pairs.append([rational_pair(c) for c in items])
+    den = lcm(1, *(q for row in pairs for _, q in row))
+    rows = [
+        [p * (den // q) for p, q in row] + [0] * (cap + 1 - len(row)) for row in pairs
+    ]
+    return lowest_terms(den, rows)
 
-    Each coefficient is read as an integer pair (`rational_pair`) and put
-    over the lcm of their denominators; no Fraction is built.
-    """
-    if not isinstance(items, list):
-        raise FormatError(f"series literal must be an array, got {items!r}")
-    if len(items) > cap + 1:
-        raise FormatError(
-            f"series literal has {len(items)} coefficients, cap {cap} allows "
-            f"{cap + 1}"
-        )
-    pairs = [rational_pair(c) for c in items]
-    den = lcm(1, *(q for _, q in pairs))
-    nums = [p * (den // q) for p, q in pairs]
-    nums += [0] * (cap + 1 - len(nums))
+
+def parse_series_literal(items, cap: int) -> TruncSeries:
+    """The series of a literal, padded with zeros to cap."""
+    den, (nums,) = _read_series([items], cap)
     return TruncSeries(den, nums)
 
 
@@ -192,14 +200,15 @@ def load_algebra(path: str) -> AlgebraFile:
     return parse_algebra(load_json(path))
 
 
-def parse_vector(doc, default_cap: int) -> SeriesVector:
+def parse_vector(doc, default_cap: int) -> tuple[int, list[list[int]]]:
+    """The canonical (den, rows) of a vector file: component i is rows[i] / den."""
     if not isinstance(doc, dict) or "components" not in doc:
         raise FormatError("vector file needs a 'components' array")
     cap = _cap(doc.get("cap", default_cap))
     comps = doc["components"]
     if not isinstance(comps, list) or not comps:
         raise FormatError("'components' must be a non-empty array")
-    return SeriesVector(tuple(parse_series_literal(c, cap) for c in comps))
+    return _read_series(comps, cap)
 
 
 def parse_cochain(doc, dim: int, degree: int = 2, target: str = "adjoint") -> Cochain:
@@ -304,6 +313,8 @@ def parse_deformation(doc, base_dir: str, default_cap: int):
 
 
 def parse_endomorphism(doc, dim: int, default_cap: int):
+    """The canonical (den, rows) of an endomorphism file: entry (r, c) is
+    rows[r][c] / den, its literals read row-major."""
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise FormatError("endomorphism file needs a 'matrix' array")
     cap = _cap(doc.get("cap", default_cap))
@@ -314,9 +325,8 @@ def parse_endomorphism(doc, dim: int, default_cap: int):
         or any(not isinstance(row, list) or len(row) != dim for row in matrix)
     ):
         raise FormatError(f"endomorphism matrix must be {dim}x{dim}")
-    return tuple(
-        tuple(parse_series_literal(entry, cap) for entry in row) for row in matrix
-    )
+    den, entries = _read_series([entry for row in matrix for entry in row], cap)
+    return den, [entries[r * dim : (r + 1) * dim] for r in range(dim)]
 
 
 def deformation_doc(d) -> dict:

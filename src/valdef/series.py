@@ -14,11 +14,19 @@ ints.  Series literals are read and printed on the integers too
 `ratio_str` is the one printer of a rational, the inverse of
 `rational_pair`; ``coeffs`` gives the coefficients as
 ``fractions.Fraction`` values for error messages and tests.
+
+A vector or matrix of series is no class of its own but one integer
+matrix over one denominator, ``(den, rows)``: a vector file's rows[i],
+an endomorphism's rows[r][c] and a deformation's perturbation rows each
+hold the numerators of t^0 .. t^cap over den > 0.  `lowest_terms` makes
+such a matrix canonical, gcd(den, every numerator) = 1, so that equal
+vectors compare equal; the functions that take one never change it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import (
@@ -83,6 +91,17 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def lowest_terms(den: int, rows) -> tuple[int, list]:
+    """The integer series rows over den > 0 with their common content
+    divided out: the canonical (den, rows), gcd(den, every numerator) = 1.
+    With den any common denominator of the values, the new den is the lcm
+    of their reduced denominators."""
+    common = gcd(den, *chain.from_iterable(rows))
+    if common == 1:
+        return den, rows
+    return den // common, [[x // common for x in row] for row in rows]
 
 
 def mul_nums(a, b, cap: int) -> list[int]:
@@ -343,31 +362,3 @@ class TruncSeries(Frozen):
                 terms.append(f"{c}*t^{i}" if x != self.den else f"t^{i}")
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O(t^{self.cap + 1})"
-
-
-class SeriesVector(Frozen):
-    """Vector of truncated series sharing one cap."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: tuple[TruncSeries, ...]) -> None:
-        if not components:
-            raise ValueError("empty series vector")
-        caps = {s.cap for s in components}
-        if len(caps) != 1:
-            raise ValueError(f"components carry mixed caps {sorted(caps)}")
-        object.__setattr__(self, "components", components)
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    @property
-    def cap(self) -> int:
-        return self.components[0].cap
-
-    def is_zero(self) -> bool:
-        return all(s.is_zero() for s in self.components)
-
-    def truncate(self, cap: int) -> SeriesVector:
-        return SeriesVector(tuple(s.truncate(cap) for s in self.components))

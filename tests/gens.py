@@ -33,7 +33,7 @@ from valdef.errors import (
 )
 from valdef.nonassoc import PATTERNS, SubgroupTag
 from valdef.io import _int
-from valdef.series import SeriesVector, TruncSeries, parse_rational
+from valdef.series import TruncSeries, parse_rational
 
 
 def fraction_table(g) -> dict:
@@ -86,13 +86,53 @@ def random_series_in_m(rng, cap, max_num=100, max_den=100, density=0.6) -> Trunc
     return TruncSeries.from_coeffs(coeffs, cap=cap)
 
 
-def random_vector_in_m(rng, dim, cap, **kw) -> SeriesVector:
+def random_vector_in_m(rng, dim, cap, **kw) -> tuple:
+    """The canonical (den, rows) of a nonzero vector with components in m."""
     while True:
-        vec = SeriesVector(
-            tuple(random_series_in_m(rng, cap, **kw) for _ in range(dim))
-        )
-        if not vec.is_zero():
-            return vec
+        comps = [random_series_in_m(rng, cap, **kw) for _ in range(dim)]
+        if not all(s.is_zero() for s in comps):
+            return series_vector(comps)
+
+
+# -- (den, rows) views of series vectors and matrices ----------------------
+
+
+def series_vector(comps) -> tuple:
+    """The canonical (den, rows) of a vector of TruncSeries of one cap:
+    rows[i] holds component i's numerators over den.  Each series is in
+    lowest terms, so the lcm of their dens is the canonical den."""
+    den = lcm(*(s.den for s in comps))
+    return den, [[x * (den // s.den) for x in s.nums] for s in comps]
+
+
+def components(vec) -> tuple:
+    """The TruncSeries components of a (den, rows) vector."""
+    den, rows = vec
+    return tuple(TruncSeries(den, row) for row in rows)
+
+
+def truncated(vec, cap: int) -> tuple:
+    """A (den, rows) vector cut to t^cap, in lowest terms again."""
+    return series_vector([s.truncate(cap) for s in components(vec)])
+
+
+def endomorphism(matrix) -> tuple:
+    """The canonical (den, rows) of an n x n matrix of TruncSeries:
+    rows[r][c] holds entry (r, c)'s numerators over den."""
+    n = len(matrix)
+    den, flat = series_vector([e for row in matrix for e in row])
+    return den, [flat[r * n : (r + 1) * n] for r in range(n)]
+
+
+def series_matrix(f) -> tuple:
+    """The n x n TruncSeries view of a (den, rows) endomorphism."""
+    den, rows = f
+    return tuple(tuple(TruncSeries(den, e) for e in row) for row in rows)
+
+
+def rational_pairs(values) -> list:
+    """The (num, den) pairs of rationals (ints or Fractions), in lowest terms."""
+    return [(Fraction(x).numerator, Fraction(x).denominator) for x in values]
 
 
 def random_invertible(rng, n):
@@ -470,7 +510,7 @@ def cochain_from_flat(degree, dim, target, flat) -> Cochain:
 
 
 def identity_plus(n: int, cap: int, nilpotent=None, power: int = 1):
-    """Series endomorphism Id + t^power * N as an n x n matrix of series."""
+    """Series endomorphism Id + t^power * N as a (den, rows) endomorphism."""
     rows = []
     for r in range(n):
         row = []
@@ -480,7 +520,7 @@ def identity_plus(n: int, cap: int, nilpotent=None, power: int = 1):
                 coeffs += [Fraction(0)] * (power - 1) + [Fraction(nilpotent[r][c])]
             row.append(TruncSeries.from_coeffs(coeffs, cap=cap))
         rows.append(tuple(row))
-    return tuple(rows)
+    return endomorphism(rows)
 
 
 def perturbations_equal(d1: Deformation, d2: Deformation) -> bool:
@@ -591,8 +631,9 @@ def fraction_coefficients(verdict) -> dict | None:
 # -- per-component flag decomposition, the oracle of `valdef.decompose` ----
 
 
-def reference_decompose(w: SeriesVector, pivot_order: str = "first"):
-    """The flag decomposition one TruncSeries component at a time.
+def reference_decompose(w: tuple, pivot_order: str = "first"):
+    """The flag decomposition of the TruncSeries components w, one
+    component at a time.
 
     Each step scales the pivot component by every Fraction direction
     entry, subtracts, and divides each residual component by the step
@@ -601,16 +642,16 @@ def reference_decompose(w: SeriesVector, pivot_order: str = "first"):
     """
     if pivot_order not in ("first", "last"):
         raise ValueError(f"unknown pivot order {pivot_order!r}")
-    for idx, s in enumerate(w.components):
+    for idx, s in enumerate(w):
         if not s.in_maximal_ideal():
             raise NotInMaximalIdeal(
                 f"component {idx} has constant term {s.coeffs[0]}"
             )
-    if w.is_zero():
+    if all(s.is_zero() for s in w):
         raise ZeroVector("cannot decompose a vector that is zero at its cap")
 
-    current = list(w.components)
-    cap = w.cap
+    current = list(w)
+    cap = w[0].cap
     steps = []
     while True:
         vals = [s.valuation() for s in current]
@@ -640,12 +681,13 @@ def reference_decompose(w: SeriesVector, pivot_order: str = "first"):
         current = [s.div_exact(b) for s in residual]
         cap -= v
     return FlagDecomposition(
-        steps=tuple(steps), ambient_dim=w.dim, cap=steps[-1].coefficient.cap
+        steps=tuple(steps), ambient_dim=len(w), cap=steps[-1].coefficient.cap
     )
 
 
-def reference_recompose(d: FlagDecomposition, cap=None) -> SeriesVector:
-    """sum of (b1...bi) * Vi through TruncSeries products and sums."""
+def reference_recompose(d: FlagDecomposition, cap=None) -> tuple:
+    """sum of (b1...bi) * Vi through TruncSeries products and sums: the
+    TruncSeries components."""
     if cap is None:
         cap = d.cap
     if d.steps and cap > min(s.coefficient.cap for s in d.steps):
@@ -657,7 +699,7 @@ def reference_recompose(d: FlagDecomposition, cap=None) -> SeriesVector:
     for step in d.steps:
         running = running * step.coefficient.truncate(cap)
         total = tuple(s + running.scale(c) for s, c in zip(total, direction(step)))
-    return SeriesVector(total)
+    return total
 
 
 # -- associative / G-associative pools -----------------------------------

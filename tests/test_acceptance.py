@@ -36,6 +36,7 @@ from gens import (
     COMMUTATIVE_POOL,
     SL2,
     ZTRIPLE,
+    components,
     conjugated,
     decomposed,
     flags_equal,
@@ -66,12 +67,12 @@ def test_criterion_1_decompose_roundtrip():
         k = rng.randint(1, 6)
         cap = rng.randint(2, 12)
         w = random_vector_in_m(rng, k, cap, max_num=100, max_den=100)
-        d = decompose(w)
+        d = decompose(*w)
         assert d.length <= k
         r = recompose(d)
         assert all(
-            (a - b.truncate(r.cap)).is_zero()
-            for a, b in zip(r.components, w.components)
+            (a - b.truncate(a.cap)).is_zero()
+            for a, b in zip(components(r), components(w))
         )
     elapsed = time.perf_counter() - start
     report(
@@ -87,8 +88,8 @@ def test_criterion_2_flag_uniqueness():
         k = rng.randint(2, 6)
         cap = rng.randint(2, 10)
         w = random_vector_in_m(rng, k, cap)
-        d1 = decompose(w, pivot_order="first")
-        d2 = decompose(w, pivot_order="last")
+        d1 = decompose(*w, pivot_order="first")
+        d2 = decompose(*w, pivot_order="last")
         assert d1.length == d2.length
         assert flags_equal(flag_of(d1), flag_of(d2))
     report(2, True, "200 vectors: reversed pivot order gives the same flag and h")

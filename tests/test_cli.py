@@ -674,6 +674,9 @@ def _term(cochain):
 
 
 # (argv with @name standing for the path of file name, files, words of the reason)
+# (literal, printed) constant terms
+CONSTANT_TERMS = (("-1/2", "-1/2"), ("10/4", "5/2"), ("3", "3"), ("-6/3", "-2"))
+
 MALFORMED = [
     (["check", "@a"], {"a": dict(LIE2, torus=["a"])}, "torus index"),
     (["rigidity", "@a", "--asserted-rigid"], {"a": dict(LIE2, torus=["a"])}, "torus index"),
@@ -1073,6 +1076,22 @@ MALFORMED = [
         },
         "error: basis index 5 outside 0..1\n",
     ),
+    # a constant term outside m, of a vector component or of an endomorphism
+    # entry off Id, is printed in lowest terms: a negative fraction, a
+    # reducible literal and an integer
+    *(
+        (["decompose", "@v"], {"v": {"cap": 2, "components": [["0", "1"], [c]]}},
+         f"error: component 1 has constant term {x}\n")
+        for c, x in CONSTANT_TERMS
+    ),
+    *(
+        (["deform", "transport", "@d", "--endo", "@f"] + inverse,
+         {"d": DEFORM, "f": {"matrix": [[["1"], [c, "1"]], [["0"], ["1"]]]}},
+         f"error: endomorphism entry (0,1) has constant term {x}; expected Id + h "
+         "with h into m\n")
+        for c, x in CONSTANT_TERMS
+        for inverse in ([], ["--inverse"])
+    ),
 ]
 
 
@@ -1405,7 +1424,6 @@ def test_deform_fuzzed_deformation_documents(tmp_path, capsys):
 
 def test_decompose_self_check_failure_is_internal(tmp_path, capsys, monkeypatch):
     import valdef.decompose as decompose
-    from valdef.series import SeriesVector, TruncSeries
 
     path = write(tmp_path, "v.json", {"cap": 4, "components": [["0", "1"], ["0", "0", "1"]]})
     code, good, _ = run(capsys, "decompose", path)
@@ -1413,9 +1431,9 @@ def test_decompose_self_check_failure_is_internal(tmp_path, capsys, monkeypatch)
     real = decompose.recompose
 
     def perturbed(d, cap=None):
-        rec = real(d, cap)
-        bump = TruncSeries.monomial(rec.cap, rec.cap)
-        return SeriesVector((rec.components[0] + bump,) + rec.components[1:])
+        # the recomposition plus t^cap in its first component
+        den, rows = real(d, cap)
+        return den, [rows[0][:-1] + [rows[0][-1] + den]] + rows[1:]
 
     # cmd_decompose imports recompose from its module at call time
     monkeypatch.setattr(decompose, "recompose", perturbed)

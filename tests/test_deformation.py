@@ -3,7 +3,8 @@
 import random
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import gcd
 from operator import mul
 
 import pytest
@@ -27,7 +28,7 @@ from valdef.errors import (
     PrecisionExhausted,
     UnsupportedDegree,
 )
-from valdef.series import SeriesVector, TruncSeries
+from valdef.series import TruncSeries, lowest_terms
 
 from gens import (
     PHI1,
@@ -37,7 +38,9 @@ from gens import (
     SL2,
     change_basis,
     cochain_from_flat,
+    components,
     decomposed,
+    endomorphism,
     eval_vectors,
     first_term_is_cocycle,
     frac,
@@ -54,6 +57,8 @@ from gens import (
     random_lie,
     random_series_in_m,
     random_valid_deformation,
+    rational_pairs,
+    series_matrix,
     shuffle_circle,
     two_term_instance,
 )
@@ -94,26 +99,24 @@ def deformed_bracket(d, x, y):
         factor = x[i] * y[j] - x[j] * y[i]
         if factor:
             comps = [a + s.scale(factor) for a, s in zip(comps, vec)]
-    return SeriesVector(tuple(comps))
+    return tuple(comps)
 
 
 def test_deformed_bracket_cases():
     d0 = Deformation.trivial(R2K, 3)
     v = deformed_bracket(d0, e(3, 0), e(3, 1))
-    assert v.components[1] == TruncSeries.one(3)
-    assert v.components[0].is_zero() and v.components[2].is_zero()
+    assert v[1] == TruncSeries.one(3)
+    assert v[0].is_zero() and v[2].is_zero()
 
     d1 = Deformation.build(AB3, 4, [(TruncSeries.monomial(1, 4), PHI_E12_E3)])
     v1 = deformed_bracket(d1, e(3, 0), e(3, 1))
-    assert v1.components[2] == TruncSeries.monomial(1, 4)
-    assert deformed_bracket(d1, e(3, 1), e(3, 0)).components[2] == TruncSeries.monomial(
-        1, 4, -1
-    )
+    assert v1[2] == TruncSeries.monomial(1, 4)
+    assert deformed_bracket(d1, e(3, 1), e(3, 0))[2] == TruncSeries.monomial(1, 4, -1)
 
     phi_x = Cochain.build(2, 2, "adjoint", {(0, 1): (1, 0)})
     d2 = Deformation.build(R2, 3, [(TruncSeries.monomial(1, 3), phi_x)])
     v2 = deformed_bracket(d2, e(2, 0), e(2, 1))
-    assert v2.components == (TruncSeries.monomial(1, 3), TruncSeries.one(3))
+    assert v2 == (TruncSeries.monomial(1, 3), TruncSeries.one(3))
 
 
 def test_residual_cases():
@@ -519,8 +522,9 @@ def test_transport_matches_fraction_expansion():
         f = identity_plus(n, fcap, random_direction(rng, n), power)
         cap = min(dcap, fcap)
         g = series_matrix_inverse(f, cap)
-        f_lists = [[list(e.coeffs[: cap + 1]) for e in row] for row in f]
-        g_lists = neumann_inverse(f, cap)
+        f_series = series_matrix(f)
+        f_lists = [[list(e.coeffs[: cap + 1]) for e in row] for row in f_series]
+        g_lists = neumann_inverse(f_series, cap)
         bracket = expanded_bracket(d, cap)
         td = transport(d, f)
         assert td.cap == cap
@@ -575,13 +579,10 @@ def test_perturbation_matrix_matches_fraction_sum():
 
 def test_transport_rejects_non_unipotent():
     d = Deformation.build(AB3, 3, [(TruncSeries.monomial(1, 3), PHI_E12_E3)])
-    f = identity_plus(3, 3)
-    broken = tuple(
-        tuple(
-            TruncSeries.constant(2, 3) if (r, c) == (0, 0) else f[r][c]
-            for c in range(3)
-        )
-        for r in range(3)
+    f = series_matrix(identity_plus(3, 3))
+    two = TruncSeries.constant(2, 3)
+    broken = endomorphism(
+        [[two if (r, c) == (0, 0) else f[r][c] for c in range(3)] for r in range(3)]
     )
     with pytest.raises(NotInMaximalIdeal):
         transport(d, broken)
@@ -589,17 +590,17 @@ def test_transport_rejects_non_unipotent():
 
 def test_polynomial_form_check_cases():
     d = Deformation.build(AB3, 4, [(TruncSeries.monomial(1, 4), PHI_E12_E3)])
-    assert polynomial_form_check(d, [1], 1)
+    assert polynomial_form_check(d, rational_pairs([1]), 1)
     c = TruncSeries.monomial(1, 4).div_exact(TruncSeries.from_coeffs([1, 1], cap=4))
     d2 = Deformation.build(AB3, 4, [(c, PHI_E12_E3)])
-    assert polynomial_form_check(d2, [1, 1], 1)
-    assert not polynomial_form_check(d2, [1], 1)
+    assert polynomial_form_check(d2, rational_pairs([1, 1]), 1)
+    assert not polynomial_form_check(d2, rational_pairs([1]), 1)
     with pytest.raises(ValueError):
-        polynomial_form_check(d2, [2], 1)
+        polynomial_form_check(d2, rational_pairs([2]), 1)
     with pytest.raises(ValueError):
-        polynomial_form_check(d2, [1, 1, 1], 1)
+        polynomial_form_check(d2, rational_pairs([1, 1, 1]), 1)
     with pytest.raises(PrecisionExhausted):
-        polynomial_form_check(d2, [1], 4)
+        polynomial_form_check(d2, rational_pairs([1]), 4)
     # mu_t = mu / P over a base with fractional constants: P * mu_t = mu
     diag = (Fraction(1, 3), Fraction(2, 5), Fraction(1))
     base = change_basis(
@@ -610,8 +611,8 @@ def test_polynomial_form_check_cases():
     mu = mu_cochain(base)
     terms = [(TruncSeries.monomial(p, 4, c), mu) for p, c in enumerate(q.coeffs) if p]
     d3 = Deformation.build(base, 4, terms)
-    assert polynomial_form_check(d3, [1, Fraction(1, 2)], 1)
-    assert not polynomial_form_check(d3, [1, Fraction(3, 2)], 1)
+    assert polynomial_form_check(d3, rational_pairs([1, Fraction(1, 2)]), 1)
+    assert not polynomial_form_check(d3, rational_pairs([1, Fraction(3, 2)]), 1)
 
 
 def find_polynomial_form(d, k):
@@ -680,7 +681,7 @@ def test_maximal_rank_deformations_admit_polynomial_form():
         assert max_rank_check(decomposed(d))[1]
         found = find_polynomial_form(d, k)
         assert found is not None
-        assert polynomial_form_check(d, found, k)
+        assert polynomial_form_check(d, rational_pairs(found), k)
 
 
 def test_validity_gauge_invariance_includes_invalid():
@@ -791,8 +792,9 @@ def test_kernel_circle_matches_shuffle_reference():
 
 
 def neumann_inverse(f, cap):
-    """Reference inverse of Id + H: sum of (-H)^i for i <= cap, on lists of
-    Fraction coefficients multiplied out directly."""
+    """Reference inverse of Id + H, an n x n matrix of TruncSeries: sum of
+    (-H)^i for i <= cap, on lists of Fraction coefficients multiplied out
+    directly."""
     n = len(f)
 
     def mat_mul(a, b):
@@ -837,7 +839,7 @@ def random_unipotent(rng, n, cap):
                 coeffs.append(frac(rng, 9, 7) if keep[shape] else Fraction(0))
             row.append(TruncSeries.from_coeffs(coeffs, cap=cap))
         rows.append(tuple(row))
-    return tuple(rows)
+    return endomorphism(rows)
 
 
 def test_series_matrix_inverse_matches_neumann_reference():
@@ -845,24 +847,144 @@ def test_series_matrix_inverse_matches_neumann_reference():
     for _ in range(40):
         n, cap = rng.randint(1, 4), rng.randint(0, 6)
         f = random_unipotent(rng, n, cap + rng.randint(0, 2))
-        inv = series_matrix_inverse(f, cap)
-        want = neumann_inverse(f, cap)
+        inv = series_matrix(series_matrix_inverse(f, cap))
+        want = neumann_inverse(series_matrix(f), cap)
         assert [[list(e.coeffs) for e in row] for row in inv] == want
-        ident = identity_plus(n, cap)
-        assert series_matrix_mul(f, inv, cap) == ident
-        assert series_matrix_mul(inv, f, cap) == ident
+        ident = series_matrix(identity_plus(n, cap))
+        assert series_matrix_mul(series_matrix(f), inv, cap) == ident
+        assert series_matrix_mul(inv, series_matrix(f), cap) == ident
+    with pytest.raises(PrecisionExhausted, match="cap-3 series to cap 4"):
+        series_matrix_inverse(identity_plus(2, 3), 4)
 
 
 @pytest.mark.parametrize("cap", [3, 4])
 def test_series_matrix_inverse_rejects_non_unipotent(cap):
-    f = identity_plus(2, cap)
+    f = series_matrix(identity_plus(2, cap))
     for (r, c), bad in (((0, 0), 2), ((1, 1), 0), ((0, 1), Fraction(1, 3))):
-        broken = tuple(
-            tuple(
-                TruncSeries.constant(bad, cap) if (i, j) == (r, c) else f[i][j]
-                for j in range(2)
-            )
-            for i in range(2)
+        broken = endomorphism(
+            [
+                [
+                    TruncSeries.constant(bad, cap) if (i, j) == (r, c) else f[i][j]
+                    for j in range(2)
+                ]
+                for i in range(2)
+            ]
         )
         with pytest.raises(NotInMaximalIdeal, match=rf"\({r},{c}\) has constant term"):
             series_matrix_inverse(broken, cap)
+
+
+def test_canonical_parse_and_inverse():
+    """`io.parse_vector` and `io.parse_endomorphism` read a file into one
+    canonical (den, rows), gcd(den, every numerator) = 1, with the values
+    of `io.parse_series_literal` literal by literal, and refuse a file with
+    the error of its first bad literal, row-major.  `series_matrix_inverse`,
+    also at a cap below the endomorphism's, returns a canonical (den, rows)
+    that is the inverse of f under `series_matrix_mul`; its recursion runs
+    over D, the lowest terms of f cut to that cap, so the scale it divides
+    the content out of at the end is D^cap (seen through `lowest_terms`)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from valdef import deformation, io
+    from valdef.errors import FormatError
+
+    literals = st.one_of(
+        st.builds(str, st.integers(-9, 9)),
+        st.builds("{}/{}".format, st.integers(-30, 30), st.integers(1, 12)),
+        st.sampled_from(("2/4", "-0/5", "-6/3", "+9/6", "007", "-003/010")),
+    )
+    ones = st.sampled_from(("1", "2/2", "+3/3", "01"))
+    zeros = st.sampled_from(("0", "-0/4", "0/7"))
+
+    def series(cap, head=None):
+        """Series literals of at most cap + 1 coefficients; the constant
+        term drawn from head when given."""
+        if head is None:
+            return st.lists(literals, max_size=cap + 1)
+        return st.builds(lambda h, t: [h, *t], head, st.lists(literals, max_size=cap))
+
+    def canonical(den, nums, cap):
+        nums = list(nums)
+        return den > 0 and gcd(den, *chain.from_iterable(nums)) == 1 and all(
+            len(x) == cap + 1 for x in nums
+        )
+
+    def first_error(data, entries, cap, read):
+        """read's FormatError on entries with two bad ones planted, and the
+        error of the first of them on its own."""
+        bad = [["0", "1_0"], "0", ["0"] * (cap + 2), [3], ["1/0"]]
+        first, second = data.draw(st.permutations(bad))[:2]
+        at = data.draw(st.integers(0, len(entries) - 1))
+        later = data.draw(st.integers(at, len(entries) - 1))
+        entries = list(entries)
+        entries[at] = first
+        entries[later] = second if later > at else first
+        with pytest.raises(FormatError) as want:
+            io.parse_series_literal(first, cap)
+        with pytest.raises(FormatError) as got:
+            read(entries)
+        return str(got.value), str(want.value)
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(st.data(), st.integers(1, 4), st.integers(0, 6))
+    def check(data, n, fcap):
+        comps = data.draw(st.lists(series(fcap), min_size=1, max_size=5))
+        den, rows = vec = io.parse_vector({"cap": fcap, "components": comps}, 8)
+        assert canonical(den, rows, fcap)
+        assert components(vec) == tuple(
+            io.parse_series_literal(c, fcap) for c in comps
+        )
+        def read_vector(comps):
+            return io.parse_vector({"cap": fcap, "components": comps}, 8)
+
+        got, want = first_error(data, comps, fcap, read_vector)
+        assert got == want
+
+        matrix = [
+            [data.draw(series(fcap, ones if r == c else zeros)) for c in range(n)]
+            for r in range(n)
+        ]
+        f = io.parse_endomorphism({"cap": fcap, "matrix": matrix}, n, 8)
+        assert canonical(f[0], chain.from_iterable(f[1]), fcap)
+        assert series_matrix(f) == tuple(
+            tuple(io.parse_series_literal(e, fcap) for e in row) for row in matrix
+        )
+
+        def read_matrix(flat):
+            rows = [flat[r * n : (r + 1) * n] for r in range(n)]
+            return io.parse_endomorphism({"cap": fcap, "matrix": rows}, n, 8)
+
+        flat = [e for row in matrix for e in row]
+        got, want = first_error(data, flat, fcap, read_matrix)
+        assert got == want
+
+        cap = data.draw(st.integers(0, fcap))
+        assert inverse_scale(f, cap) == endomorphism(
+            [[e.truncate(cap) for e in row] for row in series_matrix(f)]
+        )[0] ** cap
+
+    def inverse_scale(f, cap):
+        """Check series_matrix_inverse(f, cap); the den of its last
+        `lowest_terms` call."""
+        seen = []
+
+        def spy(den, rows):
+            seen.append(den)
+            return lowest_terms(den, rows)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(deformation, "lowest_terms", spy)
+            g = series_matrix_inverse(f, cap)
+        assert canonical(g[0], chain.from_iterable(g[1]), cap)
+        fs, gs = series_matrix(f), series_matrix(g)
+        ident = series_matrix(identity_plus(len(fs), cap))
+        assert series_matrix_mul(fs, gs, cap) == ident == series_matrix_mul(gs, fs, cap)
+        return seen[-1]
+
+    check()
+    # the cut drops the only 7 of the denominator, and the inverse's content
+    # is 2^(cap - 1) over 2^cap
+    f = io.parse_endomorphism({"matrix": [[["1", "1/2", "0", "1/7"]]]}, 1, 3)
+    assert f == (14, [[[14, 7, 0, 2]]])
+    assert inverse_scale(f, 2) == 2**2
+    assert series_matrix_inverse(f, 2) == (4, [[[4, -2, 1]]])

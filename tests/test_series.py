@@ -391,7 +391,6 @@ def test_canonical_form_equality_and_hash():
 
 def test_value_types_are_immutable():
     from valdef.algebra import AlgebraStructure, Cochain
-    from valdef.series import SeriesVector
 
     s = ts([0, 1], 2)
     g = AlgebraStructure.lie(2, {(0, 1): {1: 1}})
@@ -399,7 +398,6 @@ def test_value_types_are_immutable():
     assert g.scaled_table is g.scaled_table  # cached once per instance
     values = [
         (s, "den"),
-        (SeriesVector((s, s)), "components"),
         (g, "dim"),
         (phi, "values"),
     ]
@@ -410,6 +408,3 @@ def test_value_types_are_immutable():
             delattr(value, field)
         with pytest.raises(AttributeError):
             value.extra = 1
-    same = SeriesVector((s, ts(["0", "1"], 2)))
-    assert same == SeriesVector((s, s)) and hash(same) == hash(SeriesVector((s, s)))
-    assert same != SeriesVector((s, -s))
