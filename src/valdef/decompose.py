@@ -3,25 +3,33 @@
 A vector w in m^k is rewritten as b1*V1 + b1*b2*V2 + ... + b1...bh*Vh
 with each b in m and the V's independent over Q.  Each step reads the
 lowest t-order of the remaining vector, peels off the corresponding
-direction, and divides the residual by the step coefficient; the pivot
-coordinate of the residual vanishes exactly, so the recursion depth is
-bounded by the ambient dimension.  The subspace chain spanned by the V
-prefixes does not depend on the pivot rule: `flag_of` writes each of its
-levels as a canonical basis, so equal flags have equal chains.
+direction, and divides the residual by the step coefficient (in value;
+the integer rows below are never divided).  The pivot coordinate of the
+residual vanishes exactly, so the recursion depth is bounded by the
+ambient dimension.  The subspace chain spanned by the V prefixes does
+not depend on the pivot rule: `flag_of` writes each of its levels as a
+canonical basis, so equal flags have equal chains.
 
 The vector is the `(den, rows)` of a vector file or of a deformation's
 perturbation: row i over den is component i, and the rows hold t^0 ..
-t^cap.  The remaining vector is such a matrix too.  A step reads the
-lead integers l_i at the minimum valuation v, takes the pivot row's lp,
-and forms the fraction-free residual lp*row_i - l_i*pivot_row over
-den*lp.  Dividing by b = t^v * u multiplies each row by one integer
-inverse of u's numerators (`series.inverse_nums`, scaled by lp^(cap+1));
-den cancels against u's, so the new denominator is a power of lp, and
-one gcd is divided out of the whole matrix.  The pivot row and every row
-that vanishes are dropped: a zero row stays zero for good.  Each
-direction is the integers l_i over lp in lowest terms, the sign folded
-into the l_i.  `recompose` keeps the running product b1...bi as integers
-(`series.mul_nums`) and returns the sum as a canonical (den, rows).
+t^cap.  The residual is kept undivided, as in fraction-free elimination
+(Bareiss 1968): it is num*U/(den*D), with U the integer rows and D the
+unit part of the previous pivot row, both shifted down by the valuations
+peeled so far and cut to the residual's cap.  D is a unit, so a step
+reads the lowest order v and the lead integers l_i off U.  With lp the
+pivot row's lead and b = num*U_p/(den*D), subtracting b times the
+direction and dividing by b leaves (lp*U_i - l_i*U_p)/(lp*U_p): num,
+den and D cancel.  So each row costs O(cap), U_p shifted by t^v is the
+next D, and the contents of the new U and D go into num and den.  The
+only series division is b itself: one `series.inverse_nums` of D and one
+`series.mul_nums` per step, none while D is 1 as at the first step.  The
+residual after step k is U^(k) over U^(k-1)_(p_k), up to a rational
+scale and a power of t, so b1...bk telescopes to U^(k-1)_(p_k) alike.
+The pivot row and every row that vanishes are dropped: a zero row stays
+zero for good.  Each direction is the integers l_i over lp in lowest
+terms, the sign folded into the l_i.  `recompose` reads only the steps:
+it keeps the running product b1...bi as integers (`series.mul_nums`) and
+returns the sum as a canonical (den, rows).
 
 `flag_of` builds the chain one step at a time on one reduced integer
 echelon, with `linalg`'s fraction-free elimination step: each step vector
@@ -87,11 +95,16 @@ def decompose(den: int, rows, pivot_order: str = "first") -> FlagDecomposition:
     if not any(map(any, rows)):
         raise ZeroVector("cannot decompose a vector that is zero at its cap")
     dim, cap = len(rows), len(rows[0]) - 1
-    # a row that is zero at the cap stays zero for good, so only the
-    # nonzero rows are kept, by index
+    # the residual is num * U / (den * D): U the undivided integer rows and
+    # D the unit part of the previous pivot row, primitive with a positive
+    # lead, both cut to the residual's cap.  A row that is zero at the cap
+    # stays zero for good, so only the nonzero rows of U are kept, by index.
     rows = {i: row for i, row in enumerate(rows) if any(row)}
+    unit, num = [1] + [0] * cap, 1
     steps = []
     while True:
+        # D is a unit, so U's lowest order and lead integers are the
+        # residual's, over a scale that cancels from the direction
         lead = {}
         v = cap + 1
         for i, row in rows.items():
@@ -106,9 +119,18 @@ def decompose(den: int, rows, pivot_order: str = "first") -> FlagDecomposition:
         common = gcd(*lead.values()) if lp > 0 else -gcd(*lead.values())
         vector = tuple(lead[i] // common if i in lead else 0 for i in range(dim))
         head = rows.pop(pivot)
-        steps.append(FlagStep(TruncSeries(den, head), lp // common, vector))
-        # fraction-free residual lp*row - l*head over den*lp, from t^v on
-        # (every row vanishes below t^v)
+        # the step coefficient b = num * head / (den * D) is the one series
+        # division of the step: D's inverse is inverse_nums(D) / D0^(cap+1)
+        if any(unit[1:]):
+            head_nums = mul_nums(head, inverse_nums(unit), cap)
+            scale = den * unit[0] ** (cap + 1)
+        else:  # a constant D is 1, as before the first step
+            head_nums, scale = head, den
+        coefficient = TruncSeries(scale, [num * x for x in head_nums])
+        steps.append(FlagStep(coefficient, lp // common, vector))
+        # fraction-free residual lp*U_i - l_i*head from t^v on (every row
+        # vanishes below t^v).  The residual divided by b is these rows over
+        # lp*head: num, den and D cancel, and head becomes the next D
         head = head[v:]
         residual = {}
         for i, row in rows.items():
@@ -127,24 +149,14 @@ def decompose(den: int, rows, pivot_order: str = "first") -> FlagDecomposition:
             raise PrecisionExhausted(
                 f"dividing by a valuation-{v} coefficient leaves cap {cap - v}"
             )
-        # b = t^v * head/den: dividing by it cancels den, and head's unit
-        # inverse is inverse_nums(head) / lp^(cap+1) at the new cap; its
-        # own content is divided out first, so the products stay smaller
         cap -= v
-        inverse = inverse_nums(head)
-        den = lp ** (cap + 2)
-        common = gcd(den, *inverse)
-        if common != 1:
-            den //= common
-            inverse = [x // common for x in inverse]
-        rows = {i: mul_nums(r, inverse, cap) for i, r in residual.items()}
-        common = gcd(den, *chain.from_iterable(rows.values()))
-        if den < 0:
-            common = -common
-        if common != 1:
-            den //= common
-            for row in rows.values():
-                row[:] = [x // common for x in row]
+        # U's content goes into num and head's into den: the residual is
+        # num * U / (den * D) again, every entry of U and D an integer
+        num = gcd(*chain.from_iterable(residual.values()))
+        content = gcd(*head) if lp > 0 else -gcd(*head)
+        den = lp * content
+        rows = {i: [x // num for x in r] for i, r in residual.items()}
+        unit = [x // content for x in head]
     return FlagDecomposition(
         steps=tuple(steps), ambient_dim=dim, cap=steps[-1].coefficient.cap
     )

@@ -15,9 +15,10 @@ s * n + k holds the numerators of the t^0 .. t^cap coefficients of the
 e_k coordinate of mu_t(e_i, e_j) - mu(e_i, e_j); every coefficient is
 its numerator over den.  That is the slot order of `Cochain.flatten`,
 so the matrix is the flattened perturbation that the flag decomposition
-reads, and every row vanishes at t^0.  The decomposition, the gauge
-transport and the polynomial-form check read this matrix and multiply
-integer series with `series.mul_nums`.  A gauge endomorphism is a
+reads, and every row vanishes at t^0.  The decomposition reads this
+matrix with one series product per flag step, not per row; the gauge
+transport and the polynomial-form check multiply its rows as integer
+series with `series.mul_nums`.  A gauge endomorphism is a
 `(den, rows)` too, rows[r][c] the numerators of entry (r, c), so
 `transport` reads its columns off the rows.  Residuals, flag directions
 and transported terms are integer cochains over one denominator.  The graded

@@ -635,10 +635,12 @@ def reference_decompose(w: tuple, pivot_order: str = "first"):
     """The flag decomposition of the TruncSeries components w, one
     component at a time.
 
-    Each step scales the pivot component by every Fraction direction
-    entry, subtracts, and divides each residual component by the step
-    coefficient; `valdef.decompose.decompose` does the same on one integer
-    matrix and must return an equal FlagDecomposition.
+    The per-row-division oracle: each step scales the pivot component by
+    every Fraction direction entry, subtracts, and divides each residual
+    component by the step coefficient with `TruncSeries.div_exact`.
+    `valdef.decompose.decompose` never divides a residual row (it keeps
+    them undivided over the previous pivot row) and must return an equal
+    FlagDecomposition, step coefficients and their caps included.
     """
     if pivot_order not in ("first", "last"):
         raise ValueError(f"unknown pivot order {pivot_order!r}")

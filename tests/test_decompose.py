@@ -310,3 +310,112 @@ def test_matches_per_component_reference():
         assert recompose(got) == truncated(w, got.cap)
 
     check()
+
+
+def test_one_series_division_per_step(monkeypatch):
+    """decompose divides no residual row: the only series products and
+    inverses are those of the step coefficients, at most one each per step
+    after the first, however many rows the vector has."""
+    from valdef import decompose as module
+
+    calls = {"mul_nums": 0, "inverse_nums": 0}
+    for name in calls:
+
+        def spy(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    w = random_vector_in_m(random.Random(35), 16, 24)
+    for order in ("first", "last"):
+        calls.update(mul_nums=0, inverse_nums=0)
+        d = decompose(*w, order)
+        assert d.length >= 8
+        assert calls["mul_nums"] <= d.length - 1
+        assert calls["inverse_nums"] <= d.length - 1
+        assert d == reference_decompose(components(w), order)
+
+
+def test_matches_reference_at_corpus_sizes():
+    """The undivided loop equals the per-row-division oracle of
+    tests/gens.py at the corpus's sizes: caps up to 24 and 8-16 components,
+    lead orders 2-5 apart so that a step peels more than one order, and
+    combinations of earlier components, whose rows vanish after several
+    steps, under both pivot orders."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    numerators = st.one_of(st.integers(-9, 9), st.integers(-(10**12), 10**12))
+    coefficients = st.builds(Fraction, numerators, st.integers(1, 12))
+
+    @st.composite
+    def vectors(draw):
+        cap, gap = draw(st.integers(8, 24)), draw(st.integers(2, 5))
+        comps = []
+        for _ in range(draw(st.integers(8, 16))):
+            kind = draw(st.sampled_from(("zero", "gapped", "gapped", "dense", "combination")))
+            if kind == "zero":
+                comps.append([0] * (cap + 1))
+            elif kind == "combination" and comps:
+                a, b = draw(coefficients), draw(coefficients)
+                x, y = draw(st.sampled_from(comps)), draw(st.sampled_from(comps))
+                comps.append([a * p + b * q for p, q in zip(x, y)])
+            else:
+                # gapped: nonzero only at multiples of gap, from a lead order
+                # that is one too
+                step = 1 if kind == "dense" else gap
+                val = step * draw(st.integers(1, cap // step))
+                comp = [0] * (cap + 1)
+                for k in range(val, cap + 1, step):
+                    comp[k] = draw(coefficients) if k > val else draw(coefficients) or 1
+                comps.append(comp)
+        if not any(map(any, comps)):
+            comps[0][cap] = 1
+        return series_vector([TruncSeries.from_coeffs(c, cap=cap) for c in comps])
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(vectors())
+    def check(w):
+        for order in ("first", "last"):
+            # equal coefficients have equal caps: nums holds t^0 .. t^cap
+            got = decompose(*w, order)
+            assert got == reference_decompose(components(w), order)
+            assert recompose(got) == truncated(w, got.cap)
+
+    check()
+
+
+def test_decompose_deformation_matches_reference_at_dimension_5():
+    """A dimension-5 perturbation is 50 rows; its flag and the term
+    coefficients b1...bi of `decompose_deformation` equal the oracle's."""
+    from valdef.algebra import AlgebraStructure
+    from valdef.deformation import Deformation, decompose_deformation
+
+    from gens import random_cochain
+
+    rng = random.Random(36)
+    base = AlgebraStructure.abelian(5)
+    for cap, gap in ((12, 1), (24, 2), (24, 3)):
+        terms = []
+        for _ in range(rng.randint(4, 7)):
+            coeff = [0] * (cap + 1)
+            for k in range(gap * rng.randint(1, 3), cap + 1, gap):
+                coeff[k] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            if any(coeff):
+                coeff = TruncSeries.from_coeffs(coeff, cap=cap)
+                terms.append((coeff, random_cochain(rng, 5, 2, "adjoint")))
+        d = Deformation.build(base, cap, terms)
+        den, rows = d.perturbation()
+        assert len(rows) == 50
+        want = reference_decompose(components((den, rows)))
+        assert want.length >= 3
+        assert decompose(den, rows) == want
+        # a product b1...bi that vanishes at the cap leaves no term
+        terms = []
+        running = TruncSeries.one(want.steps[0].coefficient.cap)
+        for step in want.steps:
+            running = running * step.coefficient
+            if not running.truncate(want.cap).is_zero():
+                terms.append((running.truncate(want.cap), direction(step)))
+        got = decompose_deformation(d)
+        assert got.cap == want.cap
+        assert [(c, phi.flatten()) for c, phi in got.terms] == terms
