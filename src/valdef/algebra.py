@@ -6,10 +6,9 @@ all ordered pairs, in canonical form (gcd(den, every constant) = 1), Lie
 tables expanded antisymmetrically from their i < j entries.  Files are read
 straight into it and printed from it (`io`, `cli`).
 `AlgebraStructure.scaled` makes the canonical form from integer
-constants; `lie` and `assoc` put rational tables over one denominator
-and call it.  A degree-2 adjoint
-Cochain is a bracket table too and has the same `scaled_table`, built by
-the same code.  `nested_products` contracts two such tables into one nesting of
+constants.  A degree-2 adjoint Cochain is a bracket table too and has
+the same `scaled_table`, built by the same code.  `nested_products`
+contracts two such tables into one nesting of
 every basis triple, each vector packed into one int by Kronecker
 substitution: `pack` makes outer row den * e_a e_b into P[a][b] = sum of
 c_q * 2^(B q), once per table and width, and (e_i e_j) e_k = sum of c_m *
@@ -35,20 +34,19 @@ coordinate, so packed sums would only be unpacked again.
 
 Cochains are alternating multilinear maps stored densely over strictly
 increasing index tuples, as integers over one denominator: the package's
-one cochain format, built from integer sums by `Cochain.scaled`.
+one cochain format, built from integer sums by `Cochain.scaled`.  No
+rational view of a table or a cochain is kept here: the Fraction views
+that tests compare against live with the test oracles.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, product as iter_product
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DimensionMismatch, UnsupportedDegree
-from .series import Frozen
-
-ZERO = Fraction(0)
+from .series import Frozen, scalar_pair
 
 # The vocabulary of the CLI's choices lives here, in a module every command
 # loads, so that building the parser imports no subcommand's module.
@@ -67,7 +65,7 @@ class AlgebraStructure(Frozen):
     (k, c) in rows[i][j], for every ordered pair (i, j).  Each row is
     sorted by k and holds no zero c, and gcd(den, every c) = 1, so equal
     algebras compare and hash equal.  The constructor stores its arguments
-    as given: `scaled`, `lie` and `assoc` make the canonical form.
+    as given: `scaled` makes the canonical form.
     """
 
     __slots__ = ("dim", "kind", "scaled_table", "basis", "__dict__")
@@ -99,48 +97,20 @@ class AlgebraStructure(Frozen):
         table = canonical_table(dim, den, entries, lie)
         return cls(dim, kind, table, tuple(basis) if basis else None)
 
-    @classmethod
-    def lie(cls, dim: int, table, basis=None) -> AlgebraStructure:
-        """Lie table of rationals: keys (i, j) with i < j only (`_rational`)."""
-        return cls._rational(dim, "lie", table, basis)
-
-    @classmethod
-    def assoc(cls, dim: int, table, basis=None) -> AlgebraStructure:
-        """Table of rationals over all ordered pairs (`_rational`)."""
-        return cls._rational(dim, "assoc", table, basis)
-
-    @classmethod
-    def _rational(cls, dim: int, kind: str, table, basis) -> AlgebraStructure:
-        """`scaled` of a table of rationals: each value is {k: c} or pairs
-        (k, c), a repeated k summed, with c an int, a Fraction or a rational
-        string, put over the lcm of the denominators."""
-        fracs = {}
-        for pair, out in table.items():
-            acc: dict[int, Fraction] = {}
-            for k, c in out.items() if isinstance(out, dict) else out:
-                acc[k] = acc.get(k, 0) + Fraction(c)
-            fracs[pair] = acc
-        den = lcm(1, *(c.denominator for acc in fracs.values() for c in acc.values()))
-        ints = {
-            pair: {k: c.numerator * (den // c.denominator) for k, c in acc.items()}
-            for pair, acc in fracs.items()
-        }
-        return cls.scaled(dim, kind, den, ints, basis)
-
-    @classmethod
-    def abelian(cls, dim: int) -> AlgebraStructure:
-        return cls.lie(dim, {})
-
     # -- evaluation ---------------------------------------------------
 
-    def bilinear(self, x, y) -> tuple[Fraction, ...]:
-        """Bilinear extension of the table to coefficient vectors."""
+    def bilinear(self, x, y) -> tuple:
+        """Bilinear extension of the table to coefficient vectors, as Fractions."""
+        # no package caller: kept for perfbench/tracer.py, which wraps it by
+        # name, and moved to tests/gens.py once the tracer's LAYERS drop it
+        from fractions import Fraction
+
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch(
                 f"vectors of length {len(x)},{len(y)} in a dim-{self.dim} algebra"
             )
         den, rows = self.scaled_table
-        out = [ZERO] * self.dim
+        out = [Fraction(0)] * self.dim
         for i, xi in enumerate(x):
             if not xi:
                 continue
@@ -248,7 +218,7 @@ def permuted_triples(n: int, pattern) -> tuple[int, ...]:
     return tuple((t[p0] * n + t[p1]) * n + t[p2] for t in triples)
 
 
-def associator(a: AlgebraStructure, x, y, z) -> tuple[Fraction, ...]:
+def associator(a: AlgebraStructure, x, y, z) -> tuple:
     """(xy)z - x(yz) for an assoc-kind table."""
     if a.kind != "assoc":
         raise ValueError("associator needs an assoc-kind table")
@@ -265,8 +235,7 @@ class Cochain(Frozen):
     `series.TruncSeries`, so equal cochains compare and hash equal.
     values maps strictly increasing index tuples to the nonzero vectors
     of `width` ints (K is K^1), each over den.  The constructor stores its
-    arguments as given: `scaled` and `build` make the canonical form.
-    `value` and `flatten` are the rational views, for tests.
+    arguments as given: `scaled` makes the canonical form.
     """
 
     __slots__ = ("degree", "dim", "target", "den", "values", "__dict__")
@@ -288,23 +257,6 @@ class Cochain(Frozen):
         return cls(degree, dim, target, den, vals)
 
     @classmethod
-    def build(cls, degree, dim, target, values) -> Cochain:
-        """Normalize a {increasing tuple: value} mapping of rationals (ints
-        or Fractions), each value dim of them (adjoint) or one (trivial)."""
-        clean = {}
-        for key, val in values.items():
-            key = tuple(key)
-            check_key(key, degree, dim)
-            vec = list(val) if target == "adjoint" else [val]
-            if target == "adjoint" and len(vec) != dim:
-                raise ValueError(f"value for {key} has length {len(vec)}")
-            clean[key] = vec
-        den = lcm(1, *(c.denominator for vec in clean.values() for c in vec))
-        for vec in clean.values():
-            vec[:] = [c.numerator * (den // c.denominator) for c in vec]
-        return cls.scaled(degree, dim, target, den, clean)
-
-    @classmethod
     def zero(cls, degree, dim, target="adjoint") -> Cochain:
         return cls(degree, dim, target, 1, {})
 
@@ -315,12 +267,6 @@ class Cochain(Frozen):
 
     def is_zero(self) -> bool:
         return not self.values
-
-    def value(self, key):
-        """Value on a strictly increasing tuple, as Fractions."""
-        val = self.values.get(tuple(key), (0,) * self.width)
-        vec = tuple(Fraction(x, self.den) for x in val)
-        return vec if self.target == "adjoint" else vec[0]
 
     @cached_property
     def scaled_table(self) -> tuple[int, tuple]:
@@ -365,10 +311,11 @@ class Cochain(Frozen):
         return self._combine(other, -1)
 
     def scale(self, scalar) -> Cochain:
-        s = Fraction(scalar)
-        vals = {k: [s.numerator * x for x in v] for k, v in self.values.items()}
+        """scalar * self, scalar as in `series.scalar_pair`."""
+        num, den = scalar_pair(scalar)
+        vals = {k: [num * x for x in v] for k, v in self.values.items()}
         shape = (self.degree, self.dim, self.target)
-        return Cochain.scaled(*shape, self.den * s.denominator, vals)
+        return Cochain.scaled(*shape, self.den * den, vals)
 
     # -- flat coordinates ------------------------------------------------
 
@@ -380,10 +327,6 @@ class Cochain(Frozen):
         keys = combinations(range(self.dim), self.degree)
         vecs = (self.values.get(key, zero) for key in keys)
         return tuple(chain.from_iterable(vecs))
-
-    def flatten(self) -> tuple[Fraction, ...]:
-        """The coordinates of `flat_nums` as Fractions."""
-        return tuple(Fraction(x, self.den) for x in self.flat_nums)
 
 
 def check_key(key: tuple, degree: int, dim: int) -> None:

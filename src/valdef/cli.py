@@ -47,10 +47,6 @@ def _table_doc(structure) -> list:
     ]
 
 
-def _fracs(values) -> list[str]:
-    return [ratio_str(v.numerator, v.denominator) for v in values]
-
-
 def _answer(ok: bool, detail: dict, **extra) -> tuple:
     """A command's exit code and document: 0 when ok holds, 1 when violated."""
     return (EXIT_OK if ok else EXIT_VIOLATED), {"ok": ok, "detail": detail, **extra}
@@ -249,7 +245,7 @@ def cmd_rigidity(args):
         "verdict": report.verdict,
         "theorem": report.theorem,
         "rank": report.rank,
-        "roots": _fracs(report.roots) if report.roots is not None else None,
+        "roots": None if report.roots is None else [ratio_str(*r) for r in report.roots],
         "dim_H2_trivial": report.dim_H2_trivial,
     }
     if report.note:
@@ -446,6 +442,22 @@ def build_parser():
     return parser
 
 
+@cache
+def _command_spec(command):
+    """What _fast_parse reads of one SPEC command, built once per process:
+    its options by name, its positionals, each option's namespace name, the
+    namespace defaults and the names of the required options."""
+    func, _, arguments = SPEC[command]
+    options = dict(COMMON + [a for a in arguments if a[0][0] == "-"])
+    positionals = [a for a in arguments if a[0][0] != "-"]
+    dests = {name: name[2:].replace("-", "_") for name in options}
+    defaults = {"command": command, "func": func}
+    for name, kw in options.items():
+        defaults[dests[name]] = kw.get("default", False if "action" in kw else None)
+    required = frozenset(name for name, kw in options.items() if kw.get("required"))
+    return options, positionals, dests, defaults, required
+
+
 def _fast_parse(argv):
     """argparse's namespace for argv, read from SPEC without argparse.  None,
     so that argparse reads it, unless argv is a known command, exact option
@@ -453,14 +465,8 @@ def _fast_parse(argv):
     option and one contiguous run of the right number of positionals."""
     if not argv or argv[0] not in SPEC:
         return None
-    func, _, arguments = SPEC[argv[0]]
-    options = dict(COMMON + [a for a in arguments if a[0][0] == "-"])
-    positionals = [a for a in arguments if a[0][0] != "-"]
-    dests = {name: name[2:].replace("-", "_") for name in options}
-    ns = {"command": argv[0], "func": func}
-    for name, kw in options.items():
-        ns[dests[name]] = kw.get("default", False if "action" in kw else None)
-    required = {name for name, kw in options.items() if kw.get("required")}
+    options, positionals, dests, defaults, required = _command_spec(argv[0])
+    ns, required = dict(defaults), set(required)
     words, tokens, ended = [], iter(argv[1:]), False
     for token in tokens:
         kw = options.get(token)

@@ -100,7 +100,7 @@ def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str, weights=None
 
     cols holds one {row: int} dict per domain coordinate (no zero values),
     the image of that basis cochain, and the rows number the cod codomain
-    coordinates in the order of `Cochain.flatten`; den =
+    coordinates in the order of `Cochain.flat_nums`; den =
     g.scaled_table[0].  Degree 0 is included so degree-1 reports can
     subtract inner coboundaries.
 

@@ -13,7 +13,7 @@ The perturbation mu_t - mu is one integer matrix over one denominator,
 the base and s the index of the pair (i, j), i < j, in lex order, row
 s * n + k holds the numerators of the t^0 .. t^cap coefficients of the
 e_k coordinate of mu_t(e_i, e_j) - mu(e_i, e_j); every coefficient is
-its numerator over den.  That is the slot order of `Cochain.flatten`,
+its numerator over den.  That is the slot order of `Cochain.flat_nums`,
 so the matrix is the flattened perturbation that the flag decomposition
 reads, and every row vanishes at t^0.  The decomposition reads this
 matrix with one series product per flag step, not per row; the gauge

@@ -17,13 +17,13 @@ when nothing is left.  Cohomology eliminates its coboundary columns here.
 the same step: the integer reduced form that kernels, inverses and the
 graded system's memberships are read from.  `rref` writes that form out
 as Fractions, each row over its leading entry, for `row_space` and
-`solve_combination`; no other module calls these three: they are oracles.
+`solve_combination`; no other module calls these three: they are oracles,
+kept here only while the benchmark's tracer wraps them by name.  Nothing
+else here builds a Fraction: `integer_row` reads any rational through its
+``numerator`` and ``denominator``.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
-
-ZERO = Fraction(0)
 
 
 def integer_row(values) -> tuple[int, dict]:
@@ -144,6 +144,11 @@ def rref(rows):
     input row, the nonzero rows first, and pivots lists the pivot column
     of each nonzero row.  The input is not modified.
     """
+    # no package caller: kept for perfbench/tracer.py, which wraps it by
+    # name, and moved to tests/gens.py once the tracer's LAYERS drop it
+    from fractions import Fraction
+
+    zero = Fraction(0)
     ncols = len(rows[0]) if rows else 0
     pivots: dict[int, dict] = {}
     for row in rows:
@@ -152,11 +157,11 @@ def rref(rows):
     leads = sorted(pivots)
     reduced = []
     for lead in leads:
-        row, scale = [ZERO] * ncols, pivots[lead][lead]
+        row, scale = [zero] * ncols, pivots[lead][lead]
         for c, v in pivots[lead].items():
             row[c] = Fraction(v, scale)
         reduced.append(row)
-    reduced += [[ZERO] * ncols for _ in range(len(rows) - len(leads))]
+    reduced += [[zero] * ncols for _ in range(len(rows) - len(leads))]
     return reduced, leads
 
 
@@ -169,7 +174,7 @@ def row_space(rows):
 def solve_combination(vectors, target):
     """Coefficients x with sum(x_i * vectors[i]) == target, or None.
 
-    Free coordinates are set to zero, so the answer is deterministic.
+    Free coordinates are set to (int) zero, so the answer is deterministic.
     """
     vectors = list(vectors)
     ncoords = len(target)
@@ -180,7 +185,7 @@ def solve_combination(vectors, target):
     reduced, pivots = rref(aug)
     if len(vectors) in pivots:
         return None
-    coeffs = [Fraction(0)] * len(vectors)
+    coeffs = [0] * len(vectors)
     for r, pc in enumerate(pivots):
         coeffs[pc] = reduced[r][len(vectors)]
     return coeffs

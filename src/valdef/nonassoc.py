@@ -174,15 +174,6 @@ class PoissonStructure(namedtuple("PoissonStructure", "dim product bracket")):
 
     __slots__ = ()
 
-    @classmethod
-    def build(cls, dim, product_table, bracket_table) -> PoissonStructure:
-        """From two tables of rationals, as `AlgebraStructure.assoc` reads them."""
-        return cls(
-            dim=dim,
-            product=AlgebraStructure.assoc(dim, product_table),
-            bracket=AlgebraStructure.assoc(dim, bracket_table),
-        )
-
 
 def poisson_verify(p: PoissonStructure):
     """(True, None) or (False, (axiom, witness)) over all basis tuples."""

@@ -5,19 +5,18 @@ package never decides rigidity itself (that is a Zariski-openness
 statement with no algorithm here), it only evaluates the cohomological
 criteria conditioned on the caller's assertion.  Rank-1 algebras get the
 zero-root test: dim H^2(g, K) = 0 exactly when 0 is not a root, with an
-explicit certificate cocycle when 0 is a root.
+explicit certificate cocycle when 0 is a root.  A root is an integer
+pair (num, den) in lowest terms, den > 0, printed by `series.ratio_str`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
+from math import gcd
 
 from .algebra import AlgebraStructure, Cochain
 from .cohomology import coboundary, cohomology_dim, is_coboundary
 from .errors import NotAdapted, NotRankOne
-
-ZERO = Fraction(0)
 
 
 class TorusData(namedtuple("TorusData", "torus_indices nil_indices")):
@@ -47,7 +46,8 @@ def roots(g: AlgebraStructure, torus: TorusData) -> RootReport:
     """Eigenvalues of ad X on the nilradical, in the given adapted basis.
 
     Requires rank 1 and [X, Y_i] = lambda_i * Y_i exactly for every nil
-    index; any off-diagonal entry raises NotAdapted with the pair.
+    index; any off-diagonal entry raises NotAdapted with the pair.  Each
+    lambda_i is the pair (num, den) in lowest terms, den > 0.
     """
     if torus.rank != 1:
         raise NotRankOne(f"rank {torus.rank} torus; root extraction needs rank 1")
@@ -55,17 +55,18 @@ def roots(g: AlgebraStructure, torus: TorusData) -> RootReport:
     den, table = g.scaled_table
     out = []
     for yi in torus.nil_indices:
-        root = ZERO
+        root = (0, 1)
         for k, c in table[x_idx][yi]:
             if k != yi:
                 raise NotAdapted(
                     f"[e{x_idx}, e{yi}] has a component on e{k}: "
                     "ad X is not diagonal in this basis"
                 )
-            root = Fraction(c, den)
+            common = gcd(c, den)
+            root = (c // common, den // common)
         out.append(root)
     return RootReport(
-        roots=tuple(out), zero_is_root=any(c == 0 for c in out), rank=1
+        roots=tuple(out), zero_is_root=any(num == 0 for num, _ in out), rank=1
     )
 
 
@@ -81,7 +82,7 @@ ZeroRootCriterion = namedtuple(
 def zero_root_criterion(
     g: AlgebraStructure,
     torus: TorusData,
-    known_roots: tuple[Fraction, ...] | None = None,
+    known_roots: tuple[tuple[int, int], ...] | None = None,
     dim_h2: int | None = None,
 ) -> ZeroRootCriterion:
     """dim H^2(g, K) = 0 <=> 0 not a root, plus the certificate cocycle.
@@ -97,18 +98,18 @@ def zero_root_criterion(
         known_roots = roots(g, torus).roots
     if dim_h2 is None:
         dim_h2 = cohomology_dim(g, 2, "trivial").dim_H
-    zero_is_root = any(c == 0 for c in known_roots)
+    zero_is_root = any(num == 0 for num, _ in known_roots)
     consistent = (dim_h2 == 0) == (not zero_is_root)
     closed = nontrivial = None
     if zero_is_root:
         x_idx = torus.torus_indices[0]
         zero_idx = next(
             yi
-            for yi, lam in zip(torus.nil_indices, known_roots)
-            if lam == 0
+            for yi, (num, _) in zip(torus.nil_indices, known_roots)
+            if num == 0
         )
         key = tuple(sorted((x_idx, zero_idx)))
-        theta = Cochain.build(2, g.dim, "trivial", {key: 1})
+        theta = Cochain.scaled(2, g.dim, "trivial", 1, {key: (1,)})
         closed = coboundary(g, theta).is_zero()
         nontrivial = not is_coboundary(g, theta)
         consistent = consistent and closed and nontrivial

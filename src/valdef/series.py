@@ -12,8 +12,9 @@ equal series compare and hash equal and the arithmetic runs on plain
 ints.  Series literals are read and printed on the integers too
 (`rational_pair` here, `io.parse_series_literal` and `io.series_literal`).
 `ratio_str` is the one printer of a rational, the inverse of
-`rational_pair`; ``coeffs`` gives the coefficients as
-``fractions.Fraction`` values for error messages and tests.
+`rational_pair`.  No module of the package imports ``fractions`` at
+module scope: a scalar is anything with ``numerator`` and
+``denominator`` (an int or a Fraction) or a rational string.
 
 A vector or matrix of series is no class of its own but one integer
 matrix over one denominator, ``(den, rows)``: a vector file's rows[i],
@@ -25,9 +26,8 @@ vectors compare equal; the functions that take one never change it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
     FormatError,
@@ -36,9 +36,6 @@ from .errors import (
     PrecisionExhausted,
     ZeroDivisor,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def rational_pair(text: str) -> tuple[int, int]:
@@ -68,12 +65,6 @@ def rational_pair(text: str) -> tuple[int, int]:
     return num, den
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" (`rational_pair`) into a Fraction."""
-    num, den = rational_pair(text)
-    return Fraction(num) if den == 1 else Fraction(num, den)
-
-
 def ratio_str(num: int, den: int) -> str:
     """num / den as a rational literal in lowest terms, for den > 0: the
     inverse of `rational_pair`, with no Fraction built."""
@@ -83,14 +74,14 @@ def ratio_str(num: int, den: int) -> str:
     return f"{num // common}/{den // common}"
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def scalar_pair(value) -> tuple[int, int]:
+    """(num, den), den > 0, of an int, a Fraction or a rational string."""
     if isinstance(value, str):
-        return parse_rational(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+        return rational_pair(value)
+    try:
+        return value.numerator, value.denominator
+    except AttributeError:
+        raise TypeError(f"cannot interpret {value!r} as an exact rational") from None
 
 
 def lowest_terms(den: int, rows) -> tuple[int, list]:
@@ -205,17 +196,6 @@ class TruncSeries(Frozen):
     # -- construction ------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, coeffs, cap: int | None = None) -> TruncSeries:
-        """Build from an iterable of scalars, padding with zeros to cap."""
-        items = [_as_fraction(c) for c in coeffs]
-        if cap is not None:
-            if len(items) > cap + 1:
-                raise ValueError(f"{len(items)} coefficients exceed cap {cap}")
-            items += [ZERO] * (cap + 1 - len(items))
-        den = lcm(1, *(x.denominator for x in items))
-        return cls(den, [x.numerator * (den // x.denominator) for x in items])
-
-    @classmethod
     def zero(cls, cap: int) -> TruncSeries:
         return cls(1, (0,) * (cap + 1))
 
@@ -224,29 +204,20 @@ class TruncSeries(Frozen):
         return cls(1, (1,) + (0,) * cap)
 
     @classmethod
-    def constant(cls, value, cap: int) -> TruncSeries:
-        return cls.from_coeffs([_as_fraction(value)], cap=cap)
-
-    @classmethod
-    def monomial(cls, power: int, cap: int, coeff=ONE) -> TruncSeries:
-        """coeff * t^power at the given cap."""
+    def monomial(cls, power: int, cap: int, coeff=1) -> TruncSeries:
+        """coeff * t^power at the given cap (coeff as in `scalar_pair`)."""
         if not 0 <= power <= cap:
             raise ValueError(f"monomial power {power} outside 0..{cap}")
-        c = _as_fraction(coeff)
+        num, den = scalar_pair(coeff)
         nums = [0] * (cap + 1)
-        nums[power] = c.numerator
-        return cls(c.denominator, nums)
+        nums[power] = num
+        return cls(den, nums)
 
     # -- predicates ---------------------------------------------------
 
     @property
     def cap(self) -> int:
         return len(self.nums) - 1
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The known coefficients as Fractions, for messages and tests."""
-        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, None if zero at cap."""
@@ -305,9 +276,9 @@ class TruncSeries(Frozen):
         return self.scale(other)
 
     def scale(self, scalar) -> TruncSeries:
-        s = _as_fraction(scalar)
-        p = s.numerator
-        return TruncSeries(self.den * s.denominator, [p * x for x in self.nums])
+        """scalar * self, scalar as in `scalar_pair`."""
+        num, den = scalar_pair(scalar)
+        return TruncSeries(self.den * den, [num * x for x in self.nums])
 
     def invert(self) -> TruncSeries:
         """Multiplicative inverse up to t^cap; the constant term must be a unit.
@@ -345,20 +316,3 @@ class TruncSeries(Frozen):
             )
         unit = TruncSeries(other.den, other.nums[v : v + cap + 1])
         return TruncSeries(self.den, self.nums[v : v + cap + 1]) * unit.invert()
-
-    # -- display ------------------------------------------------------
-
-    def __str__(self) -> str:
-        terms = []
-        for i, x in enumerate(self.nums):
-            if not x:
-                continue
-            c = ratio_str(x, self.den)
-            if i == 0:
-                terms.append(c)
-            elif i == 1:
-                terms.append(f"{c}*t" if x != self.den else "t")
-            else:
-                terms.append(f"{c}*t^{i}" if x != self.den else f"t^{i}")
-        body = " + ".join(terms) if terms else "0"
-        return f"{body} + O(t^{self.cap + 1})"

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from valdef import linalg
-from valdef.algebra import AlgebraStructure, Cochain, jacobi_sums
+from valdef.algebra import AlgebraStructure, Cochain, check_key, jacobi_sums
 from valdef.cohomology import coboundary, coboundary_matrix, super_bracket
 from valdef.decompose import Flag, FlagDecomposition, FlagStep
 from valdef.deformation import (
@@ -31,9 +31,116 @@ from valdef.errors import (
     PrecisionExhausted,
     ZeroVector,
 )
-from valdef.nonassoc import PATTERNS, SubgroupTag
+from valdef.nonassoc import PATTERNS, PoissonStructure, SubgroupTag
 from valdef.io import _int
-from valdef.series import TruncSeries, parse_rational
+from valdef.series import TruncSeries, rational_pair
+
+
+# -- rational oracles of the package's integer forms ---------------------
+# The package holds tables, cochains and series as integers over one
+# denominator and imports no `fractions`; these build its values from
+# rationals and read them back as Fractions, for the tests only.
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p" or "p/q" (`series.rational_pair`) into a Fraction."""
+    return Fraction(*rational_pair(text))
+
+
+def _rational(value) -> Fraction:
+    """An int, a Fraction or a rational string as a Fraction."""
+    return parse_rational(value) if isinstance(value, str) else Fraction(value)
+
+
+def series_of(coeffs, cap: int | None = None) -> TruncSeries:
+    """The TruncSeries of an iterable of rationals, zero padded to cap."""
+    items = [_rational(c) for c in coeffs]
+    if cap is not None:
+        if len(items) > cap + 1:
+            raise ValueError(f"{len(items)} coefficients exceed cap {cap}")
+        items += [Fraction(0)] * (cap + 1 - len(items))
+    den = lcm(1, *(x.denominator for x in items))
+    return TruncSeries(den, [x.numerator * (den // x.denominator) for x in items])
+
+
+def constant_series(value, cap: int) -> TruncSeries:
+    return series_of([value], cap=cap)
+
+
+def series_coeffs(s: TruncSeries) -> tuple:
+    """The known coefficients of a series as Fractions."""
+    return tuple(Fraction(x, s.den) for x in s.nums)
+
+
+def _rational_table(dim: int, kind: str, table, basis=None) -> AlgebraStructure:
+    """`AlgebraStructure.scaled` of a table of rationals: each value is
+    {k: c} or pairs (k, c), a repeated k summed, put over the lcm of the
+    denominators."""
+    fracs = {}
+    for pair, out in table.items():
+        acc: dict[int, Fraction] = {}
+        for k, c in out.items() if isinstance(out, dict) else out:
+            acc[k] = acc.get(k, 0) + Fraction(c)
+        fracs[pair] = acc
+    den = lcm(1, *(c.denominator for acc in fracs.values() for c in acc.values()))
+    ints = {
+        pair: {k: c.numerator * (den // c.denominator) for k, c in acc.items()}
+        for pair, acc in fracs.items()
+    }
+    return AlgebraStructure.scaled(dim, kind, den, ints, basis)
+
+
+def rational_lie(dim: int, table, basis=None) -> AlgebraStructure:
+    """Lie table of rationals: keys (i, j) with i < j only."""
+    return _rational_table(dim, "lie", table, basis)
+
+
+def rational_assoc(dim: int, table, basis=None) -> AlgebraStructure:
+    """Table of rationals over all ordered pairs."""
+    return _rational_table(dim, "assoc", table, basis)
+
+
+def abelian_lie(dim: int) -> AlgebraStructure:
+    return rational_lie(dim, {})
+
+
+def rational_poisson(dim: int, product_table, bracket_table) -> PoissonStructure:
+    """A PoissonStructure from two tables of rationals, as `rational_assoc`
+    reads them."""
+    return PoissonStructure(
+        dim=dim,
+        product=rational_assoc(dim, product_table),
+        bracket=rational_assoc(dim, bracket_table),
+    )
+
+
+def rational_cochain(degree, dim, target, values) -> Cochain:
+    """The Cochain of a {increasing tuple: value} mapping of rationals (ints
+    or Fractions), each value dim of them (adjoint) or one (trivial)."""
+    clean = {}
+    for key, val in values.items():
+        key = tuple(key)
+        check_key(key, degree, dim)
+        vec = list(val) if target == "adjoint" else [val]
+        if target == "adjoint" and len(vec) != dim:
+            raise ValueError(f"value for {key} has length {len(vec)}")
+        clean[key] = vec
+    den = lcm(1, *(c.denominator for vec in clean.values() for c in vec))
+    for vec in clean.values():
+        vec[:] = [c.numerator * (den // c.denominator) for c in vec]
+    return Cochain.scaled(degree, dim, target, den, clean)
+
+
+def cochain_value(c: Cochain, key):
+    """A cochain's value on a strictly increasing tuple, as Fractions."""
+    val = c.values.get(tuple(key), (0,) * c.width)
+    vec = tuple(Fraction(x, c.den) for x in val)
+    return vec if c.target == "adjoint" else vec[0]
+
+
+def cochain_flat(c: Cochain) -> tuple:
+    """The coordinates of `Cochain.flat_nums` as Fractions."""
+    return tuple(Fraction(x, c.den) for x in c.flat_nums)
 
 
 def fraction_table(g) -> dict:
@@ -83,7 +190,7 @@ def random_series_in_m(rng, cap, max_num=100, max_den=100, density=0.6) -> Trunc
             )
         else:
             coeffs.append(Fraction(0))
-    return TruncSeries.from_coeffs(coeffs, cap=cap)
+    return series_of(coeffs, cap=cap)
 
 
 def random_vector_in_m(rng, dim, cap, **kw) -> tuple:
@@ -233,13 +340,13 @@ def change_basis(g: AlgebraStructure, matrix) -> AlgebraStructure:
                 entry = new_entry(i, j)
                 if entry:
                     table[(i, j)] = entry
-        return AlgebraStructure.lie(n, table)
+        return rational_lie(n, table)
     for i in range(n):
         for j in range(n):
             entry = new_entry(i, j)
             if entry:
                 table[(i, j)] = entry
-    return AlgebraStructure.assoc(n, table)
+    return rational_assoc(n, table)
 
 
 # -- sympy oracle for row reduction -------------------------------------
@@ -271,12 +378,12 @@ def sympy_row_space(m) -> tuple:
 
 # -- Lie algebra families ----------------------------------------------
 
-SL2 = AlgebraStructure.lie(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
-H3 = AlgebraStructure.lie(3, {(0, 1): {2: 1}})
-R2 = AlgebraStructure.lie(2, {(0, 1): {1: 1}})
-R2K = AlgebraStructure.lie(3, {(0, 1): {1: 1}})
-FILIFORM4 = AlgebraStructure.lie(4, {(0, 1): {2: 1}, (0, 2): {3: 1}})
-ROOTS123 = AlgebraStructure.lie(
+SL2 = rational_lie(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+H3 = rational_lie(3, {(0, 1): {2: 1}})
+R2 = rational_lie(2, {(0, 1): {1: 1}})
+R2K = rational_lie(3, {(0, 1): {1: 1}})
+FILIFORM4 = rational_lie(4, {(0, 1): {2: 1}, (0, 2): {3: 1}})
+ROOTS123 = rational_lie(
     4, {(0, 1): {1: 1}, (0, 2): {2: 2}, (0, 3): {3: 3}, (1, 2): {3: 1}}
 )
 
@@ -285,12 +392,12 @@ def _pad_abelian(g: AlgebraStructure, n: int) -> AlgebraStructure:
     if g.dim == n:
         return g
     table = {pair: dict(entry) for pair, entry in fraction_table(g).items()}
-    return AlgebraStructure.lie(n, table)
+    return rational_lie(n, table)
 
 
 def random_lie(rng, n) -> AlgebraStructure:
     """Random Lie algebra of exact dimension n, via a random basis change."""
-    pool = [AlgebraStructure.abelian(n)]
+    pool = [abelian_lie(n)]
     for g in (R2, H3, SL2, R2K, FILIFORM4, ROOTS123):
         if g.dim <= n:
             pool.append(_pad_abelian(g, n))
@@ -308,7 +415,7 @@ def mu_cochain(g: AlgebraStructure) -> Cochain:
         for k, c in entry:
             vec[k] = c
         vals[pair] = vec
-    return Cochain.build(2, g.dim, "adjoint", vals)
+    return rational_cochain(2, g.dim, "adjoint", vals)
 
 
 # -- Fraction reference for circle products ------------------------------
@@ -337,7 +444,7 @@ def eval_indices(c: Cochain, indices):
     sign, key = _sign_and_sorted(indices)
     if sign == 0:
         return (Fraction(0),) * c.dim if c.target == "adjoint" else Fraction(0)
-    val = c.value(key)
+    val = cochain_value(c, key)
     if c.target == "adjoint":
         return tuple(sign * x for x in val)
     return sign * val
@@ -347,7 +454,7 @@ def eval_vectors(c: Cochain, x, y):
     """A degree-2 adjoint cochain applied to two coefficient vectors."""
     out = [Fraction(0)] * c.dim
     for i, j in c.values:
-        val = c.value((i, j))
+        val = cochain_value(c, (i, j))
         coeff = x[i] * y[j] - x[j] * y[i]
         for k, v in enumerate(val):
             out[k] += coeff * v
@@ -373,7 +480,7 @@ def shuffle_circle(outer: Cochain, inner: Cochain) -> Cochain:
         for s_pos in combinations(positions, p):
             rest_pos = [i for i in positions if i not in s_pos]
             sign, _ = _sign_and_sorted(list(s_pos) + rest_pos)
-            inner_val = inner.value(tuple(key[i] for i in s_pos))
+            inner_val = cochain_value(inner, tuple(key[i] for i in s_pos))
             rest = tuple(key[i] for i in rest_pos)
             for k, c in enumerate(inner_val):
                 if not c:
@@ -385,7 +492,7 @@ def shuffle_circle(outer: Cochain, inner: Cochain) -> Cochain:
                 else:
                     acc += sign * c * outer_val
         vals[key] = acc
-    return Cochain.build(deg, dim, outer.target, vals)
+    return rational_cochain(deg, dim, outer.target, vals)
 
 
 def random_cochain(rng, n, degree, target, allow_zero=False) -> Cochain:
@@ -400,7 +507,7 @@ def random_cochain(rng, n, degree, target, allow_zero=False) -> Cochain:
                 vals[key] = tuple(frac(rng, 4, 3) for _ in range(n))
             else:
                 vals[key] = frac(rng, 4, 3)
-        c = Cochain.build(degree, n, target, vals)
+        c = rational_cochain(degree, n, target, vals)
         if allow_zero or not c.is_zero():
             return c
 
@@ -412,8 +519,8 @@ def random_cochain(rng, n, degree, target, allow_zero=False) -> Cochain:
 #   phi2: (X,Z) -> 2X              solves delta(phi2) = -[phi1, phi1],
 # and [phi1, phi2] = [phi2, phi2] = 0, so mu + t*phi1 + (t^2/2)*phi2 has
 # zero residual at every order.
-PHI1 = Cochain.build(2, 3, "adjoint", {(0, 1): (1, 0, 0), (0, 2): (0, 1, 0)})
-PHI2 = Cochain.build(2, 3, "adjoint", {(0, 2): (2, 0, 0)})
+PHI1 = rational_cochain(2, 3, "adjoint", {(0, 1): (1, 0, 0), (0, 2): (0, 1, 0)})
+PHI2 = rational_cochain(2, 3, "adjoint", {(0, 2): (2, 0, 0)})
 
 
 def two_term_instance(cap=6) -> Deformation:
@@ -451,7 +558,7 @@ def random_valid_deformation(rng, n, cap) -> Deformation:
             terms.append((coeff, random_cochain(rng, 2, 2, "adjoint")))
         d = Deformation.build(base, cap, terms)
     else:
-        base = AlgebraStructure.abelian(n)
+        base = abelian_lie(n)
         law = random_lie(rng, n)
         if rng.random() < 0.5:
             law = change_basis(law, random_invertible(rng, n))
@@ -506,7 +613,7 @@ def cochain_from_flat(degree, dim, target, flat) -> Cochain:
     for idx, key in enumerate(combinations(range(dim), degree)):
         chunk = flat[idx * width : (idx + 1) * width]
         values[key] = chunk if target == "adjoint" else chunk[0]
-    return Cochain.build(degree, dim, target, values)
+    return rational_cochain(degree, dim, target, values)
 
 
 def identity_plus(n: int, cap: int, nilpotent=None, power: int = 1):
@@ -518,7 +625,7 @@ def identity_plus(n: int, cap: int, nilpotent=None, power: int = 1):
             coeffs = [Fraction(int(r == c))]
             if nilpotent is not None and nilpotent[r][c]:
                 coeffs += [Fraction(0)] * (power - 1) + [Fraction(nilpotent[r][c])]
-            row.append(TruncSeries.from_coeffs(coeffs, cap=cap))
+            row.append(series_of(coeffs, cap=cap))
         rows.append(tuple(row))
     return endomorphism(rows)
 
@@ -567,9 +674,9 @@ def max_rank_check(d: Deformation):
     vectors = []
     for i in range(k - 1):
         for j in range(i, k - 1):
-            vectors.append(list(super_bracket(phis[i], phis[j]).flatten()))
+            vectors.append(list(cochain_flat(super_bracket(phis[i], phis[j]))))
     for phi in phis[: k - 1]:
-        vectors.append(list(coboundary(d.base, phi).flatten()))
+        vectors.append(list(cochain_flat(coboundary(d.base, phi))))
     dim = linalg.rank(vectors) if vectors else 0
     return dim, dim == k * (k - 1) // 2
 
@@ -647,7 +754,7 @@ def reference_decompose(w: tuple, pivot_order: str = "first"):
     for idx, s in enumerate(w):
         if not s.in_maximal_ideal():
             raise NotInMaximalIdeal(
-                f"component {idx} has constant term {s.coeffs[0]}"
+                f"component {idx} has constant term {series_coeffs(s)[0]}"
             )
     if all(s.is_zero() for s in w):
         raise ZeroVector("cannot decompose a vector that is zero at its cap")
@@ -706,9 +813,9 @@ def reference_recompose(d: FlagDecomposition, cap=None) -> tuple:
 
 # -- associative / G-associative pools -----------------------------------
 
-KX2 = AlgebraStructure.assoc(2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}})
-KXK = AlgebraStructure.assoc(2, {(0, 0): {0: 1}, (1, 1): {1: 1}})
-KX3 = AlgebraStructure.assoc(
+KX2 = rational_assoc(2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}})
+KXK = rational_assoc(2, {(0, 0): {0: 1}, (1, 1): {1: 1}})
+KX3 = rational_assoc(
     3,
     {
         (0, 0): {0: 1},
@@ -719,11 +826,11 @@ KX3 = AlgebraStructure.assoc(
         (1, 1): {2: 1},
     },
 )
-UPPER2 = AlgebraStructure.assoc(
+UPPER2 = rational_assoc(
     3, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}}
 )
 # noncommutative with all triple products zero: xy = z, everything else 0
-ZTRIPLE = AlgebraStructure.assoc(3, {(0, 1): {2: 1}})
+ZTRIPLE = rational_assoc(3, {(0, 1): {2: 1}})
 
 ASSOCIATIVE_POOL = [KX2, KXK, KX3, UPPER2, ZTRIPLE]
 COMMUTATIVE_POOL = [KX2, KXK, KX3]
@@ -735,7 +842,7 @@ def lie_as_product(g: AlgebraStructure) -> AlgebraStructure:
     for (i, j), entry in fraction_table(g).items():
         table[(i, j)] = {k: c for k, c in entry}
         table[(j, i)] = {k: -c for k, c in entry}
-    return AlgebraStructure.assoc(g.dim, table)
+    return rational_assoc(g.dim, table)
 
 
 def search_tables(dim, predicate, coeffs=(-1, 1), max_entries=3, limit=20):
@@ -754,7 +861,7 @@ def search_tables(dim, predicate, coeffs=(-1, 1), max_entries=3, limit=20):
                     (i, j): {k: Fraction(c)}
                     for (i, j, k), c in zip(chosen, cs)
                 }
-                alg = AlgebraStructure.assoc(dim, table)
+                alg = rational_assoc(dim, table)
                 if predicate(alg):
                     found.append(alg)
                     if len(found) >= limit:

@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 from valdef import linalg
-from valdef.algebra import AlgebraStructure
 from valdef.cohomology import coboundary, cohomology_dim, super_bracket
 from valdef.decompose import decompose, flag_of, recompose
 from valdef.deformation import (
@@ -36,6 +35,8 @@ from gens import (
     COMMUTATIVE_POOL,
     SL2,
     ZTRIPLE,
+    abelian_lie,
+    cochain_flat,
     components,
     conjugated,
     decomposed,
@@ -51,6 +52,7 @@ from gens import (
     random_lie,
     random_valid_deformation,
     random_vector_in_m,
+    rational_poisson,
     search_tables,
 )
 
@@ -133,18 +135,18 @@ def test_criterion_5_span_bound_and_membership():
             continue
         phis = [phi for _, phi in dd.terms]
         pair_brackets = [
-            super_bracket(phis[i], phis[j]).flatten()
+            cochain_flat(super_bracket(phis[i], phis[j]))
             for i in range(k - 1)
             for j in range(i, k - 1)
         ]
         span = [list(v) for v in pair_brackets]
         for i in range(k - 1):
-            span.append(list(coboundary(dd.base, phis[i]).flatten()))
+            span.append(list(cochain_flat(coboundary(dd.base, phis[i]))))
         dim = linalg.rank(span) if span else 0
         assert dim <= k * (k - 1) // 2
         assert max_rank_check(dd)[0] == dim
         for i in range(k - 1):
-            target = list(coboundary(dd.base, phis[i]).flatten())
+            target = list(cochain_flat(coboundary(dd.base, phis[i])))
             assert in_span(pair_brackets, target) if pair_brackets else all(
                 c == 0 for c in target
             )
@@ -181,7 +183,7 @@ def test_criterion_6_zero_root_catalog():
 
 def test_criterion_7_fixed_cohomology_values():
     start = time.perf_counter()
-    assert cohomology_dim(AlgebraStructure.abelian(2), 2, "adjoint").dim_H == 2
+    assert cohomology_dim(abelian_lie(2), 2, "adjoint").dim_H == 2
     assert cohomology_dim(SL2, 2, "adjoint").dim_H == 0
     elapsed = time.perf_counter() - start
     report(
@@ -244,12 +246,12 @@ def random_poisson(rng) -> PoissonStructure:
             for j in range(prod.dim)
             if rows[i][j]
         }
-        return PoissonStructure.build(prod.dim, full, {})
+        return rational_poisson(prod.dim, full, {})
     if kind == 1:
         law = lie_as_product(random_lie(rng, rng.randint(2, 3)))
         table = {pair: dict(entry) for pair, entry in fraction_table(law).items()}
-        return PoissonStructure.build(law.dim, {}, table)
-    return PoissonStructure.build(
+        return rational_poisson(law.dim, {}, table)
+    return rational_poisson(
         3,
         {
             (0, 0): {0: 1},

@@ -348,6 +348,42 @@ def test_deform_verify_and_graded(tmp_path, capsys):
     assert doc["detail"]["witness"]["residual_orders"] == [2]
 
 
+def test_deform_graded_reports_a_failing_membership(tmp_path, capsys):
+    """A valid deformation whose graded system fails exits 1 with `holds:
+    false`: the base r2 + K of test_deform_verify_and_graded moved by the
+    gauge transport Id + t N, valid at cap 4.  It decomposes into two terms
+    at cap 2, and [phi_1, phi_2] is no multiple of [phi_1, phi_1]."""
+
+    def cochain(*values):
+        return [{"args": list(args), "out": [{"k": k, "c": c} for k, c in out]}
+                for args, out in values]
+
+    deform = {
+        "base": {"dim": 3, "kind": "lie",
+                 "table": [{"i": 0, "j": 1, "out": [{"k": 1, "c": "1"}]}]},
+        "cap": 4,
+        "terms": [
+            {"coeff": ["0", "1"], "cochain": cochain(
+                ((0, 1), [(0, "1")]), ((0, 2), [(1, "1")]), ((1, 2), [(1, "-2")]))},
+            {"coeff": ["0", "0", "1"], "cochain": cochain(
+                ((0, 2), [(0, "1"), (1, "2")]), ((1, 2), [(0, "-2")]))},
+            {"coeff": ["0", "0", "0", "1"], "cochain": cochain(((0, 2), [(0, "2")]))},
+        ],
+    }
+    path = write(tmp_path, "deform.json", deform)
+    code, doc, _ = run(capsys, "deform", "verify", path)
+    assert code == 0 and doc["ok"]
+
+    code, doc, _ = run(capsys, "deform", "graded", path)
+    assert code == 1 and doc["ok"] is False and doc["cap_used"] == 2
+    detail = doc["detail"]
+    assert detail["n_terms"] == 2 and detail["satisfied"] is False
+    assert detail["delta_memberships"] == {
+        "2": {"coefficients": {"1,1": "-1/2"}, "holds": True}
+    }
+    assert detail["bracket_memberships"] == {"1,2": {"coefficients": {}, "holds": False}}
+
+
 def test_deform_decompose_and_transport(tmp_path, capsys):
     base = {"dim": 3, "kind": "lie", "table": []}
     deform = {
@@ -1122,29 +1158,40 @@ def test_overlong_integer_literals_exit_2(tmp_path, capsys):
 
 
 def test_tracer_layers_resolve():
-    """Every function perfbench/tracer.py wraps by name exists in valdef.
+    """Every function perfbench/tracer.py wraps by name exists in valdef:
+    `Tracer().install()`, as `perfbench/run.py --trace 1` runs it, finds and
+    wraps every LAYERS name.
 
-    Loading the file runs no valdef code and install() is not called, so
-    this only checks that `perfbench/run.py --trace 1` will find each name.
+    install() does a getattr on each name, so a deleted or renamed function
+    makes it raise.  It runs in a fresh interpreter, with perfbench/ on
+    sys.path as `perfbench/run.py` puts it there, so that its wrappers never
+    reach the valdef of this process.
     """
-    import importlib
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    missing = []
-    for mod, attrs in tracer.LAYERS.items():
-        owner = importlib.import_module(f"valdef.{mod}")
-        for attr in attrs:
-            obj = owner
-            for part in attr.split("."):
-                obj = getattr(obj, part, None)
-            if not callable(obj):
-                missing.append(f"{mod}.{attr}")
-    assert not missing
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = f"""
+import importlib, json, sys
+sys.path.insert(0, {str(bench)!r})
+import tracer
+tracer.Tracer().install()
+unwrapped = []
+for mod, attrs in tracer.LAYERS.items():
+    for attr in attrs:
+        obj = importlib.import_module("valdef." + mod)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        if not hasattr(obj, "__wrapped__"):
+            unwrapped.append(mod + "." + attr)
+print(json.dumps(unwrapped))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_integer_paths_build_no_fraction(tmp_path, capsys, monkeypatch):
@@ -1215,6 +1262,11 @@ def _modules_after(imports, then=""):
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+# no command builds a Fraction, so none pays for importing `fractions` and
+# the `decimal` and `numbers` modules it pulls in
+RATIONALS = {"fractions", "decimal", "numbers"}
+
+
 def test_cli_import_loads_no_subcommand_module():
     loaded = _modules_after(["valdef.cli"])
     assert {"valdef.io", "valdef.algebra", "valdef.series"} <= loaded
@@ -1223,12 +1275,14 @@ def test_cli_import_loads_no_subcommand_module():
     assert not {"argparse", "gettext"} & loaded
     # elimination is loaded by the subcommand modules that use it
     assert "valdef.linalg" not in loaded
+    assert not RATIONALS & loaded
     everything = ["valdef.linalg", "valdef.catalog"] + [
         f"valdef.{p.stem}" for p in (SRC / "valdef").glob("*.py") if p.stem != "__init__"
     ]
     loaded = _modules_after(everything)
     assert {f"valdef.{m}" for m in SUBCOMMAND_MODULES} <= loaded
     assert not {"dataclasses", "inspect"} & loaded
+    assert not RATIONALS & loaded
 
 
 def test_grading_is_loaded_only_by_a_large_cohomology_call():
@@ -1238,26 +1292,40 @@ def test_grading_is_loaded_only_by_a_large_cohomology_call():
     assert "valdef.cohomology" in loaded and "valdef.grading" not in loaded
 
 
-ASSOC1 = {"dim": 1, "kind": "assoc", "table": [{"i": 0, "j": 0, "out": [{"k": 0, "c": "1"}]}]}
-POISSON1 = {
-    "dim": 1,
-    "kind": "poisson",
-    "assoc_table": ASSOC1["table"],
-    "bracket_table": [],
+# one command line per subcommand and action, by test id, @name standing for
+# the path of a file
+ONE_SHOT = {
+    "check": ["check", "@assoc"],
+    "cohomology": ["cohomology", "@r2", "--deg", "2", "--coeff", "adjoint"],
+    "decompose": ["decompose", "@vector"],
+    "deform": ["deform", "verify", "@deform"],
+    "deform-decompose": ["deform", "decompose", "@deform"],
+    "deform-graded": ["deform", "graded", "@deform"],
+    "deform-transport": ["deform", "transport", "@deform", "--endo", "@endo"],
+    "deform-polycheck": ["deform", "polycheck", "@deform", "--poly", '["1"]', "--k", "1"],
+    "rigidity": ["rigidity", "@zero_root", "--asserted-rigid"],
+    "gass": ["gass", "check", "@assoc", "--group", "T12"],
+    "gass-dual": ["gass", "dual", "@assoc", "--group", "T12"],
+    "gass-tensor": ["gass", "tensor", "@assoc", "@assoc", "--group", "T12"],
+    "poisson": ["poisson", "verify", "@poisson"],
+    "poisson-tensor": ["poisson", "tensor", "@poisson", "@poisson"],
+    "poisson-opposite": ["poisson", "opposite", "@poisson"],
 }
-# one command line per subcommand, @name standing for the path of a file
-ONE_SHOT = [
-    ["check", "@assoc"],
-    ["cohomology", "@r2", "--deg", "2", "--coeff", "adjoint"],
-    ["decompose", "@vector"],
-    ["deform", "verify", "@deform"],
-    ["rigidity", "@zero_root", "--asserted-rigid"],
-    ["gass", "check", "@assoc", "--group", "T12"],
-    ["poisson", "verify", "@poisson"],
-]
 
 
-@pytest.mark.parametrize("argv", ONE_SHOT, ids=[a[0] for a in ONE_SHOT])
+def test_one_shot_covers_every_action():
+    """ONE_SHOT holds a command line for each action of every subcommand."""
+    from valdef.cli import SPEC
+
+    want = set()
+    for command, (_, _, arguments) in SPEC.items():
+        choices = dict(arguments).get("action", {}).get("choices", (None,))
+        want.update((command, action) for action in choices)
+    got = {(a[0], a[1] if (a[0], a[1]) in want else None) for a in ONE_SHOT.values()}
+    assert got == want
+
+
+@pytest.mark.parametrize("argv", ONE_SHOT.values(), ids=ONE_SHOT.keys())
 def test_subcommand_in_fresh_process(tmp_path, capsys, argv):
     """`python -m valdef.cli` in a new process answers as main() does here.
 
@@ -1270,6 +1338,8 @@ def test_subcommand_in_fresh_process(tmp_path, capsys, argv):
         "poisson": POISSON1,
         "vector": VECTOR,
         "deform": _term([{"args": [0, 1], "out": [{"k": 0, "c": "1"}]}]),
+        # Id + diag(t, 0): a unipotent change of basis
+        "endo": {"cap": 3, "matrix": [[["1", "1"], ["0"]], [["0"], ["1"]]]},
     }
     paths.update((name, write(tmp_path, f"{name}.json", doc)) for name, doc in docs.items())
     argv = [paths[a[1:]] if a.startswith("@") else a for a in argv]
@@ -1287,6 +1357,7 @@ def test_subcommand_in_fresh_process(tmp_path, capsys, argv):
     # a well-formed command line takes the fast path, without argparse
     loaded = _modules_after(["valdef.cli"], f"valdef.cli.main({argv!r})")
     assert not {"argparse", "gettext"} & loaded
+    assert not RATIONALS & loaded
 
 
 def test_deform_fuzzed_deformation_documents(tmp_path, capsys):
@@ -1620,15 +1691,15 @@ def test_algebra_commands_fuzzed_documents(tmp_path, capsys, monkeypatch):
         change_basis,
         fraction_table,
         random_invertible,
+        rational_lie,
     )
-    from valdef.algebra import AlgebraStructure
     from valdef.cli import _table_doc
 
     rng = random.Random(81)
     bases = []
     for family in (R2, H3, SL2, R2K, FILIFORM4, ROOTS123):
         for n in (family.dim, family.dim + 2):
-            g = AlgebraStructure.lie(n, fraction_table(family))
+            g = rational_lie(n, fraction_table(family))
             h = change_basis(g, random_invertible(rng, n))
             bases.append({"dim": n, "kind": "lie", "table": _table_doc(g), "torus": [0]})
             bases.append({"dim": n, "kind": "lie", "table": _table_doc(h)})
@@ -1810,10 +1881,9 @@ def test_non_split_search_stops_at_its_budget(tmp_path, capsys, monkeypatch):
     spectrum +-2 sqrt(a^2 + bc) of ad x is irrational."""
     import random
 
-    from gens import change_basis
+    from gens import change_basis, rational_lie
 
     from valdef import grading
-    from valdef.algebra import AlgebraStructure
     from valdef.cli import _table_doc
 
     n = 24
@@ -1821,7 +1891,7 @@ def test_non_split_search_stops_at_its_budget(tmp_path, capsys, monkeypatch):
     matrix = [[int(i == j) for j in range(n)] for i in range(n)]
     for i, row in enumerate([[1, 1, 1], [1, -2, 1], [1, 1, -2]]):  # det 9
         matrix[i] = row + [rng.choice((1, -2, 4)) for _ in range(n - 3)]
-    sl2 = AlgebraStructure.lie(n, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+    sl2 = rational_lie(n, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
     conjugated = change_basis(sl2, matrix)
     path = write(
         tmp_path, "big.json", {"dim": n, "kind": "lie", "table": _table_doc(conjugated)}

@@ -14,7 +14,10 @@ from valdef.errors import NotInMaximalIdeal, ValdefError, ZeroVector
 from valdef.series import TruncSeries
 
 from gens import (
+    abelian_lie,
+    cochain_flat,
     components,
+    constant_series,
     direction,
     flag_step,
     flags_equal,
@@ -24,6 +27,7 @@ from gens import (
     random_vector_in_m,
     reference_decompose,
     reference_recompose,
+    series_of,
     series_vector,
     sympy_row_space,
     truncated,
@@ -31,7 +35,7 @@ from gens import (
 
 
 def sv(literals, cap):
-    return series_vector([TruncSeries.from_coeffs(c, cap=cap) for c in literals])
+    return series_vector([series_of(c, cap=cap) for c in literals])
 
 
 def roundtrips(w):
@@ -187,7 +191,7 @@ def test_flag_matches_per_prefix_row_space():
             if comps and kind < 0.25:
                 a, b = rng.choice(comps), rng.choice(comps)
                 x, y = rng.randint(-3, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                comps.append(x * a + b * TruncSeries.constant(y, cap))
+                comps.append(x * a + b * constant_series(y, cap))
             elif kind < 0.3:
                 comps.append(TruncSeries.zero(cap))
             else:
@@ -280,7 +284,7 @@ def test_matches_per_component_reference():
                 comps.append(
                     [0] * val + [draw(coefficients) for _ in range(cap + 1 - val)]
                 )
-        return series_vector([TruncSeries.from_coeffs(c, cap=cap) for c in comps])
+        return series_vector([series_of(c, cap=cap) for c in comps])
 
     @hypothesis.settings(max_examples=400, deadline=None, database=None)
     @hypothesis.given(vectors(), st.sampled_from(("first", "last")))
@@ -370,7 +374,7 @@ def test_matches_reference_at_corpus_sizes():
                 comps.append(comp)
         if not any(map(any, comps)):
             comps[0][cap] = 1
-        return series_vector([TruncSeries.from_coeffs(c, cap=cap) for c in comps])
+        return series_vector([series_of(c, cap=cap) for c in comps])
 
     @hypothesis.settings(max_examples=40, deadline=None, database=None)
     @hypothesis.given(vectors())
@@ -393,7 +397,7 @@ def test_decompose_deformation_matches_reference_at_dimension_5():
     from gens import random_cochain
 
     rng = random.Random(36)
-    base = AlgebraStructure.abelian(5)
+    base = abelian_lie(5)
     for cap, gap in ((12, 1), (24, 2), (24, 3)):
         terms = []
         for _ in range(rng.randint(4, 7)):
@@ -401,7 +405,7 @@ def test_decompose_deformation_matches_reference_at_dimension_5():
             for k in range(gap * rng.randint(1, 3), cap + 1, gap):
                 coeff[k] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
             if any(coeff):
-                coeff = TruncSeries.from_coeffs(coeff, cap=cap)
+                coeff = series_of(coeff, cap=cap)
                 terms.append((coeff, random_cochain(rng, 5, 2, "adjoint")))
         d = Deformation.build(base, cap, terms)
         den, rows = d.perturbation()
@@ -418,4 +422,4 @@ def test_decompose_deformation_matches_reference_at_dimension_5():
                 terms.append((running.truncate(want.cap), direction(step)))
         got = decompose_deformation(d)
         assert got.cap == want.cap
-        assert [(c, phi.flatten()) for c, phi in got.terms] == terms
+        assert [(c, cochain_flat(phi)) for c, phi in got.terms] == terms

@@ -9,7 +9,6 @@ from operator import mul
 
 import pytest
 
-from valdef.algebra import AlgebraStructure, Cochain
 from valdef.cohomology import circle, coboundary, super_bracket
 from valdef.deformation import (
     Deformation,
@@ -36,9 +35,13 @@ from gens import (
     R2,
     R2K,
     SL2,
+    abelian_lie,
     change_basis,
+    cochain_flat,
     cochain_from_flat,
+    cochain_value,
     components,
+    constant_series,
     decomposed,
     endomorphism,
     eval_vectors,
@@ -57,14 +60,18 @@ from gens import (
     random_lie,
     random_series_in_m,
     random_valid_deformation,
+    rational_cochain,
+    rational_lie,
     rational_pairs,
+    series_coeffs,
     series_matrix,
+    series_of,
     shuffle_circle,
     two_term_instance,
 )
 
-AB3 = AlgebraStructure.abelian(3)
-PHI_E12_E3 = Cochain.build(2, 3, "adjoint", {(0, 1): (0, 0, 1)})
+AB3 = abelian_lie(3)
+PHI_E12_E3 = rational_cochain(2, 3, "adjoint", {(0, 1): (0, 0, 1)})
 
 
 def e(n, i):
@@ -84,7 +91,7 @@ def test_two_term_instance_hand_checks():
     )
     assert val == (Fraction(0), Fraction(1), Fraction(0))
     sb = super_bracket(PHI1, PHI1)
-    assert sb.value((0, 1, 2)) == tuple(2 * c for c in val)
+    assert cochain_value(sb, (0, 1, 2)) == tuple(2 * c for c in val)
     assert coboundary(R2K, PHI2) == sb.scale(-1)
     assert coboundary(R2K, PHI1).is_zero()
     assert super_bracket(PHI1, PHI2).is_zero()
@@ -94,7 +101,7 @@ def test_two_term_instance_hand_checks():
 def deformed_bracket(d, x, y):
     """[x, y] of the base at t^0 plus sum c_i * phi_i(x, y), from the
     perturbation that `Deformation.perturbation` gives on basis pairs."""
-    comps = [TruncSeries.constant(c, d.cap) for c in d.base.bilinear(x, y)]
+    comps = [constant_series(c, d.cap) for c in d.base.bilinear(x, y)]
     for (i, j), vec in perturbation_series(d).items():
         factor = x[i] * y[j] - x[j] * y[i]
         if factor:
@@ -113,7 +120,7 @@ def test_deformed_bracket_cases():
     assert v1[2] == TruncSeries.monomial(1, 4)
     assert deformed_bracket(d1, e(3, 1), e(3, 0))[2] == TruncSeries.monomial(1, 4, -1)
 
-    phi_x = Cochain.build(2, 2, "adjoint", {(0, 1): (1, 0)})
+    phi_x = rational_cochain(2, 2, "adjoint", {(0, 1): (1, 0)})
     d2 = Deformation.build(R2, 3, [(TruncSeries.monomial(1, 3), phi_x)])
     v2 = deformed_bracket(d2, e(2, 0), e(2, 1))
     assert v2 == (TruncSeries.monomial(1, 3), TruncSeries.one(3))
@@ -126,7 +133,7 @@ def test_residual_cases():
     assert circle(PHI_E12_E3, PHI_E12_E3).is_zero()
     assert jacobi_residual(d1) == {}
 
-    phi_bad = Cochain.build(2, 3, "adjoint", {(0, 1): (1, 0, 0), (0, 2): (0, 0, 1)})
+    phi_bad = rational_cochain(2, 3, "adjoint", {(0, 1): (1, 0, 0), (0, 2): (0, 0, 1)})
     assert not circle(phi_bad, phi_bad).is_zero()
     d2 = Deformation.build(AB3, 4, [(TruncSeries.monomial(1, 4), phi_bad)])
     res = jacobi_residual(d2)
@@ -150,7 +157,7 @@ def test_two_term_instance_validity_and_graded():
 def test_graded_broken_input():
     cap = 6
     # break phi2 off the solution space: delta(phi') no longer in the span
-    phi2_bad = Cochain.build(2, 3, "adjoint", {(1, 2): (0, 0, 1)})
+    phi2_bad = rational_cochain(2, 3, "adjoint", {(1, 2): (0, 0, 1)})
     d = Deformation.build(
         R2K,
         cap,
@@ -173,10 +180,10 @@ def test_graded_system_computes_each_bracket_once(monkeypatch):
     # central terms over an abelian base: every circle product vanishes
     pairs = [(0, 1), (0, 2), (1, 2), (0, 1), (0, 2)]
     terms = [
-        (TruncSeries.monomial(p, 6), Cochain.build(2, 4, "adjoint", {pair: (0, 0, 0, p)}))
+        (TruncSeries.monomial(p, 6), rational_cochain(2, 4, "adjoint", {pair: (0, 0, 0, p)}))
         for p, pair in enumerate(pairs, start=1)
     ]
-    d = Deformation.build(AlgebraStructure.abelian(4), 6, terms)
+    d = Deformation.build(abelian_lie(4), 6, terms)
     seen = []
 
     def counting(f, g):
@@ -251,11 +258,11 @@ def test_membership_per_order_matches_per_target_solve():
 
         span = [((p, p), cochain(v)) for p, v in enumerate(span)]
         targets = [cochain(v) for v in targets]
-        vectors = [sb.flatten() for _, sb in span]
+        vectors = [cochain_flat(sb) for _, sb in span]
         verdicts = _membership(span, targets)
         assert len(verdicts) == len(targets)
         for verdict, target in zip(verdicts, targets):
-            want = linalg.solve_combination(vectors, target.flatten())
+            want = linalg.solve_combination(vectors, cochain_flat(target))
             assert verdict.holds == (want is not None)
             seen.add(verdict.holds)
             if want is None:
@@ -280,7 +287,7 @@ def test_max_rank_degenerate_cases():
             (TruncSeries.monomial(1, 4), PHI_E12_E3),
             (
                 TruncSeries.monomial(2, 4),
-                Cochain.build(2, 3, "adjoint", {(0, 2): (0, 0, 1)}),
+                rational_cochain(2, 3, "adjoint", {(0, 2): (0, 0, 1)}),
             ),
         ],
     )
@@ -290,7 +297,7 @@ def test_max_rank_degenerate_cases():
 
 def test_decompose_deformation_cases():
     # perturbation t * e3 on (0, 1) and t^2 * e3 on (0, 2)
-    phi_e13_e3 = Cochain.build(2, 3, "adjoint", {(0, 2): (0, 0, 1)})
+    phi_e13_e3 = rational_cochain(2, 3, "adjoint", {(0, 2): (0, 0, 1)})
     pert = Deformation.build(
         AB3,
         5,
@@ -304,14 +311,14 @@ def test_decompose_deformation_cases():
     assert dd.terms[0][0] == TruncSeries.monomial(1, dd.cap)
     assert dd.terms[0][1] == PHI_E12_E3
     assert dd.terms[1][0] == TruncSeries.monomial(2, dd.cap)
-    assert dd.terms[1][1] == Cochain.build(2, 3, "adjoint", {(0, 2): (0, 0, 1)})
+    assert dd.terms[1][1] == rational_cochain(2, 3, "adjoint", {(0, 2): (0, 0, 1)})
 
     # single-cochain perturbation: one term, pivot-normalized
-    psi = Cochain.build(2, 3, "adjoint", {(0, 1): (0, 2, 0), (1, 2): (1, 0, 0)})
+    psi = rational_cochain(2, 3, "adjoint", {(0, 1): (0, 2, 0), (1, 2): (1, 0, 0)})
     raw = Deformation.build(AB3, 5, [(TruncSeries.monomial(1, 5), psi)])
     dd2 = decompose_deformation(raw)
     assert len(dd2.terms) == 1
-    assert dd2.terms[0][1].value((0, 1)) == (0, 1, 0)  # scaled so pivot = 1
+    assert cochain_value(dd2.terms[0][1], (0, 1)) == (0, 1, 0)  # scaled so pivot = 1
     assert perturbations_equal(dd2, raw)
 
     assert decompose_deformation(Deformation.trivial(AB3, 4)).terms == ()
@@ -328,7 +335,7 @@ def test_decompose_deformation_rejects_constant_terms():
         Deformation.build(AB3, 3, [(TruncSeries.one(3), PHI_E12_E3)])
     with pytest.raises(NotInMaximalIdeal):
         Deformation.build(
-            AB3, 3, [(TruncSeries.from_coeffs([Fraction(1, 2), 1], cap=3), PHI_E12_E3)]
+            AB3, 3, [(series_of([Fraction(1, 2), 1], cap=3), PHI_E12_E3)]
         )
 
 
@@ -341,7 +348,7 @@ def test_roundtrip_random_decomposition():
         # independence of the cochains
         from valdef import linalg
 
-        vectors = [list(phi.flatten()) for _, phi in dd.terms]
+        vectors = [list(cochain_flat(phi)) for _, phi in dd.terms]
         assert linalg.rank(vectors) == len(vectors)
 
 
@@ -361,7 +368,7 @@ def test_step_factors_recover_cumulative_products():
 
 
 def test_first_term_requires_validity():
-    phi_bad = Cochain.build(2, 3, "adjoint", {(0, 1): (1, 0, 0), (0, 2): (0, 0, 1)})
+    phi_bad = rational_cochain(2, 3, "adjoint", {(0, 1): (1, 0, 0), (0, 2): (0, 0, 1)})
     d = Deformation.build(AB3, 4, [(TruncSeries.monomial(1, 4), phi_bad)])
     with pytest.raises(InvalidDeformation):
         first_term_is_cocycle(d)
@@ -434,7 +441,7 @@ def test_transport_direct_expansion_oracle():
     pert = perturbation_series(td)
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         want = oracle(i, j)
-        got = [list(s.coeffs) for s in pert[(i, j)]]
+        got = [list(series_coeffs(s)) for s in pert[(i, j)]]
         assert got == want
 
 
@@ -459,9 +466,9 @@ def expanded_bracket(d, cap):
         for k, c in fraction_table(d.base).get(pair, ()):
             vec[k][0] += c
         for coeff, phi in d.terms:
-            for k, c in enumerate(phi.value(pair)):
+            for k, c in enumerate(cochain_value(phi, pair)):
                 for p in range(cap + 1):
-                    vec[k][p] += c * coeff.coeffs[p]
+                    vec[k][p] += c * series_coeffs(coeff)[p]
         out[pair] = vec
     return out
 
@@ -523,7 +530,7 @@ def test_transport_matches_fraction_expansion():
         cap = min(dcap, fcap)
         g = series_matrix_inverse(f, cap)
         f_series = series_matrix(f)
-        f_lists = [[list(e.coeffs[: cap + 1]) for e in row] for row in f_series]
+        f_lists = [[list(series_coeffs(e)[: cap + 1]) for e in row] for row in f_series]
         g_lists = neumann_inverse(f_series, cap)
         bracket = expanded_bracket(d, cap)
         td = transport(d, f)
@@ -545,7 +552,7 @@ def test_transport_matches_fraction_expansion():
 
 def test_perturbation_matrix_matches_fraction_sum():
     """Row s * n + k of `Deformation.perturbation` over its denominator is
-    the sum of coeff * phi.flatten()[s * n + k] over the terms, in Fractions."""
+    the sum of coeff * cochain_flat(phi)[s * n + k] over the terms, in Fractions."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -566,7 +573,7 @@ def test_perturbation_matrix_matches_fraction_sum():
         ]
         d = Deformation.build(random_lie(rng, n), cap, terms)
         den, rows = d.perturbation()
-        flats = [(coeff.coeffs, phi.flatten()) for coeff, phi in terms]
+        flats = [(series_coeffs(coeff), cochain_flat(phi)) for coeff, phi in terms]
         want = [
             [sum((c[p] * v[slot] for c, v in flats), Fraction(0)) for p in range(cap + 1)]
             for slot in range(n * n * (n - 1) // 2)
@@ -580,7 +587,7 @@ def test_perturbation_matrix_matches_fraction_sum():
 def test_transport_rejects_non_unipotent():
     d = Deformation.build(AB3, 3, [(TruncSeries.monomial(1, 3), PHI_E12_E3)])
     f = series_matrix(identity_plus(3, 3))
-    two = TruncSeries.constant(2, 3)
+    two = constant_series(2, 3)
     broken = endomorphism(
         [[two if (r, c) == (0, 0) else f[r][c] for c in range(3)] for r in range(3)]
     )
@@ -591,7 +598,7 @@ def test_transport_rejects_non_unipotent():
 def test_polynomial_form_check_cases():
     d = Deformation.build(AB3, 4, [(TruncSeries.monomial(1, 4), PHI_E12_E3)])
     assert polynomial_form_check(d, rational_pairs([1]), 1)
-    c = TruncSeries.monomial(1, 4).div_exact(TruncSeries.from_coeffs([1, 1], cap=4))
+    c = TruncSeries.monomial(1, 4).div_exact(series_of([1, 1], cap=4))
     d2 = Deformation.build(AB3, 4, [(c, PHI_E12_E3)])
     assert polynomial_form_check(d2, rational_pairs([1, 1]), 1)
     assert not polynomial_form_check(d2, rational_pairs([1]), 1)
@@ -607,9 +614,9 @@ def test_polynomial_form_check_cases():
         SL2, [[diag[i] if i == j else Fraction(0) for j in range(3)] for i in range(3)]
     )
     assert base.scaled_table[0] % 3 == 0
-    q = TruncSeries.from_coeffs([1, Fraction(1, 2)], cap=4).invert()
+    q = series_of([1, Fraction(1, 2)], cap=4).invert()
     mu = mu_cochain(base)
-    terms = [(TruncSeries.monomial(p, 4, c), mu) for p, c in enumerate(q.coeffs) if p]
+    terms = [(TruncSeries.monomial(p, 4, c), mu) for p, c in enumerate(series_coeffs(q)) if p]
     d3 = Deformation.build(base, 4, terms)
     assert polynomial_form_check(d3, rational_pairs([1, Fraction(1, 2)]), 1)
     assert not polynomial_form_check(d3, rational_pairs([1, Fraction(3, 2)]), 1)
@@ -653,7 +660,7 @@ def test_maximal_rank_deformations_admit_polynomial_form():
         coeffs = [Fraction(1)] + [
             Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(k)
         ]
-        p0 = TruncSeries.from_coeffs(coeffs, cap=cap)
+        p0 = series_of(coeffs, cap=cap)
         q = p0.invert()
         pert = perturbation_series(base_d)
         mu = mu_cochain(R2K)
@@ -663,16 +670,16 @@ def test_maximal_rank_deformations_admit_polynomial_form():
         from itertools import combinations as combs
 
         for pair in combs(range(3), 2):
-            base_vec = mu.value(pair)
+            base_vec = cochain_value(mu, pair)
             for coord in range(3):
                 s = q_minus_1.scale(base_vec[coord]) + q * pert[pair][coord]
                 for p in range(1, cap + 1):
-                    if s.coeffs[p]:
+                    if series_coeffs(s)[p]:
                         by_power.setdefault(p, {}).setdefault(pair, [Fraction(0)] * 3)[
                             coord
-                        ] = s.coeffs[p]
+                        ] = series_coeffs(s)[p]
         for p in sorted(by_power):
-            phi = Cochain.build(
+            phi = rational_cochain(
                 2, 3, "adjoint", {pr: tuple(v) for pr, v in by_power[p].items()}
             )
             terms.append((TruncSeries.monomial(p, cap), phi))
@@ -686,7 +693,7 @@ def test_maximal_rank_deformations_admit_polynomial_form():
 
 def test_validity_gauge_invariance_includes_invalid():
     # transporting an invalid deformation stays invalid
-    phi_bad = Cochain.build(2, 3, "adjoint", {(0, 1): (1, 0, 0), (0, 2): (0, 0, 1)})
+    phi_bad = rational_cochain(2, 3, "adjoint", {(0, 1): (1, 0, 0), (0, 2): (0, 0, 1)})
     d = Deformation.build(AB3, 4, [(TruncSeries.monomial(1, 4), phi_bad)])
     rng = random.Random(63)
     f = identity_plus(3, 4, random_direction(rng, 3))
@@ -703,7 +710,7 @@ def circle_residual(d):
     for ci, phi_i in terms:
         for cj, phi_j in terms:
             comp = shuffle_circle(phi_i, phi_j)
-            for p, c in enumerate((ci * cj).coeffs):
+            for p, c in enumerate(series_coeffs(ci * cj)):
                 if c:
                     out[p] = comp.scale(c) + out.get(p, comp.scale(0))
     return {p: c for p, c in out.items() if not c.is_zero()}
@@ -735,7 +742,7 @@ ODD_DENS = (1, 3, 5, 7)
 
 def odd_cochain(rng, n):
     """Random degree-2 adjoint cochain with denominators from 1, 3, 5, 7."""
-    return Cochain.build(
+    return rational_cochain(
         2,
         n,
         "adjoint",
@@ -754,8 +761,8 @@ def odd_cochain(rng, n):
 
 def conjugated_cochain(rng, phi):
     """phi read as a bracket table, in a random rational basis."""
-    table = {pair: dict(enumerate(phi.value(pair))) for pair in phi.values}
-    law = AlgebraStructure.lie(phi.dim, table)
+    table = {pair: dict(enumerate(cochain_value(phi, pair))) for pair in phi.values}
+    law = rational_lie(phi.dim, table)
     return mu_cochain(change_basis(law, random_invertible(rng, phi.dim)))
 
 
@@ -811,7 +818,7 @@ def neumann_inverse(f, cap):
         [[Fraction(int(r == c))] + [Fraction(0)] * cap for c in range(n)] for r in range(n)
     ]
     neg_h = [
-        [[-x for x in f[r][c].coeffs[: cap + 1]] for c in range(n)] for r in range(n)
+        [[-x for x in series_coeffs(f[r][c])[: cap + 1]] for c in range(n)] for r in range(n)
     ]
     for r in range(n):
         neg_h[r][r][0] += 1
@@ -837,7 +844,7 @@ def random_unipotent(rng, n, cap):
             for p in range(1, cap + 1):
                 keep = {"dense": True, "sparse": rng.random() < 0.3, "monomial": p == power}
                 coeffs.append(frac(rng, 9, 7) if keep[shape] else Fraction(0))
-            row.append(TruncSeries.from_coeffs(coeffs, cap=cap))
+            row.append(series_of(coeffs, cap=cap))
         rows.append(tuple(row))
     return endomorphism(rows)
 
@@ -849,7 +856,7 @@ def test_series_matrix_inverse_matches_neumann_reference():
         f = random_unipotent(rng, n, cap + rng.randint(0, 2))
         inv = series_matrix(series_matrix_inverse(f, cap))
         want = neumann_inverse(series_matrix(f), cap)
-        assert [[list(e.coeffs) for e in row] for row in inv] == want
+        assert [[list(series_coeffs(e)) for e in row] for row in inv] == want
         ident = series_matrix(identity_plus(n, cap))
         assert series_matrix_mul(series_matrix(f), inv, cap) == ident
         assert series_matrix_mul(inv, series_matrix(f), cap) == ident
@@ -864,7 +871,7 @@ def test_series_matrix_inverse_rejects_non_unipotent(cap):
         broken = endomorphism(
             [
                 [
-                    TruncSeries.constant(bad, cap) if (i, j) == (r, c) else f[i][j]
+                    constant_series(bad, cap) if (i, j) == (r, c) else f[i][j]
                     for j in range(2)
                 ]
                 for i in range(2)

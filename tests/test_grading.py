@@ -11,7 +11,7 @@ import pytest
 import valdef.cohomology as cohomology
 import valdef.grading as grading
 from valdef import linalg
-from valdef.algebra import COEFFS, AlgebraStructure
+from valdef.algebra import COEFFS
 from valdef.cli import main
 from valdef.cohomology import cohomology_dim
 from valdef.grading import charpoly, find_grading, integer_roots, require_homogeneous
@@ -23,15 +23,17 @@ from gens import (
     R2K,
     ROOTS123,
     SL2,
+    abelian_lie,
     change_basis,
     coboundary_rows,
     domain_matrix,
     fraction_table,
     random_invertible,
+    rational_lie,
 )
 
 FAMILIES = {
-    "abelian": AlgebraStructure.abelian(1),
+    "abelian": abelian_lie(1),
     "r2": R2,
     "h3": H3,
     "sl2": SL2,
@@ -50,7 +52,7 @@ IRRATIONAL_SL2 = change_basis(
 
 def padded(g, n):
     """g plus an abelian summand, of dimension n."""
-    return AlgebraStructure.lie(n, fraction_table(g))
+    return rational_lie(n, fraction_table(g))
 
 
 def dims(g, degree, coeff, monkeypatch, graded):
@@ -141,7 +143,7 @@ def test_spectrum_past_max_root_is_not_searched(monkeypatch):
     ad is diagonal: found for c = 100, skipped past grading.MAX_ROOT."""
     basis = [[Fraction(x) for x in row] for row in ((1, 1, 0), (0, 1, 0), (0, 0, 1))]
     for c, found in ((100, True), (grading.MAX_ROOT + 1, False)):
-        g = AlgebraStructure.lie(3, {(0, 1): {1: c}})
+        g = rational_lie(3, {(0, 1): {1: c}})
         h = change_basis(g, basis)
         assert (find_grading(h) is not None) == found
         for degree in (1, 2):
@@ -156,7 +158,7 @@ def test_irrational_spectrum_falls_back_to_the_whole_complex(monkeypatch):
     spectra = []
     real = grading.charpoly
     monkeypatch.setattr(grading, "charpoly", lambda a: spectra.append(a) or real(a))
-    so3 = AlgebraStructure.lie(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
+    so3 = rational_lie(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
     assert find_grading(IRRATIONAL_SL2) is None
     assert len(spectra) == 4  # the basis vectors and sums with a^2 + bc = 2 or 5
     spectra.clear()
@@ -180,7 +182,7 @@ def test_nilpotent_algebra_skips_the_search(monkeypatch):
 
     monkeypatch.setattr(grading, "charpoly", refuse)
     rng = random.Random(72)
-    for g in (H3, FILIFORM4, padded(H3, 6), AlgebraStructure.abelian(4)):
+    for g in (H3, FILIFORM4, padded(H3, 6), abelian_lie(4)):
         assert find_grading(g) is None
         h = change_basis(padded(g, 6), random_invertible(rng, 6))
         assert find_grading(h) is None
@@ -200,7 +202,7 @@ def test_adapted_basis_is_only_reordered():
 
 def test_planted_inhomogeneous_table_fails_the_self_check(tmp_path, capsys, monkeypatch):
     # [e, f] = h + e is not of weight w(e) + w(f) = 0 for the weights 0, 2, -2
-    bad = AlgebraStructure.lie(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1, 1: 1}})
+    bad = rational_lie(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1, 1: 1}})
     message = r"not weight-homogeneous: \[e1, e2\] has a component on e1"
     with pytest.raises(RuntimeError, match=message):
         require_homogeneous(bad.scaled_table[1], (0, 2, -2))

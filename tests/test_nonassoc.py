@@ -9,8 +9,6 @@ from itertools import combinations, product as iter_product
 import pytest
 
 from valdef.algebra import (
-    AlgebraStructure,
-    Cochain,
     associator,
     is_lie,
     jacobiator,
@@ -50,6 +48,10 @@ from gens import (
     lie_as_product,
     random_invertible,
     random_lie,
+    rational_assoc,
+    rational_cochain,
+    rational_lie,
+    rational_poisson,
     reference_opposite,
     reference_poisson_tensor,
     reference_tensor,
@@ -155,7 +157,7 @@ def test_dual_identity_cases():
     ok, witness = dual_identity_check(UPPER2, SubgroupTag.T12)
     assert not ok and witness is not None
     # non-associative input fails every dual check
-    non_assoc = AlgebraStructure.assoc(2, {(0, 0): {1: 1}, (1, 0): {0: 1}})
+    non_assoc = rational_assoc(2, {(0, 0): {1: 1}, (1, 0): {0: 1}})
     for tag in SubgroupTag:
         assert not dual_identity_check(non_assoc, tag)[0]
 
@@ -199,7 +201,7 @@ def test_tensor_closure_all_groups():
             assert ok, (tag, witness)
 
 
-POISSON3 = PoissonStructure.build(
+POISSON3 = rational_poisson(
     3,
     {
         (0, 0): {0: 1},
@@ -213,12 +215,12 @@ POISSON3 = PoissonStructure.build(
 
 
 def test_poisson_verify_cases():
-    zero_bracket = PoissonStructure.build(
+    zero_bracket = rational_poisson(
         2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, {}
     )
     assert poisson_verify(zero_bracket) == (True, None)
     assert poisson_verify(POISSON3) == (True, None)
-    bad = PoissonStructure.build(
+    bad = rational_poisson(
         3,
         {
             (0, 0): {0: 1},
@@ -234,16 +236,16 @@ def test_poisson_verify_cases():
 
 
 def test_poisson_axiom_witnesses():
-    noncomm = PoissonStructure.build(2, {(0, 1): {1: 1}}, {})
+    noncomm = rational_poisson(2, {(0, 1): {1: 1}}, {})
     ok, witness = poisson_verify(noncomm)
     assert not ok and witness[0] == "product not commutative"
-    nonanti = PoissonStructure.build(2, {}, {(0, 1): {1: 1}})
+    nonanti = rational_poisson(2, {}, {(0, 1): {1: 1}})
     ok, witness = poisson_verify(nonanti)
     assert not ok and witness[0] == "bracket not antisymmetric"
 
 
 def test_poisson_tensor_cases():
-    zb = PoissonStructure.build(
+    zb = rational_poisson(
         2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, {}
     )
     t = poisson_tensor(POISSON3, zb)
@@ -254,12 +256,12 @@ def test_poisson_tensor_cases():
     assert t3.dim == 9 and poisson_verify(t3) == (True, None)
     with pytest.raises(InvalidPoisson):
         poisson_tensor(
-            PoissonStructure.build(2, {(0, 1): {1: 1}}, {}), zb
+            rational_poisson(2, {(0, 1): {1: 1}}, {}), zb
         )
 
 
 def test_opposite_poisson():
-    zb = PoissonStructure.build(
+    zb = rational_poisson(
         2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, {}
     )
     assert fraction_table(opposite_poisson(zb).product) == fraction_table(zb.product)
@@ -329,7 +331,7 @@ def _ref_jacobiator(g):
         total = _ref_jacobi_terms(g, key)
         if any(total):
             vals[key] = total
-    return Cochain.build(3, g.dim, "adjoint", vals)
+    return rational_cochain(3, g.dim, "adjoint", vals)
 
 
 def _ref_is_lie(b):
@@ -397,7 +399,7 @@ def _assoc_cases(rng):
     cases = []
     for _ in range(12):
         n = rng.randint(2, 4)
-        cases.append(AlgebraStructure.assoc(n, _random_table(rng, n, rng.randint(1, 5))))
+        cases.append(rational_assoc(n, _random_table(rng, n, rng.randint(1, 5))))
     for alg in ASSOCIATIVE_POOL:
         cases.append(conjugated(rng, alg))
     for _ in range(4):
@@ -408,7 +410,7 @@ def _assoc_cases(rng):
 
 
 def _poisson_cases(rng):
-    zb = PoissonStructure.build(
+    zb = rational_poisson(
         2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, {}
     )
     cases = [
@@ -424,8 +426,8 @@ def _poisson_cases(rng):
                 conjugated(rng, KX2),
                 conjugated(rng, KX3),
                 conjugated(rng, KXK),
-                AlgebraStructure.assoc(rng.randint(3, 4), {}),
-                AlgebraStructure.assoc(
+                rational_assoc(rng.randint(3, 4), {}),
+                rational_assoc(
                     3, _random_table(rng, 3, 3, symmetric=rng.random() < 0.5)
                 ),
             ]
@@ -433,7 +435,7 @@ def _poisson_cases(rng):
         bracket = _random_table(
             rng, base.dim, rng.randint(1, 4), antisymmetric=rng.random() < 0.85
         )
-        cases.append(PoissonStructure(base.dim, base, AlgebraStructure.assoc(base.dim, bracket)))
+        cases.append(PoissonStructure(base.dim, base, rational_assoc(base.dim, bracket)))
     return cases
 
 
@@ -445,7 +447,7 @@ def _lie_cases(rng):
         for (i, j, k) in {(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(4)}:
             if i != j:
                 table.setdefault((min(i, j), max(i, j)), {})[k] = _odd_frac(rng)
-        cases.append(AlgebraStructure.lie(n, table))
+        cases.append(rational_lie(n, table))
     return cases
 
 
@@ -504,7 +506,7 @@ def _ref_kron(left, right, width):
 
 def test_tensor_tables_match_fraction_reference():
     rng = random.Random(83)
-    zb = PoissonStructure.build(
+    zb = rational_poisson(
         2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, {}
     )
     dens = set()
@@ -513,7 +515,7 @@ def test_tensor_tables_match_fraction_reference():
             rng.choice(
                 [
                     conjugated(rng, rng.choice(ASSOCIATIVE_POOL)),
-                    AlgebraStructure.assoc(3, _random_table(rng, 3, 4)),
+                    rational_assoc(3, _random_table(rng, 3, 4)),
                     random_lie(rng, 3),
                 ]
             )
@@ -550,7 +552,7 @@ def _scaled_poisson(rng, p):
     a, b = (Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3, 4, 6))) for _ in "ab")
 
     def times(alg, x):
-        return AlgebraStructure.assoc(
+        return rational_assoc(
             p.dim, {pair: {k: x * c for k, c in out.items()} for pair, out in full_fraction_table(alg).items()}
         )
 
@@ -563,14 +565,14 @@ def test_constructions_match_fraction_reference():
     (`gens.reference_tensor`, ...), zero factors included; the opposite of
     the opposite is the input."""
     rng = random.Random(89)
-    zb = PoissonStructure.build(2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, {})
-    zero = PoissonStructure.build(2, {}, {})
+    zb = rational_poisson(2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, {})
+    zero = rational_poisson(2, {}, {})
     dens = set()
     for _ in range(12):
         a, b = (
             rng.choice(
                 [
-                    AlgebraStructure.assoc(n, _random_table(rng, n, rng.randint(0, 5)))
+                    rational_assoc(n, _random_table(rng, n, rng.randint(0, 5)))
                     for n in (2, 3)
                 ]
                 + [random_lie(rng, 3), conjugated(rng, rng.choice(ASSOCIATIVE_POOL))]
@@ -590,9 +592,9 @@ def test_constructions_match_fraction_reference():
         dens |= {a.scaled_table[0], b.scaled_table[0], t.bracket.scaled_table[0]}
     assert all(any(d % m == 0 for d in dens) for m in (2, 3, 5))
     # a zero factor leaves a zero table, over den 1 whatever the other's den
-    half = AlgebraStructure.assoc(1, {(0, 0): {0: Fraction(1, 2)}})
-    assert tensor_product(half, AlgebraStructure.assoc(2, {})).scaled_table == reference_tensor(
-        half, AlgebraStructure.assoc(2, {})
+    half = rational_assoc(1, {(0, 0): {0: Fraction(1, 2)}})
+    assert tensor_product(half, rational_assoc(2, {})).scaled_table == reference_tensor(
+        half, rational_assoc(2, {})
     )
 
 
@@ -635,7 +637,7 @@ def _rescaled(alg, factors):
     for (i, j), out in fraction_table(alg).items():
         d = factors[i] * factors[j]
         table[(i, j)] = {k: c * d / factors[k] for k, c in out}
-    return AlgebraStructure.assoc(alg.dim, table)
+    return rational_assoc(alg.dim, table)
 
 
 
@@ -658,7 +660,7 @@ def test_packed_verdicts_match_dict_contraction():
         table = {
             (i, j): dict(enumerate(draw(rows))) for i, j in iter_product(range(n), repeat=2)
         }
-        return AlgebraStructure.assoc(n, table)
+        return rational_assoc(n, table)
 
     def perturbed(draw, alg, antisymmetric=False):
         n = alg.dim
@@ -672,7 +674,7 @@ def test_packed_verdicts_match_dict_contraction():
         if antisymmetric and i != j:
             table.setdefault((j, i), {})
             table[(j, i)][k] = table[(j, i)].get(k, 0) - c
-        return AlgebraStructure.assoc(n, table)
+        return rational_assoc(n, table)
 
     @st.composite
     def structured(draw):
@@ -687,7 +689,7 @@ def test_packed_verdicts_match_dict_contraction():
             st.sampled_from(
                 [POISSON3]
                 + [PoissonStructure(a.dim, a, lie_as_product(random_lie(rng, a.dim)))
-                   for a in COMMUTATIVE_POOL + [AlgebraStructure.assoc(3, {})]]
+                   for a in COMMUTATIVE_POOL + [rational_assoc(3, {})]]
             )
         )
         scale = draw(st.lists(factors, min_size=p.dim, max_size=p.dim))
@@ -721,7 +723,7 @@ def test_slot_width_is_tight():
     r = 2 and c = 1 give the bound M = 2 and slots of B = 3 bits, and their
     difference (4, -1) packs to zero in slots one bit narrower, where the
     first failing triple would move to (0, 0, 1)."""
-    b = AlgebraStructure.assoc(
+    b = rational_assoc(
         3,
         {
             (0, 0): {1: 1, 2: 1},

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 import valdef.catalog as catalog
-from valdef.algebra import AlgebraStructure
 from valdef.errors import NotAdapted, NotRankOne
 from valdef.rigidity import (
     TorusData,
@@ -14,29 +13,34 @@ from valdef.rigidity import (
     zero_root_criterion,
 )
 
-from gens import R2, ROOTS123, fraction_table
+from gens import R2, ROOTS123, fraction_table, rational_lie
 
-ZR = AlgebraStructure.lie(3, {(0, 1): {1: 1}})
+ZR = rational_lie(3, {(0, 1): {1: 1}})
 
 
 def torus_of(g, idx=(0,)):
     return TorusData.from_torus(g.dim, idx)
 
 
+def pairs(*values) -> tuple:
+    """Rationals as the (num, den) pairs in lowest terms that `roots` returns."""
+    return tuple((Fraction(v).numerator, Fraction(v).denominator) for v in values)
+
+
 def test_roots_examples():
     rep = roots(R2, torus_of(R2))
-    assert rep.roots == (Fraction(1),) and not rep.zero_is_root
+    assert rep.roots == pairs(1) and not rep.zero_is_root
 
     rep = roots(ZR, torus_of(ZR))
-    assert rep.roots == (Fraction(1), Fraction(0)) and rep.zero_is_root
+    assert rep.roots == pairs(1, 0) and rep.zero_is_root
 
     rep = roots(ROOTS123, torus_of(ROOTS123))
-    assert rep.roots == (Fraction(1), Fraction(2), Fraction(3))
+    assert rep.roots == pairs(1, 2, 3)
 
 
 def test_roots_scaling():
     for c in (Fraction(2), Fraction(-1, 3)):
-        scaled = AlgebraStructure.lie(
+        scaled = rational_lie(
             4,
             {
                 (0, 1): {1: c},
@@ -46,14 +50,14 @@ def test_roots_scaling():
             },
         )
         rep = roots(scaled, torus_of(scaled))
-        assert rep.roots == (c, 2 * c, 3 * c)
+        assert rep.roots == pairs(c, 2 * c, 3 * c)
         assert not rep.zero_is_root
 
 
 def test_roots_errors():
     with pytest.raises(NotRankOne):
         roots(R2, TorusData.from_torus(2, [0, 1]))
-    non_adapted = AlgebraStructure.lie(3, {(0, 1): {2: 1}})
+    non_adapted = rational_lie(3, {(0, 1): {2: 1}})
     with pytest.raises(NotAdapted):
         roots(non_adapted, torus_of(non_adapted))
 
@@ -81,7 +85,7 @@ def test_reports():
     assert rep.verdict == "U(g) not rigid"
     assert "inherited" in rep.theorem
 
-    two_torus = AlgebraStructure.lie(
+    two_torus = rational_lie(
         4, {(0, 2): {2: 1}, (1, 3): {3: 1}}
     )
     rep = enveloping_rigidity_report(

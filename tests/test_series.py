@@ -16,13 +16,22 @@ from valdef.errors import (
     ZeroDivisor,
 )
 from valdef.io import parse_series_literal, series_literal
-from valdef.series import TruncSeries, parse_rational, ratio_str, rational_pair
+from valdef.series import TruncSeries, ratio_str, rational_pair
 
-from gens import random_series_in_m, rational_str
+from gens import (
+    constant_series,
+    parse_rational,
+    random_series_in_m,
+    rational_cochain,
+    rational_lie,
+    rational_str,
+    series_coeffs,
+    series_of,
+)
 
 
 def ts(coeffs, cap):
-    return TruncSeries.from_coeffs(coeffs, cap=cap)
+    return series_of(coeffs, cap=cap)
 
 
 def test_parse_rational_forms():
@@ -65,7 +74,7 @@ def test_parse_rational_accepts_exactly_the_ascii_grammar():
         p, q = int(match.group(1)), int(match.group(2) or 1)
         assert rational_pair(text) == (p, q)
         assert parse_rational(text) == Fraction(p, q)
-        assert parse_series_literal([text], 0).coeffs == (Fraction(p, q),)
+        assert series_coeffs(parse_series_literal([text], 0)) == (Fraction(p, q),)
 
     check()
 
@@ -95,8 +104,8 @@ def test_series_literal_parser_matches_fraction_parse():
         items = data.draw(st.lists(literal(), max_size=cap + 1))
         texts = [t for t, _ in items]
         got = parse_series_literal(texts, cap)
-        assert got == TruncSeries.from_coeffs([parse_rational(t) for t in texts], cap)
-        assert got.coeffs == tuple(v for _, v in items) + (Fraction(0),) * (
+        assert got == series_of([parse_rational(t) for t in texts], cap)
+        assert series_coeffs(got) == tuple(v for _, v in items) + (Fraction(0),) * (
             cap + 1 - len(items)
         )
         # one malformed literal among good ones: the error is the literal's
@@ -154,7 +163,7 @@ def test_series_literal_printer_matches_rational_str():
 def test_add_examples():
     a = ts([1, 1], 3)
     b = ts([0, 1], 3)
-    assert (a + b).coeffs == (Fraction(1), Fraction(2), Fraction(0), Fraction(0))
+    assert series_coeffs(a + b) == (Fraction(1), Fraction(2), Fraction(0), Fraction(0))
     s = ts([0, 5, -2], 4)
     assert (s + TruncSeries.zero(4)) == s
     # cancellation with cap contraction
@@ -164,16 +173,16 @@ def test_add_examples():
 
 def test_mul_examples():
     prod = ts([1, 1], 3) * ts([1, -1], 3)
-    assert prod.coeffs == (Fraction(1), Fraction(0), Fraction(-1), Fraction(0))
-    assert (TruncSeries.monomial(1, 4) * TruncSeries.monomial(1, 4)).coeffs[2] == 1
+    assert series_coeffs(prod) == (Fraction(1), Fraction(0), Fraction(-1), Fraction(0))
+    assert series_coeffs(TruncSeries.monomial(1, 4) * TruncSeries.monomial(1, 4))[2] == 1
     z = ts([0, 2, 1], 4) * TruncSeries.zero(4)
     assert z.is_zero()
 
 
 def test_invert_examples():
     inv = ts([1, 1], 3).invert()
-    assert inv.coeffs == (Fraction(1), Fraction(-1), Fraction(1), Fraction(-1))
-    assert TruncSeries.constant(2, 2).invert().coeffs[0] == Fraction(1, 2)
+    assert series_coeffs(inv) == (Fraction(1), Fraction(-1), Fraction(1), Fraction(-1))
+    assert series_coeffs(constant_series(2, 2).invert())[0] == Fraction(1, 2)
     with pytest.raises(NotAUnit):
         TruncSeries.monomial(1, 3).invert()
 
@@ -181,9 +190,9 @@ def test_invert_examples():
 def test_div_exact_examples():
     q = ts([0, 2, 1], 4).div_exact(TruncSeries.monomial(1, 4))
     assert q.cap == 3
-    assert q.coeffs == (Fraction(2), Fraction(1), Fraction(0), Fraction(0))
+    assert series_coeffs(q) == (Fraction(2), Fraction(1), Fraction(0), Fraction(0))
     q2 = TruncSeries.monomial(2, 5).div_exact(TruncSeries.monomial(2, 5))
-    assert q2.cap == 3 and q2.coeffs[0] == 1
+    assert q2.cap == 3 and series_coeffs(q2)[0] == 1
     with pytest.raises(NotDivisible):
         TruncSeries.monomial(1, 4).div_exact(TruncSeries.monomial(2, 4))
     with pytest.raises(ZeroDivisor):
@@ -196,7 +205,7 @@ def test_div_exhausts_precision():
         TruncSeries.monomial(1, 1).div_exact(TruncSeries.monomial(2, 2))
     # cap 2 over valuation 2 leaves cap 0: still representable
     q = TruncSeries.monomial(2, 2).div_exact(TruncSeries.monomial(2, 2))
-    assert q.cap == 0 and q.coeffs[0] == 1
+    assert q.cap == 0 and series_coeffs(q)[0] == 1
 
 
 def test_valuation_examples():
@@ -263,7 +272,7 @@ def test_ring_axioms_random():
 
 def test_literal_cap_mismatch_rejected():
     with pytest.raises(ValueError):
-        TruncSeries.from_coeffs([1, 2, 3], cap=1)
+        series_of([1, 2, 3], cap=1)
 
 
 # -- Fraction reference ------------------------------------------------
@@ -314,20 +323,20 @@ def test_integer_arithmetic_matches_fraction_reference():
         a = random_coeffs(rng, rng.randint(0, 10))
         b = random_coeffs(rng, rng.randint(0, 10))
         sa, sb = ts(a, None), ts(b, None)
-        assert sa.coeffs == tuple(a)
-        assert (sa + sb).coeffs == tuple(x + y for x, y in zip(a, b))
-        assert (sa - sb).coeffs == tuple(x - y for x, y in zip(a, b))
-        assert (-sa).coeffs == tuple(-x for x in a)
-        assert (sa * sb).coeffs == tuple(ref_mul(a, b))
+        assert series_coeffs(sa) == tuple(a)
+        assert series_coeffs(sa + sb) == tuple(x + y for x, y in zip(a, b))
+        assert series_coeffs(sa - sb) == tuple(x - y for x, y in zip(a, b))
+        assert series_coeffs(-sa) == tuple(-x for x in a)
+        assert series_coeffs(sa * sb) == tuple(ref_mul(a, b))
         c = rng.choice((Fraction(0), random_nonzero(rng)))
-        assert sa.scale(c).coeffs == tuple(c * x for x in a)
-        assert (sa * c).coeffs == (c * sa).coeffs == sa.scale(c).coeffs
+        assert series_coeffs(sa.scale(c)) == tuple(c * x for x in a)
+        assert series_coeffs(sa * c) == series_coeffs(c * sa) == series_coeffs(sa.scale(c))
         cut = rng.randint(0, len(a) - 1)
-        assert sa.truncate(cut).coeffs == tuple(a[: cut + 1])
+        assert series_coeffs(sa.truncate(cut)) == tuple(a[: cut + 1])
         assert sa.valuation() == next((i for i, x in enumerate(a) if x), None)
         if a[0]:
             units += 1
-            assert sa.invert().coeffs == tuple(ref_invert(a))
+            assert series_coeffs(sa.invert()) == tuple(ref_invert(a))
         else:
             with pytest.raises(NotAUnit):
                 sa.invert()
@@ -361,7 +370,7 @@ def test_div_exact_matches_fraction_reference():
             continue
         q = sa.div_exact(sb)
         assert q.cap == min(cap_a, cap) - v
-        assert q.coeffs == tuple(ref_div_exact(a, b))
+        assert series_coeffs(q) == tuple(ref_div_exact(a, b))
     assert min(seen.values()) > 40
 
 
@@ -393,8 +402,8 @@ def test_value_types_are_immutable():
     from valdef.algebra import AlgebraStructure, Cochain
 
     s = ts([0, 1], 2)
-    g = AlgebraStructure.lie(2, {(0, 1): {1: 1}})
-    phi = Cochain.build(2, 2, "adjoint", {(0, 1): (1, 0)})
+    g = rational_lie(2, {(0, 1): {1: 1}})
+    phi = rational_cochain(2, 2, "adjoint", {(0, 1): (1, 0)})
     assert g.scaled_table is g.scaled_table  # cached once per instance
     values = [
         (s, "den"),
