@@ -217,8 +217,8 @@ def cmd_deform(args):
             raise FormatError("polycheck needs --poly and --k")
         try:
             items = json.loads(args.poly)
-        except ValueError as exc:
-            raise FormatError(f"--poly must be a JSON array of rationals: {exc}")
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"--poly is not valid JSON: {exc}")
         if not isinstance(items, list):
             raise FormatError(
                 f"--poly must be a JSON array of rationals, got {args.poly}"

@@ -1,20 +1,28 @@
 """Chevalley-Eilenberg cohomology on integers, circle product, super-bracket.
 
-The coboundary delta: C^p -> C^(p+1) is built straight from the integer
-form of the bracket table (`AlgebraStructure.scaled_table`, common
-denominator den) by the Chevalley-Eilenberg formula
+The coboundary delta: C^p -> C^(p+1) with coefficients in a g-module M
+(action rho) is built straight from the integer form of the bracket
+table (`AlgebraStructure.scaled_table`, common denominator den) by the
+Chevalley-Eilenberg formula
 
-    delta f(x_0..x_p) = sum_r (-1)^r [x_r, f(..^x_r..)]
+    delta f(x_0..x_p) = sum_r (-1)^r rho(x_r) f(..^x_r..)
                         + sum_{i<j} (-1)^(i+j) f([x_i, x_j], ..^x_i..^x_j..)
 
-(the first sum only for adjoint coefficients), as den * delta in sparse
-integer columns, one per domain coordinate, applied to the integer
-coordinates of a cochain (`Cochain.flat_nums`).  One global sign per degree
-and coefficient type matches the shuffle-composition convention delta f
-= mu o f + (-1)^p f o mu (adjoint) and f o mu (trivial), so on degree-2
-adjoint cochains delta phi = mu o phi + phi o mu agrees with the circle
-product below.  All reported cohomology dimensions are independent of
-the global signs.
+as den * delta in sparse integer columns, one per domain coordinate,
+applied to the integer coordinates of a cochain (`Cochain.flat_nums`).
+`coboundary_matrix` is one builder over the module given by its width,
+the nonzero entries of each den * rho(e_x) and the weights of its
+coordinates (`_module`): adjoint coefficients are g with rho = ad, and
+trivial ones are K, width 1 with no action, so the first sum is empty
+there.  One loop over the codomain keys takes the faces of each key from
+`itertools.combinations`; the first sum visits only the nonzero entries
+of the action and the second only the nonzero brackets, so a zero
+bracket or a basis vector that acts by zero costs one lookup.  One
+global sign per degree and coefficient type matches the
+shuffle-composition convention delta f = mu o f + (-1)^p f o mu
+(adjoint) and f o mu (trivial), so on degree-2 adjoint cochains delta phi
+= mu o phi + phi o mu agrees with the circle product below.  All reported
+cohomology dimensions are independent of the global signs.
 
 `cohomology_dim` ranks delta_p only on a complement of the previous
 image.  `linalg.echelon` of the images delta(e_c) of the basis
@@ -22,9 +30,10 @@ image.  `linalg.echelon` of the images delta(e_c) of the basis
 rows with distinct leading columns L, so C^p = im delta_(p-1) + span{e_j
 : j not in L}, a direct sum.  The Jacobi identity gives delta o delta =
 0, so delta_p vanishes on the image and rank delta_p is the rank of its
-columns j not in L, which are eliminated as rows: only about dim H^p of
-them reduce to zero, where the full matrix had dim C^(p+1) - rank delta_p
-zero rows.  It is the same exact integer elimination, so the dimensions
+columns j not in L.  `coboundary_matrix` is handed L and builds only
+those columns, which are eliminated as rows: only about dim H^p of them
+reduce to zero, where the full matrix had dim C^(p+1) - rank delta_p zero
+rows.  It is the same exact integer elimination, so the dimensions
 need no certificate.  `is_coboundary` reduces f once against the same
 echelon.
 
@@ -59,7 +68,7 @@ from __future__ import annotations
 
 from bisect import bisect, bisect_left
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 
 from . import linalg
@@ -71,6 +80,12 @@ from .io import MAX_COHOMOLOGY_CELLS
 # `cohomology_dim` looks for a grading; below it the search costs more
 # than it saves (timing table in README)
 GRADING_MIN_CELLS = 350
+
+# _PAIRS[p] lists the places (i, j, (i + j) % 2), i < j, of a (p+1)-key
+_PAIRS = [
+    [(i, j, (i + j) % 2) for i, j in combinations(range(p + 1), 2)]
+    for p in range(MAX_DEGREE + 1)
+]
 
 
 def circle(outer: Cochain, inner: Cochain) -> Cochain:
@@ -95,14 +110,22 @@ CohomologyReport = namedtuple(
 )
 
 
-def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str, weights=None):
+def coboundary_matrix(
+    g: AlgebraStructure, degree: int, coeff: str, weights=None, skip=()
+):
     """(cols, cod): den * delta: C^degree -> C^(degree+1) over the flat bases.
 
-    cols holds one {row: int} dict per domain coordinate (no zero values),
-    the image of that basis cochain, and the rows number the cod codomain
-    coordinates in the order of `Cochain.flat_nums`; den =
-    g.scaled_table[0].  Degree 0 is included so degree-1 reports can
-    subtract inner coboundaries.
+    cols holds one {row: int} dict per domain coordinate, the image of that
+    basis cochain; a value is 0 where two terms cancel, and `linalg.echelon`
+    drops it.  The rows number the cod codomain coordinates in the order of
+    `Cochain.flat_nums`; den = g.scaled_table[0].  Degree 0 is included so
+    degree-1 reports can subtract inner coboundaries.
+
+    One loop over the codomain keys builds both sums of the formula over
+    the coefficient module of `_module`, taking the faces of each key from
+    `itertools.combinations`: the first sum visits only the nonzero entries
+    of the module's action, none for trivial coefficients, and the second
+    only the nonzero brackets.
 
     weights, the increasing `grading.Graded.weights` of g's basis,
     restricts delta to its weight-0 block: the columns number the domain
@@ -110,6 +133,9 @@ def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str, weights=None
     coordinates of weight 0 in the same order.  delta preserves weight, so
     on a weight-homogeneous table no other row is reached.  The default,
     every weight zero, gives the whole complex.
+
+    skip holds column numbers to leave out: no entry of theirs is built,
+    and cols lists only the other columns, in order.
     """
     if g.kind != "lie":
         raise ValueError("cohomology needs a lie-kind algebra")
@@ -119,72 +145,110 @@ def coboundary_matrix(g: AlgebraStructure, degree: int, coeff: str, weights=None
         raise UnsupportedDegree(f"degree {degree} not implemented")
     n = g.dim
     _, table = g.scaled_table
-    adjoint = coeff == "adjoint"
     if weights is None:
         weights = (0,) * n
-    spans = _spans(weights, adjoint)
-    weight = weights.__getitem__
+    action, levels = _module(table, coeff, weights)
+    spans = _spans(levels)
     # the one sign per (degree, coeff) that makes delta equal the circle
     # forms mu o f + (-1)^p f o mu (adjoint) and f o mu (trivial)
     sign = -1 if coeff == "trivial" or degree % 2 == 0 else 1
-    # the weight-0 domain coordinates (key, m), lo <= m < hi, are the
-    # columns base + m for (base, lo, hi) = dom_cols[key]
-    dom_cols, dom = {}, 0
-    for key in combinations(range(n), degree):
-        lo, hi = spans.get(sum(map(weight, key)), (0, 0))
+    # the weight-0 domain coordinates (face, m), lo <= m < hi, are the
+    # columns base + m for (base, lo, hi) = faces[face]
+    faces, dom = {}, 0
+    for face, s in zip(
+        combinations(range(n), degree), map(sum, combinations(weights, degree))
+    ):
+        lo, hi = spans.get(s, (0, 0))
         if lo < hi:
-            dom_cols[key] = (dom - lo, lo, hi)
+            faces[face] = (dom - lo, lo, hi)
             dom += hi - lo
-    cols = [{} for _ in range(dom)]
+    # a skipped column is None
+    cols = [None if c in skip else {} for c in range(dom)]
+    # combinations(key, degree) leaves out x_r for r = degree, .., 1, 0,
+    # with the sign (-1)^r sign
+    last = -sign if degree % 2 else sign
+    face_signs = (last, -last) * (degree // 2 + 1)
     cod = 0  # the row of the codomain coordinate (key, lo)
-    for key in combinations(range(n), degree + 1):
-        lo, hi = spans.get(sum(map(weight, key)), (0, 0))
+    for key, s in zip(
+        combinations(range(n), degree + 1),
+        map(sum, combinations(weights, degree + 1)),
+    ):
+        lo, hi = spans.get(s, (0, 0))
         if lo == hi:
             continue
         first, cod = cod - lo, cod + hi - lo  # (key, m) is row first + m
-        if adjoint:
-            # sum_r (-1)^r [x_r, f(..^x_r..)]
-            for r, x in enumerate(key):
-                dom_key = dom_cols.get(key[:r] + key[r + 1 :])
-                if dom_key is None:
+        # sum_r (-1)^r rho(x_r) f(..^x_r..)
+        if action:
+            for x, face, sr in zip(reversed(key), combinations(key, degree), face_signs):
+                entries = action.get(x)
+                span = faces.get(face) if entries else None
+                if span is None:
                     continue
-                base, a, b = dom_key
-                s = sign if r % 2 == 0 else -sign
-                for m, out in enumerate(table[x][a:b], a):
-                    col = cols[base + m]
-                    for k, c in out:
-                        col[first + k] = col.get(first + k, 0) + s * c
+                base, a, b = span
+                for m, out in entries:
+                    col = cols[base + m] if a <= m < b else None
+                    if col is not None:
+                        for k, c in out:
+                            col[first + k] = col.get(first + k, 0) + sr * c
         # sum_{i<j} (-1)^(i+j) f([x_i, x_j], ..^x_i..^x_j..)
-        for i, j in combinations(range(degree + 1), 2):
+        for i, j, odd in _PAIRS[degree]:
+            out = table[key[i]][key[j]]
+            if not out:
+                continue
             rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
-            for k, c in table[key[i]][key[j]]:
+            for k, c in out:
                 if k in rest:
                     continue
                 pos = bisect(rest, k)
-                base = dom_cols[rest[:pos] + (k,) + rest[pos:]][0]
-                s = sign if (i + j + pos) % 2 == 0 else -sign
+                base = faces[rest[:pos] + (k,) + rest[pos:]][0]
+                v = -sign * c if (odd + pos) % 2 else sign * c
                 for m in range(lo, hi):
                     col = cols[base + m]
-                    col[first + m] = col.get(first + m, 0) + s * c
-    return [{r: v for r, v in col.items() if v} for col in cols], cod
+                    if col is not None:
+                        col[first + m] = col.get(first + m, 0) + v
+    if skip:
+        cols = [col for col in cols if col is not None]
+    return cols, cod
 
 
-def _spans(weights, adjoint: bool) -> dict:
-    """{weight sum s of a key: (lo, hi)}, the output indices lo <= m < hi
-    of the weight-0 coordinates (key, m): the basis vectors of weight s
-    (adjoint), or the one scalar coordinate when s = 0 (trivial).  A sum
-    missing from it has no weight-0 coordinate."""
-    if not adjoint:
-        return {0: (0, 1)}
-    return {w: (bisect_left(weights, w), bisect(weights, w)) for w in set(weights)}
+def _module(table, coeff: str, weights) -> tuple:
+    """(action, levels): the coefficient module of delta, of width
+    len(levels).
+
+    action maps each x with rho(e_x) != 0 to the pairs (m, out) of its
+    nonzero columns: den * rho(e_x) e_m is the sum of c * e_k over (k, c)
+    in out.  levels[m] is the weight of module coordinate m, increasing.
+    Adjoint is g itself, rho = ad, with the weights of its basis; trivial
+    is K: width 1, no action, weight 0.
+    """
+    action = {}
+    if coeff == "adjoint":
+        for x, row in enumerate(table):
+            entries = tuple(compress(enumerate(row), row))
+            if entries:
+                action[x] = entries
+    return action, _levels(coeff, weights)
 
 
-def _block_dims(degree: int, coeff: str, weights) -> list[int]:
+def _levels(coeff: str, weights) -> tuple:
+    """The weights of the module coordinates: g's own for adjoint, the one
+    weight 0 of K for trivial."""
+    return weights if coeff == "adjoint" else (0,)
+
+
+def _spans(levels) -> dict:
+    """{weight sum s of a key: (lo, hi)}, the module coordinates lo <= m <
+    hi of weight s, so that (key, m) has weight 0.  A sum missing from it
+    has no weight-0 coordinate."""
+    return {w: (bisect_left(levels, w), bisect(levels, w)) for w in set(levels)}
+
+
+def _block_dims(degree: int, weights, levels) -> list[int]:
     """dim C^q of the weight-0 block for q = 0 .. degree, by counting."""
-    spans = _spans(weights, coeff == "adjoint")
+    spans = _spans(levels)
     dims = []
     for q in range(degree + 1):
-        sums = (sum(key) for key in combinations(weights, q))
+        sums = map(sum, combinations(weights, q))
         dims.append(sum(hi - lo for lo, hi in (spans.get(s, (0, 0)) for s in sums)))
     return dims
 
@@ -251,7 +315,7 @@ def cohomology_dim(g: AlgebraStructure, degree: int, coeff: str) -> CohomologyRe
         graded = find_grading(g)
         if graded is not None:
             g, weights = graded, graded.weights
-            block = _block_dims(degree + 1, coeff, weights)
+            block = _block_dims(degree + 1, weights, _levels(coeff, weights))
     cells = block[degree] * block[degree + 1]
     if cells > MAX_COHOMOLOGY_CELLS:
         raise TooLarge(
@@ -261,9 +325,9 @@ def cohomology_dim(g: AlgebraStructure, degree: int, coeff: str) -> CohomologyRe
         )
     # the echelon of im delta_(degree-1): its columns, the images delta(e_c)
     image = linalg.echelon(coboundary_matrix(g, degree - 1, coeff, weights)[0])
-    cols, _ = coboundary_matrix(g, degree, coeff, weights)
-    free = [col for c, col in enumerate(cols) if c not in image]
-    dim_cocycles = len(cols) - linalg.rank(free)
+    # delta_p vanishes on im delta_(p-1): only the other columns are built
+    free, _ = coboundary_matrix(g, degree, coeff, weights, skip=image)
+    dim_cocycles = block[degree] - linalg.rank(free)
     # Z = B in each acyclic nonzero-weight part, counted from the dims
     acyclic = sum(
         (-1) ** (degree - 1 - q) * (full[q] - block[q]) for q in range(degree)

@@ -40,7 +40,9 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # also an integer past the int digit limit
+    # ValueError also covers an integer past the int digit limit, and
+    # RecursionError an array or object nested past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -86,10 +86,10 @@ def echelon(rows) -> dict:
 
     Returns {leading column: primitive integer row}: one row per pivot,
     each with a leading column no other row has, together spanning the
-    rows over Q.  Each row is a {col: int} dict (absent columns are zero)
-    or a sequence of rationals (int or Fraction), which has its
-    denominators cleared once.  To limit fill-in, rows are taken sparsest
-    first.
+    rows over Q.  Each row is a {col: int} dict (absent columns are zero,
+    and zero values are dropped from the copy taken here) or a sequence of
+    rationals (int or Fraction), which has its denominators cleared once.
+    To limit fill-in, rows are taken sparsest first.
     """
     vecs = [
         {c: v for c, v in row.items() if v}

@@ -1157,6 +1157,26 @@ def test_overlong_integer_literals_exit_2(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    """Arrays nested deeper than the interpreter's recursion limit are
+    malformed input, in every file reader and in --poly, not a traceback."""
+    nested = "[" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(nested)
+    deform = write(tmp_path, "d.json", DEFORM)
+    for argv in (
+        ["check", str(path)],
+        ["cohomology", str(path), "--deg", "2", "--coeff", "adjoint"],
+        ["rigidity", str(path), "--asserted-rigid"],
+        ["deform", "transport", deform, "--endo", str(path)],
+        ["deform", "polycheck", deform, "--poly", nested, "--k", "1"],
+    ):
+        code, doc, err = run(capsys, *argv)
+        assert code == 2 and doc["ok"] is False, argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "is not valid JSON: " in err, err
+
+
 def test_tracer_layers_resolve():
     """Every function perfbench/tracer.py wraps by name exists in valdef:
     `Tracer().install()`, as `perfbench/run.py --trace 1` runs it, finds and

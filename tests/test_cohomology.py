@@ -398,6 +398,53 @@ def test_cohomology_dim_matches_sympy_ranks(monkeypatch):
     assert graded >= 15
 
 
+def nonzero(col):
+    """A column of `coboundary_matrix` without its cancelled (zero) values."""
+    return {r: v for r, v in col.items() if v}
+
+
+def test_delta_p_is_built_only_off_the_leading_columns(monkeypatch):
+    """A spy on the builder: `cohomology_dim` builds delta_(p-1) whole and
+    hands delta_p the leading columns of the echelon of im delta_(p-1) as
+    skip, so none of them is built; the columns it does build are the other
+    columns of the whole delta_p, in order, and the dims match sympy."""
+    import valdef.cohomology as cohomology
+
+    real = cohomology.coboundary_matrix
+    calls = []
+
+    def spy(g, degree, coeff, weights=None, skip=()):
+        out = real(g, degree, coeff, weights, skip)
+        calls.append((g, degree, weights, skip, out))
+        return out
+
+    monkeypatch.setattr(cohomology, "coboundary_matrix", spy)
+    rng = random.Random(68)
+    skipped = graded = 0
+    for g in family_algebras(rng, 5):
+        for degree in (1, 2, 3):
+            for coeff in COEFFS:
+                calls.clear()
+                rep = cohomology_dim(g, degree, coeff)
+                before, after = calls
+                h, p, weights, skip, (image_cols, _) = before
+                assert p == degree - 1 and not skip
+                assert after[:3] == (h, degree, weights)
+                leading = set(linalg.echelon(image_cols))
+                assert set(after[3]) == leading
+                built = after[4][0]
+                whole, _ = real(h, degree, coeff, weights)
+                kept = [nonzero(col) for c, col in enumerate(whole) if c not in leading]
+                assert [nonzero(col) for col in built] == kept
+                skipped += len(leading)
+                graded += weights is not None
+                out_rows, dom = coboundary_rows(g, degree, coeff)
+                in_rows, in_dom = coboundary_rows(g, degree - 1, coeff)
+                assert rep.dim_cocycles == dom - sympy_rank(out_rows, dom)
+                assert rep.dim_coboundaries == sympy_rank(in_rows, in_dom)
+    assert skipped >= 300 and graded >= 5
+
+
 def exact_cochain(rng, g, degree, coeff):
     """delta of a random (degree-1)-cochain, from the columns of den * delta
     (degree 1 included, where the coboundaries are the inner derivations)."""

@@ -4,6 +4,7 @@ against the whole complex, invariance under change of basis."""
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -227,6 +228,54 @@ def test_planted_inhomogeneous_table_fails_the_self_check(tmp_path, capsys, monk
     out = capsys.readouterr()
     assert out.out == ""
     assert "RuntimeError: graded table is not weight-homogeneous" in out.err
+
+
+def weight_zero(n, q, weights, coeff):
+    """The flat numbers of the weight-0 coordinates (key, m) of C^q, whose
+    weight is w_m (adjoint) or 0 (trivial) minus the sum of w over key."""
+    levels = weights if coeff == "adjoint" else (0,)
+    flat = (
+        sum(weights[i] for i in key) == level
+        for key in combinations(range(n), q)
+        for level in levels
+    )
+    return [c for c, zero in enumerate(flat) if zero]
+
+
+def test_weight_block_is_the_restricted_whole_matrix():
+    """For every graded table find_grading returns on the families, as
+    given and conjugated, dims up to 7: coboundary_matrix with the weights
+    equals the whole-complex matrix of the same table restricted to its
+    weight-0 rows and columns, in degrees 0-3 and both coefficients."""
+    rng = random.Random(70)
+    graded = conjugated = 0
+    for name, family in sorted(FAMILIES.items()):
+        for n in range(max(family.dim, 2), 8):
+            g = padded(family, n)
+            for table in (g, change_basis(g, random_invertible(rng, n))):
+                h = find_grading(table)
+                if h is None:
+                    continue
+                graded += 1
+                conjugated += table is not g
+                for p in range(4):
+                    for coeff in COEFFS:
+                        whole, _ = cohomology.coboundary_matrix(h, p, coeff)
+                        block, cod = cohomology.coboundary_matrix(h, p, coeff, h.weights)
+                        cols = weight_zero(n, p, h.weights, coeff)
+                        rows = weight_zero(n, p + 1, h.weights, coeff)
+                        number = {r: i for i, r in enumerate(rows)}
+                        assert cod == len(rows) and len(block) == len(cols)
+                        for c, col in zip(cols, block):
+                            want = {number[r]: v for r, v in whole[c].items() if v}
+                            assert {r: v for r, v in col.items() if v} == want
+                        # delta preserves weight: no weight-0 column reaches
+                        # another row, and no other column a weight-0 row
+                        outside = set(range(len(whole))) - set(cols)
+                        assert not any(
+                            v and r in number for c in outside for r, v in whole[c].items()
+                        )
+    assert graded >= 30 and conjugated >= 10
 
 
 def test_graded_dims_are_invariant_under_change_of_basis(monkeypatch):

@@ -168,6 +168,18 @@ def test_echelon_and_remainder_match_sympy():
         assert not linalg.remainder(pivots, linalg.integer_row(inside)[1])
 
 
+def test_echelon_drops_zero_values_of_dict_rows():
+    """A {col: int} row may hold explicit zeros (a coboundary column whose
+    terms cancel): they never lead a pivot, and the input rows are left as
+    they were."""
+    rows = [{0: 0, 2: 4, 3: -6}, {0: 0}, {1: 0, 2: 2, 3: -3}, {1: 5, 2: 0}]
+    copies = [dict(row) for row in rows]
+    pivots = linalg.echelon(rows)
+    assert pivots == {1: {1: 1}, 2: {2: 2, 3: -3}}
+    assert rows == copies
+    assert linalg.rank(rows) == 2
+
+
 def test_rref_nullspace_inverse_match_sympy():
     pytest.importorskip("sympy")
     assert linalg.rref([]) == ([], [])
