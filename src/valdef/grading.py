@@ -31,6 +31,23 @@ quickly.  The generalized eigenspaces ker (A - mu)^m come from
 checked exactly to be weight-homogeneous (`require_homogeneous`, a
 RuntimeError otherwise).
 Weights are the integer eigenvalues of A, that is den times those of ad x.
+
+A nilpotent g has no such x.  `central_series_basis` moves it instead to
+a basis adapted to its lower central series g > C^1 > C^2 > .. > 0, with
+every weight 0: C^1 is the `linalg.echelon` of the table's outputs and
+C^(k+1) the echelon of [e_i, b] over the pivot rows b of C^k.  The pivot
+rows, deepest level first, are kept when they do not reduce to zero
+(`linalg.remainder`) against the rows kept so far, and unit vectors
+complete them to a basis.  There [C^i, C^j] lies in C^(i+j+1), the span
+of the first basis vectors, so the table is nearly triangular and its
+coboundaries fill in far less under elimination.  A table in which each
+[e_i, e_j] has at most one nonzero coordinate (monomial) is as sparse as
+a change of basis could make it and is left alone; so is a g whose
+series stops shrinking before 0 (not nilpotent).  The series is charged
+against SEARCH_BUDGET multiplies of its own (r * n^2 for an echelon of r
+rows) and abandoned once they are spent.  The change of basis is exact,
+so every cohomology dimension is the same in either basis.  Both new
+bases go through one change of basis on integers (`_transport`).
 """
 
 from __future__ import annotations
@@ -50,12 +67,14 @@ MAX_ROOT = 1 << 14
 # the integer multiplies `find_grading` may spend on the Killing form and
 # the characteristic polynomials (n^4 each) before it gives up and the
 # whole complex is ranked: about 0.1-0.2 s at any dim (README).  Algebras
-# of dim 7 or less spend at most 70,000.
+# of dim 7 or less spend at most 70,000.  `central_series_basis` gets the
+# same allowance for the series, and dim 7 spends at most 6,174 there.
 SEARCH_BUDGET = 2_000_000
 
 
 class Graded(namedtuple("Graded", "dim scaled_table weights")):
-    """A Lie table in a basis of generalized eigenvectors of ad x.
+    """A Lie table in a basis of generalized eigenvectors of ad x, or in a
+    basis adapted to the lower central series (every weight 0).
 
     scaled_table is (den, rows) as in `AlgebraStructure.scaled_table`;
     weights[i] is the eigenvalue of den * ad x on basis vector i, in
@@ -98,6 +117,52 @@ def find_grading(g) -> Graded | None:
         if roots is not None:
             return _eigengrading(den, table, a, roots)
     return None
+
+
+def central_series_basis(g) -> Graded | None:
+    """g in a basis adapted to its lower central series, every weight 0,
+    or None when the table is monomial, the series stops shrinking before
+    0 (g is not nilpotent) or computing it would spend more than
+    SEARCH_BUDGET multiplies (see the module docstring)."""
+    den, table = g.scaled_table
+    n = g.dim
+    if all(len(out) <= 1 for row in table for out in row):
+        return None
+    # C^1 = [g, g], then C^(k+1) = [g, C^k] from the pivot rows of C^k;
+    # an echelon of r rows of width n costs at most r * n^2 multiplies
+    rows = [dict(out) for i, row in enumerate(table) for out in row[i + 1 :] if out]
+    budget, levels, size = SEARCH_BUDGET, [], n
+    while rows:
+        budget -= len(rows) * n * n
+        if budget < 0:
+            return None
+        term = linalg.echelon(rows)
+        if len(term) == size:
+            return None  # C^(k+1) = C^k != 0: g is not nilpotent
+        levels.append(term)
+        size = len(term)
+        rows = [_bracket(row, b) for row in table for b in term.values()]
+    # deepest level first, each pivot row kept when it is independent of
+    # the rows kept so far, then unit vectors
+    candidates = [row for level in reversed(levels) for _, row in sorted(level.items())]
+    candidates += ({i: 1} for i in range(n))
+    kept: dict = {}
+    basis = []
+    for vec in candidates:
+        rest = linalg.remainder(kept, vec)
+        if rest:
+            kept[min(rest)] = rest
+            basis.append([vec.get(i, 0) for i in range(n)])
+    return Graded(n, _transport(den, table, basis), (0,) * n)
+
+
+def _bracket(row, vec: dict) -> dict:
+    """den * [e_i, vec] from row i of the table, vec an {index: int} dict."""
+    out: dict = {}
+    for j, v in vec.items():
+        for k, c in row[j]:
+            out[k] = out.get(k, 0) + v * c
+    return out
 
 
 def _killing(table, budget: int) -> tuple:
@@ -272,7 +337,17 @@ def _eigengrading(den: int, table, a, roots: dict) -> Graded:
             )
         weights += [mu] * len(vecs)
         basis += [[v.get(i, 0) for i in range(n)] for v in vecs]
-    # basis[s] holds the e-coordinates of the new basis vector f_s
+    new_den, rows = _transport(den, table, basis)
+    require_homogeneous(rows, weights)
+    return Graded(n, (new_den, rows), tuple(weights))
+
+
+def _transport(den: int, table, basis) -> tuple:
+    """The canonical (den, rows) of the integer table (den, table) in the
+    basis f_s = sum_i basis[s][i] e_i of integer vectors, one change of
+    basis on integers: den * d * [f_s, f_t] in f-coordinates, where q = d *
+    P^-1 for the matrix P of the basis columns."""
+    n = len(basis)
     d, q = _inverse([list(r) for r in zip(*basis)])
     entries = []
     for s in range(n):
@@ -291,9 +366,7 @@ def _eigengrading(den: int, table, a, roots: dict) -> Graded:
                     vec = [x + plt * y for x, y in zip(vec, by_l[l])]
             coords = [sum(map(mul, qrow, vec)) for qrow in q]
             entries.append(((s, t), [(k, c) for k, c in enumerate(coords) if c]))
-    new_den, rows = canonical_table(n, den * d, entries, antisymmetric=True)
-    require_homogeneous(rows, weights)
-    return Graded(n, (new_den, rows), tuple(weights))
+    return canonical_table(n, den * d, entries, antisymmetric=True)
 
 
 def _relabel(den: int, table, weights) -> Graded:

@@ -407,7 +407,8 @@ def test_delta_p_is_built_only_off_the_leading_columns(monkeypatch):
     """A spy on the builder: `cohomology_dim` builds delta_(p-1) whole and
     hands delta_p the leading columns of the echelon of im delta_(p-1) as
     skip, so none of them is built; the columns it does build are the other
-    columns of the whole delta_p, in order, and the dims match sympy."""
+    columns of the whole delta_p, in order, and the dims match sympy.
+    delta_0 on trivial coefficients is 0 and is not built at all."""
     import valdef.cohomology as cohomology
 
     real = cohomology.coboundary_matrix
@@ -426,9 +427,13 @@ def test_delta_p_is_built_only_off_the_leading_columns(monkeypatch):
             for coeff in COEFFS:
                 calls.clear()
                 rep = cohomology_dim(g, degree, coeff)
-                before, after = calls
-                h, p, weights, skip, (image_cols, _) = before
-                assert p == degree - 1 and not skip
+                *before, after = calls
+                if (degree, coeff) == (1, "trivial"):
+                    assert not before
+                    h, image_cols, weights = after[0], [], after[2]
+                else:
+                    ((h, p, weights, skip, (image_cols, _)),) = before
+                    assert p == degree - 1 and not skip
                 assert after[:3] == (h, degree, weights)
                 leading = set(linalg.echelon(image_cols))
                 assert set(after[3]) == leading
@@ -443,6 +448,33 @@ def test_delta_p_is_built_only_off_the_leading_columns(monkeypatch):
                 assert rep.dim_cocycles == dom - sympy_rank(out_rows, dom)
                 assert rep.dim_coboundaries == sympy_rank(in_rows, in_dom)
     assert skipped >= 300 and graded >= 5
+
+
+def test_trivial_delta_0_is_never_built(monkeypatch):
+    """delta_0 on trivial coefficients is 0 (K has no action), so neither
+    cohomology_dim in degree 1 nor is_coboundary on a degree-1 cochain
+    builds it; dim B^1 is 0 and every 1-cochain that is not 0 is no
+    coboundary."""
+    import valdef.cohomology as cohomology
+
+    real = cohomology.coboundary_matrix
+    built = []
+
+    def spy(g, degree, coeff, weights=None, skip=()):
+        built.append((degree, coeff))
+        return real(g, degree, coeff, weights, skip)
+
+    monkeypatch.setattr(cohomology, "coboundary_matrix", spy)
+    rng = random.Random(74)
+    for g in family_algebras(rng, 5):
+        rep = cohomology_dim(g, 1, "trivial")
+        assert rep.dim_coboundaries == 0
+        rows, dom = coboundary_rows(g, 1, "trivial")
+        assert rep.dim_cocycles == dom - sympy_rank(rows, dom)
+        f = rational_cochain(1, g.dim, "trivial", {(0,): 1})
+        assert not is_coboundary(g, f)
+        assert is_coboundary(g, rational_cochain(1, g.dim, "trivial", {}))
+    assert built and (0, "trivial") not in built
 
 
 def exact_cochain(rng, g, degree, coeff):

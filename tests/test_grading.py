@@ -190,6 +190,95 @@ def test_nilpotent_algebra_skips_the_search(monkeypatch):
         assert cohomology_dim(h, 1, "adjoint") == cohomology_dim(padded(g, 6), 1, "adjoint")
 
 
+def spy_transport(monkeypatch) -> list:
+    """The bases handed to the one change-of-basis helper, recorded."""
+    bases = []
+    real = grading._transport
+
+    def spy(den, table, basis):
+        bases.append(basis)
+        return real(den, table, basis)
+
+    monkeypatch.setattr(grading, "_transport", spy)
+    return bases
+
+
+def count_echelons(monkeypatch) -> list:
+    """One entry per `linalg.echelon` call, recorded."""
+    echelons = []
+    echelon = linalg.echelon
+    monkeypatch.setattr(linalg, "echelon", lambda rows: echelons.append(1) or echelon(rows))
+    return echelons
+
+
+def test_monomial_table_is_never_moved(monkeypatch):
+    """Each [e_i, e_j] of adapted H3 and FILIFORM4 (padded or not) has at
+    most one coordinate, so no basis is sparser: no change of basis is made,
+    with the search forced on, in degrees 1-3.  A conjugated copy is moved."""
+    bases = spy_transport(monkeypatch)
+    for g in (H3, FILIFORM4, padded(H3, 6), padded(FILIFORM4, 7)):
+        assert grading.central_series_basis(g) is None
+        for degree in (1, 2, 3):
+            for coeff in COEFFS:
+                assert dims(g, degree, coeff, monkeypatch, graded=True) == dims(
+                    g, degree, coeff, monkeypatch, graded=False
+                )
+    assert not bases
+    h = change_basis(FILIFORM4, random_invertible(random.Random(73), 4))
+    assert dims(h, 2, "adjoint", monkeypatch, graded=True) == dims(
+        FILIFORM4, 2, "adjoint", monkeypatch, graded=False
+    )
+    assert len(bases) == 1
+
+
+def test_non_nilpotent_algebra_keeps_its_basis(monkeypatch):
+    """IRRATIONAL_SL2 and so(3) have no split inner element.  so(3) in its
+    standard basis is monomial and never computes the series; otherwise the
+    series stops at the first term that does not shrink, C^1 = g or, with
+    an abelian summand, C^2 = C^1.  Each keeps its given basis."""
+    bases = spy_transport(monkeypatch)
+    echelons = count_echelons(monkeypatch)
+    so3 = rational_lie(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
+    conjugated = change_basis(so3, random_invertible(random.Random(75), 3))
+    cases = [(so3, 0), (padded(so3, 5), 0), (IRRATIONAL_SL2, 1), (conjugated, 1)]
+    cases += [(padded(IRRATIONAL_SL2, 5), 2), (padded(conjugated, 5), 2)]
+    for g, terms in cases:
+        assert find_grading(g) is None
+        echelons.clear()
+        assert grading.central_series_basis(g) is None
+        assert len(echelons) == terms
+        for degree in (1, 2, 3):
+            for coeff in COEFFS:
+                dims(g, degree, coeff, monkeypatch, graded=True)
+    assert not bases
+
+
+def test_central_series_stops_at_its_budget(monkeypatch):
+    """Filiform of dim 24 in a conjugated basis: its lower central series
+    has 22 nonzero terms, and grading.SEARCH_BUDGET stops it after a few,
+    so cohomology_dim ranks the given basis.  With the budget lifted the
+    same series is found."""
+    n = 24
+    rng = random.Random(5)
+    matrix = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(3):
+        matrix[i] = [int(i == j) for j in range(i + 1)]
+        matrix[i] += [rng.choice((0, 1, -1, 2)) for _ in range(n - i - 1)]
+    g = rational_lie(n, {(0, i): {i + 1: 1} for i in range(1, n - 1)})
+    h = change_basis(g, matrix)
+    echelons = count_echelons(monkeypatch)
+    bases = spy_transport(monkeypatch)
+    assert grading.central_series_basis(h) is None
+    assert 0 < len(echelons) < n - 2
+    assert tuple(cohomology_dim(h, 1, "trivial"))[2:] == (2, 0, 2)
+    assert not bases
+    echelons.clear()
+    monkeypatch.setattr(grading, "SEARCH_BUDGET", 10**12)
+    assert grading.central_series_basis(h) is not None
+    # C^1 .. C^(n-1) = 0, and the inverse of the new basis
+    assert len(echelons) == n and len(bases) == 1
+
+
 def test_adapted_basis_is_only_reordered():
     # ROOTS123 (+ abelian): ad e0 is diagonal with roots 1, 2, 3
     g = padded(ROOTS123, 6)
@@ -282,7 +371,9 @@ def test_graded_dims_are_invariant_under_change_of_basis(monkeypatch):
     """Conjugated copies of every gens family, padded up to dim 7: the
     graded path gives the dims of the whole complex on the family's own
     basis, in degrees 1-3 and both coefficients; sympy ranks of the full
-    matrices confirm them on the small cases."""
+    matrices confirm them on the small cases.  The conjugated nilpotent
+    families, and only they, go through the basis adapted to their lower
+    central series."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     seen = set()
@@ -306,22 +397,39 @@ def test_graded_dims_are_invariant_under_change_of_basis(monkeypatch):
     @hypothesis.example(("h3", 7, 2, "adjoint", 6))
     @hypothesis.example(("filiform4", 7, 3, "adjoint", 1))
     @hypothesis.example(("abelian", 4, 3, "trivial", 8))
+    @hypothesis.example(("h3", 3, 1, "adjoint", 9))
+    @hypothesis.example(("h3", 5, 3, "trivial", 10))
+    @hypothesis.example(("filiform4", 4, 2, "adjoint", 11))
+    @hypothesis.example(("filiform4", 6, 2, "trivial", 12))
     def check(case):
         name, n, degree, coeff, seed = case
         g = padded(FAMILIES[name], n)
         h = change_basis(g, random_invertible(random.Random(seed), n))
         expected = dims(g, degree, coeff, monkeypatch, graded=False)
         assert dims(g, degree, coeff, monkeypatch, graded=True) == expected
+        moved.clear()
         assert dims(h, degree, coeff, monkeypatch, graded=True) == expected
+        ran = any(moved)
         width = n if coeff == "adjoint" else 1
         if comb(n, degree) * comb(n, degree + 1) * width * width <= 2500:
             assert dims(h, degree, coeff, monkeypatch, graded=False) == expected
             assert sympy_dims(h, degree, coeff) == expected
-        seen.add((name, find_grading(h) is not None))
+        seen.add((name, find_grading(h) is not None, ran))
 
+    moved = []
+    real = grading.central_series_basis
+
+    def spy(g):
+        out = real(g)
+        moved.append(out is not None)
+        return out
+
+    monkeypatch.setattr(grading, "central_series_basis", spy)
     check()
-    graded = {name for name, found in seen if found}
+    graded = {name for name, found, _ in seen if found}
     # a solvable family with a torus always has a basis vector with a
     # torus component; whether sl2 finds one depends on the basis
     assert {"r2", "r2k", "roots123"} <= graded
     assert not graded & {"abelian", "h3", "filiform4"}
+    adapted = {name for name, _, ran in seen if ran}
+    assert adapted == {"h3", "filiform4"}
