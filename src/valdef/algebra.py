@@ -60,18 +60,18 @@ SUBGROUPS = ("Id", "T12", "T23", "T13", "A3", "S3")
 class AlgebraStructure(Frozen):
     """Algebra over Q given by its structure constants.
 
-    kind is "lie" or "assoc"; basis optionally names the basis vectors.
-    scaled_table is (den, rows): den * e_i e_j is the sum of c * e_k over
-    (k, c) in rows[i][j], for every ordered pair (i, j).  Each row is
-    sorted by k and holds no zero c, and gcd(den, every c) = 1, so equal
-    algebras compare and hash equal.  The constructor stores its arguments
-    as given: `scaled` makes the canonical form.
+    kind is "lie" or "assoc".  scaled_table is (den, rows): den * e_i e_j
+    is the sum of c * e_k over (k, c) in rows[i][j], for every ordered
+    pair (i, j).  Each row is sorted by k and holds no zero c, and
+    gcd(den, every c) = 1, so equal algebras compare and hash equal.  The
+    constructor stores its arguments as given: `scaled` makes the
+    canonical form.
     """
 
-    __slots__ = ("dim", "kind", "scaled_table", "basis", "__dict__")
+    __slots__ = ("dim", "kind", "scaled_table", "__dict__")
 
     @classmethod
-    def scaled(cls, dim: int, kind: str, den: int, table, basis=None) -> AlgebraStructure:
+    def scaled(cls, dim: int, kind: str, den: int, table) -> AlgebraStructure:
         """table / den in canonical form, for a positive integer den.
 
         table maps pairs (i, j) to {k: c}, the integer constants of den *
@@ -95,7 +95,7 @@ class AlgebraStructure(Frozen):
                     raise ValueError(f"basis index {k} outside 0..{dim - 1}")
             entries.append(((i, j), [(k, c) for k, c in sorted(out.items()) if c]))
         table = canonical_table(dim, den, entries, lie)
-        return cls(dim, kind, table, tuple(basis) if basis else None)
+        return cls(dim, kind, table)
 
     # -- evaluation ---------------------------------------------------
 
@@ -232,7 +232,7 @@ class Cochain(Frozen):
 
     target is one of COEFFS.  The values are integers over one positive
     den in canonical form, gcd(den, every integer) = 1 as in
-    `series.TruncSeries`, so equal cochains compare and hash equal.
+    `series.canonical`, so equal cochains compare and hash equal.
     values maps strictly increasing index tuples to the nonzero vectors
     of `width` ints (K is K^1), each over den.  The constructor stores its
     arguments as given: `scaled` makes the canonical form.

@@ -102,14 +102,7 @@ def cmd_cohomology(args):
 
     loaded = _load_lie(args.algebra, "cohomology needs a lie-kind algebra file")
     report = cohomology_dim(loaded.structure, args.deg, args.coeff)
-    detail = {
-        "degree": report.degree,
-        "coeff": report.coeff,
-        "dim_cocycles": report.dim_cocycles,
-        "dim_coboundaries": report.dim_coboundaries,
-        "dim_H": report.dim_H,
-    }
-    return _answer(True, detail)
+    return _answer(True, report._asdict())
 
 
 def cmd_decompose(args):
@@ -254,13 +247,7 @@ def cmd_rigidity(args):
         crit = zero_root_criterion(
             loaded.structure, torus, report.roots, report.dim_H2_trivial
         )
-        detail["zero_root"] = {
-            "zero_is_root": crit.zero_is_root,
-            "dim_H2_trivial": crit.dim_H2_trivial,
-            "consistent": crit.consistent,
-            "certificate_closed": crit.certificate_closed,
-            "certificate_nontrivial": crit.certificate_nontrivial,
-        }
+        detail["zero_root"] = crit._asdict()
     return _answer(True, detail)
 
 

@@ -27,9 +27,11 @@ residual after step k is U^(k) over U^(k-1)_(p_k), up to a rational
 scale and a power of t, so b1...bk telescopes to U^(k-1)_(p_k) alike.
 The pivot row and every row that vanishes are dropped: a zero row stays
 zero for good.  Each direction is the integers l_i over lp in lowest
-terms, the sign folded into the l_i.  `recompose` reads only the steps:
-it keeps the running product b1...bi as integers (`series.mul_nums`) and
-returns the sum as a canonical (den, rows).
+terms, the sign folded into the l_i, and each b an integer series
+`(den, nums)` in lowest terms (`series.canonical`).  `recompose` reads
+only the steps: it keeps the running products b1...bi
+(`series.running_products`) and returns the sum of b1...bi * Vi
+(`series.combination`) as a canonical (den, rows).
 
 `flag_of` builds the chain one step at a time on one reduced integer
 echelon, with `linalg`'s fraction-free elimination step: each step vector
@@ -42,14 +44,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
 from . import linalg
 from .errors import NotInMaximalIdeal, PrecisionExhausted, ZeroVector
-from .series import TruncSeries, inverse_nums, lowest_terms, mul_nums, ratio_str
+from .series import canonical, combination, inverse_nums, lowest_terms, mul_nums
+from .series import ratio_str, running_products
 
-# coefficient: a TruncSeries in m, nonzero at its cap; vector / den: the
-# pivot-normalized direction in K^k, ints over den > 0 in lowest terms
+# coefficient: an integer series (den, nums) in m, canonical and nonzero at
+# its cap; vector / den: the pivot-normalized direction in K^k, den > 0, reduced
 FlagStep = namedtuple("FlagStep", "coefficient den vector")
 
 
@@ -126,7 +129,7 @@ def decompose(den: int, rows, pivot_order: str = "first") -> FlagDecomposition:
             scale = den * unit[0] ** (cap + 1)
         else:  # a constant D is 1, as before the first step
             head_nums, scale = head, den
-        coefficient = TruncSeries(scale, [num * x for x in head_nums])
+        coefficient = canonical(scale, [num * x for x in head_nums])
         steps.append(FlagStep(coefficient, lp // common, vector))
         # fraction-free residual lp*U_i - l_i*head from t^v on (every row
         # vanishes below t^v).  The residual divided by b is these rows over
@@ -157,44 +160,23 @@ def decompose(den: int, rows, pivot_order: str = "first") -> FlagDecomposition:
         den = lp * content
         rows = {i: [x // num for x in r] for i, r in residual.items()}
         unit = [x // content for x in head]
-    return FlagDecomposition(
-        steps=tuple(steps), ambient_dim=dim, cap=steps[-1].coefficient.cap
-    )
+    return FlagDecomposition(steps=tuple(steps), ambient_dim=dim, cap=cap)
 
 
 def recompose(d: FlagDecomposition, cap: int | None = None):
     """Evaluate sum of (b1...bi) * Vi exactly at the given cap, as the
-    canonical (den, rows) of a vector.
-
-    The running products b1...bi are integer series, each over its own
-    denominator, and the sum is one integer matrix over their common
-    denominator.
+    canonical (den, rows) of a vector: `series.running_products` and
+    `series.combination` over one common denominator.
     """
     if cap is None:
         cap = d.cap
-    if d.steps and cap > min(s.coefficient.cap for s in d.steps):
+    if d.steps and cap >= min(len(s.coefficient[1]) for s in d.steps):
         raise PrecisionExhausted(
             f"cap {cap} exceeds the precision of the decomposition"
         )
-    running, rden = [1] + [0] * cap, 1
-    products, scales = [], []
-    for step in d.steps:
-        running = mul_nums(running, step.coefficient.nums, cap)
-        rden *= step.coefficient.den
-        products.append(running)
-        scales.append(rden * step.den)
-    # one common denominator for every term x * running / (rden * step.den)
-    den = lcm(*scales)
-    rows = []
-    for i in range(d.ambient_dim):
-        row = [0] * (cap + 1)
-        for r, step, running in zip(scales, d.steps, products):
-            x = step.vector[i]
-            if x:
-                m = x * (den // r)
-                row = [u + m * y for u, y in zip(row, running)]
-        rows.append(row)
-    return lowest_terms(den, rows)
+    products = running_products((s.coefficient for s in d.steps), cap)
+    terms = [(b, s.den, s.vector) for b, s in zip(products, d.steps)]
+    return lowest_terms(*combination(terms, d.ambient_dim, cap))
 
 
 def flag_of(d: FlagDecomposition) -> Flag:

@@ -4,8 +4,9 @@ Rational literals are "p" or "p/q" strings of ASCII decimal digits, with
 an optional sign on p and a positive q.  A series literal is an array of
 rational strings ordered from t^0, e.g. ["0","2","1"] is 2t + t^2; it may
 be shorter than cap+1 (zero padded) but never longer.  Series, tables
-and cochains are read and written as integers over one denominator; a
-vector or endomorphism file is read into one canonical `(den, rows)`.
+and cochains are read and written as integers over one denominator: a
+series literal into the integer series `(den, nums)` in lowest terms, and
+a vector or endomorphism file into one canonical `(den, rows)`.
 Indices are 0-based everywhere.
 """
 
@@ -18,7 +19,7 @@ from math import lcm
 
 from .algebra import AlgebraStructure, Cochain, check_key
 from .errors import FormatError
-from .series import TruncSeries, lowest_terms, ratio_str, rational_pair
+from .series import lowest_terms, ratio_str, rational_pair
 
 
 # Largest dim and cap read from outside input: a table takes dim^2 slots
@@ -108,15 +109,18 @@ def _read_series(literals, cap: int) -> tuple[int, list[list[int]]]:
     return lowest_terms(den, rows)
 
 
-def parse_series_literal(items, cap: int) -> TruncSeries:
-    """The series of a literal, padded with zeros to cap."""
+def parse_series_literal(items, cap: int) -> tuple[int, tuple[int, ...]]:
+    """The integer series (den, nums) of a literal in lowest terms, padded
+    with zeros to cap."""
     den, (nums,) = _read_series([items], cap)
-    return TruncSeries(den, nums)
+    return den, tuple(nums)
 
 
-def series_literal(s: TruncSeries) -> list[str]:
-    """The coefficients of s as rational strings, each in lowest terms."""
-    return [ratio_str(x, s.den) for x in s.nums]
+def series_literal(s) -> list[str]:
+    """The coefficients of an integer series (den, nums) as rational
+    strings, each in lowest terms."""
+    den, nums = s
+    return [ratio_str(x, den) for x in nums]
 
 
 def _parse_table(rows, what: str):
@@ -148,11 +152,11 @@ def _parse_table(rows, what: str):
     }
 
 
-def _structure(dim: int, kind: str, parsed, basis=None) -> AlgebraStructure:
+def _structure(dim: int, kind: str, parsed) -> AlgebraStructure:
     """`AlgebraStructure.scaled` of a `_parse_table` result, its range
     errors as FormatError."""
     try:
-        return AlgebraStructure.scaled(dim, kind, *parsed, basis=basis)
+        return AlgebraStructure.scaled(dim, kind, *parsed)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -174,6 +178,7 @@ def parse_algebra(doc) -> AlgebraFile:
     if dim > MAX_DIM:
         raise FormatError(f"dim {dim} exceeds the largest supported dim {MAX_DIM}")
     kind = doc["kind"]
+    # the basis names are checked but not kept: nothing reads them
     basis = doc.get("basis")
     if basis is not None and not isinstance(basis, list):
         raise FormatError(f"basis must be an array of names, got {basis!r}")
@@ -194,7 +199,7 @@ def parse_algebra(doc) -> AlgebraFile:
     if kind not in ("lie", "assoc"):
         raise FormatError(f"unknown algebra kind {kind!r}")
     table = _parse_table(doc.get("table", []), "table")
-    structure = _structure(dim, kind, table, basis)
+    structure = _structure(dim, kind, table)
     return AlgebraFile(kind=kind, structure=structure, poisson=None, torus=torus)
 
 

@@ -138,14 +138,6 @@ def dual_identity_check(b: AlgebraStructure, tag: SubgroupTag):
     return _witness(n, differs)
 
 
-def _add_kron(out: dict, left, right, width: int, weight: int = 1) -> None:
-    """out[p * width + q] += weight * cp * cq for (p, cp) in left, (q, cq) in right."""
-    for p, cp in left:
-        for q, cq in right:
-            key = p * width + q
-            out[key] = out.get(key, 0) + weight * cp * cq
-
-
 def tensor_product(a: AlgebraStructure, b: AlgebraStructure) -> AlgebraStructure:
     """Componentwise product on the Kronecker basis e_i (x) f_j."""
     den_a, rows_a = a.scaled_table
@@ -160,8 +152,10 @@ def tensor_product(a: AlgebraStructure, b: AlgebraStructure) -> AlgebraStructure
                 for j2 in range(b.dim):
                     right = rows_b[j1][j2]
                     if right:
-                        out = table[(i1 * b.dim + j1, i2 * b.dim + j2)] = {}
-                        _add_kron(out, left, right, b.dim)
+                        # each (p, q) is one output index: no two products add
+                        table[(i1 * b.dim + j1, i2 * b.dim + j2)] = {
+                            p * b.dim + q: cp * cq for p, cp in left for q, cq in right
+                        }
     return AlgebraStructure.scaled(a.dim * b.dim, "assoc", den_a * den_b, table)
 
 
@@ -222,31 +216,25 @@ def poisson_tensor(p: PoissonStructure, q: PoissonStructure) -> PoissonStructure
     is verified."""
     _require_poisson(p, "left factor")
     _require_poisson(q, "right factor")
-    product = tensor_product(p.product, q.product)
     dim = p.dim * q.dim
-    den_pb, br_p = p.bracket.scaled_table
-    den_pp, pr_p = p.product.scaled_table
-    den_qp, pr_q = q.product.scaled_table
-    den_qb, br_q = q.bracket.scaled_table
-    # [a1,b1] x a2.b2 has denominator den_pb * den_qp, a1.b1 x [a2,b2] the other
-    den = lcm(den_pb * den_qp, den_pp * den_qb)
-    w_left, w_right = den // (den_pb * den_qp), den // (den_pp * den_qb)
+    # the two tensor tables of the bracket, summed over the lcm of their dens
+    halves = [
+        tensor_product(p.bracket, q.product).scaled_table,
+        tensor_product(p.product, q.bracket).scaled_table,
+    ]
+    den = lcm(*(d for d, _ in halves))
     table = {}
-    for i1 in range(p.dim):
-        for i2 in range(p.dim):
-            br_left, pr_left = br_p[i1][i2], pr_p[i1][i2]
-            if not br_left and not pr_left:
-                continue
-            for j1 in range(q.dim):
-                for j2 in range(q.dim):
-                    out = {}
-                    _add_kron(out, br_left, pr_q[j1][j2], q.dim, w_left)
-                    _add_kron(out, pr_left, br_q[j1][j2], q.dim, w_right)
-                    if out:
-                        table[(i1 * q.dim + j1, i2 * q.dim + j2)] = out
+    for d, rows in halves:
+        scale = den // d
+        for i, r in enumerate(rows):
+            for j, row in enumerate(r):
+                if row:
+                    out = table.setdefault((i, j), {})
+                    for k, c in row:
+                        out[k] = out.get(k, 0) + scale * c
     out = PoissonStructure(
         dim=dim,
-        product=product,
+        product=tensor_product(p.product, q.product),
         bracket=AlgebraStructure.scaled(dim, "assoc", den, table),
     )
     _require_poisson(out, "tensor", RuntimeError)
@@ -264,8 +252,8 @@ def opposite_poisson(p: PoissonStructure) -> PoissonStructure:
     negated = tuple(tuple(tuple((k, -c) for k, c in row) for row in r) for r in br)
     out = PoissonStructure(
         dim=p.dim,
-        product=AlgebraStructure(p.dim, "assoc", (den_p, tuple(zip(*prod))), None),
-        bracket=AlgebraStructure(p.dim, "assoc", (den_b, negated), None),
+        product=AlgebraStructure(p.dim, "assoc", (den_p, tuple(zip(*prod)))),
+        bracket=AlgebraStructure(p.dim, "assoc", (den_b, negated)),
     )
     _require_poisson(out, "opposite", RuntimeError)
     return out

@@ -1,20 +1,20 @@
 """Truncated power series over the rationals with tracked precision.
 
-A ``TruncSeries`` stores the coefficients of t^0 .. t^cap of an element of
-Q[[t]]; everything above t^cap is unknown.  A series whose known
-coefficients are all zero is "indistinguishable from 0 at this precision",
-not proven zero.  Binary operations contract to the smaller cap; exact
-division additionally pays the divisor's valuation in precision.
-
-The coefficients are integers over one common denominator: a positive
-``den`` and a tuple ``nums``, kept canonical (gcd(den, *nums) = 1), so
-equal series compare and hash equal and the arithmetic runs on plain
-ints.  Series literals are read and printed on the integers too
-(`rational_pair` here, `io.parse_series_literal` and `io.series_literal`).
-`ratio_str` is the one printer of a rational, the inverse of
-`rational_pair`.  No module of the package imports ``fractions`` at
-module scope: a scalar is anything with ``numerator`` and
-``denominator`` (an int or a Fraction) or a rational string.
+An integer series ``(den, nums)`` stores the coefficients of t^0 .. t^cap
+of an element of Q[[t]] as the integers ``nums`` over one ``den`` > 0;
+everything above t^cap is unknown.  A series whose known coefficients
+are all zero is "indistinguishable from 0 at this precision", not proven
+zero.  `canonical` puts one in lowest terms (gcd(den, *nums) = 1), the
+form of every deformation term coefficient and flag-step coefficient, so
+equal series compare equal and the arithmetic runs on plain ints:
+`mul_nums` multiplies, `inverse_nums` inverts, `running_products` keeps
+b1...bi and `combination` sums c_i * v_i over one denominator.  Series
+literals are read and printed on the integers too (`rational_pair`
+here, `io.parse_series_literal` and `io.series_literal`).  `ratio_str`
+is the one printer of a rational, the inverse of `rational_pair`.  No
+module of the package imports ``fractions`` at module scope: a scalar is
+anything with ``numerator`` and ``denominator`` (an int or a Fraction)
+or a rational string.
 
 A vector or matrix of series is no class of its own but one integer
 matrix over one denominator, ``(den, rows)``: a vector file's rows[i],
@@ -22,12 +22,18 @@ an endomorphism's rows[r][c] and a deformation's perturbation rows each
 hold the numerators of t^0 .. t^cap over den > 0.  `lowest_terms` makes
 such a matrix canonical, gcd(den, every numerator) = 1, so that equal
 vectors compare equal; the functions that take one never change it.
+
+``TruncSeries`` is the same series as an object: its binary operations
+contract to the smaller cap, and exact division pays the divisor's
+valuation in precision.  No command builds one: it stays for the tests'
+series oracle and for the benchmark tracer, which wraps its methods by
+name.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     FormatError,
@@ -133,6 +139,44 @@ def inverse_nums(a) -> list[int]:
     return [ck * powers[cap - k] for k, ck in enumerate(c)]
 
 
+def canonical(den: int, nums) -> tuple[int, tuple[int, ...]]:
+    """The integer series nums / den, den > 0, in lowest terms."""
+    common = gcd(den, *nums)
+    if common == 1:
+        return den, tuple(nums)
+    # a list, not a generator: tuple() then allocates once, without resizing
+    return den // common, tuple([x // common for x in nums])
+
+
+def running_products(coefficients, cap: int) -> list[tuple[int, list[int]]]:
+    """b1, b1*b2, .., b1...bh of the integer series (den, nums) b1 .. bh,
+    each cut to t^cap and over the product of the dens so far, not in
+    lowest terms.  Every bi must be known up to t^cap."""
+    den, nums, out = 1, [1] + [0] * cap, []
+    for cden, cnums in coefficients:
+        den, nums = den * cden, mul_nums(nums, cnums, cap)
+        out.append((den, nums))
+    return out
+
+
+def combination(terms, dim: int, cap: int) -> tuple[int, list[list[int]]]:
+    """The sum of c * vec / vden over (c, vden, vec) in terms, with c an
+    integer series (den, nums) and vec dim ints: (den, rows), rows[i] the
+    integers of t^0 .. t^cap of coordinate i over the lcm of the c den *
+    vden, not in lowest terms."""
+    den = lcm(1, *(cden * vden for (cden, _), vden, _ in terms))
+    rows = [[0] * (cap + 1) for _ in range(dim)]
+    for (cden, nums), vden, vec in terms:
+        scale = den // (cden * vden)
+        nums = [(p, scale * x) for p, x in enumerate(nums[: cap + 1]) if x]
+        for i, v in enumerate(vec):
+            if v:
+                row = rows[i]
+                for p, x in nums:
+                    row[p] += v * x
+    return den, rows
+
+
 class Frozen:
     """Base of the package's immutable value types.
 
@@ -186,12 +230,9 @@ class TruncSeries(Frozen):
             raise ValueError("a series needs at least the t^0 coefficient")
         if den <= 0:
             raise ValueError(f"denominator must be positive, got {den}")
-        common = gcd(den, *nums)
-        if common != 1:
-            den //= common
-            nums = [x // common for x in nums]
+        den, nums = canonical(den, nums)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "nums", nums)
 
     # -- construction ------------------------------------------------
 

@@ -72,7 +72,14 @@ def series_coeffs(s: TruncSeries) -> tuple:
     return tuple(Fraction(x, s.den) for x in s.nums)
 
 
-def _rational_table(dim: int, kind: str, table, basis=None) -> AlgebraStructure:
+def integer_series(s: TruncSeries) -> tuple:
+    """The integer series (den, nums) of a TruncSeries, in lowest terms as
+    the package keeps a term or flag-step coefficient; `TruncSeries(den,
+    nums)` is the way back."""
+    return s.den, s.nums
+
+
+def _rational_table(dim: int, kind: str, table) -> AlgebraStructure:
     """`AlgebraStructure.scaled` of a table of rationals: each value is
     {k: c} or pairs (k, c), a repeated k summed, put over the lcm of the
     denominators."""
@@ -87,17 +94,17 @@ def _rational_table(dim: int, kind: str, table, basis=None) -> AlgebraStructure:
         pair: {k: c.numerator * (den // c.denominator) for k, c in acc.items()}
         for pair, acc in fracs.items()
     }
-    return AlgebraStructure.scaled(dim, kind, den, ints, basis)
+    return AlgebraStructure.scaled(dim, kind, den, ints)
 
 
-def rational_lie(dim: int, table, basis=None) -> AlgebraStructure:
+def rational_lie(dim: int, table) -> AlgebraStructure:
     """Lie table of rationals: keys (i, j) with i < j only."""
-    return _rational_table(dim, "lie", table, basis)
+    return _rational_table(dim, "lie", table)
 
 
-def rational_assoc(dim: int, table, basis=None) -> AlgebraStructure:
+def rational_assoc(dim: int, table) -> AlgebraStructure:
     """Table of rationals over all ordered pairs."""
-    return _rational_table(dim, "assoc", table, basis)
+    return _rational_table(dim, "assoc", table)
 
 
 def abelian_lie(dim: int) -> AlgebraStructure:
@@ -528,8 +535,8 @@ def two_term_instance(cap=6) -> Deformation:
         R2K,
         cap,
         [
-            (TruncSeries.monomial(1, cap), PHI1),
-            (TruncSeries.monomial(2, cap, Fraction(1, 2)), PHI2),
+            (integer_series(TruncSeries.monomial(1, cap)), PHI1),
+            (integer_series(TruncSeries.monomial(2, cap, Fraction(1, 2))), PHI2),
         ],
     )
 
@@ -555,7 +562,7 @@ def random_valid_deformation(rng, n, cap) -> Deformation:
             coeff = random_series_in_m(rng, cap, max_num=6, max_den=4)
             if coeff.is_zero():
                 coeff = TruncSeries.monomial(1, cap)
-            terms.append((coeff, random_cochain(rng, 2, 2, "adjoint")))
+            terms.append((integer_series(coeff), random_cochain(rng, 2, 2, "adjoint")))
         d = Deformation.build(base, cap, terms)
     else:
         base = abelian_lie(n)
@@ -568,7 +575,7 @@ def random_valid_deformation(rng, n, cap) -> Deformation:
         coeff = random_series_in_m(rng, cap, max_num=6, max_den=4)
         if coeff.is_zero():
             coeff = TruncSeries.monomial(1, cap)
-        d = Deformation.build(base, cap, [(coeff, phi)])
+        d = Deformation.build(base, cap, [(integer_series(coeff), phi)])
     if kind == 2:
         direction = random_direction(rng, d.base.dim)
         d = transport(d, identity_plus(d.base.dim, cap, direction))
@@ -652,6 +659,7 @@ def step_factors(d: Deformation):
     out = []
     prev = None
     for coeff, _ in d.terms:
+        coeff = TruncSeries(*coeff)
         out.append(coeff if prev is None else coeff.div_exact(prev))
         prev = coeff
     return out
@@ -694,7 +702,7 @@ def direction(step: FlagStep) -> tuple:
     return tuple(Fraction(x, step.den) for x in step.vector)
 
 
-def flag_step(coefficient: TruncSeries, values) -> FlagStep:
+def flag_step(coefficient: tuple, values) -> FlagStep:
     """The FlagStep of a direction given by rationals (ints or Fractions):
     their integers over the lcm of the denominators, in lowest terms."""
     values = [Fraction(x) for x in values]
@@ -777,7 +785,7 @@ def reference_decompose(w: tuple, pivot_order: str = "first"):
         scale = lead[pivot]
         direction = tuple(c / scale for c in lead)
         b = current[pivot]
-        steps.append(flag_step(b, direction))
+        steps.append(flag_step(integer_series(b), direction))
         residual = [
             s - b.scale(direction[i]) for i, s in enumerate(current)
         ]
@@ -790,7 +798,7 @@ def reference_decompose(w: tuple, pivot_order: str = "first"):
         current = [s.div_exact(b) for s in residual]
         cap -= v
     return FlagDecomposition(
-        steps=tuple(steps), ambient_dim=len(w), cap=steps[-1].coefficient.cap
+        steps=tuple(steps), ambient_dim=len(w), cap=len(steps[-1].coefficient[1]) - 1
     )
 
 
@@ -799,14 +807,15 @@ def reference_recompose(d: FlagDecomposition, cap=None) -> tuple:
     TruncSeries components."""
     if cap is None:
         cap = d.cap
-    if d.steps and cap > min(s.coefficient.cap for s in d.steps):
+    coefficients = [TruncSeries(*step.coefficient) for step in d.steps]
+    if d.steps and cap > min(b.cap for b in coefficients):
         raise PrecisionExhausted(
             f"cap {cap} exceeds the precision of the decomposition"
         )
     total = (TruncSeries.zero(cap),) * d.ambient_dim
     running = TruncSeries.one(cap)
-    for step in d.steps:
-        running = running * step.coefficient.truncate(cap)
+    for step, b in zip(d.steps, coefficients):
+        running = running * b.truncate(cap)
         total = tuple(s + running.scale(c) for s, c in zip(total, direction(step)))
     return total
 

@@ -388,3 +388,19 @@ def test_integer_reader_matches_fraction_reader():
     check_valid()
     check_mangled()
     assert sum(refused) > 0.8 * len(refused)
+
+
+def test_basis_names_are_read_but_not_kept():
+    """Two files that differ only in "basis" parse to equal, hashable
+    structures; a "basis" that is not an array is still refused."""
+    from valdef.errors import FormatError
+    from valdef.io import parse_algebra
+
+    doc = {"dim": 2, "kind": "lie", "table": [{"i": 0, "j": 1, "out": [{"k": 1, "c": "1"}]}]}
+    plain = parse_algebra(doc).structure
+    for names in (["X", "Y"], [["X"], {"Y": 1}], []):
+        named = parse_algebra(dict(doc, basis=names)).structure
+        assert named == plain
+        assert hash(named) == hash(plain)
+    with pytest.raises(FormatError, match="basis must be an array"):
+        parse_algebra(dict(doc, basis="XY"))

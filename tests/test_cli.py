@@ -1345,13 +1345,9 @@ def test_one_shot_covers_every_action():
     assert got == want
 
 
-@pytest.mark.parametrize("argv", ONE_SHOT.values(), ids=ONE_SHOT.keys())
-def test_subcommand_in_fresh_process(tmp_path, capsys, argv):
-    """`python -m valdef.cli` in a new process answers as main() does here.
-
-    In-process tests share one warm sys.modules, so only a fresh process
-    shows that each subcommand imports everything it uses.
-    """
+def _one_shot_argv(tmp_path, argv) -> list:
+    """A ONE_SHOT command line with each @name replaced by the path of its
+    file, written to tmp_path."""
     paths = {"r2": catalog.path("r2"), "zero_root": catalog.path("zero_root")}
     docs = {
         "assoc": ASSOC1,
@@ -1361,8 +1357,20 @@ def test_subcommand_in_fresh_process(tmp_path, capsys, argv):
         # Id + diag(t, 0): a unipotent change of basis
         "endo": {"cap": 3, "matrix": [[["1", "1"], ["0"]], [["0"], ["1"]]]},
     }
-    paths.update((name, write(tmp_path, f"{name}.json", doc)) for name, doc in docs.items())
-    argv = [paths[a[1:]] if a.startswith("@") else a for a in argv]
+    for a in argv:
+        if a.startswith("@") and a[1:] in docs:
+            paths[a[1:]] = write(tmp_path, f"{a[1:]}.json", docs[a[1:]])
+    return [paths[a[1:]] if a.startswith("@") else a for a in argv]
+
+
+@pytest.mark.parametrize("argv", ONE_SHOT.values(), ids=ONE_SHOT.keys())
+def test_subcommand_in_fresh_process(tmp_path, capsys, argv):
+    """`python -m valdef.cli` in a new process answers as main() does here.
+
+    In-process tests share one warm sys.modules, so only a fresh process
+    shows that each subcommand imports everything it uses.
+    """
+    argv = _one_shot_argv(tmp_path, argv)
     proc = subprocess.run(
         [sys.executable, "-m", "valdef.cli", *argv],
         capture_output=True,
@@ -1378,6 +1386,39 @@ def test_subcommand_in_fresh_process(tmp_path, capsys, argv):
     loaded = _modules_after(["valdef.cli"], f"valdef.cli.main({argv!r})")
     assert not {"argparse", "gettext"} & loaded
     assert not RATIONALS & loaded
+
+
+def test_series_commands_build_no_truncseries(tmp_path, capsys, monkeypatch):
+    """Every `deform` action and `decompose` of ONE_SHOT, and the `deform`
+    corpus of `perfbench/corpus.py` at one seed, run on integer series
+    (den, nums): `series.TruncSeries` is never built."""
+    from test_corpus_digest import _call, _corpus
+
+    from valdef.series import TruncSeries
+
+    built = []
+    init = TruncSeries.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(TruncSeries, "__init__", spy)
+    ran = 0
+    for argv in ONE_SHOT.values():
+        if argv[0] in ("deform", "decompose"):
+            assert main(_one_shot_argv(tmp_path, argv)) == 0
+            ran += 1
+    assert ran == 6
+    capsys.readouterr()
+    root = tmp_path / "corpus"
+    root.mkdir()
+    cases = _corpus().build("deform", 3, str(root))
+    assert cases
+    for case in cases:
+        code, _ = _call(case.argv)
+        assert code == case.expect if case.expect is not None else code in (0, 1)
+    assert built == []
 
 
 def test_deform_fuzzed_deformation_documents(tmp_path, capsys):

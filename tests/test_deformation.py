@@ -50,6 +50,7 @@ from gens import (
     fraction_coefficients,
     fraction_table,
     identity_plus,
+    integer_series,
     max_rank_check,
     mu_cochain,
     perturbation_series,
@@ -115,27 +116,27 @@ def test_deformed_bracket_cases():
     assert v[1] == TruncSeries.one(3)
     assert v[0].is_zero() and v[2].is_zero()
 
-    d1 = Deformation.build(AB3, 4, [(TruncSeries.monomial(1, 4), PHI_E12_E3)])
+    d1 = Deformation.build(AB3, 4, [(integer_series(TruncSeries.monomial(1, 4)), PHI_E12_E3)])
     v1 = deformed_bracket(d1, e(3, 0), e(3, 1))
     assert v1[2] == TruncSeries.monomial(1, 4)
     assert deformed_bracket(d1, e(3, 1), e(3, 0))[2] == TruncSeries.monomial(1, 4, -1)
 
     phi_x = rational_cochain(2, 2, "adjoint", {(0, 1): (1, 0)})
-    d2 = Deformation.build(R2, 3, [(TruncSeries.monomial(1, 3), phi_x)])
+    d2 = Deformation.build(R2, 3, [(integer_series(TruncSeries.monomial(1, 3)), phi_x)])
     v2 = deformed_bracket(d2, e(2, 0), e(2, 1))
     assert v2 == (TruncSeries.monomial(1, 3), TruncSeries.one(3))
 
 
 def test_residual_cases():
     assert jacobi_residual(Deformation.trivial(R2K, 4)) == {}
-    d1 = Deformation.build(AB3, 4, [(TruncSeries.monomial(1, 4), PHI_E12_E3)])
+    d1 = Deformation.build(AB3, 4, [(integer_series(TruncSeries.monomial(1, 4)), PHI_E12_E3)])
     # oracle: the only candidate order is t^2 carrying phi o phi
     assert circle(PHI_E12_E3, PHI_E12_E3).is_zero()
     assert jacobi_residual(d1) == {}
 
     phi_bad = rational_cochain(2, 3, "adjoint", {(0, 1): (1, 0, 0), (0, 2): (0, 0, 1)})
     assert not circle(phi_bad, phi_bad).is_zero()
-    d2 = Deformation.build(AB3, 4, [(TruncSeries.monomial(1, 4), phi_bad)])
+    d2 = Deformation.build(AB3, 4, [(integer_series(TruncSeries.monomial(1, 4)), phi_bad)])
     res = jacobi_residual(d2)
     assert sorted(res) == [2]
     assert res[2] == circle(phi_bad, phi_bad)
@@ -162,8 +163,8 @@ def test_graded_broken_input():
         R2K,
         cap,
         [
-            (TruncSeries.monomial(1, cap), PHI1),
-            (TruncSeries.monomial(2, cap, Fraction(1, 2)), PHI2 + phi2_bad),
+            (integer_series(TruncSeries.monomial(1, cap)), PHI1),
+            (integer_series(TruncSeries.monomial(2, cap, Fraction(1, 2))), PHI2 + phi2_bad),
         ],
     )
     res = jacobi_residual(d)
@@ -180,7 +181,10 @@ def test_graded_system_computes_each_bracket_once(monkeypatch):
     # central terms over an abelian base: every circle product vanishes
     pairs = [(0, 1), (0, 2), (1, 2), (0, 1), (0, 2)]
     terms = [
-        (TruncSeries.monomial(p, 6), rational_cochain(2, 4, "adjoint", {pair: (0, 0, 0, p)}))
+        (
+            integer_series(TruncSeries.monomial(p, 6)),
+            rational_cochain(2, 4, "adjoint", {pair: (0, 0, 0, p)}),
+        )
         for p, pair in enumerate(pairs, start=1)
     ]
     d = Deformation.build(abelian_lie(4), 6, terms)
@@ -278,15 +282,15 @@ def test_membership_per_order_matches_per_target_solve():
 
 
 def test_max_rank_degenerate_cases():
-    d1 = Deformation.build(AB3, 4, [(TruncSeries.monomial(1, 4), PHI_E12_E3)])
+    d1 = Deformation.build(AB3, 4, [(integer_series(TruncSeries.monomial(1, 4)), PHI_E12_E3)])
     assert max_rank_check(d1) == (0, True)
     d2 = Deformation.build(
         AB3,
         4,
         [
-            (TruncSeries.monomial(1, 4), PHI_E12_E3),
+            (integer_series(TruncSeries.monomial(1, 4)), PHI_E12_E3),
             (
-                TruncSeries.monomial(2, 4),
+                integer_series(TruncSeries.monomial(2, 4)),
                 rational_cochain(2, 3, "adjoint", {(0, 2): (0, 0, 1)}),
             ),
         ],
@@ -302,20 +306,20 @@ def test_decompose_deformation_cases():
         AB3,
         5,
         [
-            (TruncSeries.monomial(1, 5), PHI_E12_E3),
-            (TruncSeries.monomial(2, 5), phi_e13_e3),
+            (integer_series(TruncSeries.monomial(1, 5)), PHI_E12_E3),
+            (integer_series(TruncSeries.monomial(2, 5)), phi_e13_e3),
         ],
     )
     dd = decompose_deformation(pert)
     assert len(dd.terms) == 2
-    assert dd.terms[0][0] == TruncSeries.monomial(1, dd.cap)
+    assert dd.terms[0][0] == integer_series(TruncSeries.monomial(1, dd.cap))
     assert dd.terms[0][1] == PHI_E12_E3
-    assert dd.terms[1][0] == TruncSeries.monomial(2, dd.cap)
+    assert dd.terms[1][0] == integer_series(TruncSeries.monomial(2, dd.cap))
     assert dd.terms[1][1] == rational_cochain(2, 3, "adjoint", {(0, 2): (0, 0, 1)})
 
     # single-cochain perturbation: one term, pivot-normalized
     psi = rational_cochain(2, 3, "adjoint", {(0, 1): (0, 2, 0), (1, 2): (1, 0, 0)})
-    raw = Deformation.build(AB3, 5, [(TruncSeries.monomial(1, 5), psi)])
+    raw = Deformation.build(AB3, 5, [(integer_series(TruncSeries.monomial(1, 5)), psi)])
     dd2 = decompose_deformation(raw)
     assert len(dd2.terms) == 1
     assert cochain_value(dd2.terms[0][1], (0, 1)) == (0, 1, 0)  # scaled so pivot = 1
@@ -324,7 +328,9 @@ def test_decompose_deformation_cases():
     assert decompose_deformation(Deformation.trivial(AB3, 4)).terms == ()
     # terms that cancel leave a zero perturbation: the trivial deformation
     t = TruncSeries.monomial(1, 4)
-    cancel = Deformation.build(AB3, 4, [(t, PHI_E12_E3), (-t, PHI_E12_E3)])
+    cancel = Deformation.build(
+        AB3, 4, [(integer_series(t), PHI_E12_E3), (integer_series(-t), PHI_E12_E3)]
+    )
     assert decompose_deformation(cancel) == Deformation.trivial(AB3, 4)
 
 
@@ -332,10 +338,10 @@ def test_decompose_deformation_rejects_constant_terms():
     """A perturbation with a constant term in a slot never reaches the
     decomposition: `Deformation.build` refuses the coefficient."""
     with pytest.raises(NotInMaximalIdeal):
-        Deformation.build(AB3, 3, [(TruncSeries.one(3), PHI_E12_E3)])
+        Deformation.build(AB3, 3, [(integer_series(TruncSeries.one(3)), PHI_E12_E3)])
     with pytest.raises(NotInMaximalIdeal):
         Deformation.build(
-            AB3, 3, [(series_of([Fraction(1, 2), 1], cap=3), PHI_E12_E3)]
+            AB3, 3, [(integer_series(series_of([Fraction(1, 2), 1], cap=3)), PHI_E12_E3)]
         )
 
 
@@ -364,12 +370,12 @@ def test_step_factors_recover_cumulative_products():
         running = None
         for f, (coeff, _) in zip(factors, dd.terms):
             running = f if running is None else running * f
-            assert running == coeff.truncate(running.cap)
+            assert running == TruncSeries(*coeff).truncate(running.cap)
 
 
 def test_first_term_requires_validity():
     phi_bad = rational_cochain(2, 3, "adjoint", {(0, 1): (1, 0, 0), (0, 2): (0, 0, 1)})
-    d = Deformation.build(AB3, 4, [(TruncSeries.monomial(1, 4), phi_bad)])
+    d = Deformation.build(AB3, 4, [(integer_series(TruncSeries.monomial(1, 4)), phi_bad)])
     with pytest.raises(InvalidDeformation):
         first_term_is_cocycle(d)
 
@@ -392,7 +398,7 @@ def test_transport_direct_expansion_oracle():
     # bracket is f^-1(mu_t(f x, f y)) computed here with plain polynomial
     # arithmetic (truncated lists), independently of the series classes
     n, cap = 3, 3
-    d = Deformation.build(AB3, cap, [(TruncSeries.monomial(1, cap), PHI_E12_E3)])
+    d = Deformation.build(AB3, cap, [(integer_series(TruncSeries.monomial(1, cap)), PHI_E12_E3)])
     N = [[Fraction(0), Fraction(1), Fraction(0)],
          [Fraction(0), Fraction(0), Fraction(2)],
          [Fraction(1), Fraction(0), Fraction(0)]]
@@ -468,7 +474,7 @@ def expanded_bracket(d, cap):
         for coeff, phi in d.terms:
             for k, c in enumerate(cochain_value(phi, pair)):
                 for p in range(cap + 1):
-                    vec[k][p] += c * series_coeffs(coeff)[p]
+                    vec[k][p] += c * series_coeffs(TruncSeries(*coeff))[p]
         out[pair] = vec
     return out
 
@@ -519,7 +525,7 @@ def test_transport_matches_fraction_expansion():
     def check(rng, n, dcap, fcap, count):
         terms = [
             (
-                random_series_in_m(rng, dcap, max_num=9, max_den=7),
+                integer_series(random_series_in_m(rng, dcap, max_num=9, max_den=7)),
                 random_cochain(rng, n, 2, "adjoint"),
             )
             for _ in range(count)
@@ -566,14 +572,18 @@ def test_perturbation_matrix_matches_fraction_sum():
     def check(rng, n, cap, count):
         terms = [
             (
-                random_series_in_m(rng, cap + rng.randint(0, 2), max_num=9, max_den=7),
+                integer_series(
+                    random_series_in_m(rng, cap + rng.randint(0, 2), max_num=9, max_den=7)
+                ),
                 random_cochain(rng, n, 2, "adjoint", allow_zero=True),
             )
             for _ in range(count)
         ]
         d = Deformation.build(random_lie(rng, n), cap, terms)
         den, rows = d.perturbation()
-        flats = [(series_coeffs(coeff), cochain_flat(phi)) for coeff, phi in terms]
+        flats = [
+            (series_coeffs(TruncSeries(*coeff)), cochain_flat(phi)) for coeff, phi in terms
+        ]
         want = [
             [sum((c[p] * v[slot] for c, v in flats), Fraction(0)) for p in range(cap + 1)]
             for slot in range(n * n * (n - 1) // 2)
@@ -585,7 +595,7 @@ def test_perturbation_matrix_matches_fraction_sum():
 
 
 def test_transport_rejects_non_unipotent():
-    d = Deformation.build(AB3, 3, [(TruncSeries.monomial(1, 3), PHI_E12_E3)])
+    d = Deformation.build(AB3, 3, [(integer_series(TruncSeries.monomial(1, 3)), PHI_E12_E3)])
     f = series_matrix(identity_plus(3, 3))
     two = constant_series(2, 3)
     broken = endomorphism(
@@ -596,10 +606,10 @@ def test_transport_rejects_non_unipotent():
 
 
 def test_polynomial_form_check_cases():
-    d = Deformation.build(AB3, 4, [(TruncSeries.monomial(1, 4), PHI_E12_E3)])
+    d = Deformation.build(AB3, 4, [(integer_series(TruncSeries.monomial(1, 4)), PHI_E12_E3)])
     assert polynomial_form_check(d, rational_pairs([1]), 1)
     c = TruncSeries.monomial(1, 4).div_exact(series_of([1, 1], cap=4))
-    d2 = Deformation.build(AB3, 4, [(c, PHI_E12_E3)])
+    d2 = Deformation.build(AB3, 4, [(integer_series(c), PHI_E12_E3)])
     assert polynomial_form_check(d2, rational_pairs([1, 1]), 1)
     assert not polynomial_form_check(d2, rational_pairs([1]), 1)
     with pytest.raises(ValueError):
@@ -616,7 +626,11 @@ def test_polynomial_form_check_cases():
     assert base.scaled_table[0] % 3 == 0
     q = series_of([1, Fraction(1, 2)], cap=4).invert()
     mu = mu_cochain(base)
-    terms = [(TruncSeries.monomial(p, 4, c), mu) for p, c in enumerate(series_coeffs(q)) if p]
+    terms = [
+        (integer_series(TruncSeries.monomial(p, 4, c)), mu)
+        for p, c in enumerate(series_coeffs(q))
+        if p
+    ]
     d3 = Deformation.build(base, 4, terms)
     assert polynomial_form_check(d3, rational_pairs([1, Fraction(1, 2)]), 1)
     assert not polynomial_form_check(d3, rational_pairs([1, Fraction(3, 2)]), 1)
@@ -682,7 +696,7 @@ def test_maximal_rank_deformations_admit_polynomial_form():
             phi = rational_cochain(
                 2, 3, "adjoint", {pr: tuple(v) for pr, v in by_power[p].items()}
             )
-            terms.append((TruncSeries.monomial(p, cap), phi))
+            terms.append((integer_series(TruncSeries.monomial(p, cap)), phi))
         d = Deformation.build(R2K, cap, terms)
         assert is_valid(d)
         assert max_rank_check(decomposed(d))[1]
@@ -694,7 +708,7 @@ def test_maximal_rank_deformations_admit_polynomial_form():
 def test_validity_gauge_invariance_includes_invalid():
     # transporting an invalid deformation stays invalid
     phi_bad = rational_cochain(2, 3, "adjoint", {(0, 1): (1, 0, 0), (0, 2): (0, 0, 1)})
-    d = Deformation.build(AB3, 4, [(TruncSeries.monomial(1, 4), phi_bad)])
+    d = Deformation.build(AB3, 4, [(integer_series(TruncSeries.monomial(1, 4)), phi_bad)])
     rng = random.Random(63)
     f = identity_plus(3, 4, random_direction(rng, 3))
     assert not is_valid(d)
@@ -705,7 +719,9 @@ def circle_residual(d):
     """Reference for jacobi_residual: mu_t o mu_t from Fraction shuffle
     compositions only, mu_t = 1 * mu + sum c_i * phi_i, expanded over every
     ordered pair."""
-    terms = [(TruncSeries.one(d.cap), mu_cochain(d.base))] + list(d.terms)
+    terms = [(TruncSeries.one(d.cap), mu_cochain(d.base))] + [
+        (TruncSeries(*c), phi) for c, phi in d.terms
+    ]
     out = {}
     for ci, phi_i in terms:
         for cj, phi_j in terms:
@@ -726,7 +742,7 @@ def test_jacobi_residual_matches_circle_reference():
         else:
             n = rng.randint(2, 4)
             terms = [
-                (random_series_in_m(rng, cap, max_num=9, max_den=7),
+                (integer_series(random_series_in_m(rng, cap, max_num=9, max_den=7)),
                  random_cochain(rng, n, 2, "adjoint"))
                 for _ in range(rng.randint(1, 3))
             ]
@@ -784,7 +800,7 @@ def test_kernel_circle_matches_shuffle_reference():
         nonzero += not want.is_zero()
         cap = rng.randint(2, 5)
         terms = [
-            (random_series_in_m(rng, cap, max_num=9, max_den=7), phi)
+            (integer_series(random_series_in_m(rng, cap, max_num=9, max_den=7)), phi)
             for phi in (f, g)[: rng.randint(1, 2)]
         ]
         d = Deformation.build(random_lie(rng, n), cap, terms)
@@ -939,7 +955,7 @@ def test_canonical_parse_and_inverse():
         den, rows = vec = io.parse_vector({"cap": fcap, "components": comps}, 8)
         assert canonical(den, rows, fcap)
         assert components(vec) == tuple(
-            io.parse_series_literal(c, fcap) for c in comps
+            TruncSeries(*io.parse_series_literal(c, fcap)) for c in comps
         )
         def read_vector(comps):
             return io.parse_vector({"cap": fcap, "components": comps}, 8)
@@ -954,7 +970,8 @@ def test_canonical_parse_and_inverse():
         f = io.parse_endomorphism({"cap": fcap, "matrix": matrix}, n, 8)
         assert canonical(f[0], chain.from_iterable(f[1]), fcap)
         assert series_matrix(f) == tuple(
-            tuple(io.parse_series_literal(e, fcap) for e in row) for row in matrix
+            tuple(TruncSeries(*io.parse_series_literal(e, fcap)) for e in row)
+            for row in matrix
         )
 
         def read_matrix(flat):
@@ -995,3 +1012,21 @@ def test_canonical_parse_and_inverse():
     assert f == (14, [[[14, 7, 0, 2]]])
     assert inverse_scale(f, 2) == 2**2
     assert series_matrix_inverse(f, 2) == (4, [[[4, -2, 1]]])
+
+
+def test_readme_worked_example_runs(capsys):
+    """README's "A worked example" Python block runs as printed: the
+    deformation is valid up to t^6 and decomposes into one term."""
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"A worked example:\n\n```python\n(.*?)```", readme, re.S)
+    assert block is not None
+    namespace = {}
+    exec(block.group(1), namespace)
+    assert capsys.readouterr().out == "{}\n1 6\n"
+    d, dd = namespace["d"], namespace["dd"]
+    assert dd.terms == d.terms
+    # row 0 is the e_0 coordinate of mu_t(e_0, e_1) - mu(e_0, e_1): t
+    assert namespace["den"] == 1 and namespace["rows"][0] == [0, 1, 0, 0, 0, 0, 0]
