@@ -227,27 +227,21 @@ def cmd_deform(args):
 
 
 def cmd_rigidity(args):
-    from .rigidity import TorusData, enveloping_rigidity_report, zero_root_criterion
+    from .rigidity import TorusData, enveloping_rigidity_report
 
     loaded = _load_lie(args.algebra, "rigidity analysis needs a lie-kind algebra")
     if loaded.torus is None:
         raise FormatError("algebra file must carry a 'torus' index list")
     torus = TorusData.from_torus(loaded.structure.dim, loaded.torus)
     report = enveloping_rigidity_report(loaded.structure, torus, args.asserted_rigid)
-    detail = {
-        "verdict": report.verdict,
-        "theorem": report.theorem,
-        "rank": report.rank,
-        "roots": None if report.roots is None else [ratio_str(*r) for r in report.roots],
-        "dim_H2_trivial": report.dim_H2_trivial,
-    }
-    if report.note:
-        detail["note"] = report.note
-    if torus.rank == 1:
-        crit = zero_root_criterion(
-            loaded.structure, torus, report.roots, report.dim_H2_trivial
-        )
-        detail["zero_root"] = crit._asdict()
+    detail = report._asdict()
+    if report.roots is not None:
+        detail["roots"] = [ratio_str(*r) for r in report.roots]
+    for key in ("note", "zero_root"):
+        if detail[key] is None:
+            del detail[key]
+    if report.zero_root is not None:
+        detail["zero_root"] = report.zero_root._asdict()
     return _answer(True, detail)
 
 

@@ -137,7 +137,7 @@ def coboundary_matrix(
     of the module's action, none for trivial coefficients, and the second
     only the nonzero brackets.
 
-    weights, the increasing `grading.Graded.weights` of g's basis,
+    weights, the increasing weights of g's basis (`grading.find_grading`),
     restricts delta to its weight-0 block: the columns number the domain
     coordinates of weight 0 in flat order, and the rows the codomain
     coordinates of weight 0 in the same order.  delta preserves weight, so
@@ -335,7 +335,7 @@ def cohomology_dim(g: AlgebraStructure, degree: int, coeff: str) -> CohomologyRe
 
         graded = find_grading(g)
         if graded is not None:
-            g, weights, search = graded, graded.weights, False
+            (g, weights), search = graded, False
             block = _block_dims(degree + 1, weights, _levels(coeff, weights))
     cells = block[degree] * block[degree + 1]
     if cells > MAX_COHOMOLOGY_CELLS:

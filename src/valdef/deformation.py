@@ -48,6 +48,7 @@ from .errors import (
     NotInMaximalIdeal,
     PrecisionExhausted,
 )
+from .io import require_series_cells
 from .series import canonical, combination, lowest_terms, mul_nums, ratio_str
 from .series import running_products
 
@@ -90,8 +91,10 @@ class Deformation(namedtuple("Deformation", "base cap terms")):
         """mu_t - mu as the integer matrix (den, rows) of the module
         docstring, from each cochain's `flat_nums`, in the matrix's row order."""
         n = self.base.dim
+        rows = n * n * (n - 1) // 2
+        require_series_cells(rows, self.cap, "perturbation rows")
         terms = [(coeff, phi.den, phi.flat_nums) for coeff, phi in self.terms]
-        return combination(terms, n * n * (n - 1) // 2, self.cap)
+        return combination(terms, rows, self.cap)
 
 
 def jacobi_residual(d: Deformation) -> dict:

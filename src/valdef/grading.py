@@ -52,12 +52,11 @@ bases go through one change of basis on integers (`_transport`).
 
 from __future__ import annotations
 
-from collections import namedtuple
 from math import isqrt, lcm
 from operator import mul
 
 from . import linalg
-from .algebra import canonical_table
+from .algebra import AlgebraStructure, canonical_table
 
 
 # the largest root `integer_roots` scans for: a candidate whose spectrum may
@@ -72,23 +71,12 @@ MAX_ROOT = 1 << 14
 SEARCH_BUDGET = 2_000_000
 
 
-class Graded(namedtuple("Graded", "dim scaled_table weights")):
-    """A Lie table in a basis of generalized eigenvectors of ad x, or in a
-    basis adapted to the lower central series (every weight 0).
-
-    scaled_table is (den, rows) as in `AlgebraStructure.scaled_table`;
-    weights[i] is the eigenvalue of den * ad x on basis vector i, in
-    increasing order, so every weight class is a contiguous range.
-    """
-
-    __slots__ = ()
-    kind = "lie"
-
-
-def find_grading(g) -> Graded | None:
-    """g in the eigenbasis of the first x found (see the module
-    docstring), or None when no candidate has a split rational spectrum
-    or the search would spend more than SEARCH_BUDGET multiplies."""
+def find_grading(g) -> tuple[AlgebraStructure, tuple[int, ...]] | None:
+    """(h, weights): g in the eigenbasis of the first x found (see the
+    module docstring), weights[i] the eigenvalue of den * ad x on basis
+    vector i, in increasing order, so every weight class is a contiguous
+    range.  None when no candidate has a split rational spectrum or the
+    search would spend more than SEARCH_BUDGET multiplies."""
     den, table = g.scaled_table
     n = g.dim
     for row in table:
@@ -119,11 +107,11 @@ def find_grading(g) -> Graded | None:
     return None
 
 
-def central_series_basis(g) -> Graded | None:
-    """g in a basis adapted to its lower central series, every weight 0,
-    or None when the table is monomial, the series stops shrinking before
-    0 (g is not nilpotent) or computing it would spend more than
-    SEARCH_BUDGET multiplies (see the module docstring)."""
+def central_series_basis(g) -> AlgebraStructure | None:
+    """g in a basis adapted to its lower central series, or None when the
+    table is monomial, the series stops shrinking before 0 (g is not
+    nilpotent) or computing it would spend more than SEARCH_BUDGET
+    multiplies (see the module docstring)."""
     den, table = g.scaled_table
     n = g.dim
     if all(len(out) <= 1 for row in table for out in row):
@@ -153,7 +141,7 @@ def central_series_basis(g) -> Graded | None:
         if rest:
             kept[min(rest)] = rest
             basis.append([vec.get(i, 0) for i in range(n)])
-    return Graded(n, _transport(den, table, basis), (0,) * n)
+    return AlgebraStructure(n, "lie", _transport(den, table, basis))
 
 
 def _bracket(row, vec: dict) -> dict:
@@ -315,7 +303,7 @@ def _inverse(p) -> tuple[int, list]:
     return d, q
 
 
-def _eigengrading(den: int, table, a, roots: dict) -> Graded:
+def _eigengrading(den: int, table, a, roots: dict) -> tuple:
     """The table in a basis of generalized eigenvectors of a = den * ad x,
     grouped by increasing eigenvalue."""
     n = len(a)
@@ -339,7 +327,7 @@ def _eigengrading(den: int, table, a, roots: dict) -> Graded:
         basis += [[v.get(i, 0) for i in range(n)] for v in vecs]
     new_den, rows = _transport(den, table, basis)
     require_homogeneous(rows, weights)
-    return Graded(n, (new_den, rows), tuple(weights))
+    return AlgebraStructure(n, "lie", (new_den, rows)), tuple(weights)
 
 
 def _transport(den: int, table, basis) -> tuple:
@@ -369,7 +357,7 @@ def _transport(den: int, table, basis) -> tuple:
     return canonical_table(n, den * d, entries, antisymmetric=True)
 
 
-def _relabel(den: int, table, weights) -> Graded:
+def _relabel(den: int, table, weights) -> tuple:
     """The table with its basis reordered by increasing weight."""
     n = len(weights)
     order = sorted(range(n), key=weights.__getitem__)
@@ -388,7 +376,7 @@ def _relabel(den: int, table, weights) -> Graded:
             for i in order
         )
     require_homogeneous(rows, sorted_weights)
-    return Graded(n, (den, rows), sorted_weights)
+    return AlgebraStructure(n, "lie", (den, rows)), sorted_weights
 
 
 def require_homogeneous(rows, weights) -> None:

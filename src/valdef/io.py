@@ -18,7 +18,7 @@ from collections import namedtuple
 from math import lcm
 
 from .algebra import AlgebraStructure, Cochain, check_key
-from .errors import FormatError
+from .errors import FormatError, TooLarge
 from .series import lowest_terms, ratio_str, rational_pair
 
 
@@ -33,6 +33,13 @@ MAX_CAP = 1000
 # filiform algebra of dim 9, H^2 adjoint, ranks a 756 x 324 = 244,944 block
 # in ~22 s (README).  The corpora stay below 40,000.
 MAX_COHOMOLOGY_CELLS = 250_000
+# Largest rows x (cap + 1) series matrix built from outside input: a vector
+# or endomorphism file, the coefficients of a deformation's terms, or its
+# perturbation, C(n, 2) * n rows for a base of dim n (`require_series_cells`).
+# At the bound the matrix holds about 8 MB of slots and a vector `decompose`
+# peaks near 41 MB in ~0.1 s (README); every dim up to MAX_DIM still runs at
+# cap 1.  The tests reach 19,800 and the corpora 1,250.
+MAX_SERIES_CELLS = 1_000_000
 
 
 def load_json(path: str):
@@ -88,10 +95,22 @@ def _index_list(value, what: str, dim: int) -> tuple[int, ...]:
     return indices
 
 
+def require_series_cells(rows: int, cap: int, what: str) -> None:
+    """Raise TooLarge, before anything is allocated, when rows series of
+    cap + 1 coefficients exceed MAX_SERIES_CELLS entries."""
+    cells = rows * (cap + 1)
+    if cells > MAX_SERIES_CELLS:
+        raise TooLarge(
+            f"{rows} {what} of {cap + 1} coefficients = {cells} entries exceed "
+            f"the largest supported {MAX_SERIES_CELLS}"
+        )
+
+
 def _read_series(literals, cap: int) -> tuple[int, list[list[int]]]:
     """The canonical (den, rows) of series literals, each zero padded to
     cap, their coefficients read in order as integer pairs (`rational_pair`)
     and put over the lcm of the denominators."""
+    require_series_cells(len(literals), cap, "series")
     pairs = []
     for items in literals:
         if not isinstance(items, list):
@@ -305,6 +324,7 @@ def parse_deformation(doc, base_dir: str, default_cap: int):
     rows = doc.get("terms", [])
     if not isinstance(rows, list):
         raise FormatError(f"deformation 'terms' must be an array, got {rows!r}")
+    require_series_cells(len(rows), cap, "deformation terms")
     terms = []
     for row in rows:
         try:

@@ -82,22 +82,17 @@ ZeroRootCriterion = namedtuple(
 def zero_root_criterion(
     g: AlgebraStructure,
     torus: TorusData,
-    known_roots: tuple[tuple[int, int], ...] | None = None,
-    dim_h2: int | None = None,
+    known_roots: tuple[tuple[int, int], ...],
+    dim_h2: int,
 ) -> ZeroRootCriterion:
     """dim H^2(g, K) = 0 <=> 0 not a root, plus the certificate cocycle.
 
-    The caller asserts rigidity; both sides are computed unconditionally
-    and only their agreement is reported.  When 0 is a root, the cocycle
-    pairing the torus generator with a root-0 eigenvector must be closed
-    and not exact for the report to be consistent.  A caller that already
-    has the roots or dim H^2(g, K) of g, such as a RigidityReport,
-    passes them as known_roots and dim_h2 so they are not computed again.
+    known_roots and dim_h2 are the roots and dim H^2(g, K) of g, computed
+    once by `enveloping_rigidity_report`; only their agreement is
+    reported.  When 0 is a root, the cocycle pairing the torus generator
+    with a root-0 eigenvector must be closed and not exact for the report
+    to be consistent.
     """
-    if known_roots is None:
-        known_roots = roots(g, torus).roots
-    if dim_h2 is None:
-        dim_h2 = cohomology_dim(g, 2, "trivial").dim_H
     zero_is_root = any(num == 0 for num, _ in known_roots)
     consistent = (dim_h2 == 0) == (not zero_is_root)
     closed = nontrivial = None
@@ -122,10 +117,12 @@ def zero_root_criterion(
     )
 
 
+# roots and dim_H2_trivial are None unless rank 1 is asserted rigid;
+# zero_root is the criterion of any rank-1 torus, None for other ranks
 RigidityReport = namedtuple(
     "RigidityReport",
-    "verdict theorem rank roots dim_H2_trivial note",
-    defaults=(None,),
+    "verdict theorem rank roots dim_H2_trivial note zero_root",
+    defaults=(None,) * 4,
 )
 
 
@@ -142,41 +139,21 @@ def enveloping_rigidity_report(
 
     Not asserted rigid: not rigid by inheritance.  Rank >= 2: not rigid.
     Rank 1: decided by dim H^2(g, K); zero means no obstruction from this
-    criterion, it does not certify rigidity.
+    criterion, it does not certify rigidity.  The roots and dim H^2(g, K)
+    of any rank-1 torus are computed once, asserted or not, and give the
+    zero-root criterion; an asserted rank-0 torus raises NotRankOne.
     """
-    if not asserted_rigid:
-        return RigidityReport(
-            verdict="U(g) not rigid",
-            theorem="base not rigid, inherited",
-            rank=torus.rank,
-            roots=None,
-            dim_H2_trivial=None,
-        )
-    if torus.rank >= 2:
-        return RigidityReport(
-            verdict="U(g) not rigid",
-            theorem="rank at least 2",
-            rank=torus.rank,
-            roots=None,
-            dim_H2_trivial=None,
-        )
-    report = roots(g, torus)
-    dim_h2 = cohomology_dim(g, 2, "trivial").dim_H
-    note = CONJECTURE_NOTE if report.zero_is_root else None
-    if dim_h2 != 0:
-        return RigidityReport(
-            verdict="U(g) not rigid",
-            theorem="rank 1 with nonzero H2(g, K)",
-            rank=1,
-            roots=report.roots,
-            dim_H2_trivial=dim_h2,
-            note=note,
-        )
-    return RigidityReport(
-        verdict="no obstruction from H2(g, K)",
-        theorem="rank 1 with H2(g, K) = 0",
-        rank=1,
-        roots=report.roots,
-        dim_H2_trivial=0,
-        note=note,
-    )
+    crit = None
+    if torus.rank == 1 or (asserted_rigid and torus.rank == 0):
+        found = roots(g, torus)
+        dim_h2 = cohomology_dim(g, 2, "trivial").dim_H
+        crit = zero_root_criterion(g, torus, found.roots, dim_h2)
+    if not asserted_rigid or torus.rank >= 2:
+        theorem = "rank at least 2" if asserted_rigid else "base not rigid, inherited"
+        return RigidityReport("U(g) not rigid", theorem, torus.rank, zero_root=crit)
+    if dim_h2:
+        verdict, theorem = "U(g) not rigid", "rank 1 with nonzero H2(g, K)"
+    else:
+        verdict, theorem = "no obstruction from H2(g, K)", "rank 1 with H2(g, K) = 0"
+    note = CONJECTURE_NOTE if found.zero_is_root else None
+    return RigidityReport(verdict, theorem, 1, found.roots, dim_h2, note, crit)

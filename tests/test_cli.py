@@ -667,6 +667,72 @@ def test_rigidity_computes_h2_once(capsys, monkeypatch, asserted, calls):
         assert out == ZERO_ROOT_RIGID
 
 
+# [e0, e1] = -1/2 e1 with e2 central (roots -1/2 and 0), and the Jordan block
+# [e0, e1] = e1 + e2, [e0, e2] = e2, on which ad e0 is not diagonal
+RIGIDITY_TABLES = {
+    "adapted": [{"i": 0, "j": 1, "out": [{"k": 1, "c": "-1/2"}]}],
+    "jordan": [
+        {"i": 0, "j": 1, "out": [{"k": 1, "c": "1"}, {"k": 2, "c": "1"}]},
+        {"i": 0, "j": 2, "out": [{"k": 2, "c": "1"}]},
+    ],
+}
+INHERITED = (
+    '{"detail":{"dim_H2_trivial":null,"rank":%d,"roots":null,"theorem":"base not '
+    'rigid, inherited","verdict":"U(g) not rigid"%s},"ok":true}\n'
+)
+RANK_2 = (
+    '{"detail":{"dim_H2_trivial":null,"rank":2,"roots":null,"theorem":"rank at '
+    'least 2","verdict":"U(g) not rigid"},"ok":true}\n'
+)
+RANK_0 = '{"error":"rank 0 torus; root extraction needs rank 1","ok":false}\n'
+NOT_DIAGONAL = (
+    '{"error":"[e0, e1] has a component on e2: ad X is not diagonal in this '
+    'basis","ok":false}\n'
+)
+ZERO_ROOT_BLOCK = (
+    ',"zero_root":{"certificate_closed":true,"certificate_nontrivial":true,'
+    '"consistent":true,"dim_H2_trivial":1,"zero_is_root":true}'
+)
+# (table, torus, asserted) -> (exit code, stdout)
+RIGIDITY_CASES = {
+    ("adapted", (), False): (0, INHERITED % (0, "")),
+    ("adapted", (), True): (2, RANK_0),
+    ("adapted", (0,), False): (0, INHERITED % (1, ZERO_ROOT_BLOCK)),
+    ("adapted", (0,), True): (
+        0,
+        '{"detail":{"dim_H2_trivial":1,"note":"informational: for solvable rigid '
+        "rank-1 algebras, 0 has been conjectured never to be a root; this report "
+        'does not assume it","rank":1,"roots":["-1/2","0"],"theorem":"rank 1 with '
+        'nonzero H2(g, K)","verdict":"U(g) not rigid"' + ZERO_ROOT_BLOCK + '},"ok":true}\n',
+    ),
+    ("adapted", (0, 1), False): (0, INHERITED % (2, "")),
+    ("adapted", (0, 1), True): (0, RANK_2),
+    ("jordan", (), False): (0, INHERITED % (0, "")),
+    ("jordan", (), True): (2, RANK_0),
+    ("jordan", (0,), False): (2, NOT_DIAGONAL),
+    ("jordan", (0,), True): (2, NOT_DIAGONAL),
+    ("jordan", (0, 1), False): (0, INHERITED % (2, "")),
+    ("jordan", (0, 1), True): (0, RANK_2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RIGIDITY_CASES))
+def test_rigidity_torus_ranks_and_flags(tmp_path, capsys, case):
+    """Each torus rank 0, 1 and 2 on an adapted and a non-adapted dim-3
+    table, with and without --asserted-rigid: the exact stdout and exit
+    code, and on an error its one stderr line.  An asserted rank-0 torus
+    is refused before the basis is read, a non-diagonal rank-1 torus under
+    either flag, and a rank-2 torus is answered by rule alone."""
+    name, torus, asserted = case
+    doc = {"dim": 3, "kind": "lie", "torus": list(torus), "table": RIGIDITY_TABLES[name]}
+    argv = ["rigidity", write(tmp_path, "a.json", doc)]
+    code = main(argv + ["--asserted-rigid"] * asserted)
+    out = capsys.readouterr()
+    want_code, want_out = RIGIDITY_CASES[case]
+    assert (code, out.out) == (want_code, want_out)
+    assert out.err == ("" if code == 0 else f"error: {json.loads(want_out)['error']}\n")
+
+
 LIE2 = {"dim": 2, "kind": "lie", "table": []}
 # [e0,e1] = e0, [e0,e2] = e0, [e1,e2] = e1: the Jacobi sum on (0,1,2) is -e0
 NOT_JACOBI = {
@@ -1929,6 +1995,59 @@ def test_cohomology_size_guard(tmp_path, capsys):
     path = write(tmp_path, "roots.json", roots)
     code, doc, _ = run(capsys, "cohomology", path, "--deg", "2", "--coeff", "adjoint")
     assert code == 0 and doc["ok"] is True
+
+
+def test_series_size_guard(tmp_path, capsys):
+    """A series matrix of more than io.MAX_SERIES_CELLS entries exits 2
+    with one line naming its size, before it is allocated: the perturbation
+    of an empty deformation of dim 30 at cap 1000 (a 75-byte file), a
+    vector file of 8,000 empty components, an endomorphism of dim 32 and a
+    deformation file of 1,000 empty terms.  `deform verify` builds no
+    perturbation and still answers, and matrices at the bound run."""
+    import tracemalloc
+
+    def doc(dim, cap, terms=()):
+        base = {"dim": dim, "kind": "lie", "table": []}
+        return {"cap": cap, "base": base, "terms": list(terms)}
+
+    empty30 = write(tmp_path, "d30.json", doc(30, 1000))
+    empty32 = write(tmp_path, "d32.json", doc(32, 1000))
+    endo = write(tmp_path, "f.json", {"matrix": [[[]] * 32] * 32})
+    terms = write(tmp_path, "t.json", doc(3, 1000, [{"coeff": [], "cochain": []}] * 1000))
+    vector = write(tmp_path, "v.json", {"cap": 1000, "components": [[]] * 8000})
+    cases = [
+        (["deform", "decompose", empty30], 13050, "perturbation rows"),
+        (["deform", "polycheck", empty30, "--poly", '["1"]', "--k", "1"], 13050,
+         "perturbation rows"),
+        (["deform", "transport", empty32, "--endo", endo], 32 * 32, "series"),
+        (["deform", "verify", terms], 1000, "deformation terms"),
+        (["decompose", vector], 8000, "series"),
+    ]
+    for argv, rows, what in cases:
+        tracemalloc.start()
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == 2 and out == {"ok": False, "error": out["error"]}
+        assert err == (
+            f"error: {rows} {what} of 1001 coefficients = {rows * 1001} entries "
+            f"exceed the largest supported {io.MAX_SERIES_CELLS}\n"
+        )
+        # the parent built the whole matrix: 105 MB and 200 MB for the first
+        # and last case
+        assert peak < 5_000_000
+    code, out, _ = run(capsys, "deform", "verify", empty30)
+    assert code == 0 and out["ok"] is True
+    # at the bound: 1,000 components at cap 999, and dim MAX_DIM at cap 1
+    # with 495,000 x 2 = 990,000 entries
+    components = [["0", "1"]] * 1000
+    vector = write(tmp_path, "v1.json", {"cap": 999, "components": components})
+    assert 1000 * 1000 == io.MAX_SERIES_CELLS
+    code, out, _ = run(capsys, "decompose", vector)
+    assert code == 0 and out["detail"]["length"] == 1
+    empty100 = write(tmp_path, "d100.json", doc(io.MAX_DIM, 1))
+    code, out, _ = run(capsys, "deform", "decompose", empty100)
+    assert code == 0 and out["detail"] == {"cap": 1, "terms": []}
 
 
 def test_non_split_search_stops_at_its_budget(tmp_path, capsys, monkeypatch):

@@ -384,12 +384,13 @@ def test_cohomology_dim_matches_sympy_ranks(monkeypatch):
                 assert rep.dim_cocycles == dom - sympy_rank(out_rows, dom)
                 assert rep.dim_coboundaries == sympy_rank(in_rows, in_dom)
                 assert rep.dim_H == rep.dim_cocycles - rep.dim_coboundaries
-                h = find_grading(g) if dom * len(out_rows) >= GRADING_MIN_CELLS else None
-                if h is None:
+                found = find_grading(g) if dom * len(out_rows) >= GRADING_MIN_CELLS else None
+                if found is None:
                     assert ranked == [dom - rep.dim_coboundaries]
                 else:
-                    block_rows, block_dom = coboundary_rows(h, degree, coeff, h.weights)
-                    in_rows, in_dom = coboundary_rows(h, degree - 1, coeff, h.weights)
+                    h, weights = found
+                    block_rows, block_dom = coboundary_rows(h, degree, coeff, weights)
+                    in_rows, in_dom = coboundary_rows(h, degree - 1, coeff, weights)
                     assert block_dom < dom
                     assert ranked == [block_dom - sympy_rank(in_rows, in_dom)]
                     graded += 1

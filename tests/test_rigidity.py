@@ -10,7 +10,6 @@ from valdef.rigidity import (
     TorusData,
     enveloping_rigidity_report,
     roots,
-    zero_root_criterion,
 )
 
 from gens import R2, ROOTS123, fraction_table, rational_lie
@@ -63,19 +62,21 @@ def test_roots_errors():
 
 
 def test_zero_root_criterion_catalog():
-    crit = zero_root_criterion(R2, torus_of(R2))
+    crit = enveloping_rigidity_report(R2, torus_of(R2), asserted_rigid=False).zero_root
     assert (crit.dim_H2_trivial, crit.zero_is_root, crit.consistent) == (
         0,
         False,
         True,
     )
-    crit = zero_root_criterion(ROOTS123, torus_of(ROOTS123))
+    crit = enveloping_rigidity_report(
+        ROOTS123, torus_of(ROOTS123), asserted_rigid=False
+    ).zero_root
     assert (crit.dim_H2_trivial, crit.zero_is_root, crit.consistent) == (
         0,
         False,
         True,
     )
-    crit = zero_root_criterion(ZR, torus_of(ZR))
+    crit = enveloping_rigidity_report(ZR, torus_of(ZR), asserted_rigid=False).zero_root
     assert crit.zero_is_root and crit.dim_H2_trivial >= 1 and crit.consistent
     assert crit.certificate_closed and crit.certificate_nontrivial
 
@@ -112,7 +113,8 @@ def test_catalog_files_load_and_match():
     assert fraction_table(zero.structure) == fraction_table(ZR)
     for name in catalog.NAMES:
         loaded = catalog.load(name)
-        crit = zero_root_criterion(
-            loaded.structure, TorusData.from_torus(loaded.structure.dim, loaded.torus)
-        )
+        torus = TorusData.from_torus(loaded.structure.dim, loaded.torus)
+        crit = enveloping_rigidity_report(
+            loaded.structure, torus, asserted_rigid=False
+        ).zero_root
         assert crit.consistent
