@@ -34,7 +34,8 @@ coordinate, so packed sums would only be unpacked again.
 
 Cochains are alternating multilinear maps stored densely over strictly
 increasing index tuples, as integers over one denominator: the package's
-one cochain format, built from integer sums by `Cochain.scaled`.  No
+one cochain format, built from integer sums by `Cochain.scaled` and
+added with `+`, the one arithmetic a command needs on cochains.  No
 rational view of a table or a cochain is kept here: the Fraction views
 that tests compare against live with the test oracles.
 """
@@ -46,7 +47,7 @@ from itertools import chain, combinations, product as iter_product
 from math import gcd
 
 from .errors import DimensionMismatch, UnsupportedDegree
-from .series import Frozen, scalar_pair
+from .series import Frozen
 
 # The vocabulary of the CLI's choices lives here, in a module every command
 # loads, so that building the parser imports no subcommand's module.
@@ -256,10 +257,6 @@ class Cochain(Frozen):
             vals = {key: tuple(x // common for x in v) for key, v in vals.items()}
         return cls(degree, dim, target, den, vals)
 
-    @classmethod
-    def zero(cls, degree, dim, target="adjoint") -> Cochain:
-        return cls(degree, dim, target, 1, {})
-
     @property
     def width(self) -> int:
         """Length of a value vector: dim (adjoint) or 1 (trivial)."""
@@ -287,35 +284,20 @@ class Cochain(Frozen):
         )
         return self.den, _table_rows(self.dim, entries, antisymmetric=True)
 
-    # -- linear structure ----------------------------------------------
-
-    def _combine(self, other: Cochain, sign: int) -> Cochain:
-        """self + sign * other over the lcm of the two denominators."""
+    def __add__(self, other: Cochain) -> Cochain:
+        """self + other over the lcm of the two denominators."""
         shape = (self.degree, self.dim, self.target)
         if shape != (other.degree, other.dim, other.target):
             raise DimensionMismatch("cochain shapes differ")
         a, b = self.den, other.den
         common = gcd(a, b)
-        fa, fb = b // common, sign * (a // common)
+        fa, fb = b // common, a // common
         mine, theirs, zero = self.values, other.values, (0,) * self.width
         vals = {}
         for key in mine.keys() | theirs.keys():
             pairs = zip(mine.get(key, zero), theirs.get(key, zero))
             vals[key] = [x * fa + y * fb for x, y in pairs]
         return Cochain.scaled(*shape, a * fa, vals)
-
-    def __add__(self, other: Cochain) -> Cochain:
-        return self._combine(other, 1)
-
-    def __sub__(self, other: Cochain) -> Cochain:
-        return self._combine(other, -1)
-
-    def scale(self, scalar) -> Cochain:
-        """scalar * self, scalar as in `series.scalar_pair`."""
-        num, den = scalar_pair(scalar)
-        vals = {k: [num * x for x in v] for k, v in self.values.items()}
-        shape = (self.degree, self.dim, self.target)
-        return Cochain.scaled(*shape, self.den * den, vals)
 
     # -- flat coordinates ------------------------------------------------
 

@@ -5,20 +5,9 @@ roots123: [X, Y_i] = i * Y_i with [Y1, Y2] = Y3 (roots 1, 2, 3).
 zero_root: [X, Y1] = Y1, [X, Y2] = 0 (roots 1, 0; nontrivial H2(g, K)).
 """
 
-import json
 from importlib import resources
 
 NAMES = ("r2", "roots123", "zero_root")
-
-
-def load(name: str):
-    """Parsed AlgebraFile for a catalog entry."""
-    from .. import io
-
-    if name not in NAMES:
-        raise KeyError(f"unknown catalog entry {name!r}; have {NAMES}")
-    text = resources.files(__package__).joinpath(f"{name}.json").read_text()
-    return io.parse_algebra(json.loads(text))
 
 
 def path(name: str) -> str:

@@ -75,10 +75,6 @@ class Flag(namedtuple("Flag", "chain")):
 
     __slots__ = ()
 
-    @property
-    def length(self) -> int:
-        return len(self.chain)
-
 
 def decompose(den: int, rows, pivot_order: str = "first") -> FlagDecomposition:
     """Flag decomposition of the vector whose component i is rows[i] / den,
@@ -163,20 +159,14 @@ def decompose(den: int, rows, pivot_order: str = "first") -> FlagDecomposition:
     return FlagDecomposition(steps=tuple(steps), ambient_dim=dim, cap=cap)
 
 
-def recompose(d: FlagDecomposition, cap: int | None = None):
-    """Evaluate sum of (b1...bi) * Vi exactly at the given cap, as the
-    canonical (den, rows) of a vector: `series.running_products` and
-    `series.combination` over one common denominator.
+def recompose(d: FlagDecomposition):
+    """Evaluate sum of (b1...bi) * Vi exactly at the decomposition's cap,
+    as the canonical (den, rows) of a vector: `series.running_products`
+    and `series.combination` over one common denominator.
     """
-    if cap is None:
-        cap = d.cap
-    if d.steps and cap >= min(len(s.coefficient[1]) for s in d.steps):
-        raise PrecisionExhausted(
-            f"cap {cap} exceeds the precision of the decomposition"
-        )
-    products = running_products((s.coefficient for s in d.steps), cap)
+    products = running_products((s.coefficient for s in d.steps), d.cap)
     terms = [(b, s.den, s.vector) for b, s in zip(products, d.steps)]
-    return lowest_terms(*combination(terms, d.ambient_dim, cap))
+    return lowest_terms(*combination(terms, d.ambient_dim, d.cap))
 
 
 def flag_of(d: FlagDecomposition) -> Flag:

@@ -83,10 +83,6 @@ class Deformation(namedtuple("Deformation", "base cap terms")):
                 norm.append((canonical(den, nums[: cap + 1]), phi))
         return cls(base=base, cap=cap, terms=tuple(norm))
 
-    @classmethod
-    def trivial(cls, base, cap) -> Deformation:
-        return cls.build(base, cap, [])
-
     def perturbation(self) -> tuple[int, list[list[int]]]:
         """mu_t - mu as the integer matrix (den, rows) of the module
         docstring, from each cochain's `flat_nums`, in the matrix's row order."""
@@ -133,10 +129,6 @@ def jacobi_residual(d: Deformation) -> dict:
     return residuals
 
 
-def is_valid(d: Deformation) -> bool:
-    return not jacobi_residual(d)
-
-
 def _require_valid(d: Deformation):
     bad = jacobi_residual(d)
     if bad:
@@ -156,7 +148,7 @@ def decompose_deformation(d: Deformation) -> Deformation:
     """
     den, rows = d.perturbation()
     if not any(map(any, rows)):
-        return Deformation.trivial(d.base, d.cap)
+        return Deformation(d.base, d.cap, ())
     fd = decompose(den, rows)
     n = d.base.dim
     pairs = list(combinations(range(n), 2))
@@ -191,12 +183,12 @@ class GradedSystem(
 def _membership(span, targets) -> list[MembershipVerdict]:
     """The MembershipVerdict of each target cochain in the span's, from
     one integer RREF of the matrix whose columns are the `flat_nums` of
-    the m span cochains, then of the targets.  A non-pivot column c is the
-    sum over the rows p of row_p[c] / row_p[p] times column p, so target c
-    is in the span exactly when no row with an entry in column c leads at
-    or past m, and the free coordinates are zero, as in
-    `linalg.solve_combination`.  Span cochain p, N_p / den_p, then has the
-    coefficient row_p[c] * den_p / (row_p[p] * den) for a target T / den.
+    the m span cochains, then of the targets.  `linalg.column` reads
+    target column c as d * column c = sum of x[p] * column p over pivot
+    columns p, so the target is in the span exactly when every p is below
+    m, and the free coordinates are zero, as in `linalg.solve_combination`.
+    Span cochain p, N_p / den_p, then has the coefficient x[p] * den_p /
+    (d * den) for a target T / den.
     """
     m = len(span)
     columns = [sb.flat_nums for _, sb in span] + [t.flat_nums for t in targets]
@@ -204,18 +196,14 @@ def _membership(span, targets) -> list[MembershipVerdict]:
     reduced = linalg.back_substitute(linalg.echelon(rows))
     verdicts = []
     for col, target in enumerate(targets, m):
-        coefficients = {}
-        for lead, row in reduced.items():
-            x = row.get(col)
-            if x is None:
-                continue
-            if lead >= m:
-                coefficients = None
-                break
-            pair, sb = span[lead]
-            num, den = x * sb.den, row[lead] * target.den
-            coefficients[pair] = (num, den) if den > 0 else (-num, -den)
-        verdicts.append(MembershipVerdict(coefficients is not None, coefficients))
+        d, x = linalg.column(reduced, col)
+        if any(p >= m for p in x):
+            verdicts.append(MembershipVerdict(False, None))
+            continue
+        coefficients = {
+            span[p][0]: (v * span[p][1].den, d * target.den) for p, v in x.items()
+        }
+        verdicts.append(MembershipVerdict(True, coefficients))
     return verdicts
 
 

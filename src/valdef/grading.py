@@ -268,26 +268,22 @@ def _divide(poly, root: int):
 
 def _kernel(b) -> list[dict]:
     """A basis of {v : b v = 0} as {index: int} dicts, one per free column
-    of the back-substituted echelon of b's rows: row p reads s_p v_p +
-    sum over free f of row_p[f] v_f = 0."""
+    f of the back-substituted echelon of b's rows: d * e_f minus the
+    combination of pivot columns that `linalg.column` reads for f."""
     rows = [{j: v for j, v in enumerate(r) if v} for r in b]
     pivots = linalg.back_substitute(linalg.echelon(rows))
     vecs = []
     for f in range(len(b)):
-        if f in pivots:
-            continue
-        d = lcm(1, *(row[p] for p, row in pivots.items() if f in row))
-        vec = {f: d}
-        for p, row in pivots.items():
-            if f in row:
-                vec[p] = -row[f] * (d // row[p])
-        vecs.append(vec)
+        if f not in pivots:
+            d, x = linalg.column(pivots, f)
+            vecs.append({f: d, **{p: -v for p, v in x.items()}})
     return vecs
 
 
 def _inverse(p) -> tuple[int, list]:
     """(d, q) with q = d * p^-1 integer, for an invertible integer matrix p,
-    from the back-substituted echelon of [p | I]."""
+    from the back-substituted echelon of [p | I]: `linalg.column` of
+    column n + r reads column r of p^-1 over its own denominator."""
     n = len(p)
     rows = []
     for r, prow in enumerate(p):
@@ -295,12 +291,9 @@ def _inverse(p) -> tuple[int, list]:
         row[n + r] = 1
         rows.append(row)
     pivots = linalg.back_substitute(linalg.echelon(rows))
-    d = lcm(*(pivots[c][c] for c in range(n)))
-    q = []
-    for c in range(n):
-        row, scale = pivots[c], d // pivots[c][c]
-        q.append([row.get(n + r, 0) * scale for r in range(n)])
-    return d, q
+    cols = [linalg.column(pivots, n + r) for r in range(n)]
+    d = lcm(*(dr for dr, _ in cols))
+    return d, [[x.get(c, 0) * (d // dr) for dr, x in cols] for c in range(n)]
 
 
 def _eigengrading(den: int, table, a, roots: dict) -> tuple:

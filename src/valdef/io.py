@@ -36,9 +36,11 @@ MAX_COHOMOLOGY_CELLS = 250_000
 # Largest rows x (cap + 1) series matrix built from outside input: a vector
 # or endomorphism file, the coefficients of a deformation's terms, or its
 # perturbation, C(n, 2) * n rows for a base of dim n (`require_series_cells`).
-# At the bound the matrix holds about 8 MB of slots and a vector `decompose`
-# peaks near 41 MB in ~0.1 s (README); every dim up to MAX_DIM still runs at
-# cap 1.  The tests reach 19,800 and the corpora 1,250.
+# It caps the matrix read, not the time or peak memory of the call: a vector
+# `decompose` at the bound took 0.1 s and 41 MB on components t + t^2/2 but
+# 2.3 s and 437 MB max RSS on literals such as -37/4, and a full-rank vector
+# at 1% of the bound ran 53.6 s (README).  Every dim up to MAX_DIM still runs
+# at cap 1.  The tests reach 19,800 and the corpora 1,250.
 MAX_SERIES_CELLS = 1_000_000
 
 

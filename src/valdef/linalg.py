@@ -1,26 +1,26 @@
 """Exact linear algebra over Q on one fraction-free elimination step.
 
-Rows are sparse integer dicts {col: int}; rows of rationals have their
-denominators cleared once on the way in (`integer_row`).  The one
-elimination step, `_cancel`, removes a column from a row by
-cross-multiplying it with a pivot row, so no division happens, and then
-divides out the gcd content of the result.  `_insert` reduces a row
-against an echelon of pivot rows keyed by their leading column with
-that step, and keeps what is left as a new pivot row.  The arithmetic
-is exact, so no answer needs a certificate.
+Rows are sparse integer dicts {col: int}, which every caller builds on
+integers.  The one elimination step, `_cancel`, removes a column from a
+row by cross-multiplying it with a pivot row, so no division happens, and
+then divides out the gcd content of the result.  `_insert` reduces a row
+against an echelon of pivot rows keyed by their leading column with that
+step, and keeps what is left as a new pivot row.  The arithmetic is
+exact, so no answer needs a certificate.
 
 `echelon` inserts rows sparsest first and returns that pivots dict;
 `rank` is its size, and `remainder` reduces one more row against it
 without changing it, so a row lies in the span of the echelon exactly
 when nothing is left.  Cohomology eliminates its coboundary columns here.
 `back_substitute` clears each pivot column from the other pivot rows with
-the same step: the integer reduced form that kernels, inverses and the
-graded system's memberships are read from.  `rref` writes that form out
-as Fractions, each row over its leading entry, for `row_space` and
-`solve_combination`; no other module calls these three: they are oracles,
-kept here only while the benchmark's tracer wraps them by name.  Nothing
-else here builds a Fraction: `integer_row` reads any rational through its
-``numerator`` and ``denominator``.
+the same step, and `column` reads a column of the matrix off that integer
+reduced form as a combination of its pivot columns: the kernels and
+inverses of `grading` and the graded system's memberships.  `rref`
+writes the reduced form out as Fractions for `row_space` and
+`solve_combination`, from rows of rationals cleared by `integer_row`; no
+other module calls these four: they are oracles, kept here only while the
+benchmark's tracer wraps them by name, and the only code here that reads
+or builds a Fraction.
 """
 
 from math import gcd, lcm
@@ -86,17 +86,11 @@ def echelon(rows) -> dict:
 
     Returns {leading column: primitive integer row}: one row per pivot,
     each with a leading column no other row has, together spanning the
-    rows over Q.  Each row is a {col: int} dict (absent columns are zero,
-    and zero values are dropped from the copy taken here) or a sequence of
-    rationals (int or Fraction), which has its denominators cleared once.
-    To limit fill-in, rows are taken sparsest first.
+    rows over Q.  Each row is a {col: int} dict: absent columns are zero,
+    and zero values are dropped from the copy taken here.  To limit
+    fill-in, rows are taken sparsest first.
     """
-    vecs = [
-        {c: v for c, v in row.items() if v}
-        if isinstance(row, dict)
-        else integer_row(row)[1]
-        for row in rows
-    ]
+    vecs = [{c: v for c, v in row.items() if v} for row in rows]
     pivots: dict[int, dict] = {}
     for vec in sorted(vecs, key=len):
         _insert(pivots, vec)
@@ -135,6 +129,18 @@ def back_substitute(pivots: dict) -> dict:
             if lead in pivots[above]:
                 pivots[above] = _cancel(pivots[above], pivots[lead], lead)
     return pivots
+
+
+def column(pivots: dict, col: int) -> tuple[int, dict]:
+    """(d, x), d > 0, with d * column col = sum of x[p] * column p over the
+    pivot columns p, read off pivots, the back-substituted echelon of the
+    matrix's rows: those rows have the column relations of the matrix, and
+    row p is zero at every other pivot column.  A pivot column reads as
+    itself, so column col lies in the span of the columns before m exactly
+    when every key of x is below m."""
+    entries = [(p, row[col], row[p]) for p, row in pivots.items() if col in row]
+    d = lcm(1, *(lead for _, _, lead in entries))
+    return d, {p: x * (d // lead) for p, x, lead in entries}
 
 
 def rref(rows):

@@ -4,16 +4,18 @@ For a subgroup G of the permutations of three letters, an algebra is
 G-associative when the signature-weighted sum of permuted associators
 vanishes; G = {Id} is plain associativity, the transposition subgroups
 give pre-Lie/Vinberg type identities, and the full group gives
-Lie-admissibility.  The signature weighting is the convention that
-reproduces those classical identities; an unsigned variant is kept as a
-switch for comparison.
+Lie-admissibility.  `PATTERNS` lists each sigma with its signature, the
+weighting that reproduces those classical identities; an unsigned
+variant is kept as a switch for comparison.
 
 The dual identity paired with each G is the one making the triple
 product of an associative algebra invariant under G, which is exactly
 what the tensor closure argument factors through.  For the two-element
 subgroups this matches the usual pre-Lie/Vinberg duals; "3-commutative"
 (the full-group dual) is implemented as invariance of triple products
-under all argument permutations.
+under all argument permutations.  Tensor tables are one Kronecker sum
+(`_kronecker`): of one pair of tables for `tensor_product`, of two for
+the Poisson tensor bracket.
 
 Every check here is an exact int zero or equality test on the packed
 nested products of all basis triples (`algebra.nested_products`), in
@@ -49,30 +51,21 @@ SubgroupTag = Enum(
 )
 
 
-def _pattern_sign(pattern) -> int:
-    sign = 1
-    p = list(pattern)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
-
-
-# argument patterns (sigma^-1 applied to the slots) for each subgroup
+# (argument pattern, signature) of each sigma in each subgroup: the pattern
+# is sigma^-1 applied to the slots
 PATTERNS = {
-    SubgroupTag.ID: ((0, 1, 2),),
-    SubgroupTag.T12: ((0, 1, 2), (1, 0, 2)),
-    SubgroupTag.T23: ((0, 1, 2), (0, 2, 1)),
-    SubgroupTag.T13: ((0, 1, 2), (2, 1, 0)),
-    SubgroupTag.A3: ((0, 1, 2), (2, 0, 1), (1, 2, 0)),
+    SubgroupTag.ID: (((0, 1, 2), 1),),
+    SubgroupTag.T12: (((0, 1, 2), 1), ((1, 0, 2), -1)),
+    SubgroupTag.T23: (((0, 1, 2), 1), ((0, 2, 1), -1)),
+    SubgroupTag.T13: (((0, 1, 2), 1), ((2, 1, 0), -1)),
+    SubgroupTag.A3: (((0, 1, 2), 1), ((2, 0, 1), 1), ((1, 2, 0), 1)),
     SubgroupTag.S3: (
-        (0, 1, 2),
-        (1, 0, 2),
-        (0, 2, 1),
-        (2, 1, 0),
-        (2, 0, 1),
-        (1, 2, 0),
+        ((0, 1, 2), 1),
+        ((1, 0, 2), -1),
+        ((0, 2, 1), -1),
+        ((2, 1, 0), -1),
+        ((2, 0, 1), 1),
+        ((1, 2, 0), 1),
     ),
 }
 
@@ -112,8 +105,8 @@ def g_associative_check(a: AlgebraStructure, tag: SubgroupTag, signed: bool = Tr
     nestings = (nested_products(packed, a, left) for left in (True, False))
     assoc = list(map(sub, *nestings))
     total = assoc
-    for pattern in PATTERNS[tag][1:]:
-        op = sub if signed and _pattern_sign(pattern) < 0 else add
+    for pattern, sign in PATTERNS[tag][1:]:
+        op = sub if signed and sign < 0 else add
         permuted = map(assoc.__getitem__, permuted_triples(n, pattern))
         total = list(map(op, total, permuted))
     return _witness(n, total)
@@ -132,31 +125,39 @@ def dual_identity_check(b: AlgebraStructure, tag: SubgroupTag):
     if not verdict[0]:
         return verdict
     differs = [False] * len(left)
-    for pattern in PATTERNS[tag][1:]:
+    for pattern, _ in PATTERNS[tag][1:]:
         permuted = map(left.__getitem__, permuted_triples(n, pattern))
         differs = list(map(or_, differs, map(ne, permuted, left)))
     return _witness(n, differs)
 
 
+def _kronecker(dim: int, pairs) -> AlgebraStructure:
+    """The sum over (a, b) in pairs of the componentwise products on the
+    Kronecker basis e_i (x) f_j, an assoc-kind table of dim a.dim * b.dim,
+    over the lcm of the pairs' dens."""
+    tables = [(a.scaled_table, b.scaled_table, b.dim) for a, b in pairs]
+    den = lcm(*(den_a * den_b for (den_a, _), (den_b, _), _ in tables))
+    table = {}
+    for (den_a, rows_a), (den_b, rows_b), m in tables:
+        scale = den // (den_a * den_b)
+        for i1, row_a in enumerate(rows_a):
+            for i2, left in enumerate(row_a):
+                if not left:
+                    continue
+                for j1, row_b in enumerate(rows_b):
+                    for j2, right in enumerate(row_b):
+                        if right:
+                            out = table.setdefault((i1 * m + j1, i2 * m + j2), {})
+                            for p, cp in left:
+                                for q, cq in right:
+                                    k = p * m + q
+                                    out[k] = out.get(k, 0) + scale * cp * cq
+    return AlgebraStructure.scaled(dim, "assoc", den, table)
+
+
 def tensor_product(a: AlgebraStructure, b: AlgebraStructure) -> AlgebraStructure:
     """Componentwise product on the Kronecker basis e_i (x) f_j."""
-    den_a, rows_a = a.scaled_table
-    den_b, rows_b = b.scaled_table
-    table = {}
-    for i1 in range(a.dim):
-        for i2 in range(a.dim):
-            left = rows_a[i1][i2]
-            if not left:
-                continue
-            for j1 in range(b.dim):
-                for j2 in range(b.dim):
-                    right = rows_b[j1][j2]
-                    if right:
-                        # each (p, q) is one output index: no two products add
-                        table[(i1 * b.dim + j1, i2 * b.dim + j2)] = {
-                            p * b.dim + q: cp * cq for p, cp in left for q, cq in right
-                        }
-    return AlgebraStructure.scaled(a.dim * b.dim, "assoc", den_a * den_b, table)
+    return _kronecker(a.dim * b.dim, [(a, b)])
 
 
 # -- Poisson structures -----------------------------------------------
@@ -217,25 +218,10 @@ def poisson_tensor(p: PoissonStructure, q: PoissonStructure) -> PoissonStructure
     _require_poisson(p, "left factor")
     _require_poisson(q, "right factor")
     dim = p.dim * q.dim
-    # the two tensor tables of the bracket, summed over the lcm of their dens
-    halves = [
-        tensor_product(p.bracket, q.product).scaled_table,
-        tensor_product(p.product, q.bracket).scaled_table,
-    ]
-    den = lcm(*(d for d, _ in halves))
-    table = {}
-    for d, rows in halves:
-        scale = den // d
-        for i, r in enumerate(rows):
-            for j, row in enumerate(r):
-                if row:
-                    out = table.setdefault((i, j), {})
-                    for k, c in row:
-                        out[k] = out.get(k, 0) + scale * c
     out = PoissonStructure(
         dim=dim,
         product=tensor_product(p.product, q.product),
-        bracket=AlgebraStructure.scaled(dim, "assoc", den, table),
+        bracket=_kronecker(dim, [(p.bracket, q.product), (p.product, q.bracket)]),
     )
     _require_poisson(out, "tensor", RuntimeError)
     return out

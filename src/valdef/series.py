@@ -32,6 +32,7 @@ name.
 
 from __future__ import annotations
 
+import sys
 from itertools import chain
 from math import gcd, lcm
 
@@ -40,6 +41,7 @@ from .errors import (
     NotAUnit,
     NotDivisible,
     PrecisionExhausted,
+    TooLarge,
     ZeroDivisor,
 )
 
@@ -73,11 +75,17 @@ def rational_pair(text: str) -> tuple[int, int]:
 
 def ratio_str(num: int, den: int) -> str:
     """num / den as a rational literal in lowest terms, for den > 0: the
-    inverse of `rational_pair`, with no Fraction built."""
+    inverse of `rational_pair`, with no Fraction built.  Raises TooLarge
+    when the numerator or denominator has more digits than the
+    interpreter converts to a string, where `rational_pair` refuses too."""
     common = gcd(num, den)
-    if common == den:
-        return str(num // common)
-    return f"{num // common}/{den // common}"
+    try:
+        if common == den:
+            return str(num // common)
+        return f"{num // common}/{den // common}"
+    except ValueError:  # past the interpreter's limit on int digits
+        limit = sys.get_int_max_str_digits()
+        raise TooLarge(f"a rational to print has more than {limit} digits") from None
 
 
 def scalar_pair(value) -> tuple[int, int]:

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from valdef import linalg
+from valdef import catalog, linalg
 from valdef.algebra import AlgebraStructure, Cochain, check_key, jacobi_sums
 from valdef.cohomology import coboundary, coboundary_matrix, super_bracket
 from valdef.decompose import Flag, FlagDecomposition, FlagStep
@@ -32,7 +32,7 @@ from valdef.errors import (
     ZeroVector,
 )
 from valdef.nonassoc import PATTERNS, PoissonStructure, SubgroupTag
-from valdef.io import _int
+from valdef.io import _int, load_algebra
 from valdef.series import TruncSeries, rational_pair
 
 
@@ -107,6 +107,12 @@ def rational_assoc(dim: int, table) -> AlgebraStructure:
     return _rational_table(dim, "assoc", table)
 
 
+def catalog_algebra(name: str):
+    """The parsed AlgebraFile of a bundled catalog entry, read from its
+    installed path as the CLI reads it."""
+    return load_algebra(catalog.path(name))
+
+
 def abelian_lie(dim: int) -> AlgebraStructure:
     return rational_lie(dim, {})
 
@@ -136,6 +142,14 @@ def rational_cochain(degree, dim, target, values) -> Cochain:
     for vec in clean.values():
         vec[:] = [c.numerator * (den // c.denominator) for c in vec]
     return Cochain.scaled(degree, dim, target, den, clean)
+
+
+def scale_cochain(c: Cochain, scalar) -> Cochain:
+    """scalar * c for an int or Fraction scalar, through `Cochain.scaled`;
+    a difference a - b is a + scale_cochain(b, -1)."""
+    num, den = scalar.numerator, scalar.denominator
+    values = {key: [num * x for x in vec] for key, vec in c.values.items()}
+    return Cochain.scaled(c.degree, c.dim, c.target, c.den * den, values)
 
 
 def cochain_value(c: Cochain, key):
@@ -274,6 +288,12 @@ def random_invertible(rng, n):
 
 
 # -- linear algebra only the tests need, on linalg.rref ------------------
+
+
+def integer_rows(rows) -> list[dict]:
+    """Rows of rationals as the {col: int} rows `linalg.echelon` and
+    `linalg.rank` take, each with its denominators cleared."""
+    return [linalg.integer_row(row)[1] for row in rows]
 
 
 def nullspace(rows):
@@ -685,7 +705,7 @@ def max_rank_check(d: Deformation):
             vectors.append(list(cochain_flat(super_bracket(phis[i], phis[j]))))
     for phi in phis[: k - 1]:
         vectors.append(list(cochain_flat(coboundary(d.base, phi))))
-    dim = linalg.rank(vectors) if vectors else 0
+    dim = linalg.rank(integer_rows(vectors))
     return dim, dim == k * (k - 1) // 2
 
 
@@ -936,7 +956,7 @@ def dict_g_check(a: AlgebraStructure, tag, signed: bool = True):
         assoc.append(acc)
     for t in iter_product(range(n), repeat=3):
         acc: dict[int, int] = {}
-        for pattern in PATTERNS[SubgroupTag(tag)]:
+        for pattern, _ in PATTERNS[SubgroupTag(tag)]:
             inversions = sum(pattern[x] > pattern[y] for x, y in ((0, 1), (0, 2), (1, 2)))
             sign = (-1) ** inversions if signed else 1
             add_scaled(acc, assoc[_flat(n, [t[p] for p in pattern])], sign)
@@ -954,7 +974,7 @@ def dict_dual(b: AlgebraStructure, tag):
         if lt != rt:
             return False, t
     for t, want in zip(triples, left):
-        for pattern in PATTERNS[SubgroupTag(tag)][1:]:
+        for pattern, _ in PATTERNS[SubgroupTag(tag)][1:]:
             if left[_flat(n, [t[p] for p in pattern])] != want:
                 return False, t
     return True, None

@@ -34,6 +34,7 @@ from gens import (
     rational_cochain,
     rational_lie,
     rational_str,
+    scale_cochain,
 )
 
 
@@ -211,8 +212,9 @@ def test_cochain_printer_matches_rational_str():
         wide = {key: [scale * x for x in vec] for key, vec in c.values.items()}
         other = Cochain.scaled(degree, dim, target, scale * c.den, wide)
         assert other == c and hash(other) == hash(c)
-        assert c.scale(scale).scale(Fraction(1, scale)) == c
-        assert (c + c) - c == c and (c - c).is_zero()
+        assert scale_cochain(scale_cochain(c, scale), Fraction(1, scale)) == c
+        negated = scale_cochain(c, -1)
+        assert (c + c) + negated == c and (c + negated).is_zero()
 
     check()
 

@@ -1628,9 +1628,9 @@ def test_decompose_self_check_failure_is_internal(tmp_path, capsys, monkeypatch)
     assert code == 0 and good["detail"]["recomposition_check"] is True
     real = decompose.recompose
 
-    def perturbed(d, cap=None):
+    def perturbed(d):
         # the recomposition plus t^cap in its first component
-        den, rows = real(d, cap)
+        den, rows = real(d)
         return den, [rows[0][:-1] + [rows[0][-1] + den]] + rows[1:]
 
     # cmd_decompose imports recompose from its module at call time
@@ -2048,6 +2048,27 @@ def test_series_size_guard(tmp_path, capsys):
     empty100 = write(tmp_path, "d100.json", doc(io.MAX_DIM, 1))
     code, out, _ = run(capsys, "deform", "decompose", empty100)
     assert code == 0 and out["detail"] == {"cap": 1, "terms": []}
+
+
+def test_decompose_refuses_a_coefficient_past_the_digit_limit(tmp_path, capsys):
+    """Step 2 of the vector (t + 10^40 t^2, t^2) has the coefficient
+    t / (1 + 10^40 t), whose t^k numerator has 40 (k - 1) + 1 digits.  At
+    cap 100 every literal fits the interpreter's int-to-str limit (4,300
+    digits by default); at cap 120 the answer would pass it, so the command
+    exits 2 with one line naming the limit, not 4 with a traceback."""
+    big = "1" + "0" * 40
+    for cap in (100, 120):
+        vector = {"cap": cap, "components": [["0", "1", big], ["0", "0", "1"]]}
+        path = write(tmp_path, f"v{cap}.json", vector)
+        code, out, err = run(capsys, "decompose", path)
+        if cap == 100:
+            assert code == 0 and err == ""
+            coefficient = out["detail"]["steps"][1]["coefficient"]
+            assert coefficient == ["0"] + [str((-(10**40)) ** k) for k in range(99)]
+            continue
+        limit = sys.get_int_max_str_digits()
+        assert code == 2 and out == {"ok": False, "error": out["error"]}
+        assert err == f"error: a rational to print has more than {limit} digits\n"
 
 
 def test_non_split_search_stops_at_its_budget(tmp_path, capsys, monkeypatch):

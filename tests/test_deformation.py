@@ -14,7 +14,6 @@ from valdef.deformation import (
     Deformation,
     decompose_deformation,
     graded_system,
-    is_valid,
     jacobi_residual,
     polynomial_form_check,
     series_matrix_inverse,
@@ -50,6 +49,7 @@ from gens import (
     fraction_coefficients,
     fraction_table,
     identity_plus,
+    integer_rows,
     integer_series,
     max_rank_check,
     mu_cochain,
@@ -64,6 +64,7 @@ from gens import (
     rational_cochain,
     rational_lie,
     rational_pairs,
+    scale_cochain,
     series_coeffs,
     series_matrix,
     series_of,
@@ -93,7 +94,7 @@ def test_two_term_instance_hand_checks():
     assert val == (Fraction(0), Fraction(1), Fraction(0))
     sb = super_bracket(PHI1, PHI1)
     assert cochain_value(sb, (0, 1, 2)) == tuple(2 * c for c in val)
-    assert coboundary(R2K, PHI2) == sb.scale(-1)
+    assert coboundary(R2K, PHI2) == scale_cochain(sb, -1)
     assert coboundary(R2K, PHI1).is_zero()
     assert super_bracket(PHI1, PHI2).is_zero()
     assert super_bracket(PHI2, PHI2).is_zero()
@@ -111,7 +112,7 @@ def deformed_bracket(d, x, y):
 
 
 def test_deformed_bracket_cases():
-    d0 = Deformation.trivial(R2K, 3)
+    d0 = Deformation.build(R2K, 3, [])
     v = deformed_bracket(d0, e(3, 0), e(3, 1))
     assert v[1] == TruncSeries.one(3)
     assert v[0].is_zero() and v[2].is_zero()
@@ -128,7 +129,7 @@ def test_deformed_bracket_cases():
 
 
 def test_residual_cases():
-    assert jacobi_residual(Deformation.trivial(R2K, 4)) == {}
+    assert jacobi_residual(Deformation.build(R2K, 4, [])) == {}
     d1 = Deformation.build(AB3, 4, [(integer_series(TruncSeries.monomial(1, 4)), PHI_E12_E3)])
     # oracle: the only candidate order is t^2 carrying phi o phi
     assert circle(PHI_E12_E3, PHI_E12_E3).is_zero()
@@ -144,7 +145,7 @@ def test_residual_cases():
 
 def test_two_term_instance_validity_and_graded():
     d = two_term_instance()
-    assert is_valid(d)
+    assert not jacobi_residual(d)
     assert first_term_is_cocycle(d)
     system = graded_system(d)
     assert system.satisfied
@@ -325,13 +326,13 @@ def test_decompose_deformation_cases():
     assert cochain_value(dd2.terms[0][1], (0, 1)) == (0, 1, 0)  # scaled so pivot = 1
     assert perturbations_equal(dd2, raw)
 
-    assert decompose_deformation(Deformation.trivial(AB3, 4)).terms == ()
+    assert decompose_deformation(Deformation.build(AB3, 4, [])).terms == ()
     # terms that cancel leave a zero perturbation: the trivial deformation
     t = TruncSeries.monomial(1, 4)
     cancel = Deformation.build(
         AB3, 4, [(integer_series(t), PHI_E12_E3), (integer_series(-t), PHI_E12_E3)]
     )
-    assert decompose_deformation(cancel) == Deformation.trivial(AB3, 4)
+    assert decompose_deformation(cancel) == Deformation.build(AB3, 4, [])
 
 
 def test_decompose_deformation_rejects_constant_terms():
@@ -355,7 +356,7 @@ def test_roundtrip_random_decomposition():
         from valdef import linalg
 
         vectors = [list(cochain_flat(phi)) for _, phi in dd.terms]
-        assert linalg.rank(vectors) == len(vectors)
+        assert linalg.rank(integer_rows(vectors)) == len(vectors)
 
 
 def test_step_factors_recover_cumulative_products():
@@ -388,7 +389,7 @@ def test_transport_identity_and_roundtrip():
         assert perturbations_equal(transport(d, identity_plus(n, cap)), d)
         f = identity_plus(n, cap, random_direction(rng, n))
         td = transport(d, f)
-        assert is_valid(td)
+        assert not jacobi_residual(td)
         back = transport(td, series_matrix_inverse(f, cap))
         assert perturbations_equal(back, d)
 
@@ -698,7 +699,7 @@ def test_maximal_rank_deformations_admit_polynomial_form():
             )
             terms.append((integer_series(TruncSeries.monomial(p, cap)), phi))
         d = Deformation.build(R2K, cap, terms)
-        assert is_valid(d)
+        assert not jacobi_residual(d)
         assert max_rank_check(decomposed(d))[1]
         found = find_polynomial_form(d, k)
         assert found is not None
@@ -711,8 +712,8 @@ def test_validity_gauge_invariance_includes_invalid():
     d = Deformation.build(AB3, 4, [(integer_series(TruncSeries.monomial(1, 4)), phi_bad)])
     rng = random.Random(63)
     f = identity_plus(3, 4, random_direction(rng, 3))
-    assert not is_valid(d)
-    assert not is_valid(transport(d, f))
+    assert jacobi_residual(d)
+    assert jacobi_residual(transport(d, f))
 
 
 def circle_residual(d):
@@ -728,7 +729,7 @@ def circle_residual(d):
             comp = shuffle_circle(phi_i, phi_j)
             for p, c in enumerate(series_coeffs(ci * cj)):
                 if c:
-                    out[p] = comp.scale(c) + out.get(p, comp.scale(0))
+                    out[p] = scale_cochain(comp, c) + out.get(p, scale_cochain(comp, 0))
     return {p: c for p, c in out.items() if not c.is_zero()}
 
 

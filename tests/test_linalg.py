@@ -14,6 +14,7 @@ from gens import (
     frac,
     fraction_rows,
     in_span,
+    integer_rows,
     matrix_inverse,
     nullspace,
     sympy_row_space,
@@ -41,7 +42,7 @@ def test_rank_nullspace_roundtrip():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         m = random_matrix(rng, rows, cols)
-        rank = linalg.rank(m)
+        rank = linalg.rank(integer_rows(m))
         null = nullspace(m)
         assert rank + len(null) == cols
         for vec in null:
@@ -137,9 +138,9 @@ def assert_matches_sympy(m):
 def test_rank_matches_sympy():
     for m in oracle_cases(random.Random(23)):
         expected = domain_matrix(m).rank()
-        assert linalg.rank(m) == expected
-        assert linalg.rank([linalg.integer_row(row)[1] for row in m]) == expected
-        assert linalg.rank(list(reversed(m))) == expected
+        rows = integer_rows(m)
+        assert linalg.rank(rows) == expected
+        assert linalg.rank(list(reversed(rows))) == expected
 
 
 def test_echelon_and_remainder_match_sympy():
@@ -149,8 +150,8 @@ def test_echelon_and_remainder_match_sympy():
     for m in oracle_cases(rng):
         ncols = len(m[0])
         want = sympy_row_space(m)
-        pivots = linalg.echelon(m)
-        assert len(pivots) == len(want) == linalg.rank(m)
+        pivots = linalg.echelon(integer_rows(m))
+        assert len(pivots) == len(want) == linalg.rank(integer_rows(m))
         for lead, row in pivots.items():
             assert min(row) == lead and all(type(v) is int and v for v in row.values())
             assert gcd(*row.values()) == 1
@@ -160,12 +161,12 @@ def test_echelon_and_remainder_match_sympy():
         coeffs = [rng.choice((-2, 1, 3)) for _ in m]
         inside = [sum(a * x for a, x in zip(coeffs, col)) for col in zip(*m)]
         for target in m + [inside, random_matrix(rng, 1, ncols)[0]]:
-            vec = linalg.integer_row(target)[1]
+            (vec,) = integer_rows([target])
             copy = dict(vec)
             left = linalg.remainder(pivots, vec)
             assert (not left) == (sympy_row_space(m + [target]) == want)
             assert vec == copy and pivots == before
-        assert not linalg.remainder(pivots, linalg.integer_row(inside)[1])
+        assert not linalg.remainder(pivots, integer_rows([inside])[0])
 
 
 def test_echelon_drops_zero_values_of_dict_rows():
@@ -178,6 +179,81 @@ def test_echelon_drops_zero_values_of_dict_rows():
     assert pivots == {1: {1: 1}, 2: {2: 2, 3: -3}}
     assert rows == copies
     assert linalg.rank(rows) == 2
+
+
+def integer_matrix(rng, rows, cols):
+    """A random integer matrix, of rank below min(rows, cols) half the time."""
+    if rng.random() < 0.5:
+        inner = rng.randint(1, max(1, min(rows, cols) - 1))
+        left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)]
+        return [[sum(a * b for a, b in zip(r, c)) for c in zip(*right)] for r in left]
+    return [[rng.randint(-5, 5) if rng.random() < 0.6 else 0 for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def reduced_form(m) -> dict:
+    """The back-substituted echelon of an integer matrix given by its rows."""
+    rows = [{c: v for c, v in enumerate(row) if v} for row in m]
+    return linalg.back_substitute(linalg.echelon(rows))
+
+
+def test_column_reads_kernel_inverse_and_span_against_sympy():
+    """`linalg.column` on random integer matrices, rank-deficient ones
+    included: each column is the combination it reads, the kernel vectors
+    read from the free columns span sympy's nullspace, the inverse read
+    from [P | I] is sympy's, and a target column is read as outside the
+    span of the columns before it exactly when sympy's rank grows."""
+    pytest.importorskip("sympy")
+    rng = random.Random(26)
+    kinds = set()
+    for _ in range(80):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = integer_matrix(rng, rows, cols)
+        pivots = reduced_form(m)
+        kernel = []
+        for col in range(cols):
+            d, x = linalg.column(pivots, col)
+            assert d > 0 and all(p <= col for p in x)
+            assert all(d * row[col] == sum(v * row[p] for p, v in x.items()) for row in m)
+            if col not in pivots:
+                vec = [0] * cols
+                vec[col] = d
+                for p, v in x.items():
+                    vec[p] = -v
+                kernel.append(vec)
+        want = [tuple(row) for row in fraction_rows(domain_matrix(m).nullspace())]
+        assert len(kernel) == len(want)
+        if want:
+            assert sympy_row_space(kernel) == sympy_row_space(want)
+        # a target column after the matrix's: A y (inside) or random
+        if rng.random() < 0.5:
+            y = [rng.randint(-2, 2) for _ in range(cols)]
+            target = [sum(a * b for a, b in zip(row, y)) for row in m]
+        else:
+            target = [rng.randint(-4, 4) for _ in m]
+        aug = [row + [t] for row, t in zip(m, target)]
+        inside = domain_matrix(aug).rank() == domain_matrix(m).rank()
+        kinds.add(inside)
+        d, x = linalg.column(reduced_form(aug), cols)
+        assert all(p < cols for p in x) == inside
+        # the inverse of a square matrix, read column by column from [P | I]
+        n = rows
+        p = integer_matrix(rng, n, n)
+        dm = domain_matrix(p)
+        if dm.rank() < n:
+            continue
+        aug = [row + [int(r == c) for c in range(n)] for r, row in enumerate(p)]
+        pivots = reduced_form(aug)
+        inverse = [[Fraction(0)] * n for _ in range(n)]
+        for r in range(n):
+            d, x = linalg.column(pivots, n + r)
+            assert all(c < n for c in x)
+            for c, v in x.items():
+                inverse[c][r] = Fraction(v, d)
+        assert inverse == fraction_rows(dm.inv())
+        kinds.add("inverse")
+    assert kinds == {True, False, "inverse"}
 
 
 def test_rref_nullspace_inverse_match_sympy():

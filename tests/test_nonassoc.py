@@ -290,7 +290,7 @@ def _ref_g_check(a, tag, signed):
     e = [unit(a.dim, i) for i in range(a.dim)]
     for t in iter_product(range(a.dim), repeat=3):
         acc = [Fraction(0)] * a.dim
-        for pattern in PATTERNS[tag]:
+        for pattern, _ in PATTERNS[tag]:
             sign = _ref_sign(pattern) if signed else 1
             vec = associator(a, *(e[t[p]] for p in pattern))
             acc = [x + sign * y for x, y in zip(acc, vec)]
@@ -310,7 +310,7 @@ def _ref_dual(b, tag):
         return b.bilinear(b.bilinear(e[t[0]], e[t[1]]), e[t[2]])
 
     for t in triples:
-        for pattern in PATTERNS[tag][1:]:
+        for pattern, _ in PATTERNS[tag][1:]:
             if prod3(tuple(t[p] for p in pattern)) != prod3(t):
                 return False, t
     return True, None

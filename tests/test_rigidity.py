@@ -12,7 +12,7 @@ from valdef.rigidity import (
     roots,
 )
 
-from gens import R2, ROOTS123, fraction_table, rational_lie
+from gens import R2, ROOTS123, catalog_algebra, fraction_table, rational_lie
 
 ZR = rational_lie(3, {(0, 1): {1: 1}})
 
@@ -104,15 +104,15 @@ def test_reports():
 
 
 def test_catalog_files_load_and_match():
-    r2_file = catalog.load("r2")
+    r2_file = catalog_algebra("r2")
     assert fraction_table(r2_file.structure) == fraction_table(R2)
     assert r2_file.torus == (0,)
-    dim4 = catalog.load("roots123")
+    dim4 = catalog_algebra("roots123")
     assert fraction_table(dim4.structure) == fraction_table(ROOTS123)
-    zero = catalog.load("zero_root")
+    zero = catalog_algebra("zero_root")
     assert fraction_table(zero.structure) == fraction_table(ZR)
     for name in catalog.NAMES:
-        loaded = catalog.load(name)
+        loaded = catalog_algebra(name)
         torus = TorusData.from_torus(loaded.structure.dim, loaded.torus)
         crit = enveloping_rigidity_report(
             loaded.structure, torus, asserted_rigid=False
