@@ -89,7 +89,7 @@ from .io import MAX_COHOMOLOGY_CELLS
 # `cohomology_dim` looks for a grading, or else for a basis adapted to the
 # lower central series; below it the search costs more than it saves
 # (timing table in README)
-GRADING_MIN_CELLS = 350
+GRADING_MIN_CELLS = 300
 
 # _PAIRS[p] lists the places (i, j, (i + j) % 2), i < j, of a (p+1)-key
 _PAIRS = [

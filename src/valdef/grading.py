@@ -19,17 +19,33 @@ then ranks only the weight-0 block and counts the rest.
 Candidates with tr((den * ad x)^2) <= 0 are skipped: a split spectrum is
 real with sum of squares tr(A^2), so 0 means nilpotent (every candidate
 of a nilpotent algebra) and a negative value means non-real eigenvalues.
-The eigenvalues are the integer roots of the monic integer
-characteristic polynomial of A = den * ad x (`charpoly`,
+That trace is read off the Killing form k(i, j) = tr(den * ad e_i den *
+ad e_j): the e_i need only its diagonal, and the rest is computed once
+the pairs are reached.  The eigenvalues are the integer roots of the
+monic integer characteristic polynomial chi of A = den * ad x
+(`charpoly`, from the power traces tr(A^k) by Newton's identities;
 `integer_roots`); each is at most sqrt(tr(A^2)) in absolute value, and
 candidates where that exceeds MAX_ROOT are skipped too.  The Killing
 form and each characteristic polynomial are charged against
 SEARCH_BUDGET multiplies, and the search gives up once it is spent, so a
 large non-split algebra reaches the size guard of `cohomology_dim`
-quickly.  The generalized eigenspaces ker (A - mu)^m come from
-`linalg.echelon`, the table is moved to that basis on integers and
-checked exactly to be weight-homogeneous (`require_homogeneous`, a
-RuntimeError otherwise).
+quickly.
+
+The generalized eigenspace G_mu of a root mu of multiplicity m is then
+read off chi alone: it is the column span of q(A), q = chi / (t - mu)^m.
+By Cayley-Hamilton (A - mu)^m q(A) = chi(A) = 0, so the span lies in
+G_mu = ker (A - mu)^m, and q(A) is invertible on G_mu, where q(mu) != 0.
+Its columns come by Horner's rule on vectors and go into
+`linalg.insert` until m pivot rows are found; `linalg.back_substitute`
+then clears each pivot column from the other rows, and those rows are
+the new basis vectors of weight mu.  A vector v of G_mu is therefore the
+sum of v[p] / r[p] times r over the rows r, with p the pivot column of
+r: the table is moved to the new basis on integers (`_transport`) by
+reading each bracket [f_s, f_t] at the pivot columns of the weight w_s +
+w_t, with no inverse of the basis.  The read coordinates must rebuild
+the bracket exactly and the table must be weight-homogeneous
+(`require_homogeneous`); since ad x is a derivation, either failure is a
+bug and raises RuntimeError.
 Weights are the integer eigenvalues of A, that is den times those of ad x.
 
 A nilpotent g has no such x.  `central_series_basis` moves it instead to
@@ -47,11 +63,13 @@ series stops shrinking before 0 (not nilpotent).  The series is charged
 against SEARCH_BUDGET multiplies of its own (r * n^2 for an echelon of r
 rows) and abandoned once they are spent.  The change of basis is exact,
 so every cohomology dimension is the same in either basis.  Both new
-bases go through one change of basis on integers (`_transport`).
+bases go through one change of basis on integers (`_transport`); this one
+reads coordinates through d * P^-1, P the matrix of the basis columns.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import isqrt, lcm
 from operator import mul
 
@@ -83,27 +101,22 @@ def find_grading(g) -> tuple[AlgebraStructure, tuple[int, ...]] | None:
         weights = _diagonal(row)
         if weights is not None and any(weights):
             return _relabel(den, table, weights)
-    # killing[i][j] = tr(den * ad e_i den * ad e_j), so tr((den * ad x)^2)
-    # of x = sum of the e_i, i in a candidate, is the sum over its pairs
-    killing, budget = _killing(table, SEARCH_BUDGET)
-    if killing is None or not any(map(any, killing)):
-        return None  # every candidate would be skipped, as for nilpotent g
-    candidates = [(i,) for i in range(n)]
-    candidates += [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for x in candidates:
-        trace_sq = sum(killing[i][j] for i in x for j in x)
+    cost = _killing_cost(table)
+    budget = SEARCH_BUDGET - cost
+    if cost == 0 or budget < 0:
+        return None  # with no product to take, the Killing form is zero
+    for flat, trace_sq in _candidates(table):
         bound = isqrt(trace_sq) if trace_sq > 0 else 0
         if not 0 < bound <= MAX_ROOT:
             continue
         budget -= n**4
         if budget < 0:
             return None
-        a = _ad_matrix(table[x[0]], n)
-        if len(x) == 2:
-            a = _add(a, _ad_matrix(table[x[1]], n))
-        roots = integer_roots(charpoly(a), bound)
+        a = [flat[k : k + n] for k in range(0, n * n, n)]
+        poly = charpoly(a)
+        roots = integer_roots(poly, bound)
         if roots is not None:
-            return _eigengrading(den, table, a, roots)
+            return _eigengrading(den, table, a, poly, roots)
     return None
 
 
@@ -141,7 +154,12 @@ def central_series_basis(g) -> AlgebraStructure | None:
         if rest:
             kept[min(rest)] = rest
             basis.append([vec.get(i, 0) for i in range(n)])
-    return AlgebraStructure(n, "lie", _transport(den, table, basis))
+    d, q = _inverse([list(r) for r in zip(*basis)])
+
+    def read(s, t, vec):
+        return [(k, c) for k, c in enumerate(sum(map(mul, r, vec)) for r in q) if c]
+
+    return AlgebraStructure(n, "lie", _transport(den, table, basis, d, read))
 
 
 def _bracket(row, vec: dict) -> dict:
@@ -153,30 +171,48 @@ def _bracket(row, vec: dict) -> dict:
     return out
 
 
-def _killing(table, budget: int) -> tuple:
-    """(killing, budget left): tr(den * ad e_i den * ad e_j) for all i, j,
-    over the nonzero constants only, or (None, 0) if that takes more than
-    budget multiplies.  With C(i, a, b) the e_b coordinate of
-    den * [e_i, e_a], it is the sum over (a, b) of C(i, a, b) * C(j, b, a)."""
+def _killing_cost(table) -> int:
+    """The multiplies charged for the Killing form k(i, j) = tr(den * ad
+    e_i den * ad e_j) before any candidate: with C(i, a, b) the e_b
+    coordinate of den * [e_i, e_a], k(i, j) is the sum over (a, b) of
+    C(i, a, b) * C(j, b, a), so over the nonzero constants it takes the sum
+    of count(a, b) * count(b, a) products, count(a, b) the number of i with
+    C(i, a, b) != 0.  By antisymmetry that is the number of outputs of row
+    a of the table with an e_b coordinate.  0 means the form is zero."""
     n = len(table)
-    by_pair: dict = {}  # (a, b) -> [(i, C(i, a, b)), ..]
-    for i, row in enumerate(table):
-        for a, out in enumerate(row):
-            for b, c in out:
-                by_pair.setdefault((a, b), []).append((i, c))
-    for (a, b), left in by_pair.items():
-        budget -= len(left) * len(by_pair.get((b, a), ()))
-    if budget < 0:
-        return None, 0
-    killing = [[0] * n for _ in range(n)]
-    for (a, b), left in by_pair.items():
-        right = by_pair.get((b, a))
-        if right:
-            for i, c in left:
-                row = killing[i]
-                for j, d in right:
-                    row[j] += c * d
-    return killing, budget
+    counts = [0] * (n * n)  # count(a, b) at a * n + b
+    for base, row in zip(range(0, n * n, n), table):
+        for b, _ in chain.from_iterable(row):
+            counts[base + b] += 1
+    return sum(sum(map(mul, counts[a * n : a * n + n], counts[a::n])) for a in range(n))
+
+
+def _candidates(table):
+    """(flat, tr(a^2)) for a = den * ad x, x = e_i, then e_i + e_j, and
+    flat its entries by rows: [k][j] is the e_k coordinate of den * [x,
+    e_j].  tr(a^2) is the sum of the Killing form k(i, j) over the pairs of
+    x, and k(i, j) = tr(den * ad e_i den * ad e_j) the sum of the entrywise
+    products of den * ad e_i and the transpose of den * ad e_j.  The e_i
+    need only the diagonal; the rest is computed when the pairs are
+    reached, and a zero form, as of every nilpotent g, yields no pair."""
+    n = len(table)
+    flats, flats_t, squares = [], [], []
+    for row in table:
+        flat, flat_t = [0] * (n * n), [0] * (n * n)
+        for j, out in enumerate(row):
+            for k, c in out:
+                flat[k * n + j] = c
+                flat_t[j * n + k] = c
+        flats.append(flat)
+        flats_t.append(flat_t)
+        squares.append(sum(map(mul, flat, flat_t)))
+        yield flat, squares[-1]
+    cross = [[sum(map(mul, flats[i], flats_t[j])) for j in range(i)] for i in range(n)]
+    if any(squares) or any(map(any, cross)):
+        for i in range(n):
+            for j in range(i + 1, n):
+                flat = [x + y for x, y in zip(flats[i], flats[j])]
+                yield flat, squares[i] + 2 * cross[j][i] + squares[j]
 
 
 def _diagonal(row) -> list | None:
@@ -192,20 +228,6 @@ def _diagonal(row) -> list | None:
     return weights
 
 
-def _ad_matrix(row, n: int) -> list:
-    """den * ad e_i as a dense matrix acting on columns: entry [k][j] is the
-    e_k coordinate of den * [e_i, e_j]."""
-    a = [[0] * n for _ in range(n)]
-    for j, out in enumerate(row):
-        for k, c in out:
-            a[k][j] = c
-    return a
-
-
-def _add(a, b) -> list:
-    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
-
-
 def _matmul(a, b) -> list:
     cols = list(zip(*b))
     return [[sum(map(mul, r, c)) for c in cols] for r in a]
@@ -213,19 +235,22 @@ def _matmul(a, b) -> list:
 
 def charpoly(a) -> list[int]:
     """[c_0, .., c_n], c_n = 1, the coefficients of det(t I - a) for a
-    square integer matrix, by Faddeev-LeVerrier: M_1 = I, c_(n-k) =
-    -tr(a M_k) / k and M_(k+1) = a M_k + c_(n-k) I, every division exact."""
+    square integer matrix, from the power traces p_k = tr(a^k) by Newton's
+    identities: k c_(n-k) = -(c_(n-k+1) p_1 + .. + c_n p_k), every
+    division exact.  tr(a^(h+j)) is the sum of the entrywise products of
+    a^h and the transpose of a^j, so the powers a, .., a^h, h = ceil(n/2),
+    give every p_k, k <= n, in h - 1 matrix products."""
     n = len(a)
+    powers = [a]
+    for _ in range((n + 1) // 2 - 1):
+        powers.append(_matmul(powers[-1], a))
+    top = powers[-1]
+    traces = [sum(p[i][i] for i in range(n)) for p in powers]
+    for p in powers[: n - len(powers)]:
+        traces.append(sum(sum(map(mul, r, c)) for r, c in zip(top, zip(*p))))
     coeffs = [0] * n + [1]
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        am = _matmul(a, m)
-        c = -sum(am[i][i] for i in range(n)) // k
-        coeffs[n - k] = c
-        if k < n:
-            m = am
-            for i in range(n):
-                m[i][i] += c
+        coeffs[n - k] = -sum(map(mul, coeffs[n - k + 1 :], traces)) // k
     return coeffs
 
 
@@ -266,20 +291,6 @@ def _divide(poly, root: int):
     return out[::-1], remainder
 
 
-def _kernel(b) -> list[dict]:
-    """A basis of {v : b v = 0} as {index: int} dicts, one per free column
-    f of the back-substituted echelon of b's rows: d * e_f minus the
-    combination of pivot columns that `linalg.column` reads for f."""
-    rows = [{j: v for j, v in enumerate(r) if v} for r in b]
-    pivots = linalg.back_substitute(linalg.echelon(rows))
-    vecs = []
-    for f in range(len(b)):
-        if f not in pivots:
-            d, x = linalg.column(pivots, f)
-            vecs.append({f: d, **{p: -v for p, v in x.items()}})
-    return vecs
-
-
 def _inverse(p) -> tuple[int, list]:
     """(d, q) with q = d * p^-1 integer, for an invertible integer matrix p,
     from the back-substituted echelon of [p | I]: `linalg.column` of
@@ -296,57 +307,101 @@ def _inverse(p) -> tuple[int, list]:
     return d, [[x.get(c, 0) * (d // dr) for dr, x in cols] for c in range(n)]
 
 
-def _eigengrading(den: int, table, a, roots: dict) -> tuple:
-    """The table in a basis of generalized eigenvectors of a = den * ad x,
-    grouped by increasing eigenvalue."""
+def _eigenspace(a, q, m: int) -> dict:
+    """The back-substituted echelon of the column span of q(a), for a
+    square integer matrix a and a monic integer polynomial q = [c_0, ..,
+    1], from its columns in turn until m pivot rows are found (fewer only
+    when the span is smaller): column j is q(a) e_j by Horner's rule."""
     n = len(a)
-    weights, basis = [], []
+    pivots: dict = {}
+    for j in range(n):
+        vec = [0] * n
+        vec[j] = 1
+        for c in q[-2::-1]:
+            vec = [sum(map(mul, row, vec)) for row in a]
+            vec[j] += c
+        linalg.insert(pivots, {i: x for i, x in enumerate(vec) if x})
+        if len(pivots) == m:
+            break
+    return linalg.back_substitute(pivots)
+
+
+def _eigengrading(den: int, table, a, poly, roots: dict) -> tuple:
+    """The table in a basis of generalized eigenvectors of a = den * ad x,
+    poly its characteristic polynomial, grouped by increasing eigenvalue:
+    the rows of each `_eigenspace`, read at their pivot columns."""
+    n = len(a)
+    weights, basis, cols = [], [], []
     for mu in sorted(roots):
-        b = [[x - mu * (i == j) for j, x in enumerate(r)] for i, r in enumerate(a)]
-        # ker b^k grows with k until it is the generalized eigenspace,
-        # often at k = 1
-        power, vecs = b, _kernel(b)
-        for _ in range(roots[mu] - 1):
-            if len(vecs) == roots[mu]:
-                break
-            power = _matmul(power, b)
-            vecs = _kernel(power)
-        if len(vecs) != roots[mu]:
+        q = poly
+        for _ in range(roots[mu]):
+            q, _ = _divide(q, mu)
+        space = _eigenspace(a, q, roots[mu])
+        if len(space) != roots[mu]:
             raise RuntimeError(
-                f"generalized eigenspace of {mu} has dim {len(vecs)}, "
+                f"generalized eigenspace of {mu} has dim {len(space)}, "
                 f"multiplicity {roots[mu]}"
             )
-        weights += [mu] * len(vecs)
-        basis += [[v.get(i, 0) for i in range(n)] for v in vecs]
-    new_den, rows = _transport(den, table, basis)
+        for p, row in sorted(space.items()):
+            weights.append(mu)
+            cols.append(p)
+            basis.append([row.get(i, 0) for i in range(n)])
+    d = lcm(*(f[p] for f, p in zip(basis, cols)))
+    scales = [d // f[p] for f, p in zip(basis, cols)]
+    blocks: dict = {}
+    for k, w in enumerate(weights):
+        blocks.setdefault(w, []).append(k)
+
+    def read(s, t, vec):
+        block = blocks.get(weights[s] + weights[t], ())
+        coords = _read_pivots(vec, block, cols, scales)
+        _require_rebuilt(s, t, vec, d, coords, basis)
+        return coords
+
+    new_den, rows = _transport(den, table, basis, d, read)
     require_homogeneous(rows, weights)
     return AlgebraStructure(n, "lie", (new_den, rows)), tuple(weights)
 
 
-def _transport(den: int, table, basis) -> tuple:
+def _read_pivots(vec, block, cols, scales) -> list:
+    """The nonzero (k, c), k in block, with c = vec[cols[k]] * scales[k]:
+    the f_k-coordinates of d * vec when vec lies in the span of the block's
+    back-substituted rows f_k, scales[k] = d / f_k[cols[k]]."""
+    return [(k, vec[cols[k]] * scales[k]) for k in block if vec[cols[k]]]
+
+
+def _require_rebuilt(s: int, t: int, vec, d: int, coords, basis) -> None:
+    """Raise RuntimeError unless the sum of c * f_k over coords is d * vec,
+    vec = den * [f_s, f_t]: a failure is a bug, since [f_s, f_t] lies in
+    the weight w_s + w_t when ad x is a derivation."""
+    rest = [d * x for x in vec]
+    for k, c in coords:
+        rest = [r - c * f for r, f in zip(rest, basis[k])]
+    if any(rest):
+        raise RuntimeError(
+            f"graded coordinates do not rebuild [f{s}, f{t}] from its weight block"
+        )
+
+
+def _transport(den: int, table, basis, d: int, read) -> tuple:
     """The canonical (den, rows) of the integer table (den, table) in the
     basis f_s = sum_i basis[s][i] e_i of integer vectors, one change of
-    basis on integers: den * d * [f_s, f_t] in f-coordinates, where q = d *
-    P^-1 for the matrix P of the basis columns."""
+    basis on integers: read(s, t, vec), s < t, lists the nonzero (k, c)
+    with c the f_k-coordinate of d * vec, vec = den * [f_s, f_t] in
+    e-coordinates, and the new table is den * d * [f_s, f_t]."""
     n = len(basis)
-    d, q = _inverse([list(r) for r in zip(*basis)])
     entries = []
     for s in range(n):
-        # by_l[l] = den * [f_s, e_l] in e-coordinates
-        by_l = [[0] * n for _ in range(n)]
+        # by_k[k][l] = the e_k coordinate of den * [f_s, e_l]
+        by_k = [[0] * n for _ in range(n)]
         for j, pjs in enumerate(basis[s]):
             if pjs:
                 for l, out in enumerate(table[j]):
-                    acc = by_l[l]
                     for k, c in out:
-                        acc[k] += pjs * c
+                        by_k[k][l] += pjs * c
         for t in range(s + 1, n):
-            vec = [0] * n
-            for l, plt in enumerate(basis[t]):
-                if plt:
-                    vec = [x + plt * y for x, y in zip(vec, by_l[l])]
-            coords = [sum(map(mul, qrow, vec)) for qrow in q]
-            entries.append(((s, t), [(k, c) for k, c in enumerate(coords) if c]))
+            vec = [sum(map(mul, basis[t], row)) for row in by_k]
+            entries.append(((s, t), read(s, t, vec)))
     return canonical_table(n, den * d, entries, antisymmetric=True)
 
 

@@ -30,8 +30,9 @@ MAX_CAP = 1000
 # Largest weight-0 block of delta_p (rows x columns) that
 # `cohomology.cohomology_dim` ranks, for the `cohomology` and `rigidity`
 # commands alike.  Dense rational elimination grows fast past it: a conjugated
-# filiform algebra of dim 9, H^2 adjoint, ranks a 756 x 324 = 244,944 block
-# in ~22 s (README).  The corpora stay below 40,000.
+# so(3) + abelian of dim 9, with no inner grading and not nilpotent, ranks
+# its 756 x 324 = 244,944 H^2 adjoint block in ~17 s (README).  The corpora
+# stay below 40,000.
 MAX_COHOMOLOGY_CELLS = 250_000
 # Largest rows x (cap + 1) series matrix built from outside input: a vector
 # or endomorphism file, the coefficients of a deformation's terms, or its

@@ -3,10 +3,12 @@
 Rows are sparse integer dicts {col: int}, which every caller builds on
 integers.  The one elimination step, `_cancel`, removes a column from a
 row by cross-multiplying it with a pivot row, so no division happens, and
-then divides out the gcd content of the result.  `_insert` reduces a row
+then divides out the gcd content of the result.  `insert` reduces a row
 against an echelon of pivot rows keyed by their leading column with that
-step, and keeps what is left as a new pivot row.  The arithmetic is
-exact, so no answer needs a certificate.
+step, and keeps what is left as a new pivot row; `grading` inserts the
+columns of a matrix that spans a generalized eigenspace one at a time
+with it, and stops once it has as many pivot rows as the multiplicity.
+The arithmetic is exact, so no answer needs a certificate.
 
 `echelon` inserts rows sparsest first and returns that pivots dict;
 `rank` is its size, and `remainder` reduces one more row against it
@@ -14,8 +16,8 @@ without changing it, so a row lies in the span of the echelon exactly
 when nothing is left.  Cohomology eliminates its coboundary columns here.
 `back_substitute` clears each pivot column from the other pivot rows with
 the same step, and `column` reads a column of the matrix off that integer
-reduced form as a combination of its pivot columns: the kernels and
-inverses of `grading` and the graded system's memberships.  `rref`
+reduced form as a combination of its pivot columns: the inverse of
+`grading`'s central-series basis and the graded system's memberships.  `rref`
 writes the reduced form out as Fractions for `row_space` and
 `solve_combination`, from rows of rationals cleared by `integer_row`; no
 other module calls these four: they are oracles, kept here only while the
@@ -62,7 +64,7 @@ def _cancel(vec: dict, pivot: dict, col: int) -> dict:
     return _primitive(vec) if vec else vec
 
 
-def _insert(pivots: dict, vec: dict) -> None:
+def insert(pivots: dict, vec: dict) -> None:
     """Reduce vec against pivots (leading column -> primitive row) and
     keep what is left as a new pivot row.
 
@@ -93,7 +95,7 @@ def echelon(rows) -> dict:
     vecs = [{c: v for c, v in row.items() if v} for row in rows]
     pivots: dict[int, dict] = {}
     for vec in sorted(vecs, key=len):
-        _insert(pivots, vec)
+        insert(pivots, vec)
     return pivots
 
 
@@ -158,7 +160,7 @@ def rref(rows):
     ncols = len(rows[0]) if rows else 0
     pivots: dict[int, dict] = {}
     for row in rows:
-        _insert(pivots, integer_row(row)[1])
+        insert(pivots, integer_row(row)[1])
     back_substitute(pivots)
     leads = sorted(pivots)
     reduced = []

@@ -13,7 +13,7 @@ import valdef.cohomology as cohomology
 import valdef.grading as grading
 from valdef import linalg
 from valdef.algebra import COEFFS
-from valdef.cli import main
+from valdef.cli import _table_doc, main
 from valdef.cohomology import cohomology_dim
 from valdef.grading import charpoly, find_grading, integer_roots, require_homogeneous
 
@@ -41,6 +41,9 @@ FAMILIES = {
     "r2k": R2K,
     "filiform4": FILIFORM4,
     "roots123": ROOTS123,
+    # ad e0 acts on e1, e2 as a Jordan block of eigenvalue 1: the grading
+    # element is not semisimple, and G_1 = span(e1, e2) is not ker(ad e0 - 1)
+    "jordan": rational_lie(3, {(0, 1): {1: 1}, (0, 2): {1: 1, 2: 1}}),
 }
 # sl2 in the basis -h-e-f, -h-e+2f, -h+2e-f (coordinates over h, e, f):
 # ad x has eigenvalues 0 and +-2 sqrt(a^2 + bc) for x = ah + be + cf, and
@@ -124,7 +127,7 @@ def test_charpoly_and_integer_roots_match_sympy():
         bound = max(abs(r) for r in diagonal)
         assert integer_roots(poly, bound) == expected
     for _ in range(30):
-        n = rng.randint(1, 6)
+        n = rng.randint(1, 9)
         m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         assert charpoly(m) == sympy_charpoly(m)
 
@@ -195,9 +198,9 @@ def spy_transport(monkeypatch) -> list:
     bases = []
     real = grading._transport
 
-    def spy(den, table, basis):
+    def spy(den, table, basis, d, read):
         bases.append(basis)
-        return real(den, table, basis)
+        return real(den, table, basis, d, read)
 
     monkeypatch.setattr(grading, "_transport", spy)
     return bases
@@ -319,6 +322,38 @@ def test_planted_inhomogeneous_table_fails_the_self_check(tmp_path, capsys, monk
     assert "RuntimeError: graded table is not weight-homogeneous" in out.err
 
 
+def test_planted_wrong_coordinates_fail_the_self_check(tmp_path, capsys, monkeypatch):
+    """Coordinates read one off at the pivot columns no longer rebuild the
+    brackets they were read from: RuntimeError from find_grading, and the
+    same self-check behind the CLI exits 4 with nothing on stdout."""
+    g = change_basis(padded(ROOTS123, 5), random_invertible(random.Random(76), 5))
+    assert find_grading(g) is not None
+    doc = {"dim": 5, "kind": "lie", "table": _table_doc(g)}
+    path = tmp_path / "roots123.json"
+    path.write_text(json.dumps(doc))
+    argv = ["cohomology", str(path), "--deg", "2", "--coeff", "adjoint"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    real = grading._read_pivots
+    monkeypatch.setattr(
+        grading, "_read_pivots", lambda *args: [(k, c + 1) for k, c in real(*args)]
+    )
+    with pytest.raises(RuntimeError, match=r"coordinates do not rebuild \[f\d, f\d\]"):
+        find_grading(g)
+    assert main(argv) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "RuntimeError: graded coordinates do not rebuild" in out.err
+
+
+def test_jordan_block_stays_in_its_weight_block():
+    """The generalized eigenspace of a Jordan block is graded as one weight:
+    ad f0 keeps a 2x2 Jordan block there, which no basis makes diagonal."""
+    h, weights = find_grading(FAMILIES["jordan"])
+    assert weights == (0, 1, 1)
+    assert sorted(len(out) for out in h.scaled_table[1][0]) == [0, 1, 2]
+
+
 def weight_zero(n, q, weights, coeff):
     """The flat numbers of the weight-0 coordinates (key, m) of C^q, whose
     weight is w_m (adjoint) or 0 (trivial) minus the sum of w over key."""
@@ -402,6 +437,7 @@ def test_graded_dims_are_invariant_under_change_of_basis(monkeypatch):
     @hypothesis.example(("h3", 5, 3, "trivial", 10))
     @hypothesis.example(("filiform4", 4, 2, "adjoint", 11))
     @hypothesis.example(("filiform4", 6, 2, "trivial", 12))
+    @hypothesis.example(("jordan", 5, 2, "adjoint", 13))
     def check(case):
         name, n, degree, coeff, seed = case
         g = padded(FAMILIES[name], n)
@@ -430,7 +466,7 @@ def test_graded_dims_are_invariant_under_change_of_basis(monkeypatch):
     graded = {name for name, found, _ in seen if found}
     # a solvable family with a torus always has a basis vector with a
     # torus component; whether sl2 finds one depends on the basis
-    assert {"r2", "r2k", "roots123"} <= graded
+    assert {"r2", "r2k", "roots123", "jordan"} <= graded
     assert not graded & {"abelian", "h3", "filiform4"}
     adapted = {name for name, _, ran in seen if ran}
     assert adapted == {"h3", "filiform4"}
