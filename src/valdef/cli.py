@@ -5,7 +5,8 @@ inputs give byte-identical output); diagnostics go to stderr.  Exit
 codes: 0 the property holds / computation succeeded, 1 property violated
 (witness in the JSON), 2 malformed input or flags, 3 insufficient
 precision, 4 internal error (a bug: the traceback goes to stderr and
-nothing to stdout, so it is never read as a verdict).
+nothing to stdout, so it is never read as a verdict).  Only decompose and
+deform, whose files hold series, take --cap.
 
 Start-up is most of a one-shot call, so importing this module loads only
 what every command needs: `io`, `errors`, `series` and `algebra`.  Each
@@ -57,51 +58,49 @@ def _answer(ok: bool, detail: dict, **extra) -> tuple:
 
 def cmd_check(args):
     loaded = io.load_algebra(args.algebra)
-    detail: dict = {"kind": loaded.kind}
+    detail: dict = {"kind": loaded.kind, "dim": loaded.algebra.dim}
     if loaded.kind == "lie":
-        detail["dim"] = loaded.structure.dim
-        ok, witness = is_lie(loaded.structure)
+        ok, witness = is_lie(loaded.algebra)
         if not ok:
             detail["witness"] = {"axiom": "Jacobi identity", "triple": list(witness)}
     elif loaded.kind == "assoc":
         from .nonassoc import SubgroupTag, g_associative_check
 
-        detail["dim"] = loaded.structure.dim
-        ok, witness = g_associative_check(loaded.structure, SubgroupTag.ID)
+        ok, witness = g_associative_check(loaded.algebra, SubgroupTag.ID)
         if witness:
             detail["witness"] = {"axiom": "associativity", "triple": list(witness)}
     else:
         from .nonassoc import poisson_verify
 
-        detail["dim"] = loaded.poisson.dim
-        ok, witness = poisson_verify(loaded.poisson)
+        ok, witness = poisson_verify(loaded.algebra)
         if not ok:
             detail["witness"] = {"axiom": witness[0], "args": list(witness[1])}
     return _answer(ok, detail)
 
 
-def _load_lie(path, wrong_kind: str):
-    """The AlgebraFile at path, which must hold a Lie algebra.
+def _load(path, kind: str, wrong_kind: str):
+    """The AlgebraFile at path; FormatError(wrong_kind) unless of that kind.
 
     A lie-kind table that fails the Jacobi identity is malformed input
     here: its cohomology and roots would be numbers with no meaning.
     """
     loaded = io.load_algebra(path)
-    if loaded.kind != "lie":
+    if loaded.kind != kind:
         raise FormatError(wrong_kind)
-    ok, witness = is_lie(loaded.structure)
-    if not ok:
-        raise FormatError(
-            f"{path}: bracket fails the Jacobi identity at triple {list(witness)}"
-        )
+    if kind == "lie":
+        ok, witness = is_lie(loaded.algebra)
+        if not ok:
+            raise FormatError(
+                f"{path}: bracket fails the Jacobi identity at triple {list(witness)}"
+            )
     return loaded
 
 
 def cmd_cohomology(args):
     from .cohomology import cohomology_dim
 
-    loaded = _load_lie(args.algebra, "cohomology needs a lie-kind algebra file")
-    report = cohomology_dim(loaded.structure, args.deg, args.coeff)
+    loaded = _load(args.algebra, "lie", "cohomology needs a lie-kind algebra file")
+    report = cohomology_dim(loaded.algebra, args.deg, args.coeff)
     return _answer(True, report._asdict())
 
 
@@ -205,35 +204,32 @@ def cmd_deform(args):
         else:
             out = transport(d, f)
         return _answer(True, io.deformation_doc(out), cap_used=out.cap)
-    if args.action == "polycheck":
-        if args.poly is None or args.k is None:
-            raise FormatError("polycheck needs --poly and --k")
-        try:
-            items = json.loads(args.poly)
-        except (ValueError, RecursionError) as exc:
-            raise FormatError(f"--poly is not valid JSON: {exc}")
-        if not isinstance(items, list):
-            raise FormatError(
-                f"--poly must be a JSON array of rationals, got {args.poly}"
-            )
-        poly = [rational_pair(c) for c in items]
-        try:
-            ok = polynomial_form_check(d, poly, args.k)
-        except ValueError as exc:
-            raise FormatError(str(exc))
-        detail = {"poly": [ratio_str(*c) for c in poly], "k": args.k}
-        return _answer(ok, detail, cap_used=d.cap)
-    raise FormatError(f"unknown deform action {args.action!r}")
+    # polycheck, the last of SPEC's choices
+    if args.poly is None or args.k is None:
+        raise FormatError("polycheck needs --poly and --k")
+    try:
+        items = json.loads(args.poly)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"--poly is not valid JSON: {exc}")
+    if not isinstance(items, list):
+        raise FormatError(f"--poly must be a JSON array of rationals, got {args.poly}")
+    poly = [rational_pair(c) for c in items]
+    try:
+        ok = polynomial_form_check(d, poly, args.k)
+    except ValueError as exc:
+        raise FormatError(str(exc))
+    detail = {"poly": [ratio_str(*c) for c in poly], "k": args.k}
+    return _answer(ok, detail, cap_used=d.cap)
 
 
 def cmd_rigidity(args):
     from .rigidity import TorusData, enveloping_rigidity_report
 
-    loaded = _load_lie(args.algebra, "rigidity analysis needs a lie-kind algebra")
+    loaded = _load(args.algebra, "lie", "rigidity analysis needs a lie-kind algebra")
     if loaded.torus is None:
         raise FormatError("algebra file must carry a 'torus' index list")
-    torus = TorusData.from_torus(loaded.structure.dim, loaded.torus)
-    report = enveloping_rigidity_report(loaded.structure, torus, args.asserted_rigid)
+    torus = TorusData.from_torus(loaded.algebra.dim, loaded.torus)
+    report = enveloping_rigidity_report(loaded.algebra, torus, args.asserted_rigid)
     detail = report._asdict()
     if report.roots is not None:
         detail["roots"] = [ratio_str(*r) for r in report.roots]
@@ -266,13 +262,6 @@ def _tensor_dim(left: int, right: int) -> None:
         )
 
 
-def _load_assoc(path):
-    loaded = io.load_algebra(path)
-    if loaded.kind != "assoc":
-        raise FormatError(f"{path}: G-associativity commands need kind 'assoc'")
-    return loaded.structure
-
-
 def cmd_gass(args):
     from .nonassoc import (
         DUAL_IDENTITY,
@@ -284,17 +273,19 @@ def cmd_gass(args):
 
     tag = SubgroupTag(args.group)
     signed = not args.unsigned
-    files = _files(args, "algebra file")
+    need = "G-associativity commands need kind 'assoc'"
+    a, *rest = [
+        _load(path, "assoc", f"{path}: {need}").algebra
+        for path in _files(args, "algebra file")
+    ]
     if args.action == "check":
-        a = _load_assoc(files[0])
         ok, witness = g_associative_check(a, tag, signed=signed)
         detail = {"group": tag.value, "signed": signed, "dim": a.dim}
     elif args.action == "dual":
-        b = _load_assoc(files[0])
-        ok, witness = dual_identity_check(b, tag)
-        detail = {"group": tag.value, "identity": DUAL_IDENTITY[tag], "dim": b.dim}
-    elif args.action == "tensor":
-        a, b = _load_assoc(files[0]), _load_assoc(files[1])
+        ok, witness = dual_identity_check(a, tag)
+        detail = {"group": tag.value, "identity": DUAL_IDENTITY[tag], "dim": a.dim}
+    else:  # tensor
+        (b,) = rest
         _tensor_dim(a.dim, b.dim)
         prod = tensor_product(a, b)
         ok, witness = g_associative_check(prod, tag, signed=signed)
@@ -306,39 +297,31 @@ def cmd_gass(args):
             "right_dual_identity": dual_identity_check(b, tag)[0],
             "table": _table_doc(prod),
         }
-    else:
-        raise FormatError(f"unknown gass action {args.action!r}")
     if witness:
         detail["witness"] = {"triple": list(witness)}
     return _answer(ok, detail)
 
 
-def _load_poisson(path):
-    loaded = io.load_algebra(path)
-    if loaded.kind != "poisson":
-        raise FormatError(f"{path}: poisson commands need kind 'poisson'")
-    return loaded.poisson
-
-
 def cmd_poisson(args):
     from .nonassoc import opposite_poisson, poisson_tensor, poisson_verify
 
-    files = _files(args, "poisson file")
+    need = "poisson commands need kind 'poisson'"
+    p, *rest = [
+        _load(path, "poisson", f"{path}: {need}").algebra
+        for path in _files(args, "poisson file")
+    ]
     if args.action == "verify":
-        p = _load_poisson(files[0])
         ok, witness = poisson_verify(p)
         detail: dict = {"dim": p.dim}
         if witness:
             detail["witness"] = {"axiom": witness[0], "args": list(witness[1])}
         return _answer(ok, detail)
     if args.action == "tensor":
-        p, q = _load_poisson(files[0]), _load_poisson(files[1])
+        (q,) = rest
         _tensor_dim(p.dim, q.dim)
         out = poisson_tensor(p, q)
-    elif args.action == "opposite":
-        out = opposite_poisson(_load_poisson(files[0]))
-    else:
-        raise FormatError(f"unknown poisson action {args.action!r}")
+    else:  # opposite
+        out = opposite_poisson(p)
     # both constructions verify their output: a failure there exits 4
     detail = {
         "dim": out.dim,
@@ -365,10 +348,9 @@ _int.__name__ = "int"  # argparse's error line names the type
 
 # The CLI, described once for build_parser and _fast_parse.  An argument is
 # (name, add_argument keywords); a name that starts with "-" is an option.
-COMMON = [
-    ("--cap", dict(type=_int, default=8, help="default precision cap (default 8)")),
-    ("--pretty", dict(action="store_true", help="indent the JSON output")),
-]
+COMMON = [("--pretty", dict(action="store_true", help="indent the JSON output"))]
+# only decompose and deform read a cap: their files hold series
+CAP = ("--cap", dict(type=_int, default=8, help="default precision cap (default 8)"))
 ALGEBRA, FILES = ("algebra", {}), ("files", {"nargs": "+"})
 SPEC = {  # command: (func, help, arguments after COMMON)
     "check": (cmd_check, "axiom check by algebra kind", [ALGEBRA]),
@@ -378,9 +360,10 @@ SPEC = {  # command: (func, help, arguments after COMMON)
         ("--coeff", dict(choices=COEFFS, required=True)),
     ]),
     "decompose": (cmd_decompose, "flag decomposition of a vector over m", [
-        ("vector", {}),
+        CAP, ("vector", {}),
     ]),
     "deform": (cmd_deform, "valued deformation operations", [
+        CAP,
         ("action", dict(
             choices=("verify", "decompose", "graded", "transport", "polycheck"))),
         ("deformation", {}),

@@ -129,15 +129,6 @@ def jacobi_residual(d: Deformation) -> dict:
     return residuals
 
 
-def _require_valid(d: Deformation):
-    bad = jacobi_residual(d)
-    if bad:
-        order = min(bad)
-        raise InvalidDeformation(
-            f"nonzero Jacobi residual at order t^{order} (cap {d.cap})"
-        )
-
-
 def decompose_deformation(d: Deformation) -> Deformation:
     """Rewrite d's perturbation in decomposed (flag) form.
 
@@ -215,7 +206,11 @@ def graded_system(d: Deformation) -> GradedSystem:
     combination coefficients.  Indices are 1-based to match the term order.
     delta(phi_k) is mu o phi_k + phi_k o mu, and each order is one solve.
     """
-    _require_valid(d)
+    bad = jacobi_residual(d)
+    if bad:
+        raise InvalidDeformation(
+            f"nonzero Jacobi residual at order t^{min(bad)} (cap {d.cap})"
+        )
     phis = [phi for _, phi in d.terms]
 
     @cache

@@ -6,7 +6,8 @@ rational strings ordered from t^0, e.g. ["0","2","1"] is 2t + t^2; it may
 be shorter than cap+1 (zero padded) but never longer.  Series, tables
 and cochains are read and written as integers over one denominator: a
 series literal into the integer series `(den, nums)` in lowest terms, and
-a vector or endomorphism file into one canonical `(den, rows)`.
+a vector or endomorphism file into one canonical `(den, rows)`.  The
+only cochain read is a deformation term's: degree 2, adjoint values.
 Indices are 0-based everywhere.
 """
 
@@ -18,7 +19,7 @@ from collections import namedtuple
 from math import lcm
 
 from .algebra import AlgebraStructure, Cochain, check_key
-from .errors import FormatError, TooLarge
+from .errors import DimensionMismatch, FormatError, TooLarge
 from .series import lowest_terms, ratio_str, rational_pair
 
 
@@ -183,10 +184,10 @@ def _structure(dim: int, kind: str, parsed) -> AlgebraStructure:
         raise FormatError(str(exc)) from exc
 
 
-# kind is "lie", "assoc" or "poisson"; structure is the AlgebraStructure of
-# the first two and poisson the nonassoc.PoissonStructure of the last, the
-# other None; torus is a tuple of indices or None
-AlgebraFile = namedtuple("AlgebraFile", "kind structure poisson torus")
+# kind is "lie", "assoc" or "poisson"; algebra is the AlgebraStructure of
+# the first two and the nonassoc.PoissonStructure of the last; torus is a
+# tuple of indices or None
+AlgebraFile = namedtuple("AlgebraFile", "kind algebra torus")
 
 
 def parse_algebra(doc) -> AlgebraFile:
@@ -217,12 +218,11 @@ def parse_algebra(doc) -> AlgebraFile:
         poisson = PoissonStructure(
             dim, _structure(dim, "assoc", product), _structure(dim, "assoc", bracket)
         )
-        return AlgebraFile(kind=kind, structure=None, poisson=poisson, torus=torus)
+        return AlgebraFile(kind, poisson, torus)
     if kind not in ("lie", "assoc"):
         raise FormatError(f"unknown algebra kind {kind!r}")
     table = _parse_table(doc.get("table", []), "table")
-    structure = _structure(dim, kind, table)
-    return AlgebraFile(kind=kind, structure=structure, poisson=None, torus=torus)
+    return AlgebraFile(kind, _structure(dim, kind, table), torus)
 
 
 def load_algebra(path: str) -> AlgebraFile:
@@ -240,68 +240,62 @@ def parse_vector(doc, default_cap: int) -> tuple[int, list[list[int]]]:
     return _read_series(comps, cap)
 
 
-def parse_cochain(doc, dim: int, degree: int = 2, target: str = "adjoint") -> Cochain:
-    """Parse a cochain object, or a bare values array (degree-2 adjoint).
+def parse_cochain(doc, dim: int) -> Cochain:
+    """The degree-2 adjoint cochain of a deformation term, from a cochain
+    object, whose degree and target must be 2 and "adjoint" when given, or
+    a bare values array.
 
     Each entry is read as an integer pair (`rational_pair`), and all are
     put over the lcm of their denominators; no Fraction is built.
     """
-    if isinstance(doc, list):
-        values = doc
-    elif isinstance(doc, dict):
-        degree = _int(doc.get("degree", degree), "cochain degree")
-        target = doc.get("target", target)
+    values = doc
+    if isinstance(doc, dict):
+        degree = _int(doc.get("degree", 2), "cochain degree")
+        if degree != 2 or doc.get("target", "adjoint") != "adjoint":
+            raise DimensionMismatch(
+                "terms need degree-2 adjoint cochains over the base"
+            )
         values = doc.get("values", [])
-    else:
+    elif not isinstance(doc, list):
         raise FormatError(f"bad cochain {doc!r}")
-    if target not in ("adjoint", "trivial"):
-        raise FormatError(f"unknown cochain target {target!r}")
-    adjoint = target == "adjoint"
     vals = {}
     for row in values:
         try:
             key = tuple(_int(i, "cochain args index") for i in row["args"])
             if key in vals:
                 raise FormatError(f"duplicate cochain entry for args {list(key)}")
-            if adjoint:
-                cells = {}
-                for cell in row["out"]:
-                    k = _int(cell["k"], "cochain out index")
-                    if not 0 <= k < dim:
-                        raise FormatError(f"cochain out index {k} outside 0..{dim - 1}")
-                    if k in cells:
-                        raise FormatError(
-                            f"cochain entry for args {list(key)} repeats out index {k}"
-                        )
-                    cells[k] = rational_pair(cell["c"])
-                vals[key] = cells
-            else:
-                vals[key] = {0: rational_pair(row["c"])}
+            cells = {}
+            for cell in row["out"]:
+                k = _int(cell["k"], "cochain out index")
+                if not 0 <= k < dim:
+                    raise FormatError(f"cochain out index {k} outside 0..{dim - 1}")
+                if k in cells:
+                    raise FormatError(
+                        f"cochain entry for args {list(key)} repeats out index {k}"
+                    )
+                cells[k] = rational_pair(cell["c"])
+            vals[key] = cells
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad cochain entry {row!r}") from exc
     try:
         for key in vals:
-            check_key(key, degree, dim)
+            check_key(key, 2, dim)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     den = lcm(1, *(q for cells in vals.values() for _, q in cells.values()))
-    nums = {key: [0] * (dim if adjoint else 1) for key in vals}
+    nums = {key: [0] * dim for key in vals}
     for key, cells in vals.items():
         for k, (p, q) in cells.items():
             nums[key][k] = p * (den // q)
-    return Cochain.scaled(degree, dim, target, den, nums)
+    return Cochain.scaled(2, dim, "adjoint", den, nums)
 
 
 def cochain_doc(c: Cochain) -> dict:
-    """The cochain file object of c, each entry in lowest terms."""
+    """The cochain file object of an adjoint c, each entry in lowest terms."""
     rows = []
-    for key in sorted(c.values):
-        val = c.values[key]
-        if c.target == "adjoint":
-            out = [{"k": k, "c": ratio_str(x, c.den)} for k, x in enumerate(val) if x]
-            rows.append({"args": list(key), "out": out})
-        else:
-            rows.append({"args": list(key), "c": ratio_str(val[0], c.den)})
+    for key, vec in sorted(c.values.items()):
+        out = [{"k": k, "c": ratio_str(x, c.den)} for k, x in enumerate(vec) if x]
+        rows.append({"args": list(key), "out": out})
     return {"degree": c.degree, "target": c.target, "values": rows}
 
 
@@ -322,7 +316,7 @@ def parse_deformation(doc, base_dir: str, default_cap: int):
         raise FormatError("deformation file needs 'base': object or path")
     if base_file.kind != "lie":
         raise FormatError("deformation base must be a lie-kind algebra")
-    base = base_file.structure
+    base = base_file.algebra
     cap = _cap(doc.get("cap", default_cap))
     rows = doc.get("terms", [])
     if not isinstance(rows, list):

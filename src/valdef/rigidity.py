@@ -6,7 +6,8 @@ statement with no algorithm here), it only evaluates the cohomological
 criteria conditioned on the caller's assertion.  Rank-1 algebras get the
 zero-root test: dim H^2(g, K) = 0 exactly when 0 is not a root, with an
 explicit certificate cocycle when 0 is a root.  A root is an integer
-pair (num, den) in lowest terms, den > 0, printed by `series.ratio_str`.
+pair (num, den) in lowest terms, den > 0, printed by `series.ratio_str`;
+`roots` returns a tuple of them, which `zero_root_criterion` reads.
 """
 
 from __future__ import annotations
@@ -39,15 +40,13 @@ class TorusData(namedtuple("TorusData", "torus_indices nil_indices")):
         return len(self.torus_indices)
 
 
-RootReport = namedtuple("RootReport", "roots zero_is_root rank")
-
-
-def roots(g: AlgebraStructure, torus: TorusData) -> RootReport:
+def roots(g: AlgebraStructure, torus: TorusData) -> tuple[tuple[int, int], ...]:
     """Eigenvalues of ad X on the nilradical, in the given adapted basis.
 
     Requires rank 1 and [X, Y_i] = lambda_i * Y_i exactly for every nil
-    index; any off-diagonal entry raises NotAdapted with the pair.  Each
-    lambda_i is the pair (num, den) in lowest terms, den > 0.
+    index; any off-diagonal entry raises NotAdapted with the pair.  Returns
+    the lambda_i in nil-index order, each the pair (num, den) in lowest
+    terms, den > 0.
     """
     if torus.rank != 1:
         raise NotRankOne(f"rank {torus.rank} torus; root extraction needs rank 1")
@@ -65,9 +64,7 @@ def roots(g: AlgebraStructure, torus: TorusData) -> RootReport:
             common = gcd(c, den)
             root = (c // common, den // common)
         out.append(root)
-    return RootReport(
-        roots=tuple(out), zero_is_root=any(num == 0 for num, _ in out), rank=1
-    )
+    return tuple(out)
 
 
 # certificate_closed and certificate_nontrivial report the checks on theta =
@@ -147,7 +144,7 @@ def enveloping_rigidity_report(
     if torus.rank == 1 or (asserted_rigid and torus.rank == 0):
         found = roots(g, torus)
         dim_h2 = cohomology_dim(g, 2, "trivial").dim_H
-        crit = zero_root_criterion(g, torus, found.roots, dim_h2)
+        crit = zero_root_criterion(g, torus, found, dim_h2)
     if not asserted_rigid or torus.rank >= 2:
         theorem = "rank at least 2" if asserted_rigid else "base not rigid, inherited"
         return RigidityReport("U(g) not rigid", theorem, torus.rank, zero_root=crit)
@@ -155,5 +152,5 @@ def enveloping_rigidity_report(
         verdict, theorem = "U(g) not rigid", "rank 1 with nonzero H2(g, K)"
     else:
         verdict, theorem = "no obstruction from H2(g, K)", "rank 1 with H2(g, K) = 0"
-    note = CONJECTURE_NOTE if found.zero_is_root else None
-    return RigidityReport(verdict, theorem, 1, found.roots, dim_h2, note, crit)
+    note = CONJECTURE_NOTE if crit.zero_is_root else None
+    return RigidityReport(verdict, theorem, 1, found, dim_h2, note, crit)

@@ -148,12 +148,10 @@ def inverse_nums(a) -> list[int]:
 
 
 def canonical(den: int, nums) -> tuple[int, tuple[int, ...]]:
-    """The integer series nums / den, den > 0, in lowest terms."""
-    common = gcd(den, *nums)
-    if common == 1:
-        return den, tuple(nums)
-    # a list, not a generator: tuple() then allocates once, without resizing
-    return den // common, tuple([x // common for x in nums])
+    """The integer series nums / den, den > 0, in lowest terms: the one-row
+    case of `lowest_terms`."""
+    den, (nums,) = lowest_terms(den, [nums])
+    return den, tuple(nums)
 
 
 def running_products(coefficients, cap: int) -> list[tuple[int, list[int]]]:

@@ -165,9 +165,9 @@ def test_criterion_6_zero_root_catalog():
     expectations = {"r2": 0, "roots123": 0, "zero_root": None}
     for name, want in expectations.items():
         loaded = catalog_algebra(name)
-        torus = TorusData.from_torus(loaded.structure.dim, loaded.torus)
+        torus = TorusData.from_torus(loaded.algebra.dim, loaded.torus)
         crit = enveloping_rigidity_report(
-            loaded.structure, torus, asserted_rigid=False
+            loaded.algebra, torus, asserted_rigid=False
         ).zero_root
         assert crit.consistent
         if want is None:

@@ -158,6 +158,53 @@ def test_integer_options_must_be_ascii(capsys, argv, value):
     assert line.endswith(f"error: argument {argv[-1]}: invalid int value: {value!r}")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "a.json"],
+        ["cohomology", "a.json", "--deg", "2", "--coeff", "adjoint"],
+        ["rigidity", "a.json", "--asserted-rigid"],
+        ["gass", "check", "a.json", "--group", "Id"],
+        ["poisson", "verify", "p.json"],
+    ],
+    ids=["check", "cohomology", "rigidity", "gass-check", "poisson-verify"],
+)
+def test_cap_is_refused_where_no_cap_is_read(capsys, argv):
+    """A command whose tables hold no series takes no --cap: argparse's
+    unknown-option line and exit 2, nothing on stdout, on both paths."""
+    from valdef.cli import _fast_parse
+
+    argv = argv + ["--cap", "3"]
+    assert _fast_parse(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[-1].endswith("error: unrecognized arguments: --cap 3")
+
+
+def test_cap_is_read_by_decompose_and_every_deform_action(tmp_path, capsys):
+    """decompose and each deform action take --cap, on the fast path and in
+    argparse alike, and a file without its own cap is read at it."""
+    from valdef.cli import SPEC, _fast_parse
+
+    deform = write(tmp_path, "d.json", {"base": LIE2, "terms": []})
+    endo = write(tmp_path, "f.json", {"matrix": [[["1"], ["0"]], [["0"], ["1"]]]})
+    tails = {
+        "transport": ["--endo", endo],
+        "polycheck": ["--poly", '["1"]', "--k", "1"],
+    }
+    lines = [["decompose", write(tmp_path, "v.json", {"components": [["0", "1"]]})]]
+    for action in dict(SPEC["deform"][2])["action"]["choices"]:
+        lines.append(["deform", action, deform, *tails.get(action, [])])
+    for argv in lines:
+        argv = argv + ["--cap", "3"]
+        assert _fast_parse(argv).cap == 3 == _argparse_reads(argv)["cap"]
+        code, doc, _ = run(capsys, *argv)
+        assert code == 0 and doc["cap_used"] == 3, argv
+
+
 def _argparse_reads(argv):
     """vars() of argparse's namespace for argv, or None when it exits."""
     import contextlib
@@ -1194,6 +1241,17 @@ MALFORMED = [
         for c, x in CONSTANT_TERMS
         for inverse in ([], ["--inverse"])
     ),
+    # a deformation term is a degree-2 adjoint cochain: no other shape is read
+    (
+        ["deform", "verify", "@d"],
+        {"d": _term({"target": "trivial", "values": [{"args": [0, 1], "c": "1"}]})},
+        "terms need degree-2 adjoint cochains over the base",
+    ),
+    (
+        ["deform", "verify", "@d"],
+        {"d": _term({"degree": 3, "target": "adjoint", "values": []})},
+        "terms need degree-2 adjoint cochains over the base",
+    ),
 ]
 
 
@@ -1658,7 +1716,7 @@ def test_poisson_self_check_failure_is_internal(tmp_path, capsys, monkeypatch):
 
     def load(p):
         f = real_load(p)
-        loaded.append(f.poisson)
+        loaded.append(f.algebra)
         return f
 
     def verify(p):
