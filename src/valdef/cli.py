@@ -113,15 +113,15 @@ def cmd_decompose(args):
         # both sides are exact, so a mismatch is a bug: exit 4, traceback
         raise RuntimeError("the flag decomposition does not recompose to its input")
     flag = flag_of(fd)
-    # a row that did not change from one level to the next is one tuple
-    # object, so it is printed once, each entry over the row's lead
+    # a row repeated from one level to the next is printed once, each
+    # entry over the row's lead
     printed = {}
 
     def row_doc(row):
-        doc = printed.get(id(row))
+        doc = printed.get(row)
         if doc is None:
             lead = next(filter(None, row))
-            doc = printed[id(row)] = [ratio_str(x, lead) for x in row]
+            doc = printed[row] = [ratio_str(x, lead) for x in row]
         return doc
 
     detail = {

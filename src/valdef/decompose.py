@@ -33,11 +33,10 @@ only the steps: it keeps the running products b1...bi
 (`series.running_products`) and returns the sum of b1...bi * Vi
 (`series.combination`) as a canonical (den, rows).
 
-`flag_of` builds the chain one step at a time on one reduced integer
-echelon, with `linalg`'s fraction-free elimination step: each step vector
-is reduced against the rows so far, and a new lead column is cleared from
-the earlier rows, so no level is row-reduced from scratch.  Only the rows
-a step changed are written out again.
+`flag_of` grows one echelon through `linalg`'s public API alone: each
+step vector goes in with `linalg.insert`, and a step that adds a pivot row
+is followed by `linalg.back_substitute`, so no level is row-reduced from
+scratch and only `linalg` decides how a row is reduced and stored.
 """
 
 from __future__ import annotations
@@ -172,39 +171,25 @@ def recompose(d: FlagDecomposition):
 def flag_of(d: FlagDecomposition) -> Flag:
     """Chain of row-reduced bases of span(V1..Vi) for i = 1..h.
 
-    One reduced integer echelon is kept from level to level: a primitive
-    row per lead column, and no lead column in any other row.  Each step's
-    integer vector is reduced against it with `linalg._cancel`.  What is
-    left, if anything, becomes the row of a new lead column, and that
-    column is cleared from the earlier rows.  A level is its rows in lead
-    order, each a dense tuple with a positive lead: the canonical RREF
-    basis of its prefix, as `linalg.row_space` writes it, times the leads.
-    A row that did not change keeps its tuple from the level before, and a
-    step that adds nothing repeats the level.
+    Each step's integer vector goes into one echelon with `linalg.insert`.
+    When that adds a pivot row, `linalg.back_substitute` makes the echelon
+    reduced and the level is written out: its rows in lead order, each a
+    dense tuple with a positive lead, the canonical RREF basis of its
+    prefix, as `linalg.row_space` writes it, times the leads.  A step that
+    adds nothing repeats the level.
     """
     ncols = d.ambient_dim
     pivots: dict[int, dict] = {}  # lead column -> primitive integer row
-    written: dict[int, tuple] = {}  # lead column -> dense row, lead > 0
     chain = []
     level = ()
     for step in d.steps:
-        vec = {c: x for c, x in enumerate(step.vector) if x}
-        # the other pivot rows are zero at a pivot's lead column, so each
-        # cancellation leaves the remaining lead columns of vec in place
-        for lead in [c for c in vec if c in pivots]:
-            vec = linalg._cancel(vec, pivots[lead], lead)
-        if vec:
-            new = min(vec)
-            vec = linalg._primitive(vec)
-            for lead, row in pivots.items():
-                if new in row:
-                    pivots[lead] = linalg._cancel(row, vec, new)
-                    del written[lead]
-            pivots[new] = vec
-            for lead in pivots.keys() - written.keys():
-                row = pivots[lead]
-                sign = 1 if row[lead] > 0 else -1
-                written[lead] = tuple(sign * row.get(c, 0) for c in range(ncols))
-            level = tuple(written[lead] for lead in sorted(written))
+        size = len(pivots)
+        linalg.insert(pivots, {c: x for c, x in enumerate(step.vector) if x})
+        if len(pivots) > size:
+            linalg.back_substitute(pivots)
+            level = tuple(
+                tuple((1 if row[lead] > 0 else -1) * row.get(c, 0) for c in range(ncols))
+                for lead, row in sorted(pivots.items())
+            )
         chain.append(level)
     return Flag(chain=tuple(chain))

@@ -52,9 +52,9 @@ A nilpotent g has no such x.  `central_series_basis` moves it instead to
 a basis adapted to its lower central series g > C^1 > C^2 > .. > 0, with
 every weight 0: C^1 is the `linalg.echelon` of the table's outputs and
 C^(k+1) the echelon of [e_i, b] over the pivot rows b of C^k.  The pivot
-rows, deepest level first, are kept when they do not reduce to zero
-(`linalg.remainder`) against the rows kept so far, and unit vectors
-complete them to a basis.  There [C^i, C^j] lies in C^(i+j+1), the span
+rows, deepest level first, then the unit vectors, go into one more
+echelon with `linalg.insert`, and each that adds a pivot row there is kept
+as a basis vector.  There [C^i, C^j] lies in C^(i+j+1), the span
 of the first basis vectors, so the table is nearly triangular and its
 coboundaries fill in far less under elimination.  A table in which each
 [e_i, e_j] has at most one nonzero coordinate (monomial) is as sparse as
@@ -150,9 +150,9 @@ def central_series_basis(g) -> AlgebraStructure | None:
     kept: dict = {}
     basis = []
     for vec in candidates:
-        rest = linalg.remainder(kept, vec)
-        if rest:
-            kept[min(rest)] = rest
+        size = len(kept)
+        linalg.insert(kept, dict(vec))  # insert may change the row it is given
+        if len(kept) > size:
             basis.append([vec.get(i, 0) for i in range(n)])
     d, q = _inverse([list(r) for r in zip(*basis)])
 

@@ -5,9 +5,12 @@ integers.  The one elimination step, `_cancel`, removes a column from a
 row by cross-multiplying it with a pivot row, so no division happens, and
 then divides out the gcd content of the result.  `insert` reduces a row
 against an echelon of pivot rows keyed by their leading column with that
-step, and keeps what is left as a new pivot row; `grading` inserts the
-columns of a matrix that spans a generalized eigenspace one at a time
-with it, and stops once it has as many pivot rows as the multiplicity.
+step, and keeps what is left as a new pivot row.  It is the one way any
+module grows an echelon, so only this module reduces and stores a row; a
+caller sees a new pivot row by the echelon's size.  `grading` inserts the
+columns spanning a generalized eigenspace until it has as many pivot rows
+as the multiplicity, and the central-series basis candidates, keeping
+those that add one; `decompose.flag_of` inserts each step vector.
 The arithmetic is exact, so no answer needs a certificate.
 
 `echelon` inserts rows sparsest first and returns that pivots dict;
@@ -17,12 +20,13 @@ when nothing is left.  Cohomology eliminates its coboundary columns here.
 `back_substitute` clears each pivot column from the other pivot rows with
 the same step, and `column` reads a column of the matrix off that integer
 reduced form as a combination of its pivot columns: the inverse of
-`grading`'s central-series basis and the graded system's memberships.  `rref`
-writes the reduced form out as Fractions for `row_space` and
-`solve_combination`, from rows of rationals cleared by `integer_row`; no
-other module calls these four: they are oracles, kept here only while the
-benchmark's tracer wraps them by name, and the only code here that reads
-or builds a Fraction.
+`grading`'s central-series basis and the graded system's memberships.
+`flag_of` writes each level of a flag straight from that reduced form.
+`rref` writes it out as Fractions for `row_space` and `solve_combination`,
+from rows of rationals cleared by `integer_row`; no other module calls
+these four: they are oracles, kept here only while the benchmark's tracer
+wraps them by name, and the only code here that reads or builds a
+Fraction.
 """
 
 from math import gcd, lcm

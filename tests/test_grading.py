@@ -282,6 +282,44 @@ def test_central_series_stops_at_its_budget(monkeypatch):
     assert len(echelons) == n and len(bases) == 1
 
 
+def test_central_series_basis_keeps_its_candidate_vectors(monkeypatch):
+    """The basis of conjugated nilpotent algebras is the pivot rows of the
+    series' echelons, deepest level first, then the unit vectors, each kept
+    when sympy's rank of the vectors kept so far grows: the candidates
+    themselves, not what is left of them after a reduction."""
+    pytest.importorskip("sympy")
+    levels = []
+    echelon = linalg.echelon
+
+    def spy(rows):
+        pivots = echelon(rows)
+        levels.append([[row.get(c, 0) for c in range(n)] for _, row in sorted(pivots.items())])
+        return pivots
+
+    monkeypatch.setattr(linalg, "echelon", spy)
+    bases = spy_transport(monkeypatch)
+    rng = random.Random(28)
+    filiform6 = rational_lie(6, {(0, i): {i + 1: 1} for i in range(1, 5)})
+    moved = 0
+    for g in (H3, FILIFORM4, filiform6, padded(H3, 5), padded(FILIFORM4, 6)):
+        for _ in range(3):
+            n = g.dim
+            levels.clear()
+            bases.clear()
+            if grading.central_series_basis(change_basis(g, random_invertible(rng, n))) is None:
+                continue
+            moved += 1
+            # the last echelon is not of the series but of [P | I], P the basis
+            candidates = [row for level in reversed(levels[:-1]) for row in level]
+            candidates += [[int(i == j) for j in range(n)] for i in range(n)]
+            want = []
+            for vec in candidates:
+                if domain_matrix(want + [vec]).rank() > len(want):
+                    want.append(vec)
+            assert bases == [want]
+    assert moved >= 12
+
+
 def test_adapted_basis_is_only_reordered():
     # ROOTS123 (+ abelian): ad e0 is diagonal with roots 1, 2, 3
     g = padded(ROOTS123, 6)

@@ -345,3 +345,55 @@ def test_integer_row_clears_denominators():
     row = [Fraction(1, 2), 0, Fraction(-2, 3), 4]
     assert linalg.integer_row(row) == (6, {0: 3, 2: -4, 3: 24})
     assert linalg.integer_row([0, Fraction(0)]) == (1, {})
+
+
+def prefix_level(pivots, ncols) -> tuple:
+    """The back-substituted echelon's rows in lead order, each first checked
+    to be a primitive integer row with a positive lead once its sign is
+    fixed, then divided by that lead: the RREF view `sympy_row_space` gives."""
+    level = []
+    for lead, row in sorted(pivots.items()):
+        dense = [(1 if row[lead] > 0 else -1) * row.get(c, 0) for c in range(ncols)]
+        assert min(row) == lead and dense[lead] > 0 and gcd(*dense) == 1
+        level.append(tuple(Fraction(x, dense[lead]) for x in dense))
+    return tuple(level)
+
+
+def test_insert_grows_each_prefix_to_sympy_rref():
+    """`insert` one row at a time, then `back_substitute`: every prefix is
+    sympy's RREF of those rows.  The planted rows reach the swap branch (a
+    row sparser than the pivot it meets takes its place, once with a new
+    pivot and once with a dependent row) and a dependent row that adds no
+    pivot; the random ones reach the swap branch too."""
+    pytest.importorskip("sympy")
+    pivots = {}
+    linalg.insert(pivots, {0: 1, 1: 1, 2: 1, 3: 1})
+    linalg.insert(pivots, {0: 2, 1: 1})
+    # (2, 1, 0, 0) took lead 0, and 2 (1, 1, 1, 1) - (2, 1, 0, 0) is the new row
+    assert pivots == {0: {0: 2, 1: 1}, 1: {1: 1, 2: 2, 3: 2}}
+    linalg.back_substitute(pivots)
+    assert pivots == {0: {0: 1, 2: -1, 3: -1}, 1: {1: 1, 2: 2, 3: 2}}
+    linalg.insert(pivots, {0: 2, 1: 1})
+    # the same row again: it swaps in, and the old pivot row reduces to zero
+    assert pivots == {0: {0: 2, 1: 1}, 1: {1: 1, 2: 2, 3: 2}}
+
+    rng = random.Random(27)
+    swaps = 0
+    cases = [[[1, 1, 1, 1], [2, 1, 0, 0], [2, 1, 0, 0], [3, 2, 1, 1], [0, 0, 2, 4]]]
+    cases += [integer_matrix(rng, rng.randint(1, 7), rng.randint(1, 7)) for _ in range(80)]
+    for m in cases:
+        ncols = len(m[0])
+        pivots = {}
+        for i, row in enumerate(m):
+            vec = {c: v for c, v in enumerate(row) if v}
+            size = len(pivots)
+            if vec and min(vec) in pivots and len(vec) < len(pivots[min(vec)]):
+                swaps += 1
+            linalg.insert(pivots, vec)
+            linalg.back_substitute(pivots)
+            prefix = [[Fraction(x) for x in r] for r in m[: i + 1]]
+            assert len(pivots) == domain_matrix(prefix).rank()
+            if m is cases[0]:
+                assert len(pivots) - size == (1, 1, 0, 0, 1)[i]
+            assert prefix_level(pivots, ncols) == sympy_row_space(prefix)
+    assert swaps > 2
