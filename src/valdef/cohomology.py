@@ -10,9 +10,9 @@ Chevalley-Eilenberg formula
 
 as den * delta in sparse integer columns, one per domain coordinate,
 applied to the integer coordinates of a cochain (`Cochain.flat_nums`).
-`coboundary_matrix` is one builder over the module given by its width,
-the nonzero entries of each den * rho(e_x) and the weights of its
-coordinates (`_module`): adjoint coefficients are g with rho = ad, and
+`coboundary_matrix` is one builder over the module given by the nonzero
+entries of each den * rho(e_x) (`_action`) and the weights of its
+coordinates (`_levels`): adjoint coefficients are g with rho = ad, and
 trivial ones are K, width 1 with no action, so the first sum is empty
 there.  One loop over the codomain keys takes the faces of each key from
 `itertools.combinations`; the first sum visits only the nonzero entries
@@ -50,15 +50,15 @@ Serre), so only the weight-0 block is ranked, complement step included,
 and each weight lambda != 0 adds dim Z^p_lambda = dim B^p_lambda =
 sum_{q<p} (-1)^(p-1-q) dim C^q_lambda to dim Z and dim B by counting.
 With no grading every weight is zero and the block is the whole complex.
-When the search finds none, the whole complex passes the size guard and g
-is nilpotent with a table that is not monomial (some [e_i, e_j] has two
-nonzero coordinates), it is ranked in a basis adapted to the lower
-central series of g instead (`grading.central_series_basis`), where the
-table is nearly triangular and elimination fills in far less: conjugated
-`filiform7` H^3 adjoint goes from about 0.8 s to 2 ms (README).  That
-change of basis is exact and every weight stays 0, so the dimensions are
-those of the given basis.  delta_0 on trivial coefficients is 0 and is
-never built.
+When the search finds none and g is nilpotent with a table that is not
+monomial (some [e_i, e_j] has two nonzero coordinates), g moves to a
+basis adapted to its lower central series (`grading.central_series_basis`)
+in the same branch, before the size guard: the table is nearly triangular
+and elimination fills in far less, so conjugated `filiform7` H^3 adjoint
+goes from about 0.8 s to 2 ms (README).  That change of basis is exact
+and keeps every weight 0, so the guard reads the same block dims and the
+dimensions are those of the given basis.  delta_0 on trivial
+coefficients is 0 and is never built.
 
 The circle product is taken on degree-2 adjoint cochains, the only ones
 Gerstenhaber's deformation equation delta phi_k = -sum_{i+j=k} phi_i o
@@ -132,10 +132,10 @@ def coboundary_matrix(
     degree-1 reports can subtract inner coboundaries.
 
     One loop over the codomain keys builds both sums of the formula over
-    the coefficient module of `_module`, taking the faces of each key from
-    `itertools.combinations`: the first sum visits only the nonzero entries
-    of the module's action, none for trivial coefficients, and the second
-    only the nonzero brackets.
+    the coefficient module (`_action`, `_levels`), taking the faces of each
+    key from `itertools.combinations`: the first sum visits only the
+    nonzero entries of the module's action, none for trivial coefficients,
+    and the second only the nonzero brackets.
 
     weights, the increasing weights of g's basis (`grading.find_grading`),
     restricts delta to its weight-0 block: the columns number the domain
@@ -157,8 +157,8 @@ def coboundary_matrix(
     _, table = g.scaled_table
     if weights is None:
         weights = (0,) * n
-    action, levels = _module(table, coeff, weights)
-    spans = _spans(levels)
+    action = _action(table, coeff)
+    spans = _spans(_levels(coeff, weights))
     # the one sign per (degree, coeff) that makes delta equal the circle
     # forms mu o f + (-1)^p f o mu (adjoint) and f o mu (trivial)
     sign = -1 if coeff == "trivial" or degree % 2 == 0 else 1
@@ -221,28 +221,20 @@ def coboundary_matrix(
     return cols, cod
 
 
-def _module(table, coeff: str, weights) -> tuple:
-    """(action, levels): the coefficient module of delta, of width
-    len(levels).
-
-    action maps each x with rho(e_x) != 0 to the pairs (m, out) of its
-    nonzero columns: den * rho(e_x) e_m is the sum of c * e_k over (k, c)
-    in out.  levels[m] is the weight of module coordinate m, increasing.
-    Adjoint is g itself, rho = ad, with the weights of its basis; trivial
-    is K: width 1, no action, weight 0.
-    """
-    action = {}
-    if coeff == "adjoint":
-        for x, row in enumerate(table):
-            entries = tuple(compress(enumerate(row), row))
-            if entries:
-                action[x] = entries
-    return action, _levels(coeff, weights)
+def _action(table, coeff: str) -> dict:
+    """The action rho of the coefficient module of delta: each x with
+    rho(e_x) != 0 maps to the pairs (m, out) of its nonzero columns, den *
+    rho(e_x) e_m the sum of c * e_k over (k, c) in out.  Adjoint is g
+    itself, rho = ad; trivial is K, with no action."""
+    if coeff != "adjoint":
+        return {}
+    rows = (tuple(compress(enumerate(row), row)) for row in table)
+    return {x: entries for x, entries in enumerate(rows) if entries}
 
 
 def _levels(coeff: str, weights) -> tuple:
-    """The weights of the module coordinates: g's own for adjoint, the one
-    weight 0 of K for trivial."""
+    """The weights of the module coordinates, increasing: g's own for
+    adjoint, the one weight 0 of K for trivial."""
     return weights if coeff == "adjoint" else (0,)
 
 
@@ -281,11 +273,8 @@ def coboundary(g: AlgebraStructure, f: Cochain) -> Cochain:
         if x:
             for r, v in col.items():
                 flat[r] += v * x
-    width = f.width
-    keys = combinations(range(g.dim), f.degree + 1)
-    values = {key: flat[r * width : (r + 1) * width] for r, key in enumerate(keys)}
     den = f.den * g.scaled_table[0]
-    return Cochain.scaled(f.degree + 1, g.dim, f.target, den, values)
+    return Cochain.from_flat(f.degree + 1, g.dim, f.target, den, flat)
 
 
 def _require_lie(g: AlgebraStructure) -> None:
@@ -316,9 +305,9 @@ def cohomology_dim(g: AlgebraStructure, degree: int, coeff: str) -> CohomologyRe
     When delta_degree has at least GRADING_MIN_CELLS entries and g has an
     inner grading, only its weight-0 block is ranked and the acyclic rest
     is counted; without one, a nilpotent g is ranked in a basis adapted to
-    its lower central series (see the module docstring).  A weight-0 block of
-    delta_degree with more than MAX_COHOMOLOGY_CELLS entries raises
-    TooLarge before any elimination.
+    its lower central series (see the module docstring).  Then a weight-0
+    block of delta_degree with more than MAX_COHOMOLOGY_CELLS entries raises
+    TooLarge before any coboundary is built.
     """
     if coeff not in COEFFS:
         raise ValueError(f"unknown coefficient type {coeff!r}")
@@ -329,14 +318,15 @@ def cohomology_dim(g: AlgebraStructure, degree: int, coeff: str) -> CohomologyRe
     width = n if coeff == "adjoint" else 1
     full = [comb(n, q) * width for q in range(degree + 2)]
     weights, block = None, full
-    search = full[degree] * full[degree + 1] >= GRADING_MIN_CELLS
-    if search:
-        from .grading import find_grading
+    if full[degree] * full[degree + 1] >= GRADING_MIN_CELLS:
+        from .grading import central_series_basis, find_grading
 
         graded = find_grading(g)
         if graded is not None:
-            (g, weights), search = graded, False
+            g, weights = graded
             block = _block_dims(degree + 1, weights, _levels(coeff, weights))
+        else:  # no inner grading: a nilpotent g moves to a sparser basis
+            g = central_series_basis(g) or g
     cells = block[degree] * block[degree + 1]
     if cells > MAX_COHOMOLOGY_CELLS:
         raise TooLarge(
@@ -344,10 +334,6 @@ def cohomology_dim(g: AlgebraStructure, degree: int, coeff: str) -> CohomologyRe
             f"{block[degree]} = {cells} entries exceeds the largest supported "
             f"{MAX_COHOMOLOGY_CELLS}"
         )
-    if search:  # no inner grading: a nilpotent g moves to a sparser basis
-        from .grading import central_series_basis
-
-        g = central_series_basis(g) or g
     image = _image(g, degree, coeff, weights)
     # delta_p vanishes on im delta_(p-1): only the other columns are built
     free, _ = coboundary_matrix(g, degree, coeff, weights, skip=image)

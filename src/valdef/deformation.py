@@ -142,12 +142,10 @@ def decompose_deformation(d: Deformation) -> Deformation:
         return Deformation(d.base, d.cap, ())
     fd = decompose(den, rows)
     n = d.base.dim
-    pairs = list(combinations(range(n), 2))
     products = running_products((step.coefficient for step in fd.steps), fd.cap)
     terms = []
     for running, step in zip(products, fd.steps):
-        values = {key: step.vector[s * n : (s + 1) * n] for s, key in enumerate(pairs)}
-        terms.append((running, Cochain.scaled(2, n, "adjoint", step.den, values)))
+        terms.append((running, Cochain.from_flat(2, n, "adjoint", step.den, step.vector)))
     return Deformation.build(d.base, fd.cap, terms)
 
 
@@ -390,8 +388,9 @@ def transport(d: Deformation, f, f_inverse=None) -> Deformation:
         for i in range(n - 1)
     ]
     out_den = den * fden * fden * gden
-    by_power: dict[int, dict] = {}
-    for i, j in pairs:
+    # by_power[p]: the flat coordinates of the t^p cochain, over out_den
+    by_power: dict[int, list] = {}
+    for s, (i, j) in enumerate(pairs):
         both = _contract(((x, first[i][b]) for b, x in f_cols[j]), cap)
         out = dict(_contract(((y, g_cols[k]) for k, y in both), cap))
         const = dict(table[i][j])
@@ -403,10 +402,10 @@ def transport(d: Deformation, f, f_inverse=None) -> Deformation:
                 )
             for p, x in enumerate(series[1:], 1):
                 if x:
-                    by_power.setdefault(p, {}).setdefault((i, j), [0] * n)[k] = x
+                    by_power.setdefault(p, [0] * (len(pairs) * n))[s * n + k] = x
     terms = []
     for p in sorted(by_power):
-        phi = Cochain.scaled(2, n, "adjoint", out_den, by_power[p])
+        phi = Cochain.from_flat(2, n, "adjoint", out_den, by_power[p])
         terms.append(((1, [int(q == p) for q in range(cap + 1)]), phi))
     return Deformation.build(d.base, cap, terms)
 

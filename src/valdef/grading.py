@@ -20,13 +20,13 @@ Candidates with tr((den * ad x)^2) <= 0 are skipped: a split spectrum is
 real with sum of squares tr(A^2), so 0 means nilpotent (every candidate
 of a nilpotent algebra) and a negative value means non-real eigenvalues.
 That trace is read off the Killing form k(i, j) = tr(den * ad e_i den *
-ad e_j): the e_i need only its diagonal, and the rest is computed once
-the pairs are reached.  The eigenvalues are the integer roots of the
-monic integer characteristic polynomial chi of A = den * ad x
-(`charpoly`, from the power traces tr(A^k) by Newton's identities;
-`integer_roots`); each is at most sqrt(tr(A^2)) in absolute value, and
-candidates where that exceeds MAX_ROOT are skipped too.  The Killing
-form and each characteristic polynomial are charged against
+ad e_j): the e_i need only its diagonal, and each cross term k(i, j)
+is computed where the pair e_i + e_j is tried.  The eigenvalues are the
+integer roots of the monic integer characteristic polynomial chi of A =
+den * ad x (`charpoly`, from the power traces tr(A^k) by Newton's
+identities; `integer_roots`); each is at most sqrt(tr(A^2)) in absolute
+value, and candidates where that exceeds MAX_ROOT are skipped too.  The
+Killing form and each characteristic polynomial are charged against
 SEARCH_BUDGET multiplies, and the search gives up once it is spent, so a
 large non-split algebra reaches the size guard of `cohomology_dim`
 quickly.
@@ -188,13 +188,13 @@ def _killing_cost(table) -> int:
 
 
 def _candidates(table):
-    """(flat, tr(a^2)) for a = den * ad x, x = e_i, then e_i + e_j, and
-    flat its entries by rows: [k][j] is the e_k coordinate of den * [x,
-    e_j].  tr(a^2) is the sum of the Killing form k(i, j) over the pairs of
-    x, and k(i, j) = tr(den * ad e_i den * ad e_j) the sum of the entrywise
-    products of den * ad e_i and the transpose of den * ad e_j.  The e_i
-    need only the diagonal; the rest is computed when the pairs are
-    reached, and a zero form, as of every nilpotent g, yields no pair."""
+    """(flat, tr(a^2)) for a = den * ad x, x = e_i, then e_i + e_j if
+    tr(a^2) > 0, flat the entries of a by rows: [k][j] is the e_k
+    coordinate of den * [x, e_j].  tr(a^2) sums the Killing form k(i, j) =
+    tr(den * ad e_i den * ad e_j), the entrywise products of den * ad e_i
+    and the transpose of den * ad e_j, over the pairs of x.  The e_i need
+    only the diagonal, each cross term is computed where its pair is
+    tried, and a zero form, as of every nilpotent g, yields no pair."""
     n = len(table)
     flats, flats_t, squares = [], [], []
     for row in table:
@@ -207,12 +207,11 @@ def _candidates(table):
         flats_t.append(flat_t)
         squares.append(sum(map(mul, flat, flat_t)))
         yield flat, squares[-1]
-    cross = [[sum(map(mul, flats[i], flats_t[j])) for j in range(i)] for i in range(n)]
-    if any(squares) or any(map(any, cross)):
-        for i in range(n):
-            for j in range(i + 1, n):
-                flat = [x + y for x, y in zip(flats[i], flats[j])]
-                yield flat, squares[i] + 2 * cross[j][i] + squares[j]
+    for i in range(n):
+        for j in range(i + 1, n):
+            trace_sq = squares[i] + 2 * sum(map(mul, flats[j], flats_t[i])) + squares[j]
+            if trace_sq > 0:
+                yield [x + y for x, y in zip(flats[i], flats[j])], trace_sq
 
 
 def _diagonal(row) -> list | None:

@@ -159,6 +159,42 @@ def test_cochain_flatten_roundtrip():
             assert again == c
 
 
+def test_from_flat_inverts_flat_nums():
+    """`Cochain.from_flat` reads every cochain of degree 1-3, either target,
+    back from its den and `flat_nums`; the same flat over a den scaled up by
+    a common factor comes back canonical, and an arbitrary integer flat
+    gives the cochain of its rationals."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def flats(draw):
+        degree = draw(st.integers(1, 3))
+        dim = draw(st.integers(degree, 5))
+        target = draw(st.sampled_from(COEFFS))
+        size = len(list(combinations(range(dim), degree))) * (
+            dim if target == "adjoint" else 1
+        )
+        entries = st.one_of(st.just(0), st.integers(-(10**12), 10**12))
+        flat = draw(st.lists(entries, min_size=size, max_size=size))
+        return degree, dim, target, draw(st.integers(1, 10**9)), flat
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(flats(), st.integers(2, 10**6))
+    def check(spec, scale):
+        degree, dim, target, den, flat = spec
+        c = Cochain.from_flat(degree, dim, target, den, flat)
+        rationals = [Fraction(x, den) for x in flat]
+        assert c == cochain_from_flat(degree, dim, target, rationals)
+        shape = (c.degree, c.dim, c.target)
+        assert Cochain.from_flat(*shape, c.den, c.flat_nums) == c
+        wide = [scale * x for x in c.flat_nums]
+        again = Cochain.from_flat(*shape, scale * c.den, wide)
+        assert again == c and hash(again) == hash(c)
+
+    check()
+
+
 def test_cochain_printer_matches_rational_str():
     """io.cochain_doc prints every entry of an adjoint cochain built from
     rationals in lowest terms, as rational_str of its Fraction value does,

@@ -2055,6 +2055,45 @@ def test_cohomology_size_guard(tmp_path, capsys):
     assert code == 0 and doc["ok"] is True
 
 
+def test_size_guard_on_an_ungraded_nilpotent_complex(tmp_path, capsys, monkeypatch):
+    """filiform8 H^3 adjoint (448 x 560 entries) has no inner grading.  In
+    its monomial basis it keeps that basis; conjugated, it moves to the
+    lower-central-series basis before the size guard, which reads the same
+    block dims: both raise the same TooLarge line from `cohomology_dim` and
+    exit 2 with it from `cohomology`."""
+    import random
+
+    from gens import change_basis, random_invertible, rational_lie
+
+    from valdef import grading
+    from valdef.cli import _table_doc
+    from valdef.cohomology import cohomology_dim
+    from valdef.errors import TooLarge
+
+    line = (
+        "degree-3 adjoint coboundary block of 560 x 448 = 250880 entries "
+        f"exceeds the largest supported {io.MAX_COHOMOLOGY_CELLS}"
+    )
+    filiform8 = rational_lie(8, {(0, i): {i + 1: 1} for i in range(1, 7)})
+    conjugated = change_basis(filiform8, random_invertible(random.Random(5), 8))
+    moved = []
+    real = grading.central_series_basis
+    monkeypatch.setattr(
+        grading, "central_series_basis", lambda g: moved.append(real(g)) or moved[-1]
+    )
+    for g, name in ((filiform8, "monomial"), (conjugated, "conjugated")):
+        moved.clear()
+        with pytest.raises(TooLarge) as raised:
+            cohomology_dim(g, 3, "adjoint")
+        assert str(raised.value) == line
+        assert [out is not None for out in moved] == [name == "conjugated"]
+        doc = {"dim": 8, "kind": "lie", "table": _table_doc(g)}
+        path = write(tmp_path, f"{name}.json", doc)
+        code, out, err = run(capsys, "cohomology", path, "--deg", "3", "--coeff", "adjoint")
+        assert code == 2 and out == {"ok": False, "error": out["error"]}
+        assert err == f"error: {line}\n"
+
+
 def test_series_size_guard(tmp_path, capsys):
     """A series matrix of more than io.MAX_SERIES_CELLS entries exits 2
     with one line naming its size, before it is allocated: the perturbation

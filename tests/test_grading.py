@@ -180,6 +180,57 @@ def test_irrational_spectrum_falls_back_to_the_whole_complex(monkeypatch):
                 assert ranked[0] == dom - got[1]
 
 
+def ad_candidates(g) -> list:
+    """(flat, tr(a^2)) for a = den * ad x read off the table, x = e_i, then
+    e_i + e_j where tr(a^2) > 0: what `grading._candidates` yields."""
+    n = g.dim
+    _, table = g.scaled_table
+    ads = [
+        [dict(table[i][j]).get(k, 0) for k in range(n) for j in range(n)] for i in range(n)
+    ]
+    pairs = [[x + y for x, y in zip(ads[i], ads[j])] for i, j in combinations(range(n), 2)]
+
+    def trace_sq(flat):
+        return sum(flat[i * n + k] * flat[k * n + i] for i in range(n) for k in range(n))
+
+    singles = [(flat, trace_sq(flat)) for flat in ads]
+    return singles + [(flat, trace_sq(flat)) for flat in pairs if trace_sq(flat) > 0]
+
+
+def test_grading_found_only_at_a_pair(monkeypatch):
+    """sl2 in the basis h+e+f, e-f, h+2e+f: tr((ad x)^2) = 8(a^2 + bc) for
+    x = ah + be + cf is 16, -8 and 24 on the basis vectors, none a split
+    spectrum, and 8 on f1 + f2 = h + 2e, whose spectrum 0, +-2 splits.  The
+    pair grades g, and the graded path gives the dims of the whole complex
+    and of sympy in degrees 1-3, both coefficients.  On it and on algebras
+    without a split candidate, the candidates are those read off the
+    table, each pair kept only when its trace is positive."""
+    pytest.importorskip("sympy")
+    columns = ((1, 1, 1), (0, 1, -1), (1, 2, 1))
+    g = change_basis(SL2, [[Fraction(c[r]) for c in columns] for r in range(3)])
+    assert g.scaled_table[0] == 1
+    spectra = []
+    real = grading.charpoly
+    monkeypatch.setattr(grading, "charpoly", lambda a: spectra.append(a) or real(a))
+    _, weights = find_grading(g)
+    assert weights == (-2, 0, 2)
+    # f1 and f3 reach charpoly and do not split; the first pair does
+    candidates = list(grading._candidates(g.scaled_table[1]))
+    assert [trace for _, trace in candidates[:4]] == [16, -8, 24, 8]
+    assert [sum(a, []) for a in spectra] == [candidates[k][0] for k in (0, 2, 3)]
+    so3 = rational_lie(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
+    rng = random.Random(31)
+    for h in (g, IRRATIONAL_SL2, change_basis(padded(so3, 4), random_invertible(rng, 4))):
+        assert list(grading._candidates(h.scaled_table[1])) == ad_candidates(h)
+    for degree in (1, 2, 3):
+        for coeff in COEFFS:
+            spectra.clear()
+            graded = dims(g, degree, coeff, monkeypatch, graded=True)
+            assert len(spectra) == 3  # graded by the pair
+            assert graded == dims(g, degree, coeff, monkeypatch, graded=False)
+            assert graded == sympy_dims(g, degree, coeff)
+
+
 def test_nilpotent_algebra_skips_the_search(monkeypatch):
     def refuse(a):
         raise AssertionError("charpoly on a nilpotent algebra")
