@@ -18,6 +18,7 @@ c_in * c_out (r the longest inner row, c the largest absolute
 constants), so for B = bit_length(M) + 1
 (`slot_width`) two such sums pack equal only if equal: the lowest nonzero
 slot of their difference would be a multiple of 2^B inside (-2^B, 2^B).
+`unpack` reads the coordinates of one such sum back.
 The associator, G-associativity, dual-identity and Poisson checks are
 thus exact int zero and equality tests.
 
@@ -190,6 +191,17 @@ def pack(outer, width: int) -> list[list[int]]:
         [sum([c << width * q for q, c in row]) if row else 0 for row in r]
         for r in outer.scaled_table[1]
     ]
+
+
+def unpack(packed: int, n: int, width: int) -> list[int]:
+    """The n signed coordinates of an int packed in `width`-bit slots, each
+    inside (-2^(width-1), 2^(width-1)) as `slot_width` makes them."""
+    half, mask, out = 1 << (width - 1), (1 << width) - 1, []
+    for _ in range(n):
+        slot = ((packed & mask) ^ half) - half
+        out.append(slot)
+        packed = (packed - slot) >> width
+    return out
 
 
 def nested_products(packed, inner, left: bool) -> list[int]:

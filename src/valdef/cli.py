@@ -109,6 +109,15 @@ def cmd_decompose(args):
 
     den, rows = io.parse_vector(io.load_json(args.vector), args.cap)
     fd = decompose(den, rows)
+    # written first, so that a coefficient too long to print exits 2 before
+    # the checks below run
+    steps = [
+        {
+            "coefficient": io.series_literal(s.coefficient),
+            "vector": [ratio_str(x, s.den) for x in s.vector],
+        }
+        for s in fd.steps
+    ]
     if recompose(fd) != lowest_terms(den, [row[: fd.cap + 1] for row in rows]):
         # both sides are exact, so a mismatch is a bug: exit 4, traceback
         raise RuntimeError("the flag decomposition does not recompose to its input")
@@ -128,13 +137,7 @@ def cmd_decompose(args):
         "length": fd.length,
         "ambient_dim": fd.ambient_dim,
         "cap_out": fd.cap,
-        "steps": [
-            {
-                "coefficient": io.series_literal(s.coefficient),
-                "vector": [ratio_str(x, s.den) for x in s.vector],
-            }
-            for s in fd.steps
-        ],
+        "steps": steps,
         "flag": [[row_doc(row) for row in level] for level in flag.chain],
         "recomposition_check": True,
     }
@@ -253,8 +256,9 @@ def _files(args, what: str) -> list:
 
 
 def _tensor_dim(left: int, right: int) -> None:
-    """Refuse a tensor product above io.MAX_DIM before it is built: its
-    checks scan every basis triple, dim^3 of them."""
+    """Refuse a tensor product above io.MAX_DIM before it is built: the
+    Poisson tensor's checks scan every basis triple, dim^3 of them, and so
+    does the G-check that names a failing gass tensor's witness."""
     if left * right > io.MAX_DIM:
         raise FormatError(
             f"tensor product dim {left}*{right} = {left * right} exceeds the "
@@ -268,6 +272,7 @@ def cmd_gass(args):
         SubgroupTag,
         dual_identity_check,
         g_associative_check,
+        tensor_g_associative,
         tensor_product,
     )
 
@@ -288,7 +293,12 @@ def cmd_gass(args):
         (b,) = rest
         _tensor_dim(a.dim, b.dim)
         prod = tensor_product(a, b)
-        ok, witness = g_associative_check(prod, tag, signed=signed)
+        ok, witness = tensor_g_associative(a, b, tag, signed), None
+        if not ok:
+            # the factors decide; the built table names the first failing triple
+            ok, witness = g_associative_check(prod, tag, signed=signed)
+            if ok:  # both are exact, so a disagreement is a bug: exit 4
+                raise RuntimeError("the factor and product G-checks disagree")
         detail = {
             "group": tag.value,
             "signed": signed,

@@ -13,6 +13,7 @@ from valdef.algebra import (
     associator,
     is_lie,
     jacobiator,
+    unpack,
 )
 from valdef.errors import DimensionMismatch
 from valdef.io import cochain_doc, parse_cochain
@@ -441,3 +442,24 @@ def test_basis_names_are_read_but_not_kept():
         assert hash(named) == hash(plain)
     with pytest.raises(FormatError, match="basis must be an array"):
         parse_algebra(dict(doc, basis="XY"))
+
+
+def test_unpack_reads_each_slot_back():
+    """`unpack` returns the signed coordinates packed into `width`-bit slots,
+    each strictly inside (-2^(width-1), 2^(width-1)), the extremes included."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def coordinates(width):
+        bound = 2 ** (width - 1) - 1
+        slot = st.one_of(st.sampled_from((0, bound, -bound)), st.integers(-bound, bound))
+        return st.tuples(st.just(width), st.lists(slot, min_size=1, max_size=8))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.integers(2, 70).flatmap(coordinates))
+    def check(spec):
+        width, coords = spec
+        packed = sum(c << width * q for q, c in enumerate(coords))
+        assert unpack(packed, len(coords), width) == coords
+
+    check()

@@ -606,6 +606,78 @@ def test_gass_cli(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def _assoc_doc(dim, entries):
+    """An assoc-kind file of the (i, j, k, c) entries."""
+    table = [{"i": i, "j": j, "out": [{"k": k, "c": c}]} for i, j, k, c in entries]
+    return {"dim": dim, "kind": "assoc", "table": table}
+
+
+KX2_DOC = _assoc_doc(2, [(0, 0, 0, "1"), (0, 1, 1, "1"), (1, 0, 1, "1")])
+# xy = z/2: every triple product is zero, so G-associative for every G
+HALF_TRIPLE_DOC = _assoc_doc(3, [(0, 1, 2, "1/2")])
+# e1 e0 = e1, e1 e1 = e0: fails all but the S3 identity tensored with kx2
+TWIST_DOC = _assoc_doc(2, [(1, 0, 1, "1"), (1, 1, 0, "1")])
+
+
+def test_gass_tensor_scans_no_product_triple(tmp_path, capsys, monkeypatch):
+    """A passing `gass tensor` is decided on its two factors: with
+    `g_associative_check` refusing every table of the product's dim 6, it
+    still prints the bytes of the product scan and exits 0."""
+    import valdef.nonassoc as nonassoc
+
+    check = nonassoc.g_associative_check
+
+    def factors_only(a, tag, signed=True):
+        if a.dim == 6:
+            raise AssertionError("the product table was scanned")
+        return check(a, tag, signed)
+
+    monkeypatch.setattr(nonassoc, "g_associative_check", factors_only)
+    left = write(tmp_path, "half.json", HALF_TRIPLE_DOC)
+    right = write(tmp_path, "kx2.json", KX2_DOC)
+    code = main(["gass", "tensor", left, right, "--group", "T12"])
+    out = capsys.readouterr()
+    want = (
+        '{"detail":{"dim":6,"group":"T12","left_g_associative":true,'
+        '"right_dual_identity":true,"signed":true,"table":['
+        '{"i":0,"j":2,"out":[{"c":"1/2","k":4}]},'
+        '{"i":0,"j":3,"out":[{"c":"1/2","k":5}]},'
+        '{"i":1,"j":2,"out":[{"c":"1/2","k":5}]}]},"ok":true}\n'
+    )
+    assert (code, out.out, out.err) == (0, want, "")
+
+
+def test_gass_tensor_failure_names_the_product_witness(tmp_path, capsys):
+    """A failing `gass tensor` prints the first failing triple of the built
+    table, as the product scan alone did, and exits 1."""
+    twist = write(tmp_path, "twist.json", TWIST_DOC)
+    kx2 = write(tmp_path, "kx2.json", KX2_DOC)
+    cases = [
+        (
+            [twist, kx2, "--group", "T23"],
+            '{"detail":{"dim":4,"group":"T23","left_g_associative":false,'
+            '"right_dual_identity":true,"signed":true,"table":['
+            '{"i":2,"j":0,"out":[{"c":"1","k":2}]},{"i":2,"j":1,"out":[{"c":"1","k":3}]},'
+            '{"i":2,"j":2,"out":[{"c":"1","k":0}]},{"i":2,"j":3,"out":[{"c":"1","k":1}]},'
+            '{"i":3,"j":0,"out":[{"c":"1","k":3}]},{"i":3,"j":2,"out":[{"c":"1","k":1}]}],'
+            '"witness":{"triple":[2,0,2]}},"ok":false}\n',
+        ),
+        (
+            [kx2, twist, "--group", "S3", "--unsigned"],
+            '{"detail":{"dim":4,"group":"S3","left_g_associative":true,'
+            '"right_dual_identity":false,"signed":false,"table":['
+            '{"i":1,"j":0,"out":[{"c":"1","k":1}]},{"i":1,"j":1,"out":[{"c":"1","k":0}]},'
+            '{"i":1,"j":2,"out":[{"c":"1","k":3}]},{"i":1,"j":3,"out":[{"c":"1","k":2}]},'
+            '{"i":3,"j":0,"out":[{"c":"1","k":3}]},{"i":3,"j":1,"out":[{"c":"1","k":2}]}],'
+            '"witness":{"triple":[0,0,1]}},"ok":false}\n',
+        ),
+    ]
+    for argv, want in cases:
+        code = main(["gass", "tensor", *argv])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (1, want, "")
+
+
 POISSON3 = {
     "dim": 3,
     "kind": "poisson",
@@ -2166,6 +2238,27 @@ def test_decompose_refuses_a_coefficient_past_the_digit_limit(tmp_path, capsys):
         limit = sys.get_int_max_str_digits()
         assert code == 2 and out == {"ok": False, "error": out["error"]}
         assert err == f"error: a rational to print has more than {limit} digits\n"
+
+
+def test_decompose_refuses_an_unprintable_step_before_its_checks(
+    tmp_path, capsys, monkeypatch
+):
+    """The step coefficients are written before the recomposition check and
+    the flag: at cap 120 the vector (t + 10^40 t^2, t^2) exits 2 on its
+    unprintable coefficient with `recompose` and `flag_of` never called."""
+    import valdef.decompose as decompose
+
+    def not_reached(*args):
+        raise AssertionError("called before the steps were printed")
+
+    monkeypatch.setattr(decompose, "recompose", not_reached)
+    monkeypatch.setattr(decompose, "flag_of", not_reached)
+    big = "1" + "0" * 40
+    vector = {"cap": 120, "components": [["0", "1", big], ["0", "0", "1"]]}
+    code, out, err = run(capsys, "decompose", write(tmp_path, "v.json", vector))
+    limit = sys.get_int_max_str_digits()
+    assert code == 2 and out == {"ok": False, "error": out["error"]}
+    assert err == f"error: a rational to print has more than {limit} digits\n"
 
 
 def test_non_split_search_stops_at_its_budget(tmp_path, capsys, monkeypatch):

@@ -27,6 +27,7 @@ from valdef.nonassoc import (
     opposite_poisson,
     poisson_tensor,
     poisson_verify,
+    tensor_g_associative,
     tensor_product,
 )
 
@@ -199,6 +200,48 @@ def test_tensor_closure_all_groups():
             b = conjugated(rng, rng.choice(duals[tag]))
             ok, witness = g_associative_check(tensor_product(a, b), tag)
             assert ok, (tag, witness)
+
+
+def test_tensor_verdict_from_the_factors_matches_the_product_scan():
+    """`tensor_g_associative` decides on the two factors what
+    `g_associative_check` finds on their built tensor product, for every
+    subgroup, signed and unsigned: on random factors of dims 1-3 over dens
+    1-2, zero tables, and the G-associative and dual pools of the closure
+    test above.  A sizeable share of the products drawn fail."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    pool = [rational_assoc(dim, {}) for dim in (1, 2, 3)]
+    pool += ASSOCIATIVE_POOL[:2] + COMMUTATIVE_POOL[:2] + [ZTRIPLE]
+    for tag in SubgroupTag:
+        for predicate in (g_associative_check, dual_identity_check):
+            pool += search_tables(
+                2, lambda alg, t=tag, f=predicate: f(alg, t)[0], max_entries=2, limit=4
+            )
+
+    @st.composite
+    def factors(draw):
+        if draw(st.booleans()):
+            return draw(st.sampled_from(pool))
+        dim = draw(st.integers(1, 3))
+        slot = st.tuples(*[st.integers(0, dim - 1)] * 3)
+        entries = draw(st.lists(st.tuples(slot, st.sampled_from((-2, -1, 1, 2)))))
+        den = draw(st.integers(1, 2))
+        table = {}
+        for (i, j, k), c in entries:
+            table.setdefault((i, j), {})[k] = Fraction(c, den)
+        return rational_assoc(dim, table)
+
+    verdicts = []
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(factors(), factors(), st.sampled_from(list(SubgroupTag)), st.booleans())
+    def check(a, b, tag, signed):
+        want, _ = g_associative_check(tensor_product(a, b), tag, signed)
+        assert tensor_g_associative(a, b, tag, signed) == want
+        verdicts.append(want)
+
+    check()
+    assert verdicts.count(False) >= len(verdicts) // 5, verdicts.count(False)
 
 
 POISSON3 = rational_poisson(
