@@ -77,16 +77,20 @@ class AlgebraStructure(Frozen):
 
     @classmethod
     def scaled(cls, dim: int, kind: str, den: int, table) -> AlgebraStructure:
-        """table / den in canonical form, for a positive integer den.
+        """table / den in canonical form, for a positive integer den: the
+        one builder of a canonical `scaled_table`, in one pass over table.
 
         table maps pairs (i, j) to {k: c}, the integer constants of den *
         e_i e_j; a lie table holds only i < j and is expanded
         antisymmetrically.  Raises ValueError at the first entry, in table
         order, whose pair is outside 0..dim-1, whose lie pair has i >= j, or
-        whose out index is outside 0..dim-1.
+        whose out index is outside 0..dim-1.  Each entry becomes its row as
+        it is checked: sorted by k, zeros dropped, divided by the content of
+        den and the constants, which is taken only when den > 1.
         """
-        lie = kind == "lie"
-        entries = []
+        lie, rows = kind == "lie", [[()] * dim for _ in range(dim)]
+        values = (c for out in table.values() for c in out.values())
+        common = gcd(den, *values) if den > 1 else 1
         for (i, j), out in table.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"pair ({i},{j}) outside 0..{dim - 1}")
@@ -95,12 +99,14 @@ class AlgebraStructure(Frozen):
                     f"lie table key ({i},{j}) must satisfy i < j; "
                     "the bracket is extended antisymmetrically"
                 )
-            for k in out:
-                if not 0 <= k < dim:
-                    raise ValueError(f"basis index {k} outside 0..{dim - 1}")
-            entries.append(((i, j), [(k, c) for k, c in sorted(out.items()) if c]))
-        table = canonical_table(dim, den, entries, lie)
-        return cls(dim, kind, table)
+            items = sorted(out.items())
+            if items and not (0 <= items[0][0] and items[-1][0] < dim):
+                k = next(k for k in out if not 0 <= k < dim)
+                raise ValueError(f"basis index {k} outside 0..{dim - 1}")
+            rows[i][j] = row = tuple([(k, c // common) for k, c in items if c])
+            if lie:
+                rows[j][i] = tuple([(k, -c) for k, c in row])
+        return cls(dim, kind, (den // common, tuple(map(tuple, rows))))
 
     # -- evaluation ---------------------------------------------------
 
@@ -144,33 +150,6 @@ class AlgebraStructure(Frozen):
             raise ValueError("is_lie needs a lie-kind algebra")
         _, failures = jacobi_sums(self)
         return failures[0][0] if failures else None
-
-
-def canonical_table(dim: int, den: int, entries, antisymmetric: bool):
-    """(den, rows) of a `scaled_table` in canonical form, from a positive
-    integer den and ((i, j), out) pairs: each out lists the nonzero integer
-    (k, c) of den * e_i e_j by increasing k.  The common content of den and
-    every c is divided out."""
-    common = gcd(den, *(c for _, out in entries for _, c in out))
-    if common != 1:
-        den //= common
-        entries = [(key, [(k, c // common) for k, c in out]) for key, out in entries]
-    return den, _table_rows(dim, entries, antisymmetric)
-
-
-def _table_rows(dim: int, entries, antisymmetric: bool) -> tuple:
-    """The rows of a `scaled_table` from ((i, j), out) pairs.
-
-    Each out lists the nonzero integer (k, c) of den * e_i e_j by
-    increasing k; with antisymmetric set, e_j e_i is taken as its negative.
-    """
-    rows = [[()] * dim for _ in range(dim)]
-    for (i, j), out in entries:
-        row = tuple(out)
-        rows[i][j] = row
-        if antisymmetric:
-            rows[j][i] = tuple((k, -c) for k, c in row)
-    return tuple(map(tuple, rows))
 
 
 def slot_width(terms: int, *pairs) -> int:
@@ -293,8 +272,9 @@ class Cochain(Frozen):
     def scaled_table(self) -> tuple[int, tuple]:
         """A degree-2 adjoint cochain as a bracket table, built once.
 
-        The same (den, rows) as `AlgebraStructure.scaled_table`: den *
-        phi(e_i, e_j) for every ordered pair, expanded antisymmetrically.
+        The same (den, rows) as `AlgebraStructure.scaled_table`, made by
+        `AlgebraStructure.scaled`: den * phi(e_i, e_j) for every ordered
+        pair, expanded antisymmetrically.
         """
         if self.degree != 2:
             raise UnsupportedDegree(
@@ -302,11 +282,8 @@ class Cochain(Frozen):
             )
         if self.target != "adjoint":
             raise ValueError("a bracket table needs an adjoint-valued cochain")
-        entries = (
-            (key, [(k, c) for k, c in enumerate(vec) if c])
-            for key, vec in self.values.items()
-        )
-        return self.den, _table_rows(self.dim, entries, antisymmetric=True)
+        table = {key: dict(enumerate(vec)) for key, vec in self.values.items()}
+        return AlgebraStructure.scaled(self.dim, "lie", self.den, table).scaled_table
 
     def __add__(self, other: Cochain) -> Cochain:
         """self + other over the lcm of the two denominators."""

@@ -74,7 +74,7 @@ from math import isqrt, lcm
 from operator import mul
 
 from . import linalg
-from .algebra import AlgebraStructure, canonical_table
+from .algebra import AlgebraStructure
 
 
 # the largest root `integer_roots` scans for: a candidate whose spectrum may
@@ -159,7 +159,7 @@ def central_series_basis(g) -> AlgebraStructure | None:
     def read(s, t, vec):
         return [(k, c) for k, c in enumerate(sum(map(mul, r, vec)) for r in q) if c]
 
-    return AlgebraStructure(n, "lie", _transport(den, table, basis, d, read))
+    return _transport(den, table, basis, d, read)
 
 
 def _bracket(row, vec: dict) -> dict:
@@ -357,9 +357,9 @@ def _eigengrading(den: int, table, a, poly, roots: dict) -> tuple:
         _require_rebuilt(s, t, vec, d, coords, basis)
         return coords
 
-    new_den, rows = _transport(den, table, basis, d, read)
-    require_homogeneous(rows, weights)
-    return AlgebraStructure(n, "lie", (new_den, rows)), tuple(weights)
+    graded = _transport(den, table, basis, d, read)
+    require_homogeneous(graded.scaled_table[1], weights)
+    return graded, tuple(weights)
 
 
 def _read_pivots(vec, block, cols, scales) -> list:
@@ -382,14 +382,14 @@ def _require_rebuilt(s: int, t: int, vec, d: int, coords, basis) -> None:
         )
 
 
-def _transport(den: int, table, basis, d: int, read) -> tuple:
-    """The canonical (den, rows) of the integer table (den, table) in the
-    basis f_s = sum_i basis[s][i] e_i of integer vectors, one change of
-    basis on integers: read(s, t, vec), s < t, lists the nonzero (k, c)
-    with c the f_k-coordinate of d * vec, vec = den * [f_s, f_t] in
-    e-coordinates, and the new table is den * d * [f_s, f_t]."""
+def _transport(den: int, table, basis, d: int, read) -> AlgebraStructure:
+    """The lie algebra of the integer table (den, table) in the basis f_s =
+    sum_i basis[s][i] e_i of integer vectors, one change of basis on
+    integers: read(s, t, vec), s < t, lists the nonzero (k, c) with c the
+    f_k-coordinate of d * vec, vec = den * [f_s, f_t] in e-coordinates, and
+    `AlgebraStructure.scaled` makes den * d * [f_s, f_t] the new table."""
     n = len(basis)
-    entries = []
+    moved = {}
     for s in range(n):
         # by_k[k][l] = the e_k coordinate of den * [f_s, e_l]
         by_k = [[0] * n for _ in range(n)]
@@ -400,8 +400,8 @@ def _transport(den: int, table, basis, d: int, read) -> tuple:
                         by_k[k][l] += pjs * c
         for t in range(s + 1, n):
             vec = [sum(map(mul, basis[t], row)) for row in by_k]
-            entries.append(((s, t), read(s, t, vec)))
-    return canonical_table(n, den * d, entries, antisymmetric=True)
+            moved[(s, t)] = dict(read(s, t, vec))
+    return AlgebraStructure.scaled(n, "lie", den * d, moved)
 
 
 def _relabel(den: int, table, weights) -> tuple:

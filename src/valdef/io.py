@@ -8,7 +8,10 @@ and cochains are read and written as integers over one denominator: a
 series literal into the integer series `(den, nums)` in lowest terms, and
 a vector or endomorphism file into one canonical `(den, rows)`.  The
 only cochain read is a deformation term's: degree 2, adjoint values.
-Indices are 0-based everywhere.
+Indices are 0-based everywhere.  A file is read in one unbuffered binary
+read, CRLF and CR mapped to LF as text mode did, so a JSON error names the
+same line, column and char.  A literal is parsed once per table, vector,
+endomorphism or deformation file (`_literal`), never cached across calls.
 """
 
 from __future__ import annotations
@@ -48,8 +51,9 @@ MAX_SERIES_CELLS = 1_000_000
 
 def load_json(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
+        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     # ValueError also covers an integer past the int digit limit, and
@@ -110,12 +114,35 @@ def require_series_cells(rows: int, cap: int, what: str) -> None:
         )
 
 
-def _read_series(literals, cap: int) -> tuple[int, list[list[int]]]:
+def _literal(c, seen: dict):
+    """The value of rational literal c, p for p/1 else (p, q) (`rational_pair`):
+    seen keeps the str literals of one document, so each is read once, and
+    anything else goes to `rational_pair`, which refuses it unless a str."""
+    value = seen.get(c) if type(c) is str else None
+    if value is None:
+        p, q = rational_pair(c)
+        value = p if q == 1 else (p, q)
+        if type(c) is str:
+            seen[c] = value
+    return value
+
+
+def _over_lcm(rows) -> int:
+    """The lcm of the denominators of `_literal` values, with every row of
+    them put over it in place as integers."""
+    den = lcm(1, *(v[1] for row in rows for v in row if type(v) is tuple))
+    if den > 1:
+        for row in rows:
+            row[:] = [v * den if type(v) is int else v[0] * (den // v[1]) for v in row]
+    return den
+
+
+def _read_series(literals, cap: int, seen: dict) -> tuple[int, list[list[int]]]:
     """The canonical (den, rows) of series literals, each zero padded to
-    cap, their coefficients read in order as integer pairs (`rational_pair`)
-    and put over the lcm of the denominators."""
+    cap, their coefficients read in order (`_literal`) and put over the lcm
+    of the denominators, row by row in place."""
     require_series_cells(len(literals), cap, "series")
-    pairs = []
+    rows = []
     for items in literals:
         if not isinstance(items, list):
             raise FormatError(f"series literal must be an array, got {items!r}")
@@ -124,18 +151,14 @@ def _read_series(literals, cap: int) -> tuple[int, list[list[int]]]:
                 f"series literal has {len(items)} coefficients, cap {cap} allows "
                 f"{cap + 1}"
             )
-        pairs.append([rational_pair(c) for c in items])
-    den = lcm(1, *(q for row in pairs for _, q in row))
-    rows = [
-        [p * (den // q) for p, q in row] + [0] * (cap + 1 - len(row)) for row in pairs
-    ]
-    return lowest_terms(den, rows)
+        rows.append([_literal(c, seen) for c in items] + [0] * (cap + 1 - len(items)))
+    return lowest_terms(_over_lcm(rows), rows)
 
 
-def parse_series_literal(items, cap: int) -> tuple[int, tuple[int, ...]]:
+def parse_series_literal(items, cap: int, seen=None) -> tuple[int, tuple[int, ...]]:
     """The integer series (den, nums) of a literal in lowest terms, padded
-    with zeros to cap."""
-    den, (nums,) = _read_series([items], cap)
+    with zeros to cap; seen is the literal dict of its document (`_literal`)."""
+    den, (nums,) = _read_series([items], cap, {} if seen is None else seen)
     return den, tuple(nums)
 
 
@@ -149,30 +172,33 @@ def series_literal(s) -> list[str]:
 def _parse_table(rows, what: str):
     """(den, table) of a table document: table maps each (i, j) to {k: c},
     the integer constants over den, the lcm of the literals' denominators
-    (each read by `rational_pair`; no Fraction is built).  Only the entry
+    (each read once by `_literal`; no Fraction is built).  Only the entry
     syntax is checked here; `AlgebraStructure.scaled` checks the ranges."""
     if not isinstance(rows, list):
         raise FormatError(f"{what} must be an array of entries")
-    table = {}
+    seen, table = {}, {}
     for row in rows:
         try:
-            i, j = _int(row["i"], f"{what} i"), _int(row["j"], f"{what} j")
+            i = x if type(x := row["i"]) is int else _int(x, f"{what} i")
+            j = x if type(x := row["j"]) is int else _int(x, f"{what} j")
             out = {}
             for cell in row["out"]:
-                k = _int(cell["k"], f"{what} out index")
+                k = x if type(x := cell["k"]) is int else _int(x, f"{what} out index")
                 if k in out:
                     raise FormatError(f"{what} entry ({i},{j}) repeats out index {k}")
-                out[k] = rational_pair(cell["c"])
+                out[k] = _literal(cell["c"], seen)
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad {what} entry {row!r}") from exc
         if (i, j) in table:
             raise FormatError(f"duplicate {what} entry for ({i},{j})")
         table[(i, j)] = out
-    den = lcm(1, *(q for out in table.values() for _, q in out.values()))
-    return den, {
-        key: {k: p * (den // q) for k, (p, q) in out.items()}
-        for key, out in table.items()
-    }
+    values = (v for out in table.values() for v in out.values())
+    den = lcm(1, *(v[1] for v in values if type(v) is tuple))
+    if den > 1:
+        for out in table.values():
+            for k, v in out.items():
+                out[k] = v * den if type(v) is int else v[0] * (den // v[1])
+    return den, table
 
 
 def _structure(dim: int, kind: str, parsed) -> AlgebraStructure:
@@ -237,17 +263,18 @@ def parse_vector(doc, default_cap: int) -> tuple[int, list[list[int]]]:
     comps = doc["components"]
     if not isinstance(comps, list) or not comps:
         raise FormatError("'components' must be a non-empty array")
-    return _read_series(comps, cap)
+    return _read_series(comps, cap, {})
 
 
-def parse_cochain(doc, dim: int) -> Cochain:
+def parse_cochain(doc, dim: int, seen=None) -> Cochain:
     """The degree-2 adjoint cochain of a deformation term, from a cochain
     object, whose degree and target must be 2 and "adjoint" when given, or
     a bare values array.
 
-    Each entry is read as an integer pair (`rational_pair`), and all are
-    put over the lcm of their denominators; no Fraction is built.
+    Each entry is read by `_literal` (seen: the document's literal dict),
+    and all are put over the lcm of their denominators; no Fraction is built.
     """
+    seen = {} if seen is None else seen
     values = doc
     if isinstance(doc, dict):
         degree = _int(doc.get("degree", 2), "cochain degree")
@@ -273,7 +300,7 @@ def parse_cochain(doc, dim: int) -> Cochain:
                     raise FormatError(
                         f"cochain entry for args {list(key)} repeats out index {k}"
                     )
-                cells[k] = rational_pair(cell["c"])
+                cells[k] = _literal(cell["c"], seen)
             vals[key] = cells
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad cochain entry {row!r}") from exc
@@ -282,12 +309,8 @@ def parse_cochain(doc, dim: int) -> Cochain:
             check_key(key, 2, dim)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    den = lcm(1, *(q for cells in vals.values() for _, q in cells.values()))
-    nums = {key: [0] * dim for key in vals}
-    for key, cells in vals.items():
-        for k, (p, q) in cells.items():
-            nums[key][k] = p * (den // q)
-    return Cochain.scaled(2, dim, "adjoint", den, nums)
+    nums = {key: [cells.get(k, 0) for k in range(dim)] for key, cells in vals.items()}
+    return Cochain.scaled(2, dim, "adjoint", _over_lcm(nums.values()), nums)
 
 
 def cochain_doc(c: Cochain) -> dict:
@@ -322,11 +345,11 @@ def parse_deformation(doc, base_dir: str, default_cap: int):
     if not isinstance(rows, list):
         raise FormatError(f"deformation 'terms' must be an array, got {rows!r}")
     require_series_cells(len(rows), cap, "deformation terms")
-    terms = []
+    seen, terms = {}, []
     for row in rows:
         try:
-            coeff = parse_series_literal(row["coeff"], cap)
-            cochain = parse_cochain(row["cochain"], base.dim)
+            coeff = parse_series_literal(row["coeff"], cap, seen)
+            cochain = parse_cochain(row["cochain"], base.dim, seen)
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad deformation term {row!r}") from exc
         terms.append((coeff, cochain))
@@ -349,7 +372,7 @@ def parse_endomorphism(doc, dim: int, default_cap: int):
         or any(not isinstance(row, list) or len(row) != dim for row in matrix)
     ):
         raise FormatError(f"endomorphism matrix must be {dim}x{dim}")
-    den, entries = _read_series([entry for row in matrix for entry in row], cap)
+    den, entries = _read_series([entry for row in matrix for entry in row], cap, {})
     return den, [entries[r * dim : (r + 1) * dim] for r in range(dim)]
 
 

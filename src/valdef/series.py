@@ -103,7 +103,7 @@ def lowest_terms(den: int, rows) -> tuple[int, list]:
     divided out: the canonical (den, rows), gcd(den, every numerator) = 1.
     With den any common denominator of the values, the new den is the lcm
     of their reduced denominators."""
-    common = gcd(den, *chain.from_iterable(rows))
+    common = gcd(den, *chain.from_iterable(rows)) if den > 1 else 1
     if common == 1:
         return den, rows
     return den // common, [[x // common for x in row] for row in rows]

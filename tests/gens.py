@@ -9,6 +9,7 @@ decomposed form.
 
 from fractions import Fraction
 from itertools import product as iter_product
+import json
 from math import gcd, lcm
 import random
 
@@ -1019,6 +1020,19 @@ def dict_poisson(p):
 # nonzero (k, c) pairs, and the integer form put over the lcm of the reduced
 # denominators afterwards.  Tables here are Fraction tables: {(i, j): ((k,
 # c), ...)} as `fraction_table` gives them.
+
+
+def reference_load_json(path: str):
+    """The JSON document at path through a text-mode read, universal
+    newlines and all, its errors as FormatError with the texts of
+    `io.load_json`: the oracle of that binary reader."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def reference_parse_table(rows, what: str) -> dict:

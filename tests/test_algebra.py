@@ -444,6 +444,109 @@ def test_basis_names_are_read_but_not_kept():
         parse_algebra(dict(doc, basis="XY"))
 
 
+def test_each_literal_of_a_document_read_once():
+    """Tables, cochains and series literals read each distinct literal of a
+    document once (`io._literal`), with the values and refusals of reading
+    every literal on its own: a non-string "c" is refused with the text of
+    `rational_pair`, a bad literal used in two entries is refused at the
+    first one, and "1/2", "2/4", "+1/2" and " 1/2" in one document read to
+    the same constants.  Tables are compared with `gens.reference_read`,
+    cochains with `gens.rational_cochain`, series with each literal read
+    alone, as `test_canonical_parse_and_inverse` reads them."""
+    from valdef.errors import FormatError
+    from valdef.io import (
+        parse_algebra,
+        parse_deformation,
+        parse_series_literal,
+        parse_vector,
+    )
+    from valdef.series import rational_pair
+
+    from gens import (
+        integer_series,
+        rational_cochain,
+        reference_read,
+        reference_scaled,
+        series_of,
+    )
+
+    def error(read, *args):
+        with pytest.raises(FormatError) as exc:
+            read(*args)
+        return str(exc.value)
+
+    halves = ["1/2", "2/4", "+1/2", " 1/2"]
+    half = Fraction(1, 2)
+    cells = [[{"k": 0, "c": c}, {"k": 1, "c": "1/2"}] for c in halves]
+
+    def entries(outs, kind):
+        pairs = combinations(range(4), 2) if kind == "lie" else [(0, j) for j in range(4)]
+        return [{"i": i, "j": j, "out": out} for (i, j), out in zip(pairs, outs)]
+
+    def docs(outs):
+        for kind in ("lie", "assoc"):
+            yield {"dim": 4, "kind": kind, "table": entries(outs, kind)}
+        rows = entries(outs, "assoc")
+        yield {"dim": 4, "kind": "poisson", "assoc_table": rows, "bracket_table": rows}
+
+    for doc in docs(cells):
+        loaded = parse_algebra(doc).algebra
+        structures = [loaded.product, loaded.bracket] if doc["kind"] == "poisson" else [loaded]
+        kind = "lie" if doc["kind"] == "lie" else "assoc"
+        for structure, table in zip(structures, reference_read(doc), strict=True):
+            assert structure.scaled_table == reference_scaled(4, kind, table)
+            assert {c for out in table.values() for _, c in out} == {half}
+    # "5" is read before 5, 1_0 twice around an entry with another fault
+    later = [{"k": "x", "c": "1"}]
+    for bad in (5, None, [1], {"p": 1}, "1_0"):
+        outs = [[{"k": 0, "c": "5"}], [{"k": 1, "c": bad}], later, [{"k": 2, "c": bad}]]
+        for doc in docs(outs):
+            want = error(reference_read, doc)
+            assert error(parse_algebra, doc) == want == error(rational_pair, bad)
+
+    values = [
+        {"args": [0, 1], "out": [{"k": 0, "c": "1/2"}, {"k": 1, "c": "2/4"}]},
+        {"args": [0, 2], "out": [{"k": 2, "c": "+1/2"}]},
+        {"args": [1, 2], "out": [{"k": 0, "c": " 1/2"}, {"k": 2, "c": "5"}]},
+    ]
+    want = rational_cochain(
+        2, 3, "adjoint", {(0, 1): [half, half, 0], (0, 2): [0, 0, half], (1, 2): [half, 0, 5]}
+    )
+    assert parse_cochain(values, 3) == want
+    for bad in (5, None, [1], {"p": 1}, "1_0"):
+        rows = [
+            {"args": [0, 1], "out": [{"k": 0, "c": "5"}, {"k": 1, "c": bad}]},
+            {"args": [0, 2], "out": [{"k": "x", "c": "1"}]},
+            {"args": [1, 2], "out": [{"k": 0, "c": bad}]},
+        ]
+        assert error(parse_cochain, rows, 3) == error(rational_pair, bad)
+
+    series = halves + ["5", "0", "1/2"]
+    assert parse_series_literal(series, 7) == integer_series(series_of(series, 7))
+    assert parse_series_literal(series, 7) == (2, (1, 1, 1, 1, 10, 0, 1, 0))
+    assert parse_vector({"cap": 7, "components": [series, halves]}, 8) == (
+        2,
+        [[1, 1, 1, 1, 10, 0, 1, 0], [1, 1, 1, 1, 0, 0, 0, 0]],
+    )
+    for bad in (5, None, [1], {"p": 1}, "1_0"):
+        comps = [["5", "1/2"], ["0", bad], "0", [bad]]
+        want = error(parse_series_literal, ["0", bad], 3)
+        assert error(parse_vector, {"cap": 3, "components": comps}, 8) == want
+        assert want == error(rational_pair, bad)
+
+    # one literal dict for a deformation's coefficients and cochains
+    base = {"dim": 3, "kind": "lie", "table": []}
+    terms = [
+        {"coeff": ["0", c, "2/4"], "cochain": values[:2]} for c in ("1/2", " 1/2")
+    ]
+    d = parse_deformation({"base": base, "cap": 3, "terms": terms}, ".", 8)
+    assert d.terms == tuple(
+        (parse_series_literal(t["coeff"], 3), parse_cochain(t["cochain"], 3))
+        for t in terms
+    )
+    assert d.terms[0] == d.terms[1] and d.terms[0][0] == (2, (0, 1, 1, 0))
+
+
 def test_unpack_reads_each_slot_back():
     """`unpack` returns the signed coordinates packed into `width`-bit slots,
     each strictly inside (-2^(width-1), 2^(width-1)), the extremes included."""

@@ -1373,6 +1373,49 @@ def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys):
         assert "is not valid JSON: " in err, err
 
 
+def test_file_read_matches_text_mode_reader(tmp_path, capsys):
+    """`io.load_json` reads a file in one binary read and maps CRLF and lone
+    CR to LF as text mode did: on a CRLF and a lone-CR file with a syntax
+    error on line 3, invalid UTF-8, a UTF-8 BOM, a directory and a missing
+    path it raises FormatError with the text-mode reader's exact text
+    (`gens.reference_load_json`), and `check` exits 2 with that one line.
+    Valid CRLF and lone-CR files read to the same document."""
+    from gens import reference_load_json
+
+    from valdef.errors import FormatError
+
+    lines = ['{"dim": 2,', '"kind": "lie",', '"table": [], "basis": [] "torus": [0]', "}"]
+    broken = {"crlf": "\r\n".join(lines), "cr": "\r".join(lines)}
+    files = {name: text.encode() for name, text in broken.items()}
+    files["utf8"] = b'{"dim": 2, "kind": "lie\xff"}'
+    files["bom"] = b"\xef\xbb\xbf" + json.dumps(SL2_DOC).encode()
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    for name, data in files.items():
+        paths[name].write_bytes(data)
+    paths["directory"] = tmp_path
+    paths["missing"] = tmp_path / "missing.json"
+    errors = {}
+    for name, path in paths.items():
+        with pytest.raises(FormatError) as want:
+            reference_load_json(str(path))
+        with pytest.raises(FormatError) as got:
+            io.load_json(str(path))
+        errors[name] = str(got.value)
+        assert errors[name] == str(want.value), name
+        code, doc, err = run(capsys, "check", str(path))
+        assert code == 2 and doc["ok"] is False, name
+        assert err.splitlines() == [f"error: {want.value}"], name
+    # the mapping is what keeps the offset: an unmapped read counts each CR
+    assert "line 3 column 26 (char 51)" in errors["crlf"]
+    with pytest.raises(ValueError) as raw:
+        json.loads(files["crlf"].decode())
+    assert "line 3 column 26 (char 53)" in str(raw.value)
+    for sep in ("\r\n", "\r"):
+        path = tmp_path / "sl2.json"
+        path.write_bytes(json.dumps(SL2_DOC, indent=1).replace("\n", sep).encode())
+        assert io.load_json(str(path)) == reference_load_json(str(path)) == SL2_DOC
+
+
 def test_tracer_layers_resolve():
     """Every function perfbench/tracer.py wraps by name exists in valdef:
     `Tracer().install()`, as `perfbench/run.py --trace 1` runs it, finds and

@@ -1015,6 +1015,32 @@ def test_canonical_parse_and_inverse():
     assert series_matrix_inverse(f, 2) == (4, [[[4, -2, 1]]])
 
 
+def test_parse_vector_peak_memory():
+    """`io.parse_vector` builds the padded integer rows in place: reading
+    200 components at cap 499, literals -40..40 over 1..9, peaks at no more
+    than twice the matrix it returns (tracemalloc)."""
+    import random
+    import tracemalloc
+
+    from valdef import io
+
+    rng = random.Random(5)
+    comps = [
+        [f"{rng.randint(-40, 40)}/{rng.randint(1, 9)}" for _ in range(500)]
+        for _ in range(200)
+    ]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        den, rows = io.parse_vector({"cap": 499, "components": comps}, 8)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert den == 2520 and len(rows) == 200 and {len(row) for row in rows} == {500}
+    assert peak - start <= 2 * (kept - start)
+
+
 def test_readme_worked_example_runs(capsys):
     """README's "A worked example" Python block runs as printed: the
     deformation is valid up to t^6 and decomposes into one term."""
