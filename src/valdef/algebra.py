@@ -6,10 +6,10 @@ all ordered pairs, in canonical form (gcd(den, every constant) = 1), Lie
 tables expanded antisymmetrically from their i < j entries.  Files are read
 straight into it and printed from it (`io`, `cli`).
 `AlgebraStructure.scaled` makes the canonical form from integer
-constants.  A degree-2 adjoint Cochain is a bracket table too and has
-the same `scaled_table`, built by the same code.  `nested_products`
-contracts two such tables into one nesting of
-every basis triple, each vector packed into one int by Kronecker
+constants.  A degree-2 adjoint Cochain is a bracket table too: its
+`scaled_table` is read straight off its canonical values.
+`nested_products` contracts two such tables into one nesting of every
+basis triple, each vector packed into one int by Kronecker
 substitution: `pack` makes outer row den * e_a e_b into P[a][b] = sum of
 c_q * 2^(B q), once per table and width, and (e_i e_j) e_k = sum of c_m *
 P[m][k], e_i (e_j e_k) = sum of c_m * P[i][m] over the inner row.  A sum
@@ -78,7 +78,7 @@ class AlgebraStructure(Frozen):
     @classmethod
     def scaled(cls, dim: int, kind: str, den: int, table) -> AlgebraStructure:
         """table / den in canonical form, for a positive integer den: the
-        one builder of a canonical `scaled_table`, in one pass over table.
+        one builder of an algebra's `scaled_table`, in one pass over table.
 
         table maps pairs (i, j) to {k: c}, the integer constants of den *
         e_i e_j; a lie table holds only i < j and is expanded
@@ -272,9 +272,9 @@ class Cochain(Frozen):
     def scaled_table(self) -> tuple[int, tuple]:
         """A degree-2 adjoint cochain as a bracket table, built once.
 
-        The same (den, rows) as `AlgebraStructure.scaled_table`, made by
-        `AlgebraStructure.scaled`: den * phi(e_i, e_j) for every ordered
-        pair, expanded antisymmetrically.
+        The (den, rows) that `AlgebraStructure.scaled` makes of it, read
+        straight off the canonical values with keys i < j: den * phi(e_i,
+        e_j) for every ordered pair, expanded antisymmetrically.
         """
         if self.degree != 2:
             raise UnsupportedDegree(
@@ -282,8 +282,11 @@ class Cochain(Frozen):
             )
         if self.target != "adjoint":
             raise ValueError("a bracket table needs an adjoint-valued cochain")
-        table = {key: dict(enumerate(vec)) for key, vec in self.values.items()}
-        return AlgebraStructure.scaled(self.dim, "lie", self.den, table).scaled_table
+        rows = [[()] * self.dim for _ in range(self.dim)]
+        for (i, j), vec in self.values.items():
+            rows[i][j] = row = tuple([(k, c) for k, c in enumerate(vec) if c])
+            rows[j][i] = tuple([(k, -c) for k, c in row])
+        return self.den, tuple(map(tuple, rows))
 
     def __add__(self, other: Cochain) -> Cochain:
         """self + other over the lcm of the two denominators."""

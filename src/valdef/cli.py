@@ -108,29 +108,31 @@ def cmd_decompose(args):
     from .decompose import decompose, flag_of, recompose
 
     den, rows = io.parse_vector(io.load_json(args.vector), args.cap)
-    fd = decompose(den, rows)
-    # written first, so that a coefficient too long to print exits 2 before
-    # the checks below run
-    steps = [
-        {
+    steps = []
+
+    def write_step(s):
+        # written as each step is found, so that a coefficient or direction
+        # too long to print exits 2 before the later steps and the checks
+        steps.append({
             "coefficient": io.series_literal(s.coefficient),
             "vector": [ratio_str(x, s.den) for x in s.vector],
-        }
-        for s in fd.steps
-    ]
+        })
+
+    fd = decompose(den, rows, each_step=write_step)
     if recompose(fd) != lowest_terms(den, [row[: fd.cap + 1] for row in rows]):
         # both sides are exact, so a mismatch is a bug: exit 4, traceback
         raise RuntimeError("the flag decomposition does not recompose to its input")
     flag = flag_of(fd)
-    # a row repeated from one level to the next is printed once, each
-    # entry over the row's lead
+    # flag_of hands a row unchanged from one level to the next on as the
+    # same tuple, so each is printed once, keyed by the object (every row
+    # stays alive in flag), each entry over the row's lead
     printed = {}
 
     def row_doc(row):
-        doc = printed.get(row)
+        doc = printed.get(id(row))
         if doc is None:
             lead = next(filter(None, row))
-            doc = printed[row] = [ratio_str(x, lead) for x in row]
+            doc = printed[id(row)] = [ratio_str(x, lead) if x else "0" for x in row]
         return doc
 
     detail = {

@@ -7,7 +7,7 @@ are all zero is "indistinguishable from 0 at this precision", not proven
 zero.  `canonical` puts one in lowest terms (gcd(den, *nums) = 1), the
 form of every deformation term coefficient and flag-step coefficient, so
 equal series compare equal and the arithmetic runs on plain ints:
-`mul_nums` multiplies, `inverse_nums` inverts, `running_products` keeps
+`mul_nums` multiplies, `div_nums` divides, `running_products` keeps
 b1...bi and `combination` sums c_i * v_i over one denominator.  Series
 literals are read and printed on the integers too (`rational_pair`
 here, `io.parse_series_literal` and `io.series_literal`).  `ratio_str`
@@ -33,8 +33,9 @@ name.
 from __future__ import annotations
 
 import sys
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     FormatError,
@@ -123,28 +124,25 @@ def mul_nums(a, b, cap: int) -> list[int]:
     return out
 
 
-def inverse_nums(a) -> list[int]:
-    """a0^(cap+1) times the inverse of the integer series a, up to t^cap.
+def div_nums(a, b, cap: int) -> list[int]:
+    """b0^(cap+1) times a / b up to t^cap, for integer series a known up to
+    t^cap and b with b0 = b[0] != 0: one fraction-free division.
 
-    With cap = len(a) - 1 and a0 = a[0] != 0, the inverse b has
-    b_k = c_k / a0^(k+1), where c_0 = 1 and
-    c_k = -sum_{i=1..k} a_i a0^(i-1) c_(k-i) are integers; the result
-    is c_k * a0^(cap-k).
+    The quotient c has c_k = q_k / b0^(k+1), where the integers
+    q_k = a_k b0^k - sum_{i=1..k} b_i b0^(i-1) q_(k-i); the result is
+    q_k * b0^(cap-k).
     """
-    a0, cap = a[0], len(a) - 1
-    powers = [1]
-    for _ in range(cap):
-        powers.append(powers[-1] * a0)
-    weights = [(i, x * powers[i - 1]) for i, x in enumerate(a) if i and x]
-    c = [1]
-    for k in range(1, cap + 1):
-        acc = 0
+    powers = list(accumulate(repeat(b[0], cap), mul, initial=1))  # b0^0 .. b0^cap
+    weights = [(i, x * powers[i - 1]) for i, x in enumerate(b[: cap + 1]) if i and x]
+    q = []
+    for k, x in enumerate(a[: cap + 1]):
+        acc = x * powers[k] if x else 0
         for i, w in weights:
             if i > k:
                 break
-            acc += w * c[k - i]
-        c.append(-acc)
-    return [ck * powers[cap - k] for k, ck in enumerate(c)]
+            acc -= w * q[k - i]
+        q.append(acc)
+    return [qk * powers[cap - k] for k, qk in enumerate(q)]
 
 
 def canonical(den: int, nums) -> tuple[int, tuple[int, ...]]:
@@ -330,15 +328,14 @@ class TruncSeries(Frozen):
     def invert(self) -> TruncSeries:
         """Multiplicative inverse up to t^cap; the constant term must be a unit.
 
-        The inverse of nums / den is den * inverse_nums(nums) / a0^(cap+1).
+        The inverse of nums / den is den * div_nums(1, nums) / a0^(cap+1).
         """
         if not self.is_unit():
             raise NotAUnit("series with zero constant term has no inverse")
         scale = self.nums[0] ** (self.cap + 1)
         sign = 1 if scale > 0 else -1
-        return TruncSeries(
-            sign * scale, [sign * self.den * c for c in inverse_nums(self.nums)]
-        )
+        nums = div_nums((1,) + (0,) * self.cap, self.nums, self.cap)
+        return TruncSeries(sign * scale, [sign * self.den * c for c in nums])
 
     def div_exact(self, other: TruncSeries) -> TruncSeries:
         """Exact quotient self/other inside Q[[t]].

@@ -9,6 +9,7 @@ import pytest
 
 from valdef.algebra import (
     COEFFS,
+    AlgebraStructure,
     Cochain,
     associator,
     is_lie,
@@ -192,6 +193,40 @@ def test_from_flat_inverts_flat_nums():
         wide = [scale * x for x in c.flat_nums]
         again = Cochain.from_flat(*shape, scale * c.den, wide)
         assert again == c and hash(again) == hash(c)
+
+    check()
+
+
+def test_cochain_table_matches_the_algebra_builder():
+    """A degree-2 adjoint cochain's `scaled_table`, read off its canonical
+    values, is the table `AlgebraStructure.scaled` builds from the same
+    values, on random cochains whose values include zero vectors and whose
+    den shares factors with them before `Cochain.scaled` divides them out."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def raw_values(draw):
+        dim = draw(st.integers(1, 6))
+        entries = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**15), 10**15))
+        values = {
+            key: draw(st.lists(entries, min_size=dim, max_size=dim))
+            for key in combinations(range(dim), 2)
+            if draw(st.booleans())
+        }
+        if values and draw(st.booleans()):
+            values[next(iter(values))] = [0] * dim
+        return dim, draw(st.integers(1, 720)), values
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(raw_values())
+    @hypothesis.example((3, 4, {(0, 2): [0, 0, 0]}))
+    @hypothesis.example((3, 6, {(0, 1): [2, 0, -4], (1, 2): [0, 0, 0]}))
+    def check(raw):
+        dim, den, values = raw
+        c = Cochain.scaled(2, dim, "adjoint", den, values)
+        table = {key: dict(enumerate(vec)) for key, vec in values.items()}
+        assert c.scaled_table == AlgebraStructure.scaled(dim, "lie", den, table).scaled_table
 
     check()
 

@@ -2304,6 +2304,34 @@ def test_decompose_refuses_an_unprintable_step_before_its_checks(
     assert err == f"error: a rational to print has more than {limit} digits\n"
 
 
+def test_decompose_refuses_an_unprintable_step_before_the_later_steps(
+    tmp_path, capsys, monkeypatch
+):
+    """Each step is written as `decompose` finds it, so the first step past
+    the interpreter's int-digit limit ends the command.  The vector
+    (t + 10^40 t^2, t^2 + t^3, .., t^31 + t^32) at cap 120 has 31 steps, each
+    after the first with a series division; step 2, (t + t^2) / (1 + 10^40 t),
+    cannot be printed, so one division runs, not 30."""
+    import valdef.decompose as decompose
+
+    calls = []
+    real = decompose.div_nums
+    monkeypatch.setattr(decompose, "div_nums", lambda *a: calls.append(1) or real(*a))
+    big = "1" + "0" * 40
+    components = [["0", "1", big]]
+    components += [["0"] * (k + 1) + ["1", "1"] for k in range(1, 31)]
+    vector = {"cap": 120, "components": components}
+    code, out, err = run(capsys, "decompose", write(tmp_path, "v.json", vector))
+    limit = sys.get_int_max_str_digits()
+    assert code == 2 and out == {"ok": False, "error": out["error"]}
+    assert err == f"error: a rational to print has more than {limit} digits\n"
+    assert len(calls) == 1
+    # the whole decomposition takes a division at every step after the first
+    calls.clear()
+    den, rows = io.parse_vector(vector, None)
+    assert decompose.decompose(den, rows).length == 31 and len(calls) == 30
+
+
 def test_non_split_search_stops_at_its_budget(tmp_path, capsys, monkeypatch):
     """On a large algebra with no split candidate the grading search gives
     up after grading.SEARCH_BUDGET multiplies, so `cohomology` reaches its
