@@ -41,17 +41,18 @@ one cochain format, built from integer sums by `Cochain.scaled` (from
 flat coordinates by `Cochain.from_flat`) and added with `+`, the one
 arithmetic a command needs on cochains.  No rational view of a table or
 a cochain is kept here: the Fraction views that tests compare against
-live with the test oracles.
+live with the test oracles.  Both types are namedtuples with an instance
+dict for their cached properties; the `Sealed` mixin refuses assignment.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, product as iter_product
 from math import gcd
 
 from .errors import DimensionMismatch, UnsupportedDegree
-from .series import Frozen
 
 # The vocabulary of the CLI's choices lives here, in a module every command
 # loads, so that building the parser imports no subcommand's module.
@@ -62,7 +63,20 @@ MAX_DEGREE = 3  # highest cohomology degree reported
 SUBGROUPS = ("Id", "T12", "T23", "T13", "A3", "S3")
 
 
-class AlgebraStructure(Frozen):
+class Sealed:
+    """Refuses every assignment and deletion; `cached_property` writes the
+    instance dict directly, so it still caches."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}")
+
+
+class AlgebraStructure(Sealed, namedtuple("AlgebraStructure", "dim kind scaled_table")):
     """Algebra over Q given by its structure constants.
 
     kind is "lie" or "assoc".  scaled_table is (den, rows): den * e_i e_j
@@ -72,8 +86,6 @@ class AlgebraStructure(Frozen):
     constructor stores its arguments as given: `scaled` makes the
     canonical form.
     """
-
-    __slots__ = ("dim", "kind", "scaled_table", "__dict__")
 
     @classmethod
     def scaled(cls, dim: int, kind: str, den: int, table) -> AlgebraStructure:
@@ -222,7 +234,7 @@ def associator(a: AlgebraStructure, x, y, z) -> tuple:
     return tuple(p - q for p, q in zip(left, right))
 
 
-class Cochain(Frozen):
+class Cochain(Sealed, namedtuple("Cochain", "degree dim target den values")):
     """Alternating p-linear map g^p -> g (adjoint) or -> K (trivial).
 
     target is one of COEFFS.  The values are integers over one positive
@@ -232,8 +244,6 @@ class Cochain(Frozen):
     of `width` ints (K is K^1), each over den.  The constructor stores its
     arguments as given: `scaled` makes the canonical form.
     """
-
-    __slots__ = ("degree", "dim", "target", "den", "values", "__dict__")
 
     def __hash__(self) -> int:
         values = frozenset(self.values.items())

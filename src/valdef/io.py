@@ -33,19 +33,19 @@ MAX_DIM = 100
 MAX_CAP = 1000
 # Largest weight-0 block of delta_p (rows x columns) that
 # `cohomology.cohomology_dim` ranks, for the `cohomology` and `rigidity`
-# commands alike.  Dense rational elimination grows fast past it: a conjugated
-# so(3) + abelian of dim 9, with no inner grading and not nilpotent, ranks
-# its 756 x 324 = 244,944 H^2 adjoint block in ~17 s (README).  The corpora
-# stay below 40,000.
+# commands alike.  Sparse fraction-free elimination on integers grows fast
+# past it: a conjugated so(3) + abelian of dim 9, with no inner grading and
+# not nilpotent, ranks its 756 x 324 = 244,944 H^2 adjoint block in ~17 s
+# (README).  The corpora stay below 40,000.
 MAX_COHOMOLOGY_CELLS = 250_000
 # Largest rows x (cap + 1) series matrix built from outside input: a vector
 # or endomorphism file, the coefficients of a deformation's terms, or its
 # perturbation, C(n, 2) * n rows for a base of dim n (`require_series_cells`).
 # It caps the matrix read, not the time or peak memory of the call: a vector
 # `decompose` at the bound took 0.1 s and 41 MB on components t + t^2/2 but
-# 2.3 s and 437 MB max RSS on literals such as -37/4, and a full-rank vector
-# at 1% of the bound ran 53.6 s (README).  Every dim up to MAX_DIM still runs
-# at cap 1.  The tests reach 19,800 and the corpora 1,250.
+# 2.3 s and 437 MB max RSS on literals such as -37/4, and a random full-rank
+# vector at 1% of the bound ran 17-20 s on literals p/4 (README).  Every dim up
+# to MAX_DIM still runs at cap 1.  The tests reach 19,800 and the corpora 1,250.
 MAX_SERIES_CELLS = 1_000_000
 
 

@@ -23,16 +23,17 @@ hold the numerators of t^0 .. t^cap over den > 0.  `lowest_terms` makes
 such a matrix canonical, gcd(den, every numerator) = 1, so that equal
 vectors compare equal; the functions that take one never change it.
 
-``TruncSeries`` is the same series as an object: its binary operations
-contract to the smaller cap, and exact division pays the divisor's
-valuation in precision.  No command builds one: it stays for the tests'
-series oracle and for the benchmark tracer, which wraps its methods by
-name.
+``TruncSeries`` is the same series as a namedtuple ``(den, nums)``, built
+canonical: its binary operations contract to the smaller cap, and exact
+division pays the divisor's valuation in precision.  No command builds
+one: it stays for the tests' series oracle and for the benchmark tracer,
+which wraps its methods by name.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import mul
@@ -181,62 +182,18 @@ def combination(terms, dim: int, cap: int) -> tuple[int, list[list[int]]]:
     return den, rows
 
 
-class Frozen:
-    """Base of the package's immutable value types.
-
-    A subclass names its fields in __slots__ (plus "__dict__" when it
-    caches properties).  This __init__ sets them once from one positional
-    argument each, in that order; a subclass that normalizes its input
-    sets each through object.__setattr__ in its own __init__.  Instances of one
-    class compare equal, hash and print by their fields, and refuse any
-    later assignment.
-    """
+class TruncSeries(namedtuple("TruncSeries", "den nums")):
+    """Element of Q[[t]] known modulo t^(cap+1); coefficient i is nums[i] / den."""
 
     __slots__ = ()
 
-    def __init__(self, *values) -> None:
-        names = (f for f in self.__slots__ if f != "__dict__")
-        for name, value in zip(names, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__ if f != "__dict__")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        args = ", ".join(
-            f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f != "__dict__"
-        )
-        return f"{type(self).__name__}({args})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class TruncSeries(Frozen):
-    """Element of Q[[t]] known modulo t^(cap+1); coefficient i is nums[i] / den."""
-
-    __slots__ = ("den", "nums")
-
-    def __init__(self, den: int, nums) -> None:
-        """Store nums / den in canonical form: den > 0, gcd(den, *nums) = 1."""
+    def __new__(cls, den: int, nums) -> TruncSeries:
+        """nums / den in canonical form: den > 0, gcd(den, *nums) = 1."""
         if not nums:
             raise ValueError("a series needs at least the t^0 coefficient")
         if den <= 0:
             raise ValueError(f"denominator must be positive, got {den}")
-        den, nums = canonical(den, nums)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
+        return super().__new__(cls, *canonical(den, nums))
 
     # -- construction ------------------------------------------------
 

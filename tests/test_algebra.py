@@ -231,6 +231,33 @@ def test_cochain_table_matches_the_algebra_builder():
     check()
 
 
+def test_cached_properties_are_computed_once_per_instance(monkeypatch):
+    """The Jacobi verdict, the cochain table, the flat coordinates and the
+    table extent are each computed on the first read and then kept, and a
+    filled cache changes neither equality nor hash."""
+    import valdef.algebra as algebra
+    from valdef.cohomology import cohomology_dim
+
+    calls = []
+    real = algebra.jacobi_sums
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(algebra, "jacobi_sums", spy)
+    g = rational_lie(3, {(0, 1): {2: 1}})
+    assert is_lie(g) == is_lie(g) == (True, None)
+    cohomology_dim(g, 2, "adjoint")
+    assert len(calls) == 1
+    assert g.extent is g.extent
+    values = {(0, 1): (1, 0, Fraction(2, 3)), (1, 2): (0, 3, 0)}
+    phi, fresh = (rational_cochain(2, 3, "adjoint", values) for _ in range(2))
+    assert phi.scaled_table is phi.scaled_table
+    assert phi.flat_nums is phi.flat_nums
+    assert phi == fresh and hash(phi) == hash(fresh)
+
+
 def test_cochain_printer_matches_rational_str():
     """io.cochain_doc prints every entry of an adjoint cochain built from
     rationals in lowest terms, as rational_str of its Fraction value does,

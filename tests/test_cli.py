@@ -678,6 +678,26 @@ def test_gass_tensor_failure_names_the_product_witness(tmp_path, capsys):
         assert (code, out.out, out.err) == (1, want, "")
 
 
+def test_gass_tensor_disagreeing_checks_are_internal(tmp_path, capsys, monkeypatch):
+    """A product whose factor criterion fails while its product scan passes
+    is a bug, not a verdict: exit 4, the traceback and nothing on stdout."""
+    import valdef.nonassoc as nonassoc
+
+    left = write(tmp_path, "half.json", HALF_TRIPLE_DOC)
+    right = write(tmp_path, "kx2.json", KX2_DOC)
+    code, doc, _ = run(capsys, "gass", "tensor", left, right, "--group", "T12")
+    assert code == 0 and doc["ok"] is True
+    monkeypatch.setattr(nonassoc, "tensor_g_associative", lambda *args: False)
+    code = main(["gass", "tensor", left, right, "--group", "T12"])
+    out = capsys.readouterr()
+    assert code == 4
+    assert out.out == ""
+    assert out.err.startswith("Traceback (most recent call last):")
+    assert out.err.rstrip().endswith(
+        "RuntimeError: the factor and product G-checks disagree"
+    )
+
+
 POISSON3 = {
     "dim": 3,
     "kind": "poisson",

@@ -606,6 +606,20 @@ def test_transport_rejects_non_unipotent():
         transport(d, broken)
 
 
+def test_transport_refuses_a_wrong_inverse():
+    """An inverse that does not invert F fails the t^0 self-check of
+    `transport`: with F = Id + t E01 and 2F passed as its inverse, the
+    transported [e0, e1] at t^0 is 2 e1 instead of e1."""
+    d = Deformation.build(R2K, 4, [])
+    f = identity_plus(3, 4, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    den, rows = f
+    doubled = den, [[[2 * x for x in e] for e in row] for row in rows]
+    assert transport(d, f) == transport(d, f, series_matrix_inverse(f, 4))
+    with pytest.raises(InvalidDeformation) as caught:
+        transport(d, f, doubled)
+    assert str(caught.value) == "transport did not preserve the base bracket at t^0"
+
+
 def test_polynomial_form_check_cases():
     d = Deformation.build(AB3, 4, [(integer_series(TruncSeries.monomial(1, 4)), PHI_E12_E3)])
     assert polynomial_form_check(d, rational_pairs([1]), 1)
