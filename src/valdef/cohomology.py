@@ -34,8 +34,8 @@ columns j not in L.  `coboundary_matrix` is handed L and builds only
 those columns, which are eliminated as rows: only about dim H^p of them
 reduce to zero, where the full matrix had dim C^(p+1) - rank delta_p zero
 rows.  It is the same exact integer elimination, so the dimensions
-need no certificate.  `is_coboundary` reduces f once against the same
-echelon.
+need no certificate.  `is_coboundary` asks `linalg.solve` whether f is a
+combination of the same columns.
 
 When delta_p has at least GRADING_MIN_CELLS entries, `cohomology_dim`
 first looks for an inner grading (`grading.find_grading`): x in g with a
@@ -285,13 +285,13 @@ def _require_lie(g: AlgebraStructure) -> None:
         raise NotLie(f"bracket fails the Jacobi identity at triple {list(witness)}")
 
 
-def _image(g, degree: int, coeff: str, weights=None) -> dict:
-    """The echelon of im delta_(degree-1), from its columns, the images
-    delta(e_c) of the basis cochains.  delta_0 is 0 on trivial
+def _image(g, degree: int, coeff: str, weights=None) -> list:
+    """The columns of delta_(degree-1), the images delta(e_c) of the basis
+    cochains, which span im delta_(degree-1).  delta_0 is 0 on trivial
     coefficients, which have no action, so it is not built there."""
     if degree == 1 and coeff == "trivial":
-        return {}
-    return linalg.echelon(coboundary_matrix(g, degree - 1, coeff, weights)[0])
+        return []
+    return coboundary_matrix(g, degree - 1, coeff, weights)[0]
 
 
 def cohomology_dim(g: AlgebraStructure, degree: int, coeff: str) -> CohomologyReport:
@@ -334,7 +334,7 @@ def cohomology_dim(g: AlgebraStructure, degree: int, coeff: str) -> CohomologyRe
             f"{block[degree]} = {cells} entries exceeds the largest supported "
             f"{MAX_COHOMOLOGY_CELLS}"
         )
-    image = _image(g, degree, coeff, weights)
+    image = linalg.echelon(_image(g, degree, coeff, weights))
     # delta_p vanishes on im delta_(p-1): only the other columns are built
     free, _ = coboundary_matrix(g, degree, coeff, weights, skip=image)
     dim_cocycles = block[degree] - linalg.rank(free)
@@ -354,13 +354,12 @@ def cohomology_dim(g: AlgebraStructure, degree: int, coeff: str) -> CohomologyRe
 def is_coboundary(g: AlgebraStructure, f: Cochain) -> bool:
     """Exact membership of f in the image of the previous coboundary.
 
-    f lies in im delta exactly when its integer coordinates reduce to
-    zero against the echelon of that image.  A table that fails the
-    Jacobi identity raises NotLie.
+    f lies in im delta exactly when `linalg.solve` writes its integer
+    coordinates as a combination of the columns of the previous
+    coboundary.  A table that fails the Jacobi identity raises NotLie.
     """
     if f.dim != g.dim:
         raise DimensionMismatch("cochain dim does not match the algebra")
     _require_lie(g)
-    image = _image(g, f.degree, f.target)
     target = {c: x for c, x in enumerate(f.flat_nums) if x}
-    return not linalg.remainder(image, target)
+    return linalg.solve(_image(g, f.degree, f.target), [target])[0] is not None

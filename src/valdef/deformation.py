@@ -26,9 +26,8 @@ is a `(den, rows)` too, rows[r][c] the numerators of entry (r, c), so
 and transported terms are integer cochains over one denominator.  The
 graded system takes delta(phi_k) = mu o phi_k + phi_k o mu and the
 brackets from the circle product, and decides every membership of one
-order with one integer reduced row echelon form of the cochains' integer
-coordinates; each coefficient is an integer pair over a positive
-denominator.
+order with one `linalg.solve` on the cochains' integer coordinates; each
+coefficient is an integer pair over a positive denominator.
 """
 
 from __future__ import annotations
@@ -171,24 +170,20 @@ class GradedSystem(
 
 def _membership(span, targets) -> list[MembershipVerdict]:
     """The MembershipVerdict of each target cochain in the span's, from
-    one integer RREF of the matrix whose columns are the `flat_nums` of
-    the m span cochains, then of the targets.  `linalg.column` reads
-    target column c as d * column c = sum of x[p] * column p over pivot
-    columns p, so the target is in the span exactly when every p is below
-    m, and the free coordinates are zero, as in `linalg.solve_combination`.
+    one `linalg.solve` on their `flat_nums`: d * T = sum of x[p] * N_p,
+    with the free coordinates zero, as in `linalg.solve_combination`.
     Span cochain p, N_p / den_p, then has the coefficient x[p] * den_p /
     (d * den) for a target T / den.
     """
+    cochains = [sb for _, sb in span] + targets
+    columns = [{c: x for c, x in enumerate(f.flat_nums) if x} for f in cochains]
     m = len(span)
-    columns = [sb.flat_nums for _, sb in span] + [t.flat_nums for t in targets]
-    rows = [{c: x for c, x in enumerate(coords) if x} for coords in zip(*columns)]
-    reduced = linalg.back_substitute(linalg.echelon(rows))
     verdicts = []
-    for col, target in enumerate(targets, m):
-        d, x = linalg.column(reduced, col)
-        if any(p >= m for p in x):
+    for target, solution in zip(targets, linalg.solve(columns[:m], columns[m:])):
+        if solution is None:
             verdicts.append(MembershipVerdict(False, None))
             continue
+        d, x = solution
         coefficients = {
             span[p][0]: (v * span[p][1].den, d * target.den) for p, v in x.items()
         }

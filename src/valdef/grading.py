@@ -51,20 +51,22 @@ Weights are the integer eigenvalues of A, that is den times those of ad x.
 A nilpotent g has no such x.  `central_series_basis` moves it instead to
 a basis adapted to its lower central series g > C^1 > C^2 > .. > 0, with
 every weight 0: C^1 is the `linalg.echelon` of the table's outputs and
-C^(k+1) the echelon of [e_i, b] over the pivot rows b of C^k.  The pivot
-rows, deepest level first, then the unit vectors, go into one more
-echelon with `linalg.insert`, and each that adds a pivot row there is kept
-as a basis vector.  There [C^i, C^j] lies in C^(i+j+1), the span
-of the first basis vectors, so the table is nearly triangular and its
-coboundaries fill in far less under elimination.  A table in which each
-[e_i, e_j] has at most one nonzero coordinate (monomial) is as sparse as
-a change of basis could make it and is left alone; so is a g whose
-series stops shrinking before 0 (not nilpotent).  The series is charged
-against SEARCH_BUDGET multiplies of its own (r * n^2 for an echelon of r
-rows) and abandoned once they are spent.  The change of basis is exact,
-so every cohomology dimension is the same in either basis.  Both new
-bases go through one change of basis on integers (`_transport`); this one
-reads coordinates through d * P^-1, P the matrix of the basis columns.
+C^(k+1) the echelon of [e_i, b] over the pivot rows b of C^k.  One
+`linalg.solve` writes each unit vector e_r in the pivot rows, deepest
+level first, then the unit vectors; the basis is the candidates outside
+the span of those before them, which carry the solutions.  There [C^i,
+C^j] lies in C^(i+j+1), the span of the first basis vectors, so the
+table is nearly triangular and its coboundaries fill in far less under
+elimination.  A table in which each [e_i, e_j] has at most one nonzero
+coordinate (monomial) is as sparse as a change of basis could make it
+and is left alone; so is a g whose series stops shrinking before 0 (not
+nilpotent).  The series is charged against SEARCH_BUDGET multiplies of
+its own (r * n^2 for an echelon of r rows) and abandoned once they are
+spent.  The change of basis is exact, so every cohomology dimension is
+the same in either basis.  Both new bases go through one change of basis
+on integers (`_transport`); this one reads coordinates through d * P^-1,
+P the matrix of the basis columns, whose column r is the solution for
+e_r over d, the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -143,18 +145,16 @@ def central_series_basis(g) -> AlgebraStructure | None:
         levels.append(term)
         size = len(term)
         rows = [_bracket(row, b) for row in table for b in term.values()]
-    # deepest level first, each pivot row kept when it is independent of
-    # the rows kept so far, then unit vectors
+    # deepest level first, then the unit vectors; the solutions for the
+    # unit vectors are supported on the candidates outside the span of
+    # those before them, the new basis
     candidates = [row for level in reversed(levels) for _, row in sorted(level.items())]
     candidates += ({i: 1} for i in range(n))
-    kept: dict = {}
-    basis = []
-    for vec in candidates:
-        size = len(kept)
-        linalg.insert(kept, dict(vec))  # insert may change the row it is given
-        if len(kept) > size:
-            basis.append([vec.get(i, 0) for i in range(n)])
-    d, q = _inverse([list(r) for r in zip(*basis)])
+    units = linalg.solve(candidates, candidates[-n:])
+    kept = sorted(set().union(*(x for _, x in units)))
+    basis = [[candidates[p].get(i, 0) for i in range(n)] for p in kept]
+    d = lcm(*(dr for dr, _ in units))
+    q = [[x.get(p, 0) * (d // dr) for dr, x in units] for p in kept]
 
     def read(s, t, vec):
         return [(k, c) for k, c in enumerate(sum(map(mul, r, vec)) for r in q) if c]
@@ -288,22 +288,6 @@ def _divide(poly, root: int):
         out.append(acc)
     remainder = out.pop()
     return out[::-1], remainder
-
-
-def _inverse(p) -> tuple[int, list]:
-    """(d, q) with q = d * p^-1 integer, for an invertible integer matrix p,
-    from the back-substituted echelon of [p | I]: `linalg.column` of
-    column n + r reads column r of p^-1 over its own denominator."""
-    n = len(p)
-    rows = []
-    for r, prow in enumerate(p):
-        row = {c: v for c, v in enumerate(prow) if v}
-        row[n + r] = 1
-        rows.append(row)
-    pivots = linalg.back_substitute(linalg.echelon(rows))
-    cols = [linalg.column(pivots, n + r) for r in range(n)]
-    d = lcm(*(dr for dr, _ in cols))
-    return d, [[x.get(c, 0) * (d // dr) for dr, x in cols] for c in range(n)]
 
 
 def _eigenspace(a, q, m: int) -> dict:

@@ -9,19 +9,20 @@ step, and keeps what is left as a new pivot row.  It is the one way any
 module grows an echelon, so only this module reduces and stores a row; a
 caller sees a new pivot row by the echelon's size.  `grading` inserts the
 columns spanning a generalized eigenspace until it has as many pivot rows
-as the multiplicity, and the central-series basis candidates, keeping
-those that add one; `decompose.flag_of` inserts each step vector.
+as the multiplicity; `decompose.flag_of` inserts each step vector.
 The arithmetic is exact, so no answer needs a certificate.
 
-`echelon` inserts rows sparsest first and returns that pivots dict;
-`rank` is its size, and `remainder` reduces one more row against it
-without changing it, so a row lies in the span of the echelon exactly
-when nothing is left.  Cohomology eliminates its coboundary columns here.
+`echelon` inserts rows sparsest first and returns that pivots dict, and
+`rank` is its size; cohomology eliminates its coboundary columns here.
 `back_substitute` clears each pivot column from the other pivot rows with
 the same step, and `column` reads a column of the matrix off that integer
-reduced form as a combination of its pivot columns: the inverse of
-`grading`'s central-series basis and the graded system's memberships.
-`flag_of` writes each level of a flag straight from that reduced form.
+reduced form as a combination of its pivot columns.  `solve` is the one
+exact solve: it lays out [columns | targets] by rows and reads each
+target column that way, so no other module lays out a system or reads a
+solution off an echelon.  It decides the graded system's memberships,
+`grading`'s central-series basis with the inverse of that change of
+basis, and `cohomology.is_coboundary`.  `flag_of` writes each level of a
+flag straight from that reduced form.
 `rref` writes it out as Fractions for `row_space` and `solve_combination`,
 from rows of rationals cleared by `integer_row`; no other module calls
 these four: they are oracles, kept here only while the benchmark's tracer
@@ -103,22 +104,6 @@ def echelon(rows) -> dict:
     return pivots
 
 
-def remainder(pivots: dict, vec: dict) -> dict:
-    """What is left of the {col: int} row vec after reducing it against
-    an echelon's pivots; empty exactly when vec lies in their span.
-
-    Neither argument is changed.
-    """
-    vec = dict(vec)
-    while vec:
-        lead = min(vec)
-        pivot = pivots.get(lead)
-        if pivot is None:
-            return vec
-        vec = _cancel(vec, pivot, lead)
-    return vec
-
-
 def rank(rows) -> int:
     """Exact rank of a matrix given by its rows: the size of its `echelon`."""
     return len(echelon(rows))
@@ -147,6 +132,23 @@ def column(pivots: dict, col: int) -> tuple[int, dict]:
     entries = [(p, row[col], row[p]) for p, row in pivots.items() if col in row]
     d = lcm(1, *(lead for _, _, lead in entries))
     return d, {p: x * (d // lead) for p, x, lead in entries}
+
+
+def solve(columns, targets) -> list:
+    """For each {row: int} target, (d, x) with d > 0 and d * target = sum
+    of x[p] * columns[p], or None outside the span of the {row: int}
+    columns.  `column` reads each target off the back-substituted echelon
+    of [columns | targets], unique up to row signs, so x is too: it is
+    zero at the free coordinates, the columns in the span of those before
+    them.  No argument is changed."""
+    m = len(columns)
+    rows: dict[int, dict] = {}
+    for c, vec in enumerate((*columns, *targets)):
+        for r, v in vec.items():
+            rows.setdefault(r, {})[c] = v
+    reduced = back_substitute(echelon(rows[r] for r in sorted(rows)))
+    solutions = [column(reduced, col) for col in range(m, m + len(targets))]
+    return [None if any(p >= m for p in x) else (d, x) for d, x in solutions]
 
 
 def rref(rows):

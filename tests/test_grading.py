@@ -29,8 +29,10 @@ from gens import (
     coboundary_rows,
     domain_matrix,
     fraction_table,
+    matrix_inverse,
     random_invertible,
     rational_lie,
+    unit,
 )
 
 FAMILIES = {
@@ -104,9 +106,9 @@ def conjugate(rng, diagonal, blocks=()):
             lower[i][k] = rng.randint(-2, 2)
             upper[k][i] = rng.randint(-2, 2)
     p = grading._matmul(lower, upper)
-    d, q = grading._inverse(p)
-    assert d == 1  # unimodular, so p^-1 is integer
-    return grading._matmul(grading._matmul(p, j), q)
+    q = matrix_inverse([[Fraction(x) for x in row] for row in p])
+    assert all(x.denominator == 1 for row in q for x in row)  # p is unimodular
+    return grading._matmul(grading._matmul(p, j), [[int(x) for x in row] for row in q])
 
 
 def test_charpoly_and_integer_roots_match_sympy():
@@ -369,6 +371,34 @@ def test_central_series_basis_keeps_its_candidate_vectors(monkeypatch):
                     want.append(vec)
             assert bases == [want]
     assert moved >= 12
+
+
+def test_central_series_change_of_basis_is_exact(monkeypatch):
+    """The moved table is g's bracket in the recorded basis f_s = sum_i
+    basis[s][i] e_i: for conjugated h3, filiform4 and filiform6, padded or
+    not, sum_k [e_s, e_t]_h[k] f_k = [f_s, f_t]_g for every s < t, in
+    Fractions.  A wrong inverse of the change of basis, such as twice the
+    right one, can leave the moved table isomorphic to g, so the dims alone
+    would not see it."""
+    bases = spy_transport(monkeypatch)
+    rng = random.Random(29)
+    filiform6 = rational_lie(6, {(0, i): {i + 1: 1} for i in range(1, 5)})
+    moved = 0
+    for g in (H3, FILIFORM4, filiform6, padded(H3, 5), padded(FILIFORM4, 6), padded(filiform6, 7)):
+        for _ in range(2):
+            n = g.dim
+            conj = change_basis(g, random_invertible(rng, n))
+            bases.clear()
+            h = grading.central_series_basis(conj)
+            if h is None:
+                continue
+            moved += 1
+            (basis,) = bases
+            for s, t in combinations(range(n), 2):
+                coords = h.bilinear(unit(n, s), unit(n, t))
+                image = [sum(c * f[i] for c, f in zip(coords, basis)) for i in range(n)]
+                assert image == list(conj.bilinear(basis[s], basis[t]))
+    assert moved >= 10
 
 
 def test_adapted_basis_is_only_reordered():

@@ -143,9 +143,10 @@ def test_rank_matches_sympy():
         assert linalg.rank(list(reversed(rows))) == expected
 
 
-def test_echelon_and_remainder_match_sympy():
+def test_echelon_and_solve_match_sympy():
     """echelon keys one primitive integer row by its leading column and
-    spans the input rows; remainder is empty exactly on that span."""
+    spans the input rows; `solve` on those rows finds a target exactly on
+    that span and changes neither argument."""
     rng = random.Random(24)
     for m in oracle_cases(rng):
         ncols = len(m[0])
@@ -158,15 +159,89 @@ def test_echelon_and_remainder_match_sympy():
         rows = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in pivots.values()]
         assert (sympy_row_space(rows) if rows else ()) == want
         before = {lead: dict(row) for lead, row in pivots.items()}
+        spanning = list(pivots.values())
         coeffs = [rng.choice((-2, 1, 3)) for _ in m]
         inside = [sum(a * x for a, x in zip(coeffs, col)) for col in zip(*m)]
         for target in m + [inside, random_matrix(rng, 1, ncols)[0]]:
             (vec,) = integer_rows([target])
             copy = dict(vec)
-            left = linalg.remainder(pivots, vec)
-            assert (not left) == (sympy_row_space(m + [target]) == want)
+            (solution,) = linalg.solve(spanning, [vec])
+            assert (solution is not None) == (sympy_row_space(m + [target]) == want)
             assert vec == copy and pivots == before
-        assert not linalg.remainder(pivots, integer_rows([inside])[0])
+        assert linalg.solve(spanning, integer_rows([inside])) != [None]
+
+
+def test_solve_matches_sympy():
+    """`solve` on random integer systems A x = b, rank-deficient and
+    inconsistent ones, with zero or repeated columns, explicit zero
+    entries and several targets: each solution (d, x) has d > 0 and d * b
+    = A x exactly, x is supported on sympy's pivot columns of A, a target
+    reads None exactly when the rank of [A | b] is larger than A's, and
+    no argument is changed."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    pytest.importorskip("sympy")
+
+    entries = st.integers(-4, 4)
+
+    @st.composite
+    def systems(draw):
+        nrows = draw(st.integers(1, 6))
+        fresh = st.lists(entries, min_size=nrows, max_size=nrows)
+        columns = []
+        for _ in range(draw(st.integers(0, 6))):
+            kind = draw(st.sampled_from(("fresh", "fresh", "combination", "repeat", "zero")))
+            if kind == "zero":
+                columns.append([0] * nrows)
+            elif kind == "repeat" and columns:
+                columns.append(draw(st.sampled_from(columns)))
+            elif kind == "combination" and columns:
+                a, b = draw(entries), draw(entries)
+                x, y = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
+                columns.append([a * p + b * q for p, q in zip(x, y)])
+            else:
+                columns.append(draw(fresh))
+        targets = []
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(("inside", "inside", "outside", "zero", "repeat")))
+            if kind == "zero":
+                targets.append([0] * nrows)
+            elif kind == "repeat" and targets:
+                targets.append(draw(st.sampled_from(targets)))
+            elif kind == "inside" and columns:
+                y = draw(st.lists(entries, min_size=len(columns), max_size=len(columns)))
+                targets.append([sum(a * b for a, b in zip(row, y)) for row in zip(*columns)])
+            else:
+                targets.append(draw(fresh))
+        return columns, targets, draw(st.booleans())
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(systems())
+    def check(system):
+        columns, targets, keep_zeros = system
+        nrows = len(targets[0])
+        cols, tgts = (
+            [{r: v for r, v in enumerate(vec) if v or keep_zeros} for vec in vecs]
+            for vecs in (columns, targets)
+        )
+        before = [dict(vec) for vec in cols + tgts]
+        solutions = linalg.solve(cols, tgts)
+        assert cols + tgts == before and len(solutions) == len(targets)
+        a = [[col[r] for col in columns] for r in range(nrows)]
+        pivots = set(domain_matrix(a).rref()[1]) if columns else set()
+        for target, solution in zip(targets, solutions):
+            aug = [row + [b] for row, b in zip(a, target)]
+            assert (solution is None) == (domain_matrix(aug).rank() > len(pivots))
+            if solution is None:
+                continue
+            d, x = solution
+            assert type(d) is int and d > 0 and set(x) <= pivots
+            assert all(type(v) is int and v for v in x.values())
+            assert [d * b for b in target] == [
+                sum(v * a[r][p] for p, v in x.items()) for r in range(nrows)
+            ]
+
+    check()
 
 
 def test_echelon_drops_zero_values_of_dict_rows():
