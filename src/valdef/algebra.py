@@ -203,13 +203,18 @@ def nested_products(packed, inner, left: bool) -> list[int]:
     n = len(packed)
     _, in_rows = inner.scaled_table
     # inner row (a, b) gives the sums of c * vecs[m][x] over all x: the left
-    # nesting at (a, b, x) for vecs = P, the right one at (x, a, b) for P^T
+    # nesting at (a, b, x) for vecs = P, the right one at (x, a, b) for P^T;
+    # the first product starts the sum, so a one-product row zips nothing
     vecs = packed if left else list(zip(*packed))
     zeros, out = [0] * n, []
     for rows in in_rows:
         for row in rows:
-            acc = zeros
-            for m, c in row:
+            if not row:
+                out += zeros
+                continue
+            m, c = row[0]
+            acc = vecs[m] if c == 1 else [c * x for x in vecs[m]]
+            for m, c in row[1:]:
                 acc = [y + c * x for y, x in zip(acc, vecs[m])]
             out += acc
     if left:

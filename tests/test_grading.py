@@ -362,7 +362,8 @@ def test_central_series_basis_keeps_its_candidate_vectors(monkeypatch):
             if grading.central_series_basis(change_basis(g, random_invertible(rng, n))) is None:
                 continue
             moved += 1
-            # the last echelon is not of the series but of [P | I], P the basis
+            # the last echelon is not of the series but linalg.solve's one
+            # echelon of [candidates | unit vectors]
             candidates = [row for level in reversed(levels[:-1]) for row in level]
             candidates += [[int(i == j) for j in range(n)] for i in range(n)]
             want = []
