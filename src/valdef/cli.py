@@ -258,9 +258,10 @@ def _files(args, what: str) -> list:
 
 
 def _tensor_dim(left: int, right: int) -> None:
-    """Refuse a tensor product above io.MAX_DIM before it is built: its
-    checks are decided on the two factors, but its tables hold up to dim^2
-    entries, each of them built and printed."""
+    """Refuse a tensor product above io.MAX_DIM before it is built: the
+    G-check that names a failing gass tensor's witness scans every basis
+    triple of the product, dim^3 of them, and each tensor table, up to
+    dim^2 entries, is built, checked and printed."""
     if left * right > io.MAX_DIM:
         raise FormatError(
             f"tensor product dim {left}*{right} = {left * right} exceeds the "
@@ -274,7 +275,8 @@ def cmd_gass(args):
         SubgroupTag,
         dual_identity_check,
         g_associative_check,
-        tensor_verdict,
+        tensor_g_associative,
+        tensor_product,
     )
 
     tag = SubgroupTag(args.group)
@@ -293,16 +295,20 @@ def cmd_gass(args):
     else:  # tensor
         (b,) = rest
         _tensor_dim(a.dim, b.dim)
-        # decided on the factors; a witness is confirmed on the built table
-        verdict = tensor_verdict(a, b, tag, signed)
-        ok, witness = verdict.ok, verdict.witness
+        prod = tensor_product(a, b)
+        ok, witness = tensor_g_associative(a, b, tag, signed), None
+        if not ok:
+            # the factors decide; the built table names the first failing triple
+            ok, witness = g_associative_check(prod, tag, signed=signed)
+            if ok:  # both are exact, so a disagreement is a bug: exit 4
+                raise RuntimeError("the factor and product G-checks disagree")
         detail = {
             "group": tag.value,
             "signed": signed,
-            "dim": verdict.product.dim,
-            "left_g_associative": verdict.left_g_associative,
-            "right_dual_identity": verdict.right_dual_identity,
-            "table": _table_doc(verdict.product),
+            "dim": prod.dim,
+            "left_g_associative": g_associative_check(a, tag, signed=signed)[0],
+            "right_dual_identity": dual_identity_check(b, tag)[0],
+            "table": _table_doc(prod),
         }
     if witness:
         detail["witness"] = {"triple": list(witness)}

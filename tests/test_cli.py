@@ -698,54 +698,30 @@ def test_gass_tensor_disagreeing_checks_are_internal(tmp_path, capsys, monkeypat
     )
 
 
-def _spy_contractions(monkeypatch):
-    """The tables that nonassoc contracts, one (table, left) per
-    `nested_products` call (left None for a `jacobi_sums` call)."""
+def test_poisson_tensor_contracts_no_product_table(tmp_path, capsys, monkeypatch):
+    """`poisson tensor` verifies the factors and reads the structure it
+    builds against the Kronecker formula: every table it contracts, by
+    `nested_products` or `jacobi_sums`, is a factor's (dim 3 here, the
+    product's dim 9)."""
     import valdef.nonassoc as nonassoc
 
     seen = []
     nest, jacobi = nonassoc.nested_products, nonassoc.jacobi_sums
 
     def spy_nest(packed, inner, left):
-        seen.append((inner, left))
+        seen.append(inner.dim)
         return nest(packed, inner, left)
 
     def spy_jacobi(outer, inner=None):
-        seen.append((outer, None))
+        seen.append(outer.dim)
         return jacobi(outer, inner)
 
     monkeypatch.setattr(nonassoc, "nested_products", spy_nest)
     monkeypatch.setattr(nonassoc, "jacobi_sums", spy_jacobi)
-    return seen
-
-
-def test_gass_tensor_nests_each_factor_once(tmp_path, capsys, monkeypatch):
-    """`gass tensor` contracts each factor once, left and right, for the
-    product's verdict, the factors' own and a failing product's witness; it
-    never contracts the product's table (dim 4 and 6 here)."""
-    twist = write(tmp_path, "twist.json", TWIST_DOC)
-    kx2 = write(tmp_path, "kx2.json", KX2_DOC)
-    half = write(tmp_path, "half.json", HALF_TRIPLE_DOC)
-    seen = _spy_contractions(monkeypatch)
-    cases = (([twist, kx2, "--group", "T23"], 1, {2}), ([half, kx2, "--group", "T12"], 0, {2, 3}))
-    for argv, want, dims in cases:
-        seen.clear()
-        code, doc, _ = run(capsys, "gass", "tensor", *argv)
-        assert code == want and ("witness" in doc["detail"]) == bool(want)
-        nestings = [(id(table), left) for table, left in seen]
-        assert len(nestings) == len(set(nestings)) == 4
-        assert {table.dim for table, _ in seen} == dims
-
-
-def test_poisson_tensor_contracts_no_product_table(tmp_path, capsys, monkeypatch):
-    """`poisson tensor` checks the structure it builds on the factors: every
-    table it contracts, by `nested_products` or `jacobi_sums`, is a factor's
-    (dim 3 here, the product's dim 9)."""
     p3 = write(tmp_path, "p3.json", POISSON3)
-    seen = _spy_contractions(monkeypatch)
     code, doc, _ = run(capsys, "poisson", "tensor", p3, p3)
     assert code == 0 and doc["detail"]["dim"] == 9
-    assert seen and {table.dim for table, _ in seen} == {3}
+    assert seen and set(seen) == {3}
 
 
 POISSON3 = {
@@ -1890,8 +1866,9 @@ def test_poisson_self_check_failure_is_internal(tmp_path, capsys, monkeypatch):
     """A tensor or opposite structure that fails its self-check is a bug,
     not a verdict: exit 4, the traceback and nothing on stdout.  The tensor
     is built with a planted bug, one Kronecker summand of its bracket
-    dropped or one constant of its product perturbed; the opposite's
-    verifier is made to fail only on structures not read from a file."""
+    dropped, one constant of its product perturbed, or its product put over
+    a den that the factors' dens do not give; the opposite's verifier is
+    made to fail only on structures not read from a file."""
     import valdef.nonassoc as nonassoc
 
     path = write(tmp_path, "p.json", POISSON1)
@@ -1913,9 +1890,18 @@ def test_poisson_self_check_failure_is_internal(tmp_path, capsys, monkeypatch):
         first = (((k, c + 1), *rest),) + rows[0][1:]
         return nonassoc.AlgebraStructure(dim, "assoc", (den, (first,) + rows[1:]))
 
+    def overscaled(dim, pairs):
+        table = real_kronecker(dim, pairs)
+        if len(pairs) > 1:
+            return table
+        den, rows = table.scaled_table
+        rows = tuple(tuple(tuple((k, 3 * c) for k, c in e) for e in r) for r in rows)
+        return nonassoc.AlgebraStructure(dim, "assoc", (3 * den, rows))
+
     for planted, want in (
         (dropped, "RuntimeError: tensor: bracket differs from the Kronecker formula at (1, 2)"),
         (perturbed, "RuntimeError: tensor: product differs from the Kronecker formula at (0, 0)"),
+        (overscaled, "RuntimeError: tensor: product den 3 does not divide 1, the lcm of the pairs' dens"),
     ):
         monkeypatch.setattr(nonassoc, "_kronecker", planted)
         code = main(["poisson", "tensor", p3, p3])

@@ -1,6 +1,7 @@
 """G-associativity, dual identities, tensor closure, Poisson axioms."""
 
 import json
+import math
 import random
 
 from fractions import Fraction
@@ -32,7 +33,6 @@ from valdef.nonassoc import (
     poisson_verify,
     tensor_g_associative,
     tensor_product,
-    tensor_verdict,
 )
 
 from gens import (
@@ -43,7 +43,6 @@ from gens import (
     KXK,
     UPPER2,
     ZTRIPLE,
-    add_scaled,
     change_basis,
     conjugated,
     dict_dual,
@@ -344,187 +343,51 @@ def test_opposite_poisson():
     assert fraction_table(opop.product) == fraction_table(POISSON3.product)
 
 
-def test_tensor_witness_from_the_factors_matches_the_product_scan():
-    """`tensor_verdict` names a failing product's first failing triple from
-    the two factors, and it is the triple `g_associative_check` finds on
-    the built product, for every subgroup, signed and unsigned; its table
-    and the factors' own verdicts are those of `tensor_product`,
-    `g_associative_check` and `dual_identity_check`.  Random factors of
-    dims 1-3 over dens 1-2 are drawn, and then every planted pair is
-    checked: a table failing the identity next to a unital one, in either
-    order, so that A (x) B holds a copy of it and fails by construction,
-    and two such tables together."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-    unital = [rational_assoc(1, {(0, 0): {0: 1}}), KX2, UPPER2]
-    failing = {
-        (tag, signed): search_tables(
-            3, lambda alg, i=(tag, signed): not g_associative_check(alg, *i)[0],
-            max_entries=2, limit=2,
-        )
-        for tag in SubgroupTag
-        for signed in (True, False)
-    }
-
-    def agrees(a, b, tag, signed):
-        product = tensor_product(a, b)
-        verdict = tensor_verdict(a, b, tag, signed)
-        want = g_associative_check(product, tag, signed)
-        assert (verdict.ok, verdict.witness) == want
-        assert verdict.product == product
-        assert verdict.left_g_associative == g_associative_check(a, tag, signed)[0]
-        assert verdict.right_dual_identity == dual_identity_check(b, tag)[0]
-        return want[0]
-
-    @st.composite
-    def factors(draw):
-        if draw(st.booleans()):
-            return draw(st.sampled_from(ASSOCIATIVE_POOL + unital))
-        dim = draw(st.integers(1, 3))
-        slot = st.tuples(*[st.integers(0, dim - 1)] * 3)
-        entries = draw(st.lists(st.tuples(slot, st.sampled_from((-2, -1, 1, 2)))))
-        den = draw(st.integers(1, 2))
-        table = {}
-        for (i, j, k), c in entries:
-            table.setdefault((i, j), {})[k] = Fraction(c, den)
-        return rational_assoc(dim, table)
-
-    @hypothesis.settings(max_examples=200, deadline=None, database=None)
-    @hypothesis.given(factors(), factors(), st.sampled_from(list(SubgroupTag)), st.booleans())
-    def check(a, b, tag, signed):
-        agrees(a, b, tag, signed)
-
-    check()
-    planted = 0
-    for (tag, signed), tables in failing.items():
-        assert len(tables) == 2
-        for bad, one in iter_product(tables, unital):
-            for a, b in ((bad, one), (one, bad)):
-                assert not agrees(a, b, tag, signed)
-                planted += 1
-        # two failing factors: bad A- and B-triples in both places of a pair
-        for a, b in iter_product(tables, repeat=2):
-            agrees(a, b, tag, signed)
-    assert planted == 12 * 2 * 3 * 2
-    # the first failing triple is (1, 2, 2); read in (j1, i1, ...) order it
-    # would be (2, 2, 1)
-    a = rational_assoc(2, {(0, 1): {0: -1}, (1, 1): {0: 1}})
-    b = rational_assoc(2, {(1, 0): {1: 1}})
-    assert not agrees(a, b, SubgroupTag.T13, True)
-    assert tensor_verdict(a, b, SubgroupTag.T13).witness == (1, 2, 2)
-
-
-def _scan_poisson_axioms(t):
-    """{axiom: whether it holds} for the triple axioms of `TENSOR_AXIOMS` on
-    one structure, by the dict contraction of all its basis triples: Jacobi
-    as the cyclic sum at every triple, whatever the bracket's symmetry."""
-    n = t.dim
-    triples = list(iter_product(range(n), repeat=3))
-    flat = {triple: f for f, triple in enumerate(triples)}
-    _, pl, pr = triple_products(t.product, t.product)
-    _, _, bp_r = triple_products(t.bracket, t.product)
-    _, pb_l, pb_r = triple_products(t.product, t.bracket)
-    _, bb_l, _ = triple_products(t.bracket, t.bracket)
-    leibniz = jacobi = True
-    for a, b, c in triples:
-        acc = dict(bp_r[flat[a, b, c]])
-        add_scaled(acc, pb_r[flat[b, a, c]], -1)
-        add_scaled(acc, pb_l[flat[a, b, c]], -1)
-        leibniz = leibniz and not any(acc.values())
-        acc = {}
-        for cycle in ((a, b, c), (b, c, a), (c, a, b)):
-            add_scaled(acc, bb_l[flat[cycle]])
-        jacobi = jacobi and not any(acc.values())
-    return {
-        "product not associative": pl == pr,
-        "Leibniz rule fails": leibniz,
-        "bracket fails Jacobi": jacobi,
-    }
-
-
-def _factor_poisson_axioms(p, q):
-    """The factor decision of each of `TENSOR_AXIOMS` on p (x) q, on the
-    nestings that each factor's own verification keeps, complete or not."""
-    kept = ({}, {})
-    for x, mine in zip((p, q), kept):
-        nonassoc._poisson_axioms(x, mine)
-    return dict(nonassoc._tensor_axioms(p, q, kept))
-
-
-# Poisson structures that fail one triple axiom each: a commutative
-# non-associative product, a bracket breaking Leibniz over POISSON3's
-# product, and an antisymmetric bracket breaking Jacobi over a zero product
-NON_ASSOCIATIVE_P = rational_poisson(2, {(0, 0): {1: 1}, (1, 1): {0: 1}}, {})
-NON_LEIBNIZ_P = rational_poisson(
-    3,
-    {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (0, 2): {2: 1}, (2, 0): {2: 1}},
-    {(1, 2): {0: 1}, (2, 1): {0: -1}},
-)
-NON_JACOBI_P = rational_poisson(
-    3, {}, {(0, 1): {1: 1}, (1, 0): {1: -1}, (1, 2): {0: 1}, (2, 1): {0: -1}}
-)
-
-
-def test_poisson_tensor_axioms_from_the_factors_match_the_product_scan():
-    """Each triple axiom of a Poisson tensor decided on the factors
-    (`nonassoc._tensor_axioms`) is the verdict of the scan of every triple
-    of the built product (`_scan_poisson_axioms` on the Fraction-built
-    `gens.reference_poisson_tensor`).  Poisson and random structures of dims
-    1-3, with or without a symmetric product and an antisymmetric bracket,
-    are drawn; then each planted non-Poisson structure is put next to a
-    unital one in either order, so that the product holds a copy of it and
-    every axiom fails at least once by construction."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-    rng = random.Random(91)
-    one = rational_poisson(1, {(0, 0): {0: 1}}, {})
+def test_kronecker_mismatch_names_the_planted_entry():
+    """`poisson_tensor`'s check of a built table against the Kronecker
+    formula (`nonassoc._kronecker_mismatch`, written apart from
+    `_kronecker`): the Fraction-built tables of `gens.reference_poisson_tensor`
+    pass, on Poisson structures and on tables that are none; a copy with
+    one entry doubled or one product put in an empty entry is named at that
+    basis pair, and a copy over a den that does not divide the lcm of the
+    pairs' dens is named by its den."""
+    rng = random.Random(37)
     zb = rational_poisson(2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, {})
     lie3 = PoissonStructure(3, rational_assoc(3, {}), lie_as_product(random_lie(rng, 3)))
-    planted = [NON_ASSOCIATIVE_P, NON_LEIBNIZ_P, NON_JACOBI_P]
-    pool = [one, zb, POISSON3, lie3, _scaled_poisson(rng, POISSON3)]
-    pool += [_conjugate_poisson(rng, zb), _scaled_poisson(rng, lie3)] + planted
-
-    def agrees(p, q):
-        product, bracket = reference_poisson_tensor(p, q)
+    # the check reads tables only: a pair of tables that is no Poisson
+    # structure puts both bracket summands on one basis vector, where they
+    # add or cancel ({e0 (x) e1, e1 (x) e0} loses its e0 (x) e1 here)
+    rough = PoissonStructure(
+        2,
+        rational_assoc(2, {(0, 1): {0: Fraction(1, 2), 1: 1}, (1, 0): {1: 1}, (1, 1): {0: 3}}),
+        rational_assoc(2, {(0, 1): {0: 1}, (1, 0): {1: -2}, (1, 1): {0: Fraction(-3, 2)}}),
+    )
+    pool = [zb, POISSON3, lie3, _scaled_poisson(rng, POISSON3), _conjugate_poisson(rng, zb), rough]
+    planted = 0
+    for p, q in iter_product(pool, repeat=2):
         dim = p.dim * q.dim
-        built = PoissonStructure(
-            dim,
-            AlgebraStructure(dim, "assoc", product),
-            AlgebraStructure(dim, "assoc", bracket),
+        tables = zip(
+            reference_poisson_tensor(p, q),
+            ([(p.product, q.product)], [(p.bracket, q.product), (p.product, q.bracket)]),
         )
-        decided = _factor_poisson_axioms(p, q)
-        assert decided == _scan_poisson_axioms(built)
-        return decided
-
-    @st.composite
-    def structures(draw):
-        if draw(st.booleans()):
-            return draw(st.sampled_from(pool))
-        dim = draw(st.integers(1, 3))
-        slot = st.tuples(*[st.integers(0, dim - 1)] * 3)
-        tables = []
-        for sign in (1, -1):  # a product, then a bracket
-            entries = draw(st.lists(st.tuples(slot, st.sampled_from((-2, -1, 1, 2))), max_size=4))
-            mirrored, den = draw(st.booleans()), draw(st.integers(1, 3))
-            table = {}
-            for (i, j, k), c in entries:
-                table.setdefault((i, j), {})[k] = Fraction(c, den)
-                if mirrored and i != j:
-                    table.setdefault((j, i), {})[k] = Fraction(sign * c, den)
-            tables.append(rational_assoc(dim, table))
-        return PoissonStructure(dim, *tables)
-
-    @hypothesis.settings(max_examples=150, deadline=None, database=None)
-    @hypothesis.given(structures(), structures())
-    def check(p, q):
-        agrees(p, q)
-
-    check()
-    failed = set()
-    for bad, unital in iter_product(planted, (one, zb)):
-        for p, q in ((bad, unital), (unital, bad)):
-            failed |= {axiom for axiom, holds in agrees(p, q).items() if not holds}
-    assert failed == set(nonassoc.TENSOR_AXIOMS)
+        for (den, rows), pairs in tables:
+            assert nonassoc._kronecker_mismatch(AlgebraStructure(dim, "assoc", (den, rows)), pairs) is None
+            cells = [(x, y) for x in range(dim) for y in range(dim)]
+            full = [cell for cell in cells if rows[cell[0]][cell[1]]]
+            for x, y in rng.sample(full, min(2, len(full))) + rng.sample(cells, 2):
+                entry = tuple((k, 2 * c) for k, c in rows[x][y]) or ((0, 1),)
+                row = rows[x][:y] + (entry,) + rows[x][y + 1 :]
+                bad = AlgebraStructure(dim, "assoc", (den, rows[:x] + (row,) + rows[x + 1 :]))
+                want = f"differs from the Kronecker formula at {(x, y)}"
+                assert nonassoc._kronecker_mismatch(bad, pairs) == want
+                planted += 1
+            big = math.lcm(*(a.scaled_table[0] * b.scaled_table[0] for a, b in pairs))
+            f = big + 1  # den * f exceeds big, so it divides it not
+            scaled = tuple(tuple(tuple((k, f * c) for k, c in e) for e in r) for r in rows)
+            bad = AlgebraStructure(dim, "assoc", (den * f, scaled))
+            want = f"den {den * f} does not divide {big}, the lcm of the pairs' dens"
+            assert nonassoc._kronecker_mismatch(bad, pairs) == want
+    assert planted >= 2 * 36 * 2
 
 
 def test_nested_products_on_rows_of_every_length():
