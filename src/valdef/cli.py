@@ -9,16 +9,19 @@ nothing to stdout, so it is never read as a verdict).  Only decompose and
 deform, whose files hold series, take --cap.
 
 Start-up is most of a one-shot call, so importing this module loads only
-what every command needs: `io`, `errors`, `series` and `algebra`.  Each
-cmd_* function imports the modules of its own subcommand in its body, the
-parser's choices come from `algebra`, and argparse is imported only for
---help and for argv that the fast path leaves to it.
+what `check`, `cohomology` and `rigidity` run on a Lie file: `io`,
+`errors` and `algebra`.  Each cmd_* function imports the modules of its
+own subcommand in its body.  The bodies of decompose, deform, gass and
+poisson live in `commands`, which `_later` imports at their first call,
+so the series arithmetic, series-file formats and non-associative code
+they reach are compiled only by the commands that run them.  The parser's
+choices come from `algebra`, and argparse is imported only for --help and
+for argv that the fast path leaves to it.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from functools import cache
 from types import SimpleNamespace
@@ -26,7 +29,7 @@ from types import SimpleNamespace
 from . import io
 from .algebra import COEFFS, MAX_DEGREE, SUBGROUPS, is_lie
 from .errors import FormatError, InvalidDeformation, PrecisionExhausted, ValdefError
-from .series import lowest_terms, ratio_str, rational_pair
+from .io import ratio_str
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -35,20 +38,7 @@ EXIT_PRECISION = 3
 EXIT_INTERNAL = 4
 
 
-def _table_doc(structure) -> list:
-    """The file entries of a table: each nonzero row by (i, j), i < j only
-    for a Lie table, every constant in lowest terms."""
-    den, rows = structure.scaled_table
-    lie = structure.kind == "lie"
-    return [
-        {"i": i, "j": j, "out": [{"k": k, "c": ratio_str(c, den)} for k, c in row]}
-        for i, r in enumerate(rows)
-        for j, row in enumerate(r)
-        if row and not (lie and j <= i)
-    ]
-
-
-def _answer(ok: bool, detail: dict, **extra) -> tuple:
+def answer(ok: bool, detail: dict, **extra) -> tuple:
     """A command's exit code and document: 0 when ok holds, 1 when violated."""
     return (EXIT_OK if ok else EXIT_VIOLATED), {"ok": ok, "detail": detail, **extra}
 
@@ -75,10 +65,10 @@ def cmd_check(args):
         ok, witness = poisson_verify(loaded.algebra)
         if not ok:
             detail["witness"] = {"axiom": witness[0], "args": list(witness[1])}
-    return _answer(ok, detail)
+    return answer(ok, detail)
 
 
-def _load(path, kind: str, wrong_kind: str):
+def load_kind(path, kind: str, wrong_kind: str):
     """The AlgebraFile at path; FormatError(wrong_kind) unless of that kind.
 
     A lie-kind table that fails the Jacobi identity is malformed input
@@ -99,138 +89,17 @@ def _load(path, kind: str, wrong_kind: str):
 def cmd_cohomology(args):
     from .cohomology import cohomology_dim
 
-    loaded = _load(args.algebra, "lie", "cohomology needs a lie-kind algebra file")
+    need = "cohomology needs a lie-kind algebra file"
+    loaded = load_kind(args.algebra, "lie", need)
     report = cohomology_dim(loaded.algebra, args.deg, args.coeff)
-    return _answer(True, report._asdict())
-
-
-def cmd_decompose(args):
-    from .decompose import decompose, flag_of, recompose
-
-    den, rows = io.parse_vector(io.load_json(args.vector), args.cap)
-    steps = []
-
-    def write_step(s):
-        # written as each step is found, so that a coefficient or direction
-        # too long to print exits 2 before the later steps and the checks
-        steps.append({
-            "coefficient": io.series_literal(s.coefficient),
-            "vector": [ratio_str(x, s.den) for x in s.vector],
-        })
-
-    fd = decompose(den, rows, each_step=write_step)
-    if recompose(fd) != lowest_terms(den, [row[: fd.cap + 1] for row in rows]):
-        # both sides are exact, so a mismatch is a bug: exit 4, traceback
-        raise RuntimeError("the flag decomposition does not recompose to its input")
-    flag = flag_of(fd)
-    # flag_of hands a row unchanged from one level to the next on as the
-    # same tuple, so each is printed once, keyed by the object (every row
-    # stays alive in flag), each entry over the row's lead
-    printed = {}
-
-    def row_doc(row):
-        doc = printed.get(id(row))
-        if doc is None:
-            lead = next(filter(None, row))
-            doc = printed[id(row)] = [ratio_str(x, lead) if x else "0" for x in row]
-        return doc
-
-    detail = {
-        "length": fd.length,
-        "ambient_dim": fd.ambient_dim,
-        "cap_out": fd.cap,
-        "steps": steps,
-        "flag": [[row_doc(row) for row in level] for level in flag.chain],
-        "recomposition_check": True,
-    }
-    return _answer(True, detail, cap_used=len(rows[0]) - 1)
-
-
-def _verdict_doc(v) -> dict:
-    """A graded-system MembershipVerdict, its pairs written "i,j"."""
-    coeffs = v.coefficients or {}
-    return {
-        "holds": v.holds,
-        "coefficients": {f"{i},{j}": ratio_str(*c) for (i, j), c in coeffs.items()},
-    }
-
-
-def _load_deformation(args):
-    doc = io.load_json(args.deformation)
-    base_dir = os.path.dirname(os.path.abspath(args.deformation))
-    return io.parse_deformation(doc, base_dir, args.cap)
-
-
-def cmd_deform(args):
-    from .deformation import (
-        decompose_deformation,
-        graded_system,
-        jacobi_residual,
-        polynomial_form_check,
-        series_matrix_inverse,
-        transport,
-    )
-
-    d = _load_deformation(args)
-    if args.action == "verify":
-        residual = jacobi_residual(d)
-        ok = not residual
-        detail: dict = {"base_dim": d.base.dim, "n_terms": len(d.terms)}
-        if not ok:
-            detail["witness"] = {
-                "residual_orders": sorted(residual),
-                "first_residual": io.cochain_doc(residual[min(residual)]),
-            }
-        return _answer(ok, detail, cap_used=d.cap)
-    if args.action == "decompose":
-        dd = decompose_deformation(d)
-        return _answer(True, io.deformation_doc(dd), cap_used=dd.cap)
-    if args.action == "graded":
-        dd = decompose_deformation(d)
-        system = graded_system(dd)
-        delta, bracket = system.delta_memberships, system.bracket_memberships
-        detail = {
-            "n_terms": len(dd.terms),
-            "delta_memberships": {str(k): _verdict_doc(v) for k, v in delta.items()},
-            "bracket_memberships": {
-                f"{i},{k}": _verdict_doc(v) for (i, k), v in bracket.items()
-            },
-            "satisfied": system.satisfied,
-        }
-        return _answer(system.satisfied, detail, cap_used=dd.cap)
-    if args.action == "transport":
-        if not args.endo:
-            raise FormatError("transport needs --endo ENDOMORPHISM_FILE")
-        f = io.parse_endomorphism(io.load_json(args.endo), d.base.dim, d.cap)
-        if args.inverse:
-            # transport by F^-1, whose inverse is F itself
-            g = series_matrix_inverse(f, min(d.cap, len(f[1][0][0]) - 1))
-            out = transport(d, g, f)
-        else:
-            out = transport(d, f)
-        return _answer(True, io.deformation_doc(out), cap_used=out.cap)
-    # polycheck, the last of SPEC's choices
-    if args.poly is None or args.k is None:
-        raise FormatError("polycheck needs --poly and --k")
-    try:
-        items = json.loads(args.poly)
-    except (ValueError, RecursionError) as exc:
-        raise FormatError(f"--poly is not valid JSON: {exc}")
-    if not isinstance(items, list):
-        raise FormatError(f"--poly must be a JSON array of rationals, got {args.poly}")
-    poly = [rational_pair(c) for c in items]
-    try:
-        ok = polynomial_form_check(d, poly, args.k)
-    except ValueError as exc:
-        raise FormatError(str(exc))
-    detail = {"poly": [ratio_str(*c) for c in poly], "k": args.k}
-    return _answer(ok, detail, cap_used=d.cap)
+    return answer(True, report._asdict())
 
 
 def cmd_rigidity(args):
     from .rigidity import TorusData, enveloping_rigidity_report
 
-    loaded = _load(args.algebra, "lie", "rigidity analysis needs a lie-kind algebra")
+    need = "rigidity analysis needs a lie-kind algebra"
+    loaded = load_kind(args.algebra, "lie", need)
     if loaded.torus is None:
         raise FormatError("algebra file must carry a 'torus' index list")
     torus = TorusData.from_torus(loaded.algebra.dim, loaded.torus)
@@ -243,107 +112,19 @@ def cmd_rigidity(args):
             del detail[key]
     if report.zero_root is not None:
         detail["zero_root"] = report.zero_root._asdict()
-    return _answer(True, detail)
+    return answer(True, detail)
 
 
-def _files(args, what: str) -> list:
-    """The action's file paths: two for tensor, one for every other action."""
-    want = 2 if args.action == "tensor" else 1
-    if len(args.files) != want:
-        need = f"two {what}s" if want == 2 else f"one {what}"
-        raise FormatError(
-            f"{args.command} {args.action} needs {need}, got {len(args.files)}"
-        )
-    return args.files
+def _later(name: str):
+    """The command function `name` of `commands`, which is imported at its
+    first call and not with this module."""
 
+    def run(args):
+        from . import commands
 
-def _tensor_dim(left: int, right: int) -> None:
-    """Refuse a tensor product above io.MAX_DIM before it is built: the
-    G-check that names a failing gass tensor's witness scans every basis
-    triple of the product, dim^3 of them, and each tensor table, up to
-    dim^2 entries, is built, checked and printed."""
-    if left * right > io.MAX_DIM:
-        raise FormatError(
-            f"tensor product dim {left}*{right} = {left * right} exceeds the "
-            f"largest supported dim {io.MAX_DIM}"
-        )
+        return getattr(commands, name)(args)
 
-
-def cmd_gass(args):
-    from .nonassoc import (
-        DUAL_IDENTITY,
-        SubgroupTag,
-        dual_identity_check,
-        g_associative_check,
-        tensor_g_associative,
-        tensor_product,
-    )
-
-    tag = SubgroupTag(args.group)
-    signed = not args.unsigned
-    need = "G-associativity commands need kind 'assoc'"
-    a, *rest = [
-        _load(path, "assoc", f"{path}: {need}").algebra
-        for path in _files(args, "algebra file")
-    ]
-    if args.action == "check":
-        ok, witness = g_associative_check(a, tag, signed=signed)
-        detail = {"group": tag.value, "signed": signed, "dim": a.dim}
-    elif args.action == "dual":
-        ok, witness = dual_identity_check(a, tag)
-        detail = {"group": tag.value, "identity": DUAL_IDENTITY[tag], "dim": a.dim}
-    else:  # tensor
-        (b,) = rest
-        _tensor_dim(a.dim, b.dim)
-        prod = tensor_product(a, b)
-        ok, witness = tensor_g_associative(a, b, tag, signed), None
-        if not ok:
-            # the factors decide; the built table names the first failing triple
-            ok, witness = g_associative_check(prod, tag, signed=signed)
-            if ok:  # both are exact, so a disagreement is a bug: exit 4
-                raise RuntimeError("the factor and product G-checks disagree")
-        detail = {
-            "group": tag.value,
-            "signed": signed,
-            "dim": prod.dim,
-            "left_g_associative": g_associative_check(a, tag, signed=signed)[0],
-            "right_dual_identity": dual_identity_check(b, tag)[0],
-            "table": _table_doc(prod),
-        }
-    if witness:
-        detail["witness"] = {"triple": list(witness)}
-    return _answer(ok, detail)
-
-
-def cmd_poisson(args):
-    from .nonassoc import opposite_poisson, poisson_tensor, poisson_verify
-
-    need = "poisson commands need kind 'poisson'"
-    p, *rest = [
-        _load(path, "poisson", f"{path}: {need}").algebra
-        for path in _files(args, "poisson file")
-    ]
-    if args.action == "verify":
-        ok, witness = poisson_verify(p)
-        detail: dict = {"dim": p.dim}
-        if witness:
-            detail["witness"] = {"axiom": witness[0], "args": list(witness[1])}
-        return _answer(ok, detail)
-    if args.action == "tensor":
-        (q,) = rest
-        _tensor_dim(p.dim, q.dim)
-        out = poisson_tensor(p, q)
-    else:  # opposite
-        out = opposite_poisson(p)
-    # both constructions verify their output: a failure there exits 4
-    detail = {
-        "dim": out.dim,
-        "kind": "poisson",
-        "assoc_table": _table_doc(out.product),
-        "bracket_table": _table_doc(out.bracket),
-        "verified": True,
-    }
-    return _answer(True, detail)
+    return run
 
 
 # -- wiring ------------------------------------------------------------
@@ -372,10 +153,10 @@ SPEC = {  # command: (func, help, arguments after COMMON)
         ("--deg", dict(type=_int, choices=range(1, MAX_DEGREE + 1), required=True)),
         ("--coeff", dict(choices=COEFFS, required=True)),
     ]),
-    "decompose": (cmd_decompose, "flag decomposition of a vector over m", [
+    "decompose": (_later("cmd_decompose"), "flag decomposition of a vector over m", [
         CAP, ("vector", {}),
     ]),
-    "deform": (cmd_deform, "valued deformation operations", [
+    "deform": (_later("cmd_deform"), "valued deformation operations", [
         CAP,
         ("action", dict(
             choices=("verify", "decompose", "graded", "transport", "polycheck"))),
@@ -389,13 +170,13 @@ SPEC = {  # command: (func, help, arguments after COMMON)
     "rigidity": (cmd_rigidity, "roots and enveloping-algebra report", [
         ALGEBRA, ("--asserted-rigid", dict(action="store_true")),
     ]),
-    "gass": (cmd_gass, "G-associativity and tensor closure", [
+    "gass": (_later("cmd_gass"), "G-associativity and tensor closure", [
         ("action", dict(choices=("check", "dual", "tensor"))), FILES,
         ("--group", dict(required=True, choices=SUBGROUPS)),
         ("--unsigned", dict(
             action="store_true", help="drop the signature weights in the G-sum")),
     ]),
-    "poisson": (cmd_poisson, "Poisson verification and constructions", [
+    "poisson": (_later("cmd_poisson"), "Poisson verification and constructions", [
         ("action", dict(choices=("verify", "tensor", "opposite"))), FILES,
     ]),
 }
@@ -503,4 +284,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # `python -m valdef.cli` runs this file as __main__; registered as
+    # valdef.cli too, it is the module `commands` imports, not a second copy
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     sys.exit(main())

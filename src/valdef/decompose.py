@@ -37,11 +37,11 @@ only the steps: it keeps the running products b1...bi
 (`series.running_products`) and returns the sum of b1...bi * Vi
 (`series.combination`) as a canonical (den, rows).
 
-`flag_of` grows one echelon through `linalg`'s public API alone: each
-step vector goes in with `linalg.insert`, and a step that adds a pivot row
-is followed by `linalg.back_substitute`, so no level is row-reduced from
-scratch and only `linalg` decides how a row is reduced and stored.  A
-level writes again only the rows its step changes.
+`flag_of` grows one back-substituted echelon through `linalg`'s public
+API alone: each step vector goes in with `linalg.insert_reduced`, which
+clears only the new lead column, so no level is row-reduced from scratch
+and only `linalg` decides how a row is reduced and stored.  A level
+writes again only the rows its step changes.
 """
 
 from __future__ import annotations
@@ -197,22 +197,20 @@ def recompose(d: FlagDecomposition):
 def flag_of(d: FlagDecomposition) -> Flag:
     """Chain of row-reduced bases of span(V1..Vi) for i = 1..h.
 
-    Each step's integer vector goes into one echelon with `linalg.insert`.
-    When that adds a pivot row, `linalg.back_substitute` makes the echelon
-    reduced and the level is written out: its rows in lead order, each a
-    dense tuple with a positive lead, the canonical RREF basis of its
-    prefix, as `linalg.row_space` writes it, times the leads.  A step that
-    adds nothing repeats the level.
+    Each step's integer vector goes into one back-substituted echelon with
+    `linalg.insert_reduced`.  When that adds a pivot row the level is
+    written out: its rows in lead order, each a dense tuple with a positive
+    lead, the canonical RREF basis of its prefix, as `linalg.row_space`
+    writes it, times the leads.  A step that adds nothing repeats the level.
 
     Only the rows a step changes are written again.  With p the new lead,
     the RREF row of an old lead in the larger span is the old row minus
     its entry at p times the new row, so it changes exactly when the old
     row holds column p; every other row keeps its tuple, the same object
-    from level to level.  p is read after the insert, which may rearrange
-    the echelon, and the level's rows, not the echelon's, say which old
-    rows hold it.  Under the "first" pivot order V_k vanishes at every
-    earlier pivot and starts at p_k, so `insert` adds it as it stands and
-    `back_substitute` clears column p_k from the rows that hold it.
+    from level to level.  The level's rows, not the echelon's, say which
+    old rows hold p.  Under the "first" pivot order V_k vanishes at every
+    earlier pivot and starts at p_k, so it goes in as it stands and only
+    column p_k is cleared from the rows that hold it.
     """
     ncols = d.ambient_dim
     pivots: dict[int, dict] = {}  # lead column -> primitive integer row
@@ -220,11 +218,9 @@ def flag_of(d: FlagDecomposition) -> Flag:
     chain = []
     level = ()
     for step in d.steps:
-        size = len(pivots)
-        linalg.insert(pivots, {c: x for c, x in enumerate(step.vector) if x})
-        if len(pivots) > size:
-            linalg.back_substitute(pivots)
-            (new,) = pivots.keys() - dense.keys()
+        vec = {c: x for c, x in enumerate(step.vector) if x}
+        new = linalg.insert_reduced(pivots, vec)
+        if new is not None:
             changed = [lead for lead, row in dense.items() if row[new]]
             for lead in changed + [new]:
                 row, out = pivots[lead], [0] * ncols

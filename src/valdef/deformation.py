@@ -28,28 +28,38 @@ graded system takes delta(phi_k) = mu o phi_k + phi_k o mu and the
 brackets from the circle product, and decides every membership of one
 order with one `linalg.solve` on the cochains' integer coordinates; each
 coefficient is an integer pair over a positive denominator.
+
+Deformation files are read and printed here, the module of the `deform`
+command: `parse_deformation` reads the base (inline or by path, through
+`io`), the cap and each term, a series literal (`series`) with a
+degree-2 adjoint cochain (`parse_cochain`), every literal of the file
+parsed once; `deformation_doc` and `cochain_doc` print them back, each
+entry in lowest terms.
 """
 
 from __future__ import annotations
 
+import os
 from collections import namedtuple
 from functools import cache
 from itertools import combinations
 from math import lcm
 
 from . import linalg
-from .algebra import Cochain, jacobi_sums
+from .algebra import Cochain, check_key, jacobi_sums
 from .cohomology import circle, super_bracket
 from .decompose import decompose
 from .errors import (
     DimensionMismatch,
+    FormatError,
     InvalidDeformation,
     NotInMaximalIdeal,
     PrecisionExhausted,
 )
-from .io import require_series_cells
-from .series import canonical, combination, lowest_terms, mul_nums, ratio_str
-from .series import running_products
+from .io import load_algebra, parse_algebra, read_int, read_literal
+from .series import canonical, combination, lowest_terms, mul_nums, over_lcm
+from .series import parse_series_literal, ratio_str, read_cap, require_series_cells
+from .series import running_products, series_literal
 
 
 class Deformation(namedtuple("Deformation", "base cap terms")):
@@ -430,3 +440,111 @@ def polynomial_form_check(d: Deformation, poly, k: int) -> bool:
     return not any(
         any(mul_nums(p_nums, row, d.cap)[k + 1 :]) for row in rows if any(row)
     )
+
+
+# -- deformation files ------------------------------------------------
+
+
+def parse_cochain(doc, dim: int, seen=None) -> Cochain:
+    """The degree-2 adjoint cochain of a deformation term, from a cochain
+    object, whose degree and target must be 2 and "adjoint" when given, or
+    a bare values array.
+
+    Each entry is read by `io.read_literal` (seen: the document's literal
+    dict), and all are put over the lcm of their denominators
+    (`series.over_lcm`); no Fraction is built.
+    """
+    seen = {} if seen is None else seen
+    values = doc
+    if isinstance(doc, dict):
+        degree = read_int(doc.get("degree", 2), "cochain degree")
+        if degree != 2 or doc.get("target", "adjoint") != "adjoint":
+            raise DimensionMismatch(
+                "terms need degree-2 adjoint cochains over the base"
+            )
+        values = doc.get("values", [])
+    elif not isinstance(doc, list):
+        raise FormatError(f"bad cochain {doc!r}")
+    vals = {}
+    for row in values:
+        try:
+            key = tuple(read_int(i, "cochain args index") for i in row["args"])
+            if key in vals:
+                raise FormatError(f"duplicate cochain entry for args {list(key)}")
+            cells = {}
+            for cell in row["out"]:
+                k = read_int(cell["k"], "cochain out index")
+                if not 0 <= k < dim:
+                    raise FormatError(f"cochain out index {k} outside 0..{dim - 1}")
+                if k in cells:
+                    raise FormatError(
+                        f"cochain entry for args {list(key)} repeats out index {k}"
+                    )
+                cells[k] = read_literal(cell["c"], seen)
+            vals[key] = cells
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"bad cochain entry {row!r}") from exc
+    try:
+        for key in vals:
+            check_key(key, 2, dim)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+    nums = {key: [cells.get(k, 0) for k in range(dim)] for key, cells in vals.items()}
+    return Cochain.scaled(2, dim, "adjoint", over_lcm(nums.values()), nums)
+
+
+def cochain_doc(c: Cochain) -> dict:
+    """The cochain file object of an adjoint c, each entry in lowest terms."""
+    rows = []
+    for key, vec in sorted(c.values.items()):
+        out = [{"k": k, "c": ratio_str(x, c.den)} for k, x in enumerate(vec) if x]
+        rows.append({"args": list(key), "out": out})
+    return {"degree": c.degree, "target": c.target, "values": rows}
+
+
+def parse_deformation(doc, base_dir: str, default_cap: int) -> Deformation:
+    """The Deformation of a deformation file; a base given as a path is
+    read relative to base_dir."""
+    if not isinstance(doc, dict):
+        raise FormatError("deformation file must be a JSON object")
+    base_spec = doc.get("base")
+    if isinstance(base_spec, str):
+        path = base_spec
+        if not os.path.isabs(path):
+            path = os.path.join(base_dir, path)
+        base_file = load_algebra(path)
+    elif isinstance(base_spec, dict):
+        base_file = parse_algebra(base_spec)
+    else:
+        raise FormatError("deformation file needs 'base': object or path")
+    if base_file.kind != "lie":
+        raise FormatError("deformation base must be a lie-kind algebra")
+    base = base_file.algebra
+    cap = read_cap(doc.get("cap", default_cap))
+    rows = doc.get("terms", [])
+    if not isinstance(rows, list):
+        raise FormatError(f"deformation 'terms' must be an array, got {rows!r}")
+    require_series_cells(len(rows), cap, "deformation terms")
+    seen, terms = {}, []
+    for row in rows:
+        try:
+            coeff = parse_series_literal(row["coeff"], cap, seen)
+            cochain = parse_cochain(row["cochain"], base.dim, seen)
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"bad deformation term {row!r}") from exc
+        terms.append((coeff, cochain))
+    try:
+        return Deformation.build(base, cap, terms)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def deformation_doc(d: Deformation) -> dict:
+    """The deformation file object of d: its cap and its terms."""
+    return {
+        "cap": d.cap,
+        "terms": [
+            {"coeff": series_literal(c), "cochain": cochain_doc(phi)}
+            for c, phi in d.terms
+        ],
+    }

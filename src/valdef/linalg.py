@@ -5,11 +5,12 @@ integers.  The one elimination step, `_cancel`, removes a column from a
 row by cross-multiplying it with a pivot row, so no division happens, and
 then divides out the gcd content of the result.  `insert` reduces a row
 against an echelon of pivot rows keyed by their leading column with that
-step, and keeps what is left as a new pivot row.  It is the one way any
-module grows an echelon, so only this module reduces and stores a row; a
-caller sees a new pivot row by the echelon's size.  `grading` inserts the
-columns spanning a generalized eigenspace until it has as many pivot rows
-as the multiplicity; `decompose.flag_of` inserts each step vector.
+step, and keeps what is left as a new pivot row.  `insert_reduced` does
+the same for a back-substituted echelon and keeps it back-substituted.
+These are the only ways any module grows an echelon, so only this module
+reduces and stores a row; a caller sees a new pivot row by the echelon's
+size.  `grading` inserts the columns spanning a generalized eigenspace
+until it has as many pivot rows as the multiplicity.
 The arithmetic is exact, so no answer needs a certificate.
 
 `echelon` inserts rows sparsest first and returns that pivots dict, and
@@ -21,9 +22,11 @@ exact solve: it lays out [columns | targets] by rows and reads each
 target column that way, so no other module lays out a system or reads a
 solution off an echelon.  It decides the graded system's memberships,
 `grading`'s central-series basis with the inverse of that change of
-basis, and `cohomology.is_coboundary`.  `flag_of` writes each level of a
-flag straight from that reduced form.
-`rref` writes it out as Fractions for `row_space` and `solve_combination`,
+basis, and `cohomology.is_coboundary`.  `decompose.flag_of` grows its
+flag with `insert_reduced`, one step vector at a time, and writes each
+level straight from that reduced form: each step clears one column, not
+every pivot column again.
+`rref` writes the reduced form out as Fractions for `row_space` and `solve_combination`,
 from rows of rationals cleared by `integer_row`; no other module calls
 these four: they are oracles, kept here only while the benchmark's tracer
 wraps them by name, and the only code here that reads or builds a
@@ -120,6 +123,29 @@ def back_substitute(pivots: dict) -> dict:
             if lead in pivots[above]:
                 pivots[above] = _cancel(pivots[above], pivots[lead], lead)
     return pivots
+
+
+def insert_reduced(pivots: dict, vec: dict):
+    """Insert vec into a back-substituted echelon and keep it so: the lead
+    column of the pivot row added, None when vec lies in the span.
+
+    vec is cancelled at each pivot column it holds by that column's row,
+    which holds no other pivot column, so what is left holds none.  It
+    becomes the pivot row at its lead, and that one column is cleared from
+    the rows that hold it: a row with no other pivot column adds none.  So
+    each pivot row is tested once for the new column, where `insert` and
+    `back_substitute` test every pair of pivot rows.  vec may be changed.
+    """
+    for col in [c for c in vec if c in pivots]:
+        vec = _cancel(vec, pivots[col], col)
+    if not vec:
+        return None
+    lead = min(vec)
+    new = pivots[lead] = _primitive(vec)
+    for other, row in pivots.items():
+        if other != lead and lead in row:
+            pivots[other] = _cancel(row, new, lead)
+    return lead
 
 
 def column(pivots: dict, col: int) -> tuple[int, dict]:

@@ -18,9 +18,20 @@ under all argument permutations.  Tensor tables are one Kronecker sum
 the Poisson tensor bracket.
 
 Every check here is an exact int zero or equality test on the packed
-nested products of all basis triples (`algebra.nested_products`), in
+nested products of all basis triples (`nested_products`), in
 `itertools.product` order, so the first failing triple is the witness: a
 G-sum adds whole permuted lists of associators, 2|G| nested products.
+`nested_products` contracts two tables into one nesting of every basis
+triple, each vector packed into one int by Kronecker substitution: `pack`
+makes outer row den * e_a e_b into P[a][b] = sum of c_q * 2^(B q), once
+per table and width, and (e_i e_j) e_k = sum of c_m * P[m][k], e_i (e_j
+e_k) = sum of c_m * P[i][m] over the inner row.  A sum of at most T
+nested products has every coordinate bounded by M = T * r * c_in * c_out
+(r the longest inner row, c the largest absolute constants, both read
+from `AlgebraStructure.extent`), so for B = bit_length(M) + 1
+(`slot_width`) two such sums pack equal only if equal: the lowest nonzero
+slot of their difference would be a multiple of 2^B inside (-2^B, 2^B).
+`unpack` reads the coordinates of one such sum back.
 `tensor_g_associative` decides a tensor product's G-associativity on its
 two factors instead: each nesting of A (x) B is the Kronecker product of
 one nesting in A and one in B, so the G-sum vanishes on every product
@@ -38,20 +49,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
+from functools import lru_cache
 from itertools import chain, compress, count, product as iter_product
 from math import lcm
 from operator import add, mul, ne, or_, sub
 
-from .algebra import (
-    SUBGROUPS,
-    AlgebraStructure,
-    jacobi_sums,
-    nested_products,
-    pack,
-    permuted_triples,
-    slot_width,
-    unpack,
-)
+from .algebra import SUBGROUPS, AlgebraStructure, jacobi_sums
 from .errors import InvalidPoisson
 from .linalg import echelon
 
@@ -90,6 +93,72 @@ DUAL_IDENTITY = {
     SubgroupTag.A3: "abc = bca = cab",
     SubgroupTag.S3: "abc invariant under all argument permutations",
 }
+
+
+def slot_width(terms: int, *pairs) -> int:
+    """The slot width B = bit_length(M) + 1 that makes sums of at most `terms`
+    nested products of the (outer, inner) pairs, over one den, pack exactly."""
+    bound = 0
+    for outer, inner in pairs:
+        longest, largest = inner.extent
+        bound = max(bound, longest * largest * outer.extent[1])
+    return (terms * bound).bit_length() + 1
+
+
+def pack(outer, width: int) -> list[list[int]]:
+    """The rows of a table's `scaled_table`, each packed into one int of
+    `width`-bit slots: entry [a][b] is the sum of c << width * q over the
+    (q, c) of den * e_a e_b."""
+    return [
+        [sum([c << width * q for q, c in row]) if row else 0 for row in r]
+        for r in outer.scaled_table[1]
+    ]
+
+
+def unpack(packed: int, n: int, width: int) -> list[int]:
+    """The n signed coordinates of an int packed in `width`-bit slots, each
+    inside (-2^(width-1), 2^(width-1)) as `slot_width` makes them."""
+    half, mask, out = 1 << (width - 1), (1 << width) - 1, []
+    for _ in range(n):
+        slot = ((packed & mask) ^ half) - half
+        out.append(slot)
+        packed = (packed - slot) >> width
+    return out
+
+
+def nested_products(packed, inner, left: bool) -> list[int]:
+    """den * one nesting of every basis triple, from the outer table packed
+    by `pack`: entry (i * n + j) * n + k (itertools.product order) is
+    (e_i e_j) e_k if left, else e_i (e_j e_k), with den = den_outer *
+    den_inner."""
+    n = len(packed)
+    _, in_rows = inner.scaled_table
+    # inner row (a, b) gives the sums of c * vecs[m][x] over all x: the left
+    # nesting at (a, b, x) for vecs = P, the right one at (x, a, b) for P^T;
+    # the first product starts the sum, so a one-product row zips nothing
+    vecs = packed if left else list(zip(*packed))
+    zeros, out = [0] * n, []
+    for rows in in_rows:
+        for row in rows:
+            if not row:
+                out += zeros
+                continue
+            m, c = row[0]
+            acc = vecs[m] if c == 1 else [c * x for x in vecs[m]]
+            for m, c in row[1:]:
+                acc = [y + c * x for y, x in zip(acc, vecs[m])]
+            out += acc
+    if left:
+        return out
+    return list(map(out.__getitem__, permuted_triples(n, (1, 2, 0))))
+
+
+@lru_cache(maxsize=128)  # every pattern of dims 1-18; an entry holds n^3 ints
+def permuted_triples(n: int, pattern) -> tuple[int, ...]:
+    """The flat number of (t[p0], t[p1], t[p2]) for each flat triple t."""
+    p0, p1, p2 = pattern
+    triples = iter_product(range(n), repeat=3)
+    return tuple((t[p0] * n + t[p1]) * n + t[p2] for t in triples)
 
 
 def _witness(n: int, flags):

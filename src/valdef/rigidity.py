@@ -6,7 +6,7 @@ statement with no algorithm here), it only evaluates the cohomological
 criteria conditioned on the caller's assertion.  Rank-1 algebras get the
 zero-root test: dim H^2(g, K) = 0 exactly when 0 is not a root, with an
 explicit certificate cocycle when 0 is a root.  A root is an integer
-pair (num, den) in lowest terms, den > 0, printed by `series.ratio_str`;
+pair (num, den) in lowest terms, den > 0, printed by `io.ratio_str`;
 `roots` returns a tuple of them, which `zero_root_criterion` reads.
 """
 

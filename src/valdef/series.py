@@ -8,13 +8,23 @@ zero.  `canonical` puts one in lowest terms (gcd(den, *nums) = 1), the
 form of every deformation term coefficient and flag-step coefficient, so
 equal series compare equal and the arithmetic runs on plain ints:
 `mul_nums` multiplies, `div_nums` divides, `running_products` keeps
-b1...bi and `combination` sums c_i * v_i over one denominator.  Series
-literals are read and printed on the integers too (`rational_pair`
-here, `io.parse_series_literal` and `io.series_literal`).  `ratio_str`
-is the one printer of a rational, the inverse of `rational_pair`.  No
+b1...bi and `combination` sums c_i * v_i over one denominator.  No
 module of the package imports ``fractions`` at module scope: a scalar is
 anything with ``numerator`` and ``denominator`` (an int or a Fraction)
 or a rational string.
+
+The files that hold series are read and printed here, on the integers
+too, by the commands that import this module (`decompose`, `deform`):
+`parse_series_literal` and `series_literal` read and print one series
+literal, an array of rational strings ordered from t^0 (["0","2","1"] is
+2t + t^2) that may be shorter than cap+1 (zero padded) but never longer,
+and `parse_vector` and `parse_endomorphism` read a vector or
+endomorphism file into one canonical `(den, rows)`, its literals parsed
+once per file (`io.read_literal`) and put over their lcm in place
+(`over_lcm`).  `read_cap` reads a file's cap and `require_series_cells`
+bounds the matrix before it is built.  The rational literal grammar
+itself, `rational_pair` and its one printer `ratio_str`, lives in `io`
+with the algebra files and is imported from there.
 
 A vector or matrix of series is no class of its own but one integer
 matrix over one denominator, ``(den, rows)``: a vector file's rows[i],
@@ -32,7 +42,6 @@ which wraps its methods by name.
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
@@ -46,48 +55,8 @@ from .errors import (
     TooLarge,
     ZeroDivisor,
 )
-
-
-def rational_pair(text: str) -> tuple[int, int]:
-    """Parse "p" or "p/q" into the integers (p, q), q > 0, not reduced.
-
-    After surrounding whitespace is stripped, the literal must match
-    [+-]?[0-9]+(/[0-9]+)? in ASCII: int() alone would also read "1_0",
-    non-ASCII digits and "1/ 2".
-    """
-    if not isinstance(text, str):
-        raise FormatError(f"rational literal must be a string, got {text!r}")
-    num, slash, den = text.strip().partition("/")
-    digits = num[1:] if num[:1] in ("+", "-") else num
-    if not (digits.isdigit() and digits.isascii()):
-        raise FormatError(f"bad rational literal {text!r}")
-    if slash:
-        # a q with a minus sign is read only to be refused with its own reason
-        digits = den[1:] if den[:1] == "-" else den
-        if not (digits.isdigit() and digits.isascii()):
-            raise FormatError(f"bad rational literal {text!r}")
-    try:
-        num, den = int(num), int(den) if slash else 1
-    except ValueError as exc:  # past the interpreter's limit on int digits
-        raise FormatError(f"bad rational literal {text!r}") from exc
-    if den <= 0:
-        raise FormatError(f"denominator must be positive in {text!r}")
-    return num, den
-
-
-def ratio_str(num: int, den: int) -> str:
-    """num / den as a rational literal in lowest terms, for den > 0: the
-    inverse of `rational_pair`, with no Fraction built.  Raises TooLarge
-    when the numerator or denominator has more digits than the
-    interpreter converts to a string, where `rational_pair` refuses too."""
-    common = gcd(num, den)
-    try:
-        if common == den:
-            return str(num // common)
-        return f"{num // common}/{den // common}"
-    except ValueError:  # past the interpreter's limit on int digits
-        limit = sys.get_int_max_str_digits()
-        raise TooLarge(f"a rational to print has more than {limit} digits") from None
+from .io import MAX_CAP, MAX_SERIES_CELLS, ratio_str, rational_pair, read_int
+from .io import read_literal
 
 
 def scalar_pair(value) -> tuple[int, int]:
@@ -180,6 +149,103 @@ def combination(terms, dim: int, cap: int) -> tuple[int, list[list[int]]]:
                 for p, x in nums:
                     row[p] += v * x
     return den, rows
+
+
+# -- series, vector and endomorphism files -------------------------------
+
+
+def read_cap(value) -> int:
+    """The cap field of a series-holding file, in 0..MAX_CAP."""
+    cap = read_int(value, "cap")
+    if cap < 0:
+        raise FormatError(f"cap must be non-negative, got {cap}")
+    if cap > MAX_CAP:
+        raise FormatError(f"cap {cap} exceeds the largest supported cap {MAX_CAP}")
+    return cap
+
+
+def require_series_cells(rows: int, cap: int, what: str) -> None:
+    """Raise TooLarge, before anything is allocated, when rows series of
+    cap + 1 coefficients exceed MAX_SERIES_CELLS entries."""
+    cells = rows * (cap + 1)
+    if cells > MAX_SERIES_CELLS:
+        raise TooLarge(
+            f"{rows} {what} of {cap + 1} coefficients = {cells} entries exceed "
+            f"the largest supported {MAX_SERIES_CELLS}"
+        )
+
+
+def over_lcm(rows) -> int:
+    """The lcm of the denominators of `io.read_literal` values, with every
+    row of them put over it in place as integers."""
+    den = lcm(1, *(v[1] for row in rows for v in row if type(v) is tuple))
+    if den > 1:
+        for row in rows:
+            row[:] = [v * den if type(v) is int else v[0] * (den // v[1]) for v in row]
+    return den
+
+
+def _read_series(literals, cap: int, seen: dict) -> tuple[int, list[list[int]]]:
+    """The canonical (den, rows) of series literals, each zero padded to
+    cap, their coefficients read in order (`io.read_literal`) and put over
+    the lcm of the denominators, row by row in place."""
+    require_series_cells(len(literals), cap, "series")
+    rows = []
+    for items in literals:
+        if not isinstance(items, list):
+            raise FormatError(f"series literal must be an array, got {items!r}")
+        if len(items) > cap + 1:
+            raise FormatError(
+                f"series literal has {len(items)} coefficients, cap {cap} allows "
+                f"{cap + 1}"
+            )
+        rows.append(
+            [read_literal(c, seen) for c in items] + [0] * (cap + 1 - len(items))
+        )
+    return lowest_terms(over_lcm(rows), rows)
+
+
+def parse_series_literal(items, cap: int, seen=None) -> tuple[int, tuple[int, ...]]:
+    """The integer series (den, nums) of a literal in lowest terms, padded
+    with zeros to cap; seen is the literal dict of its document
+    (`io.read_literal`)."""
+    den, (nums,) = _read_series([items], cap, {} if seen is None else seen)
+    return den, tuple(nums)
+
+
+def series_literal(s) -> list[str]:
+    """The coefficients of an integer series (den, nums) as rational
+    strings, each in lowest terms."""
+    den, nums = s
+    return [ratio_str(x, den) for x in nums]
+
+
+def parse_vector(doc, default_cap: int) -> tuple[int, list[list[int]]]:
+    """The canonical (den, rows) of a vector file: component i is rows[i] / den."""
+    if not isinstance(doc, dict) or "components" not in doc:
+        raise FormatError("vector file needs a 'components' array")
+    cap = read_cap(doc.get("cap", default_cap))
+    comps = doc["components"]
+    if not isinstance(comps, list) or not comps:
+        raise FormatError("'components' must be a non-empty array")
+    return _read_series(comps, cap, {})
+
+
+def parse_endomorphism(doc, dim: int, default_cap: int):
+    """The canonical (den, rows) of an endomorphism file: entry (r, c) is
+    rows[r][c] / den, its literals read row-major."""
+    if not isinstance(doc, dict) or "matrix" not in doc:
+        raise FormatError("endomorphism file needs a 'matrix' array")
+    cap = read_cap(doc.get("cap", default_cap))
+    matrix = doc["matrix"]
+    if (
+        not isinstance(matrix, list)
+        or len(matrix) != dim
+        or any(not isinstance(row, list) or len(row) != dim for row in matrix)
+    ):
+        raise FormatError(f"endomorphism matrix must be {dim}x{dim}")
+    den, entries = _read_series([entry for row in matrix for entry in row], cap, {})
+    return den, [entries[r * dim : (r + 1) * dim] for r in range(dim)]
 
 
 class TruncSeries(namedtuple("TruncSeries", "den nums")):

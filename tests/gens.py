@@ -33,8 +33,8 @@ from valdef.errors import (
     ZeroVector,
 )
 from valdef.nonassoc import PATTERNS, PoissonStructure, SubgroupTag
-from valdef.io import _int, load_algebra
-from valdef.series import TruncSeries, rational_pair
+from valdef.io import load_algebra, rational_pair, read_int
+from valdef.series import TruncSeries
 
 
 # -- rational oracles of the package's integer forms ---------------------
@@ -44,7 +44,7 @@ from valdef.series import TruncSeries, rational_pair
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" (`series.rational_pair`) into a Fraction."""
+    """Parse "p" or "p/q" (`io.rational_pair`) into a Fraction."""
     return Fraction(*rational_pair(text))
 
 
@@ -181,7 +181,7 @@ def fraction_table(g) -> dict:
 
 def rational_str(value: Fraction) -> str:
     """A Fraction as a rational literal, read off its own lowest terms: the
-    oracle of the package's printer `series.ratio_str`."""
+    oracle of the package's printer `io.ratio_str`."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -1042,10 +1042,10 @@ def reference_parse_table(rows, what: str) -> dict:
     table = {}
     for row in rows:
         try:
-            i, j = _int(row["i"], f"{what} i"), _int(row["j"], f"{what} j")
+            i, j = read_int(row["i"], f"{what} i"), read_int(row["j"], f"{what} j")
             out = {}
             for cell in row["out"]:
-                k = _int(cell["k"], f"{what} out index")
+                k = read_int(cell["k"], f"{what} out index")
                 if k in out:
                     raise FormatError(f"{what} entry ({i},{j}) repeats out index {k}")
                 out[k] = parse_rational(cell["c"])

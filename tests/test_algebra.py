@@ -14,10 +14,10 @@ from valdef.algebra import (
     associator,
     is_lie,
     jacobiator,
-    unpack,
 )
 from valdef.errors import DimensionMismatch
-from valdef.io import cochain_doc, parse_cochain
+from valdef.deformation import cochain_doc, parse_cochain
+from valdef.nonassoc import unpack
 
 from gens import (
     H3,
@@ -259,9 +259,9 @@ def test_cached_properties_are_computed_once_per_instance(monkeypatch):
 
 
 def test_cochain_printer_matches_rational_str():
-    """io.cochain_doc prints every entry of an adjoint cochain built from
+    """deformation.cochain_doc prints every entry of an adjoint cochain built from
     rationals in lowest terms, as rational_str of its Fraction value does,
-    and io.parse_cochain reads a degree-2 document, the shape of a
+    and deformation.parse_cochain reads a degree-2 document, the shape of a
     deformation term, back to an equal cochain; the same values at another
     scale compare and hash equal, for either target."""
     hypothesis = pytest.importorskip("hypothesis")
@@ -446,7 +446,7 @@ def test_integer_reader_matches_fraction_reader():
 
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    from valdef.cli import _table_doc
+    from valdef.commands import _table_doc
     from valdef.errors import FormatError
     from valdef.io import parse_algebra
 
@@ -508,7 +508,7 @@ def test_basis_names_are_read_but_not_kept():
 
 def test_each_literal_of_a_document_read_once():
     """Tables, cochains and series literals read each distinct literal of a
-    document once (`io._literal`), with the values and refusals of reading
+    document once (`io.read_literal`), with the values and refusals of reading
     every literal on its own: a non-string "c" is refused with the text of
     `rational_pair`, a bad literal used in two entries is refused at the
     first one, and "1/2", "2/4", "+1/2" and " 1/2" in one document read to
@@ -516,13 +516,9 @@ def test_each_literal_of_a_document_read_once():
     cochains with `gens.rational_cochain`, series with each literal read
     alone, as `test_canonical_parse_and_inverse` reads them."""
     from valdef.errors import FormatError
-    from valdef.io import (
-        parse_algebra,
-        parse_deformation,
-        parse_series_literal,
-        parse_vector,
-    )
-    from valdef.series import rational_pair
+    from valdef.deformation import parse_deformation
+    from valdef.io import parse_algebra, rational_pair
+    from valdef.series import parse_series_literal, parse_vector
 
     from gens import (
         integer_series,

@@ -1543,6 +1543,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SUBCOMMAND_MODULES = (
     "cohomology", "decompose", "deformation", "rigidity", "nonassoc", "grading"
 )
+# what `import valdef.cli` loads of valdef: no series arithmetic, series-file
+# format or command body that the Lie commands never run
+CLI_PATH = {"valdef", "valdef.cli", "valdef.io", "valdef.algebra", "valdef.errors"}
+# loaded by no check, cohomology or rigidity call on a Lie file
+NOT_FOR_LIE = {"valdef.series", "valdef.decompose", "valdef.deformation", "valdef.nonassoc"}
 
 
 def _modules_after(imports, then=""):
@@ -1574,7 +1579,7 @@ RATIONALS = {"fractions", "decimal", "numbers"}
 
 def test_cli_import_loads_no_subcommand_module():
     loaded = _modules_after(["valdef.cli"])
-    assert {"valdef.io", "valdef.algebra", "valdef.series"} <= loaded
+    assert {m for m in loaded if m.split(".")[0] == "valdef"} == CLI_PATH
     assert not {f"valdef.{m}" for m in SUBCOMMAND_MODULES} & loaded
     # argparse (and the gettext it imports) serve only --help and bad argv
     assert not {"argparse", "gettext"} & loaded
@@ -1601,6 +1606,7 @@ def test_grading_is_loaded_only_by_a_large_cohomology_call():
 # the path of a file
 ONE_SHOT = {
     "check": ["check", "@assoc"],
+    "check-lie": ["check", "@r2"],
     "cohomology": ["cohomology", "@r2", "--deg", "2", "--coeff", "adjoint"],
     "decompose": ["decompose", "@vector"],
     "deform": ["deform", "verify", "@deform"],
@@ -1653,8 +1659,12 @@ def test_subcommand_in_fresh_process(tmp_path, capsys, argv):
     """`python -m valdef.cli` in a new process answers as main() does here.
 
     In-process tests share one warm sys.modules, so only a fresh process
-    shows that each subcommand imports everything it uses.
+    shows that each subcommand imports everything it uses, and that check,
+    cohomology and rigidity on a Lie file load no series or
+    non-associative module.
     """
+    lie = argv[0] in ("check", "cohomology", "rigidity")
+    lie = lie and argv[1] in ("@r2", "@zero_root")
     argv = _one_shot_argv(tmp_path, argv)
     proc = subprocess.run(
         [sys.executable, "-m", "valdef.cli", *argv],
@@ -1671,6 +1681,8 @@ def test_subcommand_in_fresh_process(tmp_path, capsys, argv):
     loaded = _modules_after(["valdef.cli"], f"valdef.cli.main({argv!r})")
     assert not {"argparse", "gettext"} & loaded
     assert not RATIONALS & loaded
+    if lie:
+        assert not NOT_FOR_LIE & loaded
 
 
 def test_series_commands_build_no_truncseries(tmp_path, capsys, monkeypatch):
@@ -2078,7 +2090,7 @@ def test_algebra_commands_fuzzed_documents(tmp_path, capsys, monkeypatch):
         random_invertible,
         rational_lie,
     )
-    from valdef.cli import _table_doc
+    from valdef.commands import _table_doc
 
     rng = random.Random(81)
     bases = []
@@ -2164,7 +2176,7 @@ def test_nonassoc_commands_fuzzed_documents(tmp_path, capsys):
     st = pytest.importorskip("hypothesis.strategies")
     from gens import ASSOCIATIVE_POOL, SL2, conjugated, lie_as_product
     from valdef.algebra import SUBGROUPS
-    from valdef.cli import _table_doc
+    from valdef.commands import _table_doc
 
     rng = random.Random(82)
     algebras = ASSOCIATIVE_POOL + [conjugated(rng, a) for a in ASSOCIATIVE_POOL]
@@ -2266,7 +2278,7 @@ def test_size_guard_on_an_ungraded_nilpotent_complex(tmp_path, capsys, monkeypat
     from gens import change_basis, random_invertible, rational_lie
 
     from valdef import grading
-    from valdef.cli import _table_doc
+    from valdef.commands import _table_doc
     from valdef.cohomology import cohomology_dim
     from valdef.errors import TooLarge
 
@@ -2398,6 +2410,7 @@ def test_decompose_refuses_an_unprintable_step_before_the_later_steps(
     after the first with a series division; step 2, (t + t^2) / (1 + 10^40 t),
     cannot be printed, so one division runs, not 30."""
     import valdef.decompose as decompose
+    import valdef.series as series
 
     calls = []
     real = decompose.div_nums
@@ -2413,7 +2426,7 @@ def test_decompose_refuses_an_unprintable_step_before_the_later_steps(
     assert len(calls) == 1
     # the whole decomposition takes a division at every step after the first
     calls.clear()
-    den, rows = io.parse_vector(vector, None)
+    den, rows = series.parse_vector(vector, None)
     assert decompose.decompose(den, rows).length == 31 and len(calls) == 30
 
 
@@ -2431,7 +2444,7 @@ def test_non_split_search_stops_at_its_budget(tmp_path, capsys, monkeypatch):
     from gens import change_basis, rational_lie
 
     from valdef import grading
-    from valdef.cli import _table_doc
+    from valdef.commands import _table_doc
 
     n = 24
     rng = random.Random(5)

@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from valdef import linalg
-from valdef.decompose import Flag, decompose, flag_of, recompose
+from valdef.decompose import Flag, FlagDecomposition, decompose, flag_of, recompose
 from valdef.errors import NotInMaximalIdeal, ValdefError, ZeroVector
 from valdef.series import TruncSeries
 
@@ -278,6 +278,50 @@ def test_flag_levels_where_later_steps_clear_earlier_rows():
         assert all(flag.chain[0][0])
 
     check()
+
+
+class CountedRow(dict):
+    """A pivot row that counts each test of a column against it."""
+
+    tests = 0
+
+    def __contains__(self, col):
+        CountedRow.tests += 1
+        return dict.__contains__(self, col)
+
+
+def test_flag_of_tests_each_pivot_row_once_per_new_lead(monkeypatch):
+    """`flag_of` grows its echelon with `linalg.insert_reduced`, which tests
+    each earlier pivot row once for the new lead column: h(h - 1)/2 row
+    tests over a flag of h steps.  `insert` followed by `back_substitute`,
+    the way the flag grew before, tests every pair of pivot rows at every
+    step, (h^3 - h)/6 tests.  The planted flag has h = 8 steps, V_k = e_k +
+    (k + 1) * (e_(k+1) + .. + e_7), so every step clears its column from
+    every earlier row: 28 cancels either way, and the same levels."""
+    n = 8
+    vectors = [tuple([0] * k + [1] + [k + 1] * (n - k - 1)) for k in range(n)]
+    steps = tuple(flag_step((1, (0, 1)), v) for v in vectors)
+    primitive, cancel = linalg._primitive, linalg._cancel
+    cancels = []
+    monkeypatch.setattr(linalg, "_primitive", lambda vec: CountedRow(primitive(vec)))
+    monkeypatch.setattr(
+        linalg, "_cancel", lambda *args: cancels.append(1) or cancel(*args)
+    )
+    CountedRow.tests = 0
+    flag = flag_of(FlagDecomposition(steps, n, 1))
+    assert (CountedRow.tests, len(cancels)) == (n * (n - 1) // 2, 28)
+
+    CountedRow.tests, cancels[:] = 0, []
+    pivots, levels = {}, []
+    for v in vectors:
+        linalg.insert(pivots, {c: x for c, x in enumerate(v) if x})
+        linalg.back_substitute(pivots)
+        levels.append(tuple(
+            tuple(row.get(c, 0) * (1 if row[lead] > 0 else -1) for c in range(n))
+            for lead, row in sorted(pivots.items())
+        ))
+    assert (CountedRow.tests, len(cancels)) == ((n**3 - n) // 6, 28)
+    assert flag.chain == tuple(levels)
 
 
 def test_integer_steps_and_rows_match_the_oracles():

@@ -913,18 +913,19 @@ def test_series_matrix_inverse_rejects_non_unipotent(cap):
 
 
 def test_canonical_parse_and_inverse():
-    """`io.parse_vector` and `io.parse_endomorphism` read a file into one
-    canonical (den, rows), gcd(den, every numerator) = 1, with the values
-    of `io.parse_series_literal` literal by literal, and refuse a file with
-    the error of its first bad literal, row-major.  `series_matrix_inverse`,
+    """`series.parse_vector` and `series.parse_endomorphism` read a file
+    into one canonical (den, rows), gcd(den, every numerator) = 1, with the
+    values of `series.parse_series_literal` literal by literal, and refuse a
+    file with the error of its first bad literal, row-major.  `series_matrix_inverse`,
     also at a cap below the endomorphism's, returns a canonical (den, rows)
     that is the inverse of f under `series_matrix_mul`; its recursion runs
     over D, the lowest terms of f cut to that cap, so the scale it divides
     the content out of at the end is D^cap (seen through `lowest_terms`)."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    from valdef import deformation, io
+    from valdef import deformation
     from valdef.errors import FormatError
+    from valdef.series import parse_endomorphism, parse_series_literal, parse_vector
 
     literals = st.one_of(
         st.builds(str, st.integers(-9, 9)),
@@ -958,7 +959,7 @@ def test_canonical_parse_and_inverse():
         entries[at] = first
         entries[later] = second if later > at else first
         with pytest.raises(FormatError) as want:
-            io.parse_series_literal(first, cap)
+            parse_series_literal(first, cap)
         with pytest.raises(FormatError) as got:
             read(entries)
         return str(got.value), str(want.value)
@@ -967,13 +968,13 @@ def test_canonical_parse_and_inverse():
     @hypothesis.given(st.data(), st.integers(1, 4), st.integers(0, 6))
     def check(data, n, fcap):
         comps = data.draw(st.lists(series(fcap), min_size=1, max_size=5))
-        den, rows = vec = io.parse_vector({"cap": fcap, "components": comps}, 8)
+        den, rows = vec = parse_vector({"cap": fcap, "components": comps}, 8)
         assert canonical(den, rows, fcap)
         assert components(vec) == tuple(
-            TruncSeries(*io.parse_series_literal(c, fcap)) for c in comps
+            TruncSeries(*parse_series_literal(c, fcap)) for c in comps
         )
         def read_vector(comps):
-            return io.parse_vector({"cap": fcap, "components": comps}, 8)
+            return parse_vector({"cap": fcap, "components": comps}, 8)
 
         got, want = first_error(data, comps, fcap, read_vector)
         assert got == want
@@ -982,16 +983,16 @@ def test_canonical_parse_and_inverse():
             [data.draw(series(fcap, ones if r == c else zeros)) for c in range(n)]
             for r in range(n)
         ]
-        f = io.parse_endomorphism({"cap": fcap, "matrix": matrix}, n, 8)
+        f = parse_endomorphism({"cap": fcap, "matrix": matrix}, n, 8)
         assert canonical(f[0], chain.from_iterable(f[1]), fcap)
         assert series_matrix(f) == tuple(
-            tuple(TruncSeries(*io.parse_series_literal(e, fcap)) for e in row)
+            tuple(TruncSeries(*parse_series_literal(e, fcap)) for e in row)
             for row in matrix
         )
 
         def read_matrix(flat):
             rows = [flat[r * n : (r + 1) * n] for r in range(n)]
-            return io.parse_endomorphism({"cap": fcap, "matrix": rows}, n, 8)
+            return parse_endomorphism({"cap": fcap, "matrix": rows}, n, 8)
 
         flat = [e for row in matrix for e in row]
         got, want = first_error(data, flat, fcap, read_matrix)
@@ -1023,20 +1024,20 @@ def test_canonical_parse_and_inverse():
     check()
     # the cut drops the only 7 of the denominator, and the inverse's content
     # is 2^(cap - 1) over 2^cap
-    f = io.parse_endomorphism({"matrix": [[["1", "1/2", "0", "1/7"]]]}, 1, 3)
+    f = parse_endomorphism({"matrix": [[["1", "1/2", "0", "1/7"]]]}, 1, 3)
     assert f == (14, [[[14, 7, 0, 2]]])
     assert inverse_scale(f, 2) == 2**2
     assert series_matrix_inverse(f, 2) == (4, [[[4, -2, 1]]])
 
 
 def test_parse_vector_peak_memory():
-    """`io.parse_vector` builds the padded integer rows in place: reading
+    """`series.parse_vector` builds the padded integer rows in place: reading
     200 components at cap 499, literals -40..40 over 1..9, peaks at no more
     than twice the matrix it returns (tracemalloc)."""
     import random
     import tracemalloc
 
-    from valdef import io
+    from valdef.series import parse_vector
 
     rng = random.Random(5)
     comps = [
@@ -1047,7 +1048,7 @@ def test_parse_vector_peak_memory():
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        den, rows = io.parse_vector({"cap": 499, "components": comps}, 8)
+        den, rows = parse_vector({"cap": 499, "components": comps}, 8)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

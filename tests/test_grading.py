@@ -13,7 +13,8 @@ import valdef.cohomology as cohomology
 import valdef.grading as grading
 from valdef import linalg
 from valdef.algebra import COEFFS
-from valdef.cli import _table_doc, main
+from valdef.cli import main
+from valdef.commands import _table_doc
 from valdef.cohomology import cohomology_dim
 from valdef.grading import charpoly, find_grading, integer_roots, require_homogeneous
 

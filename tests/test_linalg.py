@@ -472,3 +472,29 @@ def test_insert_grows_each_prefix_to_sympy_rref():
                 assert len(pivots) - size == (1, 1, 0, 0, 1)[i]
             assert prefix_level(pivots, ncols) == sympy_row_space(prefix)
     assert swaps > 2
+
+
+def test_insert_reduced_grows_each_prefix_to_sympy_rref():
+    """`insert_reduced` one row at a time keeps the echelon back-substituted:
+    every prefix is sympy's RREF of its rows, the pivots equal `insert` and
+    `back_substitute`'s up to row signs, and it returns the new lead exactly
+    when the rank grows, None for a row in the span."""
+    pytest.importorskip("sympy")
+    rng = random.Random(28)
+    cases = [[[1, 1, 1, 1], [2, 1, 0, 0], [2, 1, 0, 0], [3, 2, 1, 1], [0, 0, 2, 4]]]
+    cases += [integer_matrix(rng, rng.randint(1, 7), rng.randint(1, 7)) for _ in range(80)]
+    for m in cases:
+        ncols = len(m[0])
+        pivots, grown = {}, {}
+        for i, row in enumerate(m):
+            before = set(pivots)
+            lead = linalg.insert_reduced(pivots, {c: v for c, v in enumerate(row) if v})
+            linalg.insert(grown, {c: v for c, v in enumerate(row) if v})
+            linalg.back_substitute(grown)
+            prefix = [[Fraction(x) for x in r] for r in m[: i + 1]]
+            assert len(pivots) == domain_matrix(prefix).rank()
+            assert set(pivots) == before | ({lead} - {None})
+            if m is cases[0]:
+                assert lead == (0, 1, None, None, 2)[i]
+            assert prefix_level(pivots, ncols) == sympy_row_space(prefix)
+            assert prefix_level(pivots, ncols) == prefix_level(grown, ncols)

@@ -11,16 +11,9 @@ import pytest
 
 import valdef.nonassoc as nonassoc
 
-from valdef.algebra import (
-    AlgebraStructure,
-    associator,
-    is_lie,
-    jacobiator,
-    nested_products,
-    pack,
-    slot_width,
-)
-from valdef.cli import _table_doc, main
+from valdef.algebra import AlgebraStructure, associator, is_lie, jacobiator
+from valdef.cli import main
+from valdef.commands import _table_doc
 from valdef.errors import InvalidPoisson
 from valdef.nonassoc import (
     PATTERNS,
@@ -28,9 +21,12 @@ from valdef.nonassoc import (
     SubgroupTag,
     dual_identity_check,
     g_associative_check,
+    nested_products,
     opposite_poisson,
+    pack,
     poisson_tensor,
     poisson_verify,
+    slot_width,
     tensor_g_associative,
     tensor_product,
 )

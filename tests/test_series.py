@@ -15,8 +15,8 @@ from valdef.errors import (
     PrecisionExhausted,
     ZeroDivisor,
 )
-from valdef.io import parse_series_literal, series_literal
-from valdef.series import TruncSeries, ratio_str, rational_pair
+from valdef.io import ratio_str, rational_pair
+from valdef.series import TruncSeries, parse_series_literal, series_literal
 
 from gens import (
     constant_series,
@@ -83,7 +83,7 @@ def test_parse_rational_accepts_exactly_the_ascii_grammar():
 
 
 def test_series_literal_parser_matches_fraction_parse():
-    """io.parse_series_literal reads integer pairs over one lcm; it gives the
+    """series.parse_series_literal reads integer pairs over one lcm; it gives the
     TruncSeries that the Fraction parse gives, and the same error text."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -137,7 +137,7 @@ def test_series_literal_parser_matches_fraction_parse():
 
 
 def test_series_literal_printer_matches_rational_str():
-    """io.series_literal prints nums / den entry by entry, in lowest terms,
+    """series.series_literal prints nums / den entry by entry, in lowest terms,
     as rational_str(Fraction(x, den)) does: zero and negative entries, and
     entries sharing factors with den."""
     hypothesis = pytest.importorskip("hypothesis")
