@@ -40,9 +40,10 @@ of B's, an `echelon` of at most 2|G| rows and dot products.  The witness
 of a failing product still comes from `g_associative_check` on its table.
 
 `poisson_tensor` checks the structure it builds without visiting its
-triples either: both built tables are read entry by entry against the
-Kronecker formula on the verified factors (`_kronecker_mismatch`), and the
-tensor product of two Poisson algebras is a Poisson algebra.
+triples either: each block of a built table at a pair of A-indices is
+packed into one int and compared with the Kronecker formula on the
+verified factors, one shifted product of a packed B table per A-constant
+(`_kronecker_mismatch`), and a tensor product of Poisson algebras is Poisson.
 """
 
 from __future__ import annotations
@@ -341,71 +342,55 @@ def _require_poisson(p: PoissonStructure, label: str, error=InvalidPoisson):
         raise error(f"{label}: {witness[0]} at {witness[1]}")
 
 
-def _kronecker_block(lefts, tables, m: int, big: int, g: int) -> list[tuple]:
-    """For each row j1 of the b's, the m entries that the a's entries
-    `lefts` (one per pair of `tables`, the pairs' scaled tables) make with
-    it in the Kronecker sum, over big / g for big the lcm of the pairs'
-    dens; an entry whose sum is not over big / g is None."""
-    terms = [
-        (left, rows_b, big // (da * db))
-        for left, ((da, _), (db, rows_b)) in zip(lefts, tables)
-        if left
-    ]
-    if len(terms) == 1 and terms[0][2] % g == 0:
-        # one summand: each entry comes sorted, without zeros
-        left, rows_b, scale = terms[0]
-        f = scale // g
-        return [
-            tuple(
-                tuple([(q * m + s, f * cq * cs) for q, cq in left for s, cs in right])
-                for right in row_b
-            )
-            for row_b in rows_b
-        ]
-
-    def entry(j1, j2):
-        acc = {}
-        for left, rows_b, scale in terms:
-            for q, cq in left:
-                for s, cs in rows_b[j1][j2]:
-                    acc[q * m + s] = acc.get(q * m + s, 0) + scale * cq * cs
-        if any(w % g for w in acc.values()):
-            return None
-        return tuple(sorted((k, w // g) for k, w in acc.items() if w))
-
-    return [tuple(entry(j1, j2) for j2 in range(m)) for j1 in range(m)]
-
-
 def _kronecker_mismatch(table: AlgebraStructure, pairs):
     """Where table is not the sum over (a, b) in pairs of the products on
     the Kronecker basis, in words, or None.
 
     Written apart from `_kronecker`, from the product's side.  The den of
     any such sum in canonical form divides the lcm L of the pairs' dens, so
-    a den that does not is named first.  Then the entries (x, y) with x =
-    (i1, j1) and y = (i2, j2) for fixed i1 and i2, one slice of each of m
-    rows of table, are read against the entries that the a's at (i1, i2)
-    make with the b's over den (`_kronecker_block`, built once for each
-    distinct tuple of a-entries), and the first pair that differs is named.
+    a den that does not is named first.  The m x m block of table at (i1,
+    i2), entries (x, y) with x = (i1, j1) and y = (i2, j2), is read as one
+    int: its `pack`ed entries joined by Horner, coordinate k of entry (j1,
+    j2) in slot (j1 m + j2) n + k, n = p m.  Each b is packed so once, as
+    PB, and (c PB) << W m r puts c b at coordinate r m + q, that of e_r (x)
+    f_q: summed over the pairs, times scale = L / (den_a den_b), and over
+    the (r, c) of a's entry (i1, i2), that is L times the formula's block,
+    to equal g = L / den times the table's.  One product per pair reaches a
+    slot, so every slot of either side is at most M = max(sum of scale
+    max|a| max|b|, g max|T|) in size (`extent`).  For W = bit_length(M) + 1
+    the two are equal only if every slot is: the lowest nonzero slot of the
+    difference would lie in (-2^W, 2^W) and be a multiple of 2^W.  `unpack`
+    reads the first differing (j1, j2) in the first (i1, i2) block to differ.
     """
-    den, rows = table.scaled_table
-    p, m = pairs[0][0].dim, pairs[0][1].dim
-    tables = [(a.scaled_table, b.scaled_table) for a, b in pairs]
-    big = lcm(*(da * db for (da, _), (db, _) in tables))
+    den, p, m = table.scaled_table[0], pairs[0][0].dim, pairs[0][1].dim
+    dens = [a.scaled_table[0] * b.scaled_table[0] for a, b in pairs]
+    big, n = lcm(*dens), p * m
     if big % den:
         return f"den {den} does not divide {big}, the lcm of the pairs' dens"
-    blocks = {}
+    g, scales = big // den, [big // d for d in dens]
+    bound = sum(s * a.extent[1] * b.extent[1] for s, (a, b) in zip(scales, pairs))
+    width = max(bound, g * table.extent[1]).bit_length() + 1
+
+    def block(packed, i1, i2):
+        acc = 0
+        for row in reversed(packed[i1 * m : i1 * m + m]):
+            for entry in reversed(row[i2 * m : i2 * m + m]):
+                acc = (acc << width * n) + entry
+        return acc
+
+    terms = [
+        (s, a.scaled_table[1], block(pack(b, width), 0, 0))
+        for s, (a, b) in zip(scales, pairs)
+    ]
+    packed, size = pack(table, width), m * m * n
     for i1, i2 in iter_product(range(p), repeat=2):
-        lefts = tuple([rows_a[i1][i2] for (_, rows_a), _ in tables])
-        if lefts not in blocks:
-            blocks[lefts] = _kronecker_block(lefts, tables, m, big, big // den)
-        got = [row[i2 * m : i2 * m + m] for row in rows[i1 * m : i1 * m + m]]
-        if got != blocks[lefts]:
-            j1, j2 = next(
-                (j1, j2)
-                for j1, j2 in iter_product(range(m), repeat=2)
-                if got[j1][j2] != blocks[lefts][j1][j2]
-            )
+        want = sum(
+            [(s * c * pb) << width * m * r for s, rows, pb in terms for r, c in rows[i1][i2]]
+        )
+        got = g * block(packed, i1, i2)
+        if got != want:
+            slots = map(ne, unpack(got, size, width), unpack(want, size, width))
+            j1, j2 = divmod(next(compress(count(), slots)) // n, m)
             return f"differs from the Kronecker formula at {(i1 * m + j1, i2 * m + j2)}"
     return None
 

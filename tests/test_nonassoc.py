@@ -280,6 +280,18 @@ POISSON3 = rational_poisson(
     {(1, 2): {1: 1}, (2, 1): {1: -1}},
 )
 
+# the unital algebra <1, x, y, xy> with x^2 = y^2 = 0 and {x, y} = xy
+UNIT_XY = rational_poisson(
+    4,
+    {
+        **{(0, k): {k: 1} for k in range(4)},
+        **{(k, 0): {k: 1} for k in range(1, 4)},
+        (1, 2): {3: 1},
+        (2, 1): {3: 1},
+    },
+    {(1, 2): {3: 1}, (2, 1): {3: -1}},
+)
+
 
 def test_poisson_verify_cases():
     zero_bracket = rational_poisson(
@@ -287,6 +299,7 @@ def test_poisson_verify_cases():
     )
     assert poisson_verify(zero_bracket) == (True, None)
     assert poisson_verify(POISSON3) == (True, None)
+    assert poisson_verify(UNIT_XY) == (True, None)
     bad = rational_poisson(
         3,
         {
@@ -358,7 +371,13 @@ def test_kronecker_mismatch_names_the_planted_entry():
         rational_assoc(2, {(0, 1): {0: Fraction(1, 2), 1: 1}, (1, 0): {1: 1}, (1, 1): {0: 3}}),
         rational_assoc(2, {(0, 1): {0: 1}, (1, 0): {1: -2}, (1, 1): {0: Fraction(-3, 2)}}),
     )
-    pool = [zb, POISSON3, lie3, _scaled_poisson(rng, POISSON3), _conjugate_poisson(rng, zb), rough]
+    # a dense pair of dim 4: every table over a den > 1 with negative constants
+    dense_rng = random.Random(42)
+    dense = [_conjugate_poisson(dense_rng, UNIT_XY) for _ in range(2)]
+    for t in (x for d in dense for x in (d.product, d.bracket)):
+        den, rows = t.scaled_table
+        assert den > 1 and min(c for r in rows for e in r for _, c in e) < 0
+    pool = [zb, POISSON3, lie3, _scaled_poisson(rng, POISSON3), _conjugate_poisson(rng, zb), rough, *dense]
     planted = 0
     for p, q in iter_product(pool, repeat=2):
         dim = p.dim * q.dim
@@ -384,6 +403,45 @@ def test_kronecker_mismatch_names_the_planted_entry():
             want = f"den {den * f} does not divide {big}, the lcm of the pairs' dens"
             assert nonassoc._kronecker_mismatch(bad, pairs) == want
     assert planted >= 2 * 36 * 2
+
+
+def test_kronecker_mismatch_sees_a_carry_alias():
+    """A = <e0, e1> with e0 e0 = 5 e0, tensored with k: the planted entry
+    -3 e0 + e1 packs to the same int as 5 e0 in 3-bit slots (-3 + 2^3 = 5),
+    one bit narrower than the width bit_length(5) + 1 that
+    `_kronecker_mismatch` takes, and it is named at (0, 0)."""
+    a = rational_assoc(2, {(0, 0): {0: 5}})
+    k = rational_assoc(1, {(0, 0): {0: 1}})
+    good = tensor_product(a, k)
+    den, rows = good.scaled_table
+    assert (den, rows[0][0]) == (1, ((0, 5),))
+    row = (((0, -3), (1, 1)),) + rows[0][1:]
+    bad = AlgebraStructure(2, "assoc", (den, (row,) + rows[1:]))
+    assert pack(bad, 3)[0][0] == pack(good, 3)[0][0]
+    assert nonassoc._kronecker_mismatch(good, [(a, k)]) is None
+    want = "differs from the Kronecker formula at (0, 0)"
+    assert nonassoc._kronecker_mismatch(bad, [(a, k)]) == want
+
+
+def test_kronecker_mismatch_names_the_first_pair_in_block_order():
+    """With both factors of dim m >= 2, cells (1, 0) and (0, m) lie in the
+    blocks of factor pairs (0, 0) and (0, 1): planted together, the check
+    names (1, 0), first in (i1, i2, j1, j2) order, though (0, m) comes
+    first in (x, y) order."""
+    zb = rational_poisson(2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, {})
+    for p, q in [(zb, zb), (POISSON3, zb), (zb, POISSON3), (UNIT_XY, POISSON3)]:
+        m = q.dim
+        for table, pairs in (
+            (tensor_product(p.product, q.product), [(p.product, q.product)]),
+            (poisson_tensor(p, q).bracket, [(p.bracket, q.product), (p.product, q.bracket)]),
+        ):
+            den, rows = table.scaled_table
+            rows = [list(r) for r in rows]
+            for x, y in ((1, 0), (0, m)):
+                rows[x][y] = tuple((k, 2 * c) for k, c in rows[x][y]) or ((0, 1),)
+            bad = AlgebraStructure(table.dim, "assoc", (den, tuple(map(tuple, rows))))
+            want = "differs from the Kronecker formula at (1, 0)"
+            assert nonassoc._kronecker_mismatch(bad, pairs) == want
 
 
 def test_nested_products_on_rows_of_every_length():
